@@ -655,8 +655,6 @@ void FederatedAlgorithm::TrainCohort(int round, const std::vector<int>& cohort,
   // order: the fault channel's RNG stream must be consumed in a
   // deterministic order, and compute draws are cheap.
   for (int i = 0; i < n; ++i) {
-    // Per-client span (not per-phase-A-pass) so the "broadcast" count is
-    // the same on the parallel and sequential round paths.
     obs::TraceSpan trace_span("broadcast");
     ClientWork& w = (*work)[static_cast<size_t>(i)];
     w.client = cohort[static_cast<size_t>(i)];
@@ -709,14 +707,34 @@ bool FederatedAlgorithm::UseParallelPath(size_t cohort_size) const {
   // thread-safe); pipelined executors get their concurrency from the
   // workers instead.
   return train_executor_ == nullptr && pool_ != nullptr &&
-         pool_->num_threads() > 1 && cohort_size > 1 &&
-         SupportsParallelTraining();
+         pool_->num_threads() > 1 && cohort_size > 1;
 }
 
 bool FederatedAlgorithm::UseRemotePipelined(size_t cohort_size) const {
   return train_executor_ != nullptr && train_executor_->pipelined() &&
-         cohort_size > 1 && SupportsParallelTraining() &&
-         !config_.fault.enabled();
+         cohort_size > 1;
+}
+
+void FederatedAlgorithm::UploadUpdate(int round, ClientWork* w) {
+  RecordLoss(w->client, w->loss);
+  // An adversarial client reports a corrupted update in place of its
+  // honest trained state (identity for honest clients and clean runs).
+  // global_state_ is still the model this client downloaded: the server
+  // aggregates only after the cohort's uploads.
+  if (adversary_.CorruptsUpdates()) {
+    w->state =
+        adversary_.CorruptUpdate(w->client, round, global_state_, w->state);
+  }
+  {
+    obs::TraceSpan trace_span("upload");
+    w->uploaded = CompressUploadedState(w->state, &w->delivered);
+  }
+  const int64_t up_bytes = compression_enabled_
+                               ? compressor_->WireBytes(w->state.size())
+                               : model_bytes_;
+  w->completion_ms = w->down_ms + w->compute_ms +
+                     network_model_.UpMs(up_bytes) +
+                     channel_.last_latency_ms();
 }
 
 bool FederatedAlgorithm::StreamingEligible() const {
@@ -743,21 +761,6 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
   {
     obs::TraceSpan trace_span("select");
     selected = SampleClients();
-    // Straggler fault injection: drop sampled clients with the configured
-    // probability, keeping at least one. Dropped clients still cost the
-    // server a model download (they failed *after* receiving it).
-    if (config_.dropout_prob > 0.0) {
-      std::vector<int> kept;
-      for (int k : selected) {
-        if (rng_.Uniform() < config_.dropout_prob) {
-          ChargeModelDownload();  // wasted transfer
-        } else {
-          kept.push_back(k);
-        }
-      }
-      if (kept.empty()) kept.push_back(selected[0]);
-      selected = std::move(kept);
-    }
   }
   OnRoundStart(round, selected);
 
@@ -786,8 +789,8 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
   double max_completion = 0.0;
   int cut = 0;
 
-  // Finishes one client in cohort order on both paths: upload, virtual
-  // completion time, deadline cut, survivor bookkeeping.
+  // Finishes one client in cohort order: upload, virtual completion
+  // time, deadline cut, survivor bookkeeping.
   const auto finish = [&](ClientWork& w) {
     if (!w.trained) {
       // A lost broadcast still occupies the round until its (re)attempts
@@ -795,35 +798,16 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
       max_completion = std::max(max_completion, w.down_ms);
       return;
     }
-    RecordLoss(w.client, w.loss);
+    UploadUpdate(round, &w);
     // The weighted mean training loss covers every client that trained,
     // whether or not its update made it back.
     const double pw = client_weight(w.client);
     trained_weight += pw;
     trained_loss += pw * w.loss;
-    // An adversarial client reports a corrupted update in place of its
-    // honest trained state (identity for honest clients and clean runs).
-    // global_state_ is still the round-start model here: aggregation
-    // happens only after every client finished.
-    if (adversary_.CorruptsUpdates()) {
-      w.state =
-          adversary_.CorruptUpdate(w.client, round, global_state_, w.state);
-    }
-    bool delivered = true;
-    Tensor uploaded = [&] {
-      obs::TraceSpan trace_span("upload");
-      return CompressUploadedState(w.state, &delivered);
-    }();
-    const int64_t up_bytes = compression_enabled_
-                                 ? compressor_->WireBytes(w.state.size())
-                                 : model_bytes_;
-    const double completion = w.down_ms + w.compute_ms +
-                              network_model_.UpMs(up_bytes) +
-                              channel_.last_latency_ms();
-    completions.push_back(completion);
-    max_completion = std::max(max_completion, completion);
-    if (!delivered) return;  // update lost in flight
-    if (deadline_mode && completion > config_.sim.deadline_ms) {
+    completions.push_back(w.completion_ms);
+    max_completion = std::max(max_completion, w.completion_ms);
+    if (!w.delivered) return;  // update lost in flight
+    if (deadline_mode && w.completion_ms > config_.sim.deadline_ms) {
       ++cut;  // arrived after the cut: the work and bytes were wasted
       StragglersCutCounter()->Increment();
       return;
@@ -831,7 +815,7 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
     // Server-side validation: a non-finite update is quarantined here,
     // before it can reach the aggregator, SCAFFOLD's control-variate
     // refresh, or the rFedAvg map computation.
-    if (!ValidateUpdate(w.client, w.state, uploaded)) return;
+    if (!ValidateUpdate(w.client, w.state, w.uploaded)) return;
     OnClientTrained(round, w.client, w.state);
     survivors.push_back(w.client);
     if (streaming) {
@@ -839,18 +823,18 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
       // weight accumulation mirror the sharded Aggregate exactly.
       const double wgt = client_weight(w.client);
       stream_weight += wgt;
-      Tensor leaf = std::move(uploaded);
+      Tensor leaf = std::move(w.uploaded);
       leaf.MulInPlace(static_cast<float>(wgt));
       stream_acc.Push(std::move(leaf));
     } else {
-      new_states.push_back(std::move(uploaded));
+      new_states.push_back(std::move(w.uploaded));
     }
     if (want_start_losses) start_losses.push_back(w.start_loss);
   };
 
   // Streaming rounds walk the cohort in chunks of stream_chunk clients
   // (train a chunk, fold it, move on); otherwise the whole cohort is one
-  // chunk and the flow below is the original round, byte for byte.
+  // chunk.
   const size_t total = selected.size();
   const size_t chunk_size =
       streaming ? static_cast<size_t>(config_.stream_chunk) : total;
@@ -858,38 +842,9 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
     const size_t end = std::min(begin + chunk_size, total);
     const std::vector<int> cohort(selected.begin() + static_cast<int64_t>(begin),
                                   selected.begin() + static_cast<int64_t>(end));
-    if (UseParallelPath(cohort.size()) || UseRemotePipelined(cohort.size())) {
-      std::vector<ClientWork> work;
-      TrainCohort(round, cohort, want_start_losses, &work);
-      for (ClientWork& w : work) finish(w);
-    } else {
-      // Sequential interleaved loop, matching the pre-sim simulator
-      // operation-for-operation (and RNG-draw-for-draw): SCAFFOLD's
-      // OnClientTrained updates server state that later clients' training
-      // in the same round observes.
-      for (int k : cohort) {
-        ClientWork w;
-        w.client = k;
-        {
-          obs::TraceSpan trace_span("broadcast");
-          w.trained = ChargeModelDownload();  // broadcast lost: sits out
-          w.down_ms =
-              network_model_.DownMs(model_bytes_) + channel_.last_latency_ms();
-          w.compute_ms = compute_model_->SampleMs(k, round, LocalSteps(k));
-        }
-        if (w.trained) {
-          obs::TraceSpan trace_span("local_train");
-          if (want_start_losses) {
-            w.start_loss = EvaluateLocalLoss(k, global_state_);
-          }
-          auto [state, loss] = DispatchTrain(round, k, global_state_, nullptr,
-                                             /*already_submitted=*/false);
-          w.state = std::move(state);
-          w.loss = loss;
-        }
-        finish(w);
-      }
-    }
+    std::vector<ClientWork> work;
+    TrainCohort(round, cohort, want_start_losses, &work);
+    for (ClientWork& w : work) finish(w);
   }
 
   if (!survivors.empty()) {
@@ -945,8 +900,7 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
   // Refill the concurrency target: dispatch fresh work to idle clients so
   // that `cohort` clients are training/in flight at once. Sampling is
   // uniform over the idle set (loss-adaptive selection would bias toward
-  // clients whose losses are stalest here). dropout_prob applies at
-  // dispatch; a dropped client wastes its broadcast and stays idle.
+  // clients whose losses are stalest here).
   std::vector<int> fresh;
   {
     obs::TraceSpan trace_span("select");
@@ -963,17 +917,6 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
         fresh.push_back(idle[static_cast<size_t>(pick)]);
       }
     }
-    if (config_.dropout_prob > 0.0) {
-      std::vector<int> kept;
-      for (int k : fresh) {
-        if (rng_.Uniform() < config_.dropout_prob) {
-          ChargeModelDownload();  // wasted transfer
-        } else {
-          kept.push_back(k);
-        }
-      }
-      fresh = std::move(kept);
-    }
   }
   OnRoundStart(round, fresh);
 
@@ -985,33 +928,11 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
   // arrival at now + download + compute + upload.
   for (ClientWork& w : work) {
     if (!w.trained) continue;
-    RecordLoss(w.client, w.loss);
-    // Adversarial corruption at dispatch: global_state_ is the model
-    // this client downloaded (the server has not aggregated yet).
-    if (adversary_.CorruptsUpdates()) {
-      w.state =
-          adversary_.CorruptUpdate(w.client, round, global_state_, w.state);
-    }
-    InFlight flight;
-    flight.client = w.client;
-    flight.version = server_version_;
-    flight.loss = w.loss;
-    flight.start_loss = w.start_loss;
-    {
-      obs::TraceSpan trace_span("upload");
-      flight.uploaded = CompressUploadedState(w.state, &flight.delivered);
-    }
-    flight.state = std::move(w.state);
-    const int64_t up_bytes = compression_enabled_
-                                 ? compressor_->WireBytes(flight.state.size())
-                                 : model_bytes_;
-    flight.completion_ms = w.down_ms + w.compute_ms +
-                           network_model_.UpMs(up_bytes) +
-                           channel_.last_latency_ms();
-    const int64_t id = queue_.Push(clock_.now_ms() + flight.completion_ms,
+    UploadUpdate(round, &w);
+    const int64_t id = queue_.Push(clock_.now_ms() + w.completion_ms,
                                    w.client, 0);
-    in_flight_.emplace(id, std::move(flight));
     client_busy_[static_cast<size_t>(w.client)] = 1;
+    in_flight_.emplace(id, InFlight{server_version_, std::move(w)});
   }
 
   // Collect: pop arrivals in virtual-time order, advancing the clock,
@@ -1029,26 +950,25 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
     clock_.AdvanceTo(event.time_ms);
     auto it = in_flight_.find(event.seq);
     RFED_CHECK(it != in_flight_.end());
-    InFlight flight = std::move(it->second);
+    const int version = it->second.version;
+    ClientWork w = std::move(it->second.work);
     in_flight_.erase(it);
-    client_busy_[static_cast<size_t>(flight.client)] = 0;
-    if (!flight.delivered) continue;  // upload lost in flight
+    client_busy_[static_cast<size_t>(w.client)] = 0;
+    if (!w.delivered) continue;  // upload lost in flight
     // Quarantined updates free their client but, like lost uploads,
     // fill no buffer slot and never reach the server state.
-    if (!ValidateUpdate(flight.client, flight.state, flight.uploaded)) {
-      continue;
-    }
-    const int staleness = server_version_ - flight.version;
+    if (!ValidateUpdate(w.client, w.state, w.uploaded)) continue;
+    const int staleness = server_version_ - version;
     staleness_sum += static_cast<double>(staleness);
     StalenessHistogram()->Observe(static_cast<double>(staleness));
-    completions.push_back(flight.completion_ms);
-    const double pw = client_weight(flight.client);
+    completions.push_back(w.completion_ms);
+    const double pw = client_weight(w.client);
     trained_weight += pw;
-    trained_loss += pw * flight.loss;
-    OnClientTrained(round, flight.client, flight.state);
-    survivors.push_back(flight.client);
-    new_states.push_back(std::move(flight.uploaded));
-    if (want_start_losses) start_losses.push_back(flight.start_loss);
+    trained_loss += pw * w.loss;
+    OnClientTrained(round, w.client, w.state);
+    survivors.push_back(w.client);
+    new_states.push_back(std::move(w.uploaded));
+    if (want_start_losses) start_losses.push_back(w.start_loss);
     scales.push_back(1.0 / (1.0 + static_cast<double>(staleness)));
   }
 

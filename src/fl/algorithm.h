@@ -46,8 +46,8 @@ inline constexpr uint64_t kPoolBatcherLineage = 0xba7c4e55eedull;
 /// pipelined() is true the loop submits a whole cohort before
 /// collecting anything (workers train concurrently, broadcast of later
 /// jobs overlaps the upload tail of earlier ones); otherwise Submit and
-/// Collect strictly alternate, matching the sequential in-process path
-/// operation-for-operation.
+/// Collect strictly alternate. Either way the trajectory is the
+/// in-process one.
 class TrainExecutor {
  public:
   virtual ~TrainExecutor() = default;
@@ -97,11 +97,14 @@ struct RoundResult {
 /// from the training RNG, so with the default free models and kSync mode
 /// every algorithm is bit-identical to the pre-sim simulator.
 ///
-/// Local training of a round's cohort runs sequentially on one scratch
+/// Every round dispatches its cohort (broadcasts, in cohort order), then
+/// trains it, then finishes each client in cohort order (upload, hooks,
+/// survivor bookkeeping). Training runs sequentially on one scratch
 /// model when config.num_threads <= 1, or in parallel on per-client
-/// scratch models via a thread pool otherwise; both paths are
-/// bit-identical because each client's randomness (batcher stream) is
-/// its own and models draw no randomness after construction.
+/// scratch models via a thread pool otherwise; both are bit-identical
+/// because each client's randomness (batcher stream) is its own, models
+/// draw no randomness after construction, and the fault channel is only
+/// drawn from in the ordered dispatch and finish phases.
 class FederatedAlgorithm {
  public:
   FederatedAlgorithm(std::string name, const FlConfig& config,
@@ -258,11 +261,11 @@ class FederatedAlgorithm {
   /// Called after `client` finished its local steps *and* its update
   /// reached the server within the round policy's window; `new_state` is
   /// its trained flat model (rFedAvg computes its δ map here). Always
-  /// runs on the main thread. On the sequential sync/deadline path it is
-  /// interleaved with the cohort's training in cohort order (matching
-  /// the pre-sim simulator operation-for-operation); on the parallel
-  /// path it runs after all training, still in cohort order; in async
-  /// mode it runs at arrival, in virtual-time order.
+  /// runs on the main thread, after the whole cohort (or streaming
+  /// chunk) trained: in cohort order on the sync/deadline path, at
+  /// arrival in virtual-time order in async mode. State it updates must
+  /// not feed back into the same round's training — buffer it and commit
+  /// in OnRoundEnd, as rFedAvg does for δ maps and SCAFFOLD for c.
   virtual void OnClientTrained(int round, int client,
                                const Tensor& new_state) {}
 
@@ -310,13 +313,6 @@ class FederatedAlgorithm {
                                   CheckpointWriter* writer) const {}
   virtual void DecodeTrainContext(int round, int client,
                                   CheckpointReader* reader) {}
-
-  /// Whether a round's clients may train concurrently. Algorithms whose
-  /// OnClientTrained feeds freshly updated server state back into the
-  /// same round's later training (SCAFFOLD's incremental control-variate
-  /// refresh) are order-dependent and must return false: they always run
-  /// the sequential interleaved path, regardless of config.num_threads.
-  virtual bool SupportsParallelTraining() const { return true; }
 
   /// Whether the streaming/chunked aggregation path (stream_chunk > 0)
   /// may replace this algorithm's Aggregate call. Only valid for
@@ -414,7 +410,8 @@ class FederatedAlgorithm {
                      std::vector<ClientView> clients, const ClientPool* pool,
                      const ModelFactory& model_factory);
 
-  /// Per-client record of the round's dispatch + local-training phase.
+  /// Per-client record of the round's dispatch, local-training and
+  /// upload phases.
   struct ClientWork {
     int client = -1;
     bool trained = false;     ///< model broadcast arrived and E steps ran
@@ -423,40 +420,39 @@ class FederatedAlgorithm {
     double start_loss = 0.0;  ///< F_k(w_t) when RequiresStartLosses()
     double down_ms = 0.0;     ///< virtual broadcast latency
     double compute_ms = 0.0;  ///< virtual local-compute duration
+    // Set by UploadUpdate.
+    Tensor uploaded;              ///< post-compression state to aggregate
+    bool delivered = false;       ///< upload survived the fault channel
+    double completion_ms = 0.0;   ///< down + compute + up duration
   };
 
   /// An update travelling to the server in async mode.
   struct InFlight {
-    int client = -1;
-    int version = 0;    ///< server_version_ at dispatch (staleness base)
-    Tensor state;       ///< trained local state (for OnClientTrained)
-    Tensor uploaded;    ///< post-compression state to aggregate
-    bool delivered = false;
-    double loss = 0.0;
-    double start_loss = 0.0;
-    double completion_ms = 0.0;  ///< down + compute + up duration
+    int version = 0;  ///< server_version_ at dispatch (staleness base)
+    ClientWork work;
   };
 
   /// Broadcasts to and locally trains `cohort` (in order): phase A runs
   /// the channel transfers and draws virtual durations sequentially (the
   /// shared channel RNG must be consumed in a deterministic order), phase
   /// B runs the local training — on the thread pool with per-client
-  /// scratch models when the configuration and algorithm allow, else
-  /// sequentially on the shared one.
+  /// scratch models when the configuration allows, else sequentially on
+  /// the shared one.
   void TrainCohort(int round, const std::vector<int>& cohort,
                    bool want_start_losses, std::vector<ClientWork>* work);
 
-  /// True when this round should use the phased parallel path.
+  /// True when phase B should train the cohort on the thread pool.
   bool UseParallelPath(size_t cohort_size) const;
 
-  /// True when a pipelined executor should drive this cohort through the
-  /// phased path (submit everything in phase A, collect in phase B).
-  /// Gated to order-independent algorithms on a fault-free channel: the
-  /// phased path consumes channel RNG in a different order than the
-  /// sequential one, so under faults the loop falls back to strict
-  /// submit/collect lockstep, which matches the sequential trajectory
-  /// draw-for-draw.
+  /// True when a pipelined executor should submit this cohort's jobs in
+  /// phase A and collect them in phase B.
   bool UseRemotePipelined(size_t cohort_size) const;
+
+  /// The post-training steps both round policies share for a client that
+  /// trained: records its loss, applies adversarial corruption, uploads
+  /// through the compressor and fault channel, and stamps the virtual
+  /// completion time (fills the upload fields of *w).
+  void UploadUpdate(int round, ClientWork* w);
 
   /// Runs one client's local training wherever it belongs: LocalTrain in
   /// process, or Submit+Collect through the installed executor (with the

@@ -18,6 +18,7 @@ Scaffold::Scaffold(const FlConfig& config, const Dataset* train_data,
 
 void Scaffold::OnRoundStart(int round, const std::vector<int>& selected) {
   round_start_state_ = global_state();
+  pending_control_ = Tensor(global_control_.shape());
   // The server ships c alongside the model to every sampled client. A
   // lost copy leaves that client correcting with its (slowly moving)
   // stale view of c — the standard straggler approximation — so delivery
@@ -57,9 +58,15 @@ void Scaffold::OnClientTrained(int round, int client,
   if (delivered) {
     Tensor delta_c = ck_new;
     delta_c.SubInPlace(ck);
-    global_control_.Axpy(1.0f / static_cast<float>(num_clients()), delta_c);
+    pending_control_.Axpy(1.0f / static_cast<float>(num_clients()), delta_c);
   }
   ck = std::move(ck_new);
+}
+
+void Scaffold::OnRoundEnd(int round, const std::vector<int>& selected) {
+  // Commit c once per round, after every client trained against the same
+  // round-start value.
+  global_control_.AddInPlace(pending_control_);
 }
 
 void Scaffold::EncodeTrainContext(int round, int client,

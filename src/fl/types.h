@@ -60,11 +60,6 @@ struct FlConfig {
   /// "uniform" (FedAvg's sampling) or "loss" (adaptive, biased toward
   /// high-loss clients — the paper's future-work direction).
   std::string client_selection = "uniform";
-  /// Probability that a sampled client drops out (straggler/network
-  /// failure) after downloading the model but before reporting back; its
-  /// round is wasted and the server aggregates over the survivors. At
-  /// least one client always survives. 0 disables the fault model.
-  double dropout_prob = 0.0;
   /// Message-level fault injection (see fl/channel.h): every simulated
   /// transfer can be dropped, corrupted, duplicated, or delayed past the
   /// round deadline, with retry + backoff. All algorithms aggregate over

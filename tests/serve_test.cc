@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -289,22 +290,47 @@ DeploymentResult RunDeployment(const std::string& tag,
 
 // The acceptance matrix: stateless (FedAvg), stateful with control
 // variates (Scaffold), and the paper's flagship (rFedAvg+), each run
-// lockstep and pipelined, always against two workers. One oracle per
-// method — pipelining must not change the trajectory.
+// lockstep and pipelined, always against two workers; FedAvg and
+// Scaffold once more over a faulty channel (drops + retries), where
+// pipelined dispatch must consume the fault lottery exactly as the
+// in-process oracle does. One oracle per scenario — pipelining must not
+// change the trajectory.
 TEST(ServeDifferential, MatrixMatchesOracle) {
+  const std::vector<std::string> kFaultFlags = {"--drop", "0.2", "--retries",
+                                                "1", "--timeout_ms", "0"};
   const struct {
     const char* method;
     const char* tag;
-  } kMethods[] = {
-      {"FedAvg", "fedavg"}, {"Scaffold", "scaffold"}, {"rFedAvg+", "rfedavgp"}};
-  for (const auto& m : kMethods) {
-    const std::vector<std::string> scenario = TinyScenarioFlags(m.method, 3);
+    bool faulted;
+  } kScenarios[] = {{"FedAvg", "fedavg", false},
+                    {"Scaffold", "scaffold", false},
+                    {"rFedAvg+", "rfedavgp", false},
+                    {"FedAvg", "fedavg_faulty", true},
+                    {"Scaffold", "scaffold_faulty", true}};
+  for (const auto& m : kScenarios) {
+    std::vector<std::string> scenario = TinyScenarioFlags(m.method, 3);
+    if (m.faulted) {
+      scenario.insert(scenario.end(), kFaultFlags.begin(), kFaultFlags.end());
+    }
     const std::string oracle_csv = TempPath(std::string(m.tag) + "_oracle.csv");
     const std::string oracle_model =
         TempPath(std::string(m.tag) + "_oracle.model");
     RunOracle(scenario, oracle_csv, oracle_model);
+    if (m.faulted) {
+      // Non-vacuous: the fault lottery actually forced retransmissions.
+      const auto rows = ParseCsv(oracle_csv);
+      ASSERT_GE(rows.size(), 2u);
+      const auto col = std::find(rows[0].begin(), rows[0].end(), "retried");
+      ASSERT_NE(col, rows[0].end());
+      const size_t c = static_cast<size_t>(col - rows[0].begin());
+      int64_t retried = 0;
+      for (size_t r = 1; r < rows.size(); ++r) {
+        retried += std::stoll(rows[r][c]);
+      }
+      EXPECT_GT(retried, 0) << m.tag;
+    }
     for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE(std::string(m.method) +
+      SCOPED_TRACE(std::string(m.tag) +
                    (pipeline ? " pipelined" : " lockstep"));
       const std::string tag =
           std::string(m.tag) + (pipeline ? "_pipe" : "_lock");

@@ -1,14 +1,17 @@
 // Tests of the discrete-event simulation runtime (src/sim/) and its
 // integration into the FederatedAlgorithm round loop: event-queue
 // determinism, compute-model call-order independence, parallel-vs-
-// sequential bit-identity of local training, participant-schedule
-// invariance across thread counts, and deadline cuts being a function
-// of virtual time only.
+// sequential bit-identity of local training (clean and faulty
+// channels), participant-schedule invariance across thread counts,
+// SCAFFOLD's once-per-round control update, and deadline cuts being a
+// function of virtual time only.
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,28 +277,49 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b,
 
 // Parallel local training must be bit-identical to the sequential
 // path — per-client batcher streams, per-slot scratch models, no shared
-// mutable state in the training hooks. SCAFFOLD is included
-// deliberately: it opts out of the pool (order-dependent control-variate
-// feedback) and must therefore also match exactly.
-class ParallelTrainingTest : public ::testing::TestWithParam<const char*> {};
+// mutable state in the training hooks — on a clean channel and on a
+// faulty one (both thread counts must consume the channel's fault
+// lottery in the same order).
+class ParallelTrainingTest
+    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
 
 TEST_P(ParallelTrainingTest, ParallelMatchesSequentialBitForBit) {
-  const std::string name = GetParam();
+  const std::string name = std::get<0>(GetParam());
+  const bool faulted = std::get<1>(GetParam());
+  FlConfig seq_config = SimConfig(1), par_config = SimConfig(4);
+  if (faulted) {
+    for (FlConfig* config : {&seq_config, &par_config}) {
+      config->fault.drop_prob = 0.3;
+      config->fault.max_retries = 1;
+      config->fault.round_timeout_ms = 0.0;
+    }
+  }
   SimFixture fx_seq, fx_par;
-  auto seq = MakeByName(name, SimConfig(1), &fx_seq);
-  auto par = MakeByName(name, SimConfig(4), &fx_par);
+  auto seq = MakeByName(name, seq_config, &fx_seq);
+  auto par = MakeByName(name, par_config, &fx_par);
   for (int round = 0; round < 3; ++round) {
     const RoundResult a = seq->RunRound(round);
     const RoundResult b = par->RunRound(round);
     ASSERT_DOUBLE_EQ(a.train_loss, b.train_loss) << name << " round " << round;
     ExpectBitIdentical(seq->global_state(), par->global_state(), name);
   }
+  if (faulted) {
+    // Non-vacuous: the lottery actually lost or retried something.
+    const ChannelStats& stats = std::as_const(*seq).channel().stats();
+    EXPECT_GT(stats.dropped + stats.retried, 0) << name;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, ParallelTrainingTest,
-                         ::testing::Values("fedavg", "fedprox", "qfedavg",
-                                           "scaffold", "rfedavg",
-                                           "rfedavg_plus"));
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, ParallelTrainingTest,
+    ::testing::Combine(::testing::Values("fedavg", "fedprox", "qfedavg",
+                                         "scaffold", "rfedavg",
+                                         "rfedavg_plus"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ParallelTrainingTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_faulted" : "_clean");
+    });
 
 /// FedAvg that records each round's cohort (OnRoundStart) and survivors
 /// (OnRoundEnd) — the participant schedule.
@@ -335,6 +359,86 @@ TEST(SelectionUnderSimTest, ScheduleInvariantAcrossThreadCounts) {
   // Sampling actually happened (4 clients, ratio 0.5 -> cohorts of 2).
   ASSERT_EQ(reference.cohorts.size(), 4u);
   EXPECT_EQ(reference.cohorts[0].size(), 2u);
+}
+
+/// Scaffold that records what its reference server update (Karimireddy
+/// et al. 2020, Alg. 1) is checked against: the c every PostBackward of
+/// the round reads, and the sum of option II's (c_k+ - c_k) over the
+/// clients whose control upload was delivered.
+class RecordingScaffold : public Scaffold {
+ public:
+  using Scaffold::Scaffold;
+  Tensor round_start_control;         ///< c_r
+  std::vector<Tensor> seen_controls;  ///< c read by this round's steps
+  Tensor delivered_sum;               ///< sum over delivered k of c_k+ - c_k
+  int lost_uploads = 0;
+
+ protected:
+  void OnRoundStart(int round, const std::vector<int>& selected) override {
+    round_start_control = global_control();
+    round_start_state_ = global_state();
+    seen_controls.clear();
+    delivered_sum = Tensor(global_state().shape());
+    Scaffold::OnRoundStart(round, selected);
+  }
+  void PostBackward(int client,
+                    const std::vector<Variable*>& params) override {
+    seen_controls.push_back(global_control());
+    Scaffold::PostBackward(client, params);
+  }
+  void OnClientTrained(int round, int client,
+                       const Tensor& new_state) override {
+    const int64_t delivered_before = channel().stats().delivered;
+    Scaffold::OnClientTrained(round, client, new_state);
+    if (channel().stats().delivered == delivered_before) {
+      ++lost_uploads;
+      return;
+    }
+    // Option II: c_k+ - c_k = -c + (x - y_k) / (E * lr).
+    Tensor delta = round_start_state_;
+    delta.SubInPlace(new_state);
+    delta.MulInPlace(
+        static_cast<float>(1.0 / (config().local_steps * config().lr)));
+    delta.SubInPlace(round_start_control);
+    delivered_sum.AddInPlace(delta);
+  }
+
+ private:
+  Tensor round_start_state_;
+};
+
+// SCAFFOLD updates the server control once per round: every client of
+// a round corrects with the round-start c, and
+// c_{r+1} - c_r == (1/N) * sum over delivered k of (c_k+ - c_k).
+TEST(ScaffoldReferenceTest, ControlCommitsOncePerRound) {
+  FlConfig config = SimConfig(1);
+  config.fault.drop_prob = 0.3;  // some control uploads get lost
+  config.fault.round_timeout_ms = 0.0;
+  SimFixture fx;
+  RecordingScaffold algo(config, &fx.data.train, fx.views, fx.factory);
+  const double inv_n = 1.0 / algo.num_clients();
+  for (int round = 0; round < 4; ++round) {
+    algo.RunRound(round);
+    ASSERT_FALSE(algo.seen_controls.empty());
+    for (const Tensor& seen : algo.seen_controls) {
+      ExpectBitIdentical(seen, algo.round_start_control,
+                         "c seen in round " + std::to_string(round));
+    }
+    const Tensor& next = algo.global_control();
+    for (int64_t i = 0; i < next.size(); ++i) {
+      const double step = next.at(i) - algo.round_start_control.at(i);
+      const double want = inv_n * algo.delivered_sum.at(i);
+      ASSERT_NEAR(step, want, 1e-5 + 1e-4 * std::fabs(want))
+          << "round " << round << " element " << i;
+    }
+  }
+  // Non-vacuous: c moved, and at least one control upload was lost.
+  EXPECT_GT(algo.lost_uploads, 0);
+  double control_norm = 0.0;
+  for (int64_t i = 0; i < algo.global_control().size(); ++i) {
+    control_norm += std::fabs(algo.global_control().at(i));
+  }
+  EXPECT_GT(control_norm, 0.0);
 }
 
 // With free models and sync mode the sim runtime is invisible: zero
