@@ -378,7 +378,9 @@ int main(int argc, char** argv) {
   }
   if (fl.adversary.enabled() || !fl.robust.mean()) {
     int64_t rejected = 0;
-    for (int64_t c : algorithm->rejection_counts()) rejected += c;
+    for (int k = 0; k < algorithm->num_clients(); ++k) {
+      rejected += algorithm->rejection_count(k);
+    }
     std::printf(
         "resilience: adversary=%s adversarial_clients=%d aggregator=%s "
         "rejected_updates=%lld\n",

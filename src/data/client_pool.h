@@ -22,10 +22,11 @@ struct ClientPoolOptions {
 
 /// Cross-device client population over a shared synthetic pool.
 ///
-/// The legacy path (data/partition.h) materializes one index list per
-/// client at startup — O(N) memory and time, fine at the paper's N ~ 100
-/// but not at the cross-device regime of 10^5..10^6 enrolled devices with
-/// a few hundred sampled per round. A ClientPool instead stores only the
+/// An explicit partition (data/partition.h) holds one index list per
+/// client, all resident from the algorithm's construction — O(N) memory
+/// and time, fine at the paper's N ~ 100 but not at the cross-device
+/// regime of 10^5..10^6 enrolled devices with a few hundred sampled per
+/// round. A ClientPool instead stores only the
 /// shared pool plus O(num_classes) class slices; client k's view is a
 /// pure function of (seed, k) recomputed on demand via MixSeed
 /// (util/rng.h), so materializing a round costs O(sampled), and the view
@@ -33,9 +34,9 @@ struct ClientPoolOptions {
 /// That identity is what tests/scale_test.cc pins differentially against
 /// eager per-client copies.
 ///
-/// Unlike the legacy partitioner, views are drawn *with* replacement from
-/// the pool, so two clients may share a pool example; weights stay exact
-/// because every client view has the same size.
+/// Unlike the explicit partitioners, views are drawn *with* replacement
+/// from the pool, so two clients may share a pool example; weights stay
+/// exact because every client view has the same size.
 class ClientPool {
  public:
   /// Pools must outlive the ClientPool. test_pool may be null when
@@ -48,14 +49,12 @@ class ClientPool {
   const Dataset& train_pool() const { return *train_pool_; }
   const Dataset* test_pool() const { return test_pool_; }
 
-  /// All client views have the same size, so sizes and FedAvg weights are
-  /// O(1) — no per-client state is consulted.
-  int64_t ClientSize(int) const { return options_.examples_per_client; }
+  /// Examples over all client views (every view has the same size), the
+  /// n of the FedAvg weights p_k = n_k / n.
   int64_t TotalExamples() const {
     return static_cast<int64_t>(options_.num_clients) *
            options_.examples_per_client;
   }
-  double ClientWeight(int) const { return 1.0 / options_.num_clients; }
 
   /// Primary class of client k: contiguous blocks of client ids map to
   /// classes, mirroring the sorted-shard dealing of SimilarityPartition.

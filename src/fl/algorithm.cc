@@ -49,13 +49,40 @@ obs::Counter* StragglersCutCounter() {
   return c;
 }
 
-/// Magic word opening the pool-mode checkpoint layout (sparse per-client
-/// sections keyed by client id, instead of the legacy dense tables).
-constexpr uint32_t kPoolStateMagic = 0x700c57a7u;
-
 const Dataset* PoolTrainData(const ClientPool* pool) {
   RFED_CHECK(pool != nullptr);
   return &pool->train_pool();
+}
+
+const char* SourceName(bool pool) {
+  return pool ? "pool-mode" : "explicit-partition";
+}
+
+/// The one encoding of a batcher stream's state, shared by checkpoint
+/// client sections and the batcher base a JOB carries.
+void WriteBatcherState(const BatcherState& s, CheckpointWriter* w) {
+  w->WriteU32(static_cast<uint32_t>(s.indices.size()));
+  for (int index : s.indices) w->WriteI32(index);
+  w->WriteU64(s.cursor);
+  w->WriteRng(s.rng);
+}
+
+/// Decodes a WriteBatcherState record for `client`, whose view holds
+/// `view_size` indices. The index count is checked before anything is
+/// allocated, so a corrupt count aborts by name instead of reserving
+/// gigabytes.
+BatcherState ReadBatcherState(CheckpointReader* r, int client,
+                              size_t view_size) {
+  const uint32_t num_indices = r->ReadU32();
+  RFED_CHECK_EQ(num_indices, view_size)
+      << "batcher state decoder: index count of client " << client
+      << " does not match its view size";
+  BatcherState s;
+  s.indices.reserve(num_indices);
+  for (uint32_t i = 0; i < num_indices; ++i) s.indices.push_back(r->ReadI32());
+  s.cursor = r->ReadU64();
+  s.rng = r->ReadRng();
+  return s;
 }
 
 }  // namespace
@@ -81,14 +108,14 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
     : name_(std::move(name)),
       config_(config),
       train_data_(train_data),
-      clients_(std::move(clients)),
+      num_clients_(pool != nullptr ? pool->num_clients()
+                                   : static_cast<int>(clients.size())),
       client_pool_(pool),
       // The adversary draws its bad-actor choice from its own seed
       // lineage (like the channel), so enabling an attack never perturbs
       // the training randomness.
       adversary_(config.adversary, config.seed ^ 0xbadc11e575a1ULL,
-                 pool != nullptr ? pool->num_clients()
-                                 : static_cast<int>(clients_.size())),
+                 num_clients_),
       model_factory_(model_factory),
       rng_(config.seed),
       // The channel draws from its own stream so that enabling faults
@@ -97,7 +124,7 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
       network_model_(config.sim.network) {
   RFED_CHECK(train_data_ != nullptr);
   if (pool_mode()) {
-    RFED_CHECK(clients_.empty());
+    RFED_CHECK(clients.empty());
     // The O(N)-per-round pieces have no lazy counterpart: loss-adaptive
     // selection scans every client's last loss, and the async policy
     // scans for idle clients. Cross-device runs use uniform sampling and
@@ -106,8 +133,13 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
         << "pool mode supports uniform client selection only";
     RFED_CHECK(config_.sim.mode != SimMode::kAsync)
         << "pool mode supports the sync and deadline round policies only";
+    total_examples_ = client_pool_->TotalExamples();
   } else {
-    RFED_CHECK(!clients_.empty());
+    RFED_CHECK(!clients.empty());
+    for (const ClientView& c : clients) {
+      RFED_CHECK(!c.train_indices.empty());
+      total_examples_ += static_cast<int64_t>(c.train_indices.size());
+    }
   }
   if (config_.shard_fanout != 0) {
     RFED_CHECK(IsPow2(config_.shard_fanout))
@@ -144,45 +176,26 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
   // traced run is never silently disabled by a second algorithm instance.
   if (config_.trace) obs::EnableTracing(true);
 
-  // FedAvg weights p_k = n_k / n. Pool mode computes them O(1) per client
-  // (equal-size views) and never materializes the dense table.
-  if (!pool_mode()) {
-    int64_t total = 0;
-    for (const auto& c : clients_) {
-      RFED_CHECK(!c.train_indices.empty());
-      total += static_cast<int64_t>(c.train_indices.size());
-    }
-    weights_.reserve(clients_.size());
-    for (const auto& c : clients_) {
-      weights_.push_back(static_cast<double>(c.train_indices.size()) /
-                         static_cast<double>(total));
-    }
-  }
-
   Rng init_rng = rng_.Fork();
   model_ = model_factory_(&init_rng);
   global_state_ = FlattenParameters(model_->Parameters());
   model_bytes_ = StateBytes(model_->Parameters());
 
-  // Legacy mode forks one batcher stream per client here, in client
-  // order — a sequential lineage the goldens pin, which is exactly why
-  // it cannot scale: stream k depends on k forks having happened. Pool
-  // mode derives batcher streams on materialization from the
-  // order-independent MixSeed lineage instead, and builds nothing yet.
-  if (!pool_mode()) {
-    batchers_.reserve(clients_.size());
-    for (const auto& c : clients_) {
-      batchers_.emplace_back(train_data_, c.train_indices, config_.batch_size,
-                             rng_.Fork());
-    }
+  // Explicit partitions become resident here, each batcher stream forked
+  // from rng_ in client order — a sequential lineage the goldens pin,
+  // which is exactly why it cannot scale: stream k depends on k forks
+  // having happened. Pool mode derives batcher streams on
+  // materialization from the order-independent MixSeed lineage instead,
+  // and builds nothing yet.
+  for (size_t k = 0; k < clients.size(); ++k) {
+    Batcher batcher(train_data_, clients[k].train_indices, config_.batch_size,
+                    rng_.Fork());
+    clients_.emplace(static_cast<int>(k),
+                     ClientState{std::move(clients[k]), std::move(batcher)});
   }
 
   compressor_ = MakeCompressor(config_.upload_compressor);
   compression_enabled_ = config_.upload_compressor != "none";
-  if (!pool_mode()) {
-    last_losses_.assign(clients_.size(),
-                        std::numeric_limits<double>::quiet_NaN());
-  }
 
   RFED_CHECK(KnownAggregator(config_.robust.aggregator))
       << "unknown aggregator '" << config_.robust.aggregator
@@ -190,7 +203,6 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
   RFED_CHECK_GE(config_.robust.trim_fraction, 0.0);
   RFED_CHECK_LT(config_.robust.trim_fraction, 0.5);
   RFED_CHECK_GT(config_.robust.clip_multiplier, 0.0);
-  if (!pool_mode()) rejection_counts_.assign(clients_.size(), 0);
   // Eager registration keeps the CSV columns stable whether or not any
   // update is ever quarantined or clipped.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
@@ -207,15 +219,12 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
   // randomness, and the draws are call-order independent.
   compute_model_ = std::make_unique<ComputeTimeModel>(
       config_.sim.compute, config_.seed ^ 0x5caff01d57a66ULL, num_clients());
-  // Async-only bookkeeping; pool mode forbids async and skips the O(N)
-  // table.
-  if (!pool_mode()) client_busy_.assign(clients_.size(), 0);
 
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
 
-  // Scale gauges exist only on pool/sharded runs, so legacy runs' CSV
+  // Scale gauges exist only on pool/sharded runs, so other runs' CSV
   // columns are byte-unchanged.
   if (pool_mode() || config_.shard_fanout > 0) {
     m_shard_count_ = registry.GetGauge("fl.shard_count");
@@ -229,29 +238,30 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
 }
 
 double FederatedAlgorithm::client_weight(int k) const {
-  return client_pool_ != nullptr ? client_pool_->ClientWeight(k)
-                                 : weights_[static_cast<size_t>(k)];
+  // Pool views all hold examples_per_client = e indices, so this is
+  // e / (N·e), which IEEE division rounds to exactly 1.0 / N.
+  return static_cast<double>(client_view(k).train_indices.size()) /
+         static_cast<double>(total_examples_);
 }
 
 int64_t FederatedAlgorithm::rejection_count(int client) const {
-  if (client_pool_ == nullptr) {
-    return rejection_counts_[static_cast<size_t>(client)];
-  }
-  const auto it = sparse_rejections_.find(client);
-  return it == sparse_rejections_.end() ? 0 : it->second;
+  const auto it = clients_.find(client);
+  return it == clients_.end() ? 0 : it->second.rejections;
 }
 
 const ClientView& FederatedAlgorithm::client_view(int k) const {
-  if (client_pool_ == nullptr) return clients_[static_cast<size_t>(k)];
-  EnsureClientMaterialized(k);
-  return lazy_views_.at(k);
+  return EnsureClientMaterialized(k).view;
 }
 
-void FederatedAlgorithm::EnsureClientMaterialized(int k) const {
-  if (client_pool_ == nullptr) return;
-  if (lazy_batchers_.find(k) != lazy_batchers_.end()) return;
+FederatedAlgorithm::ClientState& FederatedAlgorithm::EnsureClientMaterialized(
+    int k) const {
+  const auto it = clients_.find(k);
+  if (it != clients_.end()) return it->second;
+  // Only pool clients can be absent: explicit partitions are resident
+  // from construction.
   RFED_CHECK_GE(k, 0);
   RFED_CHECK_LT(k, num_clients());
+  RFED_CHECK(pool_mode());
   ClientView view;
   view.train_indices = client_pool_->TrainIndices(k);
   view.test_indices = client_pool_->TestIndices(k);
@@ -269,30 +279,17 @@ void FederatedAlgorithm::EnsureClientMaterialized(int k) const {
                            view.test_indices.size()) *
           static_cast<int64_t>(sizeof(int)) +
       static_cast<int64_t>(sizeof(ClientView) + sizeof(Batcher));
-  lazy_views_.emplace(k, std::move(view));
-  lazy_batchers_.emplace(k, std::move(batcher));
+  ClientState& state =
+      clients_.emplace(k, ClientState{std::move(view), std::move(batcher)})
+          .first->second;
   if (m_materialized_clients_ != nullptr) {
-    m_materialized_clients_->Set(static_cast<double>(lazy_batchers_.size()));
+    m_materialized_clients_->Set(static_cast<double>(clients_.size()));
     m_client_state_bytes_->Set(static_cast<double>(lazy_state_bytes_));
   }
-}
-
-Batcher& FederatedAlgorithm::BatcherFor(int k) {
-  if (client_pool_ == nullptr) return batchers_[static_cast<size_t>(k)];
-  EnsureClientMaterialized(k);
-  return lazy_batchers_.at(k);
-}
-
-void FederatedAlgorithm::RecordLoss(int client, double loss) {
-  if (client_pool_ == nullptr) {
-    last_losses_[static_cast<size_t>(client)] = loss;
-  } else {
-    sparse_losses_[client] = loss;
-  }
+  return state;
 }
 
 void FederatedAlgorithm::MaterializeAllClients() {
-  RFED_CHECK(pool_mode());
   for (int k = 0; k < num_clients(); ++k) EnsureClientMaterialized(k);
 }
 
@@ -305,13 +302,19 @@ std::vector<int> FederatedAlgorithm::SampleClients() {
   const int n = num_clients();
   int k = static_cast<int>(std::lround(config_.sample_ratio * n));
   k = std::clamp(k, 1, n);
-  if (client_pool_ != nullptr) {
+  if (pool_mode()) {
     // O(cohort) Floyd sampling; the sorted cohort doubles as the
     // canonical shard order.
     return SparseUniformSelection(n, k, &rng_);
   }
   if (config_.client_selection == "loss" && k < n) {
-    return LossProportionalSelection(last_losses_, k, &rng_);
+    // Explicit partitions: every client is resident, in id order.
+    std::vector<double> last_losses;
+    last_losses.reserve(clients_.size());
+    for (const auto& [id, state] : clients_) {
+      last_losses.push_back(state.last_loss);
+    }
+    return LossProportionalSelection(last_losses, k, &rng_);
   }
   return UniformSelection(n, k, &rng_);
 }
@@ -429,34 +432,21 @@ std::pair<Tensor, double> FederatedAlgorithm::ExecuteLocalTraining(int round,
 }
 
 std::vector<uint8_t> FederatedAlgorithm::EncodeBatcherBaseFor(int client) {
-  RFED_CHECK_GE(client, 0);
-  RFED_CHECK_LT(client, num_clients());
-  EnsureClientMaterialized(client);
-  const BatcherState s = BatcherFor(client).SaveState();
   std::vector<uint8_t> blob;
   CheckpointWriter w(&blob);
-  w.WriteU32(static_cast<uint32_t>(s.indices.size()));
-  for (int index : s.indices) w.WriteI32(index);
-  w.WriteU64(s.cursor);
-  w.WriteRng(s.rng);
+  WriteBatcherState(BatcherFor(client).SaveState(), &w);
   return blob;
 }
 
 void FederatedAlgorithm::InstallBatcherBase(int client,
                                             const std::vector<uint8_t>& blob) {
-  RFED_CHECK_GE(client, 0);
-  RFED_CHECK_LT(client, num_clients());
-  EnsureClientMaterialized(client);
+  ClientState& state = EnsureClientMaterialized(client);
   CheckpointReader r(blob);
-  BatcherState s;
-  const uint32_t num_indices = r.ReadU32();
-  s.indices.reserve(num_indices);
-  for (uint32_t i = 0; i < num_indices; ++i) s.indices.push_back(r.ReadI32());
-  s.cursor = r.ReadU64();
-  s.rng = r.ReadRng();
+  const BatcherState s =
+      ReadBatcherState(&r, client, state.view.train_indices.size());
   RFED_CHECK(r.AtEnd()) << "trailing bytes in batcher base for client "
                         << client;
-  BatcherFor(client).LoadState(s);
+  state.batcher.LoadState(s);
 }
 
 void FederatedAlgorithm::SkipLocalBatches(int client) {
@@ -609,9 +599,7 @@ Tensor FederatedAlgorithm::RobustCombine(const std::vector<int>& selected,
 }
 
 void FederatedAlgorithm::RecordRejection(int client) {
-  const int64_t count = client_pool_ == nullptr
-                            ? ++rejection_counts_[static_cast<size_t>(client)]
-                            : ++sparse_rejections_[client];
+  const int64_t count = ++EnsureClientMaterialized(client).rejections;
   // Lazily registered per-client gauge: the CSV column appears only once
   // a client has actually been rejected, so clean-run CSVs are unchanged.
   obs::MetricsRegistry::Get()
@@ -659,7 +647,7 @@ void FederatedAlgorithm::TrainCohort(int round, const std::vector<int>& cohort,
     ClientWork& w = (*work)[static_cast<size_t>(i)];
     w.client = cohort[static_cast<size_t>(i)];
     // Pool mode: pin this client's view/batcher now, on the main thread,
-    // so the phase-B workers below only ever read the caches.
+    // so the phase-B workers below only ever look clients up.
     EnsureClientMaterialized(w.client);
     w.trained = ChargeModelDownload();  // broadcast lost: client sits out
     w.down_ms = network_model_.DownMs(model_bytes_) +
@@ -904,9 +892,13 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
   std::vector<int> fresh;
   {
     obs::TraceSpan trace_span("select");
+    std::vector<char> is_busy(static_cast<size_t>(n), 0);
+    for (const auto& [seq, flight] : in_flight_) {
+      is_busy[static_cast<size_t>(flight.work.client)] = 1;
+    }
     std::vector<int> idle;
     for (int k = 0; k < n; ++k) {
-      if (!client_busy_[static_cast<size_t>(k)]) idle.push_back(k);
+      if (!is_busy[static_cast<size_t>(k)]) idle.push_back(k);
     }
     const int busy = n - static_cast<int>(idle.size());
     if (cohort > busy && !idle.empty()) {
@@ -931,7 +923,6 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
     UploadUpdate(round, &w);
     const int64_t id = queue_.Push(clock_.now_ms() + w.completion_ms,
                                    w.client, 0);
-    client_busy_[static_cast<size_t>(w.client)] = 1;
     in_flight_.emplace(id, InFlight{server_version_, std::move(w)});
   }
 
@@ -953,7 +944,6 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
     const int version = it->second.version;
     ClientWork w = std::move(it->second.work);
     in_flight_.erase(it);
-    client_busy_[static_cast<size_t>(w.client)] = 0;
     if (!w.delivered) continue;  // upload lost in flight
     // Quarantined updates free their client but, like lost uploads,
     // fill no buffer slot and never reach the server state.
@@ -1005,39 +995,21 @@ void FederatedAlgorithm::SaveRunState(std::vector<uint8_t>* out) const {
       << "cannot checkpoint an async run with updates still in flight";
   CheckpointWriter w(out);
   w.WriteString(name_);
-  // Pool-mode checkpoints are sparse: only the clients materialized so
-  // far have any state worth saving (everything else is re-derivable
-  // from the pool seed). A magic word keeps the two formats from being
-  // confused, and the saved client count pins the pool geometry.
-  if (pool_mode()) {
-    w.WriteU32(kPoolStateMagic);
-    w.WriteI32(num_clients());
-  }
+  // The source tag keeps explicit and pool checkpoints from being
+  // confused, and the saved client count pins the population.
+  w.WriteBool(pool_mode());
+  w.WriteI32(num_clients());
   w.WriteTensor(global_state_);
   w.WriteRng(rng_.SaveState());
-  if (pool_mode()) {
-    std::vector<int> ids;
-    ids.reserve(lazy_batchers_.size());
-    for (const auto& [id, batcher] : lazy_batchers_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.WriteU32(static_cast<uint32_t>(ids.size()));
-    for (int id : ids) {
-      w.WriteI32(id);
-      const BatcherState s = lazy_batchers_.at(id).SaveState();
-      w.WriteU32(static_cast<uint32_t>(s.indices.size()));
-      for (int index : s.indices) w.WriteI32(index);
-      w.WriteU64(s.cursor);
-      w.WriteRng(s.rng);
-    }
-  } else {
-    w.WriteU32(static_cast<uint32_t>(batchers_.size()));
-    for (const Batcher& b : batchers_) {
-      const BatcherState s = b.SaveState();
-      w.WriteU32(static_cast<uint32_t>(s.indices.size()));
-      for (int index : s.indices) w.WriteI32(index);
-      w.WriteU64(s.cursor);
-      w.WriteRng(s.rng);
-    }
+  // One section per resident client, in ascending id order: every client
+  // of an explicit partition, only the materialized ones in pool mode
+  // (everything else is re-derivable from the pool seed).
+  w.WriteU32(static_cast<uint32_t>(clients_.size()));
+  for (const auto& [id, state] : clients_) {
+    w.WriteI32(id);
+    WriteBatcherState(state.batcher.SaveState(), &w);
+    w.WriteDouble(state.last_loss);
+    w.WriteI64(state.rejections);
   }
   const ChannelState ch = channel_.SaveState();
   w.WriteRng(ch.rng);
@@ -1053,36 +1025,8 @@ void FederatedAlgorithm::SaveRunState(std::vector<uint8_t>* out) const {
   w.WriteI64(comm_.down_messages());
   w.WriteI64(comm_.up_messages());
   w.WriteI64(comm_.wire_overhead_bytes());
-  if (pool_mode()) {
-    std::vector<int> loss_ids;
-    loss_ids.reserve(sparse_losses_.size());
-    for (const auto& [id, loss] : sparse_losses_) loss_ids.push_back(id);
-    std::sort(loss_ids.begin(), loss_ids.end());
-    w.WriteU32(static_cast<uint32_t>(loss_ids.size()));
-    for (int id : loss_ids) {
-      w.WriteI32(id);
-      w.WriteDouble(sparse_losses_.at(id));
-    }
-  } else {
-    w.WriteU32(static_cast<uint32_t>(last_losses_.size()));
-    for (double loss : last_losses_) w.WriteDouble(loss);
-  }
   w.WriteDouble(clock_.now_ms());
   w.WriteI32(server_version_);
-  if (pool_mode()) {
-    std::vector<int> rej_ids;
-    rej_ids.reserve(sparse_rejections_.size());
-    for (const auto& [id, count] : sparse_rejections_) rej_ids.push_back(id);
-    std::sort(rej_ids.begin(), rej_ids.end());
-    w.WriteU32(static_cast<uint32_t>(rej_ids.size()));
-    for (int id : rej_ids) {
-      w.WriteI32(id);
-      w.WriteI64(sparse_rejections_.at(id));
-    }
-  } else {
-    w.WriteU32(static_cast<uint32_t>(rejection_counts_.size()));
-    for (int64_t count : rejection_counts_) w.WriteI64(count);
-  }
   SaveExtraState(&w);
 }
 
@@ -1092,61 +1036,47 @@ void FederatedAlgorithm::LoadRunState(const std::vector<uint8_t>& blob) {
   RFED_CHECK(saved_name == name_)
       << "checkpoint is for algorithm '" << saved_name << "', not '"
       << name_ << "'";
-  if (pool_mode()) {
-    RFED_CHECK_EQ(r.ReadU32(), kPoolStateMagic)
-        << "checkpoint was not written by a pool-mode run";
-    const int saved_clients = r.ReadI32();
-    RFED_CHECK_EQ(saved_clients, num_clients())
-        << "checkpoint is for a pool of " << saved_clients << " clients";
-    // Re-materialization below rebuilds exactly the saved sparse state.
-    lazy_views_.clear();
-    lazy_batchers_.clear();
-    lazy_state_bytes_ = 0;
-    sparse_losses_.clear();
-    sparse_rejections_.clear();
-  }
+  const bool saved_pool = r.ReadBool();
+  RFED_CHECK(saved_pool == pool_mode())
+      << "checkpoint was written by a " << SourceName(saved_pool)
+      << " run, not a " << SourceName(pool_mode()) << " one";
+  const int saved_clients = r.ReadI32();
+  RFED_CHECK_EQ(saved_clients, num_clients())
+      << "checkpoint is for a pool of " << saved_clients << " clients";
   Tensor state = r.ReadTensor();
   RFED_CHECK_EQ(state.size(), global_state_.size())
       << "checkpointed model has a different parameter count";
   global_state_ = std::move(state);
   rng_.LoadState(r.ReadRng());
+  // Pool residents are re-derivable: drop them, and re-materialize
+  // exactly the saved set below. Explicit residents are all overwritten.
   if (pool_mode()) {
-    const uint32_t num_saved = r.ReadU32();
-    for (uint32_t i = 0; i < num_saved; ++i) {
-      const int id = r.ReadI32();
-      RFED_CHECK(id >= 0 && id < num_clients())
-          << "checkpoint names client id " << id << " outside the pool of "
-          << num_clients() << " clients";
-      BatcherState s;
-      const uint32_t num_indices = r.ReadU32();
-      s.indices.reserve(num_indices);
-      for (uint32_t j = 0; j < num_indices; ++j) {
-        s.indices.push_back(r.ReadI32());
-      }
-      s.cursor = r.ReadU64();
-      s.rng = r.ReadRng();
-      // Rebuild the view/batcher from the pool, then restore the saved
-      // cursor/rng; Batcher::LoadState aborts if the checkpoint's index
-      // multiset disagrees with this pool's (wrong seed or geometry).
-      EnsureClientMaterialized(id);
-      lazy_batchers_.at(id).LoadState(s);
-    }
-  } else {
-    const uint32_t num_batchers = r.ReadU32();
-    RFED_CHECK_EQ(num_batchers, batchers_.size())
-        << "checkpoint is for a different client count";
-    for (Batcher& b : batchers_) {
-      BatcherState s;
-      const uint32_t num_indices = r.ReadU32();
-      s.indices.reserve(num_indices);
-      for (uint32_t i = 0; i < num_indices; ++i) {
-        s.indices.push_back(r.ReadI32());
-      }
-      s.cursor = r.ReadU64();
-      s.rng = r.ReadRng();
-      b.LoadState(s);
+    clients_.clear();
+    lazy_state_bytes_ = 0;
+  }
+  const uint32_t num_saved = r.ReadU32();
+  for (uint32_t i = 0; i < num_saved; ++i) {
+    const int id = r.ReadI32();
+    RFED_CHECK(id >= 0 && id < num_clients())
+        << "checkpoint names client id " << id << " outside the pool of "
+        << num_clients() << " clients";
+    ClientState& client = EnsureClientMaterialized(id);
+    // Batcher::LoadState aborts if the saved index multiset disagrees
+    // with this run's view (wrong seed, partition or geometry).
+    client.batcher.LoadState(
+        ReadBatcherState(&r, id, client.view.train_indices.size()));
+    client.last_loss = r.ReadDouble();
+    client.rejections = r.ReadI64();
+    // Re-publish nonzero reputations so the resumed run's CSV has the
+    // same gauge columns as the uninterrupted one.
+    if (client.rejections > 0) {
+      obs::MetricsRegistry::Get()
+          .GetGauge("fl.rejections.c" + std::to_string(id))
+          ->Set(static_cast<double>(client.rejections));
     }
   }
+  RFED_CHECK_EQ(num_saved, clients_.size())
+      << "checkpoint's client sections do not cover the resident clients";
   ChannelState ch;
   ch.rng = r.ReadRng();
   ch.stats.delivered = r.ReadI64();
@@ -1163,58 +1093,13 @@ void FederatedAlgorithm::LoadRunState(const std::vector<uint8_t>& blob) {
   const int64_t up_msgs = r.ReadI64();
   const int64_t wire_overhead = r.ReadI64();
   comm_.Restore(down_bytes, up_bytes, down_msgs, up_msgs, wire_overhead);
-  if (pool_mode()) {
-    const uint32_t num_losses = r.ReadU32();
-    for (uint32_t i = 0; i < num_losses; ++i) {
-      const int id = r.ReadI32();
-      RFED_CHECK(id >= 0 && id < num_clients())
-          << "checkpoint names client id " << id << " outside the pool of "
-          << num_clients() << " clients";
-      sparse_losses_[id] = r.ReadDouble();
-    }
-  } else {
-    const uint32_t num_losses = r.ReadU32();
-    RFED_CHECK_EQ(num_losses, last_losses_.size())
-        << "checkpoint is for a different client count";
-    for (double& loss : last_losses_) loss = r.ReadDouble();
-  }
   clock_.AdvanceTo(r.ReadDouble());
   server_version_ = r.ReadI32();
-  if (pool_mode()) {
-    const uint32_t num_rejections = r.ReadU32();
-    for (uint32_t i = 0; i < num_rejections; ++i) {
-      const int id = r.ReadI32();
-      RFED_CHECK(id >= 0 && id < num_clients())
-          << "checkpoint names client id " << id << " outside the pool of "
-          << num_clients() << " clients";
-      sparse_rejections_[id] = r.ReadI64();
-      if (sparse_rejections_[id] > 0) {
-        obs::MetricsRegistry::Get()
-            .GetGauge("fl.rejections.c" + std::to_string(id))
-            ->Set(static_cast<double>(sparse_rejections_[id]));
-      }
-    }
-  } else {
-    const uint32_t num_rejections = r.ReadU32();
-    RFED_CHECK_EQ(num_rejections, rejection_counts_.size())
-        << "checkpoint is for a different client count";
-    for (size_t k = 0; k < rejection_counts_.size(); ++k) {
-      rejection_counts_[k] = r.ReadI64();
-      // Re-publish nonzero reputations so the resumed run's CSV has the
-      // same gauge columns as the uninterrupted one.
-      if (rejection_counts_[k] > 0) {
-        obs::MetricsRegistry::Get()
-            .GetGauge("fl.rejections.c" + std::to_string(k))
-            ->Set(static_cast<double>(rejection_counts_[k]));
-      }
-    }
-  }
   LoadExtraState(&r);
   RFED_CHECK(r.AtEnd()) << "trailing bytes in checkpointed algorithm state";
   // Round-scoped bookkeeping: a checkpoint is always at a round boundary,
-  // so nothing is in flight and no client is busy.
+  // so nothing is in flight.
   in_flight_.clear();
-  std::fill(client_busy_.begin(), client_busy_.end(), 0);
   agg_scale_.clear();
 }
 

@@ -2,6 +2,8 @@
 #define RFED_FL_ALGORITHM_H_
 
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -127,22 +129,18 @@ class FederatedAlgorithm {
   FederatedAlgorithm& operator=(const FederatedAlgorithm&) = delete;
 
   const std::string& name() const { return name_; }
-  int num_clients() const {
-    return client_pool_ != nullptr ? client_pool_->num_clients()
-                                   : static_cast<int>(clients_.size());
-  }
-  /// True when client state is lazily materialized from a ClientPool.
+  int num_clients() const { return num_clients_; }
+  /// True when non-resident clients are materialized lazily from a
+  /// ClientPool (explicit partitions are resident from construction).
   bool pool_mode() const { return client_pool_ != nullptr; }
-  /// Number of clients whose view/batcher state is currently resident
-  /// (pool mode; the legacy path keeps every client resident).
-  int materialized_clients() const {
-    return pool_mode() ? static_cast<int>(lazy_batchers_.size())
-                       : num_clients();
-  }
-  /// Pool mode: materializes every client's view and batcher up front,
-  /// turning this instance into the *eager* reference of the
-  /// lazy-vs-eager differential tests. O(N); never called by the
-  /// simulator itself.
+  /// Number of clients whose view/batcher state is currently resident:
+  /// every client for explicit partitions, the union of the clients
+  /// sampled so far in pool mode.
+  int materialized_clients() const { return static_cast<int>(clients_.size()); }
+  /// Makes every client resident, turning a pool-mode instance into the
+  /// *eager* reference of the lazy-vs-eager differential tests (a no-op
+  /// for explicit partitions). O(N); never called by the simulator
+  /// itself.
   void MaterializeAllClients();
   const FlConfig& config() const { return config_; }
   const Tensor& global_state() const { return global_state_; }
@@ -157,13 +155,9 @@ class FederatedAlgorithm {
   int server_version() const { return server_version_; }
   /// The run's adversarial-client fault model (inactive by default).
   const Adversary& adversary() const { return adversary_; }
-  /// Per-client count of updates/maps the server quarantined (the
-  /// rejection reputation; all zero on clean runs). Legacy mode only —
-  /// pool mode stores the reputation sparsely (rejection_count below).
-  const std::vector<int64_t>& rejection_counts() const {
-    return rejection_counts_;
-  }
-  /// Rejection reputation of one client; works in both modes.
+  /// Number of updates/maps from `client` the server quarantined (the
+  /// rejection reputation; zero on clean runs and for clients that were
+  /// never resident).
   int64_t rejection_count(int client) const;
 
   /// Serializes the run's complete mutable state — global model, every
@@ -352,13 +346,11 @@ class FederatedAlgorithm {
 
   std::vector<Variable*> Params() { return model_->Parameters(); }
   int64_t model_bytes() const { return model_bytes_; }
-  /// Dense p_k table; legacy mode only (pool mode computes weights O(1)
-  /// per client via client_weight, never materializing the table).
-  const std::vector<double>& weights() const { return weights_; }
-  /// FedAvg weight p_k of one client; works in both modes.
+  /// FedAvg weight p_k = n_k / n of one client (n fixed at
+  /// construction). Materializes k in pool mode, like client_view.
   double client_weight(int k) const;
   const Dataset* train_data() const { return train_data_; }
-  /// Client k's index view. Pool mode materializes (and caches) it on
+  /// Client k's index view. Pool mode materializes (and keeps) it on
   /// first use — main thread only; worker threads see views the round's
   /// phase A already pinned.
   const ClientView& client_view(int k) const;
@@ -432,6 +424,15 @@ class FederatedAlgorithm {
     ClientWork work;
   };
 
+  /// Everything the server keeps per resident client.
+  struct ClientState {
+    ClientView view;
+    Batcher batcher;  ///< the client's mini-batch stream
+    /// Last reported local loss (drives loss-adaptive selection).
+    double last_loss = std::numeric_limits<double>::quiet_NaN();
+    int64_t rejections = 0;  ///< quarantine count (rejection reputation)
+  };
+
   /// Broadcasts to and locally trains `cohort` (in order): phase A runs
   /// the channel transfers and draws virtual durations sequentially (the
   /// shared channel RNG must be consumed in a deterministic order), phase
@@ -479,18 +480,18 @@ class FederatedAlgorithm {
   /// registered) `fl.rejections.c<k>` gauge.
   void RecordRejection(int client);
 
-  /// Records `client`'s last local loss (dense table in legacy mode,
-  /// sparse map in pool mode).
-  void RecordLoss(int client, double loss);
+  /// Records `client`'s last local loss.
+  void RecordLoss(int client, double loss) {
+    EnsureClientMaterialized(client).last_loss = loss;
+  }
 
-  /// Pool mode: materializes and caches client k's view + batcher from
-  /// the pool's keyed streams. Must run on the main thread; phase A of
-  /// each round pins the cohort so phase B workers only read. No-op in
-  /// legacy mode and for already-resident clients.
-  void EnsureClientMaterialized(int k) const;
+  /// Client k's resident state. A pool-mode client that is not resident
+  /// yet is materialized from the pool's keyed streams first (the lazy
+  /// path). Materialization must run on the main thread; phase A of each
+  /// round pins the cohort so phase B workers only look clients up.
+  ClientState& EnsureClientMaterialized(int k) const;
 
-  /// Client k's batcher (legacy table or lazy pool-mode cache).
-  Batcher& BatcherFor(int k);
+  Batcher& BatcherFor(int k) { return EnsureClientMaterialized(k).batcher; }
 
   /// True when this barrier round should stream: chunked training with
   /// the O(log n) tree accumulator in place of the buffered Aggregate.
@@ -506,23 +507,20 @@ class FederatedAlgorithm {
   std::string name_;
   FlConfig config_;
   const Dataset* train_data_;
-  std::vector<ClientView> clients_;
-  std::vector<double> weights_;  // p_k = n_k / n over all clients
-  // ---- Cross-device (pool) mode ----
-  // Lazily materialized per-client state, keyed by client id. The caches
-  // persist across rounds — a client re-sampled later must resume its own
-  // batcher stream exactly where it left off, as the legacy dense tables
-  // do — so residency grows with the union of sampled clients, not with
-  // the enrolled population. Mutable because materialization happens
-  // behind const accessors (client_view/CappedIndices).
-  const ClientPool* client_pool_ = nullptr;
-  mutable std::unordered_map<int, ClientView> lazy_views_;
-  mutable std::unordered_map<int, Batcher> lazy_batchers_;
-  mutable int64_t lazy_state_bytes_ = 0;  ///< resident view+batcher bytes
-  std::unordered_map<int, double> sparse_losses_;
-  std::unordered_map<int, int64_t> sparse_rejections_;
-  // Scale gauges, registered only in pool/sharded runs so legacy CSV
-  // columns are unchanged.
+  int num_clients_;
+  int64_t total_examples_ = 0;  ///< n of p_k = n_k / n
+  // ---- Client-state store ----
+  // The only place per-client state lives, keyed by client id. Explicit
+  // partitions are resident from construction; pool mode materializes a
+  // client when first sampled and keeps it, so a re-sampled client
+  // resumes its own batcher stream exactly where it left off. Mutable
+  // because materialization happens behind const accessors
+  // (client_view/CappedIndices).
+  mutable std::map<int, ClientState> clients_;
+  const ClientPool* client_pool_ = nullptr;  ///< lazy source; null if explicit
+  mutable int64_t lazy_state_bytes_ = 0;  ///< view+batcher bytes materialized
+  // Scale gauges, registered only in pool/sharded runs so other runs'
+  // CSV columns are unchanged.
   obs::Gauge* m_shard_count_ = nullptr;
   obs::Gauge* m_agg_peak_bytes_ = nullptr;
   obs::Gauge* m_materialized_clients_ = nullptr;
@@ -533,16 +531,11 @@ class FederatedAlgorithm {
   std::unique_ptr<FeatureModel> model_;
   Tensor global_state_;
   int64_t model_bytes_;
-  std::vector<Batcher> batchers_;
   Rng rng_;
   CommStats comm_;
   FaultChannel channel_;
   std::unique_ptr<UpdateCompressor> compressor_;
   bool compression_enabled_;
-  /// Last reported local loss per client (drives adaptive selection).
-  std::vector<double> last_losses_;
-  /// Per-client quarantine counts (the rejection reputation).
-  std::vector<int64_t> rejection_counts_;
   // Robustness metric handles, registered eagerly at construction so
   // every run's CSV has the same columns.
   obs::Counter* m_quarantined_;
@@ -559,9 +552,9 @@ class FederatedAlgorithm {
   /// (async staleness weights); empty = all ones (bit-identical path).
   std::vector<double> agg_scale_;
   int server_version_ = 0;
-  // Async bookkeeping: updates in flight and which clients are busy.
+  // Async bookkeeping: updates in flight (their clients are the busy
+  // set).
   std::unordered_map<int64_t, InFlight> in_flight_;
-  std::vector<char> client_busy_;
 
   // ---- Parallel local training ----
   std::unique_ptr<ThreadPool> pool_;

@@ -33,14 +33,13 @@ void FedAvgM::Aggregate(int round, const std::vector<int>& selected,
     return;
   }
   double weight_sum = 0.0;
-  for (int k : selected) weight_sum += weights()[static_cast<size_t>(k)];
+  for (int k : selected) weight_sum += client_weight(k);
   RFED_CHECK_GT(weight_sum, 0.0);
 
   // Pseudo-gradient: x - avg_k y_k.
   Tensor pseudo_grad = global_state();
   for (size_t i = 0; i < selected.size(); ++i) {
-    const double w =
-        weights()[static_cast<size_t>(selected[i])] / weight_sum;
+    const double w = client_weight(selected[i]) / weight_sum;
     pseudo_grad.Axpy(static_cast<float>(-w), new_states[i]);
   }
   momentum_.MulInPlace(static_cast<float>(beta_));

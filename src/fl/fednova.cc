@@ -28,7 +28,7 @@ void FedNova::Aggregate(int round, const std::vector<int>& selected,
                         const std::vector<Tensor>& new_states,
                         const std::vector<double>& start_losses) {
   double weight_sum = 0.0;
-  for (int k : selected) weight_sum += weights()[static_cast<size_t>(k)];
+  for (int k : selected) weight_sum += client_weight(k);
   RFED_CHECK_GT(weight_sum, 0.0);
 
   if (!config().robust.mean()) {
@@ -41,7 +41,7 @@ void FedNova::Aggregate(int round, const std::vector<int>& selected,
     double tau_eff = 0.0;
     for (size_t i = 0; i < selected.size(); ++i) {
       const int k = selected[i];
-      const double pk = weights()[static_cast<size_t>(k)] / weight_sum;
+      const double pk = client_weight(k) / weight_sum;
       const double tau = static_cast<double>(LocalSteps(k));
       tau_eff += pk * tau;
       Tensor d = global_state();
@@ -62,7 +62,7 @@ void FedNova::Aggregate(int round, const std::vector<int>& selected,
   double tau_eff = 0.0;
   for (size_t i = 0; i < selected.size(); ++i) {
     const int k = selected[i];
-    const double pk = weights()[static_cast<size_t>(k)] / weight_sum;
+    const double pk = client_weight(k) / weight_sum;
     const double tau = static_cast<double>(LocalSteps(k));
     tau_eff += pk * tau;
     Tensor delta = global_state();

@@ -8,11 +8,13 @@
 //   RFED_PRINT_GOLDEN=1 ./build/tests/golden_test
 // then paste the printed table over kGoldens below.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -281,12 +283,17 @@ INSTANTIATE_TEST_SUITE_P(SimModes, SimGoldenTest, ::testing::Range(0, 2));
 // coordinate must match the uninterrupted 6-round run bit for bit. The
 // config includes wire faults and a compute-time model so the channel
 // RNG, the comm ledger, and the virtual clock restores are all load-
-// bearing. (round_seconds is wall-clock and excluded.)
+// bearing. (round_seconds is wall-clock and excluded.) The
+// "fedavg_loss_nan" scenario is FedAvg under loss-adaptive selection with
+// a NaN-emitting adversary and the validation screen on, so the
+// per-client loss table and rejection reputation restores are
+// load-bearing too.
 
 constexpr const char* kResumeAlgorithms[] = {"fedavg", "scaffold",
-                                             "rfedavg_plus"};
+                                             "rfedavg_plus",
+                                             "fedavg_loss_nan"};
 
-FlConfig ResumeGoldenConfig() {
+FlConfig ResumeGoldenConfig(const std::string& name) {
   FlConfig config = GoldenConfig();
   config.fault.drop_prob = 0.2;
   config.fault.max_retries = 1;
@@ -295,24 +302,44 @@ FlConfig ResumeGoldenConfig() {
   config.sim.compute.mean_ms_per_step = 10.0;
   config.sim.network.down_bytes_per_ms = 1000.0;
   config.sim.network.up_bytes_per_ms = 1000.0;
+  if (name == "fedavg_loss_nan") {
+    config.client_selection = "loss";
+    config.sample_ratio = 0.67;  // 2 of the 3 clients per round
+    config.adversary.mode = "nan";
+    config.adversary.fraction = 0.34;  // 1 of the 3 clients
+    config.robust.validate = true;
+  }
   return config;
 }
 
 struct ResumeRun {
   RunHistory history;
   Tensor state;
+  std::vector<int64_t> rejections;  ///< rejection_count(k) per client
 };
 
 ResumeRun RunWithOptionalResume(const std::string& name, int rounds,
                                 const TrainerOptions& options,
                                 const RunCheckpoint* resume) {
   GoldenFixture fx;
-  auto algo = MakeAlgorithm(name, ResumeGoldenConfig(), &fx);
+  auto algo = MakeAlgorithm(name == "fedavg_loss_nan" ? "fedavg" : name,
+                            ResumeGoldenConfig(name), &fx);
   FederatedTrainer trainer(algo.get(), &fx.data.test, options);
   ResumeRun run;
   run.history = trainer.Run(rounds, resume);
   run.state = algo->global_state();
+  for (int k = 0; k < algo->num_clients(); ++k) {
+    run.rejections.push_back(algo->rejection_count(k));
+  }
   return run;
+}
+
+/// A round's delta of a deterministic counter (0 when absent).
+double RoundCounter(const RoundMetrics& m, const std::string& name) {
+  for (const auto& [metric, value] : m.metrics) {
+    if (metric == name) return value;
+  }
+  return 0.0;
 }
 
 class ResumeGoldenTest : public ::testing::TestWithParam<const char*> {};
@@ -332,7 +359,13 @@ TEST_P(ResumeGoldenTest, KillAtRoundThreeThenResumeIsBitIdentical) {
   TrainerOptions ck_options = options;
   ck_options.checkpoint_every = 3;
   ck_options.checkpoint_path = path;
-  RunWithOptionalResume(name, 3, ck_options, nullptr);
+  const ResumeRun crashed = RunWithOptionalResume(name, 3, ck_options, nullptr);
+  if (name == "fedavg_loss_nan") {
+    // The checkpoint carries a nonzero rejection reputation.
+    EXPECT_GT(*std::max_element(crashed.rejections.begin(),
+                                crashed.rejections.end()),
+              0);
+  }
 
   // Fresh state, restore, continue to round 6.
   RunCheckpoint resume = RunCheckpoint::Load(path);
@@ -350,7 +383,15 @@ TEST_P(ResumeGoldenTest, KillAtRoundThreeThenResumeIsBitIdentical) {
     EXPECT_EQ(a.dropped_messages, b.dropped_messages) << name;
     EXPECT_EQ(a.retried_messages, b.retried_messages) << name;
     EXPECT_EQ(a.virtual_ms, b.virtual_ms) << name << " round " << i;
+    // Counters read off the per-client loss table (clients without a
+    // known loss at selection) and the validation screen.
+    for (const char* counter :
+         {"fl.nonfinite_loss", "fl.quarantined_updates"}) {
+      EXPECT_EQ(RoundCounter(a, counter), RoundCounter(b, counter))
+          << name << " " << counter << " round " << i;
+    }
   }
+  EXPECT_EQ(resumed.rejections, full.rejections) << name;
   ASSERT_EQ(resumed.state.size(), full.state.size());
   for (int64_t i = 0; i < full.state.size(); ++i) {
     ASSERT_EQ(full.state.at(i), resumed.state.at(i))

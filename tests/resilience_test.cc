@@ -260,9 +260,9 @@ TEST(AttackTest, NanEmittersAreQuarantinedAndTrainingStaysFinite) {
   // The rejection reputation blames exactly the adversarial clients.
   for (int k = 0; k < 5; ++k) {
     if (algo.adversary().IsAdversarial(k)) {
-      EXPECT_EQ(algo.rejection_counts()[static_cast<size_t>(k)], 3) << k;
+      EXPECT_EQ(algo.rejection_count(k), 3) << k;
     } else {
-      EXPECT_EQ(algo.rejection_counts()[static_cast<size_t>(k)], 0) << k;
+      EXPECT_EQ(algo.rejection_count(k), 0) << k;
     }
   }
 }
@@ -352,7 +352,9 @@ TEST(AttackTest, LabelFlipPoisonsDataNotUpdates) {
   for (int r = 0; r < 3; ++r) algo.RunRound(r);
   EXPECT_EQ(algo.adversary().num_adversarial(), 2);
   // The updates themselves are honest floats: nothing to quarantine.
-  for (int64_t c : algo.rejection_counts()) EXPECT_EQ(c, 0);
+  for (int k = 0; k < algo.num_clients(); ++k) {
+    EXPECT_EQ(algo.rejection_count(k), 0) << k;
+  }
   for (int64_t i = 0; i < algo.global_state().size(); ++i) {
     ASSERT_TRUE(std::isfinite(algo.global_state().at(i)));
   }

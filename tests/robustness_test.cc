@@ -3,6 +3,7 @@
 // extreme sampling, degenerate batches — must train without corruption.
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "fl/message.h"
 #include "fl/trainer.h"
 #include "tensor/serialize.h"
+#include "util/hash.h"
 
 namespace rfed {
 namespace {
@@ -151,6 +153,21 @@ TEST(CorruptCheckpointDeathTest, InconsistentRoundCountAborts) {
   const std::string path = ::testing::TempDir() + "run_inconsistent.ckpt";
   ck.Save(path);
   EXPECT_DEATH(RunCheckpoint::Load(path), "RFED_CHECK failed");
+}
+
+TEST(CorruptCheckpointDeathTest, OlderContainerVersionAborts) {
+  // A well-formed container from an older layout version (checksum
+  // intact) is refused by name instead of being misparsed.
+  const std::string path = ::testing::TempDir() + "run_v1.ckpt";
+  TinyRunCheckpoint().Save(path);
+  std::vector<uint8_t> bytes = ReadAllBytes(path);
+  const uint32_t version = 1;
+  std::memcpy(bytes.data() + 8, &version, sizeof version);  // after magic
+  const size_t payload = bytes.size() - sizeof(uint32_t);
+  const uint32_t checksum = Fnv1a32(bytes.data(), payload);
+  std::memcpy(bytes.data() + payload, &checksum, sizeof checksum);
+  WriteAllBytes(path, bytes);
+  EXPECT_DEATH(RunCheckpoint::Load(path), "unsupported checkpoint version");
 }
 
 TEST(CheckedInvariantsDeathTest, ScalarBackwardOnlyFromScalar) {

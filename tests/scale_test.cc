@@ -458,20 +458,59 @@ TEST(ScaleDeathTest, CheckpointNamingClientBeyondPoolAborts) {
   ScaleFixture fx;
   ClientPool pool(&fx.data.train, nullptr, fx.PoolOpts(16));
   FedAvg algo(ScaleConfig(), &pool, fx.factory);
-  // Hand-built pool-format blob whose batcher section names client 99 —
+  // Hand-built pool-source blob whose client section names client 99 —
   // outside this 16-client pool. The id bounds check must fire before
-  // any of the (absent) per-batcher payload is read. The magic word here
-  // pins the on-disk format constant.
+  // any of the (absent) section payload is read. The header here pins
+  // the on-disk layout: name, source tag, client count.
   std::vector<uint8_t> blob;
   CheckpointWriter w(&blob);
   w.WriteString("FedAvg");
-  w.WriteU32(0x700c57a7u);  // kPoolStateMagic
+  w.WriteBool(true);  // source tag: pool
   w.WriteI32(16);
   w.WriteTensor(algo.global_state());
   w.WriteRng(Rng(1).SaveState());
   w.WriteU32(1);   // one saved client section
   w.WriteI32(99);  // client id beyond the pool
   EXPECT_DEATH(algo.LoadRunState(blob), "names client id 99");
+}
+
+std::vector<ClientView> ExplicitViews(const ScaleFixture& fx, int n) {
+  ClientPool seed_pool(&fx.data.train, nullptr, fx.PoolOpts(n));
+  std::vector<ClientView> views;
+  for (int k = 0; k < n; ++k) {
+    views.push_back(ClientView{seed_pool.TrainIndices(k), {}});
+  }
+  return views;
+}
+
+TEST(ScaleDeathTest, CheckpointBatcherIndexCountBeyondViewAborts) {
+  ScaleFixture fx;
+  FedAvg algo(ScaleConfig(), &fx.data.train, ExplicitViews(fx, 3), fx.factory);
+  // Explicit-source blob whose first client section claims 2^32 - 1
+  // batcher indices. The decoder must refuse the count against the
+  // client's 24-index view before allocating anything.
+  std::vector<uint8_t> blob;
+  CheckpointWriter w(&blob);
+  w.WriteString("FedAvg");
+  w.WriteBool(false);  // source tag: explicit
+  w.WriteI32(3);
+  w.WriteTensor(algo.global_state());
+  w.WriteRng(Rng(1).SaveState());
+  w.WriteU32(3);
+  w.WriteI32(0);
+  w.WriteU32(0xFFFFFFFFu);  // index count
+  EXPECT_DEATH(algo.LoadRunState(blob), "batcher state decoder: index count");
+}
+
+TEST(ScaleDeathTest, BatcherBaseIndexCountBeyondViewAborts) {
+  ScaleFixture fx;
+  FedAvg algo(ScaleConfig(), &fx.data.train, ExplicitViews(fx, 3), fx.factory);
+  // A 4-byte JOB batcher base holding only an oversized index count.
+  std::vector<uint8_t> blob;
+  CheckpointWriter w(&blob);
+  w.WriteU32(0xFFFFFFFFu);
+  EXPECT_DEATH(algo.InstallBatcherBase(1, blob),
+               "batcher state decoder: index count");
 }
 
 TEST(ScaleDeathTest, CheckpointFromDifferentPoolSizeAborts) {
