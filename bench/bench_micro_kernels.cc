@@ -4,10 +4,11 @@
 // and writes the table as BENCH_kernels.json (GFLOP/s plus
 // speedup-vs-seed per shape and thread count; see docs/KERNELS.md for
 // how to read it). Every case first asserts the optimized kernel is
-// bit-identical to its reference before any timing. Each case is also
-// timed once with the per-shape autotuner live (single thread, enough
-// warmup calls that every shape commits its winning tile before the
-// measured windows), and the committed tile is recorded.
+// bit-identical to its reference before any timing. The
+// cifar_round_* rows are the convolutions the CIFAR round benchmark
+// (roundbench/, cifar_cnn_rfedavgp) runs, at its training batch (24)
+// and at a batch above its largest map_sync batch (256), so a change in
+// conv time there can be read against the round number.
 //
 // Caveat for absolute speedups: the reference baseline is the *fused*
 // canonical reference (std::fmaf per step), which compiles to a libm
@@ -32,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "tensor/autotune.h"
 #include "tensor/kernels.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -98,6 +98,9 @@ struct Case {
   ConvKernelShape conv;  // conv kinds only
   bool smoke = false;    // included in the --smoke subset
   bool acceptance = false;  // the EXPERIMENTS.md >= 3x shape
+  // Conv backward only: whether dx is computed. A first conv's input is
+  // the data batch, so training never asks for its dx.
+  bool dx = true;
 };
 
 /// The sweep. Miniature shapes mirror the repo's 12x12 synthetic
@@ -129,6 +132,24 @@ std::vector<Case> Sweep() {
                    {32, 3, 32, 32, 64, 5, 1, 2}});
   cases.push_back({"conv1_cifar_bwd", Kind::kConvBwd, 0, 0, 0,
                    {32, 3, 32, 32, 64, 5, 1, 2}});
+  // The CIFAR round benchmark's CNN (4/8 channels on 3x12x12 images):
+  // conv1 3x12x12 -> 4 and conv2 4x6x6 -> 8, k=5, pad 2.
+  cases.push_back({"cifar_round_conv1_fwd_b24", Kind::kConvFwd, 0, 0, 0,
+                   {24, 3, 12, 12, 4, 5, 1, 2}, true});
+  cases.push_back({"cifar_round_conv1_bwd_b24", Kind::kConvBwd, 0, 0, 0,
+                   {24, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
+  cases.push_back({"cifar_round_conv2_fwd_b24", Kind::kConvFwd, 0, 0, 0,
+                   {24, 4, 6, 6, 8, 5, 1, 2}, true});
+  cases.push_back({"cifar_round_conv2_bwd_b24", Kind::kConvBwd, 0, 0, 0,
+                   {24, 4, 6, 6, 8, 5, 1, 2}, true});
+  cases.push_back({"cifar_round_conv1_fwd_b256", Kind::kConvFwd, 0, 0, 0,
+                   {256, 3, 12, 12, 4, 5, 1, 2}, true});
+  cases.push_back({"cifar_round_conv1_bwd_b256", Kind::kConvBwd, 0, 0, 0,
+                   {256, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
+  cases.push_back({"cifar_round_conv2_fwd_b256", Kind::kConvFwd, 0, 0, 0,
+                   {256, 4, 6, 6, 8, 5, 1, 2}, true});
+  cases.push_back({"cifar_round_conv2_bwd_b256", Kind::kConvBwd, 0, 0, 0,
+                   {256, 4, 6, 6, 8, 5, 1, 2}, true});
   return cases;
 }
 
@@ -142,9 +163,9 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kConvFwd:
       return 2 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
              c.conv.OutArea();
-    case Kind::kConvBwd:  // dx GEMM + dw GEMM (db is negligible)
-      return 4 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
-             c.conv.OutArea();
+    case Kind::kConvBwd:  // dw GEMM (+ dx GEMM); db is negligible
+      return (c.dx ? 4 : 2) * c.conv.batch * c.conv.out_channels *
+             c.conv.Patch() * c.conv.OutArea();
   }
   return 0;
 }
@@ -221,8 +242,8 @@ struct Workbench {
         std::memset(dw.data(), 0, dw.size() * sizeof(float));
         std::memset(db.data(), 0, db.size() * sizeof(float));
         (optimized ? Conv2dBackwardKernel : ref::Conv2dBackwardKernel)(
-            out_ref.data(), a.data(), b.data(), c.conv, dx.data(), dw.data(),
-            db.data());
+            out_ref.data(), a.data(), b.data(), c.conv,
+            c.dx ? dx.data() : nullptr, dw.data(), db.data());
         break;
     }
   }
@@ -233,9 +254,12 @@ struct Workbench {
   bool Verify(const Case& c) {
     if (c.kind == Kind::kConvBwd) {
       Run(c, /*optimized=*/false);
-      std::vector<float> rdx = dx, rdw = dw, rdb = db;
+      const std::vector<float> rdx = dx, rdw = dw, rdb = db;
       Run(c, /*optimized=*/true);
-      return rdx == dx && rdw == dw && rdb == db;
+      auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
+        return std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+      };
+      return same(rdx, dx) && same(rdw, dw) && same(rdb, db);
     }
     std::fill(out_ref.begin(), out_ref.end(), 0.0f);
     std::fill(out_opt.begin(), out_opt.end(), 0.0f);
@@ -258,13 +282,6 @@ struct Result {
   double ref_ms = 0.0;
   double ref_gflops = 0.0;
   std::vector<Timing> opt;
-  // Single-thread timing with the autotuner's committed pick live, plus
-  // that pick when the case maps to one tuned (op, shape) key. Conv
-  // cases tune their inner per-image GEMMs, whose keys are not the
-  // case's own shape, so they record the timing but no tile.
-  Timing tuned{};
-  bool tuned_tile_known = false;
-  TileConfig tuned_tile;
 };
 
 void SetThreads(int threads) {
@@ -310,6 +327,9 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
                    static_cast<long long>(s.kernel),
                    static_cast<long long>(s.stride),
                    static_cast<long long>(s.pad));
+      if (r.c.kind == Kind::kConvBwd) {
+        std::fprintf(f, "      \"dx\": %s,\n", r.c.dx ? "true" : "false");
+      }
     } else {
       std::fprintf(f, "      \"shape\": {\"m\": %lld, \"k\": %lld, \"n\": %lld},\n",
                    static_cast<long long>(r.c.m), static_cast<long long>(r.c.k),
@@ -330,18 +350,7 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
                    ot.threads, ot.ms, ot.gflops, ot.speedup,
                    t + 1 < r.opt.size() ? "," : "");
     }
-    std::fprintf(f, "      ],\n");
-    std::fprintf(f,
-                 "      \"autotuned\": {\"threads\": 1, \"ms\": %.4f, "
-                 "\"gflops\": %.3f, \"speedup_vs_seed\": %.3f, \"tile\": ",
-                 r.tuned.ms, r.tuned.gflops, r.tuned.speedup);
-    if (r.tuned_tile_known) {
-      std::fprintf(f, "{\"block_m\": %d, \"block_k\": %d, \"block_n\": %d}}\n",
-                   r.tuned_tile.block_m, r.tuned_tile.block_k,
-                   r.tuned_tile.block_n);
-    } else {
-      std::fprintf(f, "null}\n");
-    }
+    std::fprintf(f, "      ]\n");
     std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -384,51 +393,11 @@ int Main(int argc, char** argv) {
       t.speedup = r.ref_ms / t.ms;
       r.opt.push_back(t);
     }
-    // Autotuned single-thread timing: fresh tuner, one sample per
-    // candidate, and enough warmup calls that every (op, shape) this
-    // case touches commits before the measured windows (pure GEMM cases
-    // touch one key; conv cases commit during their first call, which
-    // runs a whole batch of identically-shaped inner GEMMs).
-    {
-      SetThreads(1);
-      AutotuneConfig tune;
-      tune.enabled = true;
-      tune.samples_per_candidate = 1;
-      SetAutotuneConfig(tune);
-      ResetAutotuneForTest();
-      const size_t warmups =
-          2 + AutotuneCandidates(AutotuneOp::kGemmAdd).size() +
-          AutotuneCandidates(AutotuneOp::kGemmTransB).size();
-      for (size_t i = 0; i < warmups; ++i) wb.Run(c, true);
-      r.tuned.threads = 1;
-      r.tuned.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
-      r.tuned.gflops = flops / (r.tuned.ms * 1e6);
-      r.tuned.speedup = r.ref_ms / r.tuned.ms;
-      // Read the committed pick back for the single-key GEMM cases.
-      const char* isa = KernelIsaName(ActiveKernelIsa());
-      AutotuneTrial trial = 1;
-      if (c.kind == Kind::kGemmAdd) {
-        r.tuned_tile =
-            AutotunePick(AutotuneOp::kGemmAdd, isa, c.m, c.k, c.n, &trial);
-      } else if (c.kind == Kind::kGemmTransA) {
-        // TransA transposes then runs GemmAdd on (k, m, n).
-        r.tuned_tile =
-            AutotunePick(AutotuneOp::kGemmAdd, isa, c.k, c.m, c.n, &trial);
-      } else if (c.kind == Kind::kGemmTransB) {
-        r.tuned_tile =
-            AutotunePick(AutotuneOp::kGemmTransB, isa, c.m, c.n, c.k, &trial);
-      }
-      r.tuned_tile_known =
-          c.kind != Kind::kConvFwd && c.kind != Kind::kConvBwd && trial == 0;
-      SetAutotuneConfig(AutotuneConfig{});
-      ResetAutotuneForTest();
-    }
-    std::printf("%-18s %-18s ref %8.3f ms (%6.2f GF/s)", c.name,
+    std::printf("%-26s %-18s ref %8.3f ms (%6.2f GF/s)", c.name,
                 KindName(c.kind), r.ref_ms, r.ref_gflops);
     for (const Timing& t : r.opt) {
       std::printf("  t%d %8.3f ms (%5.2fx)", t.threads, t.ms, t.speedup);
     }
-    std::printf("  tuned %8.3f ms (%6.2f GF/s)", r.tuned.ms, r.tuned.gflops);
     std::printf("%s\n", c.acceptance ? "  [acceptance]" : "");
     results.push_back(std::move(r));
   }

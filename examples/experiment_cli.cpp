@@ -107,10 +107,6 @@ Checkpoint / resume (bit-identical crash recovery):
 Parallelism (bit-identical at any setting):
   --num_threads parallel local training (1 = sequential)
   --kernel_threads intra-op GEMM/conv threads (1 = serial kernels)
-  --kernel_autotune benchmark tile candidates per GEMM shape and keep
-      the winner (false; all candidates bit-identical, docs/PERFORMANCE.md)
-  --kernel_autotune_cache PATH persist winning tiles across runs
-      (requires --kernel_autotune; corrupt/stale caches abort)
 
 Autograd (bit-identical at any setting; docs/AUTOGRAD.md):
   --autograd_static record each client bout's step-0 graph and replay it
@@ -148,8 +144,7 @@ constexpr const char* kKnownFlags[] = {
     "adversary", "adversary_frac", "adversary_scale", "adversary_sigma",
     "aggregator", "trim_fraction", "clip_multiplier", "validate",
     "checkpoint_every", "checkpoint_path", "resume_from",
-    "num_threads", "kernel_threads", "kernel_autotune",
-    "kernel_autotune_cache", "autograd_static", "grad_checkpoint",
+    "num_threads", "kernel_threads", "autograd_static", "grad_checkpoint",
     "shard_fanout", "stream_chunk",
     "trace", "trace_out", "csv_out", "help"};
 
@@ -271,8 +266,6 @@ int main(int argc, char** argv) {
   }
   fl.num_threads = flags.GetInt("num_threads", 1);
   fl.kernel_threads = flags.GetInt("kernel_threads", 1);
-  fl.kernel_autotune = flags.GetBool("kernel_autotune", false);
-  fl.kernel_autotune_cache = flags.GetString("kernel_autotune_cache", "");
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
   fl.shard_fanout = flags.GetInt("shard_fanout", 0);

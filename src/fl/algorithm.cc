@@ -13,7 +13,6 @@
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/autotune.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
@@ -163,15 +162,6 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
   // Intra-op kernel parallelism (tensor/kernels.h). Results are
   // bit-identical for every thread count, so this only affects speed.
   SetKernelThreads(config_.kernel_threads);
-  // Same contract for the tile autotuner: every candidate it may pick
-  // computes the canonical summation order, so enabling it never
-  // changes a run's bytes, only its wall time.
-  {
-    AutotuneConfig tune;
-    tune.enabled = config_.kernel_autotune;
-    tune.cache_file = config_.kernel_autotune_cache;
-    SetAutotuneConfig(tune);
-  }
   // Tracing is process-global; the flag only ever turns it on so that a
   // traced run is never silently disabled by a second algorithm instance.
   if (config_.trace) obs::EnableTracing(true);
@@ -513,7 +503,9 @@ void FederatedAlgorithm::Aggregate(int round, const std::vector<int>& selected,
     return;
   }
   const bool scaled = !agg_scale_.empty();
-  if (scaled) RFED_CHECK_EQ(agg_scale_.size(), selected.size());
+  if (scaled) {
+    RFED_CHECK_EQ(agg_scale_.size(), selected.size());
+  }
   if (config_.shard_fanout > 0) {
     // Hierarchical mean: scaled leaves summed by the canonical pairwise
     // shard tree, then one division by the total weight. Opt-in — the
@@ -563,7 +555,9 @@ Tensor FederatedAlgorithm::RobustCombine(const std::vector<int>& selected,
                                          const std::vector<Tensor>& values,
                                          const Tensor& reference) {
   const bool scaled = !agg_scale_.empty();
-  if (scaled) RFED_CHECK_EQ(agg_scale_.size(), selected.size());
+  if (scaled) {
+    RFED_CHECK_EQ(agg_scale_.size(), selected.size());
+  }
   std::vector<double> combine_weights(selected.size());
   for (size_t i = 0; i < selected.size(); ++i) {
     combine_weights[i] = client_weight(selected[i]);

@@ -108,17 +108,6 @@ struct FlConfig {
   /// deterministic partition never splits a reduction — so this only
   /// trades wall time, pinned by the golden suite across {1, 2, 4}.
   int kernel_threads = 1;
-  /// Enables the per-shape kernel autotuner (tensor/autotune.h): the
-  /// first calls on each GEMM shape time a fixed tile-candidate set and
-  /// later calls use the winner. Every candidate is bit-identical, so
-  /// this only trades wall time — a tuned run produces the same bytes
-  /// as an untuned one (pinned by tests/kernel_test.cc). Off by default
-  /// so run timings stay deterministic.
-  bool kernel_autotune = false;
-  /// Optional autotuner cache file (requires kernel_autotune): winning
-  /// tiles persist across processes, keyed by (op, isa, shape). A
-  /// corrupt or incompatible cache file aborts. "" = in-process only.
-  std::string kernel_autotune_cache;
   /// Turns on the observability layer (obs/trace.h) for the run: phase
   /// and kernel trace spans plus FLOP counters. Purely additive — spans
   /// consume no RNG draws and touch no tensor state, so a seeded run is

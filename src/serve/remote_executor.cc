@@ -390,11 +390,17 @@ void RemoteExecutor::AcceptRejoin() {
       << "worker " << worker_id << " was launched with a different scenario";
   Worker* current = workers_[static_cast<size_t>(worker_id)].get();
   if (current != nullptr && current->alive) {
-    // The slot's death may simply not have been observed yet: give its
-    // connection one non-blocking read before ruling this a duplicate.
-    struct pollfd probe = {current->conn.fd(), POLLIN, 0};
-    if (::poll(&probe, 1, 0) > 0 && probe.revents != 0) DrainWorker(worker_id);
-    RFED_CHECK(!workers_[static_cast<size_t>(worker_id)]->alive)
+    // The slot's death may simply not have been observed yet: its
+    // connection can still hold RESULT frames ahead of the EOF, or the
+    // EOF can still be in flight. Drain it until it dies or stays quiet
+    // for a short grace period before ruling this a duplicate.
+    constexpr int kRejoinGraceMs = 200;
+    while (current->alive) {
+      struct pollfd probe = {current->conn.fd(), POLLIN, 0};
+      if (::poll(&probe, 1, kRejoinGraceMs) <= 0 || probe.revents == 0) break;
+      DrainWorker(worker_id);
+    }
+    RFED_CHECK(!current->alive)
         << "worker id " << worker_id << " connected twice";
   }
   RFED_CHECK(restarts_used_ < options_.max_worker_restarts)

@@ -79,7 +79,6 @@ verifies a fingerprint over them):
   --trim_fraction (0.2)     --clip_multiplier (3)     --validate (true)
   --checkpoint_every (0)    --checkpoint_path PATH    --resume_from PATH
   --num_threads (1)         --kernel_threads (1)
-  --kernel_autotune (false) --kernel_autotune_cache PATH
   --autograd_static (true)  --grad_checkpoint (false)
   --shard_fanout (0)        --stream_chunk (0)
   --csv_out PATH write the per-round history as CSV
@@ -101,8 +100,7 @@ const char* const kScenarioFlags[] = {
     "adversary", "adversary_frac", "adversary_scale", "adversary_sigma",
     "aggregator", "trim_fraction", "clip_multiplier", "validate",
     "checkpoint_every", "checkpoint_path", "resume_from",
-    "num_threads", "kernel_threads", "kernel_autotune",
-    "kernel_autotune_cache", "autograd_static", "grad_checkpoint",
+    "num_threads", "kernel_threads", "autograd_static", "grad_checkpoint",
     "shard_fanout", "stream_chunk",
     "csv_out", "worker_timeout_ms", "max_worker_restarts"};
 
@@ -177,8 +175,6 @@ Scenario BuildScenario(const FlagParser& flags) {
       << "unknown --aggregator " << fl.robust.aggregator;
   fl.num_threads = flags.GetInt("num_threads", 1);
   fl.kernel_threads = flags.GetInt("kernel_threads", 1);
-  fl.kernel_autotune = flags.GetBool("kernel_autotune", false);
-  fl.kernel_autotune_cache = flags.GetString("kernel_autotune_cache", "");
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
   fl.shard_fanout = flags.GetInt("shard_fanout", 0);

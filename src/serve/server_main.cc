@@ -6,7 +6,8 @@
 // byte-identical to the in-process simulator run with the same scenario
 // flags; the differential tests enforce it.
 //
-//   ./build/src/rfed_server --listen 127.0.0.1:7710 --workers 2 \
+// Example (one command line):
+//   ./build/src/rfed_server --listen 127.0.0.1:7710 --workers 2
 //       --method Scaffold --clients 4 --rounds 5 --csv_out run.csv
 
 #include <csignal>

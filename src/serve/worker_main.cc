@@ -4,7 +4,8 @@
 // same flags, handshakes, restores the server's run state, and serves
 // local-training jobs until the server shuts it down.
 //
-//   ./build/src/rfed_worker --connect 127.0.0.1:7710 --worker_id 0 \
+// Example (one command line):
+//   ./build/src/rfed_worker --connect 127.0.0.1:7710 --worker_id 0
 //       --workers 2 --method Scaffold --clients 4 --rounds 5
 
 #include <csignal>

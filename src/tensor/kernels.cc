@@ -3,25 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/autotune.h"
 #include "tensor/kernels_dispatch.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace rfed {
 namespace {
 
-using internal::kSlotConvPartial;
-using internal::kSlotDCols;
-using internal::kSlotIm2Col;
 using internal::kSlotTransA;
 
 KernelOptions g_options;
@@ -30,6 +25,7 @@ std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;  // guarded by g_pool_mu
 int g_pool_threads = 0;              // guarded by g_pool_mu
 
+constexpr std::align_val_t kScratchAlign{64};
 std::atomic<int64_t> g_scratch_bytes{0};
 std::atomic<int64_t> g_scratch_peak{0};
 
@@ -110,16 +106,15 @@ ScratchArena& ScratchArena::ThreadLocal() {
   return arena;
 }
 
-float* ScratchArena::Buffer(int slot, size_t floats) {
+void* ScratchArena::Bytes(int slot, size_t bytes) {
   RFED_CHECK_GE(slot, 0);
   RFED_CHECK_LT(slot, kMaxSlots);
   Slot& s = slots_[slot];
-  if (s.capacity < floats) {
-    const int64_t delta =
-        static_cast<int64_t>((floats - s.capacity) * sizeof(float));
-    delete[] s.data;
-    s.data = new float[floats];
-    s.capacity = floats;
+  if (s.capacity < bytes) {
+    const int64_t delta = static_cast<int64_t>(bytes - s.capacity);
+    ::operator delete(s.data, kScratchAlign);
+    s.data = ::operator new(bytes, kScratchAlign);
+    s.capacity = bytes;
     NotePeak(g_scratch_bytes.fetch_add(delta, std::memory_order_relaxed) +
              delta);
   }
@@ -129,8 +124,8 @@ float* ScratchArena::Buffer(int slot, size_t floats) {
 ScratchArena::~ScratchArena() {
   int64_t total = 0;
   for (Slot& s : slots_) {
-    total += static_cast<int64_t>(s.capacity * sizeof(float));
-    delete[] s.data;
+    total += static_cast<int64_t>(s.capacity);
+    ::operator delete(s.data, kScratchAlign);
   }
   g_scratch_bytes.fetch_sub(total, std::memory_order_relaxed);
 }
@@ -232,30 +227,6 @@ void Im2Col(const float* x, int64_t cin, int64_t h, int64_t w,
     for (int64_t ky = 0; ky < k; ++ky) {
       for (int64_t kx = 0; kx < k; ++kx, ++row) {
         float* dst = cols + row * out_area;
-        if (spec.stride == 1) {
-          // Unit stride: each output row is a contiguous slice of the
-          // input row with zero fringes — bulk-copy the interior.
-          const int64_t lo = std::max<int64_t>(0, spec.pad - kx);
-          const int64_t hi = std::min(wo, w + spec.pad - kx);
-          for (int64_t oy = 0; oy < ho; ++oy) {
-            const int64_t iy = oy + ky - spec.pad;
-            float* drow = dst + oy * wo;
-            if (iy < 0 || iy >= h || lo >= hi) {
-              std::memset(drow, 0, sizeof(float) * static_cast<size_t>(wo));
-              continue;
-            }
-            if (lo > 0) {
-              std::memset(drow, 0, sizeof(float) * static_cast<size_t>(lo));
-            }
-            std::memcpy(drow + lo, x + (c * h + iy) * w + lo + kx - spec.pad,
-                        sizeof(float) * static_cast<size_t>(hi - lo));
-            if (hi < wo) {
-              std::memset(drow + hi, 0,
-                          sizeof(float) * static_cast<size_t>(wo - hi));
-            }
-          }
-          continue;
-        }
         for (int64_t oy = 0; oy < ho; ++oy) {
           const int64_t iy = oy * spec.stride + ky - spec.pad;
           for (int64_t ox = 0; ox < wo; ++ox) {
@@ -294,7 +265,7 @@ void Col2Im(const float* cols, int64_t cin, int64_t h, int64_t w,
   }
 }
 
-// ---- Blocked GEMM drivers (dispatch + autotune) ----
+// ---- Blocked GEMM drivers (dispatch) ----
 
 namespace {
 
@@ -313,19 +284,8 @@ void GemmAddImpl(const float* a, const float* b, int64_t m, int64_t k,
     return;
   }
   const internal::BlockedKernels& table = ActiveTable();
-  const bool parallel = flops >= opt.parallel_min_flops;
-  TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
-  if (AutotuneEnabled()) {
-    AutotuneTrial trial = 0;
-    tile = AutotunePick(AutotuneOp::kGemmAdd, table.name, m, k, n, &trial);
-    if (trial != 0) {
-      Stopwatch watch;
-      table.gemm_add(a, b, m, k, n, c, tile, parallel);
-      AutotuneReport(trial, watch.ElapsedMillis());
-      return;
-    }
-  }
-  table.gemm_add(a, b, m, k, n, c, tile, parallel);
+  const TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
+  table.gemm_add(a, b, m, k, n, c, tile, flops >= opt.parallel_min_flops);
 }
 
 void GemmTransAAddImpl(const float* a, const float* b, int64_t m, int64_t k,
@@ -363,19 +323,9 @@ void GemmTransBAssignImpl(const float* a, const float* b, int64_t m, int64_t n,
     return;
   }
   const internal::BlockedKernels& table = ActiveTable();
-  const bool parallel = 2 * m * n * k >= opt.parallel_min_flops;
-  TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
-  if (AutotuneEnabled()) {
-    AutotuneTrial trial = 0;
-    tile = AutotunePick(AutotuneOp::kGemmTransB, table.name, m, n, k, &trial);
-    if (trial != 0) {
-      Stopwatch watch;
-      table.gemm_transb(a, b, m, n, k, c, tile, parallel);
-      AutotuneReport(trial, watch.ElapsedMillis());
-      return;
-    }
-  }
-  table.gemm_transb(a, b, m, n, k, c, tile, parallel);
+  const TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
+  table.gemm_transb(a, b, m, n, k, c, tile,
+                    2 * m * n * k >= opt.parallel_min_flops);
 }
 
 // FLOP counters are looked up once; the adds (and the spans) only run
@@ -432,101 +382,46 @@ void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
 
 // ---- Convolution drivers ----
 
+namespace {
+
+/// The padded-grid path needs unit stride (so an im2col row is one
+/// contiguous slice of the padded image) and pad < kernel (so the
+/// gradient grid's padding is not negative). Any other shape runs the
+/// reference loops; no model in the repository uses one.
+bool ConvOnPaddedGrid(const ConvKernelShape& s) {
+  return s.stride == 1 && s.pad < s.kernel;
+}
+
+}  // namespace
+
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out) {
-  const int64_t patch = s.Patch();
-  const int64_t out_area = s.OutArea();
   obs::TraceSpan trace_span("conv2d_fwd");
   if (obs::TracingEnabled()) {
-    ConvFlopCounter()->Add(2 * s.batch * s.out_channels * patch * out_area);
+    ConvFlopCounter()->Add(2 * s.batch * s.out_channels * s.Patch() *
+                           s.OutArea());
   }
-  const Im2ColSpec ispec{s.kernel, s.stride, s.pad};
-  const int64_t in_size = s.in_channels * s.height * s.width;
-  const int64_t out_size = s.out_channels * out_area;
-  KernelParallelFor(s.batch, [&](int64_t i) {
-    float* cols = ScratchArena::ThreadLocal().Buffer(
-        kSlotIm2Col, static_cast<size_t>(patch * out_area));
-    Im2Col(x + i * in_size, s.in_channels, s.height, s.width, ispec, cols);
-    float* out_i = out + i * out_size;
-    GemmAddImpl(w, cols, s.out_channels, patch, out_area, out_i);
-    for (int64_t oc = 0; oc < s.out_channels; ++oc) {
-      float* plane = out_i + oc * out_area;
-      const float bv = bias[oc];
-      for (int64_t p = 0; p < out_area; ++p) plane[p] += bv;
-    }
-  });
+  if (!ConvOnPaddedGrid(s)) {
+    ref::Conv2dForwardKernel(x, w, bias, s, out);
+    return;
+  }
+  ActiveTable().conv_forward(x, w, bias, s, out);
 }
 
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db) {
-  const int64_t patch = s.Patch();
-  const int64_t out_area = s.OutArea();
   obs::TraceSpan trace_span("conv2d_bwd");
   if (obs::TracingEnabled()) {
     const int64_t gemms = (dw != nullptr ? 1 : 0) + (dx != nullptr ? 1 : 0);
-    ConvFlopCounter()->Add(2 * s.batch * s.out_channels * patch * out_area *
-                           gemms);
+    ConvFlopCounter()->Add(2 * s.batch * s.out_channels * s.Patch() *
+                           s.OutArea() * gemms);
   }
-  const Im2ColSpec ispec{s.kernel, s.stride, s.pad};
-  const int64_t in_size = s.in_channels * s.height * s.width;
-  const int64_t out_size = s.out_channels * out_area;
-  // Per-image dw/db partials live in the caller's arena; workers fill
-  // disjoint slices, then the caller reduces them in ascending image
-  // order — the same float additions the serial reference performs.
-  const int64_t dw_size = dw != nullptr ? s.out_channels * patch : 0;
-  const int64_t db_size = db != nullptr ? s.out_channels : 0;
-  const int64_t partial_stride = dw_size + db_size;
-  float* partials =
-      partial_stride > 0
-          ? ScratchArena::ThreadLocal().Buffer(
-                kSlotConvPartial,
-                static_cast<size_t>(s.batch * partial_stride))
-          : nullptr;
-  KernelParallelFor(s.batch, [&](int64_t i) {
-    const float* go = grad_out + i * out_size;
-    float* part =
-        partial_stride > 0 ? partials + i * partial_stride : nullptr;
-    ScratchArena& arena = ScratchArena::ThreadLocal();
-    if (db != nullptr) {
-      float* pdb = part + dw_size;
-      for (int64_t oc = 0; oc < s.out_channels; ++oc) {
-        const float* plane = go + oc * out_area;
-        double acc = 0.0;
-        for (int64_t p = 0; p < out_area; ++p) acc += plane[p];
-        pdb[oc] = static_cast<float>(acc);
-      }
-    }
-    if (dw != nullptr) {
-      float* cols = arena.Buffer(kSlotIm2Col,
-                                 static_cast<size_t>(patch * out_area));
-      Im2Col(x + i * in_size, s.in_channels, s.height, s.width, ispec, cols);
-      // dw_i[oc, p] = go[oc, :] . cols[p, :] (double dots).
-      GemmTransBAssignImpl(go, cols, s.out_channels, out_area, patch, part);
-    }
-    if (dx != nullptr) {
-      float* dcols = arena.Buffer(kSlotDCols,
-                                  static_cast<size_t>(patch * out_area));
-      std::memset(dcols, 0,
-                  sizeof(float) * static_cast<size_t>(patch * out_area));
-      // dcols[p, a] = sum_oc w[oc, p] * go[oc, a], ascending oc.
-      GemmTransAAddImpl(w, go, s.out_channels, patch, out_area, dcols);
-      Col2Im(dcols, s.in_channels, s.height, s.width, ispec,
-             dx + i * in_size);
-    }
-  });
-  if (partial_stride > 0) {
-    for (int64_t i = 0; i < s.batch; ++i) {
-      const float* part = partials + i * partial_stride;
-      if (dw != nullptr) {
-        for (int64_t idx = 0; idx < dw_size; ++idx) dw[idx] += part[idx];
-      }
-      if (db != nullptr) {
-        const float* pdb = part + dw_size;
-        for (int64_t oc = 0; oc < s.out_channels; ++oc) db[oc] += pdb[oc];
-      }
-    }
+  if (!ConvOnPaddedGrid(s)) {
+    ref::Conv2dBackwardKernel(grad_out, x, w, s, dx, dw, db);
+    return;
   }
+  ActiveTable().conv_backward(grad_out, x, w, s, dx, dw, db);
 }
 
 // ---- Serial conv references ----

@@ -9,23 +9,23 @@ namespace rfed {
 // High-performance deterministic compute kernels.
 //
 // This layer owns the hot inner loops of the simulator: the three GEMM
-// variants every Linear/LSTM/Conv2d forward and backward bottoms out in,
-// plus the im2col/col2im unfolding of the convolution path. The kernels
-// are cache-blocked, packed, and vectorized with explicit SIMD register
-// tiles (AVX2+FMA where the CPU has it, a portable soft-fma fallback
-// everywhere else, dispatched at runtime), and can optionally run
-// n-partitioned across a thread pool — while staying **bit-identical**
-// to the retained reference implementations (rfed::ref below) for every
-// ISA, block size, tile candidate and thread count. The rule that makes
-// this possible:
+// variants every Linear/LSTM forward and backward bottoms out in, and
+// the Conv2d forward and backward. The kernels are cache-blocked and
+// vectorized with explicit SIMD register tiles (AVX2+FMA where the CPU
+// has it, a portable soft-fma fallback everywhere else, dispatched at
+// runtime), and can optionally run partitioned across a thread pool —
+// while staying **bit-identical** to the retained reference
+// implementations (rfed::ref below) for every ISA, block size and
+// thread count. The rule that makes this possible:
 //
 //   Each output element is reduced by exactly one thread, in exactly the
 //   canonical summation order: ascending over the contraction index with
 //   ONE fused multiply-add rounding per step (float fma for the
-//   accumulate GEMMs, a double-precision chain for GemmTransBAssign).
-//   Blocking and vectorization only reorder *which* elements are in
-//   flight, never the operations within one element; the parallel
-//   partition splits disjoint output regions, never a reduction.
+//   accumulate GEMMs, a double-precision chain for GemmTransBAssign and
+//   conv dw). Blocking and vectorization only reorder *which* elements
+//   are in flight, never the operations within one element; the
+//   parallel partition splits disjoint output regions, never a
+//   reduction.
 //
 // Fused rounding is what lets the AVX2 path run at FMA throughput; the
 // references implement the same contract with std::fmaf (correctly
@@ -33,19 +33,29 @@ namespace rfed {
 // byte-stable across ISAs. The build compiles with -ffp-contract=off so
 // no *implicit* contraction can ever diverge from this explicit scheme.
 //
-// Batched reductions that the references accumulate serially (Conv2d's
-// dw/db across the batch) are decomposed into fixed per-item partials
-// combined in ascending item order, which is the same float addition
-// sequence the reference performs. See docs/KERNELS.md for the full
+// Convolutions with stride 1 and pad < kernel (every model in the
+// repository) never build an im2col matrix. They run on a padded grid:
+// each image is zero-padded once, every output row is computed
+// w + 2*pad wide so that each im2col row is one contiguous slice of the
+// padded image, and the extra columns are dropped. dx runs the same way
+// on the output gradient padded by kernel - 1 - pad, where it adds
+// padding terms that the reference's col2im skips. Such a term is a
+// fused chain of w*0 from +0, i.e. +0, and for finite inputs padding
+// zeros cannot change a chain that starts at +0: under round-to-nearest
+// such a chain never reaches -0, and x + (+0) == x for every other x.
+// Batch reductions (conv dw/db) add each image's result in ascending
+// image order, the reference's float addition sequence. Other conv
+// shapes run the reference loops. See docs/KERNELS.md for the full
 // scheme, the per-ISA microkernel shapes and the cache layout of the
 // packed panels.
 //
 // Caveat (documented, tested): the references skip multiplications by an
-// exact 0.0f operand; the blocked kernels do not. Under IEEE-754
-// round-to-nearest fma(±0, b, acc) never changes a finite accumulator,
-// so results are still bit-identical for finite inputs — but non-finite
-// inputs (Inf/NaN weights) may produce NaN where the reference skipped
-// the element.
+// exact 0.0f weight, and conv dx skips the out-of-image terms; the
+// optimized kernels compute both. Under IEEE-754 round-to-nearest
+// fma(+-0, b, acc) never changes a finite accumulator, so results are
+// still bit-identical for finite inputs — but non-finite inputs
+// (Inf/NaN weights) may produce NaN where the reference skipped the
+// term.
 
 /// Instruction-set selection for the blocked kernels. kAuto picks the
 /// best path the CPU supports at runtime; the explicit values force a
@@ -74,8 +84,8 @@ struct KernelOptions {
   /// unaffected). The partition is deterministic, so any value produces
   /// bit-identical results.
   int threads = 1;
-  /// Static cache blocking, used whenever the autotuner (autotune.h) is
-  /// disabled or has no opinion for a shape.
+  /// Cache blocking of the GEMM drivers (the conv kernels need none:
+  /// their contraction fits one register sweep).
   int block_m = 64;
   int block_k = 256;
   int block_n = 1024;
@@ -100,26 +110,34 @@ void SetKernelThreads(int threads);
 /// The ISA the next kernel call will run on, after applying the
 /// KernelOptions override to what the CPU supports.
 KernelIsa ActiveKernelIsa();
-/// Short stable name ("avx2", "generic") — used as the autotuner cache
-/// key component and in bench output.
+/// Short stable name ("avx2", "generic") — used in test and bench
+/// output.
 const char* KernelIsaName(KernelIsa isa);
 /// Whether this build+CPU can run the AVX2+FMA path.
 bool KernelAvx2Available();
 
 /// Grow-only per-thread scratch buffers the kernels pack panels and
-/// im2col columns into, so steady-state training allocates nothing per
+/// padded images into, so steady-state training allocates nothing per
 /// call. Each caller owns a slot id (see kernels_dispatch.h for the
 /// convention); a slot's pointer is valid until the same thread requests
 /// the same slot again. A process-wide high-water mark of allocated
 /// scratch is kept for the RunHistory accounting.
 class ScratchArena {
  public:
+  static constexpr int kMaxSlots = 7;
+  /// The one slot no kernel uses; tests and tools may claim it.
+  static constexpr int kSpareSlot = kMaxSlots - 1;
+
   /// The calling thread's arena.
   static ScratchArena& ThreadLocal();
 
-  /// Returns `floats` contiguous floats for `slot` (contents
+  /// Returns `bytes` of 64-byte-aligned storage for `slot` (contents
   /// unspecified), growing the slot if needed.
-  float* Buffer(int slot, size_t floats);
+  void* Bytes(int slot, size_t bytes);
+  /// Bytes() viewed as `floats` floats.
+  float* Buffer(int slot, size_t floats) {
+    return static_cast<float*>(Bytes(slot, floats * sizeof(float)));
+  }
 
   /// Peak total scratch bytes allocated across all thread arenas since
   /// start (or the last ResetPeak).
@@ -130,10 +148,9 @@ class ScratchArena {
   ScratchArena() = default;
   ~ScratchArena();
   struct Slot {
-    float* data = nullptr;
-    size_t capacity = 0;
+    void* data = nullptr;
+    size_t capacity = 0;  // bytes
   };
-  static constexpr int kMaxSlots = 8;
   Slot slots_[kMaxSlots];
 };
 
@@ -171,7 +188,7 @@ void KernelParallelFor(int64_t chunks, const Fn& fn) {
       });
 }
 
-// ---- Convolution plumbing ----
+// ---- Convolution ----
 
 /// Unfolds one NCHW image x [cin, h, w] into im2col columns
 /// cols [cin*k*k, ho*wo] for a square kernel (zero padding outside).
@@ -207,15 +224,16 @@ struct ConvKernelShape {
 };
 
 /// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias,
-/// via per-image im2col + blocked GEMM, batch-parallel. `out` must be
-/// pre-zeroed. Bit-identical to ref::Conv2dForwardKernel.
+/// on the padded grid when stride == 1 and pad < kernel (the reference
+/// otherwise), batch-parallel. `out` must be pre-zeroed. Bit-identical
+/// to ref::Conv2dForwardKernel.
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
 
-/// Gradients of Conv2dForwardKernel; any of dx/dw/db may be null to
-/// skip, non-null outputs must be pre-zeroed. Batch-parallel with
-/// per-image partials reduced in ascending image order — the reference's
-/// exact float addition sequence. Bit-identical to
+/// Gradients of Conv2dForwardKernel, on the same path; any of dx/dw/db
+/// may be null to skip, non-null outputs must be pre-zeroed.
+/// Batch-parallel, with dw/db added per image in ascending image order —
+/// the reference's exact float addition sequence. Bit-identical to
 /// ref::Conv2dBackwardKernel.
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
@@ -246,10 +264,12 @@ void GemmTransAAdd(const float* a, const float* b, int64_t m, int64_t k,
 void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
                       int64_t k, float* c);
 
-/// The serial im2col convolution forward (out pre-zeroed).
+/// The serial im2col + GemmAdd convolution forward (out pre-zeroed).
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
-/// The serial convolution backward (outputs pre-zeroed, nullable).
+/// The serial convolution backward: im2col + double dots for dw,
+/// GemmTransAAdd-order dcols + Col2Im for dx (outputs pre-zeroed,
+/// nullable).
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);

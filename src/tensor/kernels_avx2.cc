@@ -106,18 +106,171 @@ struct Avx2Traits {
     _mm256_storeu_pd(out, acc0);
     _mm256_storeu_pd(out + 4, acc1);
   }
+
+  static void ConvTile(const float* wp, const float* base, const int64_t* off,
+                       int64_t kc, float* c, int64_t ldc) {
+    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+    __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+    __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+    for (int64_t p = 0; p < kc; ++p) {
+      const float* bv = base + off[p];
+      const __m256 b0 = _mm256_loadu_ps(bv);
+      const __m256 b1 = _mm256_loadu_ps(bv + 8);
+      const float* av = wp + p * kConvRows;
+      __m256 a = _mm256_broadcast_ss(av + 0);
+      c00 = _mm256_fmadd_ps(a, b0, c00);
+      c01 = _mm256_fmadd_ps(a, b1, c01);
+      a = _mm256_broadcast_ss(av + 1);
+      c10 = _mm256_fmadd_ps(a, b0, c10);
+      c11 = _mm256_fmadd_ps(a, b1, c11);
+      a = _mm256_broadcast_ss(av + 2);
+      c20 = _mm256_fmadd_ps(a, b0, c20);
+      c21 = _mm256_fmadd_ps(a, b1, c21);
+      a = _mm256_broadcast_ss(av + 3);
+      c30 = _mm256_fmadd_ps(a, b0, c30);
+      c31 = _mm256_fmadd_ps(a, b1, c31);
+    }
+    _mm256_storeu_ps(c + 0 * ldc, c00);
+    _mm256_storeu_ps(c + 0 * ldc + 8, c01);
+    _mm256_storeu_ps(c + 1 * ldc, c10);
+    _mm256_storeu_ps(c + 1 * ldc + 8, c11);
+    _mm256_storeu_ps(c + 2 * ldc, c20);
+    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
+    _mm256_storeu_ps(c + 3 * ldc, c30);
+    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
+  }
+
+  // Four input channels x 16 columns: the gradient loads of one output
+  // channel feed all four channels' chains.
+  static void ConvDxAccumulate(const float* w, int64_t cout, const float* g,
+                               int64_t ldg, int64_t n, float* acc,
+                               int64_t ldacc) {
+    for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+      __m256 t00 = _mm256_setzero_ps(), t01 = _mm256_setzero_ps();
+      __m256 t10 = _mm256_setzero_ps(), t11 = _mm256_setzero_ps();
+      __m256 t20 = _mm256_setzero_ps(), t21 = _mm256_setzero_ps();
+      __m256 t30 = _mm256_setzero_ps(), t31 = _mm256_setzero_ps();
+      for (int64_t oc = 0; oc < cout; ++oc) {
+        const float* gv = g + oc * ldg + j0;
+        const __m256 g0 = _mm256_loadu_ps(gv);
+        const __m256 g1 = _mm256_loadu_ps(gv + 8);
+        const float* wv = w + oc * kConvRows;
+        __m256 a = _mm256_broadcast_ss(wv + 0);
+        t00 = _mm256_fmadd_ps(a, g0, t00);
+        t01 = _mm256_fmadd_ps(a, g1, t01);
+        a = _mm256_broadcast_ss(wv + 1);
+        t10 = _mm256_fmadd_ps(a, g0, t10);
+        t11 = _mm256_fmadd_ps(a, g1, t11);
+        a = _mm256_broadcast_ss(wv + 2);
+        t20 = _mm256_fmadd_ps(a, g0, t20);
+        t21 = _mm256_fmadd_ps(a, g1, t21);
+        a = _mm256_broadcast_ss(wv + 3);
+        t30 = _mm256_fmadd_ps(a, g0, t30);
+        t31 = _mm256_fmadd_ps(a, g1, t31);
+      }
+      const __m256 t[kConvRows][2] = {
+          {t00, t01}, {t10, t11}, {t20, t21}, {t30, t31}};
+      for (int64_t r = 0; r < kConvRows; ++r) {
+        float* av = acc + r * ldacc + j0;
+        _mm256_storeu_ps(av, _mm256_add_ps(_mm256_loadu_ps(av), t[r][0]));
+        _mm256_storeu_ps(av + 8,
+                         _mm256_add_ps(_mm256_loadu_ps(av + 8), t[r][1]));
+      }
+    }
+  }
+
+  // dw chains: one double lane per (patch row, channel), fused steps
+  // (the float*float products are exact in double, so fused and mul+add
+  // chains are the same bits).
+  static void ConvDwChains8x4(const double* x, const int64_t* off,
+                              int64_t ldx, const double* gd, int64_t ldg,
+                              int64_t ho, int64_t wo, double* out) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    __m256d a4 = _mm256_setzero_pd(), a5 = _mm256_setzero_pd();
+    __m256d a6 = _mm256_setzero_pd(), a7 = _mm256_setzero_pd();
+    const double *x0 = x + off[0], *x1 = x + off[1], *x2 = x + off[2],
+                 *x3 = x + off[3], *x4 = x + off[4], *x5 = x + off[5],
+                 *x6 = x + off[6], *x7 = x + off[7];
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      const double* grow = gd + oy * wo * ldg;
+      const int64_t xr = oy * ldx;
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        const __m256d gv = _mm256_loadu_pd(grow + ox * ldg);
+        const int64_t xi = xr + ox;
+        a0 = _mm256_fmadd_pd(_mm256_broadcast_sd(x0 + xi), gv, a0);
+        a1 = _mm256_fmadd_pd(_mm256_broadcast_sd(x1 + xi), gv, a1);
+        a2 = _mm256_fmadd_pd(_mm256_broadcast_sd(x2 + xi), gv, a2);
+        a3 = _mm256_fmadd_pd(_mm256_broadcast_sd(x3 + xi), gv, a3);
+        a4 = _mm256_fmadd_pd(_mm256_broadcast_sd(x4 + xi), gv, a4);
+        a5 = _mm256_fmadd_pd(_mm256_broadcast_sd(x5 + xi), gv, a5);
+        a6 = _mm256_fmadd_pd(_mm256_broadcast_sd(x6 + xi), gv, a6);
+        a7 = _mm256_fmadd_pd(_mm256_broadcast_sd(x7 + xi), gv, a7);
+      }
+    }
+    _mm256_storeu_pd(out + 0, a0);
+    _mm256_storeu_pd(out + 4, a1);
+    _mm256_storeu_pd(out + 8, a2);
+    _mm256_storeu_pd(out + 12, a3);
+    _mm256_storeu_pd(out + 16, a4);
+    _mm256_storeu_pd(out + 20, a5);
+    _mm256_storeu_pd(out + 24, a6);
+    _mm256_storeu_pd(out + 28, a7);
+  }
+
+  static void ConvDwChains4x8(const double* x, const int64_t* off,
+                              int64_t ldx, const double* gd, int64_t ldg,
+                              int64_t ho, int64_t wo, double* out) {
+    __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+    __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+    __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+    __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
+    const double *x0 = x + off[0], *x1 = x + off[1], *x2 = x + off[2],
+                 *x3 = x + off[3];
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      const double* grow = gd + oy * wo * ldg;
+      const int64_t xr = oy * ldx;
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        const __m256d g0 = _mm256_loadu_pd(grow + ox * ldg);
+        const __m256d g1 = _mm256_loadu_pd(grow + ox * ldg + 4);
+        const int64_t xi = xr + ox;
+        __m256d xv = _mm256_broadcast_sd(x0 + xi);
+        a00 = _mm256_fmadd_pd(xv, g0, a00);
+        a01 = _mm256_fmadd_pd(xv, g1, a01);
+        xv = _mm256_broadcast_sd(x1 + xi);
+        a10 = _mm256_fmadd_pd(xv, g0, a10);
+        a11 = _mm256_fmadd_pd(xv, g1, a11);
+        xv = _mm256_broadcast_sd(x2 + xi);
+        a20 = _mm256_fmadd_pd(xv, g0, a20);
+        a21 = _mm256_fmadd_pd(xv, g1, a21);
+        xv = _mm256_broadcast_sd(x3 + xi);
+        a30 = _mm256_fmadd_pd(xv, g0, a30);
+        a31 = _mm256_fmadd_pd(xv, g1, a31);
+      }
+    }
+    _mm256_storeu_pd(out + 0, a00);
+    _mm256_storeu_pd(out + 4, a01);
+    _mm256_storeu_pd(out + 8, a10);
+    _mm256_storeu_pd(out + 12, a11);
+    _mm256_storeu_pd(out + 16, a20);
+    _mm256_storeu_pd(out + 20, a21);
+    _mm256_storeu_pd(out + 24, a30);
+    _mm256_storeu_pd(out + 28, a31);
+  }
 };
 
 }  // namespace
 
 const BlockedKernels* Avx2KernelsOrNull() {
   static const BlockedKernels table = {
-      "avx2",
       static_cast<int>(Avx2Traits::kMr),
       static_cast<int>(Avx2Traits::kNr),
       static_cast<int>(Avx2Traits::kTr),
       &GemmAddBlockedT<Avx2Traits>,
       &GemmTransBBlockedT<Avx2Traits>,
+      &ConvForwardT<Avx2Traits>,
+      &ConvBackwardT<Avx2Traits>,
   };
   return &table;
 }

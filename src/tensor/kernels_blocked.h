@@ -19,6 +19,29 @@
 //   static void DotChains(const float* a, const float* panel, int64_t n,
 //                         double* out);
 //
+// and, for the padded-grid convolution (ConvGrid below):
+//
+//   // C tile [kConvRows, kNr] = Wp[kc, kConvRows] * B, where row p of B
+//   // is the kNr floats at base + off[p]; every chain starts at +0 and
+//   // takes one fused step per p, ascending:
+//   static void ConvTile(const float* wp, const float* base,
+//                        const int64_t* off, int64_t kc, float* c,
+//                        int64_t ldc);
+//   // For each of kConvRows input channels r and j < n (n a multiple
+//   // of kNr): acc[r*ldacc + j] += (fused chain over oc < cout of
+//   // w[oc*kConvRows + r] * g[oc*ldg + j], from +0, ascending oc):
+//   static void ConvDxAccumulate(const float* w, int64_t cout,
+//                                const float* g, int64_t ldg, int64_t n,
+//                                float* acc, int64_t ldacc);
+//   // R x L double chains, R*L = 32 ((8,4) and (4,8)): out[r*L + t] =
+//   // sum over a = (oy, ox) ascending of
+//   //   x[off[r] + oy*ldx + ox] * gd[(oy*wo + ox)*ldg + t]
+//   // (exact products, one double rounding per step):
+//   static void ConvDwChains8x4(const double* x, const int64_t* off,
+//                               int64_t ldx, const double* gd, int64_t ldg,
+//                               int64_t ho, int64_t wo, double* out);
+//   static void ConvDwChains4x8(...same...);
+//
 // Every instantiation computes the canonical summation order of
 // kernels.h, so instantiations differ only in speed, never in bits.
 // The drivers below own all blocking, packing, remainder handling and
@@ -26,6 +49,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "tensor/kernels_dispatch.h"
 
@@ -231,6 +255,340 @@ void GemmTransBBlockedT(const float* a, const float* b, int64_t m, int64_t n,
     KernelParallelFor(chunks, run_chunk);
   } else {
     for (int64_t ci = 0; ci < chunks; ++ci) run_chunk(ci);
+  }
+}
+
+// ---- Padded-grid convolution (stride 1, pad < kernel) ----
+//
+// The im2col matrix is never built. Forward and dw read each image
+// through a zero-padded copy whose rows are wp = w + 2*pad floats wide.
+// Forward computes every output on the grid ho x wp instead of ho x wo:
+// on that grid the im2col row of patch index p = (c, ky, kx) is the
+// contiguous slice starting at off[p] = c*plane + ky*wp + kx, so the
+// microkernel loads its B rows straight from the padded image. The
+// k - 1 extra columns per row wrap into the next padded row; they are
+// computed and dropped. dx runs the same way on the grid h x wq of the
+// output gradient padded by k - 1 - pad (wq = w + k - 1), where tap
+// (ky, kx) is the slice starting at (k-1-ky)*wq + (k-1-kx).
+//
+// Bit identity with ref:: holds for finite inputs:
+//  * forward: a kept output reads exactly the im2col entries the
+//    reference reads, padding zeros included, in ascending p;
+//  * dw: the chains walk only the ho x wo real outputs, ascending, so
+//    they are the reference's double dots term for term;
+//  * dx: the reference's Col2Im skips the (tap, output) pairs that fall
+//    outside the image; here they read padding zeros. Such a term is a
+//    fused chain of w*0 from +0, which is +0, and adding +0 changes no
+//    accumulator that started at +0 (a sum that starts at +0 never
+//    reaches -0 under round-to-nearest). The remaining terms meet each
+//    dx element in the reference's ascending tap order.
+
+// Channels per register tile: output channels of ConvTile, input
+// channels of ConvDxAccumulate.
+inline constexpr int64_t kConvRows = 4;
+
+/// Geometry of one padded-grid convolution.
+struct ConvGrid {
+  explicit ConvGrid(const ConvKernelShape& s)
+      : k(s.kernel), cin(s.in_channels), cout(s.out_channels),
+        h(s.height), w(s.width), pad(s.pad), ho(s.OutH()), wo(s.OutW()),
+        patch(s.Patch()), taps(k * k), wp(w + 2 * pad),
+        plane((h + 2 * pad) * wp), wq(w + k - 1), plane_q((h + k - 1) * wq),
+        lead_q(k - 1 - pad) {}
+  int64_t k, cin, cout, h, w, pad, ho, wo, patch, taps;
+  int64_t wp, plane;          // padded input row width and plane size
+  int64_t wq, plane_q;        // padded gradient row width and plane size
+  int64_t lead_q;             // gradient padding above and left
+};
+
+inline int64_t RoundUp(int64_t n, int64_t m) { return (n + m - 1) / m * m; }
+
+/// Lays out consecutive 64-byte-aligned arrays in one scratch slot.
+class ScratchLayout {
+ public:
+  template <typename T>
+  size_t Add(int64_t count) {
+    const size_t at = bytes_;
+    bytes_ += static_cast<size_t>(RoundUp(
+        static_cast<int64_t>(sizeof(T)) * std::max<int64_t>(count, 0), 64));
+    return at;
+  }
+  char* Claim(int slot) const {
+    return static_cast<char*>(
+        ScratchArena::ThreadLocal().Bytes(slot, std::max<size_t>(bytes_, 1)));
+  }
+
+ private:
+  size_t bytes_ = 0;
+};
+
+template <typename T>
+T* At(char* base, size_t offset) {
+  return reinterpret_cast<T*>(base + offset);
+}
+
+/// off[p] for p = (c, ky, kx): where im2col row p starts in a padded image.
+inline void ConvRowOffsets(const ConvGrid& g, int64_t* off) {
+  int64_t p = 0;
+  for (int64_t c = 0; c < g.cin; ++c) {
+    for (int64_t ky = 0; ky < g.k; ++ky) {
+      for (int64_t kx = 0; kx < g.k; ++kx) {
+        off[p++] = c * g.plane + ky * g.wp + kx;
+      }
+    }
+  }
+}
+
+/// Copies `channels` planes of rows x cols floats into the interiors of
+/// padded planes (row width ld, plane size `plane`, `lead` rows and
+/// columns of padding above and left). The padding is left untouched.
+template <typename T>
+void CopyIntoPadded(const float* src, int64_t channels, int64_t rows,
+                    int64_t cols, int64_t lead, int64_t ld, int64_t plane,
+                    T* dst) {
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t y = 0; y < rows; ++y) {
+      const float* s = src + (c * rows + y) * cols;
+      T* d = dst + c * plane + (y + lead) * ld + lead;
+      if constexpr (std::is_same_v<T, float>) {
+        std::memcpy(d, s, sizeof(float) * static_cast<size_t>(cols));
+      } else {
+        for (int64_t x = 0; x < cols; ++x) d[x] = s[x];
+      }
+    }
+  }
+}
+
+/// Contiguous image ranges, one per kernel thread (one when serial).
+inline int64_t ConvImageChunks(int64_t batch) {
+  return std::clamp<int64_t>(GetKernelOptions().threads, 1, batch);
+}
+
+template <typename Traits>
+void ConvForwardT(const float* x, const float* w, const float* bias,
+                  const ConvKernelShape& s, float* out) {
+  constexpr int64_t mr = kConvRows;
+  constexpr int64_t nr = Traits::kNr;
+  if (s.batch <= 0) return;
+  const ConvGrid g(s);
+  const int64_t tiles = (g.cout + mr - 1) / mr;
+  const int64_t cols = RoundUp(g.ho * g.wp, nr);
+  // Shared by the workers: the weights packed p-major in tiles of mr
+  // output channels (rows past cout zero) and the im2col row offsets.
+  ScratchLayout shared;
+  const size_t wpack_at = shared.Add<float>(tiles * g.patch * mr);
+  const size_t off_at = shared.Add<int64_t>(g.patch);
+  char* shared_base = shared.Claim(kSlotConvOperands);
+  float* wpack = At<float>(shared_base, wpack_at);
+  int64_t* off = At<int64_t>(shared_base, off_at);
+  for (int64_t t = 0; t < tiles; ++t) {
+    for (int64_t p = 0; p < g.patch; ++p) {
+      for (int64_t r = 0; r < mr; ++r) {
+        const int64_t oc = t * mr + r;
+        wpack[(t * g.patch + p) * mr + r] =
+            oc < g.cout ? w[oc * g.patch + p] : 0.0f;
+      }
+    }
+  }
+  ConvRowOffsets(g, off);
+  // The last panel of the last row reads up to off[patch-1] + cols.
+  const int64_t xp_len = std::max(g.cin * g.plane, off[g.patch - 1] + cols);
+  const int64_t in_size = g.cin * g.h * g.w;
+  const int64_t out_size = g.cout * g.ho * g.wo;
+  const int64_t chunks = ConvImageChunks(s.batch);
+  KernelParallelFor(chunks, [&](int64_t ci) {
+    ScratchLayout mine;
+    const size_t xp_at = mine.Add<float>(xp_len);
+    const size_t grid_at = mine.Add<float>(tiles * mr * cols);
+    char* base = mine.Claim(kSlotConvImage);
+    float* xp = At<float>(base, xp_at);
+    float* grid = At<float>(base, grid_at);
+    // Only interiors are rewritten per image; the padding stays zero.
+    std::memset(xp, 0, sizeof(float) * static_cast<size_t>(xp_len));
+    for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
+         ++i) {
+      CopyIntoPadded(x + i * in_size, g.cin, g.h, g.w, g.pad, g.wp, g.plane,
+                     xp);
+      for (int64_t t = 0; t < tiles; ++t) {
+        for (int64_t j0 = 0; j0 < cols; j0 += nr) {
+          Traits::ConvTile(wpack + t * g.patch * mr, xp + j0, off, g.patch,
+                           grid + t * mr * cols + j0, cols);
+        }
+      }
+      float* o = out + i * out_size;
+      for (int64_t oc = 0; oc < g.cout; ++oc) {
+        const float bv = bias[oc];
+        for (int64_t oy = 0; oy < g.ho; ++oy) {
+          const float* src = grid + oc * cols + oy * g.wp;
+          float* dst = o + (oc * g.ho + oy) * g.wo;
+          for (int64_t ox = 0; ox < g.wo; ++ox) dst[ox] = src[ox] + bv;
+        }
+      }
+    }
+  });
+}
+
+template <typename Traits>
+void ConvBackwardT(const float* grad_out, const float* x, const float* w,
+                   const ConvKernelShape& s, float* dx, float* dw,
+                   float* db) {
+  if (s.batch <= 0 || (dx == nullptr && dw == nullptr && db == nullptr)) {
+    return;
+  }
+  const ConvGrid g(s);
+  const int64_t area = g.ho * g.wo;
+  const int64_t in_size = g.cin * g.h * g.w;
+  const int64_t out_size = g.cout * area;
+  // dw runs 32 double chains per pass: 8 patch rows x 4 channels when
+  // cout <= 4, else 4 rows x 8 channels per block of 8 channels.
+  const int64_t lanes = g.cout <= 4 ? 4 : 8;
+  const int64_t rows = 32 / lanes;
+  const int64_t oc_pad = RoundUp(g.cout, lanes);
+  const int64_t dx_groups = (g.cin + kConvRows - 1) / kConvRows;
+  const int64_t dx_cols = RoundUp(g.h * g.wq, Traits::kNr);
+  const int64_t gq_len =
+      std::max(g.cout * g.plane_q, (g.cout - 1) * g.plane_q +
+                                       (g.k - 1) * (g.wq + 1) + dx_cols);
+  // Single-threaded, each image's dw/db is added to the outputs as soon
+  // as it is done. Threaded, images finish out of order, so per-image
+  // partials are kept and added afterwards in ascending image order:
+  // the same float additions either way.
+  const int64_t chunks = ConvImageChunks(s.batch);
+  const int64_t dw_size = dw != nullptr ? g.cout * g.patch : 0;
+  const int64_t db_size = db != nullptr ? g.cout : 0;
+  const int64_t part_stride = dw_size + db_size;
+  ScratchLayout shared;
+  const size_t wt_at = shared.Add<float>(
+      dx != nullptr ? dx_groups * g.taps * g.cout * kConvRows : 0);
+  const size_t off_at = shared.Add<int64_t>(dw != nullptr ? g.patch : 0);
+  const size_t part_at =
+      shared.Add<float>(chunks > 1 ? s.batch * part_stride : 0);
+  char* shared_base = shared.Claim(kSlotConvOperands);
+  float* wt = At<float>(shared_base, wt_at);
+  int64_t* off = At<int64_t>(shared_base, off_at);
+  float* partials = At<float>(shared_base, part_at);
+  if (dx != nullptr) {
+    // wt[group][tap][oc][r] = w[oc][c = group*kConvRows + r][tap]: one
+    // tap's weights for a group of input channels are contiguous, and
+    // channels past cin are zero.
+    for (int64_t cg = 0; cg < dx_groups; ++cg) {
+      for (int64_t tap = 0; tap < g.taps; ++tap) {
+        for (int64_t oc = 0; oc < g.cout; ++oc) {
+          for (int64_t r = 0; r < kConvRows; ++r) {
+            const int64_t c = cg * kConvRows + r;
+            wt[((cg * g.taps + tap) * g.cout + oc) * kConvRows + r] =
+                c < g.cin ? w[oc * g.patch + c * g.taps + tap] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  if (dw != nullptr) ConvRowOffsets(g, off);
+  KernelParallelFor(chunks, [&](int64_t ci) {
+    ScratchLayout mine;
+    const size_t xd_at = mine.Add<double>(dw != nullptr ? g.cin * g.plane : 0);
+    const size_t gd_at = mine.Add<double>(dw != nullptr ? area * oc_pad : 0);
+    const size_t gq_at = mine.Add<float>(dx != nullptr ? gq_len : 0);
+    const size_t dgrid_at =
+        mine.Add<float>(dx != nullptr ? kConvRows * dx_cols : 0);
+    char* base = mine.Claim(kSlotConvImage);
+    double* xd = At<double>(base, xd_at);
+    double* gd = At<double>(base, gd_at);
+    float* gq = At<float>(base, gq_at);
+    float* dgrid = At<float>(base, dgrid_at);
+    // Padding (and gd's channel lanes past cout) stays zero throughout.
+    if (dw != nullptr) {
+      std::fill(xd, xd + g.cin * g.plane, 0.0);
+      std::fill(gd, gd + area * oc_pad, 0.0);
+    }
+    if (dx != nullptr) std::fill(gq, gq + gq_len, 0.0f);
+    for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
+         ++i) {
+      const float* go = grad_out + i * out_size;
+      // One image's dw/db terms go straight into dw/db, or into its
+      // partial when threaded.
+      const bool keep = chunks > 1;
+      float* part = keep ? partials + i * part_stride : nullptr;
+      float* dw_dst = keep ? part : dw;
+      float* db_dst = keep ? part + dw_size : db;
+      auto put = [keep](float* dst, float v) {
+        if (keep) {
+          *dst = v;
+        } else {
+          *dst += v;
+        }
+      };
+      if (db != nullptr) {
+        for (int64_t oc = 0; oc < g.cout; ++oc) {
+          const float* plane = go + oc * area;
+          double acc = 0.0;
+          for (int64_t a = 0; a < area; ++a) acc += plane[a];
+          put(db_dst + oc, static_cast<float>(acc));
+        }
+      }
+      if (dw != nullptr) {
+        CopyIntoPadded(x + i * in_size, g.cin, g.h, g.w, g.pad, g.wp, g.plane,
+                       xd);
+        for (int64_t a = 0; a < area; ++a) {
+          for (int64_t oc = 0; oc < g.cout; ++oc) {
+            gd[a * oc_pad + oc] = go[oc * area + a];
+          }
+        }
+        for (int64_t oc0 = 0; oc0 < g.cout; oc0 += lanes) {
+          for (int64_t p0 = 0; p0 < g.patch; p0 += rows) {
+            const int64_t live = std::min(rows, g.patch - p0);
+            int64_t row_off[8];
+            for (int64_t r = 0; r < rows; ++r) {
+              row_off[r] = off[p0 + (r < live ? r : 0)];
+            }
+            double acc[32];
+            if (lanes == 4) {
+              Traits::ConvDwChains8x4(xd, row_off, g.wp, gd + oc0, oc_pad,
+                                      g.ho, g.wo, acc);
+            } else {
+              Traits::ConvDwChains4x8(xd, row_off, g.wp, gd + oc0, oc_pad,
+                                      g.ho, g.wo, acc);
+            }
+            const int64_t oc_live = std::min(lanes, g.cout - oc0);
+            for (int64_t t = 0; t < oc_live; ++t) {
+              for (int64_t r = 0; r < live; ++r) {
+                put(dw_dst + (oc0 + t) * g.patch + p0 + r,
+                    static_cast<float>(acc[r * lanes + t]));
+              }
+            }
+          }
+        }
+      }
+      if (dx != nullptr) {
+        CopyIntoPadded(go, g.cout, g.ho, g.wo, g.lead_q, g.wq, g.plane_q, gq);
+        for (int64_t cg = 0; cg < dx_groups; ++cg) {
+          std::fill(dgrid, dgrid + kConvRows * dx_cols, 0.0f);
+          for (int64_t ky = 0; ky < g.k; ++ky) {
+            for (int64_t kx = 0; kx < g.k; ++kx) {
+              Traits::ConvDxAccumulate(
+                  wt + (cg * g.taps + ky * g.k + kx) * g.cout * kConvRows,
+                  g.cout, gq + (g.k - 1 - ky) * g.wq + (g.k - 1 - kx),
+                  g.plane_q, dx_cols, dgrid, dx_cols);
+            }
+          }
+          const int64_t live = std::min(kConvRows, g.cin - cg * kConvRows);
+          for (int64_t r = 0; r < live; ++r) {
+            float* d = dx + i * in_size + (cg * kConvRows + r) * g.h * g.w;
+            for (int64_t iy = 0; iy < g.h; ++iy) {
+              std::memcpy(d + iy * g.w, dgrid + r * dx_cols + iy * g.wq,
+                          sizeof(float) * static_cast<size_t>(g.w));
+            }
+          }
+        }
+      }
+    }
+  });
+  if (chunks > 1) {
+    for (int64_t i = 0; i < s.batch; ++i) {
+      const float* part = partials + i * part_stride;
+      for (int64_t idx = 0; idx < dw_size; ++idx) dw[idx] += part[idx];
+      for (int64_t oc = 0; oc < db_size; ++oc) db[oc] += part[dw_size + oc];
+    }
   }
 }
 

@@ -20,23 +20,25 @@ namespace internal {
 //   0  packed B panels of GemmAdd
 //   1  packed A tile of GemmAdd
 //   2  transposed A of GemmTransAAdd
-//   3  im2col columns of the conv drivers
-//   4  column gradients (dcols) of the conv backward
-//   5  per-image dw/db partials of the conv backward (caller thread)
-//   6  interleaved B panels of GemmTransBAssign
+//   3  conv operands shared by a call's workers (calling thread): packed
+//      weights, patch-row offsets, per-image dw/db partials
+//   4  conv per-image buffers (each worker): padded image / gradient
+//      planes, output staging grid
+//   5  interleaved B panels of GemmTransBAssign
+//   6  ScratchArena::kSpareSlot, never used by a kernel
 inline constexpr int kSlotPackB = 0;
 inline constexpr int kSlotPackA = 1;
 inline constexpr int kSlotTransA = 2;
-inline constexpr int kSlotIm2Col = 3;
-inline constexpr int kSlotDCols = 4;
-inline constexpr int kSlotConvPartial = 5;
-inline constexpr int kSlotPackTB = 6;
+inline constexpr int kSlotConvOperands = 3;
+inline constexpr int kSlotConvImage = 4;
+inline constexpr int kSlotPackTB = 5;
+static_assert(kSlotPackTB < ScratchArena::kSpareSlot,
+              "kernel slots must leave the spare slot free");
 
 /// One ISA's blocked-kernel entry points. Every implementation computes
 /// the canonical fused summation order (kernels.h), so all tables are
 /// bit-interchangeable; only throughput differs.
 struct BlockedKernels {
-  const char* name;  ///< "avx2" / "generic" — also the autotune ISA key.
   int mr;            ///< GemmAdd register tile rows.
   int nr;            ///< GemmAdd register tile columns (B panel width).
   int tr;            ///< GemmTransBAssign accumulator chains per panel.
@@ -51,6 +53,14 @@ struct BlockedKernels {
   void (*gemm_transb)(const float* a, const float* b, int64_t m, int64_t n,
                       int64_t k, float* c, const TileConfig& tile,
                       bool parallel);
+
+  /// The padded-grid convolution (stride 1, pad < kernel; kernels.h has
+  /// the contracts), batch-parallel across the kernel pool.
+  void (*conv_forward)(const float* x, const float* w, const float* bias,
+                       const ConvKernelShape& s, float* out);
+  void (*conv_backward)(const float* grad_out, const float* x,
+                        const float* w, const ConvKernelShape& s, float* dx,
+                        float* dw, float* db);
 };
 
 /// The portable table (always available; soft-fma, compiled at the

@@ -56,18 +56,85 @@ struct GenericTraits {
     }
     for (int64_t t = 0; t < kTr; ++t) out[t] = acc[t];
   }
+
+  static void ConvTile(const float* wp, const float* base, const int64_t* off,
+                       int64_t kc, float* c, int64_t ldc) {
+    float acc[kConvRows][kNr] = {};
+    for (int64_t p = 0; p < kc; ++p) {
+      const float* bv = base + off[p];
+      for (int64_t i = 0; i < kConvRows; ++i) {
+        const float a = wp[p * kConvRows + i];
+        for (int64_t j = 0; j < kNr; ++j) {
+          acc[i][j] = std::fmaf(a, bv[j], acc[i][j]);
+        }
+      }
+    }
+    for (int64_t i = 0; i < kConvRows; ++i) {
+      for (int64_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
+    }
+  }
+
+  static void ConvDxAccumulate(const float* w, int64_t cout, const float* g,
+                               int64_t ldg, int64_t n, float* acc,
+                               int64_t ldacc) {
+    for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+      float t[kConvRows][kNr] = {};
+      for (int64_t oc = 0; oc < cout; ++oc) {
+        const float* gv = g + oc * ldg + j0;
+        for (int64_t r = 0; r < kConvRows; ++r) {
+          const float wv = w[oc * kConvRows + r];
+          for (int64_t j = 0; j < kNr; ++j) {
+            t[r][j] = std::fmaf(wv, gv[j], t[r][j]);
+          }
+        }
+      }
+      for (int64_t r = 0; r < kConvRows; ++r) {
+        for (int64_t j = 0; j < kNr; ++j) acc[r * ldacc + j0 + j] += t[r][j];
+      }
+    }
+  }
+
+  template <int R, int L>
+  static void DwChains(const double* x, const int64_t* off, int64_t ldx,
+                       const double* gd, int64_t ldg, int64_t ho, int64_t wo,
+                       double* out) {
+    double acc[R][L] = {};
+    for (int64_t oy = 0; oy < ho; ++oy) {
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        const double* gv = gd + (oy * wo + ox) * ldg;
+        for (int r = 0; r < R; ++r) {
+          const double xv = x[off[r] + oy * ldx + ox];
+          for (int t = 0; t < L; ++t) acc[r][t] += xv * gv[t];
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int t = 0; t < L; ++t) out[r * L + t] = acc[r][t];
+    }
+  }
+  static void ConvDwChains8x4(const double* x, const int64_t* off,
+                              int64_t ldx, const double* gd, int64_t ldg,
+                              int64_t ho, int64_t wo, double* out) {
+    DwChains<8, 4>(x, off, ldx, gd, ldg, ho, wo, out);
+  }
+  static void ConvDwChains4x8(const double* x, const int64_t* off,
+                              int64_t ldx, const double* gd, int64_t ldg,
+                              int64_t ho, int64_t wo, double* out) {
+    DwChains<4, 8>(x, off, ldx, gd, ldg, ho, wo, out);
+  }
 };
 
 }  // namespace
 
 const BlockedKernels& GenericKernels() {
   static const BlockedKernels table = {
-      "generic",
       static_cast<int>(GenericTraits::kMr),
       static_cast<int>(GenericTraits::kNr),
       static_cast<int>(GenericTraits::kTr),
       &GemmAddBlockedT<GenericTraits>,
       &GemmTransBBlockedT<GenericTraits>,
+      &ConvForwardT<GenericTraits>,
+      &ConvBackwardT<GenericTraits>,
   };
   return table;
 }

@@ -135,12 +135,23 @@ TEST(CommStatsTest, BeginRoundResetsMessageCounters) {
   EXPECT_EQ(comm.down_messages(), 2);
 }
 
+/// A history row with only the leading accounting fields set.
+RoundMetrics Row(int round, double loss, double accuracy, double seconds,
+                 int64_t bytes) {
+  RoundMetrics m;
+  m.round = round;
+  m.train_loss = loss;
+  m.test_accuracy = accuracy;
+  m.round_seconds = seconds;
+  m.round_bytes = bytes;
+  return m;
+}
+
 TEST(MetricsTest, RoundsToReachAndFinalAccuracy) {
   RunHistory history;
-  history.rounds = {{0, 1.0, 0.2, 0.1, 10},
-                    {1, 0.8, std::nan(""), 0.1, 10},
-                    {2, 0.5, 0.6, 0.1, 10},
-                    {3, 0.4, 0.7, 0.1, 10}};
+  history.rounds = {Row(0, 1.0, 0.2, 0.1, 10),
+                    Row(1, 0.8, std::nan(""), 0.1, 10),
+                    Row(2, 0.5, 0.6, 0.1, 10), Row(3, 0.4, 0.7, 0.1, 10)};
   EXPECT_EQ(history.RoundsToReach(0.5), 3);
   EXPECT_EQ(history.RoundsToReach(0.9), -1);
   EXPECT_NEAR(history.FinalAccuracy(), 0.7, 1e-12);

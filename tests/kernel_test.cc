@@ -7,10 +7,7 @@
 // byte-identical across kernel_threads in {1, 2, 4}.
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -24,7 +21,7 @@
 #include "fl/trainer.h"
 #include "nn/models.h"
 #include "obs/metrics.h"
-#include "tensor/autotune.h"
+#include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
@@ -43,8 +40,6 @@ class KernelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetKernelOptions(KernelOptions{});
-    SetAutotuneConfig(AutotuneConfig{});
-    ResetAutotuneForTest();
   }
 };
 
@@ -178,17 +173,22 @@ std::vector<KernelIsa> TestableIsas() {
   return isas;
 }
 
-TEST_F(KernelTest, EveryIsaTileCandidateAndThreadCountMatchesReference) {
-  // The full cross product the autotuner is allowed to roam over:
-  // each ISA table x each candidate TileConfig x threads {1, 2, 4}
-  // must reproduce the reference bytes exactly. Shapes are chosen off
+TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
+  // Each ISA table x a spread of TileConfigs x threads {1, 2, 4} must
+  // reproduce the reference bytes exactly. Shapes are chosen off
   // every tile boundary (odd m/k/n) plus the microkernel-exact 64 row
   // count, so full tiles, padded remainder rows, and remainder columns
   // all execute.
   struct Case { int64_t m, k, n; };
   const Case cases[] = {{64, 75, 130}, {65, 131, 197}, {6, 16, 33}};
+  // The static default first, then taller, wider, deeper and odd blocks.
+  const TileConfig kGemmAddTiles[] = {{64, 256, 1024}, {64, 128, 2048},
+                                      {32, 256, 4096}, {96, 384, 512},
+                                      {64, 75, 8192}};
+  const TileConfig kGemmTransBTiles[] = {
+      {64, 256, 1024}, {16, 256, 1024}, {256, 256, 1024}};
   for (KernelIsa isa : TestableIsas()) {
-    for (const TileConfig& tile : AutotuneCandidates(AutotuneOp::kGemmAdd)) {
+    for (const TileConfig& tile : kGemmAddTiles) {
       for (int threads : kThreadCounts) {
         KernelOptions o;
         o.threads = threads;
@@ -215,8 +215,7 @@ TEST_F(KernelTest, EveryIsaTileCandidateAndThreadCountMatchesReference) {
         }
       }
     }
-    for (const TileConfig& tile :
-         AutotuneCandidates(AutotuneOp::kGemmTransB)) {
+    for (const TileConfig& tile : kGemmTransBTiles) {
       for (int threads : kThreadCounts) {
         KernelOptions o;
         o.threads = threads;
@@ -297,62 +296,132 @@ std::vector<ConvKernelShape> ConvCases() {
   cases.push_back({1, 3, 11, 11, 2, 5, 1, 2}); // 5x5 kernel, wide pad
   cases.push_back({4, 2, 6, 6, 1, 1, 1, 0});   // pointwise 1x1
   cases.push_back({2, 1, 5, 5, 2, 3, 3, 1});   // stride > 1 with pad
+  cases.push_back({2, 3, 7, 10, 9, 3, 1, 0});  // valid conv, cout > 8
+  // The CIFAR round's own shapes: conv1 and conv2 of the workload CNN,
+  // at one image, an odd batch, the training batch, a map_sync batch
+  // and a batch larger than any the round runs.
+  for (int64_t batch : {1, 7, 24, 150, 256}) {
+    cases.push_back({batch, 3, 12, 12, 4, 5, 1, 2});
+    cases.push_back({batch, 4, 6, 6, 8, 5, 1, 2});
+  }
   return cases;
 }
 
+std::string ConvName(const ConvKernelShape& s) {
+  return std::to_string(s.batch) + "x" + std::to_string(s.in_channels) +
+         "x" + std::to_string(s.height) + "x" + std::to_string(s.width) +
+         "->" + std::to_string(s.out_channels) + " k" +
+         std::to_string(s.kernel) + " s" + std::to_string(s.stride) + " p" +
+         std::to_string(s.pad);
+}
+
+/// Every kernel configuration a conv must be exact under: tiny and
+/// default blocks, the portable table and auto dispatch, 1, 2 and 4
+/// threads.
+std::vector<KernelOptions> ConvOptionGrid() {
+  std::vector<KernelOptions> grid;
+  for (bool tiny : {true, false}) {
+    for (KernelIsa isa : {KernelIsa::kGeneric, KernelIsa::kAuto}) {
+      for (int threads : kThreadCounts) {
+        KernelOptions o = tiny ? TinyBlocks(threads) : KernelOptions{};
+        o.threads = threads;
+        o.isa = isa;
+        grid.push_back(o);
+      }
+    }
+  }
+  return grid;
+}
+
+std::string OptionsName(const KernelOptions& o) {
+  return std::string(KernelIsaName(o.isa)) + " threads=" +
+         std::to_string(o.threads) + " block_k=" + std::to_string(o.block_k);
+}
+
 TEST_F(KernelTest, Conv2dForwardMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (const ConvKernelShape& s : ConvCases()) {
-      const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
-                             1.0f, 0.3f);
-      const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.7f);
-      const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
-      std::vector<float> out_ref(
-          static_cast<size_t>(s.batch * s.out_channels * s.OutArea()), 0.0f);
-      auto out_opt = out_ref;
-      ref::Conv2dForwardKernel(x.data(), w.data(), bias.data(), s,
-                               out_ref.data());
+  for (const ConvKernelShape& s : ConvCases()) {
+    const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
+                           1.0f, 0.3f);
+    const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.7f);
+    const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+    std::vector<float> out_ref(
+        static_cast<size_t>(s.batch * s.out_channels * s.OutArea()), 0.0f);
+    ref::Conv2dForwardKernel(x.data(), w.data(), bias.data(), s,
+                             out_ref.data());
+    for (const KernelOptions& o : ConvOptionGrid()) {
+      SetKernelOptions(o);
+      std::vector<float> out_opt(out_ref.size(), 0.0f);
       Conv2dForwardKernel(x.data(), w.data(), bias.data(), s, out_opt.data());
       ASSERT_EQ(0, std::memcmp(out_ref.data(), out_opt.data(),
                                out_ref.size() * sizeof(float)))
-          << "threads=" << threads << " batch=" << s.batch
-          << " k=" << s.kernel << " stride=" << s.stride << " pad=" << s.pad;
+          << ConvName(s) << " " << OptionsName(o);
     }
   }
 }
 
 TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (const ConvKernelShape& s : ConvCases()) {
-      const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
-                             1.0f, 0.6f);
-      const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 2.1f);
-      const auto go = Pattern(s.batch * s.out_channels * s.OutArea(),
-                              0.4f, 1.2f);
-      const size_t dx_size =
-          static_cast<size_t>(s.batch * s.in_channels * s.height * s.width);
-      const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
-      const size_t db_size = static_cast<size_t>(s.out_channels);
-      std::vector<float> dx_ref(dx_size, 0.0f), dx_opt(dx_size, 0.0f);
-      std::vector<float> dw_ref(dw_size, 0.0f), dw_opt(dw_size, 0.0f);
-      std::vector<float> db_ref(db_size, 0.0f), db_opt(db_size, 0.0f);
-      ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s,
-                                dx_ref.data(), dw_ref.data(), db_ref.data());
+  for (const ConvKernelShape& s : ConvCases()) {
+    const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
+                           1.0f, 0.6f);
+    const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 2.1f);
+    const auto go = Pattern(s.batch * s.out_channels * s.OutArea(),
+                            0.4f, 1.2f);
+    const size_t dx_size =
+        static_cast<size_t>(s.batch * s.in_channels * s.height * s.width);
+    const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
+    const size_t db_size = static_cast<size_t>(s.out_channels);
+    std::vector<float> dx_ref(dx_size, 0.0f);
+    std::vector<float> dw_ref(dw_size, 0.0f);
+    std::vector<float> db_ref(db_size, 0.0f);
+    ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s,
+                              dx_ref.data(), dw_ref.data(), db_ref.data());
+    for (const KernelOptions& o : ConvOptionGrid()) {
+      SetKernelOptions(o);
+      std::vector<float> dx_opt(dx_size, 0.0f);
+      std::vector<float> dw_opt(dw_size, 0.0f);
+      std::vector<float> db_opt(db_size, 0.0f);
       Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx_opt.data(),
                            dw_opt.data(), db_opt.data());
       ASSERT_EQ(0, std::memcmp(dx_ref.data(), dx_opt.data(),
                                dx_size * sizeof(float)))
-          << "dx threads=" << threads << " stride=" << s.stride;
+          << "dx " << ConvName(s) << " " << OptionsName(o);
       ASSERT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
                                dw_size * sizeof(float)))
-          << "dw threads=" << threads << " stride=" << s.stride;
+          << "dw " << ConvName(s) << " " << OptionsName(o);
       ASSERT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
                                db_size * sizeof(float)))
-          << "db threads=" << threads << " stride=" << s.stride;
+          << "db " << ConvName(s) << " " << OptionsName(o);
     }
   }
+}
+
+TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
+  // conv2 of the CIFAR round: the padded grid computes 64 columns per
+  // channel where 36 are real, but only 2*B*Cout*patch*area is counted,
+  // once for the forward and once per requested backward GEMM (dw, dx).
+  const ConvKernelShape s{7, 4, 6, 6, 8, 5, 1, 2};
+  const int64_t useful = 2 * 7 * 8 * 100 * 36;
+  const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,
+                         0.1f);
+  const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 0.2f);
+  const auto bias = Pattern(s.out_channels, 0.2f, 0.3f);
+  const auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 0.4f);
+  std::vector<float> out(go.size(), 0.0f), dx(x.size(), 0.0f),
+      dw(w.size(), 0.0f), db(bias.size(), 0.0f);
+  obs::Counter* flops =
+      obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
+  obs::EnableTracing(true);
+  const int64_t before = flops->value();
+  Conv2dForwardKernel(x.data(), w.data(), bias.data(), s, out.data());
+  EXPECT_EQ(flops->value() - before, useful);
+  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx.data(),
+                       dw.data(), db.data());
+  EXPECT_EQ(flops->value() - before, 3 * useful);
+  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr, dw.data(),
+                       nullptr);
+  EXPECT_EQ(flops->value() - before, 4 * useful);
+  obs::EnableTracing(false);
+  obs::ClearTrace();
 }
 
 TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
@@ -377,8 +446,8 @@ TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
 }
 
 TEST_F(KernelTest, Im2ColRoundTripAgainstStridedWindow) {
-  // stride 1 takes the memcpy fast path; stride 2 the scalar path. Both
-  // must produce the textbook patch layout.
+  // Unit and non-unit stride must both produce the textbook patch
+  // layout.
   for (int64_t stride : {int64_t{1}, int64_t{2}}) {
     const int64_t cin = 2, h = 5, w = 6, kernel = 3, pad = 1;
     const Im2ColSpec spec{kernel, stride, pad};
@@ -431,7 +500,8 @@ TEST_F(KernelTest, GradCheckThroughBlockedConvPath) {
 TEST_F(KernelTest, ScratchArenaGrowsAndTracksPeak) {
   ScratchArena& arena = ScratchArena::ThreadLocal();
   ScratchArena::ResetPeak();
-  float* p = arena.Buffer(7, 100);
+  constexpr int kSlot = ScratchArena::kSpareSlot;
+  float* p = arena.Buffer(kSlot, 100);
   ASSERT_NE(p, nullptr);
   p[0] = 1.0f;
   p[99] = 2.0f;
@@ -439,10 +509,10 @@ TEST_F(KernelTest, ScratchArenaGrowsAndTracksPeak) {
             static_cast<int64_t>(100 * sizeof(float)));
   // Same slot, smaller request: pointer is stable, no growth.
   const int64_t peak_before = ScratchArena::PeakBytes();
-  EXPECT_EQ(p, arena.Buffer(7, 50));
+  EXPECT_EQ(p, arena.Buffer(kSlot, 50));
   EXPECT_EQ(ScratchArena::PeakBytes(), peak_before);
   // Larger request grows the slot and raises the peak.
-  float* q = arena.Buffer(7, 1000);
+  float* q = arena.Buffer(kSlot, 1000);
   ASSERT_NE(q, nullptr);
   q[999] = 3.0f;
   EXPECT_GT(ScratchArena::PeakBytes(), peak_before);
@@ -463,7 +533,7 @@ TEST_F(KernelTest, BlockedGemmReportsScratchUse) {
 
 // ---- End-to-end federated bit-identity across kernel_threads ----
 
-Tensor RunTinyFedAvg(int kernel_threads, bool autotune = false) {
+Tensor RunTinyFedAvg(int kernel_threads) {
   Rng rng(1234);
   auto data = GenerateImageData(MnistLikeProfile(), 120, 60, &rng);
   auto split = SimilarityPartition(data.train, 3, 0.5, &rng);
@@ -480,7 +550,6 @@ Tensor RunTinyFedAvg(int kernel_threads, bool autotune = false) {
   config.seed = 77;
   config.max_examples_per_pass = 64;
   config.kernel_threads = kernel_threads;
-  config.kernel_autotune = autotune;
   FedAvg algo(config, &data.train, views, MakeCnnFactory(mc));
   TrainerOptions options;
   options.eval_max_examples = 60;
@@ -501,202 +570,6 @@ TEST_F(KernelTest, FederatedRunBitIdenticalAcrossKernelThreads) {
           << "threads=" << threads << " element " << i;
     }
   }
-}
-
-// ---- Autotuner ----
-
-/// Index of `tile` in the candidate set of `op`, or -1.
-int CandidateIndex(AutotuneOp op, const TileConfig& tile) {
-  const auto& candidates = AutotuneCandidates(op);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i].block_m == tile.block_m &&
-        candidates[i].block_k == tile.block_k &&
-        candidates[i].block_n == tile.block_n) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-int64_t CounterValue(const char* name) {
-  return obs::MetricsRegistry::Get().GetCounter(name)->value();
-}
-
-TEST_F(KernelTest, AutotunerExploresEveryCandidateThenCommitsArgmin) {
-  AutotuneConfig cfg;
-  cfg.enabled = true;
-  cfg.samples_per_candidate = 2;
-  SetAutotuneConfig(cfg);
-  ResetAutotuneForTest();
-  const auto& candidates = AutotuneCandidates(AutotuneOp::kGemmAdd);
-  const int64_t trials_before = CounterValue("kernel.autotune.trials");
-  const int64_t hits_before = CounterValue("kernel.autotune.cache_hits");
-  // Exploration: every candidate must be issued exactly
-  // samples_per_candidate times before the shape commits. Feed fake
-  // timings that make candidate 2 the unambiguous winner.
-  std::vector<int> issued(candidates.size(), 0);
-  for (size_t i = 0; i < 2 * candidates.size(); ++i) {
-    AutotuneTrial trial = 0;
-    const TileConfig tile =
-        AutotunePick(AutotuneOp::kGemmAdd, "testisa", 64, 75, 130, &trial);
-    ASSERT_NE(trial, 0u) << "pick " << i << " should still be exploring";
-    const int idx = CandidateIndex(AutotuneOp::kGemmAdd, tile);
-    ASSERT_GE(idx, 0) << "pick returned a tile outside the candidate set";
-    issued[static_cast<size_t>(idx)] += 1;
-    AutotuneReport(trial, idx == 2 ? 0.5 : 5.0 + idx);
-  }
-  for (size_t i = 0; i < issued.size(); ++i) {
-    EXPECT_EQ(issued[i], 2) << "candidate " << i;
-  }
-  EXPECT_EQ(CounterValue("kernel.autotune.trials") - trials_before,
-            static_cast<int64_t>(2 * candidates.size()));
-  // Committed: the winner comes back with no trial token, and each such
-  // answer counts as a cache hit.
-  for (int i = 0; i < 3; ++i) {
-    AutotuneTrial trial = 99;
-    const TileConfig tile =
-        AutotunePick(AutotuneOp::kGemmAdd, "testisa", 64, 75, 130, &trial);
-    EXPECT_EQ(trial, 0u);
-    EXPECT_EQ(CandidateIndex(AutotuneOp::kGemmAdd, tile), 2);
-  }
-  EXPECT_EQ(CounterValue("kernel.autotune.cache_hits") - hits_before, 3);
-  // A different shape is an independent key and starts exploring again.
-  AutotuneTrial trial = 0;
-  AutotunePick(AutotuneOp::kGemmAdd, "testisa", 64, 75, 131, &trial);
-  EXPECT_NE(trial, 0u);
-}
-
-TEST_F(KernelTest, AutotunerDefaultCandidateIsTheStaticDefault) {
-  // Candidate 0 of each op must equal the KernelOptions defaults, so a
-  // tuned run can always fall back to exactly the untuned blocking.
-  const KernelOptions defaults;
-  for (AutotuneOp op : {AutotuneOp::kGemmAdd, AutotuneOp::kGemmTransB}) {
-    const TileConfig& first = AutotuneCandidates(op)[0];
-    EXPECT_EQ(first.block_m, defaults.block_m) << AutotuneOpName(op);
-    EXPECT_EQ(first.block_k, defaults.block_k) << AutotuneOpName(op);
-    EXPECT_EQ(first.block_n, defaults.block_n) << AutotuneOpName(op);
-  }
-}
-
-TEST_F(KernelTest, AutotuneFileCachePersistsWinnerAcrossReset) {
-  const std::string path = ::testing::TempDir() + "autotune_persist.cache";
-  std::remove(path.c_str());
-  AutotuneConfig cfg;
-  cfg.enabled = true;
-  cfg.samples_per_candidate = 1;
-  cfg.cache_file = path;
-  SetAutotuneConfig(cfg);
-  ResetAutotuneForTest();
-  const auto& candidates = AutotuneCandidates(AutotuneOp::kGemmTransB);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    AutotuneTrial trial = 0;
-    const TileConfig tile =
-        AutotunePick(AutotuneOp::kGemmTransB, "testisa", 8, 96, 24, &trial);
-    ASSERT_NE(trial, 0u);
-    const int idx = CandidateIndex(AutotuneOp::kGemmTransB, tile);
-    AutotuneReport(trial, idx == 1 ? 1.0 : 9.0);
-  }
-  // Committed and written. Drop every byte of in-process state: the
-  // next pick must come back committed straight from the file.
-  ResetAutotuneForTest();
-  AutotuneTrial trial = 99;
-  const TileConfig tile =
-      AutotunePick(AutotuneOp::kGemmTransB, "testisa", 8, 96, 24, &trial);
-  EXPECT_EQ(trial, 0u);
-  EXPECT_EQ(CandidateIndex(AutotuneOp::kGemmTransB, tile), 1);
-  // The file itself is the documented format: header + one line.
-  std::ifstream in(path);
-  std::string header, line;
-  ASSERT_TRUE(std::getline(in, header));
-  EXPECT_EQ(header, "rfed-autotune v1");
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "gemm_transb testisa 8 96 24 16 256 1024");
-  std::remove(path.c_str());
-}
-
-TEST_F(KernelTest, AutotuneCacheRewriteKeepsForeignIsaLines) {
-  // A cache written on another machine (different ISA) must survive
-  // this machine committing its own picks into the same file.
-  const std::string path = ::testing::TempDir() + "autotune_foreign.cache";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "rfed-autotune v1\n";
-    out << "gemm_add othermachine 1 2 3 96 384 512\n";
-  }
-  AutotuneConfig cfg;
-  cfg.enabled = true;
-  cfg.samples_per_candidate = 1;
-  cfg.cache_file = path;
-  SetAutotuneConfig(cfg);
-  ResetAutotuneForTest();
-  const auto& candidates = AutotuneCandidates(AutotuneOp::kGemmAdd);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    AutotuneTrial trial = 0;
-    AutotunePick(AutotuneOp::kGemmAdd, "testisa", 4, 5, 6, &trial);
-    ASSERT_NE(trial, 0u);
-    AutotuneReport(trial, 1.0);
-  }
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("gemm_add othermachine 1 2 3 96 384 512"),
-            std::string::npos);
-  EXPECT_NE(content.find("gemm_add testisa 4 5 6"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST_F(KernelTest, CorruptAutotuneCacheAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string dir = ::testing::TempDir();
-  auto pick_with_cache = [](const std::string& path) {
-    AutotuneConfig cfg;
-    cfg.enabled = true;
-    cfg.cache_file = path;
-    SetAutotuneConfig(cfg);
-    ResetAutotuneForTest();
-    AutotuneTrial trial = 0;
-    AutotunePick(AutotuneOp::kGemmAdd, "testisa", 1, 2, 3, &trial);
-  };
-  {
-    // Wrong header: a cache from an incompatible version.
-    const std::string path = dir + "autotune_badheader.cache";
-    std::ofstream(path, std::ios::trunc) << "rfed-autotune v0\n";
-    EXPECT_DEATH(pick_with_cache(path), "bad header");
-    std::remove(path.c_str());
-  }
-  {
-    // Unknown op name: stale schema.
-    const std::string path = dir + "autotune_badop.cache";
-    std::ofstream(path, std::ios::trunc)
-        << "rfed-autotune v1\ngemm_bogus testisa 1 2 3 64 256 1024\n";
-    EXPECT_DEATH(pick_with_cache(path), "unknown op");
-    std::remove(path.c_str());
-  }
-  {
-    // Truncated line: torn write.
-    const std::string path = dir + "autotune_torn.cache";
-    std::ofstream(path, std::ios::trunc)
-        << "rfed-autotune v1\ngemm_add testisa 1 2\n";
-    EXPECT_DEATH(pick_with_cache(path), "unparseable line");
-    std::remove(path.c_str());
-  }
-}
-
-TEST_F(KernelTest, FederatedRunBitIdenticalWithAutotuneOn) {
-  // The pinned-pick contract end to end: whatever tiles the tuner
-  // happens to measure and commit mid-run, the trained global model
-  // must be byte-identical to the untuned run, because every candidate
-  // computes the canonical summation order.
-  const Tensor base = RunTinyFedAvg(1, /*autotune=*/false);
-  SetKernelOptions(KernelOptions{});
-  ResetAutotuneForTest();
-  const Tensor tuned = RunTinyFedAvg(1, /*autotune=*/true);
-  ASSERT_EQ(base.size(), tuned.size());
-  for (int64_t i = 0; i < base.size(); ++i) {
-    ASSERT_EQ(base.at(i), tuned.at(i)) << "element " << i;
-  }
-  // And the tuner really ran: exploration trials were recorded.
-  EXPECT_GT(CounterValue("kernel.autotune.trials"), 0);
 }
 
 }  // namespace

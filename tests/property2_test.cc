@@ -126,10 +126,23 @@ TEST(CheckpointTest, TensorFileRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// A history row with only the leading accounting fields set.
+RoundMetrics Row(int round, double loss, double accuracy, double seconds,
+                 int64_t bytes) {
+  RoundMetrics m;
+  m.round = round;
+  m.train_loss = loss;
+  m.test_accuracy = accuracy;
+  m.round_seconds = seconds;
+  m.round_bytes = bytes;
+  return m;
+}
+
 TEST(CheckpointTest, HistoryCsvHasAllRounds) {
   RunHistory history;
   history.algorithm = "x";
-  history.rounds = {{0, 1.0, 0.5, 0.01, 100}, {1, 0.9, std::nan(""), 0.01, 100}};
+  history.rounds = {Row(0, 1.0, 0.5, 0.01, 100),
+                    Row(1, 0.9, std::nan(""), 0.01, 100)};
   const std::string path = ::testing::TempDir() + "/ckpt_history.csv";
   SaveHistoryCsv(history, path);
   std::ifstream in(path);
