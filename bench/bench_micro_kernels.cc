@@ -8,7 +8,15 @@
 // cifar_round_* rows are the convolutions the CIFAR round benchmark
 // (roundbench/, cifar_cnn_rfedavgp) runs, at its training batch (24)
 // and at a batch above its largest map_sync batch (256), so a change in
-// conv time there can be read against the round number.
+// conv time there can be read against the round number. The
+// cifar_round_{relu,maxpool}_* and cifar_round_conv{1,2}_relu_fwd rows
+// are that CNN's activation layer at the training batch (24) and the
+// δ-map batch (150): ReLU and its backward mask over conv1's output,
+// the 2x2 max-pool over it, and the fused conv+bias+ReLU forward. Their
+// references are the scalar loops the branch-free kernels replaced
+// (std::max, the `x <= 0` mask, the int64-argmax pool), and their
+// "flops" count one operation per element (per pooled window for the
+// pool), so "gflops" reads as billions of elements per second.
 //
 // Caveat for absolute speedups: the reference baseline is the *fused*
 // canonical reference (std::fmaf per step), which compiles to a libm
@@ -34,6 +42,7 @@
 #include <vector>
 
 #include "tensor/kernels.h"
+#include "tensor/tensor_ops.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 
@@ -77,7 +86,18 @@ double TimeMs(const F& fn, double min_ms) {
   return best;
 }
 
-enum class Kind { kGemmAdd, kGemmTransA, kGemmTransB, kConvFwd, kConvBwd };
+enum class Kind {
+  kGemmAdd,
+  kGemmTransA,
+  kGemmTransB,
+  kConvFwd,
+  kConvBwd,
+  kConvReluFwd,
+  kReluFwd,
+  kReluBwd,
+  kPoolFwd,
+  kPoolBwd
+};
 
 const char* KindName(Kind k) {
   switch (k) {
@@ -86,16 +106,28 @@ const char* KindName(Kind k) {
     case Kind::kGemmTransB: return "gemm_transB_assign";
     case Kind::kConvFwd: return "conv2d_forward";
     case Kind::kConvBwd: return "conv2d_backward";
+    case Kind::kConvReluFwd: return "conv2d_bias_relu_forward";
+    case Kind::kReluFwd: return "relu_forward";
+    case Kind::kReluBwd: return "relu_backward";
+    case Kind::kPoolFwd: return "maxpool2x2_forward";
+    case Kind::kPoolBwd: return "maxpool2x2_backward";
   }
   return "?";
+}
+
+/// Every kind but the GEMMs is described by a conv shape: the conv
+/// itself, or the conv whose output the activation op reads.
+bool HasConvShape(Kind k) {
+  return k != Kind::kGemmAdd && k != Kind::kGemmTransA &&
+         k != Kind::kGemmTransB;
 }
 
 struct Case {
   const char* name;
   Kind kind;
-  // GEMM dims (kind-dependent roles, see Run below); unused for conv.
+  // GEMM dims (kind-dependent roles, see Run below); unused otherwise.
   int64_t m = 0, k = 0, n = 0;
-  ConvKernelShape conv;  // conv kinds only
+  ConvKernelShape conv;  // every non-GEMM kind (see HasConvShape)
   bool smoke = false;    // included in the --smoke subset
   bool acceptance = false;  // the EXPERIMENTS.md >= 3x shape
   // Conv backward only: whether dx is computed. A first conv's input is
@@ -150,7 +182,36 @@ std::vector<Case> Sweep() {
                    {256, 4, 6, 6, 8, 5, 1, 2}, true});
   cases.push_back({"cifar_round_conv2_bwd_b256", Kind::kConvBwd, 0, 0, 0,
                    {256, 4, 6, 6, 8, 5, 1, 2}, true});
+  // Its activation layer, at the training and the δ-map batch.
+  for (int64_t b : {24, 150}) {
+    const ConvKernelShape conv1{b, 3, 12, 12, 4, 5, 1, 2};
+    const ConvKernelShape conv2{b, 4, 6, 6, 8, 5, 1, 2};
+    const bool b24 = b == 24;
+    cases.push_back({b24 ? "cifar_round_relu_fwd_b24"
+                         : "cifar_round_relu_fwd_b150",
+                     Kind::kReluFwd, 0, 0, 0, conv1, true});
+    cases.push_back({b24 ? "cifar_round_relu_bwd_b24"
+                         : "cifar_round_relu_bwd_b150",
+                     Kind::kReluBwd, 0, 0, 0, conv1, true});
+    cases.push_back({b24 ? "cifar_round_maxpool_fwd_b24"
+                         : "cifar_round_maxpool_fwd_b150",
+                     Kind::kPoolFwd, 0, 0, 0, conv1, true});
+    cases.push_back({b24 ? "cifar_round_maxpool_bwd_b24"
+                         : "cifar_round_maxpool_bwd_b150",
+                     Kind::kPoolBwd, 0, 0, 0, conv1, true});
+    cases.push_back({b24 ? "cifar_round_conv1_relu_fwd_b24"
+                         : "cifar_round_conv1_relu_fwd_b150",
+                     Kind::kConvReluFwd, 0, 0, 0, conv1, true});
+    cases.push_back({b24 ? "cifar_round_conv2_relu_fwd_b24"
+                         : "cifar_round_conv2_relu_fwd_b150",
+                     Kind::kConvReluFwd, 0, 0, 0, conv2, true});
+  }
   return cases;
+}
+
+/// Elements of the conv output (the activation tensor of the round).
+int64_t ActivationSize(const ConvKernelShape& s) {
+  return s.batch * s.out_channels * s.OutArea();
 }
 
 int64_t CaseFlops(const Case& c) {
@@ -166,13 +227,65 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kConvBwd:  // dw GEMM (+ dx GEMM); db is negligible
       return (c.dx ? 4 : 2) * c.conv.batch * c.conv.out_channels *
              c.conv.Patch() * c.conv.OutArea();
+    case Kind::kConvReluFwd:
+      return 2 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
+                 c.conv.OutArea() +
+             ActivationSize(c.conv);
+    case Kind::kReluFwd:
+    case Kind::kReluBwd:
+      return ActivationSize(c.conv);
+    case Kind::kPoolFwd:
+    case Kind::kPoolBwd:
+      return ActivationSize(c.conv) / 4;
   }
   return 0;
+}
+
+/// The scalar max-pool the branch-free kernel replaced: absolute int64
+/// argmax, first strict maximum wins, backward accumulates.
+Tensor RefMaxPoolForward(const Tensor& x, std::vector<int64_t>* argmax) {
+  const int64_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor out(Shape{x.dim(0), x.dim(1), h / 2, w / 2});
+  argmax->assign(static_cast<size_t>(out.size()), 0);
+  int64_t oi = 0;
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* plane = x.data() + p * h * w;
+    for (int64_t oy = 0; oy < h / 2; ++oy) {
+      for (int64_t ox = 0; ox < w / 2; ++ox, ++oi) {
+        int64_t best = 2 * oy * w + 2 * ox;
+        const int64_t cand[3] = {best + 1, best + w, best + w + 1};
+        for (int64_t idx : cand) {
+          if (plane[idx] > plane[best]) best = idx;
+        }
+        out.at(oi) = plane[best];
+        (*argmax)[static_cast<size_t>(oi)] = p * h * w + best;
+      }
+    }
+  }
+  return out;
+}
+
+Tensor RefMaxPoolBackward(const Tensor& grad_out, const Shape& input_shape,
+                          const std::vector<int64_t>& argmax) {
+  Tensor dx(input_shape);
+  for (int64_t i = 0; i < grad_out.size(); ++i) {
+    dx.at(argmax[static_cast<size_t>(i)]) += grad_out.at(i);
+  }
+  return dx;
+}
+
+bool SameBits(const float* x, const float* y, size_t n) {
+  return std::memcmp(x, y, n * sizeof(float)) == 0;
 }
 
 /// One benchmark case's buffers plus ref/opt runners over them.
 struct Workbench {
   std::vector<float> a, b, bias, out_ref, out_opt, dx, dw, db;
+  // Max-pool kinds: input / upstream grad as tensors, each path's
+  // bookkeeping, and each path's result.
+  Tensor pool_x, pool_g, pool_ref, pool_opt;
+  std::vector<int64_t> argmax;
+  std::vector<uint8_t> window;
 
   explicit Workbench(const Case& c) {
     switch (c.kind) {
@@ -207,6 +320,41 @@ struct Workbench {
           dw.assign(b.size(), 0.0f);
           db.assign(bias.size(), 0.0f);
         }
+        break;
+      }
+      case Kind::kConvReluFwd: {
+        const ConvKernelShape& s = c.conv;
+        a = Fill(s.batch * s.in_channels * s.height * s.width, 1.0f, 0.3f);
+        b = Fill(s.out_channels * s.Patch(), 0.2f, 1.1f);
+        // Biases around zero, so about half the outputs clamp.
+        bias = Fill(s.out_channels, 0.1f, 3.4f);
+        out_ref.assign(static_cast<size_t>(ActivationSize(s)), 0.0f);
+        break;
+      }
+      case Kind::kReluFwd:
+      case Kind::kReluBwd:
+        // Activations of mixed sign in a pattern a predictor cannot
+        // learn, like a real pre-activation; b is the upstream grad.
+        a.resize(static_cast<size_t>(ActivationSize(c.conv)));
+        for (size_t i = 0; i < a.size(); ++i) {
+          a[i] = std::sin(static_cast<float>(i * i % 1009));
+        }
+        b = Fill(ActivationSize(c.conv), 0.5f, 1.3f);
+        out_ref.assign(a.size(), 0.0f);
+        break;
+      case Kind::kPoolFwd:
+      case Kind::kPoolBwd: {
+        const ConvKernelShape& s = c.conv;
+        const Shape in{s.batch, s.out_channels, s.OutH(), s.OutW()};
+        pool_x = Tensor(in);
+        for (int64_t i = 0; i < pool_x.size(); ++i) {
+          pool_x.at(i) = std::sin(static_cast<float>(i * i % 1009));
+        }
+        pool_g = Tensor(Shape{s.batch, s.out_channels, s.OutH() / 2,
+                              s.OutW() / 2},
+                        Fill(ActivationSize(s) / 4, 0.5f, 1.3f));
+        pool_ref = RefMaxPoolForward(pool_x, &argmax);
+        pool_opt = MaxPool2x2Forward(pool_x, &window);
         break;
       }
     }
@@ -245,6 +393,51 @@ struct Workbench {
             out_ref.data(), a.data(), b.data(), c.conv,
             c.dx ? dx.data() : nullptr, dw.data(), db.data());
         break;
+      case Kind::kConvReluFwd:
+        std::memset(out, 0, out_ref.size() * sizeof(float));
+        if (optimized) {
+          Conv2dBiasReluForwardKernel(a.data(), b.data(), bias.data(), c.conv,
+                                      out);
+        } else {
+          ref::Conv2dForwardKernel(a.data(), b.data(), bias.data(), c.conv,
+                                   out);
+          for (size_t i = 0; i < out_ref.size(); ++i) {
+            out[i] = std::max(0.0f, out[i]);
+          }
+        }
+        break;
+      case Kind::kReluFwd:
+        if (optimized) {
+          ReluKernel(a.data(), static_cast<int64_t>(a.size()), out);
+        } else {
+          for (size_t i = 0; i < a.size(); ++i) out[i] = std::max(0.0f, a[i]);
+        }
+        break;
+      case Kind::kReluBwd:
+        if (optimized) {
+          ReluMaskKernel(b.data(), a.data(), static_cast<int64_t>(a.size()),
+                         out);
+        } else {
+          for (size_t i = 0; i < a.size(); ++i) {
+            out[i] = b[i];
+            if (a[i] <= 0.0f) out[i] = 0.0f;
+          }
+        }
+        break;
+      case Kind::kPoolFwd:
+        if (optimized) {
+          pool_opt = MaxPool2x2Forward(pool_x, &window);
+        } else {
+          pool_ref = RefMaxPoolForward(pool_x, &argmax);
+        }
+        break;
+      case Kind::kPoolBwd:
+        if (optimized) {
+          pool_opt = MaxPool2x2Backward(pool_g, pool_x.shape(), window);
+        } else {
+          pool_ref = RefMaxPoolBackward(pool_g, pool_x.shape(), argmax);
+        }
+        break;
     }
   }
 
@@ -252,12 +445,24 @@ struct Workbench {
   /// memcmps. ConvBwd compares dx/dw/db via two sequential Run passes
   /// (Run zeroes them itself), snapshotting between.
   bool Verify(const Case& c) {
+    if (c.kind == Kind::kPoolFwd || c.kind == Kind::kPoolBwd) {
+      if (c.kind == Kind::kPoolBwd) {
+        // The backward reads the forward's bookkeeping.
+        pool_ref = RefMaxPoolForward(pool_x, &argmax);
+        pool_opt = MaxPool2x2Forward(pool_x, &window);
+      }
+      Run(c, /*optimized=*/false);
+      Run(c, /*optimized=*/true);
+      return pool_ref.shape() == pool_opt.shape() &&
+             SameBits(pool_ref.data(), pool_opt.data(),
+                      static_cast<size_t>(pool_ref.size()));
+    }
     if (c.kind == Kind::kConvBwd) {
       Run(c, /*optimized=*/false);
       const std::vector<float> rdx = dx, rdw = dw, rdb = db;
       Run(c, /*optimized=*/true);
       auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
-        return std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+        return SameBits(x.data(), y.data(), x.size());
       };
       return same(rdx, dx) && same(rdw, dw) && same(rdb, db);
     }
@@ -265,8 +470,7 @@ struct Workbench {
     std::fill(out_opt.begin(), out_opt.end(), 0.0f);
     Run(c, /*optimized=*/false);
     Run(c, /*optimized=*/true);
-    return std::memcmp(out_ref.data(), out_opt.data(),
-                       out_ref.size() * sizeof(float)) == 0;
+    return SameBits(out_ref.data(), out_opt.data(), out_ref.size());
   }
 };
 
@@ -313,7 +517,7 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
     const Result& r = results[i];
     std::fprintf(f, "    {\n      \"name\": \"%s\",\n", r.c.name);
     std::fprintf(f, "      \"kind\": \"%s\",\n", KindName(r.c.kind));
-    if (r.c.kind == Kind::kConvFwd || r.c.kind == Kind::kConvBwd) {
+    if (HasConvShape(r.c.kind)) {
       const ConvKernelShape& s = r.c.conv;
       std::fprintf(f,
                    "      \"shape\": {\"batch\": %lld, \"cin\": %lld, \"h\": "

@@ -495,17 +495,41 @@ Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
                 });
 }
 
-Variable MaxPool2x2(const Variable& x) {
-  auto argmax = std::make_shared<std::vector<int64_t>>();
-  return MakeOp({x.node()},
-                [argmax](GraphNode* out) {
-                  out->mutable_value() =
-                      MaxPool2x2Forward(out->inputs[0]->value(), argmax.get());
+Variable Conv2dBiasRelu(const Variable& x, const Variable& w,
+                        const Variable& b, const Conv2dSpec& spec) {
+  return MakeOp({x.node(), w.node(), b.node()},
+                [spec](GraphNode* out) {
+                  out->mutable_value() = Conv2dBiasReluForward(
+                      out->inputs[0]->value(), out->inputs[1]->value(),
+                      out->inputs[2]->value(), spec);
                 },
-                [argmax](GraphNode* out) {
+                [spec](GraphNode* out) {
+                  GraphNode* x = out->inputs[0].get();
+                  GraphNode* w = out->inputs[1].get();
+                  GraphNode* b = out->inputs[2].get();
+                  Tensor dx, dw, db;
+                  Conv2dBackward(ReluBackward(out->grad(), out->value()),
+                                 x->value(), w->value(), spec,
+                                 x->requires_grad() ? &dx : nullptr,
+                                 w->requires_grad() ? &dw : nullptr,
+                                 b->requires_grad() ? &db : nullptr);
+                  if (x->requires_grad()) x->AccumulateGrad(dx);
+                  if (w->requires_grad()) w->AccumulateGrad(dw);
+                  if (b->requires_grad()) b->AccumulateGrad(db);
+                });
+}
+
+Variable MaxPool2x2(const Variable& x) {
+  auto window = std::make_shared<std::vector<uint8_t>>();
+  return MakeOp({x.node()},
+                [window](GraphNode* out) {
+                  out->mutable_value() =
+                      MaxPool2x2Forward(out->inputs[0]->value(), window.get());
+                },
+                [window](GraphNode* out) {
                   GraphNode* in = out->inputs[0].get();
                   in->AccumulateGrad(MaxPool2x2Backward(
-                      out->grad(), in->value_shape(), *argmax));
+                      out->grad(), in->value_shape(), *window));
                 });
 }
 

@@ -39,7 +39,7 @@ Variable Scale(const Variable& a, float s);
 Variable MulConst(const Variable& a, const Tensor& mask);
 
 // ---- Activations ----
-/// max(x, 0). Backward: grad where x > 0, else 0.
+/// max(x, 0). Backward: grad where x > 0 (or NaN), else 0.
 Variable Relu(const Variable& x);
 /// tanh(x). Backward uses the saved output: grad * (1 - y²).
 Variable Tanh(const Variable& x);
@@ -111,8 +111,19 @@ Variable GatherRows(const Variable& table, const std::vector<int>& ids,
 /// Backward routes through Conv2dBackward's im2col GEMMs.
 Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
                 const Conv2dSpec& spec);
-/// 2x2 max pooling (stride 2) over NCHW. The argmax indices are cached
-/// forward and route the grad back; replay refreshes them.
+/// Fused relu(conv2d(x, w) + b) — one node instead of the Conv2d/Relu
+/// pair, dropping the pre-activation tensor and one pass over it. The
+/// clamp runs in the conv kernel's bias epilogue; the backward masks
+/// the upstream grad on y <= 0 and runs Conv2dBackward on it. Bit-
+/// identical to ag::Relu(ag::Conv2d(...)) in value and every gradient
+/// for finite pre-activations; a NaN pre-activation clamps to 0 and
+/// blocks its gradient here, where the composed chain passes it (see
+/// docs/AUTOGRAD.md).
+Variable Conv2dBiasRelu(const Variable& x, const Variable& w,
+                        const Variable& b, const Conv2dSpec& spec);
+/// 2x2 max pooling (stride 2) over NCHW. Each output's winning window
+/// position (one byte) is cached forward and routes the grad back;
+/// replay refreshes it.
 Variable MaxPool2x2(const Variable& x);
 /// Mean softmax cross-entropy over the batch (scalar output). The
 /// labels and the softmax gradient are cached forward; replayed steps

@@ -93,7 +93,7 @@ void RemoteExecutor::InstallWorker(int worker_id, net::TcpConnection conn,
 
 void RemoteExecutor::SenderLoop(Worker* worker) {
   while (true) {
-    std::vector<uint8_t> wire;
+    Wire wire;
     bool is_shutdown = false;
     {
       std::unique_lock<std::mutex> lock(worker->mu);
@@ -112,7 +112,7 @@ void RemoteExecutor::SenderLoop(Worker* worker) {
       net::SendFrame(&worker->conn, net::FrameType::kShutdown, {});
       break;
     }
-    if (!worker->conn.SendAll(wire.data(), wire.size())) {
+    if (!worker->conn.SendAll(wire->data(), wire->size())) {
       // Dead peer; the event loop observes send_failed and declares the
       // worker dead from the main thread (never from here — Worker
       // lifecycle is main-thread state).
@@ -128,8 +128,8 @@ void RemoteExecutor::SenderLoop(Worker* worker) {
   worker->cv.notify_all();
 }
 
-void RemoteExecutor::Enqueue(Worker* worker, std::vector<uint8_t> wire) {
-  stats_.bytes_sent += static_cast<int64_t>(wire.size());
+void RemoteExecutor::Enqueue(Worker* worker, Wire wire) {
+  stats_.bytes_sent += static_cast<int64_t>(wire->size());
   {
     std::lock_guard<std::mutex> lock(worker->mu);
     worker->outbox.push_back(std::move(wire));
@@ -150,8 +150,8 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
   job.download.round = round;
   job.download.sender = -1;
   job.download.payload.push_back(init_state);
-  std::vector<uint8_t> wire = net::EncodeFrame(net::FrameType::kJob,
-                                               job.Encode());
+  Wire wire = std::make_shared<const std::vector<uint8_t>>(
+      net::EncodeFrame(net::FrameType::kJob, job.Encode()));
   stats_.jobs_sent += 1;
   const JobKey key{round, client};
   pending_wire_[key] = wire;
@@ -215,7 +215,8 @@ void RemoteExecutor::PumpEvents() {
         m_heartbeats_->Increment();
         PingMessage ping;
         ping.seq = w->ping_seq;
-        Enqueue(w, net::EncodeFrame(net::FrameType::kPing, ping.Encode()));
+        Enqueue(w, std::make_shared<const std::vector<uint8_t>>(
+                       net::EncodeFrame(net::FrameType::kPing, ping.Encode())));
       }
     }
   }

@@ -112,6 +112,10 @@ class RemoteExecutor : public TrainExecutor {
 
  private:
   using JobKey = std::pair<int, int>;  ///< (round, client)
+  /// One encoded frame, immutable once built. A JOB's bytes are shared
+  /// by pending_wire_ and every outbox it is queued on, so a reassigned
+  /// job resends the very buffer it was first sent from.
+  using Wire = std::shared_ptr<const std::vector<uint8_t>>;
 
   struct Worker {
     net::TcpConnection conn;
@@ -119,7 +123,7 @@ class RemoteExecutor : public TrainExecutor {
     std::thread sender;
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<uint8_t>> outbox;  ///< encoded wire frames
+    std::deque<Wire> outbox;  ///< encoded wire frames
     bool closing = false;      ///< under mu: drain and exit
     bool send_failed = false;  ///< under mu: sender hit a dead peer
     bool sender_done = false;  ///< under mu: sender thread has returned
@@ -132,7 +136,7 @@ class RemoteExecutor : public TrainExecutor {
   };
 
   void SenderLoop(Worker* worker);
-  void Enqueue(Worker* worker, std::vector<uint8_t> wire);
+  void Enqueue(Worker* worker, Wire wire);
   /// Processes every event currently observable — failed senders,
   /// readable worker connections (RESULT/PONG frames), rejoin
   /// handshakes on the listener, expired deadlines — blocking in poll()
@@ -171,7 +175,7 @@ class RemoteExecutor : public TrainExecutor {
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Encoded JOB wire frames by key, kept until the RESULT lands so a
   /// dead worker's jobs can be re-dispatched byte-for-byte.
-  std::map<JobKey, std::vector<uint8_t>> pending_wire_;
+  std::map<JobKey, Wire> pending_wire_;
   /// Results that arrived ahead of their Collect call (reassignment and
   /// pipelining both break per-connection FIFO order).
   std::map<JobKey, std::pair<Tensor, double>> completed_;

@@ -21,6 +21,7 @@ struct PoolState {
 thread_local int depth = 0;
 thread_local int64_t thread_allocs = 0;
 thread_local int64_t thread_hits = 0;
+thread_local int64_t thread_parked_bytes = 0;
 
 PoolState& State() {
   thread_local PoolState state;
@@ -60,6 +61,7 @@ std::vector<float> BufferPool::Acquire(size_t n) {
       it->second.pop_back();
       buf.clear();
       ++thread_hits;
+      thread_parked_bytes -= static_cast<int64_t>(n) * 4;
       return buf;
     }
   }
@@ -70,12 +72,15 @@ std::vector<float> BufferPool::Acquire(size_t n) {
 }
 
 void BufferPool::MaybeRecycle(std::vector<float>* buf, bool accounted) {
-  if (accounted) {
-    g_outstanding.fetch_sub(static_cast<int64_t>(buf->capacity()) * 4,
-                            std::memory_order_relaxed);
-  }
-  if (depth <= 0 || buf->capacity() == 0) return;
+  // Only Acquire()d storage is parked: a buffer the heap handed out
+  // elsewhere would join the freelist without a matching request, and a
+  // steady stream of such donations grows the pool without bound.
+  if (!accounted) return;
+  const int64_t bytes = static_cast<int64_t>(buf->capacity()) * 4;
+  g_outstanding.fetch_sub(bytes, std::memory_order_relaxed);
+  if (depth <= 0 || bytes == 0) return;
   State().buckets[buf->capacity()].push_back(std::move(*buf));
+  thread_parked_bytes += bytes;
 }
 
 std::vector<float> BufferPool::CopyOf(const std::vector<float>& src) {
@@ -97,5 +102,7 @@ void BufferPool::ResetPeak() {
 int64_t BufferPool::ThreadAllocCount() { return thread_allocs; }
 
 int64_t BufferPool::ThreadHitCount() { return thread_hits; }
+
+int64_t BufferPool::ThreadPooledBytes() { return thread_parked_bytes; }
 
 }  // namespace rfed

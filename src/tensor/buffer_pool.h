@@ -53,9 +53,10 @@ class BufferPool {
   /// came-from-Acquire flag: accounted buffers subtract their bytes from
   /// the outstanding counter wherever they die (so a pooled tensor that
   /// escapes its scope — e.g. a returned model update — still balances
-  /// the books on destruction). Independently, when a scope is active on
-  /// the calling thread the storage is donated to its freelist; otherwise
-  /// it falls to the ordinary heap free.
+  /// the books on destruction), and when a scope is active on the
+  /// calling thread they are donated to its freelist. Everything else —
+  /// unaccounted storage, or any storage outside a scope — falls to the
+  /// ordinary heap free.
   static void MaybeRecycle(std::vector<float>* buf, bool accounted);
 
   /// Copy helper for Tensor's copy constructor: an exact-size copy of
@@ -77,6 +78,11 @@ class BufferPool {
 
   /// Number of freelist hits on the calling thread (recycled buffers).
   static int64_t ThreadHitCount();
+
+  /// Bytes parked in the calling thread's freelists. Once a static
+  /// tape's replay steps reach steady state this stops changing: every
+  /// buffer a step parks, a later request takes out again.
+  static int64_t ThreadPooledBytes();
 };
 
 }  // namespace rfed

@@ -392,20 +392,33 @@ bool ConvOnPaddedGrid(const ConvKernelShape& s) {
   return s.stride == 1 && s.pad < s.kernel;
 }
 
-}  // namespace
-
-void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
-                         const ConvKernelShape& s, float* out) {
+void ConvForward(const float* x, const float* w, const float* bias,
+                 const ConvKernelShape& s, bool relu, float* out) {
   obs::TraceSpan trace_span("conv2d_fwd");
   if (obs::TracingEnabled()) {
     ConvFlopCounter()->Add(2 * s.batch * s.out_channels * s.Patch() *
                            s.OutArea());
   }
+  const internal::BlockedKernels& table = ActiveTable();
   if (!ConvOnPaddedGrid(s)) {
     ref::Conv2dForwardKernel(x, w, bias, s, out);
+    if (relu) table.relu(out, s.batch * s.out_channels * s.OutArea(), out);
     return;
   }
-  ActiveTable().conv_forward(x, w, bias, s, out);
+  table.conv_forward(x, w, bias, s, relu, out);
+}
+
+}  // namespace
+
+void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
+                         const ConvKernelShape& s, float* out) {
+  ConvForward(x, w, bias, s, /*relu=*/false, out);
+}
+
+void Conv2dBiasReluForwardKernel(const float* x, const float* w,
+                                 const float* bias, const ConvKernelShape& s,
+                                 float* out) {
+  ConvForward(x, w, bias, s, /*relu=*/true, out);
 }
 
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
@@ -422,6 +435,18 @@ void Conv2dBackwardKernel(const float* grad_out, const float* x,
     return;
   }
   ActiveTable().conv_backward(grad_out, x, w, s, dx, dw, db);
+}
+
+// ---- Activations ----
+
+void ReluKernel(const float* x, int64_t n, float* y) {
+  obs::TraceSpan trace_span("relu_fwd");
+  ActiveTable().relu(x, n, y);
+}
+
+void ReluMaskKernel(const float* g, const float* x, int64_t n, float* out) {
+  obs::TraceSpan trace_span("relu_bwd");
+  ActiveTable().relu_mask(g, x, n, out);
 }
 
 // ---- Serial conv references ----

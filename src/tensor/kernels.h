@@ -9,11 +9,12 @@ namespace rfed {
 // High-performance deterministic compute kernels.
 //
 // This layer owns the hot inner loops of the simulator: the three GEMM
-// variants every Linear/LSTM forward and backward bottoms out in, and
-// the Conv2d forward and backward. The kernels are cache-blocked and
-// vectorized with explicit SIMD register tiles (AVX2+FMA where the CPU
-// has it, a portable soft-fma fallback everywhere else, dispatched at
-// runtime), and can optionally run partitioned across a thread pool —
+// variants every Linear/LSTM forward and backward bottoms out in, the
+// Conv2d forward and backward, and the ReLU. The kernels are
+// cache-blocked and vectorized with explicit SIMD register tiles
+// (AVX2+FMA where the CPU has it, a portable soft-fma fallback
+// everywhere else, dispatched at runtime), and can optionally run
+// partitioned across a thread pool —
 // while staying **bit-identical** to the retained reference
 // implementations (rfed::ref below) for every ISA, block size and
 // thread count. The rule that makes this possible:
@@ -230,6 +231,13 @@ struct ConvKernelShape {
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
 
+/// Conv2dForwardKernel with max(0, ·) applied to each image's outputs
+/// right after the bias epilogue: bit-identical to Conv2dForwardKernel
+/// followed by ReluKernel, minus one pass over the output.
+void Conv2dBiasReluForwardKernel(const float* x, const float* w,
+                                 const float* bias, const ConvKernelShape& s,
+                                 float* out);
+
 /// Gradients of Conv2dForwardKernel, on the same path; any of dx/dw/db
 /// may be null to skip, non-null outputs must be pre-zeroed.
 /// Batch-parallel, with dw/db added per image in ascending image order —
@@ -238,6 +246,18 @@ void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);
+
+// ---- Activations ----
+// Branch-free: the compare becomes a bit mask (AVX2: max_ps / cmp_ps
+// lanes), so activations of random sign cost no mispredictions. Both
+// are elementwise and allow in-place use (y == x, out == g).
+
+/// y[i] = std::max(0.0f, x[i]) bit for bit: NaN and -0 give +0.
+void ReluKernel(const float* x, int64_t n, float* y);
+
+/// out[i] = x[i] <= 0 ? +0 : g[i] — the ReLU backward mask. The
+/// gradient passes where x is NaN (the compare is false).
+void ReluMaskKernel(const float* g, const float* x, int64_t n, float* out);
 
 // ---- Canonical-order references ----
 // The scalar ground-truth kernels: portable, single-threaded, no

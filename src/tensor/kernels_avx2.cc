@@ -258,6 +258,30 @@ struct Avx2Traits {
     _mm256_storeu_pd(out + 24, a30);
     _mm256_storeu_pd(out + 28, a31);
   }
+
+  // max_ps(x, 0) returns its second operand unless x > 0, so NaN and -0
+  // give +0 like ReluRange. The tails run ReluRange itself.
+  static void Relu(const float* x, int64_t n, float* y) {
+    const __m256 zero = _mm256_setzero_ps();
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      _mm256_storeu_ps(y + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
+    }
+    ReluRange(x + i, n - i, y + i);
+  }
+
+  // NLE_UQ is !(x <= 0), true for NaN: the ReluMaskRange predicate.
+  static void ReluMask(const float* g, const float* x, int64_t n,
+                       float* out) {
+    const __m256 zero = _mm256_setzero_ps();
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const __m256 keep =
+          _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_NLE_UQ);
+      _mm256_storeu_ps(out + i, _mm256_and_ps(keep, _mm256_loadu_ps(g + i)));
+    }
+    ReluMaskRange(g + i, x + i, n - i, out + i);
+  }
 };
 
 }  // namespace
@@ -271,6 +295,8 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &GemmTransBBlockedT<Avx2Traits>,
       &ConvForwardT<Avx2Traits>,
       &ConvBackwardT<Avx2Traits>,
+      &Avx2Traits::Relu,
+      &Avx2Traits::ReluMask,
   };
   return &table;
 }

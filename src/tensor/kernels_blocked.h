@@ -42,12 +42,20 @@
 //                               int64_t ho, int64_t wo, double* out);
 //   static void ConvDwChains4x8(...same...);
 //
+// and, for the activation layer (ReluRange/ReluMaskRange below are the
+// scalar semantics, and the generic table's whole implementation):
+//
+//   static void Relu(const float* x, int64_t n, float* y);
+//   static void ReluMask(const float* g, const float* x, int64_t n,
+//                        float* out);
+//
 // Every instantiation computes the canonical summation order of
 // kernels.h, so instantiations differ only in speed, never in bits.
 // The drivers below own all blocking, packing, remainder handling and
 // the deterministic n-partition; the Traits own only register tiles.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <type_traits>
 
@@ -55,6 +63,30 @@
 
 namespace rfed {
 namespace internal {
+
+/// y[i] = x[i] if x[i] > 0, else +0 — std::max(0.0f, v) exactly (NaN
+/// and -0 give +0) — with the compare turned into a bit mask so that no
+/// data-dependent branch is taken. y may equal x.
+inline void ReluRange(const float* x, int64_t n, float* y) {
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    bits &= 0u - static_cast<uint32_t>(x[i] > 0.0f);
+    std::memcpy(y + i, &bits, sizeof(bits));
+  }
+}
+
+/// out[i] = g[i] unless x[i] <= 0, then +0: the gradient passes where
+/// x > 0 and where x is NaN. Branch-free like ReluRange; out may equal g.
+inline void ReluMaskRange(const float* g, const float* x, int64_t n,
+                          float* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, g + i, sizeof(bits));
+    bits &= 0u - static_cast<uint32_t>(!(x[i] <= 0.0f));
+    std::memcpy(out + i, &bits, sizeof(bits));
+  }
+}
 
 /// Packs the full-kNr panels of a kc x nc block of B (row stride ldb)
 /// into panel-major layout: panel j0/kNr holds kc rows of kNr
@@ -366,7 +398,7 @@ inline int64_t ConvImageChunks(int64_t batch) {
 
 template <typename Traits>
 void ConvForwardT(const float* x, const float* w, const float* bias,
-                  const ConvKernelShape& s, float* out) {
+                  const ConvKernelShape& s, bool relu, float* out) {
   constexpr int64_t mr = kConvRows;
   constexpr int64_t nr = Traits::kNr;
   if (s.batch <= 0) return;
@@ -424,6 +456,8 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
           for (int64_t ox = 0; ox < g.wo; ++ox) dst[ox] = src[ox] + bv;
         }
       }
+      // The fused clamp runs on the image just written, still in L1.
+      if (relu) Traits::Relu(o, out_size, o);
     }
   });
 }

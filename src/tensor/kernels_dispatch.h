@@ -55,12 +55,17 @@ struct BlockedKernels {
                       bool parallel);
 
   /// The padded-grid convolution (stride 1, pad < kernel; kernels.h has
-  /// the contracts), batch-parallel across the kernel pool.
+  /// the contracts), batch-parallel across the kernel pool. `relu`
+  /// clamps each image's outputs after the bias epilogue.
   void (*conv_forward)(const float* x, const float* w, const float* bias,
-                       const ConvKernelShape& s, float* out);
+                       const ConvKernelShape& s, bool relu, float* out);
   void (*conv_backward)(const float* grad_out, const float* x,
                         const float* w, const ConvKernelShape& s, float* dx,
                         float* dw, float* db);
+
+  /// ReluKernel / ReluMaskKernel bodies (kernels.h has the contracts).
+  void (*relu)(const float* x, int64_t n, float* y);
+  void (*relu_mask)(const float* g, const float* x, int64_t n, float* out);
 };
 
 /// The portable table (always available; soft-fma, compiled at the

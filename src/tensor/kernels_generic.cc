@@ -122,6 +122,15 @@ struct GenericTraits {
                               int64_t ho, int64_t wo, double* out) {
     DwChains<4, 8>(x, off, ldx, gd, ldg, ho, wo, out);
   }
+
+  static void Relu(const float* x, int64_t n, float* y) {
+    ReluRange(x, n, y);
+  }
+
+  static void ReluMask(const float* g, const float* x, int64_t n,
+                       float* out) {
+    ReluMaskRange(g, x, n, out);
+  }
 };
 
 }  // namespace
@@ -135,6 +144,8 @@ const BlockedKernels& GenericKernels() {
       &GemmTransBBlockedT<GenericTraits>,
       &ConvForwardT<GenericTraits>,
       &ConvBackwardT<GenericTraits>,
+      &GenericTraits::Relu,
+      &GenericTraits::ReluMask,
   };
   return table;
 }

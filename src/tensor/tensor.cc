@@ -10,14 +10,20 @@ namespace rfed {
 namespace {
 
 // Pool-aware fill construction: an exact-size recycled buffer when a
-// BufferPool scope is active, a fresh heap vector otherwise. assign()
-// value-writes every element, so recycled content never leaks through.
+// BufferPool scope is active, a fresh heap vector otherwise. Every
+// element is written, so recycled content never leaks through.
 std::vector<float> FilledStorage(int64_t n, float value) {
-  if (!BufferPool::Active()) {
-    return std::vector<float>(static_cast<size_t>(n), value);
+  std::vector<float> buf;
+  if (BufferPool::Active()) buf = BufferPool::Acquire(static_cast<size_t>(n));
+  // Zeros by value-initialization, which compiles to a memset: assign()
+  // is a scalar store loop, over ten times slower on an activation-sized
+  // tensor, and every op output starts zeroed. -0 compares equal to +0
+  // but is not all-zero bits, so it takes the assign().
+  if (value == 0.0f && !std::signbit(value)) {
+    buf.resize(static_cast<size_t>(n));
+  } else {
+    buf.assign(static_cast<size_t>(n), value);
   }
-  std::vector<float> buf = BufferPool::Acquire(static_cast<size_t>(n));
-  buf.assign(static_cast<size_t>(n), value);
   return buf;
 }
 
@@ -31,11 +37,18 @@ Tensor::Tensor(const Tensor& other)
       pooled_(BufferPool::Active()) {}
 
 Tensor& Tensor::operator=(const Tensor& other) {
-  if (this != &other) {
-    // Keep this tensor's own storage (and its accounting flag): the
-    // vector copy reuses the existing buffer when capacity allows.
-    shape_ = other.shape_;
-    data_ = other.data_;
+  if (this == &other) return *this;
+  shape_ = other.shape_;
+  if (data_.capacity() >= other.data_.size()) {
+    // Fits: copy in place, keeping this storage and its accounting flag.
+    data_.assign(other.data_.begin(), other.data_.end());
+  } else {
+    // Too small (an empty tensor, typically): retire this storage and
+    // copy into a fresh buffer exactly as the copy constructor would —
+    // pooled and counted when a scope is active.
+    BufferPool::MaybeRecycle(&data_, pooled_);
+    data_ = BufferPool::CopyOf(other.data_);
+    pooled_ = BufferPool::Active();
   }
   return *this;
 }

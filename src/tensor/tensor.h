@@ -27,7 +27,9 @@ class Tensor {
 
   ~Tensor();
   Tensor(const Tensor& other);
-  /// Element-wise copy; reuses the existing buffer when capacity allows.
+  /// Element-wise copy; reuses the existing buffer when capacity allows,
+  /// else takes new storage the way the copy constructor does (from the
+  /// active BufferPool scope, if any).
   Tensor& operator=(const Tensor& other);
   Tensor(Tensor&& other) noexcept;
   /// Steals `other`'s buffer; the overwritten buffer is donated to the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
 
@@ -64,17 +65,15 @@ Tensor AddScalar(const Tensor& a, float s) {
 }
 
 Tensor Relu(const Tensor& x) {
-  Tensor out = x;
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) = std::max(0.0f, out.at(i));
+  Tensor out(x.shape());
+  ReluKernel(x.data(), x.size(), out.data());
   return out;
 }
 
 Tensor ReluBackward(const Tensor& grad, const Tensor& x) {
   CheckSameShape(grad, x);
-  Tensor out = grad;
-  for (int64_t i = 0; i < out.size(); ++i) {
-    if (x.at(i) <= 0.0f) out.at(i) = 0.0f;
-  }
+  Tensor out(grad.shape());
+  ReluMaskKernel(grad.data(), x.data(), grad.size(), out.data());
   return out;
 }
 
@@ -203,23 +202,17 @@ Tensor LinearBiasReluForward(const Tensor& x, const Tensor& w,
   // clamp — float-identical to AddRowBroadcast followed by Relu.
   for (int64_t r = 0; r < m; ++r) {
     float* row = y.data() + r * n;
-    for (int64_t c = 0; c < n; ++c) {
-      row[c] = std::max(0.0f, row[c] + bias.at(c));
-    }
+    for (int64_t c = 0; c < n; ++c) row[c] += bias.at(c);
   }
+  ReluKernel(y.data(), y.size(), y.data());
   return y;
 }
 
 void LinearBiasReluBackward(const Tensor& grad, const Tensor& y,
                             const Tensor& x, const Tensor& w, Tensor* dx,
                             Tensor* dw, Tensor* db) {
-  CheckSameShape(grad, y);
-  // Mask mirrors ReluBackward: y = max(0, pre) makes `y <= 0` the exact
-  // set of clamped elements.
-  Tensor g_pre = grad;
-  for (int64_t i = 0; i < g_pre.size(); ++i) {
-    if (y.at(i) <= 0.0f) g_pre.at(i) = 0.0f;
-  }
+  // y = max(0, pre) makes `y <= 0` the exact set of clamped elements.
+  const Tensor g_pre = ReluBackward(grad, y);
   if (dx != nullptr) *dx = MatMulTransB(g_pre, w);
   if (dw != nullptr) *dw = MatMulTransA(x, g_pre);
   if (db != nullptr) *db = SumRows(g_pre);
@@ -276,8 +269,10 @@ float SoftmaxCrossEntropy(const Tensor& logits, const std::vector<int>& labels,
   return static_cast<float>(loss);
 }
 
-Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
-                     const Conv2dSpec& spec) {
+namespace {
+
+Tensor ConvForward(const Tensor& x, const Tensor& w, const Tensor& b,
+                   const Conv2dSpec& spec, bool relu) {
   RFED_CHECK_EQ(x.rank(), 4);
   const int64_t batch = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
   RFED_CHECK_EQ(cin, spec.in_channels);
@@ -289,9 +284,22 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   RFED_CHECK_GT(ho, 0);
   RFED_CHECK_GT(wo, 0);
   Tensor out(Shape{batch, spec.out_channels, ho, wo});
-  Conv2dForwardKernel(x.data(), w.data(), b.data(),
-                      ToKernelShape(spec, batch, h, wd), out.data());
+  (relu ? Conv2dBiasReluForwardKernel : Conv2dForwardKernel)(
+      x.data(), w.data(), b.data(), ToKernelShape(spec, batch, h, wd),
+      out.data());
   return out;
+}
+
+}  // namespace
+
+Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
+                     const Conv2dSpec& spec) {
+  return ConvForward(x, w, b, spec, /*relu=*/false);
+}
+
+Tensor Conv2dBiasReluForward(const Tensor& x, const Tensor& w,
+                             const Tensor& b, const Conv2dSpec& spec) {
+  return ConvForward(x, w, b, spec, /*relu=*/true);
 }
 
 void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
@@ -312,47 +320,67 @@ void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
                        db != nullptr ? db->data() : nullptr);
 }
 
-Tensor MaxPool2x2Forward(const Tensor& x, std::vector<int64_t>* argmax) {
+Tensor MaxPool2x2Forward(const Tensor& x, std::vector<uint8_t>* window) {
+  obs::TraceSpan trace_span("maxpool_fwd");
   RFED_CHECK_EQ(x.rank(), 4);
   const int64_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
   RFED_CHECK_EQ(h % 2, 0);
   RFED_CHECK_EQ(w % 2, 0);
   const int64_t ho = h / 2, wo = w / 2;
   Tensor out(Shape{batch, ch, ho, wo});
-  argmax->assign(static_cast<size_t>(out.size()), 0);
-  int64_t oi = 0;
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t c = 0; c < ch; ++c) {
-      const float* plane = x.data() + (b * ch + c) * h * w;
-      const int64_t plane_off = (b * ch + c) * h * w;
-      for (int64_t oy = 0; oy < ho; ++oy) {
-        for (int64_t ox = 0; ox < wo; ++ox, ++oi) {
-          const int64_t y0 = 2 * oy, x0 = 2 * ox;
-          int64_t best = y0 * w + x0;
-          float best_v = plane[best];
-          const int64_t cand[3] = {y0 * w + x0 + 1, (y0 + 1) * w + x0,
-                                   (y0 + 1) * w + x0 + 1};
-          for (int64_t idx : cand) {
-            if (plane[idx] > best_v) {
-              best_v = plane[idx];
-              best = idx;
-            }
-          }
-          out.at(oi) = best_v;
-          (*argmax)[static_cast<size_t>(oi)] = plane_off + best;
-        }
-      }
+  window->resize(static_cast<size_t>(out.size()));
+  // Planes are stacked rows, so output row r reads input rows 2r, 2r+1
+  // across every (image, channel) plane alike.
+  const int64_t rows = batch * ch * ho;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* top = x.data() + 2 * r * w;
+    const float* bottom = top + w;
+    float* o = out.data() + r * wo;
+    uint8_t* win = window->data() + r * wo;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      // Selects, not jumps (maxss and a setcc mask): a candidate
+      // replaces the running max only when strictly greater, so ties
+      // keep the first and a NaN candidate never wins (a NaN first
+      // element is kept).
+      float best = top[2 * ox];
+      uint32_t best_k = 0;
+      auto consider = [&best, &best_k](float v, uint32_t k) {
+        const uint32_t take = 0u - static_cast<uint32_t>(v > best);
+        best = v > best ? v : best;
+        best_k ^= (best_k ^ k) & take;
+      };
+      consider(top[2 * ox + 1], 1);
+      consider(bottom[2 * ox], 2);
+      consider(bottom[2 * ox + 1], 3);
+      o[ox] = best;
+      win[ox] = static_cast<uint8_t>(best_k);
     }
   }
   return out;
 }
 
 Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<int64_t>& argmax) {
-  RFED_CHECK_EQ(static_cast<int64_t>(argmax.size()), grad_out.size());
+                          const std::vector<uint8_t>& window) {
+  obs::TraceSpan trace_span("maxpool_bwd");
+  RFED_CHECK_EQ(static_cast<int64_t>(window.size()), grad_out.size());
+  RFED_CHECK_EQ(input_shape.rank(), 4);
+  RFED_CHECK_EQ(grad_out.size() * 4, input_shape.num_elements());
+  const int64_t w = input_shape.dim(3), wo = w / 2;
+  const int64_t rows = input_shape.dim(0) * input_shape.dim(1) *
+                       (input_shape.dim(2) / 2);
+  // Where window index k sits relative to its window's top-left input.
+  const int64_t offset[4] = {0, 1, w, w + 1};
   Tensor dx(input_shape);
-  for (int64_t i = 0; i < grad_out.size(); ++i) {
-    dx.at(argmax[static_cast<size_t>(i)]) += grad_out.at(i);
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* g = grad_out.data() + r * wo;
+    const uint8_t* win = window.data() + r * wo;
+    float* top = dx.data() + 2 * r * w;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      // The winner's offset is looked up, not chosen. Windows do not
+      // overlap, so this is the element's only write, 0 + g — what an
+      // accumulation into the zeroed dx gives (-0 becomes +0).
+      top[2 * ox + offset[win[ox] & 3]] = 0.0f + g[ox];
+    }
   }
   return dx;
 }

@@ -1,6 +1,7 @@
 #ifndef RFED_TENSOR_TENSOR_OPS_H_
 #define RFED_TENSOR_TENSOR_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -26,9 +27,11 @@ Tensor Scale(const Tensor& a, float s);
 /// c = a + s elementwise.
 Tensor AddScalar(const Tensor& a, float s);
 
-/// max(x, 0) elementwise.
+/// std::max(0.0f, x) elementwise (NaN and -0 give +0); branch-free
+/// (ReluKernel).
 Tensor Relu(const Tensor& x);
-/// dL/dx given upstream grad and forward input.
+/// dL/dx given upstream grad and forward input: grad where x > 0 or x
+/// is NaN, +0 where x <= 0 (ReluMaskKernel).
 Tensor ReluBackward(const Tensor& grad, const Tensor& x);
 /// tanh(x) elementwise.
 Tensor Tanh(const Tensor& x);
@@ -97,17 +100,28 @@ struct Conv2dSpec {
 /// per-image im2col + blocked GEMM (Conv2dForwardKernel).
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                      const Conv2dSpec& spec);
+/// Fused relu(Conv2dForward(x, w, b)): the clamp runs in the kernel's
+/// bias epilogue (Conv2dBiasReluForwardKernel), bit-identical to
+/// Relu(Conv2dForward(...)) without the pre-activation tensor. Its
+/// backward is Conv2dBackward on ReluBackward(grad, y).
+Tensor Conv2dBiasReluForward(const Tensor& x, const Tensor& w,
+                             const Tensor& b, const Conv2dSpec& spec);
 /// Gradients of Conv2dForward. Any output pointer may be null to skip;
 /// non-null outputs are allocated (zeroed) here.
 void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
                     const Conv2dSpec& spec, Tensor* dx, Tensor* dw,
                     Tensor* db);
 
-/// 2x2 max pooling with stride 2 over [B, C, H, W] (H, W even);
-/// records flat argmax indices for the backward pass.
-Tensor MaxPool2x2Forward(const Tensor& x, std::vector<int64_t>* argmax);
+/// 2x2 max pooling with stride 2 over [B, C, H, W] (H, W even). For
+/// each output, records which of its window's four inputs won (0..3 in
+/// row-major window order) for the backward pass. The first strict
+/// maximum wins: ties keep the earlier element, a NaN candidate never
+/// replaces the running max, a NaN first element is kept. Branch-free.
+Tensor MaxPool2x2Forward(const Tensor& x, std::vector<uint8_t>* window);
+/// Routes each output gradient to its window's winner; every other
+/// input gets +0.
 Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<int64_t>& argmax);
+                          const std::vector<uint8_t>& window);
 
 // ---- Indexing ----
 /// rows: out[i, :] = table[ids[i], :], table [V, D] -> [n, D].

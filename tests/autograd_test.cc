@@ -163,6 +163,29 @@ TEST(AutogradTest, Conv2dBackwardThroughOp) {
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}, 5e-3), 0.1);
 }
 
+TEST(AutogradTest, Conv2dBiasReluBackwardThroughOp) {
+  // Pre-activations of both signs; none within 0.05 of the kink, so the
+  // central differences do not step across it.
+  Rng rng(30);
+  Conv2dSpec spec{.in_channels = 2, .out_channels = 3, .kernel = 3,
+                  .stride = 1, .pad = 1};
+  Variable x = Leaf(Tensor::Normal(Shape{2, 2, 4, 4}, 0, 1, &rng));
+  Variable w = Leaf(Tensor::Normal(Shape{3, 18}, 0, 0.5f, &rng));
+  Variable b = Leaf(Tensor(Shape{3}, {0.3f, -0.2f, 0.1f}));
+  const Tensor pre = Conv2dForward(x.value(), w.value(), b.value(), spec);
+  int positive = 0;
+  for (int64_t i = 0; i < pre.size(); ++i) {
+    ASSERT_GT(std::fabs(pre.at(i)), 0.05f) << "element " << i;
+    positive += pre.at(i) > 0.0f ? 1 : 0;
+  }
+  ASSERT_GT(positive, 0);
+  ASSERT_LT(positive, pre.size());
+  auto loss = [&] {
+    return ag::Sum(ag::Tanh(ag::Conv2dBiasRelu(x, w, b, spec)));
+  };
+  EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}, 5e-3), 0.1);
+}
+
 TEST(AutogradTest, MaxPoolBackwardThroughOp) {
   // Distinct values so the argmax is stable under the FD perturbation.
   Tensor t(Shape{1, 1, 4, 4});

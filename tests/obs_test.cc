@@ -247,7 +247,8 @@ TEST_F(ObsTest, SpanCountsInvariantAcrossThreadCounts) {
   // The serial run covers every span kind the round loop emits.
   for (const char* name :
        {"round", "select", "broadcast", "local_train", "upload", "aggregate",
-        "evaluate", "mmd_penalty", "map_broadcast", "map_sync", "backward"}) {
+        "evaluate", "mmd_penalty", "map_broadcast", "map_sync", "backward",
+        "relu_fwd", "relu_bwd", "maxpool_fwd", "maxpool_bwd"}) {
     EXPECT_GT(serial.count(name), 0u) << name;
   }
   EXPECT_GE(serial.size(), 6u);

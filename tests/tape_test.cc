@@ -2,14 +2,16 @@
 // arena-backed autograd (autograd/tape.h, tensor/buffer_pool.h) and the
 // fused ops. Everything here asserts *exact* float equality, not
 // closeness — static-graph replay, gradient checkpointing and the fused
-// linear+bias+relu epilogue all promise byte-identical results, and any
-// drift is a bug (see docs/AUTOGRAD.md for the contracts).
+// linear+bias+relu and conv+bias+relu nodes all promise byte-identical
+// results, and any drift is a bug (see docs/AUTOGRAD.md for the
+// contracts).
 //
 // The pool's leak behavior is covered by running this suite under the
 // ASan/TSan configurations (RFED_SANITIZE=address|thread): donated
 // buffers that outlive their scope or double-recycles trip the
 // sanitizers immediately.
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "tensor/buffer_pool.h"
+#include "tensor/kernels.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -46,7 +49,7 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b,
   }
 }
 
-// ---- Fused linear+bias+relu ----
+// ---- Fused linear+bias+relu and conv+bias+relu ----
 
 TEST(FusedOpsTest, LinearBiasReluMatchesComposedChainBitwise) {
   Rng rng(101);
@@ -80,6 +83,65 @@ TEST(FusedOpsTest, LinearBiasReluGradcheck) {
   Variable b = Leaf(Tensor(Shape{2}, {0.3f, -0.4f}));
   auto loss = [&] { return ag::Sum(ag::LinearBiasRelu(x, w, b)); };
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}), kTol);
+}
+
+TEST(FusedOpsTest, Conv2dBiasReluMatchesComposedChainBitwise) {
+  // The round's two convolutions at a single image, a training batch and
+  // a δ-map batch, on the portable and the auto-selected ISA table,
+  // serial and threaded: value and every gradient memcmp-equal to
+  // ag::Relu(ag::Conv2d(...)). The upstream gradient has random signs
+  // so the mask decides real values.
+  struct Case {
+    int64_t cin, side, cout;
+  };
+  const Case cases[] = {{3, 12, 4}, {4, 6, 8}};
+  const KernelIsa isas[] = {KernelIsa::kGeneric, KernelIsa::kAuto};
+  for (const Case& cs : cases) {
+    const Conv2dSpec spec{.in_channels = cs.cin, .out_channels = cs.cout,
+                          .kernel = 5, .stride = 1, .pad = 2};
+    for (int64_t batch : {1, 24, 150}) {
+      Rng rng(static_cast<uint64_t>(31 * batch + cs.cin));
+      const Tensor xt =
+          Tensor::Normal(Shape{batch, cs.cin, cs.side, cs.side}, 0, 1, &rng);
+      const Tensor wt =
+          Tensor::Normal(Shape{cs.cout, cs.cin * 25}, 0, 0.3f, &rng);
+      const Tensor bt = Tensor::Normal(Shape{cs.cout}, 0, 0.3f, &rng);
+      const Tensor rt = Tensor::Normal(
+          Shape{batch, cs.cout, cs.side, cs.side}, 0, 1, &rng);
+      for (KernelIsa isa : isas) {
+        for (int threads : {1, 4}) {
+          KernelOptions o;
+          o.isa = isa;
+          o.threads = threads;
+          SetKernelOptions(o);
+          const std::string what =
+              "cin=" + std::to_string(cs.cin) + " B=" +
+              std::to_string(batch) + " isa=" + KernelIsaName(isa) +
+              " threads=" + std::to_string(threads);
+          const Variable r(rt, false);
+          Variable x1 = Leaf(xt), w1 = Leaf(wt), b1 = Leaf(bt);
+          Variable fused = ag::Conv2dBiasRelu(x1, w1, b1, spec);
+          ag::Sum(ag::Mul(fused, r)).Backward();
+          Variable x2 = Leaf(xt), w2 = Leaf(wt), b2 = Leaf(bt);
+          Variable chain = ag::Relu(ag::Conv2d(x2, w2, b2, spec));
+          ag::Sum(ag::Mul(chain, r)).Backward();
+          auto same = [&what](const Tensor& a, const Tensor& b,
+                              const char* name) {
+            ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
+            EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                                     sizeof(float) *
+                                         static_cast<size_t>(a.size())))
+                << what << " " << name;
+          };
+          same(fused.value(), chain.value(), "forward");
+          same(x1.grad(), x2.grad(), "dx");
+          same(w1.grad(), w2.grad(), "dw");
+          same(b1.grad(), b2.grad(), "db");
+        }
+      }
+    }
+  }
+  SetKernelOptions(KernelOptions{});
 }
 
 // ---- BufferPool arena ----
@@ -263,6 +325,60 @@ TEST(TapeTest, AllocsPerStepReachZeroAfterWarmup) {
   for (size_t step = 2; step < allocs.size(); ++step) {
     EXPECT_EQ(allocs[step], 0) << "replayed step " << step << " allocated";
   }
+}
+
+TEST(TapeTest, ReplayedBoutsKeepPoolBytesAndAllocationsFlat) {
+  // Local training as fl::LocalTrain drives it: one TapeSession per
+  // bout, a fresh pooled batch per step, record then replay, SGD
+  // updates. Once warm, a bout must take out of the freelists exactly
+  // what it parks and count every heap allocation it makes, so
+  // pool-held bytes and the allocation count read the same after N and
+  // after 3N bouts. A buffer that enters a freelist without having been
+  // Acquire()d (such as a heap copy into an empty tensor) breaks both.
+  Rng rng(919);
+  CnnConfig mc;
+  mc.in_channels = 3;
+  mc.conv1_channels = 4;
+  mc.conv2_channels = 8;
+  mc.feature_dim = 16;
+  auto model = std::make_unique<CnnModel>(mc, &rng);
+  const Tensor images = Tensor::Normal(Shape{6, 3, 12, 12}, 0, 1, &rng);
+  const std::vector<int> labels = {0, 3, 5, 7, 9, 2};
+
+  int64_t replayed = 0;
+  auto bout = [&] {
+    ag::TapeSession session({/*static_graph=*/true, /*checkpoint=*/false});
+    for (int step = 0; step < 3; ++step) {
+      Batch batch;
+      batch.images = Tensor(images);
+      batch.labels = labels;
+      ag::ReplayBindings bind{&batch.images, &batch.tokens, &batch.labels};
+      Variable loss;
+      if (session.CanReplay(bind)) {
+        loss = session.Replay(bind);
+      } else {
+        session.BeginRecord(bind);
+        ModelOutput out = model->Forward(batch);
+        loss = CrossEntropyLoss(out.logits, batch.labels);
+        session.EndRecord(loss);
+      }
+      model->ZeroGrad();
+      loss.Backward();
+      for (Variable* p : model->Parameters()) {
+        p->mutable_value().Axpy(-0.01f, p->grad());
+      }
+    }
+    replayed += session.reuse_hits();
+  };
+  constexpr int kN = 3;
+  for (int i = 0; i < kN; ++i) bout();
+  const int64_t bytes_n = BufferPool::ThreadPooledBytes();
+  const int64_t allocs_n = BufferPool::ThreadAllocCount();
+  for (int i = kN; i < 3 * kN; ++i) bout();
+  EXPECT_GT(bytes_n, 0);
+  EXPECT_EQ(BufferPool::ThreadPooledBytes(), bytes_n);
+  EXPECT_EQ(BufferPool::ThreadAllocCount(), allocs_n);
+  EXPECT_EQ(replayed, 3 * kN * 2);
 }
 
 // ---- Federated byte-identity across execution strategies ----

@@ -1,7 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -211,20 +216,202 @@ TEST(Conv2dTest, BackwardMatchesFiniteDifferences) {
 
 TEST(MaxPoolTest, ForwardSelectsMax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 5, 3, 2});
-  std::vector<int64_t> argmax;
-  Tensor y = MaxPool2x2Forward(x, &argmax);
+  std::vector<uint8_t> window;
+  Tensor y = MaxPool2x2Forward(x, &window);
   EXPECT_EQ(y.shape(), Shape({1, 1, 1, 1}));
   EXPECT_EQ(y.at(0), 5.0f);
-  EXPECT_EQ(argmax[0], 1);
+  EXPECT_EQ(window[0], 1);
 }
 
 TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 5, 3, 2});
-  std::vector<int64_t> argmax;
-  Tensor y = MaxPool2x2Forward(x, &argmax);
+  std::vector<uint8_t> window;
+  Tensor y = MaxPool2x2Forward(x, &window);
   Tensor grad_out(Shape{1, 1, 1, 1}, {2.5f});
-  Tensor dx = MaxPool2x2Backward(grad_out, x.shape(), argmax);
+  Tensor dx = MaxPool2x2Backward(grad_out, x.shape(), window);
   EXPECT_TRUE(AllClose(dx, Tensor(Shape{1, 1, 2, 2}, {0, 2.5f, 0, 0}), 0.0f));
+}
+
+// ---- Branch-free activations against the scalar loops they replaced ----
+
+/// Runs each case under the portable table and under the auto-selected
+/// one (AVX2 where the CPU has it), so both ISA tables are pinned.
+class BranchFreeTest : public ::testing::TestWithParam<KernelIsa> {
+ protected:
+  void SetUp() override {
+    KernelOptions o;
+    o.isa = GetParam();
+    SetKernelOptions(o);
+  }
+  void TearDown() override { SetKernelOptions(KernelOptions{}); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Isas, BranchFreeTest,
+                         ::testing::Values(KernelIsa::kGeneric,
+                                           KernelIsa::kAuto),
+                         [](const auto& info) {
+                           return std::string(info.param == KernelIsa::kGeneric
+                                                  ? "Generic"
+                                                  : "Auto");
+                         });
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+void ExpectSameBits(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(SameBits(got.at(i), want.at(i)))
+        << what << " element " << i << ": " << got.at(i) << " vs "
+        << want.at(i);
+  }
+}
+
+/// Values of random sign with the awkward cases mixed in: NaN, ±0, ±Inf,
+/// denormals, and values rounded to quarters so that equal neighbours
+/// (max-pool ties) are common.
+Tensor Awkward(Shape shape, uint64_t seed) {
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min()};
+  Rng rng(seed);
+  Tensor t(std::move(shape));
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const double u = rng.Uniform(0, 1);
+    if (u < 0.25) {
+      t.at(i) = kSpecial[static_cast<size_t>(rng.Uniform(0, 1) * 8) % 8];
+    } else if (u < 0.5) {
+      t.at(i) = std::round(static_cast<float>(rng.Normal(0, 1)) * 4) / 4;
+    } else {
+      t.at(i) = static_cast<float>(rng.Normal(0, 1));
+    }
+  }
+  return t;
+}
+
+// Odd counts leave a tail after every 8-wide SIMD block.
+constexpr int64_t kOddCounts[] = {1, 7, 9, 31, 1001};
+
+TEST_P(BranchFreeTest, ReluMatchesStdMaxBitwise) {
+  for (int64_t n : kOddCounts) {
+    const Tensor x = Awkward(Shape{n}, 100 + n);
+    Tensor want(x.shape());
+    for (int64_t i = 0; i < n; ++i) want.at(i) = std::max(0.0f, x.at(i));
+    ExpectSameBits(Relu(x), want, "relu n=" + std::to_string(n));
+    Tensor in_place = x;
+    ReluKernel(in_place.data(), n, in_place.data());
+    ExpectSameBits(in_place, want, "in-place relu n=" + std::to_string(n));
+  }
+}
+
+TEST_P(BranchFreeTest, ReluBackwardMatchesScalarMaskBitwise) {
+  for (int64_t n : kOddCounts) {
+    const Tensor x = Awkward(Shape{n}, 200 + n);
+    const Tensor g = Awkward(Shape{n}, 300 + n);
+    Tensor want = g;
+    for (int64_t i = 0; i < n; ++i) {
+      if (x.at(i) <= 0.0f) want.at(i) = 0.0f;
+    }
+    ExpectSameBits(ReluBackward(g, x), want,
+                   "relu backward n=" + std::to_string(n));
+  }
+}
+
+TEST_P(BranchFreeTest, LinearBiasReluMatchesScalarEpilogueAndMaskBitwise) {
+  // 5 x 7 outputs: an odd count, so the SIMD tail runs too.
+  Tensor x = Awkward(Shape{5, 3}, 401);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    if (!std::isfinite(x.at(i))) x.at(i) = 0.5f;  // finite GEMM operands
+  }
+  const Tensor w = PatternTensor(Shape{3, 7}, 0.8f);
+  Tensor bias = Awkward(Shape{7}, 402);
+  bias.at(0) = std::numeric_limits<float>::quiet_NaN();  // a NaN column
+  const Tensor y = LinearBiasReluForward(x, w, bias);
+  Tensor want = MatMul(x, w);
+  for (int64_t r = 0; r < 5; ++r) {
+    for (int64_t c = 0; c < 7; ++c) {
+      want.at2(r, c) = std::max(0.0f, want.at2(r, c) + bias.at(c));
+    }
+  }
+  ExpectSameBits(y, want, "fused forward");
+
+  const Tensor g = Awkward(Shape{5, 7}, 403);
+  Tensor g_pre = g;
+  for (int64_t i = 0; i < g_pre.size(); ++i) {
+    if (y.at(i) <= 0.0f) g_pre.at(i) = 0.0f;
+  }
+  Tensor dx, dw, db;
+  LinearBiasReluBackward(g, y, x, w, &dx, &dw, &db);
+  ExpectSameBits(dx, MatMulTransB(g_pre, w), "dx");
+  ExpectSameBits(dw, MatMulTransA(x, g_pre), "dw");
+  ExpectSameBits(db, SumRows(g_pre), "db");
+}
+
+/// The max-pool loops the branch-free kernel replaced: an absolute
+/// argmax per output, first strict maximum wins, backward accumulates
+/// into a zeroed tensor.
+Tensor RefMaxPool(const Tensor& x, std::vector<int64_t>* argmax) {
+  const int64_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor out(Shape{batch, ch, h / 2, w / 2});
+  argmax->assign(static_cast<size_t>(out.size()), 0);
+  int64_t oi = 0;
+  for (int64_t p = 0; p < batch * ch; ++p) {
+    const float* plane = x.data() + p * h * w;
+    for (int64_t oy = 0; oy < h / 2; ++oy) {
+      for (int64_t ox = 0; ox < w / 2; ++ox, ++oi) {
+        int64_t best = 2 * oy * w + 2 * ox;
+        const int64_t cand[3] = {best + 1, best + w, best + w + 1};
+        for (int64_t idx : cand) {
+          if (plane[idx] > plane[best]) best = idx;
+        }
+        out.at(oi) = plane[best];
+        (*argmax)[static_cast<size_t>(oi)] = p * h * w + best;
+      }
+    }
+  }
+  return out;
+}
+
+TEST_P(BranchFreeTest, MaxPoolMatchesScalarReferenceBitwise) {
+  // The round's pool shapes (after conv1 and conv2) plus odd output
+  // sides, over NaN, ±0 and frequent ties.
+  const Shape shapes[] = {Shape{24, 4, 12, 12}, Shape{150, 8, 6, 6},
+                          Shape{3, 2, 6, 10}, Shape{1, 1, 2, 2}};
+  uint64_t seed = 500;
+  for (const Shape& shape : shapes) {
+    const std::string what = shape.ToString();
+    const Tensor x = Awkward(shape, ++seed);
+    std::vector<int64_t> argmax;
+    const Tensor want = RefMaxPool(x, &argmax);
+    std::vector<uint8_t> window;
+    const Tensor y = MaxPool2x2Forward(x, &window);
+    ExpectSameBits(y, want, "forward " + what);
+
+    const int64_t w = shape.dim(3);
+    ASSERT_EQ(window.size(), argmax.size());
+    for (size_t i = 0; i < window.size(); ++i) {
+      const int64_t row = static_cast<int64_t>(i) / (w / 2);
+      const int64_t ox = static_cast<int64_t>(i) % (w / 2);
+      const int64_t base = 2 * row * w + 2 * ox;
+      const int64_t k = window[i];
+      ASSERT_LT(k, 4);
+      ASSERT_EQ(base + (k / 2) * w + k % 2, argmax[i])
+          << what << " window " << i;
+    }
+
+    const Tensor g = Awkward(y.shape(), ++seed);
+    Tensor want_dx(shape);
+    for (int64_t i = 0; i < g.size(); ++i) {
+      want_dx.at(argmax[static_cast<size_t>(i)]) += g.at(i);
+    }
+    ExpectSameBits(MaxPool2x2Backward(g, shape, window), want_dx,
+                   "backward " + what);
+  }
 }
 
 TEST(GatherScatterTest, GatherRowsSelects) {
