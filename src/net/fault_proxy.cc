@@ -101,28 +101,40 @@ void FaultProxy::RelayLoop(Relay* relay, bool upstream_direction) {
       Sever(relay, /*injected=*/false);
       return;
     }
-    if (!relay->blackholed.load(std::memory_order_relaxed)) {
-      if (!to.SendAll(buffer, static_cast<size_t>(got))) {
-        Sever(relay, /*injected=*/false);
-        return;
+    // Count the frames this chunk completes before forwarding it, so a
+    // kill can mute the other direction first: the client must never
+    // see a reply to the frame that triggered its kill.
+    bool kill = false;
+    bool blackhole = false;
+    if (upstream_direction) {
+      counter.Feed(buffer, static_cast<size_t>(got));
+      Frame frame;
+      while (!kill &&
+             counter.Next(&frame) == FrameAssembler::Status::kFrame) {
+        const int64_t seen = 1 + relay->upstream_frames.fetch_add(1);
+        const FaultPlan& plan = relay->plan;
+        kill = plan.kill_after_frames >= 0 && seen >= plan.kill_after_frames;
+        blackhole = blackhole || (plan.blackhole_after_frames >= 0 &&
+                                  seen >= plan.blackhole_after_frames);
       }
     }
-    if (!upstream_direction) continue;
-    counter.Feed(buffer, static_cast<size_t>(got));
-    Frame frame;
-    while (counter.Next(&frame) == FrameAssembler::Status::kFrame) {
-      const int64_t seen = 1 + relay->upstream_frames.fetch_add(1);
-      const FaultPlan& plan = relay->plan;
-      if (plan.kill_after_frames >= 0 && seen >= plan.kill_after_frames) {
-        Sever(relay, /*injected=*/true);
-        return;
-      }
-      if (plan.blackhole_after_frames >= 0 &&
-          seen >= plan.blackhole_after_frames) {
-        // From here both directions swallow bytes; the sockets stay open
-        // so only a deadline (not an EOF) can expose the stall.
-        relay->blackholed.store(true, std::memory_order_relaxed);
-      }
+    const bool forward = !relay->blackholed.load(std::memory_order_relaxed);
+    if (kill) {
+      relay->blackholed.store(true);
+      if (relay->plan.on_kill) relay->plan.on_kill();
+    }
+    if (forward && !to.SendAll(buffer, static_cast<size_t>(got))) {
+      Sever(relay, /*injected=*/false);
+      return;
+    }
+    if (kill) {
+      Sever(relay, /*injected=*/true);
+      return;
+    }
+    if (blackhole) {
+      // From here both directions swallow bytes; the sockets stay open
+      // so only a deadline (not an EOF) can expose the stall.
+      relay->blackholed.store(true, std::memory_order_relaxed);
     }
   }
 }

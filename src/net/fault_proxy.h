@@ -2,6 +2,7 @@
 #define RFED_NET_FAULT_PROXY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +30,10 @@ struct FaultPlan {
   /// silently discard all further bytes in both directions — the
   /// stalled-peer shape only a deadline detector can catch. -1 = never.
   int64_t blackhole_after_frames = -1;
+  /// Runs on the relay thread when the kill fires, before the frame that
+  /// fired it is forwarded: a test can freeze the upstream process
+  /// there, at a known protocol position. Empty = nothing.
+  std::function<void()> on_kill;
 };
 
 /// Seeded chaos harness for the serve transport: a TCP relay the tests

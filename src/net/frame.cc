@@ -1,6 +1,6 @@
 #include "net/frame.h"
 
-#include <cstring>
+#include <cstddef>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -10,97 +10,108 @@ namespace net {
 
 namespace {
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>((value >> (8 * i)) & 0xff));
+/// Offsets of the header fields within a frame.
+constexpr size_t kTypeOffset = sizeof(uint32_t);
+constexpr size_t kLengthOffset = 2 * sizeof(uint32_t);
+
+/// Receive chunk of RecvFrame: a 47 KB JOB arrives in one or two reads.
+constexpr size_t kRecvChunkBytes = 64 * 1024;
+
+void PutLittleEndian(uint64_t value, size_t bytes, uint8_t* out) {
+  for (size_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<uint8_t>((value >> (8 * i)) & 0xff);
   }
 }
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>((value >> (8 * i)) & 0xff));
+uint64_t GetLittleEndian(const uint8_t* in, size_t bytes) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < bytes; ++i) {
+    value |= static_cast<uint64_t>(in[i]) << (8 * i);
   }
+  return value;
+}
+
+void AppendU32(std::vector<uint8_t>* out, uint32_t value) {
+  const size_t at = out->size();
+  out->resize(at + sizeof value);
+  PutLittleEndian(value, sizeof value, out->data() + at);
 }
 
 }  // namespace
 
+size_t BeginFrame(FrameType type, std::vector<uint8_t>* out) {
+  const size_t start = out->size();
+  AppendU32(out, kFrameMagic);
+  AppendU32(out, static_cast<uint32_t>(type));
+  out->resize(start + kFrameHeaderBytes);  // length, patched by FinishFrame
+  return start;
+}
+
+void FinishFrame(size_t start, std::vector<uint8_t>* out) {
+  RFED_CHECK_GE(out->size(), start + kFrameHeaderBytes);
+  const uint64_t payload_len = out->size() - start - kFrameHeaderBytes;
+  RFED_CHECK_LE(payload_len, kMaxFramePayloadBytes);
+  PutLittleEndian(payload_len, sizeof payload_len,
+                  out->data() + start + kLengthOffset);
+  AppendU32(out, WireChecksum32(out->data() + start, out->size() - start));
+}
+
 std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& payload) {
-  RFED_CHECK_LE(payload.size(), kMaxFramePayloadBytes);
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size() + kFrameChecksumBytes);
-  AppendU32(&out, kFrameMagic);
-  AppendU32(&out, static_cast<uint32_t>(type));
-  AppendU64(&out, static_cast<uint64_t>(payload.size()));
+  const size_t start = BeginFrame(type, &out);
   out.insert(out.end(), payload.begin(), payload.end());
-  const uint32_t checksum = Fnv1a32(out.data(), out.size());
-  AppendU32(&out, checksum);
+  FinishFrame(start, &out);
   return out;
 }
 
 void FrameAssembler::Feed(const uint8_t* data, size_t length) {
+  // Compact before growing: drop the consumed prefix once it is at least
+  // half the buffer, so the copy it costs is amortized over the frames
+  // that were read past it.
+  if (read_ > 0 && read_ >= buffer_.size() - read_) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(read_));
+    read_ = 0;
+  }
   buffer_.insert(buffer_.end(), data, data + length);
 }
 
 FrameAssembler::Status FrameAssembler::Next(Frame* out) {
   if (failed_) return Status::kError;
-  if (buffer_.size() < kFrameHeaderBytes) return Status::kNeedMore;
-  // Decode the header in place (the deque is contiguous enough to read
-  // byte-wise; frames are small so the copy-out below is cheap).
-  auto read_u32 = [&](size_t offset) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(buffer_[offset + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    return v;
-  };
-  auto read_u64 = [&](size_t offset) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(buffer_[offset + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    return v;
-  };
-  const uint32_t magic = read_u32(0);
-  if (magic != kFrameMagic) {
+  const size_t available = buffer_.size() - read_;
+  if (available < kFrameHeaderBytes) return Status::kNeedMore;
+  const uint8_t* frame = buffer_.data() + read_;
+  if (GetLittleEndian(frame, sizeof(uint32_t)) != kFrameMagic) {
     failed_ = true;
     error_ = "bad frame magic";
     return Status::kError;
   }
-  const uint64_t payload_len = read_u64(8);
+  const uint64_t payload_len = GetLittleEndian(frame + kLengthOffset,
+                                               sizeof(uint64_t));
   if (payload_len > kMaxFramePayloadBytes) {
     failed_ = true;
     error_ = "frame payload length exceeds limit";
     return Status::kError;
   }
-  const size_t total = kFrameHeaderBytes + static_cast<size_t>(payload_len) +
-                       kFrameChecksumBytes;
-  if (buffer_.size() < total) return Status::kNeedMore;
-  std::vector<uint8_t> frame_bytes(buffer_.begin(),
-                                   buffer_.begin() + static_cast<int64_t>(total));
-  const size_t checked = total - kFrameChecksumBytes;
-  const uint32_t expected = Fnv1a32(frame_bytes.data(), checked);
-  uint32_t actual = 0;
-  for (int i = 0; i < 4; ++i) {
-    actual |= static_cast<uint32_t>(frame_bytes[checked + static_cast<size_t>(i)])
-              << (8 * i);
-  }
-  if (actual != expected) {
+  const size_t checked = kFrameHeaderBytes + static_cast<size_t>(payload_len);
+  const size_t total = checked + kFrameChecksumBytes;
+  if (available < total) return Status::kNeedMore;
+  if (GetLittleEndian(frame + checked, kFrameChecksumBytes) !=
+      WireChecksum32(frame, checked)) {
     failed_ = true;
     error_ = "frame checksum mismatch";
     return Status::kError;
   }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<int64_t>(total));
-  uint32_t type_word = 0;
-  for (int i = 0; i < 4; ++i) {
-    type_word |= static_cast<uint32_t>(frame_bytes[4 + static_cast<size_t>(i)])
-                 << (8 * i);
+  out->type = static_cast<FrameType>(
+      GetLittleEndian(frame + kTypeOffset, sizeof(uint32_t)));
+  out->payload.assign(frame + kFrameHeaderBytes, frame + checked);
+  read_ += total;
+  if (read_ == buffer_.size()) {
+    buffer_.clear();
+    read_ = 0;
   }
-  out->type = static_cast<FrameType>(type_word);
-  out->payload.assign(frame_bytes.begin() + static_cast<int64_t>(kFrameHeaderBytes),
-                      frame_bytes.begin() + static_cast<int64_t>(checked));
   return Status::kFrame;
 }
 
@@ -111,7 +122,7 @@ bool SendFrame(TcpConnection* conn, FrameType type,
 }
 
 bool RecvFrame(TcpConnection* conn, FrameAssembler* assembler, Frame* out) {
-  uint8_t chunk[4096];
+  uint8_t chunk[kRecvChunkBytes];
   while (true) {
     switch (assembler->Next(out)) {
       case FrameAssembler::Status::kFrame:

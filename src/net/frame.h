@@ -2,7 +2,6 @@
 #define RFED_NET_FRAME_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -12,10 +11,13 @@ namespace rfed {
 namespace net {
 
 /// Wire frame: [magic u32][type u32][payload_len u64][payload bytes]
-/// [FNV-1a u32 over magic..payload]. All integers little-endian. The
-/// checksum spans the header too, so a corrupted length or type cannot
-/// masquerade as a valid (mis-sized) frame.
-inline constexpr uint32_t kFrameMagic = 0x52464431;  // "RFD1"
+/// [checksum u32 over magic..payload]. All integers little-endian. The
+/// checksum is WireChecksum32 (util/hash.h), the only integrity check on
+/// the wire: message bodies carry none of their own. It spans the header
+/// too, so a corrupted length or type cannot masquerade as a valid
+/// (mis-sized) frame. The magic names the checksum: an "RFD1" peer
+/// (byte-serial FNV-1a) fails its first frame here on bad magic.
+inline constexpr uint32_t kFrameMagic = 0x52464432;  // "RFD2"
 inline constexpr size_t kFrameHeaderBytes =
     sizeof(uint32_t) + sizeof(uint32_t) + sizeof(uint64_t);
 inline constexpr size_t kFrameChecksumBytes = sizeof(uint32_t);
@@ -46,10 +48,19 @@ struct Frame {
 std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& payload);
 
+/// In-place frame encoding, for bodies written straight into the frame
+/// buffer: BeginFrame appends the header with a placeholder length and
+/// returns the frame's start offset; the caller appends the payload to
+/// *out; FinishFrame patches the length and appends the checksum.
+size_t BeginFrame(FrameType type, std::vector<uint8_t>* out);
+void FinishFrame(size_t start, std::vector<uint8_t>* out);
+
 /// Incremental frame decoder. Feed() arbitrary byte chunks as they
 /// arrive off the socket; Next() yields complete verified frames. Any
 /// integrity violation (bad magic, oversized length, checksum mismatch)
 /// is sticky: the stream is undecodable past the first corrupt byte.
+/// Received bytes are buffered once; a frame's checksum is verified
+/// where it lies and its payload copied out once.
 class FrameAssembler {
  public:
   enum class Status {
@@ -65,10 +76,11 @@ class FrameAssembler {
   Status Next(Frame* out);
 
   const std::string& error() const { return error_; }
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - read_; }
 
  private:
-  std::deque<uint8_t> buffer_;
+  std::vector<uint8_t> buffer_;
+  size_t read_ = 0;  ///< start of the first unconsumed byte in buffer_
   std::string error_;
   bool failed_ = false;
 };

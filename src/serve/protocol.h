@@ -4,18 +4,24 @@
 #include <cstdint>
 #include <vector>
 
-#include "fl/message.h"
+#include "tensor/tensor.h"
 
 namespace rfed {
 namespace serve {
 
 /// Payload bodies of the serve protocol's frames (net/frame.h carries
-/// them). Encoding rides the CheckpointWriter/Reader codec — the same
-/// bounds-checked fixed-width encoding run checkpoints use — and model
-/// tensors travel as embedded FlMessage envelopes, so the bytes a worker
-/// receives are exactly the bytes the simulator's ledger charges for the
-/// corresponding transfer (plus FlMessage framing, accounted separately
-/// as comm.wire_overhead_bytes).
+/// them). Fields are fixed-width little-endian integers and doubles;
+/// blobs are [length u32][bytes]; a model tensor is its
+/// tensor/serialize.h encoding ([rank i64][dims i64...][float32 data]),
+/// so the model bytes a worker receives are exactly the bytes the
+/// simulator's ledger charges for the transfer. The frame checksum is
+/// the only integrity layer: bodies carry no checksum of their own.
+/// Every decoder is bounds-checked instead. A blob length, a tensor rank
+/// (at most 8) and each tensor dim are checked against the bytes left,
+/// with overflow-safe arithmetic, before anything sized by them is
+/// allocated, and every failure aborts naming the message and the field
+/// (so a sender that computes a valid checksum over a hostile body still
+/// cannot make a receiver allocate or read out of bounds).
 
 /// Worker -> server, once per connection: who am I, how many peers do I
 /// expect, and a fingerprint of the scenario I was launched with. The
@@ -48,28 +54,39 @@ struct HelloAckMessage {
 /// maps); `batcher_base` is the client's batcher-stream state at the
 /// job's start (EncodeBatcherBaseFor), making the job self-contained —
 /// any worker replica can execute it from a cold cache, which is what
-/// permits reassignment after a worker death; `download` is a
-/// kModelDownload FlMessage carrying the broadcast init state.
+/// permits reassignment after a worker death; `init_state` is the
+/// broadcast global state the client trains from.
+///
+/// Body: [round i32][client i32][context blob][batcher_base blob]
+/// [init_state tensor].
 struct JobMessage {
   int32_t round = 0;
   int32_t client = 0;
   std::vector<uint8_t> context;
   std::vector<uint8_t> batcher_base;
-  FlMessage download;
+  Tensor init_state;
 
-  std::vector<uint8_t> Encode() const;
+  /// The whole JOB frame (header, body, checksum) for borrowed fields,
+  /// written into one exactly-sized buffer, so the server copies each
+  /// field once, straight into the frame.
+  static std::vector<uint8_t> EncodeFrame(
+      int32_t round, int32_t client, const std::vector<uint8_t>& context,
+      const std::vector<uint8_t>& batcher_base, const Tensor& init_state);
   static JobMessage Decode(const std::vector<uint8_t>& payload);
 };
 
-/// Worker -> server: the trained flat state (kModelUpload FlMessage) and
-/// the mean local loss for one completed job.
+/// Worker -> server: the trained flat state and the mean local loss for
+/// one completed job.
+///
+/// Body: [round i32][client i32][loss f64][state tensor].
 struct ResultMessage {
   int32_t round = 0;
   int32_t client = 0;
   double loss = 0.0;
-  FlMessage upload;
+  Tensor state;
 
-  std::vector<uint8_t> Encode() const;
+  /// The whole RESULT frame, written into one exactly-sized buffer.
+  std::vector<uint8_t> EncodeFrame() const;
   static ResultMessage Decode(const std::vector<uint8_t>& payload);
 };
 

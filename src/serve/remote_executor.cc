@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/trace.h"
 #include "serve/protocol.h"
 #include "util/check.h"
 
@@ -141,17 +142,12 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
                             const std::vector<uint8_t>& context,
                             const std::vector<uint8_t>& batcher_base) {
   RFED_CHECK(!workers_.empty()) << "Submit before AcceptWorkers";
-  JobMessage job;
-  job.round = round;
-  job.client = client;
-  job.context = context;
-  job.batcher_base = batcher_base;
-  job.download.kind = FlMessage::Kind::kModelDownload;
-  job.download.round = round;
-  job.download.sender = -1;
-  job.download.payload.push_back(init_state);
-  Wire wire = std::make_shared<const std::vector<uint8_t>>(
-      net::EncodeFrame(net::FrameType::kJob, job.Encode()));
+  Wire wire;
+  {
+    obs::TraceSpan trace_span("wire_encode");
+    wire = std::make_shared<const std::vector<uint8_t>>(JobMessage::EncodeFrame(
+        round, client, context, batcher_base, init_state));
+  }
   stats_.jobs_sent += 1;
   const JobKey key{round, client};
   pending_wire_[key] = wire;
@@ -274,9 +270,11 @@ void RemoteExecutor::HandleFrame(int worker_id, const net::Frame& frame) {
   w->last_activity_ms = NowMs();
   switch (frame.type) {
     case net::FrameType::kResult: {
-      ResultMessage result = ResultMessage::Decode(frame.payload);
-      RFED_CHECK(result.upload.kind == FlMessage::Kind::kModelUpload);
-      RFED_CHECK_EQ(result.upload.payload.size(), 1u);
+      ResultMessage result;
+      {
+        obs::TraceSpan trace_span("wire_decode");
+        result = ResultMessage::Decode(frame.payload);
+      }
       const JobKey key{result.round, result.client};
       if (pending_wire_.erase(key) == 0) {
         // Duplicate: the job was reassigned and both replicas answered.
@@ -293,7 +291,7 @@ void RemoteExecutor::HandleFrame(int worker_id, const net::Frame& frame) {
           break;
         }
       }
-      completed_[key] = {std::move(result.upload.payload[0]), result.loss};
+      completed_[key] = {std::move(result.state), result.loss};
       break;
     }
     case net::FrameType::kPong: {

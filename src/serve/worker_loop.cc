@@ -1,8 +1,10 @@
 #include "serve/worker_loop.h"
 
+#include <tuple>
 #include <utility>
 
 #include "net/frame.h"
+#include "obs/trace.h"
 #include "serve/protocol.h"
 #include "util/check.h"
 
@@ -68,24 +70,25 @@ WorkerLoopResult RunWorkerLoop(FederatedAlgorithm* algorithm,
     RFED_CHECK(frame.type == net::FrameType::kJob)
         << "expected JOB, got frame type "
         << static_cast<uint32_t>(frame.type);
-    JobMessage job = JobMessage::Decode(frame.payload);
-    RFED_CHECK_EQ(job.download.payload.size(), 1u);
+    JobMessage job;
+    {
+      obs::TraceSpan trace_span("wire_decode");
+      job = JobMessage::Decode(frame.payload);
+    }
     algorithm->InstallBatcherBase(job.client, job.batcher_base);
-    algorithm->InstallGlobalState(std::move(job.download.payload[0]));
+    algorithm->InstallGlobalState(std::move(job.init_state));
     algorithm->ApplyTrainContext(job.round, job.client, job.context);
-    auto [state, loss] =
-        algorithm->ExecuteLocalTraining(job.round, job.client);
     ResultMessage result;
     result.round = job.round;
     result.client = job.client;
-    result.loss = loss;
-    result.upload.kind = FlMessage::Kind::kModelUpload;
-    result.upload.round = job.round;
-    result.upload.sender = job.client;
-    result.upload.payload.push_back(std::move(state));
-    if (!net::SendFrame(conn, net::FrameType::kResult, result.Encode())) {
-      return out;
+    std::tie(result.state, result.loss) =
+        algorithm->ExecuteLocalTraining(job.round, job.client);
+    std::vector<uint8_t> wire;
+    {
+      obs::TraceSpan trace_span("wire_encode");
+      wire = result.EncodeFrame();
     }
+    if (!conn->SendAll(wire.data(), wire.size())) return out;
     out.last_round = job.round;
   }
 }

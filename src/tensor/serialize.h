@@ -24,8 +24,13 @@ int64_t PayloadBytes(const Tensor& t);
 void SerializeTensor(const Tensor& t, std::vector<uint8_t>* out);
 
 /// Decodes one tensor starting at (*offset), advancing it. Aborts on a
-/// malformed buffer.
-Tensor DeserializeTensor(const std::vector<uint8_t>& buf, size_t* offset);
+/// malformed buffer with a message that starts with `what` (the decoder
+/// and field, e.g. "JOB decoder: init_state"). Safe on hostile bytes:
+/// the rank must be at most 8, and each dim and then
+/// the element count must fit in the floats the bytes left can hold,
+/// checked with overflow-safe arithmetic before anything is allocated.
+Tensor DeserializeTensor(const std::vector<uint8_t>& buf, size_t* offset,
+                         const char* what = "tensor decoder");
 
 }  // namespace rfed
 

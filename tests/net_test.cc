@@ -1,8 +1,10 @@
 // Transport-layer tests: the frame codec under truncation, partial
-// reads and bit flips; FlMessage round-trip framing under the same
-// corruptions (the checkpoint-corruption death-test idiom of
-// robustness_test.cc applied to the wire path); host:port parsing; and
-// a live localhost socket round trip.
+// reads and bit flips; the JOB and RESULT bodies from a sender that
+// computes a valid frame checksum over hostile bytes; FlMessage
+// round-trip framing under the same corruptions (the
+// checkpoint-corruption death-test idiom of robustness_test.cc applied
+// to the wire path); host:port parsing; and a live localhost socket
+// round trip.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "net/fault_proxy.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "serve/protocol.h"
 #include "test_util.h"
 #include "util/flags.h"
 
@@ -81,41 +84,55 @@ TEST(FrameCodec, ReassemblesFromSingleByteFeeds) {
   EXPECT_EQ(assembler.buffered_bytes(), 0u);
 }
 
+// Payload lengths that drive each path of the frame checksum over the
+// 16-byte header plus payload: the bytewise tail alone (8 B), whole
+// 32-byte blocks with no tail (48 B), blocks plus a tail (61 B), and a
+// ~4 KB frame of many blocks plus a tail.
+constexpr size_t kChecksumPathPayloads[] = {8, 48, 61, 4093};
+
 TEST(FrameCodec, TruncatedFrameIsIncompleteNotCorrupt) {
-  const std::vector<uint8_t> wire =
-      net::EncodeFrame(FrameType::kJob, TestPayload(64));
-  for (size_t keep : {size_t{0}, size_t{3}, net::kFrameHeaderBytes,
-                      wire.size() - 1}) {
-    FrameAssembler assembler;
-    assembler.Feed(wire.data(), keep);
-    Frame frame;
-    EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kNeedMore)
-        << "prefix of " << keep << " bytes";
+  for (size_t payload : kChecksumPathPayloads) {
+    const std::vector<uint8_t> wire =
+        net::EncodeFrame(FrameType::kJob, TestPayload(payload));
+    for (size_t keep : {size_t{0}, size_t{3}, net::kFrameHeaderBytes,
+                        wire.size() / 2, wire.size() - 1}) {
+      FrameAssembler assembler;
+      assembler.Feed(wire.data(), keep);
+      Frame frame;
+      EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kNeedMore)
+          << "prefix of " << keep << " bytes of a " << payload
+          << "-byte payload";
+    }
   }
 }
 
 TEST(FrameCodec, DetectsBitFlipAnywhere) {
-  const std::vector<uint8_t> wire =
-      net::EncodeFrame(FrameType::kResult, TestPayload(48));
-  // Flip one bit at a spread of positions covering the magic, type,
-  // payload, and checksum regions — everywhere except the length field
-  // (bytes 8..15), whose corruption is covered separately below because
-  // an inflated length legitimately stalls a streaming parser until the
-  // checksum arrives.
-  for (size_t pos = 0; pos < wire.size(); pos += 5) {
-    if (pos >= 8 && pos < 16) continue;
+  // Flip every bit of every byte — magic, type, payload and checksum —
+  // except the length field (bytes 8..15), whose corruption is covered
+  // separately below because an inflated length legitimately stalls a
+  // streaming parser until the checksum arrives.
+  for (size_t payload : kChecksumPathPayloads) {
+    const std::vector<uint8_t> wire =
+        net::EncodeFrame(FrameType::kResult, TestPayload(payload));
     std::vector<uint8_t> mangled = wire;
-    mangled[pos] ^= 0x10;
-    FrameAssembler assembler;
-    assembler.Feed(mangled.data(), mangled.size());
-    Frame frame;
-    EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kError)
-        << "bit flip at byte " << pos << " went undetected";
-    EXPECT_FALSE(assembler.error().empty());
-    // Corruption is sticky: feeding more valid bytes cannot resurrect
-    // the stream.
-    assembler.Feed(wire.data(), wire.size());
-    EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kError);
+    for (size_t pos = 0; pos < wire.size(); ++pos) {
+      if (pos >= 8 && pos < 16) continue;
+      for (int bit = 0; bit < 8; ++bit) {
+        mangled[pos] ^= static_cast<uint8_t>(1u << bit);
+        FrameAssembler assembler;
+        assembler.Feed(mangled.data(), mangled.size());
+        mangled[pos] = wire[pos];
+        Frame frame;
+        ASSERT_EQ(assembler.Next(&frame), FrameAssembler::Status::kError)
+            << "flip of bit " << bit << " at byte " << pos << " of a "
+            << payload << "-byte payload went undetected";
+        EXPECT_FALSE(assembler.error().empty());
+        // Corruption is sticky: feeding more valid bytes cannot
+        // resurrect the stream.
+        assembler.Feed(wire.data(), wire.size());
+        ASSERT_EQ(assembler.Next(&frame), FrameAssembler::Status::kError);
+      }
+    }
   }
 }
 
@@ -161,6 +178,202 @@ TEST(FrameCodec, RejectsOversizedLength) {
   Frame frame;
   EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kError);
   EXPECT_NE(assembler.error().find("length"), std::string::npos);
+}
+
+// ---- JOB and RESULT bodies from a hostile sender ----
+//
+// The frame checksum stops a flipped bit, not a sender that computes it
+// over bad bytes, so each body decoder must refuse an inflated or cut
+// field by name before allocating anything that field sizes.
+
+using serve::JobMessage;
+using serve::ResultMessage;
+
+JobMessage MakeJob() {
+  JobMessage job;
+  job.round = 3;
+  job.client = 5;
+  job.context = TestPayload(12);
+  job.batcher_base = TestPayload(20);
+  job.init_state = testing::PatternTensor({6, 7}, 1.0f);
+  return job;
+}
+
+ResultMessage MakeResult() {
+  ResultMessage result;
+  result.round = 3;
+  result.client = 5;
+  result.loss = 0.625;
+  result.state = testing::PatternTensor({6, 7}, 0.5f);
+  return result;
+}
+
+// Byte offsets of the fields in MakeJob()'s and MakeResult()'s bodies.
+constexpr size_t kJobContextLen = 8;
+constexpr size_t kJobBatcherLen = kJobContextLen + 4 + 12;
+constexpr size_t kJobRank = kJobBatcherLen + 4 + 20;
+constexpr size_t kJobDims = kJobRank + 8;
+constexpr size_t kJobData = kJobDims + 2 * 8;
+constexpr size_t kResultRank = 16;
+constexpr size_t kResultDims = kResultRank + 8;
+constexpr size_t kResultData = kResultDims + 2 * 8;
+
+template <typename T>
+void Poke(std::vector<uint8_t>* body, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), body->size());
+  std::memcpy(body->data() + offset, &value, sizeof(T));
+}
+
+/// `body` cut at `tensor_at` and given a rank-8 tensor whose dims are
+/// each 255, followed by 1024 data bytes: every dim fits in the 256
+/// floats those bytes hold, but the product (255^8) overflows int64.
+std::vector<uint8_t> WithOverflowingShape(std::vector<uint8_t> body,
+                                          size_t tensor_at) {
+  body.resize(tensor_at);
+  const int64_t rank = 8;
+  const int64_t dim = 255;
+  const auto* r = reinterpret_cast<const uint8_t*>(&rank);
+  const auto* d = reinterpret_cast<const uint8_t*>(&dim);
+  body.insert(body.end(), r, r + sizeof rank);
+  for (int i = 0; i < rank; ++i) body.insert(body.end(), d, d + sizeof dim);
+  body.resize(body.size() + 1024, 0);
+  return body;
+}
+
+/// The payload of the single frame in `wire`, as FrameAssembler yields it.
+std::vector<uint8_t> BodyOf(const std::vector<uint8_t>& wire) {
+  FrameAssembler assembler;
+  assembler.Feed(wire.data(), wire.size());
+  Frame frame;
+  EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kFrame);
+  EXPECT_EQ(assembler.buffered_bytes(), 0u);
+  return frame.payload;
+}
+
+std::vector<uint8_t> JobBody(const JobMessage& job) {
+  return BodyOf(JobMessage::EncodeFrame(job.round, job.client, job.context,
+                                        job.batcher_base, job.init_state));
+}
+
+void ExpectSameTensor(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape().dims(), b.shape().dims());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                           static_cast<size_t>(a.size()) * sizeof(float)));
+}
+
+TEST(WireBodies, JobAndResultRoundTrip) {
+  const JobMessage job = MakeJob();
+  const std::vector<uint8_t> job_body = JobBody(job);
+  EXPECT_EQ(job_body.size(), kJobData + 42 * sizeof(float));
+  const JobMessage job_back = JobMessage::Decode(job_body);
+  EXPECT_EQ(job_back.round, job.round);
+  EXPECT_EQ(job_back.client, job.client);
+  EXPECT_EQ(job_back.context, job.context);
+  EXPECT_EQ(job_back.batcher_base, job.batcher_base);
+  ExpectSameTensor(job_back.init_state, job.init_state);
+
+  const ResultMessage result = MakeResult();
+  const std::vector<uint8_t> result_body = BodyOf(result.EncodeFrame());
+  EXPECT_EQ(result_body.size(), kResultData + 42 * sizeof(float));
+  const ResultMessage result_back = ResultMessage::Decode(result_body);
+  EXPECT_EQ(result_back.round, result.round);
+  EXPECT_EQ(result_back.client, result.client);
+  EXPECT_EQ(result_back.loss, result.loss);
+  ExpectSameTensor(result_back.state, result.state);
+}
+
+TEST(WireBodiesDeathTest, JobRejectsInflatedFields) {
+  const std::vector<uint8_t> body = JobBody(MakeJob());
+  std::vector<uint8_t> hostile = body;
+  Poke<uint32_t>(&hostile, kJobContextLen, 0xFFFFFFFFu);
+  EXPECT_DEATH(JobMessage::Decode(hostile),
+               "JOB decoder: context length 4294967295 exceeds");
+  hostile = body;
+  Poke<uint32_t>(&hostile, kJobBatcherLen, 0xFFFFFFFFu);
+  EXPECT_DEATH(JobMessage::Decode(hostile),
+               "JOB decoder: batcher_base length 4294967295 exceeds");
+  hostile = body;
+  Poke<int64_t>(&hostile, kJobRank, 9);
+  EXPECT_DEATH(JobMessage::Decode(hostile), "JOB decoder: init_state rank 9");
+  hostile = body;
+  Poke<int64_t>(&hostile, kJobDims, int64_t{1} << 40);
+  EXPECT_DEATH(JobMessage::Decode(hostile),
+               "JOB decoder: init_state dim 0 .1099511627776. outside");
+  hostile = body;
+  Poke<int64_t>(&hostile, kJobDims + 8, -1);
+  EXPECT_DEATH(JobMessage::Decode(hostile),
+               "JOB decoder: init_state dim 1 .-1. outside");
+  EXPECT_DEATH(JobMessage::Decode(WithOverflowingShape(body, kJobRank)),
+               "JOB decoder: init_state element count overflows int64");
+  hostile = body;
+  hostile.push_back(0);
+  EXPECT_DEATH(JobMessage::Decode(hostile), "JOB decoder: 1 trailing bytes");
+}
+
+TEST(WireBodiesDeathTest, JobRejectsTruncationAtEveryField) {
+  const std::vector<uint8_t> body = JobBody(MakeJob());
+  const struct {
+    size_t keep;
+    const char* error;
+  } cuts[] = {
+      {0, "JOB decoder: round truncated"},
+      {4, "JOB decoder: client truncated"},
+      {kJobContextLen, "JOB decoder: context truncated"},
+      {kJobContextLen + 4, "JOB decoder: context length 12 exceeds"},
+      {kJobBatcherLen, "JOB decoder: batcher_base truncated"},
+      {kJobBatcherLen + 4, "JOB decoder: batcher_base length 20 exceeds"},
+      {kJobRank, "JOB decoder: init_state truncated"},
+      {kJobDims, "JOB decoder: init_state truncated"},
+      {kJobDims + 8, "JOB decoder: init_state truncated"},
+      {kJobData, "JOB decoder: init_state dim 0 .6. outside"},
+      {body.size() - 1, "JOB decoder: init_state shape holds 42 floats"},
+  };
+  for (const auto& cut : cuts) {
+    const std::vector<uint8_t> prefix(
+        body.begin(), body.begin() + static_cast<std::ptrdiff_t>(cut.keep));
+    EXPECT_DEATH(JobMessage::Decode(prefix), cut.error)
+        << "JOB body cut to " << cut.keep << " bytes";
+  }
+}
+
+TEST(WireBodiesDeathTest, ResultRejectsInflatedFields) {
+  const std::vector<uint8_t> body = BodyOf(MakeResult().EncodeFrame());
+  std::vector<uint8_t> hostile = body;
+  Poke<int64_t>(&hostile, kResultRank, 9);
+  EXPECT_DEATH(ResultMessage::Decode(hostile), "RESULT decoder: state rank 9");
+  hostile = body;
+  Poke<int64_t>(&hostile, kResultDims + 8, int64_t{1} << 40);
+  EXPECT_DEATH(ResultMessage::Decode(hostile),
+               "RESULT decoder: state dim 1 .1099511627776. outside");
+  EXPECT_DEATH(ResultMessage::Decode(WithOverflowingShape(body, kResultRank)),
+               "RESULT decoder: state element count overflows int64");
+  hostile = body;
+  hostile.push_back(0);
+  EXPECT_DEATH(ResultMessage::Decode(hostile),
+               "RESULT decoder: 1 trailing bytes");
+}
+
+TEST(WireBodiesDeathTest, ResultRejectsTruncationAtEveryField) {
+  const std::vector<uint8_t> body = BodyOf(MakeResult().EncodeFrame());
+  const struct {
+    size_t keep;
+    const char* error;
+  } cuts[] = {
+      {0, "RESULT decoder: round truncated"},
+      {4, "RESULT decoder: client truncated"},
+      {8, "RESULT decoder: loss truncated"},
+      {kResultRank, "RESULT decoder: state truncated"},
+      {kResultDims, "RESULT decoder: state truncated"},
+      {kResultDims + 8, "RESULT decoder: state truncated"},
+      {kResultData, "RESULT decoder: state dim 0 .6. outside"},
+      {body.size() - 1, "RESULT decoder: state shape holds 42 floats"},
+  };
+  for (const auto& cut : cuts) {
+    const std::vector<uint8_t> prefix(
+        body.begin(), body.begin() + static_cast<std::ptrdiff_t>(cut.keep));
+    EXPECT_DEATH(ResultMessage::Decode(prefix), cut.error)
+        << "RESULT body cut to " << cut.keep << " bytes";
+  }
 }
 
 // ---- FlMessage framing under the same corruption modes ----

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -36,6 +37,7 @@
 #include "net/fault_proxy.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/trace.h"
 #include "serve/protocol.h"
 #include "serve/remote_executor.h"
 #include "serve/scenario.h"
@@ -135,15 +137,6 @@ int AwaitPortFile(const std::string& port_file, int timeout_ms = 20000) {
     usleep(20 * 1000);
   }
   return -1;
-}
-
-bool AwaitLogContains(const std::string& log_path, const std::string& needle,
-                      int timeout_ms = 20000) {
-  for (int waited = 0; waited < timeout_ms; waited += 10) {
-    if (ReadFileText(log_path).find(needle) != std::string::npos) return true;
-    usleep(10 * 1000);
-  }
-  return false;
 }
 
 // ---- the sim oracle ----
@@ -342,6 +335,13 @@ TEST(ServeDifferential, MatrixMatchesOracle) {
   }
 }
 
+net::TcpConnection RetryConnect(int port) {
+  BackoffPolicy policy;
+  policy.initial_ms = 1.0;
+  policy.max_ms = 10.0;
+  return net::TcpConnection::ConnectWithRetry("127.0.0.1", port, 200, policy);
+}
+
 // SIGTERM mid-run flushes an off-cadence checkpoint; a fresh deployment
 // resuming from it reproduces the uninterrupted oracle byte for byte.
 TEST(ServeDifferential, SigtermCheckpointThenResumeMatchesOracle) {
@@ -355,9 +355,13 @@ TEST(ServeDifferential, SigtermCheckpointThenResumeMatchesOracle) {
   const std::string ck = TempPath("sigterm.ck");
   std::remove(ck.c_str());
 
-  // Phase 1: deploy, let it pass round 1, SIGTERM the server. It must
-  // finish the round in flight, write the checkpoint, release the
-  // workers, and exit 0.
+  // Phase 1: deploy, SIGTERM the server in round 0. It must finish the
+  // round in flight, write the checkpoint, release the workers, and exit
+  // 0. Worker 1 reaches the server through a frame relay in this process,
+  // so the signal lands at a fixed point of the protocol, not after a
+  // wall-clock wait: the first JOB the relay sees proves the server is
+  // past the handshake (its signal handler installed), and round 0
+  // cannot finish until the relay forwards that JOB.
   {
     const std::string port_file = TempPath("sigterm1.port");
     const std::string server_log = TempPath("sigterm1_server.log");
@@ -369,29 +373,49 @@ TEST(ServeDifferential, SigtermCheckpointThenResumeMatchesOracle) {
     const pid_t server = Spawn(RFED_SERVER_BIN, server_args, server_log);
     const int port = AwaitPortFile(port_file);
     ASSERT_GT(port, 0);
+    net::TcpListener relay("127.0.0.1", 0);
     std::vector<pid_t> workers;
     for (int w = 0; w < 2; ++w) {
+      const int target = w == 0 ? port : relay.bound_port();
       std::vector<std::string> worker_args = scenario;
       worker_args.insert(worker_args.end(),
-                         {"--connect", "127.0.0.1:" + std::to_string(port),
+                         {"--connect", "127.0.0.1:" + std::to_string(target),
                           "--worker_id", std::to_string(w), "--workers",
                           "2"});
       workers.push_back(Spawn(RFED_WORKER_BIN, worker_args,
                               TempPath("sigterm1_worker" +
                                        std::to_string(w) + ".log")));
     }
-    ASSERT_TRUE(AwaitLogContains(server_log, " round 1 "))
-        << "server never reached round 1; log:\n" << ReadFileText(server_log);
-    kill(server, SIGTERM);
+    net::TcpConnection worker_link = relay.Accept();
+    ASSERT_TRUE(worker_link.valid());
+    net::TcpConnection server_link = RetryConnect(port);
+    ASSERT_TRUE(server_link.valid());
+    std::thread upstream([&] {
+      uint8_t buffer[65536];
+      int64_t got;
+      while ((got = worker_link.RecvSome(buffer, sizeof(buffer))) > 0) {
+        if (!server_link.SendAll(buffer, static_cast<size_t>(got))) break;
+      }
+    });
+    net::FrameAssembler assembler;
+    net::Frame frame;
+    int jobs = 0;
+    while (net::RecvFrame(&server_link, &assembler, &frame)) {
+      if (frame.type == net::FrameType::kJob && jobs++ == 0) {
+        kill(server, SIGTERM);
+      }
+      if (!net::SendFrame(&worker_link, frame.type, frame.payload)) break;
+    }
+    EXPECT_GT(jobs, 0) << "worker 1 never received a JOB";
     EXPECT_EQ(WaitForExit(server), 0)
         << "server log:\n" << ReadFileText(server_log);
     for (pid_t w : workers) EXPECT_EQ(WaitForExit(w), 0);
+    upstream.join();
     ASSERT_FALSE(ReadFileText(ck).empty())
         << "no checkpoint written on SIGTERM";
     const RunCheckpoint saved = RunCheckpoint::Load(ck);
-    EXPECT_GT(saved.next_round, 0);
-    EXPECT_LT(saved.next_round, kRounds)
-        << "server finished before the signal landed — nothing resumed";
+    EXPECT_EQ(saved.next_round, 1)
+        << "the stop did not land at the end of round 0";
   }
 
   // Phase 2: a brand-new deployment resumes from the checkpoint; its
@@ -412,17 +436,11 @@ TEST(ServeDifferential, SigtermCheckpointThenResumeMatchesOracle) {
 // inherits columns (e.g. SCAFFOLD's comm.*.control) that the fresh
 // rfed_server process never registers.
 
-net::TcpConnection RetryConnect(int port) {
-  BackoffPolicy policy;
-  policy.initial_ms = 1.0;
-  policy.max_ms = 10.0;
-  return net::TcpConnection::ConnectWithRetry("127.0.0.1", port, 200, policy);
-}
-
 // The chaos differential: three workers behind a seeded FaultProxy whose
 // plans sever two of the connections mid-run (after their 2nd and 3rd
 // worker->server frames, i.e. during the early rounds). The killed
-// workers' processes see EOF and rejoin through the proxy; the server
+// workers' processes see EOF and rejoin through the proxy, while the
+// server is held until their rejoin connections arrive; the server
 // reassigns whatever jobs the dead connections still owed. The final
 // model and the masked CSV must STILL be byte-identical to the fault-free
 // in-process oracle — worker death is invisible to the trajectory.
@@ -462,10 +480,17 @@ TEST(ServeChaos, WorkerKillsMatrixMatchesOracle) {
       // Seeded kill plan: whichever workers land on connections 0 and 1
       // die after forwarding their HELLO plus one / two RESULT frames.
       // Rejoin connections get fresh indices with no plan and survive.
+      // Each kill freezes the server before the killing frame reaches
+      // it, and the loop below thaws it only once every killed worker's
+      // rejoin connection is queued on its listener. A later round still
+      // needs results then, so the server polls the listener again and
+      // takes the rejoin before it can finish the run, however fast the
+      // rounds are.
       net::FaultPlan kill_early;
       kill_early.kill_after_frames = 2;
+      kill_early.on_kill = [server] { kill(server, SIGSTOP); };
       proxy.SetPlan(0, kill_early);
-      net::FaultPlan kill_later;
+      net::FaultPlan kill_later = kill_early;
       kill_later.kill_after_frames = 3;
       proxy.SetPlan(1, kill_later);
 
@@ -481,6 +506,21 @@ TEST(ServeChaos, WorkerKillsMatrixMatchesOracle) {
                                 TempPath(tag + "_worker" + std::to_string(w) +
                                          ".log")));
       }
+      for (int waited = 0, thawed = 0; thawed < 2; ++waited) {
+        const int killed = proxy.killed_connections();
+        if (killed > thawed && proxy.accepted_connections() >= 3 + killed) {
+          kill(server, SIGCONT);
+          thawed = killed;
+        } else if (waited > 20000) {
+          ADD_FAILURE() << killed << " kills, "
+                        << proxy.accepted_connections()
+                        << " connections after 20 s";
+          break;
+        } else {
+          usleep(1000);
+        }
+      }
+      kill(server, SIGCONT);
       EXPECT_EQ(WaitForExit(server), 0)
           << "server exited uncleanly; log:\n" << ReadFileText(server_log);
       for (int w = 0; w < 3; ++w) {
@@ -502,22 +542,17 @@ TEST(ServeChaos, WorkerKillsMatrixMatchesOracle) {
   }
 }
 
-// In-process loopback: RemoteExecutor on the server side, RunWorkerLoop
-// on a std::thread, real localhost sockets in between — the whole serve
-// path under this binary's sanitizers, no fork/exec. Ordering note: the
-// oracle trains first so the process-global metrics registry holds the
-// identical column set when each run's CSV is written.
-TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
-  const std::vector<std::string> flags = TinyScenarioFlags("Scaffold", 3);
-  TrainerOptions options;
-  options.eval_every = 1;
-  options.eval_max_examples = 400;
+// One in-process loopback run: RemoteExecutor on the server side,
+// RunWorkerLoop on a std::thread, real localhost sockets in between —
+// the whole serve path under this binary's sanitizers, no fork/exec.
+struct LoopbackRun {
+  RunHistory history;
+  Tensor global_state;
+  serve::ServeStats stats;
+};
 
-  serve::Scenario oracle = BuildFromArgs(flags);
-  FederatedTrainer oracle_trainer(oracle.algorithm.get(), oracle.test.get(),
-                                  options);
-  RunHistory oracle_history = oracle_trainer.Run(oracle.rounds);
-
+LoopbackRun RunLoopback(const std::vector<std::string>& flags,
+                        const TrainerOptions& options) {
   serve::Scenario server_side = BuildFromArgs(flags);
   serve::Scenario worker_side = BuildFromArgs(flags);
   std::vector<uint8_t> state_blob;
@@ -546,24 +581,67 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
   server_side.algorithm->set_train_executor(&executor);
   FederatedTrainer serve_trainer(server_side.algorithm.get(),
                                  server_side.test.get(), options);
-  RunHistory serve_history = serve_trainer.Run(server_side.rounds);
+  LoopbackRun run;
+  run.history = serve_trainer.Run(server_side.rounds);
   executor.Shutdown();
   worker.join();
+  run.global_state = server_side.algorithm->global_state();
+  run.stats = executor.stats();
+  return run;
+}
 
-  EXPECT_GT(executor.stats().jobs_sent, 0);
-  EXPECT_EQ(executor.stats().jobs_sent, executor.stats().results_received);
+// The loopback run matches the oracle, and a traced run records the
+// wire spans — JOB encode and RESULT decode on the server, JOB decode
+// and RESULT encode on the worker — without moving a byte. Ordering
+// note: the oracle trains first so the process-global metrics registry
+// holds the identical column set when each run's CSV is written.
+TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
+  const std::vector<std::string> flags = TinyScenarioFlags("Scaffold", 3);
+  TrainerOptions options;
+  options.eval_every = 1;
+  options.eval_max_examples = 400;
+
+  serve::Scenario oracle = BuildFromArgs(flags);
+  FederatedTrainer oracle_trainer(oracle.algorithm.get(), oracle.test.get(),
+                                  options);
+  RunHistory oracle_history = oracle_trainer.Run(oracle.rounds);
+
+  const LoopbackRun served = RunLoopback(flags, options);
+  EXPECT_GT(served.stats.jobs_sent, 0);
+  EXPECT_EQ(served.stats.jobs_sent, served.stats.results_received);
 
   const std::string oracle_csv = TempPath("loopback_oracle.csv");
   const std::string serve_csv = TempPath("loopback_serve.csv");
   SaveHistoryCsv(oracle_history, oracle_csv);
-  SaveHistoryCsv(serve_history, serve_csv);
+  SaveHistoryCsv(served.history, serve_csv);
   ExpectCsvEquivalent(serve_csv, oracle_csv);
 
   const std::string oracle_model = TempPath("loopback_oracle.model");
   const std::string serve_model = TempPath("loopback_serve.model");
   SaveTensorToFile(oracle.algorithm->global_state(), oracle_model);
-  SaveTensorToFile(server_side.algorithm->global_state(), serve_model);
+  SaveTensorToFile(served.global_state, serve_model);
   ExpectFilesIdentical(serve_model, oracle_model);
+
+  obs::ClearTrace();
+  obs::EnableTracing(true);
+  const LoopbackRun traced = RunLoopback(flags, options);
+  obs::EnableTracing(false);
+  int64_t encodes = 0;
+  int64_t decodes = 0;
+  for (const obs::LaneTrace& lane : obs::CollectTrace()) {
+    for (const obs::TraceEvent& e : lane.events) {
+      encodes += std::strcmp(e.name, "wire_encode") == 0 ? 1 : 0;
+      decodes += std::strcmp(e.name, "wire_decode") == 0 ? 1 : 0;
+    }
+  }
+  obs::ClearTrace();
+  // One JOB and one RESULT per job; nothing was reassigned.
+  EXPECT_EQ(traced.stats.jobs_sent, served.stats.jobs_sent);
+  EXPECT_EQ(encodes, 2 * traced.stats.jobs_sent);
+  EXPECT_EQ(decodes, 2 * traced.stats.jobs_sent);
+  const std::string traced_model = TempPath("loopback_traced.model");
+  SaveTensorToFile(traced.global_state, traced_model);
+  ExpectFilesIdentical(traced_model, serve_model);
 }
 
 // A worker whose scenario flags differ (here: a different seed) must be
