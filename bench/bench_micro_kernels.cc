@@ -18,6 +18,17 @@
 // "flops" count one operation per element (per pooled window for the
 // pool), so "gflops" reads as billions of elements per second.
 //
+// The mnist_round_* rows are the eight GEMMs of one local step of the
+// served MLP (roundbench/, mnist_mlp_fedavg_serve: 144-64-32-10 at batch
+// 8): each layer's forward, weight gradient (GemmTransAAdd) and input
+// gradient (GemmTransBAssign; the first layer's input needs none). The
+// sent140_round_* and cifar_round_fc_* rows are the LSTM gate products
+// at its batch of 10 and the CNN's first fully connected layer at the
+// training and δ-map batches. The elementwise_* rows run each
+// element-wise kernel over 11,690 floats, the MLP's parameter count
+// (sum_rows as 10 rows of 1,169), against the scalar loop it replaced;
+// like the activation rows they count one operation per element.
+//
 // Caveat for absolute speedups: the reference baseline is the *fused*
 // canonical reference (std::fmaf per step), which compiles to a libm
 // call in this TU — it is several times slower than the pre-fusion
@@ -96,7 +107,17 @@ enum class Kind {
   kReluFwd,
   kReluBwd,
   kPoolFwd,
-  kPoolBwd
+  kPoolBwd,
+  // The element-wise kinds come last (IsElementwise).
+  kAdd,
+  kSub,
+  kScale,
+  kAxpy,
+  kFill,
+  kSumRows,
+  kSgd,
+  kSgdMomentum,
+  kRmsProp
 };
 
 const char* KindName(Kind k) {
@@ -111,16 +132,31 @@ const char* KindName(Kind k) {
     case Kind::kReluBwd: return "relu_backward";
     case Kind::kPoolFwd: return "maxpool2x2_forward";
     case Kind::kPoolBwd: return "maxpool2x2_backward";
+    case Kind::kAdd: return "add";
+    case Kind::kSub: return "sub";
+    case Kind::kScale: return "scale";
+    case Kind::kAxpy: return "axpy";
+    case Kind::kFill: return "fill";
+    case Kind::kSumRows: return "sum_rows";
+    case Kind::kSgd: return "sgd_step";
+    case Kind::kSgdMomentum: return "sgd_momentum_step";
+    case Kind::kRmsProp: return "rmsprop_step";
   }
   return "?";
 }
 
-/// Every kind but the GEMMs is described by a conv shape: the conv
-/// itself, or the conv whose output the activation op reads.
-bool HasConvShape(Kind k) {
-  return k != Kind::kGemmAdd && k != Kind::kGemmTransA &&
-         k != Kind::kGemmTransB;
+bool IsGemm(Kind k) {
+  return k == Kind::kGemmAdd || k == Kind::kGemmTransA ||
+         k == Kind::kGemmTransB;
 }
+
+/// The element-wise kinds run over m rows of n floats (m = 1 but for
+/// sum_rows).
+bool IsElementwise(Kind k) { return k >= Kind::kAdd; }
+
+/// The other kinds are described by a conv shape: the conv itself, or
+/// the conv whose output the activation op reads.
+bool HasConvShape(Kind k) { return !IsGemm(k) && !IsElementwise(k); }
 
 struct Case {
   const char* name;
@@ -206,6 +242,56 @@ std::vector<Case> Sweep() {
                          : "cifar_round_conv2_relu_fwd_b150",
                      Kind::kConvReluFwd, 0, 0, 0, conv2, true});
   }
+  // The served MLP's step at batch 8. Forward: {batch, in, out}; dw
+  // (TransA, A = x [batch, in], B = g [batch, out]): {batch, in, out};
+  // dx (TransB, C [batch, in] = g [batch, out] W [in, out]^T):
+  // {batch, in, out} as (m, k, n).
+  cases.push_back({"mnist_round_fc1_fwd_b8", Kind::kGemmAdd, 8, 144, 64, {},
+                   true});
+  cases.push_back({"mnist_round_fc2_fwd_b8", Kind::kGemmAdd, 8, 64, 32, {},
+                   true});
+  cases.push_back({"mnist_round_fc3_fwd_b8", Kind::kGemmAdd, 8, 32, 10, {},
+                   true});
+  cases.push_back({"mnist_round_fc3_dw_b8", Kind::kGemmTransA, 8, 32, 10, {},
+                   true});
+  cases.push_back({"mnist_round_fc3_dx_b8", Kind::kGemmTransB, 8, 32, 10, {},
+                   true});
+  cases.push_back({"mnist_round_fc2_dw_b8", Kind::kGemmTransA, 8, 64, 32, {},
+                   true});
+  cases.push_back({"mnist_round_fc2_dx_b8", Kind::kGemmTransB, 8, 64, 32, {},
+                   true});
+  cases.push_back({"mnist_round_fc1_dw_b8", Kind::kGemmTransA, 8, 144, 64, {},
+                   true});
+  // The Sent140 LSTM's gate products (embedding 8, hidden 16, 4 gates)
+  // and the CIFAR CNN's first fully connected layer (72 -> 16).
+  cases.push_back({"sent140_round_gates_x_b10", Kind::kGemmAdd, 10, 8, 64, {},
+                   true});
+  cases.push_back({"sent140_round_gates_h_b10", Kind::kGemmAdd, 10, 16, 64, {},
+                   true});
+  cases.push_back({"cifar_round_fc_fwd_b24", Kind::kGemmAdd, 24, 72, 16, {},
+                   true});
+  cases.push_back({"cifar_round_fc_fwd_b150", Kind::kGemmAdd, 150, 72, 16, {},
+                   true});
+  // The element-wise kernels over the MLP's 11,690 parameters.
+  const struct {
+    const char* name;
+    Kind kind;
+  } elementwise[] = {
+      {"elementwise_add_11690", Kind::kAdd},
+      {"elementwise_sub_11690", Kind::kSub},
+      {"elementwise_scale_11690", Kind::kScale},
+      {"elementwise_axpy_11690", Kind::kAxpy},
+      {"elementwise_fill_11690", Kind::kFill},
+      {"elementwise_sum_rows_11690", Kind::kSumRows},
+      {"elementwise_sgd_11690", Kind::kSgd},
+      {"elementwise_sgd_momentum_11690", Kind::kSgdMomentum},
+      {"elementwise_rmsprop_11690", Kind::kRmsProp},
+  };
+  for (const auto& e : elementwise) {
+    const bool rows = e.kind == Kind::kSumRows;
+    cases.push_back({e.name, e.kind, rows ? 10 : 1, 0, rows ? 1169 : 11690, {},
+                     true});
+  }
   return cases;
 }
 
@@ -237,8 +323,9 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kPoolFwd:
     case Kind::kPoolBwd:
       return ActivationSize(c.conv) / 4;
+    default:  // element-wise
+      return c.m * c.n;
   }
-  return 0;
 }
 
 /// The scalar max-pool the branch-free kernel replaced: absolute int64
@@ -281,6 +368,9 @@ bool SameBits(const float* x, const float* y, size_t n) {
 /// One benchmark case's buffers plus ref/opt runners over them.
 struct Workbench {
   std::vector<float> a, b, bias, out_ref, out_opt, dx, dw, db;
+  // Element-wise kinds: the optimizer state (velocity / mean square) of
+  // each path.
+  std::vector<float> state_ref, state_opt;
   // Max-pool kinds: input / upstream grad as tensors, each path's
   // bookkeeping, and each path's result.
   Tensor pool_x, pool_g, pool_ref, pool_opt;
@@ -357,8 +447,84 @@ struct Workbench {
         pool_opt = MaxPool2x2Forward(pool_x, &window);
         break;
       }
+      default:  // element-wise: a is x (or the rows), b is y / the grad
+        a = Fill(c.m * c.n, 1.0f, 0.3f);
+        b = Fill(c.m * c.n, 0.5f, 1.1f);
+        out_ref = Fill(c.n, 0.2f, 2.3f);
+        state_ref = Fill(c.n, 0.1f, 0.7f);
+        for (float& v : state_ref) v = std::fabs(v);
+        state_opt = state_ref;
+        break;
     }
     out_opt = out_ref;
+  }
+
+  /// The element-wise kinds: the kernel, or the scalar loop it replaced.
+  /// Scale multiplies by -1 so that repeated timing passes never reach
+  /// denormals.
+  void RunElementwise(const Case& c, bool optimized) {
+    float* x = optimized ? out_opt.data() : out_ref.data();
+    float* st = optimized ? state_opt.data() : state_ref.data();
+    const float* y = b.data();
+    const int64_t n = c.n;
+    const SgdStep sgd{0.05f, 1e-4f, c.kind == Kind::kSgdMomentum ? 0.9f : 0.0f};
+    const RmsPropStep rms{0.01f, 0.99f, 1e-8f};
+    if (optimized) {
+      switch (c.kind) {
+        case Kind::kAdd: AddKernel(x, y, n); break;
+        case Kind::kSub: SubKernel(x, y, n); break;
+        case Kind::kScale: ScaleKernel(x, -1.0f, n); break;
+        case Kind::kAxpy: AxpyKernel(x, 0.01f, y, n); break;
+        case Kind::kFill: FillKernel(x, 0.0f, n); break;
+        case Kind::kSumRows: SumRowsKernel(a.data(), c.m, n, x); break;
+        case Kind::kSgd: SgdStepKernel(x, y, nullptr, n, sgd); break;
+        case Kind::kSgdMomentum: SgdStepKernel(x, y, st, n, sgd); break;
+        case Kind::kRmsProp: RmsPropStepKernel(x, y, st, n, rms); break;
+        default: break;
+      }
+      return;
+    }
+    switch (c.kind) {
+      case Kind::kAdd:
+        for (int64_t i = 0; i < n; ++i) x[i] += y[i];
+        break;
+      case Kind::kSub:
+        for (int64_t i = 0; i < n; ++i) x[i] -= y[i];
+        break;
+      case Kind::kScale:
+        for (int64_t i = 0; i < n; ++i) x[i] *= -1.0f;
+        break;
+      case Kind::kAxpy:
+        for (int64_t i = 0; i < n; ++i) x[i] += 0.01f * y[i];
+        break;
+      case Kind::kFill:
+        for (int64_t i = 0; i < n; ++i) x[i] = 0.0f;
+        break;
+      case Kind::kSumRows:
+        for (int64_t r = 0; r < c.m; ++r) {
+          for (int64_t i = 0; i < n; ++i) x[i] += a[r * n + i];
+        }
+        break;
+      case Kind::kSgd:
+        for (int64_t i = 0; i < n; ++i) {
+          x[i] -= sgd.lr * (y[i] + sgd.weight_decay * x[i]);
+        }
+        break;
+      case Kind::kSgdMomentum:
+        for (int64_t i = 0; i < n; ++i) {
+          st[i] = sgd.momentum * st[i] + y[i] + sgd.weight_decay * x[i];
+          x[i] -= sgd.lr * st[i];
+        }
+        break;
+      case Kind::kRmsProp:
+        for (int64_t i = 0; i < n; ++i) {
+          st[i] = rms.alpha * st[i] + (1.0f - rms.alpha) * y[i] * y[i];
+          x[i] -= rms.lr * y[i] / (std::sqrt(st[i]) + rms.eps);
+        }
+        break;
+      default:
+        break;
+    }
   }
 
   /// Runs the case once; `optimized` picks the blocked vs ref kernel.
@@ -366,6 +532,10 @@ struct Workbench {
   /// float work is identical each pass); bitwise comparison below resets
   /// the buffers itself.
   void Run(const Case& c, bool optimized) {
+    if (IsElementwise(c.kind)) {
+      RunElementwise(c, optimized);
+      return;
+    }
     float* out = optimized ? out_opt.data() : out_ref.data();
     switch (c.kind) {
       case Kind::kGemmAdd:
@@ -438,6 +608,8 @@ struct Workbench {
           pool_ref = RefMaxPoolBackward(pool_g, pool_x.shape(), argmax);
         }
         break;
+      default:
+        break;
     }
   }
 
@@ -465,6 +637,16 @@ struct Workbench {
         return SameBits(x.data(), y.data(), x.size());
       };
       return same(rdx, dx) && same(rdw, dw) && same(rdb, db);
+    }
+    if (IsElementwise(c.kind)) {
+      // From equal starting values, both paths must agree on the output
+      // and on the optimizer state.
+      out_opt = out_ref;
+      state_opt = state_ref;
+      Run(c, /*optimized=*/false);
+      Run(c, /*optimized=*/true);
+      return SameBits(out_ref.data(), out_opt.data(), out_ref.size()) &&
+             SameBits(state_ref.data(), state_opt.data(), state_ref.size());
     }
     std::fill(out_ref.begin(), out_ref.end(), 0.0f);
     std::fill(out_opt.begin(), out_opt.end(), 0.0f);
@@ -534,6 +716,10 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
       if (r.c.kind == Kind::kConvBwd) {
         std::fprintf(f, "      \"dx\": %s,\n", r.c.dx ? "true" : "false");
       }
+    } else if (IsElementwise(r.c.kind)) {
+      std::fprintf(f, "      \"shape\": {\"rows\": %lld, \"cols\": %lld},\n",
+                   static_cast<long long>(r.c.m),
+                   static_cast<long long>(r.c.n));
     } else {
       std::fprintf(f, "      \"shape\": {\"m\": %lld, \"k\": %lld, \"n\": %lld},\n",
                    static_cast<long long>(r.c.m), static_cast<long long>(r.c.k),

@@ -1,7 +1,7 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
+#include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace rfed {
@@ -22,25 +22,17 @@ SgdOptimizer::SgdOptimizer(std::vector<Variable*> params, double lr,
 }
 
 void SgdOptimizer::Step() {
-  const float lr = static_cast<float>(lr_);
-  const float wd = static_cast<float>(weight_decay_);
-  const float mom = static_cast<float>(momentum_);
+  obs::TraceSpan span("optimizer_step");
+  SgdStep step;
+  step.lr = static_cast<float>(lr_);
+  step.weight_decay = static_cast<float>(weight_decay_);
+  step.momentum = static_cast<float>(momentum_);
   for (size_t i = 0; i < params_.size(); ++i) {
     Variable* p = params_[i];
     if (!p->has_grad()) continue;
     Tensor& w = p->mutable_value();
-    const Tensor& g = p->grad();
-    if (mom == 0.0f) {
-      for (int64_t j = 0; j < w.size(); ++j) {
-        w.at(j) -= lr * (g.at(j) + wd * w.at(j));
-      }
-    } else {
-      Tensor& v = velocity_[i];
-      for (int64_t j = 0; j < w.size(); ++j) {
-        v.at(j) = mom * v.at(j) + g.at(j) + wd * w.at(j);
-        w.at(j) -= lr * v.at(j);
-      }
-    }
+    float* v = step.momentum == 0.0f ? nullptr : velocity_[i].data();
+    SgdStepKernel(w.data(), p->grad().data(), v, w.size(), step);
   }
 }
 
@@ -52,20 +44,17 @@ RmsPropOptimizer::RmsPropOptimizer(std::vector<Variable*> params, double lr,
 }
 
 void RmsPropOptimizer::Step() {
-  const float lr = static_cast<float>(lr_);
-  const float alpha = static_cast<float>(alpha_);
-  const float eps = static_cast<float>(eps_);
+  obs::TraceSpan span("optimizer_step");
+  RmsPropStep step;
+  step.lr = static_cast<float>(lr_);
+  step.alpha = static_cast<float>(alpha_);
+  step.eps = static_cast<float>(eps_);
   for (size_t i = 0; i < params_.size(); ++i) {
     Variable* p = params_[i];
     if (!p->has_grad()) continue;
     Tensor& w = p->mutable_value();
-    const Tensor& g = p->grad();
-    Tensor& ms = mean_square_[i];
-    for (int64_t j = 0; j < w.size(); ++j) {
-      const float gj = g.at(j);
-      ms.at(j) = alpha * ms.at(j) + (1.0f - alpha) * gj * gj;
-      w.at(j) -= lr * gj / (std::sqrt(ms.at(j)) + eps);
-    }
+    RmsPropStepKernel(w.data(), p->grad().data(), mean_square_[i].data(),
+                      w.size(), step);
   }
 }
 

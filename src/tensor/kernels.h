@@ -10,7 +10,9 @@ namespace rfed {
 //
 // This layer owns the hot inner loops of the simulator: the three GEMM
 // variants every Linear/LSTM forward and backward bottoms out in, the
-// Conv2d forward and backward, and the ReLU. The kernels are
+// Conv2d forward and backward, the ReLU and the element-wise loops of
+// the training step (tensor arithmetic, the optimizer updates). The
+// kernels are
 // cache-blocked and vectorized with explicit SIMD register tiles
 // (AVX2+FMA where the CPU has it, a portable soft-fma fallback
 // everywhere else, dispatched at runtime), and can optionally run
@@ -93,10 +95,6 @@ struct KernelOptions {
   /// Minimum 2*m*k*n FLOP count before a GEMM fans out to the pool;
   /// below it threading overhead dominates.
   int64_t parallel_min_flops = 1 << 21;
-  /// Minimum FLOP count before the blocked/packed path engages; tiny
-  /// products run the naive reference directly (identical bits, no
-  /// packing overhead). Tests set 0 to force the blocked path.
-  int64_t blocked_min_flops = 8192;
   /// SIMD dispatch override; kAuto = best supported.
   KernelIsa isa = KernelIsa::kAuto;
 };
@@ -125,7 +123,7 @@ bool KernelAvx2Available();
 /// scratch is kept for the RunHistory accounting.
 class ScratchArena {
  public:
-  static constexpr int kMaxSlots = 7;
+  static constexpr int kMaxSlots = 6;
   /// The one slot no kernel uses; tests and tools may claim it.
   static constexpr int kSpareSlot = kMaxSlots - 1;
 
@@ -158,11 +156,14 @@ class ScratchArena {
 // ---- Blocked kernels (row-major raw pointers) ----
 // None of the output pointers may alias the inputs.
 
-/// C[m,n] += A[m,k] * B[k,n]. Bit-identical to ref::GemmAdd.
+/// C[m,n] += A[m,k] * B[k,n]. Bit-identical to ref::GemmAdd. Products
+/// with few rows of A or a small B run register tiles that read A and B
+/// where they lie; the others pack (docs/KERNELS.md, "Small products").
 void GemmAdd(const float* a, const float* b, int64_t m, int64_t k, int64_t n,
              float* c);
 
 /// C[k,n] += A[m,k]^T * B[m,n]. Bit-identical to ref::GemmTransAAdd.
+/// Reads A's columns in place; nothing is transposed or packed.
 void GemmTransAAdd(const float* a, const float* b, int64_t m, int64_t k,
                    int64_t n, float* c);
 
@@ -259,14 +260,61 @@ void ReluKernel(const float* x, int64_t n, float* y);
 /// gradient passes where x is NaN (the compare is false).
 void ReluMaskKernel(const float* g, const float* x, int64_t n, float* out);
 
+// ---- Element-wise ----
+// Each element runs the operations of the scalar loop named in its
+// comment, in that order and unfused (the build's -ffp-contract=off
+// forbids contraction), so every table gives the scalar loop's bits,
+// NaN, Inf, -0 and denormals included. Outputs may equal inputs
+// exactly; partial overlap is not allowed.
+
+/// x[i] = x[i] + y[i].
+void AddKernel(float* x, const float* y, int64_t n);
+/// x[i] = x[i] - y[i].
+void SubKernel(float* x, const float* y, int64_t n);
+/// x[i] = x[i] * s.
+void ScaleKernel(float* x, float s, int64_t n);
+/// x[i] = x[i] + s * y[i].
+void AxpyKernel(float* x, float s, const float* y, int64_t n);
+/// x[i] = v.
+void FillKernel(float* x, float v, int64_t n);
+/// out[c] = out[c] + x[r, c] for r = 0, 1, ..., rows - 1: vectorized
+/// across columns, so each column keeps its row order.
+void SumRowsKernel(const float* x, int64_t rows, int64_t cols, float* out);
+
+/// Hyperparameters of one SGD update (see SgdStepKernel).
+struct SgdStep {
+  float lr = 0.0f;
+  float weight_decay = 0.0f;
+  float momentum = 0.0f;
+};
+/// Without velocity (v == nullptr): w[i] = w[i] - lr * (g[i] + wd * w[i]).
+/// With it: v[i] = momentum * v[i] + g[i] + wd * w[i], then
+/// w[i] = w[i] - lr * v[i].
+void SgdStepKernel(float* w, const float* g, float* v, int64_t n,
+                   const SgdStep& step);
+
+/// Hyperparameters of one RMSProp update (see RmsPropStepKernel).
+struct RmsPropStep {
+  float lr = 0.0f;
+  float alpha = 0.0f;
+  float eps = 0.0f;
+};
+/// ms[i] = alpha * ms[i] + (1 - alpha) * g[i] * g[i], then
+/// w[i] = w[i] - lr * g[i] / (sqrt(ms[i]) + eps). IEEE sqrt and division
+/// are correctly rounded in every table.
+void RmsPropStepKernel(float* w, const float* g, float* ms, int64_t n,
+                       const RmsPropStep& step);
+
 // ---- Canonical-order references ----
 // The scalar ground-truth kernels: portable, single-threaded, no
 // blocking, one std::fma(f) per reduction step — the canonical
 // summation order every optimized path must reproduce bit for bit
 // (tests/kernel_test.cc) and the speedup baseline for
-// bench_micro_kernels. These descend from the seed's naive loops; the
-// only numeric change since the seed is the fused rounding, made when
-// the SIMD microkernels landed (goldens regenerated once, see
+// bench_micro_kernels. The GEMM references run on no production path;
+// the conv references serve the shapes the padded grid does not take.
+// These descend from the seed's naive loops; the only numeric change
+// since the seed is the fused rounding, made when the SIMD microkernels
+// landed (goldens regenerated once, see
 // docs/KERNELS.md).
 namespace ref {
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "tensor/buffer_pool.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -130,34 +131,30 @@ float Tensor::ToScalar() const {
 Tensor& Tensor::AddInPlace(const Tensor& other) {
   RFED_CHECK(shape_ == other.shape_)
       << shape_.ToString() << " vs " << other.shape_.ToString();
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  AddKernel(data(), other.data(), size());
   return *this;
 }
 
 Tensor& Tensor::SubInPlace(const Tensor& other) {
   RFED_CHECK(shape_ == other.shape_)
       << shape_.ToString() << " vs " << other.shape_.ToString();
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
+  SubKernel(data(), other.data(), size());
   return *this;
 }
 
 Tensor& Tensor::MulInPlace(float scalar) {
-  for (float& v : data_) v *= scalar;
+  ScaleKernel(data(), scalar, size());
   return *this;
 }
 
 Tensor& Tensor::Axpy(float scalar, const Tensor& other) {
   RFED_CHECK(shape_ == other.shape_)
       << shape_.ToString() << " vs " << other.shape_.ToString();
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scalar * other.data_[i];
-  }
+  AxpyKernel(data(), scalar, other.data(), size());
   return *this;
 }
 
-void Tensor::Fill(float value) {
-  for (float& v : data_) v = value;
-}
+void Tensor::Fill(float value) { FillKernel(data(), value, size()); }
 
 float Tensor::Sum() const {
   double acc = 0.0;

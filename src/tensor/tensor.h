@@ -76,11 +76,12 @@ class Tensor {
   /// Scalar extraction; requires exactly one element.
   float ToScalar() const;
 
-  // ---- In-place arithmetic (shape-checked) ----
+  // ---- In-place arithmetic (shape-checked; the element-wise kernels
+  // of tensor/kernels.h, bit-identical to the scalar loops) ----
   Tensor& AddInPlace(const Tensor& other);
   Tensor& SubInPlace(const Tensor& other);
   Tensor& MulInPlace(float scalar);
-  /// this += scalar * other  (fused multiply-add over all elements).
+  /// this += scalar * other (a multiply, then an add: never fused).
   Tensor& Axpy(float scalar, const Tensor& other);
   void Fill(float value);
 

@@ -181,10 +181,7 @@ Tensor SumRows(const Tensor& x) {
   RFED_CHECK_EQ(x.rank(), 2);
   const int64_t rows = x.dim(0), cols = x.dim(1);
   Tensor out(Shape{cols});
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = x.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) out.at(c) += row[c];
-  }
+  SumRowsKernel(x.data(), rows, cols, out.data());
   return out;
 }
 

@@ -248,7 +248,8 @@ TEST_F(ObsTest, SpanCountsInvariantAcrossThreadCounts) {
   for (const char* name :
        {"round", "select", "broadcast", "local_train", "upload", "aggregate",
         "evaluate", "mmd_penalty", "map_broadcast", "map_sync", "backward",
-        "relu_fwd", "relu_bwd", "maxpool_fwd", "maxpool_bwd"}) {
+        "optimizer_step", "relu_fwd", "relu_bwd", "maxpool_fwd",
+        "maxpool_bwd"}) {
     EXPECT_GT(serial.count(name), 0u) << name;
   }
   EXPECT_GE(serial.size(), 6u);

@@ -34,6 +34,23 @@ TEST(RobustAggTest, AllFiniteDetectsNanAndInf) {
   EXPECT_FALSE(AllFinite(Tensor(Shape{3}, {1.0f, kNan, 0.0f})));
   EXPECT_FALSE(AllFinite(Tensor(Shape{3}, {1.0f, -2.0f, kInf})));
   EXPECT_FALSE(AllFinite(Tensor(Shape{2}, {-kInf, 0.0f})));
+  // Longer than the check's blocks: a bad value anywhere (in a block or
+  // in the tail) is found, and the largest and smallest finite values,
+  // -0 and denormals pass.
+  Tensor t(Shape{300});
+  for (int64_t i = 0; i < t.size(); ++i) t.at(i) = 0.01f * static_cast<float>(i);
+  t.at(7) = std::numeric_limits<float>::max();
+  t.at(8) = -std::numeric_limits<float>::max();
+  t.at(9) = std::numeric_limits<float>::denorm_min();
+  t.at(10) = -0.0f;
+  EXPECT_TRUE(AllFinite(t));
+  for (int64_t i = 0; i < t.size(); ++i) {
+    for (float bad : {kNan, kInf, -kInf}) {
+      Tensor u = t;
+      u.at(i) = bad;
+      EXPECT_FALSE(AllFinite(u)) << "value " << bad << " at " << i;
+    }
+  }
 }
 
 TEST(RobustAggTest, TrimmedMeanDropsOutliers) {
