@@ -9,14 +9,21 @@
 // (roundbench/, cifar_cnn_rfedavgp) runs, at its training batch (24)
 // and at a batch above its largest map_sync batch (256), so a change in
 // conv time there can be read against the round number. The
-// cifar_round_{relu,maxpool}_* and cifar_round_conv{1,2}_relu_fwd rows
-// are that CNN's activation layer at the training batch (24) and the
-// δ-map batch (150): ReLU and its backward mask over conv1's output,
-// the 2x2 max-pool over it, and the fused conv+bias+ReLU forward. Their
+// cifar_round_{relu,maxpool}_* rows are that CNN's activation layer at
+// the training batch (24) and the δ-map batch (150): ReLU and its
+// backward mask over conv1's output and the 2x2 max-pool over it. Their
 // references are the scalar loops the branch-free kernels replaced
 // (std::max, the `x <= 0` mask, the int64-argmax pool), and their
 // "flops" count one operation per element (per pooled window for the
-// pool), so "gflops" reads as billions of elements per second.
+// pool), so "gflops" reads as billions of elements per second. The
+// cifar_round_conv{1,2}_relu_pool_{fwd,bwd} rows are the fused conv
+// blocks the CNN runs, at the same two batches: conv, bias, ReLU and
+// pool in one pass (Conv2dBiasReluPoolForwardKernel), and its backward
+// (Conv2dBiasReluPoolBackward: the routing pass, then the conv
+// gradients, without dx for conv1 as in training). Their reference is
+// the composed ref:: chain (ref conv, std::max, the int64-argmax pool
+// and its backward, the mask, ref conv backward), and their "flops" are
+// the conv's plus one per conv output.
 //
 // The mnist_round_* rows are the eight GEMMs of one local step of the
 // served MLP (roundbench/, mnist_mlp_fedavg_serve: 144-64-32-10 at batch
@@ -43,11 +50,16 @@
 //       pass over threads {1,2,4}, tiny timings, no JSON (the
 //       `bench_smoke` ctest target)
 //   --min_ms N    measurement window per timing (default 300; smoke 5)
+//   --only S      re-time only the rows whose name contains S and
+//       rewrite only those rows of the output JSON; the other rows are
+//       kept as they are, and rows no longer in the sweep are dropped
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,15 +86,22 @@ std::vector<float> Fill(int64_t n, float scale, float phase) {
   return v;
 }
 
-/// Best-of-3 mean per-call milliseconds: one warmup call, then three
-/// independent measurement windows of `min_ms` each; the fastest window
-/// wins. Taking the minimum suppresses the frequency-scaling and
-/// scheduling noise a shared single-core box produces.
-template <typename F>
-double TimeMs(const F& fn, double min_ms) {
-  fn();
+/// Mean per-call milliseconds of the best and the median of three
+/// measurement windows.
+struct WindowMs {
   double best = 0.0;
-  for (int window = 0; window < 3; ++window) {
+  double median = 0.0;
+};
+
+/// One warmup call, then three independent measurement windows of
+/// `min_ms` each. The fastest window suppresses the frequency-scaling
+/// and scheduling noise of a shared host; the median shows how far the
+/// windows spread.
+template <typename F>
+WindowMs TimeMs(const F& fn, double min_ms) {
+  fn();
+  double ms[3];
+  for (double& per_iter : ms) {
     int iters = 0;
     Stopwatch sw;
     double elapsed = 0.0;
@@ -91,10 +110,10 @@ double TimeMs(const F& fn, double min_ms) {
       ++iters;
       elapsed = sw.ElapsedMillis();
     } while (elapsed < min_ms);
-    const double per_iter = elapsed / iters;
-    if (window == 0 || per_iter < best) best = per_iter;
+    per_iter = elapsed / iters;
   }
-  return best;
+  std::sort(ms, ms + 3);
+  return {ms[0], ms[1]};
 }
 
 enum class Kind {
@@ -103,7 +122,8 @@ enum class Kind {
   kGemmTransB,
   kConvFwd,
   kConvBwd,
-  kConvReluFwd,
+  kConvReluPoolFwd,
+  kConvReluPoolBwd,
   kReluFwd,
   kReluBwd,
   kPoolFwd,
@@ -127,7 +147,8 @@ const char* KindName(Kind k) {
     case Kind::kGemmTransB: return "gemm_transB_assign";
     case Kind::kConvFwd: return "conv2d_forward";
     case Kind::kConvBwd: return "conv2d_backward";
-    case Kind::kConvReluFwd: return "conv2d_bias_relu_forward";
+    case Kind::kConvReluPoolFwd: return "conv2d_bias_relu_pool_forward";
+    case Kind::kConvReluPoolBwd: return "conv2d_bias_relu_pool_backward";
     case Kind::kReluFwd: return "relu_forward";
     case Kind::kReluBwd: return "relu_backward";
     case Kind::kPoolFwd: return "maxpool2x2_forward";
@@ -166,7 +187,7 @@ struct Case {
   ConvKernelShape conv;  // every non-GEMM kind (see HasConvShape)
   bool smoke = false;    // included in the --smoke subset
   bool acceptance = false;  // the EXPERIMENTS.md >= 3x shape
-  // Conv backward only: whether dx is computed. A first conv's input is
+  // Conv backward kinds only: whether dx is computed. A first conv's input is
   // the data batch, so training never asks for its dx.
   bool dx = true;
 };
@@ -235,12 +256,19 @@ std::vector<Case> Sweep() {
     cases.push_back({b24 ? "cifar_round_maxpool_bwd_b24"
                          : "cifar_round_maxpool_bwd_b150",
                      Kind::kPoolBwd, 0, 0, 0, conv1, true});
-    cases.push_back({b24 ? "cifar_round_conv1_relu_fwd_b24"
-                         : "cifar_round_conv1_relu_fwd_b150",
-                     Kind::kConvReluFwd, 0, 0, 0, conv1, true});
-    cases.push_back({b24 ? "cifar_round_conv2_relu_fwd_b24"
-                         : "cifar_round_conv2_relu_fwd_b150",
-                     Kind::kConvReluFwd, 0, 0, 0, conv2, true});
+    cases.push_back({b24 ? "cifar_round_conv1_relu_pool_fwd_b24"
+                         : "cifar_round_conv1_relu_pool_fwd_b150",
+                     Kind::kConvReluPoolFwd, 0, 0, 0, conv1, true});
+    cases.push_back({b24 ? "cifar_round_conv1_relu_pool_bwd_b24"
+                         : "cifar_round_conv1_relu_pool_bwd_b150",
+                     Kind::kConvReluPoolBwd, 0, 0, 0, conv1, true, false,
+                     false});
+    cases.push_back({b24 ? "cifar_round_conv2_relu_pool_fwd_b24"
+                         : "cifar_round_conv2_relu_pool_fwd_b150",
+                     Kind::kConvReluPoolFwd, 0, 0, 0, conv2, true});
+    cases.push_back({b24 ? "cifar_round_conv2_relu_pool_bwd_b24"
+                         : "cifar_round_conv2_relu_pool_bwd_b150",
+                     Kind::kConvReluPoolBwd, 0, 0, 0, conv2, true});
   }
   // The served MLP's step at batch 8. Forward: {batch, in, out}; dw
   // (TransA, A = x [batch, in], B = g [batch, out]): {batch, in, out};
@@ -313,9 +341,13 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kConvBwd:  // dw GEMM (+ dx GEMM); db is negligible
       return (c.dx ? 4 : 2) * c.conv.batch * c.conv.out_channels *
              c.conv.Patch() * c.conv.OutArea();
-    case Kind::kConvReluFwd:
+    case Kind::kConvReluPoolFwd:
       return 2 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
                  c.conv.OutArea() +
+             ActivationSize(c.conv);
+    case Kind::kConvReluPoolBwd:
+      return (c.dx ? 4 : 2) * c.conv.batch * c.conv.out_channels *
+                 c.conv.Patch() * c.conv.OutArea() +
              ActivationSize(c.conv);
     case Kind::kReluFwd:
     case Kind::kReluBwd:
@@ -365,17 +397,31 @@ bool SameBits(const float* x, const float* y, size_t n) {
   return std::memcmp(x, y, n * sizeof(float)) == 0;
 }
 
+/// Whether each window byte names the input the int64 argmax chose.
+bool SameWindows(const std::vector<uint8_t>& window,
+                 const std::vector<int64_t>& argmax, int64_t h, int64_t w) {
+  if (window.size() != argmax.size()) return false;
+  for (size_t i = 0; i < window.size(); ++i) {
+    const int64_t local = argmax[i] % (h * w);
+    if (window[i] != (local / w % 2) * 2 + local % w % 2) return false;
+  }
+  return true;
+}
+
 /// One benchmark case's buffers plus ref/opt runners over them.
 struct Workbench {
   std::vector<float> a, b, bias, out_ref, out_opt, dx, dw, db;
   // Element-wise kinds: the optimizer state (velocity / mean square) of
   // each path.
   std::vector<float> state_ref, state_opt;
-  // Max-pool kinds: input / upstream grad as tensors, each path's
-  // bookkeeping, and each path's result.
+  // Max-pool and fused conv-block kinds: input (the clamped conv output
+  // for the latter) / upstream grad as tensors, each path's bookkeeping,
+  // and each path's result.
   Tensor pool_x, pool_g, pool_ref, pool_opt;
   std::vector<int64_t> argmax;
   std::vector<uint8_t> window;
+  // Fused conv-block kinds: the op's operands and gradients as tensors.
+  Tensor conv_x, conv_w, conv_dx, conv_dw, conv_db;
 
   explicit Workbench(const Case& c) {
     switch (c.kind) {
@@ -412,13 +458,25 @@ struct Workbench {
         }
         break;
       }
-      case Kind::kConvReluFwd: {
+      case Kind::kConvReluPoolFwd:
+      case Kind::kConvReluPoolBwd: {
         const ConvKernelShape& s = c.conv;
         a = Fill(s.batch * s.in_channels * s.height * s.width, 1.0f, 0.3f);
         b = Fill(s.out_channels * s.Patch(), 0.2f, 1.1f);
         // Biases around zero, so about half the outputs clamp.
         bias = Fill(s.out_channels, 0.1f, 3.4f);
-        out_ref.assign(static_cast<size_t>(ActivationSize(s)), 0.0f);
+        conv_x = Tensor(Shape{s.batch, s.in_channels, s.height, s.width}, a);
+        conv_w = Tensor(Shape{s.out_channels, s.Patch()}, b);
+        const Shape pooled{s.batch, s.out_channels, s.OutH() / 2,
+                           s.OutW() / 2};
+        pool_g = Tensor(pooled, Fill(ActivationSize(s) / 4, 0.5f, 1.3f));
+        pool_opt = Tensor(pooled);
+        window.resize(static_cast<size_t>(pool_opt.size()));
+        dx.assign(a.size(), 0.0f);
+        dw.assign(b.size(), 0.0f);
+        db.assign(bias.size(), 0.0f);
+        RunConvBlockForward(c, /*optimized=*/false);
+        RunConvBlockForward(c, /*optimized=*/true);
         break;
       }
       case Kind::kReluFwd:
@@ -527,6 +585,50 @@ struct Workbench {
     }
   }
 
+  /// The fused conv block forward, or the ref:: chain it replaced: conv,
+  /// clamp, int64-argmax pool (pool_x keeps the clamped conv output for
+  /// the backward's mask).
+  void RunConvBlockForward(const Case& c, bool optimized) {
+    const ConvKernelShape& s = c.conv;
+    if (optimized) {
+      Conv2dBiasReluPoolForwardKernel(a.data(), b.data(), bias.data(), s,
+                                      pool_opt.data(), window.data());
+      return;
+    }
+    pool_x = Tensor(Shape{s.batch, s.out_channels, s.OutH(), s.OutW()});
+    ref::Conv2dForwardKernel(a.data(), b.data(), bias.data(), s,
+                             pool_x.data());
+    for (int64_t i = 0; i < pool_x.size(); ++i) {
+      pool_x.at(i) = std::max(0.0f, pool_x.at(i));
+    }
+    pool_ref = RefMaxPoolForward(pool_x, &argmax);
+  }
+
+  /// Its backward from the forward's bookkeeping: the routing pass and
+  /// the conv gradients, or the pool backward, the mask and the ref
+  /// conv backward.
+  void RunConvBlockBackward(const Case& c, bool optimized) {
+    const ConvKernelShape& s = c.conv;
+    if (optimized) {
+      const Conv2dSpec spec{s.in_channels, s.out_channels, s.kernel, s.stride,
+                            s.pad};
+      Conv2dBiasReluPoolBackward(pool_g, pool_opt, window, conv_x, conv_w,
+                                 spec, c.dx ? &conv_dx : nullptr, &conv_dw,
+                                 &conv_db);
+      return;
+    }
+    Tensor routed = RefMaxPoolBackward(pool_g, pool_x.shape(), argmax);
+    for (int64_t i = 0; i < routed.size(); ++i) {
+      if (pool_x.at(i) <= 0.0f) routed.at(i) = 0.0f;
+    }
+    std::fill(dx.begin(), dx.end(), 0.0f);
+    std::fill(dw.begin(), dw.end(), 0.0f);
+    std::fill(db.begin(), db.end(), 0.0f);
+    ref::Conv2dBackwardKernel(routed.data(), a.data(), b.data(), s,
+                              c.dx ? dx.data() : nullptr, dw.data(),
+                              db.data());
+  }
+
   /// Runs the case once; `optimized` picks the blocked vs ref kernel.
   /// Accumulating kinds re-run on the same output (fine for timing: the
   /// float work is identical each pass); bitwise comparison below resets
@@ -563,18 +665,11 @@ struct Workbench {
             out_ref.data(), a.data(), b.data(), c.conv,
             c.dx ? dx.data() : nullptr, dw.data(), db.data());
         break;
-      case Kind::kConvReluFwd:
-        std::memset(out, 0, out_ref.size() * sizeof(float));
-        if (optimized) {
-          Conv2dBiasReluForwardKernel(a.data(), b.data(), bias.data(), c.conv,
-                                      out);
-        } else {
-          ref::Conv2dForwardKernel(a.data(), b.data(), bias.data(), c.conv,
-                                   out);
-          for (size_t i = 0; i < out_ref.size(); ++i) {
-            out[i] = std::max(0.0f, out[i]);
-          }
-        }
+      case Kind::kConvReluPoolFwd:
+        RunConvBlockForward(c, optimized);
+        break;
+      case Kind::kConvReluPoolBwd:
+        RunConvBlockBackward(c, optimized);
         break;
       case Kind::kReluFwd:
         if (optimized) {
@@ -617,6 +712,21 @@ struct Workbench {
   /// memcmps. ConvBwd compares dx/dw/db via two sequential Run passes
   /// (Run zeroes them itself), snapshotting between.
   bool Verify(const Case& c) {
+    if (c.kind == Kind::kConvReluPoolFwd || c.kind == Kind::kConvReluPoolBwd) {
+      RunConvBlockForward(c, /*optimized=*/false);
+      RunConvBlockForward(c, /*optimized=*/true);
+      if (c.kind == Kind::kConvReluPoolFwd) {
+        return pool_ref.shape() == pool_opt.shape() &&
+               SameBits(pool_ref.data(), pool_opt.data(),
+                        static_cast<size_t>(pool_ref.size())) &&
+               SameWindows(window, argmax, c.conv.OutH(), c.conv.OutW());
+      }
+      RunConvBlockBackward(c, /*optimized=*/false);
+      RunConvBlockBackward(c, /*optimized=*/true);
+      return (!c.dx || SameBits(dx.data(), conv_dx.data(), dx.size())) &&
+             SameBits(dw.data(), conv_dw.data(), dw.size()) &&
+             SameBits(db.data(), conv_db.data(), db.size());
+    }
     if (c.kind == Kind::kPoolFwd || c.kind == Kind::kPoolBwd) {
       if (c.kind == Kind::kPoolBwd) {
         // The backward reads the forward's bookkeeping.
@@ -658,14 +768,14 @@ struct Workbench {
 
 struct Timing {
   int threads;
-  double ms;
+  WindowMs ms;
   double gflops;
   double speedup;
 };
 
 struct Result {
   Case c;
-  double ref_ms = 0.0;
+  WindowMs ref_ms;
   double ref_gflops = 0.0;
   std::vector<Timing> opt;
 };
@@ -676,7 +786,86 @@ void SetThreads(int threads) {
   SetKernelOptions(o);
 }
 
-void WriteJson(const std::string& path, const std::vector<Result>& results,
+/// One row of the "cases" array, as WriteJson lays it out (no trailing
+/// comma or newline).
+std::string FormatRow(const Result& r) {
+  std::string row;
+  char line[512];
+  auto add = [&](const char* fmt, auto... args) {
+    std::snprintf(line, sizeof(line), fmt, args...);
+    row += line;
+  };
+  add("    {\n      \"name\": \"%s\",\n", r.c.name);
+  add("      \"kind\": \"%s\",\n", KindName(r.c.kind));
+  if (HasConvShape(r.c.kind)) {
+    const ConvKernelShape& s = r.c.conv;
+    add("      \"shape\": {\"batch\": %lld, \"cin\": %lld, \"h\": %lld, "
+        "\"w\": %lld, \"cout\": %lld, \"kernel\": %lld, \"stride\": %lld, "
+        "\"pad\": %lld},\n",
+        static_cast<long long>(s.batch), static_cast<long long>(s.in_channels),
+        static_cast<long long>(s.height), static_cast<long long>(s.width),
+        static_cast<long long>(s.out_channels),
+        static_cast<long long>(s.kernel), static_cast<long long>(s.stride),
+        static_cast<long long>(s.pad));
+    if (r.c.kind == Kind::kConvBwd || r.c.kind == Kind::kConvReluPoolBwd) {
+      add("      \"dx\": %s,\n", r.c.dx ? "true" : "false");
+    }
+  } else if (IsElementwise(r.c.kind)) {
+    add("      \"shape\": {\"rows\": %lld, \"cols\": %lld},\n",
+        static_cast<long long>(r.c.m), static_cast<long long>(r.c.n));
+  } else {
+    add("      \"shape\": {\"m\": %lld, \"k\": %lld, \"n\": %lld},\n",
+        static_cast<long long>(r.c.m), static_cast<long long>(r.c.k),
+        static_cast<long long>(r.c.n));
+  }
+  add("      \"flops\": %lld,\n", static_cast<long long>(CaseFlops(r.c)));
+  add("      \"ref_ms\": %.4f,\n      \"ref_median_ms\": %.4f,\n"
+      "      \"ref_gflops\": %.3f,\n",
+      r.ref_ms.best, r.ref_ms.median, r.ref_gflops);
+  add("      \"acceptance_shape\": %s,\n", r.c.acceptance ? "true" : "false");
+  row += "      \"opt\": [\n";
+  for (size_t t = 0; t < r.opt.size(); ++t) {
+    const Timing& ot = r.opt[t];
+    add("        {\"threads\": %d, \"ms\": %.4f, \"median_ms\": %.4f, "
+        "\"gflops\": %.3f, \"speedup_vs_seed\": %.3f}%s\n",
+        ot.threads, ot.ms.best, ot.ms.median, ot.gflops, ot.speedup,
+        t + 1 < r.opt.size() ? "," : "");
+  }
+  row += "      ]\n    }";
+  return row;
+}
+
+/// The rows of a JSON file this program wrote, by case name (empty when
+/// the file does not exist): each row's text from its opening "    {"
+/// line to its closing "    }", without the separating comma.
+std::map<std::string, std::string> ReadRows(const std::string& path) {
+  std::map<std::string, std::string> rows;
+  std::ifstream in(path);
+  std::string line, row, name;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    if (!inside && line == "    {") {
+      inside = true;
+      row.clear();
+      name.clear();
+    }
+    if (!inside) continue;
+    const std::string key = "      \"name\": \"";
+    if (line.rfind(key, 0) == 0) {
+      name = line.substr(key.size(), line.find('"', key.size()) - key.size());
+    }
+    if (line.rfind("    }", 0) == 0) {
+      row += "    }";
+      rows[name] = row;
+      inside = false;
+      continue;
+    }
+    row += line + "\n";
+  }
+  return rows;
+}
+
+void WriteJson(const std::string& path, const std::vector<std::string>& rows,
                double min_ms) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -695,53 +884,8 @@ void WriteJson(const std::string& path, const std::vector<Result>& results,
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"min_ms_per_timing\": %.0f,\n", min_ms);
   std::fprintf(f, "  \"cases\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f, "    {\n      \"name\": \"%s\",\n", r.c.name);
-    std::fprintf(f, "      \"kind\": \"%s\",\n", KindName(r.c.kind));
-    if (HasConvShape(r.c.kind)) {
-      const ConvKernelShape& s = r.c.conv;
-      std::fprintf(f,
-                   "      \"shape\": {\"batch\": %lld, \"cin\": %lld, \"h\": "
-                   "%lld, \"w\": %lld, \"cout\": %lld, \"kernel\": %lld, "
-                   "\"stride\": %lld, \"pad\": %lld},\n",
-                   static_cast<long long>(s.batch),
-                   static_cast<long long>(s.in_channels),
-                   static_cast<long long>(s.height),
-                   static_cast<long long>(s.width),
-                   static_cast<long long>(s.out_channels),
-                   static_cast<long long>(s.kernel),
-                   static_cast<long long>(s.stride),
-                   static_cast<long long>(s.pad));
-      if (r.c.kind == Kind::kConvBwd) {
-        std::fprintf(f, "      \"dx\": %s,\n", r.c.dx ? "true" : "false");
-      }
-    } else if (IsElementwise(r.c.kind)) {
-      std::fprintf(f, "      \"shape\": {\"rows\": %lld, \"cols\": %lld},\n",
-                   static_cast<long long>(r.c.m),
-                   static_cast<long long>(r.c.n));
-    } else {
-      std::fprintf(f, "      \"shape\": {\"m\": %lld, \"k\": %lld, \"n\": %lld},\n",
-                   static_cast<long long>(r.c.m), static_cast<long long>(r.c.k),
-                   static_cast<long long>(r.c.n));
-    }
-    std::fprintf(f, "      \"flops\": %lld,\n",
-                 static_cast<long long>(CaseFlops(r.c)));
-    std::fprintf(f, "      \"ref_ms\": %.4f,\n      \"ref_gflops\": %.3f,\n",
-                 r.ref_ms, r.ref_gflops);
-    std::fprintf(f, "      \"acceptance_shape\": %s,\n",
-                 r.c.acceptance ? "true" : "false");
-    std::fprintf(f, "      \"opt\": [\n");
-    for (size_t t = 0; t < r.opt.size(); ++t) {
-      const Timing& ot = r.opt[t];
-      std::fprintf(f,
-                   "        {\"threads\": %d, \"ms\": %.4f, \"gflops\": %.3f, "
-                   "\"speedup_vs_seed\": %.3f}%s\n",
-                   ot.threads, ot.ms, ot.gflops, ot.speedup,
-                   t + 1 < r.opt.size() ? "," : "");
-    }
-    std::fprintf(f, "      ]\n");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(f, "%s%s\n", rows[i].c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -752,11 +896,21 @@ int Main(int argc, char** argv) {
   const bool smoke = flags.GetBool("smoke", false);
   const double min_ms = flags.GetDouble("min_ms", smoke ? 5.0 : 300.0);
   const std::string out = flags.GetString("out", smoke ? "" : "BENCH_kernels.json");
+  const std::string only = flags.GetString("only", "");
 
-  std::vector<Result> results;
+  // Rows kept from the existing file when only some are re-timed.
+  const std::map<std::string, std::string> kept =
+      only.empty() || out.empty() ? std::map<std::string, std::string>{}
+                                  : ReadRows(out);
+  std::vector<std::string> rows;
   int failures = 0;
   for (const Case& c : Sweep()) {
     if (smoke && !c.smoke) continue;
+    if (std::string(c.name).find(only) == std::string::npos) {
+      auto it = kept.find(c.name);
+      if (it != kept.end()) rows.push_back(it->second);
+      continue;
+    }
     Workbench wb(c);
     // Correctness gate: the optimized kernel must be bit-identical to
     // the seed reference at every thread count before it is timed.
@@ -773,27 +927,27 @@ int Main(int argc, char** argv) {
     SetThreads(1);
     r.ref_ms = TimeMs([&] { wb.Run(c, false); }, min_ms);
     const double flops = static_cast<double>(CaseFlops(c));
-    r.ref_gflops = flops / (r.ref_ms * 1e6);
+    r.ref_gflops = flops / (r.ref_ms.best * 1e6);
     for (int threads : kThreadCounts) {
       SetThreads(threads);
       Timing t;
       t.threads = threads;
       t.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
-      t.gflops = flops / (t.ms * 1e6);
-      t.speedup = r.ref_ms / t.ms;
+      t.gflops = flops / (t.ms.best * 1e6);
+      t.speedup = r.ref_ms.best / t.ms.best;
       r.opt.push_back(t);
     }
     std::printf("%-26s %-18s ref %8.3f ms (%6.2f GF/s)", c.name,
-                KindName(c.kind), r.ref_ms, r.ref_gflops);
+                KindName(c.kind), r.ref_ms.best, r.ref_gflops);
     for (const Timing& t : r.opt) {
-      std::printf("  t%d %8.3f ms (%5.2fx)", t.threads, t.ms, t.speedup);
+      std::printf("  t%d %8.3f ms (%5.2fx)", t.threads, t.ms.best, t.speedup);
     }
     std::printf("%s\n", c.acceptance ? "  [acceptance]" : "");
-    results.push_back(std::move(r));
+    rows.push_back(FormatRow(r));
   }
   SetKernelOptions(KernelOptions{});
 
-  if (!out.empty()) WriteJson(out, results, min_ms);
+  if (!out.empty()) WriteJson(out, rows, min_ms);
   if (failures > 0) return 1;
   if (smoke) {
     std::printf("smoke OK: all cases bit-identical across threads {1,2,4}\n");

@@ -495,24 +495,25 @@ Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
                 });
 }
 
-Variable Conv2dBiasRelu(const Variable& x, const Variable& w,
-                        const Variable& b, const Conv2dSpec& spec) {
+Variable Conv2dBiasReluPool(const Variable& x, const Variable& w,
+                            const Variable& b, const Conv2dSpec& spec) {
+  auto window = std::make_shared<std::vector<uint8_t>>();
   return MakeOp({x.node(), w.node(), b.node()},
-                [spec](GraphNode* out) {
-                  out->mutable_value() = Conv2dBiasReluForward(
+                [spec, window](GraphNode* out) {
+                  out->mutable_value() = Conv2dBiasReluPoolForward(
                       out->inputs[0]->value(), out->inputs[1]->value(),
-                      out->inputs[2]->value(), spec);
+                      out->inputs[2]->value(), spec, window.get());
                 },
-                [spec](GraphNode* out) {
+                [spec, window](GraphNode* out) {
                   GraphNode* x = out->inputs[0].get();
                   GraphNode* w = out->inputs[1].get();
                   GraphNode* b = out->inputs[2].get();
                   Tensor dx, dw, db;
-                  Conv2dBackward(ReluBackward(out->grad(), out->value()),
-                                 x->value(), w->value(), spec,
-                                 x->requires_grad() ? &dx : nullptr,
-                                 w->requires_grad() ? &dw : nullptr,
-                                 b->requires_grad() ? &db : nullptr);
+                  Conv2dBiasReluPoolBackward(
+                      out->grad(), out->value(), *window, x->value(),
+                      w->value(), spec, x->requires_grad() ? &dx : nullptr,
+                      w->requires_grad() ? &dw : nullptr,
+                      b->requires_grad() ? &db : nullptr);
                   if (x->requires_grad()) x->AccumulateGrad(dx);
                   if (w->requires_grad()) w->AccumulateGrad(dw);
                   if (b->requires_grad()) b->AccumulateGrad(db);

@@ -111,16 +111,19 @@ Variable GatherRows(const Variable& table, const std::vector<int>& ids,
 /// Backward routes through Conv2dBackward's im2col GEMMs.
 Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
                 const Conv2dSpec& spec);
-/// Fused relu(conv2d(x, w) + b) — one node instead of the Conv2d/Relu
-/// pair, dropping the pre-activation tensor and one pass over it. The
-/// clamp runs in the conv kernel's bias epilogue; the backward masks
-/// the upstream grad on y <= 0 and runs Conv2dBackward on it. Bit-
-/// identical to ag::Relu(ag::Conv2d(...)) in value and every gradient
-/// for finite pre-activations; a NaN pre-activation clamps to 0 and
-/// blocks its gradient here, where the composed chain passes it (see
-/// docs/AUTOGRAD.md).
-Variable Conv2dBiasRelu(const Variable& x, const Variable& w,
-                        const Variable& b, const Conv2dSpec& spec);
+/// Fused maxpool2x2(relu(conv2d(x, w) + b)) — one node instead of the
+/// Conv2d/Relu/MaxPool2x2 chain. Bias, clamp and pool run in the conv
+/// kernel's epilogue, so the full-size conv output is neither allocated
+/// nor kept: the node holds the pooled value and one window byte per
+/// output (replay refreshes both). The backward routes each grad to its
+/// window's winner where the pooled value is > 0 and runs
+/// Conv2dBackward on that. Bit-identical to
+/// ag::MaxPool2x2(ag::Relu(ag::Conv2d(...))) in value and every
+/// gradient for finite pre-activations; a NaN pre-activation clamps to
+/// 0 and blocks its gradient here, where the composed chain passes it
+/// (see docs/AUTOGRAD.md).
+Variable Conv2dBiasReluPool(const Variable& x, const Variable& w,
+                            const Variable& b, const Conv2dSpec& spec);
 /// 2x2 max pooling (stride 2) over NCHW. Each output's winning window
 /// position (one byte) is cached forward and routes the grad back;
 /// replay refreshes it.

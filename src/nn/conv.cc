@@ -22,8 +22,8 @@ Variable Conv2dLayer::Forward(const Variable& x) {
   return ag::Conv2d(x, *weight_, *bias_, spec_);
 }
 
-Variable Conv2dLayer::ForwardRelu(const Variable& x) {
-  return ag::Conv2dBiasRelu(x, *weight_, *bias_, spec_);
+Variable Conv2dLayer::ForwardReluPool(const Variable& x) {
+  return ag::Conv2dBiasReluPool(x, *weight_, *bias_, spec_);
 }
 
 }  // namespace rfed

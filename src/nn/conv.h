@@ -18,9 +18,10 @@ class Conv2dLayer : public Module {
 
   /// x: [B, Cin, H, W] -> [B, Cout, Ho, Wo].
   Variable Forward(const Variable& x);
-  /// Fused relu(Forward(x)) as one ag::Conv2dBiasRelu node;
-  /// bit-identical to ag::Relu(Forward(x)) for finite inputs.
-  Variable ForwardRelu(const Variable& x);
+  /// Fused maxpool2x2(relu(Forward(x))) as one ag::Conv2dBiasReluPool
+  /// node (Ho, Wo even): [B, Cout, Ho/2, Wo/2]; bit-identical to
+  /// ag::MaxPool2x2(ag::Relu(Forward(x))) for finite inputs.
+  Variable ForwardReluPool(const Variable& x);
 
   /// The static shape parameters this layer was built with.
   const Conv2dSpec& spec() const { return spec_; }

@@ -27,8 +27,8 @@ CnnModel::CnnModel(const CnnConfig& config, Rng* rng)
 ModelOutput CnnModel::Forward(const Batch& batch) {
   RFED_CHECK_GT(batch.images.size(), 0) << "CnnModel needs image batches";
   Variable x = ag::Input(batch.images);
-  Variable h1 = ag::MaxPool2x2(conv1_.ForwardRelu(x));
-  Variable h2 = ag::MaxPool2x2(conv2_.ForwardRelu(h1));
+  Variable h1 = conv1_.ForwardReluPool(x);
+  Variable h2 = conv2_.ForwardReluPool(h1);
   Variable flat = ag::Reshape(h2, Shape{batch.size(), flat_dim_});
   Variable features = fc1_.ForwardRelu(flat);
   Variable logits = fc2_.Forward(features);

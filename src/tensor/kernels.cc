@@ -369,33 +369,52 @@ bool ConvOnPaddedGrid(const ConvKernelShape& s) {
   return s.stride == 1 && s.pad < s.kernel;
 }
 
+/// The plain forward (null window) or the fused relu-pool forward.
 void ConvForward(const float* x, const float* w, const float* bias,
-                 const ConvKernelShape& s, bool relu, float* out) {
+                 const ConvKernelShape& s, float* out, uint8_t* window) {
   obs::TraceSpan trace_span("conv2d_fwd");
   if (obs::TracingEnabled()) {
     ConvFlopCounter()->Add(2 * s.batch * s.out_channels * s.Patch() *
                            s.OutArea());
   }
   const internal::BlockedKernels& table = ActiveTable();
-  if (!ConvOnPaddedGrid(s)) {
-    ref::Conv2dForwardKernel(x, w, bias, s, out);
-    if (relu) table.relu(out, s.batch * s.out_channels * s.OutArea(), out);
+  if (ConvOnPaddedGrid(s)) {
+    table.conv_forward(x, w, bias, s, out, window);
     return;
   }
-  table.conv_forward(x, w, bias, s, relu, out);
+  if (window == nullptr) {
+    ref::Conv2dForwardKernel(x, w, bias, s, out);
+    return;
+  }
+  // The reference sums without the bias (a +0 bias changes no sum: a
+  // chain that starts at +0 never reaches -0), then the epilogue runs on
+  // each image's dense planes as it does on the padded grid.
+  const int64_t area = s.OutArea();
+  const int64_t planes = s.out_channels * area;
+  std::vector<float> sums(static_cast<size_t>(s.batch * planes), 0.0f);
+  const std::vector<float> no_bias(static_cast<size_t>(s.out_channels), 0.0f);
+  ref::Conv2dForwardKernel(x, w, no_bias.data(), s, sums.data());
+  for (int64_t i = 0; i < s.batch; ++i) {
+    table.conv_relu_pool(sums.data() + i * planes, s.OutW(), area, bias,
+                         s.out_channels, s.OutH(), s.OutW(),
+                         out + i * planes / 4, window + i * planes / 4);
+  }
 }
 
 }  // namespace
 
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out) {
-  ConvForward(x, w, bias, s, /*relu=*/false, out);
+  ConvForward(x, w, bias, s, out, /*window=*/nullptr);
 }
 
-void Conv2dBiasReluForwardKernel(const float* x, const float* w,
-                                 const float* bias, const ConvKernelShape& s,
-                                 float* out) {
-  ConvForward(x, w, bias, s, /*relu=*/true, out);
+void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
+                                     const float* bias,
+                                     const ConvKernelShape& s, float* out,
+                                     uint8_t* window) {
+  RFED_CHECK(s.OutH() % 2 == 0 && s.OutW() % 2 == 0)
+      << "the 2x2 pool needs even conv outputs";
+  ConvForward(x, w, bias, s, out, window);
 }
 
 void Conv2dBackwardKernel(const float* grad_out, const float* x,

@@ -232,12 +232,17 @@ struct ConvKernelShape {
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
 
-/// Conv2dForwardKernel with max(0, ·) applied to each image's outputs
-/// right after the bias epilogue: bit-identical to Conv2dForwardKernel
-/// followed by ReluKernel, minus one pass over the output.
-void Conv2dBiasReluForwardKernel(const float* x, const float* w,
-                                 const float* bias, const ConvKernelShape& s,
-                                 float* out);
+/// maxpool2x2(relu(Conv2dForwardKernel(...))) in one pass: each image's
+/// conv sums get the bias, max(0, ·) and a 2x2 max pool (stride 2) while
+/// they are still in cache, so only the pooled out [B, Cout, Ho/2, Wo/2]
+/// is written, with window[i] (0..3, row-major in the window) naming the
+/// input that won output i. Ho and Wo must be even; out and window need
+/// no zeroing. Bit-identical to Conv2dForwardKernel, then ReluKernel,
+/// then MaxPool2x2Forward (tensor_ops.h): the first strict maximum wins.
+void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
+                                     const float* bias,
+                                     const ConvKernelShape& s, float* out,
+                                     uint8_t* window);
 
 /// Gradients of Conv2dForwardKernel, on the same path; any of dx/dw/db
 /// may be null to skip, non-null outputs must be pre-zeroed.

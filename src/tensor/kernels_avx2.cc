@@ -22,6 +22,10 @@
 // float*float is exact in double, so the fused chain is bit-equal to
 // the reference's mul+add chain.
 //
+// Conv epilogue (bias, ReLU, 2x2 max-pool): 8 pooled outputs per step,
+// the even and odd columns of a grid row pair split into four vectors,
+// one per window position; a short row's step runs full lanes too.
+//
 // Element-wise kernels: 8 lanes per instruction, each lane running the
 // scalar loop's operations in order (no FMA), tails on the scalar loops.
 
@@ -383,6 +387,95 @@ struct Avx2Traits {
     _mm256_storeu_pd(out + 28, a31);
   }
 
+  // The lanes of ReluPoolRange. Each step loads 16 grid columns of a
+  // row pair and splits them into the even and the odd columns: window
+  // positions 0..3 of 8 pooled outputs. A lane adds the bias and clamps
+  // with max_ps(v, 0) (+0 for NaN and -0, as ReluRange); a later
+  // position replaces the running max only where GT_OQ says it is
+  // strictly greater, the scalar rule. A row's last step may cover
+  // fewer than 8 outputs: its extra lanes read the next grid columns
+  // and write past the row's outputs, which later steps overwrite, so
+  // they run as full vectors. Only where they would pass the end of the
+  // grid region or of the outputs do they run masked.
+  static void ReluPool(const float* grid, int64_t ld, int64_t plane,
+                       const float* bias, int64_t channels, int64_t rows,
+                       int64_t cols, float* out, uint8_t* window) {
+    const int64_t po = cols / 2;
+    const int64_t grid_end = (channels - 1) * plane + (rows - 1) * ld + cols;
+    const int64_t out_end = channels * rows / 2 * po;
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // Lane masks for a masked step, which covers `left` pooled outputs
+    // (2*left grid columns).
+    const int64_t left = po - (po - 1) / 8 * 8;
+    const __m256i cols_lo = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(2 * left)), lane);
+    const __m256i cols_hi = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(2 * left - 8)), lane);
+    const __m256i outs =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(left)), lane);
+    for (int64_t c = 0; c < channels; ++c) {
+      const __m256 bv = _mm256_set1_ps(bias[c]);
+      // shuffle_ps takes columns {0 2 8 10 | 4 6 12 14} of the 16 (and
+      // the odd ones {1 3 9 11 | 5 7 13 15}), so the lanes hold pooled
+      // outputs {0 1 4 5 | 2 3 6 7}. Every window position is in that
+      // order; one permute per result restores it.
+      auto split = [&](const float* row, bool masked, __m256* even,
+                       __m256* odd) {
+        const __m256 a = masked ? _mm256_maskload_ps(row, cols_lo)
+                                : _mm256_loadu_ps(row);
+        const __m256 b = masked ? _mm256_maskload_ps(row + 8, cols_hi)
+                                : _mm256_loadu_ps(row + 8);
+        *even = _mm256_max_ps(
+            _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                          bv),
+            zero);
+        *odd = _mm256_max_ps(
+            _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)),
+                          bv),
+            zero);
+      };
+      auto restore = [](__m256 v) {
+        return _mm256_castpd_ps(_mm256_permute4x64_pd(
+            _mm256_castps_pd(v), _MM_SHUFFLE(3, 1, 2, 0)));
+      };
+      for (int64_t py = 0; py < rows / 2; ++py) {
+        const int64_t top = c * plane + 2 * py * ld;
+        const int64_t at = (c * rows / 2 + py) * po;
+        for (int64_t px = 0; px < po; px += 8) {
+          const bool masked =
+              px + 8 > po && (top + ld + 2 * px + 16 > grid_end ||
+                              at + px + 8 > out_end);
+          __m256 v[4];
+          split(grid + top + 2 * px, masked, &v[0], &v[1]);
+          split(grid + top + ld + 2 * px, masked, &v[2], &v[3]);
+          __m256 best = v[0];
+          __m256 best_k = zero;  // window indices as int32 lanes
+          for (int k = 1; k < 4; ++k) {
+            const __m256 take = _mm256_cmp_ps(v[k], best, _CMP_GT_OQ);
+            best = _mm256_blendv_ps(best, v[k], take);
+            best_k = _mm256_blendv_ps(
+                best_k, _mm256_castsi256_ps(_mm256_set1_epi32(k)), take);
+          }
+          best = restore(best);
+          // int32 lanes 0..3 -> bytes: two saturating packs.
+          const __m256i k32 = _mm256_castps_si256(restore(best_k));
+          const __m128i k16 = _mm_packs_epi32(
+              _mm256_castsi256_si128(k32), _mm256_extracti128_si256(k32, 1));
+          const uint64_t k8 = static_cast<uint64_t>(
+              _mm_cvtsi128_si64(_mm_packus_epi16(k16, k16)));
+          if (masked) {
+            _mm256_maskstore_ps(out + at + px, outs, best);
+            std::memcpy(window + at + px, &k8, static_cast<size_t>(left));
+          } else {
+            _mm256_storeu_ps(out + at + px, best);
+            std::memcpy(window + at + px, &k8, 8);
+          }
+        }
+      }
+    }
+  }
+
   // max_ps(x, 0) returns its second operand unless x > 0, so NaN and -0
   // give +0 like ReluRange. The tails run ReluRange itself.
   static void Relu(const float* x, int64_t n, float* y) {
@@ -505,6 +598,7 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &GemmTransBSmallT<Avx2Traits>,
       &ConvForwardT<Avx2Traits>,
       &ConvBackwardT<Avx2Traits>,
+      &Avx2Traits::ReluPool,
       &Avx2Traits::Relu,
       &Avx2Traits::ReluMask,
       &Avx2Traits::Add,

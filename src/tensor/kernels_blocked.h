@@ -59,6 +59,11 @@
 //                               int64_t ldx, const double* gd, int64_t ldg,
 //                               int64_t ho, int64_t wo, double* out);
 //   static void ConvDwChains4x8(...same...);
+//   // BlockedKernels::conv_relu_pool (the scalar semantics are
+//   // ReluPoolRange below):
+//   static void ReluPool(const float* grid, int64_t ld, int64_t plane,
+//                        const float* bias, int64_t channels, int64_t rows,
+//                        int64_t cols, float* out, uint8_t* window);
 //
 // and, for the activation layer and the element-wise kernels (the
 // *Range functions below are the scalar semantics, and the generic
@@ -112,6 +117,42 @@ inline void ReluMaskRange(const float* g, const float* x, int64_t n,
     std::memcpy(&bits, g + i, sizeof(bits));
     bits &= 0u - static_cast<uint32_t>(!(x[i] <= 0.0f));
     std::memcpy(out + i, &bits, sizeof(bits));
+  }
+}
+
+/// The conv epilogue of BlockedKernels::conv_relu_pool, one output at a
+/// time: each input is the conv sum plus the bias, clamped as in
+/// ReluRange, and the pool takes a candidate only when it is strictly
+/// greater than the running max — so ties keep the earlier element
+/// (after the clamp no NaN is left). Selects, not jumps: the compares
+/// become masks.
+inline void ReluPoolRange(const float* grid, int64_t ld, int64_t plane,
+                          const float* bias, int64_t channels, int64_t rows,
+                          int64_t cols, float* out, uint8_t* window) {
+  const int64_t po = cols / 2;
+  for (int64_t c = 0; c < channels; ++c) {
+    const float bv = bias[c];
+    for (int64_t py = 0; py < rows / 2; ++py) {
+      const float* top = grid + c * plane + 2 * py * ld;
+      const float* bottom = top + ld;
+      float* o = out + (c * rows / 2 + py) * po;
+      uint8_t* win = window + (c * rows / 2 + py) * po;
+      for (int64_t px = 0; px < po; ++px) {
+        const float v[4] = {top[2 * px] + bv, top[2 * px + 1] + bv,
+                            bottom[2 * px] + bv, bottom[2 * px + 1] + bv};
+        float r[4];
+        ReluRange(v, 4, r);
+        float best = r[0];
+        uint32_t best_k = 0;
+        for (uint32_t k = 1; k < 4; ++k) {
+          const uint32_t take = 0u - static_cast<uint32_t>(r[k] > best);
+          best = r[k] > best ? r[k] : best;
+          best_k ^= (best_k ^ k) & take;
+        }
+        o[px] = best;
+        win[px] = static_cast<uint8_t>(best_k);
+      }
+    }
   }
 }
 
@@ -602,7 +643,7 @@ inline int64_t ConvImageChunks(int64_t batch) {
 
 template <typename Traits>
 void ConvForwardT(const float* x, const float* w, const float* bias,
-                  const ConvKernelShape& s, bool relu, float* out) {
+                  const ConvKernelShape& s, float* out, uint8_t* window) {
   constexpr int64_t mr = kConvRows;
   constexpr int64_t nr = Traits::kNr;
   if (s.batch <= 0) return;
@@ -630,7 +671,9 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
   // The last panel of the last row reads up to off[patch-1] + cols.
   const int64_t xp_len = std::max(g.cin * g.plane, off[g.patch - 1] + cols);
   const int64_t in_size = g.cin * g.h * g.w;
-  const int64_t out_size = g.cout * g.ho * g.wo;
+  // Per image: the [cout, ho, wo] outputs, or the quarter-size pooled
+  // outputs and their window bytes.
+  const int64_t out_size = g.cout * g.ho * g.wo / (window != nullptr ? 4 : 1);
   const int64_t chunks = ConvImageChunks(s.batch);
   KernelParallelFor(chunks, [&](int64_t ci) {
     ScratchLayout mine;
@@ -652,6 +695,13 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
         }
       }
       float* o = out + i * out_size;
+      if (window != nullptr) {
+        // The fused epilogue reads the grid while it is still in L1;
+        // the full-size outputs are never written.
+        Traits::ReluPool(grid, g.wp, cols, bias, g.cout, g.ho, g.wo, o,
+                         window + i * out_size);
+        continue;
+      }
       for (int64_t oc = 0; oc < g.cout; ++oc) {
         const float bv = bias[oc];
         for (int64_t oy = 0; oy < g.ho; ++oy) {
@@ -660,8 +710,6 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
           for (int64_t ox = 0; ox < g.wo; ++ox) dst[ox] = src[ox] + bv;
         }
       }
-      // The fused clamp runs on the image just written, still in L1.
-      if (relu) Traits::Relu(o, out_size, o);
     }
   });
 }

@@ -92,13 +92,29 @@ struct BlockedKernels {
                             const TileConfig& tile, bool parallel);
 
   /// The padded-grid convolution (stride 1, pad < kernel; kernels.h has
-  /// the contracts), batch-parallel across the kernel pool. `relu`
-  /// clamps each image's outputs after the bias epilogue.
+  /// the contracts), batch-parallel across the kernel pool. With a null
+  /// `window` each image's grid goes out through the bias epilogue as
+  /// [Cout, Ho, Wo]; otherwise through conv_relu_pool, as the pooled
+  /// [Cout, Ho/2, Wo/2] plus one window byte per pooled output.
   void (*conv_forward)(const float* x, const float* w, const float* bias,
-                       const ConvKernelShape& s, bool relu, float* out);
+                       const ConvKernelShape& s, float* out,
+                       uint8_t* window);
   void (*conv_backward)(const float* grad_out, const float* x,
                         const float* w, const ConvKernelShape& s, float* dx,
                         float* dw, float* db);
+
+  /// The fused conv epilogue: for each of `channels` planes of
+  /// rows x cols conv sums (rows, cols even; element (c, y, x) at
+  /// grid[c*plane + y*ld + x]), adds bias[c], takes max(0, ·) and pools
+  /// 2x2 with stride 2, writing the pooled [channels, rows/2, cols/2] to
+  /// out and each output's winner (0..3, row-major in its window) to
+  /// window. The first strict maximum wins. Reads nothing past the
+  /// region's last element, grid[(channels-1)*plane + (rows-1)*ld +
+  /// cols - 1]; what lies between its rows and planes may be read but
+  /// never reaches an output.
+  void (*conv_relu_pool)(const float* grid, int64_t ld, int64_t plane,
+                         const float* bias, int64_t channels, int64_t rows,
+                         int64_t cols, float* out, uint8_t* window);
 
   /// ReluKernel / ReluMaskKernel bodies (kernels.h has the contracts).
   void (*relu)(const float* x, int64_t n, float* y);

@@ -151,6 +151,12 @@ struct GenericTraits {
     DwChains<4, 8>(x, off, ldx, gd, ldg, ho, wo, out);
   }
 
+  static void ReluPool(const float* grid, int64_t ld, int64_t plane,
+                       const float* bias, int64_t channels, int64_t rows,
+                       int64_t cols, float* out, uint8_t* window) {
+    ReluPoolRange(grid, ld, plane, bias, channels, rows, cols, out, window);
+  }
+
   static void Relu(const float* x, int64_t n, float* y) {
     ReluRange(x, n, y);
   }
@@ -174,6 +180,7 @@ const BlockedKernels& GenericKernels() {
       &GemmTransBBlockedT<GenericTraits>,
       &ConvForwardT<GenericTraits>,
       &ConvBackwardT<GenericTraits>,
+      &GenericTraits::ReluPool,
       &GenericTraits::Relu,
       &GenericTraits::ReluMask,
       &AddRange,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/trace.h"
 #include "tensor/kernels.h"
@@ -268,35 +269,78 @@ float SoftmaxCrossEntropy(const Tensor& logits, const std::vector<int>& labels,
 
 namespace {
 
-Tensor ConvForward(const Tensor& x, const Tensor& w, const Tensor& b,
-                   const Conv2dSpec& spec, bool relu) {
+/// Checks the operands and returns the shape of the conv output.
+Shape ConvOutputShape(const Tensor& x, const Tensor& w, const Tensor& b,
+                      const Conv2dSpec& spec) {
   RFED_CHECK_EQ(x.rank(), 4);
-  const int64_t batch = x.dim(0), cin = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  RFED_CHECK_EQ(cin, spec.in_channels);
-  const int64_t patch = cin * spec.kernel * spec.kernel;
+  RFED_CHECK_EQ(x.dim(1), spec.in_channels);
+  const int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
   RFED_CHECK(w.shape() == Shape({spec.out_channels, patch}))
       << w.shape().ToString();
   RFED_CHECK_EQ(b.dim(0), spec.out_channels);
-  const int64_t ho = spec.OutDim(h), wo = spec.OutDim(wd);
+  const int64_t ho = spec.OutDim(x.dim(2)), wo = spec.OutDim(x.dim(3));
   RFED_CHECK_GT(ho, 0);
   RFED_CHECK_GT(wo, 0);
-  Tensor out(Shape{batch, spec.out_channels, ho, wo});
-  (relu ? Conv2dBiasReluForwardKernel : Conv2dForwardKernel)(
-      x.data(), w.data(), b.data(), ToKernelShape(spec, batch, h, wd),
-      out.data());
-  return out;
+  return Shape{x.dim(0), spec.out_channels, ho, wo};
 }
 
 }  // namespace
 
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                      const Conv2dSpec& spec) {
-  return ConvForward(x, w, b, spec, /*relu=*/false);
+  Tensor out(ConvOutputShape(x, w, b, spec));
+  Conv2dForwardKernel(x.data(), w.data(), b.data(),
+                      ToKernelShape(spec, x.dim(0), x.dim(2), x.dim(3)),
+                      out.data());
+  return out;
 }
 
-Tensor Conv2dBiasReluForward(const Tensor& x, const Tensor& w,
-                             const Tensor& b, const Conv2dSpec& spec) {
-  return ConvForward(x, w, b, spec, /*relu=*/true);
+Tensor Conv2dBiasReluPoolForward(const Tensor& x, const Tensor& w,
+                                 const Tensor& b, const Conv2dSpec& spec,
+                                 std::vector<uint8_t>* window) {
+  const Shape conv = ConvOutputShape(x, w, b, spec);
+  Tensor out(Shape{conv.dim(0), conv.dim(1), conv.dim(2) / 2, conv.dim(3) / 2});
+  window->resize(static_cast<size_t>(out.size()));
+  Conv2dBiasReluPoolForwardKernel(
+      x.data(), w.data(), b.data(),
+      ToKernelShape(spec, x.dim(0), x.dim(2), x.dim(3)), out.data(),
+      window->data());
+  return out;
+}
+
+void Conv2dBiasReluPoolBackward(const Tensor& grad, const Tensor& y,
+                                const std::vector<uint8_t>& window,
+                                const Tensor& x, const Tensor& w,
+                                const Conv2dSpec& spec, Tensor* dx,
+                                Tensor* dw, Tensor* db) {
+  RFED_CHECK(grad.shape() == y.shape());
+  RFED_CHECK_EQ(static_cast<int64_t>(window.size()), y.size());
+  const int64_t wd = spec.OutDim(x.dim(3)), wo = wd / 2;
+  Tensor routed(Shape{x.dim(0), spec.out_channels, spec.OutDim(x.dim(2)), wd});
+  RFED_CHECK_EQ(routed.size(), 4 * y.size());
+  {
+    obs::TraceSpan trace_span("relu_pool_bwd");
+    // Where window index k sits relative to its window's top-left input.
+    const int64_t offset[4] = {0, 1, wd, wd + 1};
+    const int64_t rows = y.size() / wo;
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* g = grad.data() + r * wo;
+      const float* yr = y.data() + r * wo;
+      const uint8_t* win = window.data() + r * wo;
+      float* top = routed.data() + 2 * r * wd;
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        // The pool's 0 + g (-0 becomes +0) where the winner passed the
+        // ReLU, else the mask's +0; windows do not overlap, and every
+        // other element keeps the zero fill. Selects, not jumps.
+        uint32_t bits;
+        const float v = 0.0f + g[ox];
+        std::memcpy(&bits, &v, sizeof(bits));
+        bits &= 0u - static_cast<uint32_t>(yr[ox] > 0.0f);
+        std::memcpy(top + 2 * ox + offset[win[ox] & 3], &bits, sizeof(bits));
+      }
+    }
+  }
+  Conv2dBackward(routed, x, w, spec, dx, dw, db);
 }
 
 void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,

@@ -100,17 +100,31 @@ struct Conv2dSpec {
 /// per-image im2col + blocked GEMM (Conv2dForwardKernel).
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                      const Conv2dSpec& spec);
-/// Fused relu(Conv2dForward(x, w, b)): the clamp runs in the kernel's
-/// bias epilogue (Conv2dBiasReluForwardKernel), bit-identical to
-/// Relu(Conv2dForward(...)) without the pre-activation tensor. Its
-/// backward is Conv2dBackward on ReluBackward(grad, y).
-Tensor Conv2dBiasReluForward(const Tensor& x, const Tensor& w,
-                             const Tensor& b, const Conv2dSpec& spec);
+/// Fused MaxPool2x2Forward(Relu(Conv2dForward(x, w, b)), window) with
+/// even conv outputs: bias, clamp and pool run in the conv kernel's
+/// epilogue (Conv2dBiasReluPoolForwardKernel), so the full-size conv
+/// output is never allocated. Returns the pooled [B, Cout, Ho/2, Wo/2];
+/// value and window are bit-identical to the composed chain.
+Tensor Conv2dBiasReluPoolForward(const Tensor& x, const Tensor& w,
+                                 const Tensor& b, const Conv2dSpec& spec,
+                                 std::vector<uint8_t>* window);
 /// Gradients of Conv2dForward. Any output pointer may be null to skip;
 /// non-null outputs are allocated (zeroed) here.
 void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
                     const Conv2dSpec& spec, Tensor* dx, Tensor* dw,
                     Tensor* db);
+
+/// Gradients of Conv2dBiasReluPoolForward from the upstream grad of its
+/// pooled output y and the window it recorded: one pass routes each
+/// grad to its window's winner where y > 0 (+0 everywhere else), then
+/// Conv2dBackward runs on the routed grid. Bit-identical to
+/// Conv2dBackward(ReluBackward(MaxPool2x2Backward(grad), relu output)).
+/// Output pointers as in Conv2dBackward.
+void Conv2dBiasReluPoolBackward(const Tensor& grad, const Tensor& y,
+                                const std::vector<uint8_t>& window,
+                                const Tensor& x, const Tensor& w,
+                                const Conv2dSpec& spec, Tensor* dx,
+                                Tensor* dw, Tensor* db);
 
 /// 2x2 max pooling with stride 2 over [B, C, H, W] (H, W even). For
 /// each output, records which of its window's four inputs won (0..3 in

@@ -163,10 +163,11 @@ TEST(AutogradTest, Conv2dBackwardThroughOp) {
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}, 5e-3), 0.1);
 }
 
-TEST(AutogradTest, Conv2dBiasReluBackwardThroughOp) {
-  // Pre-activations of both signs; none within 0.05 of the kink, so the
-  // central differences do not step across it.
-  Rng rng(30);
+TEST(AutogradTest, Conv2dBiasReluPoolBackwardThroughOp) {
+  // Pre-activations of both signs; none within 0.05 of the kink and no
+  // two in a window within 0.05 of each other, so the central
+  // differences step across neither the clamp nor a change of winner.
+  Rng rng(39);
   Conv2dSpec spec{.in_channels = 2, .out_channels = 3, .kernel = 3,
                   .stride = 1, .pad = 1};
   Variable x = Leaf(Tensor::Normal(Shape{2, 2, 4, 4}, 0, 1, &rng));
@@ -180,8 +181,22 @@ TEST(AutogradTest, Conv2dBiasReluBackwardThroughOp) {
   }
   ASSERT_GT(positive, 0);
   ASSERT_LT(positive, pre.size());
+  for (int64_t r = 0; r < pre.size() / 8; ++r) {
+    for (int64_t c = 0; c < 2; ++c) {
+      const int64_t at = 2 * r * 4 + 2 * c;
+      const float v[4] = {pre.at(at), pre.at(at + 1), pre.at(at + 4),
+                          pre.at(at + 5)};
+      for (int i = 0; i < 4; ++i) {
+        for (int j = i + 1; j < 4; ++j) {
+          if (v[i] > 0.0f || v[j] > 0.0f) {
+            ASSERT_GT(std::fabs(v[i] - v[j]), 0.05f) << "window at " << at;
+          }
+        }
+      }
+    }
+  }
   auto loss = [&] {
-    return ag::Sum(ag::Tanh(ag::Conv2dBiasRelu(x, w, b, spec)));
+    return ag::Sum(ag::Tanh(ag::Conv2dBiasReluPool(x, w, b, spec)));
   };
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}, 5e-3), 0.1);
 }

@@ -6,6 +6,7 @@
 // pins that contract end to end: a federated run's global model must be
 // byte-identical across kernel_threads in {1, 2, 4}.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -601,6 +602,71 @@ TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
       ASSERT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
                                db_size * sizeof(float)))
           << "db " << ConvName(s) << " " << OptionsName(o);
+    }
+  }
+}
+
+TEST_F(KernelTest, ConvReluPoolEpilogueMatchesScalarRuleBitwise) {
+  // Each table's conv_relu_pool entry against the rule written out:
+  // v = sum + bias, r = std::max(0.0f, v), and a window position wins
+  // only when strictly greater than the running max. The sums hold
+  // NaN, ±Inf, -0, ties and windows that are all <= 0 after the bias;
+  // the bias has a -0. Widths fill whole 8-lane steps, part of one and
+  // more than one; rows are strided wider than they are, and the buffer
+  // ends where the last row does, so a read past a row's end would show
+  // under ASan.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pattern[] = {nan,  1.0f, 1.0f, 0.5f, -0.0f, -inf, inf,  inf,
+                           2.0f, 2.0f, nan,  3.0f, -1.0f, -2.0f, 0.0f, -0.0f,
+                           0.25f, nan, 0.25f, 0.25f, -inf, nan, -3.0f, 0.5f,
+                           -0.0f, 0.0f, 0.0f, -0.0f};
+  const float bias[] = {-0.0f, 0.5f, -1.5f};
+  const int64_t channels = 3, rows = 4;
+  std::vector<const internal::BlockedKernels*> tables{
+      &internal::GenericKernels()};
+  if (KernelAvx2Available()) tables.push_back(internal::Avx2KernelsOrNull());
+  for (int64_t cols : {2, 6, 12, 16, 18, 34}) {
+    const int64_t ld = cols + 3, plane = rows * ld + 5;
+    std::vector<float> grid(
+        static_cast<size_t>((channels - 1) * plane + (rows - 1) * ld + cols));
+    for (size_t i = 0; i < grid.size(); ++i) {
+      grid[i] = pattern[(i * 5 + i / 7) % 28];
+    }
+    const int64_t outs = channels * rows / 2 * cols / 2;
+    std::vector<float> want(static_cast<size_t>(outs));
+    std::vector<uint8_t> want_win(static_cast<size_t>(outs));
+    int64_t o = 0;
+    for (int64_t c = 0; c < channels; ++c) {
+      for (int64_t py = 0; py < rows / 2; ++py) {
+        for (int64_t px = 0; px < cols / 2; ++px, ++o) {
+          const float* top = grid.data() + c * plane + 2 * py * ld + 2 * px;
+          const float in[4] = {top[0], top[1], top[ld], top[ld + 1]};
+          float best = std::max(0.0f, in[0] + bias[c]);
+          uint8_t k_best = 0;
+          for (uint8_t k = 1; k < 4; ++k) {
+            const float r = std::max(0.0f, in[k] + bias[c]);
+            if (r > best) {
+              best = r;
+              k_best = k;
+            }
+          }
+          want[static_cast<size_t>(o)] = best;
+          want_win[static_cast<size_t>(o)] = k_best;
+        }
+      }
+    }
+    for (const internal::BlockedKernels* table : tables) {
+      const bool generic = table == &internal::GenericKernels();
+      std::vector<float> got(static_cast<size_t>(outs), -7.0f);
+      std::vector<uint8_t> got_win(static_cast<size_t>(outs), 9);
+      table->conv_relu_pool(grid.data(), ld, plane, bias, channels, rows,
+                            cols, got.data(), got_win.data());
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                               want.size() * sizeof(float)))
+          << "cols=" << cols << (generic ? " generic" : " avx2");
+      EXPECT_TRUE(want_win == got_win)
+          << "cols=" << cols << (generic ? " generic" : " avx2");
     }
   }
 }

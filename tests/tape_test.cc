@@ -2,7 +2,7 @@
 // arena-backed autograd (autograd/tape.h, tensor/buffer_pool.h) and the
 // fused ops. Everything here asserts *exact* float equality, not
 // closeness — static-graph replay, gradient checkpointing and the fused
-// linear+bias+relu and conv+bias+relu nodes all promise byte-identical
+// linear+bias+relu and conv+bias+relu+pool nodes all promise byte-identical
 // results, and any drift is a bug (see docs/AUTOGRAD.md for the
 // contracts).
 //
@@ -49,7 +49,7 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b,
   }
 }
 
-// ---- Fused linear+bias+relu and conv+bias+relu ----
+// ---- Fused linear+bias+relu and conv+bias+relu+pool ----
 
 TEST(FusedOpsTest, LinearBiasReluMatchesComposedChainBitwise) {
   Rng rng(101);
@@ -85,29 +85,39 @@ TEST(FusedOpsTest, LinearBiasReluGradcheck) {
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}), kTol);
 }
 
-TEST(FusedOpsTest, Conv2dBiasReluMatchesComposedChainBitwise) {
-  // The round's two convolutions at a single image, a training batch and
-  // a δ-map batch, on the portable and the auto-selected ISA table,
-  // serial and threaded: value and every gradient memcmp-equal to
-  // ag::Relu(ag::Conv2d(...)). The upstream gradient has random signs
-  // so the mask decides real values.
+TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
+  // The round's two convolutions, the golden CNN's (2 and 4 channels),
+  // a 9-channel conv (a partial second register tile) and a strided
+  // shape off the padded grid, at one image, an odd batch, a training
+  // batch and a δ-map batch, on the portable and the auto-selected ISA
+  // table, serial and threaded: the pooled value, its window bytes and
+  // every gradient memcmp-equal to ag::MaxPool2x2(ag::Relu(ag::Conv2d)).
+  // The upstream gradient has random signs so the routing decides real
+  // values.
   struct Case {
-    int64_t cin, side, cout;
+    int64_t cin, side, cout, kernel, stride, pad;
   };
-  const Case cases[] = {{3, 12, 4}, {4, 6, 8}};
+  const Case cases[] = {{3, 12, 4, 5, 1, 2}, {4, 6, 8, 5, 1, 2},
+                        {1, 12, 2, 5, 1, 2}, {2, 6, 4, 5, 1, 2},
+                        {3, 8, 9, 3, 1, 1},  {2, 8, 3, 3, 2, 1}};
   const KernelIsa isas[] = {KernelIsa::kGeneric, KernelIsa::kAuto};
+  auto same_bytes = [](const void* a, const void* b, size_t n) {
+    return std::memcmp(a, b, n) == 0;
+  };
   for (const Case& cs : cases) {
     const Conv2dSpec spec{.in_channels = cs.cin, .out_channels = cs.cout,
-                          .kernel = 5, .stride = 1, .pad = 2};
-    for (int64_t batch : {1, 24, 150}) {
-      Rng rng(static_cast<uint64_t>(31 * batch + cs.cin));
+                          .kernel = cs.kernel, .stride = cs.stride,
+                          .pad = cs.pad};
+    const int64_t ho = spec.OutDim(cs.side);
+    for (int64_t batch : {1, 7, 24, 150}) {
+      Rng rng(static_cast<uint64_t>(31 * batch + 7 * cs.cin + cs.cout));
       const Tensor xt =
           Tensor::Normal(Shape{batch, cs.cin, cs.side, cs.side}, 0, 1, &rng);
-      const Tensor wt =
-          Tensor::Normal(Shape{cs.cout, cs.cin * 25}, 0, 0.3f, &rng);
+      const Tensor wt = Tensor::Normal(
+          Shape{cs.cout, cs.cin * cs.kernel * cs.kernel}, 0, 0.3f, &rng);
       const Tensor bt = Tensor::Normal(Shape{cs.cout}, 0, 0.3f, &rng);
-      const Tensor rt = Tensor::Normal(
-          Shape{batch, cs.cout, cs.side, cs.side}, 0, 1, &rng);
+      const Tensor rt =
+          Tensor::Normal(Shape{batch, cs.cout, ho / 2, ho / 2}, 0, 1, &rng);
       for (KernelIsa isa : isas) {
         for (int threads : {1, 4}) {
           KernelOptions o;
@@ -115,25 +125,37 @@ TEST(FusedOpsTest, Conv2dBiasReluMatchesComposedChainBitwise) {
           o.threads = threads;
           SetKernelOptions(o);
           const std::string what =
-              "cin=" + std::to_string(cs.cin) + " B=" +
+              "cin=" + std::to_string(cs.cin) + " side=" +
+              std::to_string(cs.side) + " cout=" + std::to_string(cs.cout) +
+              " stride=" + std::to_string(cs.stride) + " B=" +
               std::to_string(batch) + " isa=" + KernelIsaName(isa) +
               " threads=" + std::to_string(threads);
+          std::vector<uint8_t> win_fused, win_chain;
+          const Tensor y_fused =
+              Conv2dBiasReluPoolForward(xt, wt, bt, spec, &win_fused);
+          const Tensor y_chain = MaxPool2x2Forward(
+              Relu(Conv2dForward(xt, wt, bt, spec)), &win_chain);
+          EXPECT_TRUE(win_fused == win_chain) << what << " window";
+
           const Variable r(rt, false);
           Variable x1 = Leaf(xt), w1 = Leaf(wt), b1 = Leaf(bt);
-          Variable fused = ag::Conv2dBiasRelu(x1, w1, b1, spec);
+          Variable fused = ag::Conv2dBiasReluPool(x1, w1, b1, spec);
           ag::Sum(ag::Mul(fused, r)).Backward();
           Variable x2 = Leaf(xt), w2 = Leaf(wt), b2 = Leaf(bt);
-          Variable chain = ag::Relu(ag::Conv2d(x2, w2, b2, spec));
+          Variable chain =
+              ag::MaxPool2x2(ag::Relu(ag::Conv2d(x2, w2, b2, spec)));
           ag::Sum(ag::Mul(chain, r)).Backward();
-          auto same = [&what](const Tensor& a, const Tensor& b,
-                              const char* name) {
+          auto same = [&](const Tensor& a, const Tensor& b,
+                          const char* name) {
             ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
-            EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                                     sizeof(float) *
-                                         static_cast<size_t>(a.size())))
+            EXPECT_TRUE(same_bytes(
+                a.data(), b.data(),
+                sizeof(float) * static_cast<size_t>(a.size())))
                 << what << " " << name;
           };
-          same(fused.value(), chain.value(), "forward");
+          same(y_fused, y_chain, "op forward");
+          same(fused.value(), y_chain, "node forward");
+          same(chain.value(), y_chain, "chain forward");
           same(x1.grad(), x2.grad(), "dx");
           same(w1.grad(), w2.grad(), "dw");
           same(b1.grad(), b2.grad(), "db");
