@@ -19,11 +19,14 @@
 // cifar_round_conv{1,2}_relu_pool_{fwd,bwd} rows are the fused conv
 // blocks the CNN runs, at the same two batches: conv, bias, ReLU and
 // pool in one pass (Conv2dBiasReluPoolForwardKernel), and its backward
-// (Conv2dBiasReluPoolBackward: the routing pass, then the conv
-// gradients, without dx for conv1 as in training). Their reference is
-// the composed ref:: chain (ref conv, std::max, the int64-argmax pool
+// (Conv2dBiasReluPoolBackward: dw, db and, except for conv1 as in
+// training, dx, with terms for the live winners only). Their reference
+// is the composed ref:: chain (ref conv, std::max, the int64-argmax pool
 // and its backward, the mask, ref conv backward), and their "flops" are
-// the conv's plus one per conv output.
+// the dense conv's plus one per conv output, so the backward rows'
+// "gflops" read as a dense-equivalent rate. The
+// cifar_round_conv2_relu_pool_bwd_nonfinite_b24 row puts one NaN in the
+// pooled gradient, which sends the backward down its dense fallback.
 //
 // The mnist_round_* rows are the eight GEMMs of one local step of the
 // served MLP (roundbench/, mnist_mlp_fedavg_serve: 144-64-32-10 at batch
@@ -190,6 +193,9 @@ struct Case {
   // Conv backward kinds only: whether dx is computed. A first conv's input is
   // the data batch, so training never asks for its dx.
   bool dx = true;
+  // kConvReluPoolBwd only: a NaN in the pooled gradient at the first
+  // window that passed the ReLU.
+  bool nonfinite = false;
 };
 
 /// The sweep. Miniature shapes mirror the repo's 12x12 synthetic
@@ -269,6 +275,11 @@ std::vector<Case> Sweep() {
     cases.push_back({b24 ? "cifar_round_conv2_relu_pool_bwd_b24"
                          : "cifar_round_conv2_relu_pool_bwd_b150",
                      Kind::kConvReluPoolBwd, 0, 0, 0, conv2, true});
+    if (b24) {
+      cases.push_back({"cifar_round_conv2_relu_pool_bwd_nonfinite_b24",
+                       Kind::kConvReluPoolBwd, 0, 0, 0, conv2, true, false,
+                       true, true});
+    }
   }
   // The served MLP's step at batch 8. Forward: {batch, in, out}; dw
   // (TransA, A = x [batch, in], B = g [batch, out]): {batch, in, out};
@@ -477,6 +488,11 @@ struct Workbench {
         db.assign(bias.size(), 0.0f);
         RunConvBlockForward(c, /*optimized=*/false);
         RunConvBlockForward(c, /*optimized=*/true);
+        if (c.nonfinite) {
+          int64_t live = 0;
+          while (!(pool_opt.at(live) > 0.0f)) ++live;
+          pool_g.at(live) = std::nanf("");
+        }
         break;
       }
       case Kind::kReluFwd:

@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 

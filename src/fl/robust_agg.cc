@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "util/check.h"
 
@@ -37,31 +36,6 @@ double MedianOf(std::vector<double> sample) {
 bool KnownAggregator(const std::string& name) {
   return name == "mean" || name == "trimmed_mean" || name == "median" ||
          name == "norm_clip";
-}
-
-bool AllFinite(const Tensor& t) {
-  // An element is Inf or NaN iff its exponent bits are all ones. The
-  // test is folded over fixed blocks without a branch per element, a
-  // loop of known length the compiler vectorizes at -O2; only each
-  // block's verdict branches.
-  constexpr int64_t kBlock = 128;
-  constexpr uint32_t kExponent = 0x7f800000u;
-  const float* p = t.data();
-  const int64_t n = t.size();
-  auto non_finite = [p](int64_t i) {
-    uint32_t bits;
-    std::memcpy(&bits, p + i, sizeof(bits));
-    return static_cast<uint32_t>((bits & kExponent) == kExponent);
-  };
-  int64_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    uint32_t bad = 0;
-    for (int64_t j = 0; j < kBlock; ++j) bad |= non_finite(i + j);
-    if (bad != 0) return false;
-  }
-  uint32_t bad = 0;
-  for (; i < n; ++i) bad |= non_finite(i);
-  return bad == 0;
 }
 
 size_t ResolveTrimCount(double trim_fraction, size_t m) {

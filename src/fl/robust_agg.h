@@ -46,9 +46,6 @@ struct RobustAggOptions {
 /// True iff `name` is one of the RobustAggOptions aggregation rules.
 bool KnownAggregator(const std::string& name);
 
-/// True iff every element of `t` is finite (no NaN/Inf).
-bool AllFinite(const Tensor& t);
-
 /// Coordinate-wise trimmed mean of `values` (all the same shape) under
 /// nonnegative `weights`: per coordinate, the floor(trim_fraction * m)
 /// smallest and largest samples are discarded and the remainder is

@@ -313,10 +313,17 @@ obs::Counter* GemmFlopCounter() {
   return c;
 }
 
-obs::Counter* ConvFlopCounter() {
-  static obs::Counter* c =
+/// A conv call's FLOPs: 2 per multiply-add it runs (kernel.conv_flops)
+/// and 2 per multiply-add of the dense conv it stands for
+/// (kernel.conv_dense_flops); they differ only where the fused block's
+/// backward skips the zero terms.
+void CountConvFlops(int64_t run, int64_t dense) {
+  static obs::Counter* run_flops =
       obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
-  return c;
+  static obs::Counter* dense_flops =
+      obs::MetricsRegistry::Get().GetCounter("kernel.conv_dense_flops");
+  run_flops->Add(run);
+  dense_flops->Add(dense);
 }
 
 }  // namespace
@@ -369,13 +376,17 @@ bool ConvOnPaddedGrid(const ConvKernelShape& s) {
   return s.stride == 1 && s.pad < s.kernel;
 }
 
+/// 2 * the multiply-adds of one dense conv-sized product.
+int64_t DenseConvFlops(const ConvKernelShape& s) {
+  return 2 * s.batch * s.out_channels * s.Patch() * s.OutArea();
+}
+
 /// The plain forward (null window) or the fused relu-pool forward.
 void ConvForward(const float* x, const float* w, const float* bias,
                  const ConvKernelShape& s, float* out, uint8_t* window) {
   obs::TraceSpan trace_span("conv2d_fwd");
   if (obs::TracingEnabled()) {
-    ConvFlopCounter()->Add(2 * s.batch * s.out_channels * s.Patch() *
-                           s.OutArea());
+    CountConvFlops(DenseConvFlops(s), DenseConvFlops(s));
   }
   const internal::BlockedKernels& table = ActiveTable();
   if (ConvOnPaddedGrid(s)) {
@@ -401,6 +412,22 @@ void ConvForward(const float* x, const float* w, const float* bias,
   }
 }
 
+/// The dense backward of the conv alone, uninstrumented.
+void ConvBackward(const float* grad_out, const float* x, const float* w,
+                  const ConvKernelShape& s, float* dx, float* dw, float* db) {
+  if (!ConvOnPaddedGrid(s)) {
+    ref::Conv2dBackwardKernel(grad_out, x, w, s, dx, dw, db);
+    return;
+  }
+  ActiveTable().conv_backward(grad_out, x, w, s, dx, dw, db);
+}
+
+/// The conv-sized products a backward runs: one each for dw and dx
+/// (db's adds are not counted).
+int64_t BackwardProducts(const float* dx, const float* dw) {
+  return (dw != nullptr ? 1 : 0) + (dx != nullptr ? 1 : 0);
+}
+
 }  // namespace
 
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
@@ -422,15 +449,55 @@ void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           float* dw, float* db) {
   obs::TraceSpan trace_span("conv2d_bwd");
   if (obs::TracingEnabled()) {
-    const int64_t gemms = (dw != nullptr ? 1 : 0) + (dx != nullptr ? 1 : 0);
-    ConvFlopCounter()->Add(2 * s.batch * s.out_channels * s.Patch() *
-                           s.OutArea() * gemms);
+    const int64_t flops = DenseConvFlops(s) * BackwardProducts(dx, dw);
+    CountConvFlops(flops, flops);
   }
-  if (!ConvOnPaddedGrid(s)) {
-    ref::Conv2dBackwardKernel(grad_out, x, w, s, dx, dw, db);
+  ConvBackward(grad_out, x, w, s, dx, dw, db);
+}
+
+void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
+                                      const uint8_t* window, const float* x,
+                                      const float* w, const ConvKernelShape& s,
+                                      float* dx, float* dw, float* db) {
+  RFED_CHECK(s.OutH() % 2 == 0 && s.OutW() % 2 == 0)
+      << "the 2x2 pool needs even conv outputs";
+  obs::TraceSpan trace_span("conv2d_bwd");
+  const int64_t pooled = s.batch * s.out_channels * s.OutArea() / 4;
+  // Only the operands a wanted gradient reads are checked: x feeds only
+  // dw, w only dx.
+  const bool sparse =
+      ConvOnPaddedGrid(s) && AllFiniteKernel(grad, pooled) &&
+      (dw == nullptr ||
+       AllFiniteKernel(x, s.batch * s.in_channels * s.height * s.width)) &&
+      (dx == nullptr || AllFiniteKernel(w, s.out_channels * s.Patch()));
+  if (obs::TracingEnabled()) {
+    const int64_t products = BackwardProducts(dx, dw);
+    int64_t live = 0;
+    for (int64_t i = 0; i < pooled; ++i) live += y[i] > 0.0f ? 1 : 0;
+    CountConvFlops(sparse ? 2 * live * s.Patch() * products
+                          : DenseConvFlops(s) * products,
+                   DenseConvFlops(s) * products);
+  }
+  if (sparse) {
+    ActiveTable().conv_block_backward(grad, y, window, x, w, s, dx, dw, db);
     return;
   }
-  ActiveTable().conv_backward(grad_out, x, w, s, dx, dw, db);
+  // The dense fallback, where Inf * 0 = NaN must survive: route each
+  // pooled gradient to its window's winner, 0 + g (-0 becomes +0) where
+  // the winner passed the ReLU and +0 elsewhere, then run the conv's
+  // backward on the full-size grid.
+  const int64_t wd = s.OutW(), wo = wd / 2;
+  std::vector<float> routed(static_cast<size_t>(4 * pooled), 0.0f);
+  // Where window index k sits relative to its window's top-left input.
+  const int64_t offset[4] = {0, 1, wd, wd + 1};
+  for (int64_t r = 0; r < pooled / wo; ++r) {
+    float* top = routed.data() + 2 * r * wd;
+    for (int64_t ox = 0; ox < wo; ++ox) {
+      const int64_t i = r * wo + ox;
+      top[2 * ox + offset[window[i] & 3]] = y[i] > 0.0f ? 0.0f + grad[i] : 0.0f;
+    }
+  }
+  ConvBackward(routed.data(), x, w, s, dx, dw, db);
 }
 
 // ---- Activations ----
@@ -461,6 +528,29 @@ void ScaleKernel(float* x, float s, int64_t n) {
 
 void AxpyKernel(float* x, float s, const float* y, int64_t n) {
   ActiveTable().axpy(x, s, y, n);
+}
+
+bool AllFiniteKernel(const float* x, int64_t n) {
+  // An element is Inf or NaN iff its exponent bits are all ones. The
+  // test is folded over fixed blocks without a branch per element, a
+  // loop of known length the compiler vectorizes at -O2; only each
+  // block's verdict branches.
+  constexpr int64_t kBlock = 128;
+  constexpr uint32_t kExponent = 0x7f800000u;
+  auto non_finite = [x](int64_t i) {
+    uint32_t bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    return static_cast<uint32_t>((bits & kExponent) == kExponent);
+  };
+  int64_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    uint32_t bad = 0;
+    for (int64_t j = 0; j < kBlock; ++j) bad |= non_finite(i + j);
+    if (bad != 0) return false;
+  }
+  uint32_t bad = 0;
+  for (; i < n; ++i) bad |= non_finite(i);
+  return bad == 0;
 }
 
 void FillKernel(float* x, float v, int64_t n) {

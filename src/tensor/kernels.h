@@ -253,6 +253,21 @@ void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);
 
+/// Gradients of Conv2dBiasReluPoolForwardKernel from the upstream grad
+/// of its pooled output y [B, Cout, Ho/2, Wo/2] and the window bytes it
+/// recorded; outputs as in Conv2dBackwardKernel. The conv output's
+/// gradient is 0 + grad at a window's winner where y > 0 and +0
+/// everywhere else. On the padded grid, with finite grad (and finite x
+/// when dw is wanted, finite w when dx is), only those live winners'
+/// terms are added, in the dense order; otherwise the routed gradient
+/// is built and Conv2dBackwardKernel's path runs on it. Either way the
+/// bits are those of Conv2dBackwardKernel on the routed gradient, and
+/// one conv2d_bwd span is recorded.
+void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
+                                      const uint8_t* window, const float* x,
+                                      const float* w, const ConvKernelShape& s,
+                                      float* dx, float* dw, float* db);
+
 // ---- Activations ----
 // Branch-free: the compare becomes a bit mask (AVX2: max_ps / cmp_ps
 // lanes), so activations of random sign cost no mispredictions. Both
@@ -282,6 +297,8 @@ void ScaleKernel(float* x, float s, int64_t n);
 void AxpyKernel(float* x, float s, const float* y, int64_t n);
 /// x[i] = v.
 void FillKernel(float* x, float v, int64_t n);
+/// True iff no x[i] is NaN or +-Inf. Branch-free within blocks of 128.
+bool AllFiniteKernel(const float* x, int64_t n);
 /// out[c] = out[c] + x[r, c] for r = 0, 1, ..., rows - 1: vectorized
 /// across columns, so each column keeps its row order.
 void SumRowsKernel(const float* x, int64_t rows, int64_t cols, float* out);

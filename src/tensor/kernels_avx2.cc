@@ -45,6 +45,8 @@ struct Avx2Traits {
   static constexpr int64_t kMr = 6;
   static constexpr int64_t kNr = 16;
   static constexpr int64_t kTr = 8;
+  static constexpr int64_t kDwChains = 15;
+  static constexpr int64_t kDxLanes = 8;
 
   static float Fma(float a, float b, float acc) {
     return std::fmaf(a, b, acc);
@@ -387,6 +389,95 @@ struct Avx2Traits {
     _mm256_storeu_pd(out + 28, a31);
   }
 
+  // Sparse dw: R kernel rows of K taps, one __m256d chain per tap (4
+  // input channels), held in registers while the winners stream past:
+  // R*K <= 15 accumulators and the broadcast value fill the 16 ymm.
+  template <int K, int R>
+  static void SparseDwRows(const double* x, int64_t ldx, const int32_t* pos,
+                           const double* v, int64_t n, double* out) {
+    __m256d acc[R * K];
+#pragma GCC unroll 16
+    for (int t = 0; t < R * K; ++t) acc[t] = _mm256_setzero_pd();
+    for (int64_t e = 0; e < n; ++e) {
+      const __m256d ve = _mm256_broadcast_sd(v + e);
+      // Stepping a row pointer (rather than indexing r*ldx) is what
+      // lets GCC fold each kx into the load's displacement.
+      const double* xr = x + pos[e];
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r, xr += ldx) {
+#pragma GCC unroll 8
+        for (int kx = 0; kx < K; ++kx) {
+          acc[r * K + kx] = _mm256_fmadd_pd(
+              ve, _mm256_loadu_pd(xr + kx * kConvRows), acc[r * K + kx]);
+        }
+      }
+    }
+#pragma GCC unroll 16
+    for (int t = 0; t < R * K; ++t) _mm256_storeu_pd(out + 4 * t, acc[t]);
+  }
+
+  static void ConvSparseDw(const double* x, int64_t ldx, int64_t k,
+                           int64_t rows, const int32_t* pos, const double* v,
+                           int64_t n, double* out) {
+    // The CNN's 5x5 kernels take passes of 3 and 2 rows.
+    if (k == 5) {
+      WithCount(rows, [&](auto r) {
+        if constexpr (r() <= 3) SparseDwRows<5, r()>(x, ldx, pos, v, n, out);
+      });
+      return;
+    }
+    // Any other kernel, which no model in the repository has: one tap's
+    // chain at a time.
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t kx = 0; kx < k; ++kx) {
+        const double* xt = x + r * ldx + kx * kConvRows;
+        __m256d acc = _mm256_setzero_pd();
+        for (int64_t e = 0; e < n; ++e) {
+          acc = _mm256_fmadd_pd(_mm256_broadcast_sd(v + e),
+                                _mm256_loadu_pd(xt + pos[e]), acc);
+        }
+        _mm256_storeu_pd(out + (r * k + kx) * kConvRows, acc);
+      }
+    }
+  }
+
+  // Sparse dx of one position: per ky, the lanes in runs of up to 4
+  // vectors (a 5x5 kernel's 20 lanes and 4 zero-weight ones are 3), one
+  // fused chain per lane over the position's live channels.
+  template <int V>
+  static void SparseDxRun(const float* w, const int32_t* wof, const float* v,
+                          int64_t n, float* dx) {
+    __m256 t[V];
+#pragma GCC unroll 4
+    for (int r = 0; r < V; ++r) t[r] = _mm256_setzero_ps();
+    for (int64_t e = 0; e < n; ++e) {
+      const __m256 ve = _mm256_broadcast_ss(v + e);
+      const float* we = w + wof[e];
+#pragma GCC unroll 4
+      for (int r = 0; r < V; ++r) {
+        t[r] = _mm256_fmadd_ps(_mm256_loadu_ps(we + 8 * r), ve, t[r]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < V; ++r) {
+      _mm256_storeu_ps(dx + 8 * r,
+                       _mm256_add_ps(_mm256_loadu_ps(dx + 8 * r), t[r]));
+    }
+  }
+
+  static void ConvSparseDx(const float* w, const int32_t* wof, const float* v,
+                           int64_t n, int64_t k, int64_t lanes, float* dx,
+                           int64_t ld) {
+    for (int64_t j0 = 0; j0 < lanes; j0 += 32) {
+      WithCount(std::min<int64_t>(32, lanes - j0) / 8, [&](auto runs) {
+        for (int64_t ky = 0; ky < k; ++ky) {
+          SparseDxRun<runs()>(w + ky * lanes + j0, wof, v, n,
+                              dx + ky * ld + j0);
+        }
+      });
+    }
+  }
+
   // The lanes of ReluPoolRange. Each step loads 16 grid columns of a
   // row pair and splits them into the even and the odd columns: window
   // positions 0..3 of 8 pooled outputs. A lane adds the bias and clamps
@@ -598,6 +689,7 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &GemmTransBSmallT<Avx2Traits>,
       &ConvForwardT<Avx2Traits>,
       &ConvBackwardT<Avx2Traits>,
+      &ConvBlockBackwardT<Avx2Traits>,
       &Avx2Traits::ReluPool,
       &Avx2Traits::Relu,
       &Avx2Traits::ReluMask,

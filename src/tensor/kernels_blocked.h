@@ -59,6 +59,23 @@
 //                               int64_t ldx, const double* gd, int64_t ldg,
 //                               int64_t ho, int64_t wo, double* out);
 //   static void ConvDwChains4x8(...same...);
+//   // The fused block's sparse backward (ConvBlockBackwardT below).
+//   // dw: for r < rows, kx < k and c < kConvRows,
+//   //   out[(r*k + kx)*kConvRows + c] = sum over e < n, ascending, of
+//   //     v[e] * x[pos[e] + r*ldx + kx*kConvRows + c]
+//   // from +0 (exact products, one double rounding per step); the
+//   // driver passes max(1, kDwChains / k) rows at a time:
+//   static constexpr int64_t kDwChains;
+//   static void ConvSparseDw(const double* x, int64_t ldx, int64_t k,
+//                            int64_t rows, const int32_t* pos,
+//                            const double* v, int64_t n, double* out);
+//   // dx of one output position: for ky < k and j < lanes (a multiple
+//   // of kDxLanes), dx[ky*ld + j] += (fused chain over e < n, ascending,
+//   // of w[wof[e] + ky*lanes + j] * v[e], from +0):
+//   static constexpr int64_t kDxLanes;
+//   static void ConvSparseDx(const float* w, const int32_t* wof,
+//                            const float* v, int64_t n, int64_t k,
+//                            int64_t lanes, float* dx, int64_t ld);
 //   // BlockedKernels::conv_relu_pool (the scalar semantics are
 //   // ReluPoolRange below):
 //   static void ReluPool(const float* grid, int64_t ld, int64_t plane,
@@ -636,10 +653,70 @@ void CopyIntoPadded(const float* src, int64_t channels, int64_t rows,
   }
 }
 
-/// Contiguous image ranges, one per kernel thread (one when serial).
+/// The fewest images a threaded conv chunk takes. Below it, handing a
+/// chunk to the pool costs more than the chunk's work: in a
+/// same-process sweep of the cifar_round_conv* rows on a 4-vCPU host,
+/// chunks of 6-12 images (B = 24 at 4 and 2 threads) ran up to 3x
+/// slower than one serial pass (docs/KERNELS.md, "Threading").
+inline constexpr int64_t kConvMinImagesPerChunk = 32;
+
+/// Contiguous image ranges, one per kernel thread but none smaller than
+/// kConvMinImagesPerChunk (one when serial).
 inline int64_t ConvImageChunks(int64_t batch) {
-  return std::clamp<int64_t>(GetKernelOptions().threads, 1, batch);
+  return std::max<int64_t>(
+      1, std::min<int64_t>(GetKernelOptions().threads,
+                           batch / kConvMinImagesPerChunk));
 }
+
+/// Where each image's dw and db terms go. Serial, an image's terms are
+/// added to dw/db as soon as it is done. Threaded, images finish out of
+/// order, so each image's terms are kept in its own partial and Finish
+/// adds them afterwards in ascending image order: the same float
+/// additions either way.
+struct ConvBatchSums {
+  float* dw;
+  float* db;
+  int64_t dw_size;            // 0 when dw is null
+  int64_t db_size;            // 0 when db is null
+  float* partials = nullptr;  // [batch][dw_size + db_size] when threaded
+
+  int64_t PartialFloats(int64_t batch, int64_t chunks) const {
+    return chunks > 1 ? batch * (dw_size + db_size) : 0;
+  }
+  void PutDw(int64_t i, int64_t idx, float v) const {
+    if (partials != nullptr) {
+      partials[i * (dw_size + db_size) + idx] = v;
+    } else {
+      dw[idx] += v;
+    }
+  }
+  /// PutDw for the run dw[at, at + count) of image i.
+  void PutDwRun(int64_t i, int64_t at, const double* terms,
+                int64_t count) const {
+    if (partials != nullptr) {
+      float* d = partials + i * (dw_size + db_size) + at;
+      for (int64_t j = 0; j < count; ++j) d[j] = static_cast<float>(terms[j]);
+    } else {
+      float* d = dw + at;
+      for (int64_t j = 0; j < count; ++j) d[j] += static_cast<float>(terms[j]);
+    }
+  }
+  void PutDb(int64_t i, int64_t oc, float v) const {
+    if (partials != nullptr) {
+      partials[i * (dw_size + db_size) + dw_size + oc] = v;
+    } else {
+      db[oc] += v;
+    }
+  }
+  void Finish(int64_t batch) const {
+    if (partials == nullptr) return;
+    for (int64_t i = 0; i < batch; ++i) {
+      const float* part = partials + i * (dw_size + db_size);
+      for (int64_t idx = 0; idx < dw_size; ++idx) dw[idx] += part[idx];
+      for (int64_t oc = 0; oc < db_size; ++oc) db[oc] += part[dw_size + oc];
+    }
+  }
+};
 
 template <typename Traits>
 void ConvForwardT(const float* x, const float* w, const float* bias,
@@ -735,24 +812,18 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
   const int64_t gq_len =
       std::max(g.cout * g.plane_q, (g.cout - 1) * g.plane_q +
                                        (g.k - 1) * (g.wq + 1) + dx_cols);
-  // Single-threaded, each image's dw/db is added to the outputs as soon
-  // as it is done. Threaded, images finish out of order, so per-image
-  // partials are kept and added afterwards in ascending image order:
-  // the same float additions either way.
   const int64_t chunks = ConvImageChunks(s.batch);
-  const int64_t dw_size = dw != nullptr ? g.cout * g.patch : 0;
-  const int64_t db_size = db != nullptr ? g.cout : 0;
-  const int64_t part_stride = dw_size + db_size;
+  ConvBatchSums sums{dw, db, dw != nullptr ? g.cout * g.patch : 0,
+                     db != nullptr ? g.cout : 0};
   ScratchLayout shared;
   const size_t wt_at = shared.Add<float>(
       dx != nullptr ? dx_groups * g.taps * g.cout * kConvRows : 0);
   const size_t off_at = shared.Add<int64_t>(dw != nullptr ? g.patch : 0);
-  const size_t part_at =
-      shared.Add<float>(chunks > 1 ? s.batch * part_stride : 0);
+  const size_t part_at = shared.Add<float>(sums.PartialFloats(s.batch, chunks));
   char* shared_base = shared.Claim(kSlotConvOperands);
   float* wt = At<float>(shared_base, wt_at);
   int64_t* off = At<int64_t>(shared_base, off_at);
-  float* partials = At<float>(shared_base, part_at);
+  if (chunks > 1) sums.partials = At<float>(shared_base, part_at);
   if (dx != nullptr) {
     // wt[group][tap][oc][r] = w[oc][c = group*kConvRows + r][tap]: one
     // tap's weights for a group of input channels are contiguous, and
@@ -791,25 +862,12 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
     for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
          ++i) {
       const float* go = grad_out + i * out_size;
-      // One image's dw/db terms go straight into dw/db, or into its
-      // partial when threaded.
-      const bool keep = chunks > 1;
-      float* part = keep ? partials + i * part_stride : nullptr;
-      float* dw_dst = keep ? part : dw;
-      float* db_dst = keep ? part + dw_size : db;
-      auto put = [keep](float* dst, float v) {
-        if (keep) {
-          *dst = v;
-        } else {
-          *dst += v;
-        }
-      };
       if (db != nullptr) {
         for (int64_t oc = 0; oc < g.cout; ++oc) {
           const float* plane = go + oc * area;
           double acc = 0.0;
           for (int64_t a = 0; a < area; ++a) acc += plane[a];
-          put(db_dst + oc, static_cast<float>(acc));
+          sums.PutDb(i, oc, static_cast<float>(acc));
         }
       }
       if (dw != nullptr) {
@@ -838,8 +896,8 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
             const int64_t oc_live = std::min(lanes, g.cout - oc0);
             for (int64_t t = 0; t < oc_live; ++t) {
               for (int64_t r = 0; r < live; ++r) {
-                put(dw_dst + (oc0 + t) * g.patch + p0 + r,
-                    static_cast<float>(acc[r * lanes + t]));
+                sums.PutDw(i, (oc0 + t) * g.patch + p0 + r,
+                           static_cast<float>(acc[r * lanes + t]));
               }
             }
           }
@@ -869,11 +927,264 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
       }
     }
   });
-  if (chunks > 1) {
-    for (int64_t i = 0; i < s.batch; ++i) {
-      const float* part = partials + i * part_stride;
-      for (int64_t idx = 0; idx < dw_size; ++idx) dw[idx] += part[idx];
-      for (int64_t oc = 0; oc < db_size; ++oc) db[oc] += part[dw_size + oc];
+  sums.Finish(s.batch);
+}
+
+// ---- The fused conv block's backward, at the gradient's sparsity ----
+//
+// The gradient of a conv block's conv output is nonzero only at a
+// window's winner, and only where the winner passed the ReLU (y > 0);
+// there it is 0 + grad (-0 becomes +0). ConvBlockBackwardT reads
+// (grad, y, window) and adds terms only for those live winners. Each
+// skipped term of the dense backward is +-0 * finite, and for finite
+// operands dropping such terms changes no bit as long as the kept ones
+// keep the dense order (docs/KERNELS.md, "Convolution"):
+//  * db and dw: each (oc, p) double chain walks its channel's winners in
+//    ascending (oy, ox), so in each pooled row the top-row winners
+//    (window 0, 1) come before the bottom-row ones (2, 3);
+//  * dx: each dx element adds one fused chain t over oc per tap, taps
+//    ascending in (ky, kx). Output positions are scattered in
+//    descending raster order, which meets every dx element's taps in
+//    ascending order, and each t runs over its position's live channels
+//    in ascending oc.
+//
+// Layouts. dw reads each image as doubles, interleaved in groups of
+// kConvRows input channels on the zero-padded grid,
+// xd[group][y][x][kConvRows] with rows wp positions wide: one vector
+// load serves a tap's chains for four input channels, and whole kernel
+// rows of taps (up to kDwChains taps) keep their chains in registers
+// while a channel's winners stream past. Each image's dw terms are kept
+// in that tap-major order ([oc][group][tap][c]) and transposed into dw
+// once per call. dx adds into a padded float scratch of the same shape
+// whose rows are ld floats wide, with the weights laid out
+// wdx[group][oc][ky][lane], lane = kx*kConvRows + c, rounded up to a
+// multiple of kDxLanes with zero weights: one (position, ky) step adds
+// `lanes` contiguous floats. The lanes past k*kConvRows add fused chains
+// of 0 * v, i.e. +0, to scratch floats that are never -0; ld leaves
+// room for them.
+
+/// Interleaves `live` channels of one image into the interior of the
+/// padded grid xd[y][x][kConvRows]; the rest of xd keeps its zeros.
+inline void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
+                                int64_t w, int64_t pad, int64_t wp,
+                                double* xd) {
+  for (int64_t y = 0; y < h; ++y) {
+    double* d = xd + ((y + pad) * wp + pad) * kConvRows;
+    for (int64_t x = 0; x < w; ++x) {
+      for (int64_t c = 0; c < live; ++c) {
+        d[x * kConvRows + c] = src[(c * h + y) * w + x];
+      }
+    }
+  }
+}
+
+/// One channel's live winners in ascending (oy, ox), as offsets into
+/// the interleaved padded grid (rows wp positions wide) and values
+/// 0 + g: per pooled row, its live top-row winners, then its live
+/// bottom-row ones. A stable partition written without branches: every
+/// window is written, a dead one to the spare slot pos[ph*pw]. Returns
+/// the number of live winners.
+inline int64_t CollectLiveWinners(const float* g, const float* y,
+                                  const uint8_t* win, int64_t ph, int64_t pw,
+                                  int64_t wp, int32_t* pos, double* v) {
+  const int64_t spare = ph * pw;
+  int64_t n = 0;
+  for (int64_t py = 0; py < ph; ++py, g += pw, y += pw, win += pw) {
+    int64_t tops = 0;
+    for (int64_t px = 0; px < pw; ++px) {
+      tops += static_cast<int64_t>((win[px] & 3) < 2) &
+              static_cast<int64_t>(y[px] > 0.0f);
+    }
+    int64_t top_at = n, bottom_at = n + tops;
+    const int64_t row_at = 2 * py * wp;
+    for (int64_t px = 0; px < pw; ++px) {
+      const int64_t k = win[px] & 3;
+      const int64_t top = static_cast<int64_t>(k < 2);
+      const int64_t live = static_cast<int64_t>(y[px] > 0.0f);
+      const int64_t keep = -live;  // all ones when live
+      const int64_t slot =
+          ((top != 0 ? top_at : bottom_at) & keep) | (spare & ~keep);
+      pos[slot] = static_cast<int32_t>(
+          (row_at + (k >> 1) * wp + 2 * px + (k & 1)) * kConvRows);
+      v[slot] = 0.0f + g[px];
+      top_at += live & top;
+      bottom_at += live & (top ^ 1);
+    }
+    n = bottom_at;
+  }
+  return n;
+}
+
+template <typename Traits>
+void ConvBlockBackwardT(const float* grad, const float* y,
+                        const uint8_t* window, const float* x, const float* w,
+                        const ConvKernelShape& s, float* dx, float* dw,
+                        float* db) {
+  constexpr int64_t cr = kConvRows;
+  if (s.batch <= 0 || (dx == nullptr && dw == nullptr && db == nullptr)) {
+    return;
+  }
+  const ConvGrid g(s);
+  const int64_t ph = g.ho / 2, pw = g.wo / 2, pooled = ph * pw;
+  const int64_t groups = (g.cin + cr - 1) / cr;
+  const int64_t rows = g.ho + g.k - 1;  // padded rows: h + 2*pad
+  const int64_t ldx = g.wp * cr;
+  const int64_t lanes = RoundUp(g.k * cr, Traits::kDxLanes);
+  const int64_t ld = ldx + lanes - g.k * cr;
+  const int64_t wdx_group = g.cout * g.k * lanes;
+  const int64_t in_size = g.cin * g.h * g.w;
+  // dw passes cover whole kernel rows, as many as kDwChains taps allow.
+  const int64_t pass_rows = std::max<int64_t>(1, Traits::kDwChains / g.k);
+  const int64_t chunks = ConvImageChunks(s.batch);
+  const bool per_channel = dw != nullptr || db != nullptr;
+  const int64_t dwt_size = dw != nullptr ? g.cout * groups * g.taps * cr : 0;
+  ScratchLayout shared;
+  const size_t wdx_at =
+      shared.Add<float>(dx != nullptr ? groups * wdx_group : 0);
+  const size_t dwt_at = shared.Add<float>(dwt_size);
+  ConvBatchSums sums{nullptr, db, dwt_size, db != nullptr ? g.cout : 0};
+  const size_t part_at =
+      shared.Add<float>(sums.PartialFloats(s.batch, chunks));
+  char* shared_base = shared.Claim(kSlotConvOperands);
+  float* wdx = At<float>(shared_base, wdx_at);
+  sums.dw = At<float>(shared_base, dwt_at);
+  if (chunks > 1) sums.partials = At<float>(shared_base, part_at);
+  std::fill(sums.dw, sums.dw + dwt_size, 0.0f);
+  if (dx != nullptr) {
+    for (int64_t cg = 0; cg < groups; ++cg) {
+      for (int64_t oc = 0; oc < g.cout; ++oc) {
+        for (int64_t ky = 0; ky < g.k; ++ky) {
+          float* row = wdx + cg * wdx_group + (oc * g.k + ky) * lanes;
+          for (int64_t lane = 0; lane < lanes; ++lane) {
+            const int64_t kx = lane / cr, c = cg * cr + lane % cr;
+            row[lane] = kx < g.k && c < g.cin
+                            ? w[oc * g.patch + c * g.taps + ky * g.k + kx]
+                            : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  KernelParallelFor(chunks, [&](int64_t ci) {
+    ScratchLayout mine;
+    const size_t xd_at =
+        mine.Add<double>(dw != nullptr ? groups * rows * ldx : 0);
+    const size_t acc_at = mine.Add<double>(pass_rows * g.k * cr);
+    // One channel's live winners (dw, db) and CollectLiveWinners'
+    // spare slot.
+    const size_t pos_at = mine.Add<int32_t>(pooled + 1);
+    const size_t v_at = mine.Add<double>(pooled + 1);
+    // dx: the scratch, and per pooled row each output position's live
+    // channels (weight offset and value, at most cout per position).
+    const int64_t slots = dx != nullptr ? 4 * pw * g.cout : 0;
+    const size_t dxs_at =
+        mine.Add<float>(dx != nullptr ? groups * rows * ld : 0);
+    const size_t count_at = mine.Add<int32_t>(dx != nullptr ? 4 * pw : 0);
+    const size_t wof_at = mine.Add<int32_t>(slots);
+    const size_t bv_at = mine.Add<float>(slots);
+    char* base = mine.Claim(kSlotConvImage);
+    double* xd = At<double>(base, xd_at);
+    double* acc = At<double>(base, acc_at);
+    int32_t* pos = At<int32_t>(base, pos_at);
+    double* v = At<double>(base, v_at);
+    float* dxs = At<float>(base, dxs_at);
+    int32_t* count = At<int32_t>(base, count_at);
+    int32_t* wof = At<int32_t>(base, wof_at);
+    float* bv = At<float>(base, bv_at);
+    // Only xd's interiors are rewritten per image; the padding and the
+    // channel lanes past cin stay zero.
+    if (dw != nullptr) std::fill(xd, xd + groups * rows * ldx, 0.0);
+    for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
+         ++i) {
+      const int64_t at = i * g.cout * pooled;
+      const float* gi = grad + at;
+      const float* yi = y + at;
+      const uint8_t* wi = window + at;
+      if (dw != nullptr) {
+        for (int64_t cg = 0; cg < groups; ++cg) {
+          CopyIntoInterleaved(x + i * in_size + cg * cr * g.h * g.w,
+                              std::min(cr, g.cin - cg * cr), g.h, g.w, g.pad,
+                              g.wp, xd + cg * rows * ldx);
+        }
+      }
+      for (int64_t oc = 0; per_channel && oc < g.cout; ++oc) {
+        const int64_t n =
+            CollectLiveWinners(gi + oc * pooled, yi + oc * pooled,
+                               wi + oc * pooled, ph, pw, g.wp, pos, v);
+        if (db != nullptr) {
+          double sum = 0.0;
+          for (int64_t e = 0; e < n; ++e) sum += v[e];
+          sums.PutDb(i, oc, static_cast<float>(sum));
+        }
+        if (dw == nullptr) continue;
+        for (int64_t cg = 0; cg < groups; ++cg) {
+          for (int64_t ky0 = 0; ky0 < g.k; ky0 += pass_rows) {
+            const int64_t pass = std::min(pass_rows, g.k - ky0);
+            Traits::ConvSparseDw(xd + cg * rows * ldx + ky0 * ldx, ldx, g.k,
+                                 pass, pos, v, n, acc);
+            sums.PutDwRun(i, ((oc * groups + cg) * g.taps + ky0 * g.k) * cr,
+                          acc, pass * g.k * cr);
+          }
+        }
+      }
+      if (dx == nullptr) continue;
+      std::fill(dxs, dxs + groups * rows * ld, 0.0f);
+      for (int64_t py = ph - 1; py >= 0; --py) {
+        // Bucket the row's live channels by output position (window
+        // index b of pooled column px), ascending oc; each candidate is
+        // written, and kept only if live.
+        std::fill(count, count + 4 * pw, 0);
+        for (int64_t px = 0; px < pw; ++px) {
+          for (int64_t oc = 0; oc < g.cout; ++oc) {
+            const int64_t idx = (oc * ph + py) * pw + px;
+            const int64_t b = px * 4 + (wi[idx] & 3);
+            const int64_t slot = b * g.cout + count[b];
+            wof[slot] = static_cast<int32_t>(oc * g.k * lanes);
+            bv[slot] = 0.0f + gi[idx];
+            count[b] += static_cast<int32_t>(yi[idx] > 0.0f);
+          }
+        }
+        // Descending raster order: the bottom row, then the top row,
+        // each from the right.
+        for (int64_t half = 1; half >= 0; --half) {
+          for (int64_t px = pw - 1; px >= 0; --px) {
+            for (int64_t col = 1; col >= 0; --col) {
+              const int64_t b = px * 4 + half * 2 + col;
+              if (count[b] == 0) continue;
+              const int64_t at_pos =
+                  (2 * py + half) * ld + (2 * px + col) * cr;
+              for (int64_t cg = 0; cg < groups; ++cg) {
+                Traits::ConvSparseDx(wdx + cg * wdx_group, wof + b * g.cout,
+                                     bv + b * g.cout, count[b], g.k, lanes,
+                                     dxs + cg * rows * ld + at_pos, ld);
+              }
+            }
+          }
+        }
+      }
+      for (int64_t cg = 0; cg < groups; ++cg) {
+        const int64_t live = std::min(cr, g.cin - cg * cr);
+        for (int64_t c = 0; c < live; ++c) {
+          float* d = dx + i * in_size + (cg * cr + c) * g.h * g.w;
+          for (int64_t iy = 0; iy < g.h; ++iy) {
+            const float* src =
+                dxs + cg * rows * ld + (iy + g.pad) * ld + g.pad * cr + c;
+            for (int64_t ix = 0; ix < g.w; ++ix) {
+              d[iy * g.w + ix] = src[ix * cr];
+            }
+          }
+        }
+      }
+    }
+  });
+  sums.Finish(s.batch);
+  // The tap-major dw sums into dw's [oc][c][tap] order.
+  for (int64_t oc = 0; oc < g.cout && dw != nullptr; ++oc) {
+    for (int64_t c = 0; c < g.cin; ++c) {
+      const float* src =
+          sums.dw + (oc * groups + c / cr) * g.taps * cr + c % cr;
+      float* dst = dw + oc * g.patch + c * g.taps;
+      for (int64_t t = 0; t < g.taps; ++t) dst[t] += src[t * cr];
     }
   }
 }

@@ -102,6 +102,15 @@ struct BlockedKernels {
   void (*conv_backward)(const float* grad_out, const float* x,
                         const float* w, const ConvKernelShape& s, float* dx,
                         float* dw, float* db);
+  /// The padded-grid backward of the fused conv block
+  /// (Conv2dBiasReluPoolBackwardKernel) for finite x, w and grad: reads
+  /// the pooled gradient, output and window directly and adds terms
+  /// only for the winners that passed the ReLU, batch-parallel with
+  /// per-image dw/db partials. Ho and Wo are even.
+  void (*conv_block_backward)(const float* grad, const float* y,
+                              const uint8_t* window, const float* x,
+                              const float* w, const ConvKernelShape& s,
+                              float* dx, float* dw, float* db);
 
   /// The fused conv epilogue: for each of `channels` planes of
   /// rows x cols conv sums (rows, cols even; element (c, y, x) at

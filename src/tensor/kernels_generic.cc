@@ -18,6 +18,10 @@ struct GenericTraits {
   static constexpr int64_t kMr = 4;
   static constexpr int64_t kNr = 8;
   static constexpr int64_t kTr = 4;
+  // The sparse conv backward's scalar chains run one at a time, so a
+  // 5x5 kernel takes one dw pass, and dx needs no lane padding.
+  static constexpr int64_t kDwChains = 25;
+  static constexpr int64_t kDxLanes = kConvRows;
 
   static float Fma(float a, float b, float acc) {
     return std::fmaf(a, b, acc);
@@ -151,6 +155,35 @@ struct GenericTraits {
     DwChains<4, 8>(x, off, ldx, gd, ldg, ho, wo, out);
   }
 
+  static void ConvSparseDw(const double* x, int64_t ldx, int64_t k,
+                           int64_t rows, const int32_t* pos, const double* v,
+                           int64_t n, double* out) {
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t kx = 0; kx < k; ++kx) {
+        for (int64_t c = 0; c < kConvRows; ++c) {
+          const double* xt = x + r * ldx + kx * kConvRows + c;
+          double acc = 0.0;
+          for (int64_t e = 0; e < n; ++e) acc += v[e] * xt[pos[e]];
+          out[(r * k + kx) * kConvRows + c] = acc;
+        }
+      }
+    }
+  }
+
+  static void ConvSparseDx(const float* w, const int32_t* wof, const float* v,
+                           int64_t n, int64_t k, int64_t lanes, float* dx,
+                           int64_t ld) {
+    for (int64_t ky = 0; ky < k; ++ky) {
+      for (int64_t j = 0; j < lanes; ++j) {
+        float t = 0.0f;
+        for (int64_t e = 0; e < n; ++e) {
+          t = std::fmaf(w[wof[e] + ky * lanes + j], v[e], t);
+        }
+        dx[ky * ld + j] += t;
+      }
+    }
+  }
+
   static void ReluPool(const float* grid, int64_t ld, int64_t plane,
                        const float* bias, int64_t channels, int64_t rows,
                        int64_t cols, float* out, uint8_t* window) {
@@ -180,6 +213,7 @@ const BlockedKernels& GenericKernels() {
       &GemmTransBBlockedT<GenericTraits>,
       &ConvForwardT<GenericTraits>,
       &ConvBackwardT<GenericTraits>,
+      &ConvBlockBackwardT<GenericTraits>,
       &GenericTraits::ReluPool,
       &GenericTraits::Relu,
       &GenericTraits::ReluMask,

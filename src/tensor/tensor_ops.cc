@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "obs/trace.h"
 #include "tensor/kernels.h"
@@ -216,6 +215,8 @@ void LinearBiasReluBackward(const Tensor& grad, const Tensor& y,
   if (db != nullptr) *db = SumRows(g_pre);
 }
 
+bool AllFinite(const Tensor& t) { return AllFiniteKernel(t.data(), t.size()); }
+
 Tensor MeanRows(const Tensor& x) {
   RFED_CHECK_GT(x.dim(0), 0);
   Tensor out = SumRows(x);
@@ -315,32 +316,17 @@ void Conv2dBiasReluPoolBackward(const Tensor& grad, const Tensor& y,
                                 Tensor* dw, Tensor* db) {
   RFED_CHECK(grad.shape() == y.shape());
   RFED_CHECK_EQ(static_cast<int64_t>(window.size()), y.size());
-  const int64_t wd = spec.OutDim(x.dim(3)), wo = wd / 2;
-  Tensor routed(Shape{x.dim(0), spec.out_channels, spec.OutDim(x.dim(2)), wd});
-  RFED_CHECK_EQ(routed.size(), 4 * y.size());
-  {
-    obs::TraceSpan trace_span("relu_pool_bwd");
-    // Where window index k sits relative to its window's top-left input.
-    const int64_t offset[4] = {0, 1, wd, wd + 1};
-    const int64_t rows = y.size() / wo;
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* g = grad.data() + r * wo;
-      const float* yr = y.data() + r * wo;
-      const uint8_t* win = window.data() + r * wo;
-      float* top = routed.data() + 2 * r * wd;
-      for (int64_t ox = 0; ox < wo; ++ox) {
-        // The pool's 0 + g (-0 becomes +0) where the winner passed the
-        // ReLU, else the mask's +0; windows do not overlap, and every
-        // other element keeps the zero fill. Selects, not jumps.
-        uint32_t bits;
-        const float v = 0.0f + g[ox];
-        std::memcpy(&bits, &v, sizeof(bits));
-        bits &= 0u - static_cast<uint32_t>(yr[ox] > 0.0f);
-        std::memcpy(top + 2 * ox + offset[win[ox] & 3], &bits, sizeof(bits));
-      }
-    }
-  }
-  Conv2dBackward(routed, x, w, spec, dx, dw, db);
+  const int64_t batch = x.dim(0), h = x.dim(2), wd = x.dim(3);
+  RFED_CHECK(y.shape() == Shape({batch, spec.out_channels, spec.OutDim(h) / 2,
+                                 spec.OutDim(wd) / 2}));
+  if (dx != nullptr) *dx = Tensor(x.shape());
+  if (dw != nullptr) *dw = Tensor(w.shape());
+  if (db != nullptr) *db = Tensor(Shape{spec.out_channels});
+  Conv2dBiasReluPoolBackwardKernel(
+      grad.data(), y.data(), window.data(), x.data(), w.data(),
+      ToKernelShape(spec, batch, h, wd), dx != nullptr ? dx->data() : nullptr,
+      dw != nullptr ? dw->data() : nullptr,
+      db != nullptr ? db->data() : nullptr);
 }
 
 void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,

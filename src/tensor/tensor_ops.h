@@ -73,6 +73,8 @@ Tensor LinearBiasReluForward(const Tensor& x, const Tensor& w,
 void LinearBiasReluBackward(const Tensor& grad, const Tensor& y,
                             const Tensor& x, const Tensor& w, Tensor* dx,
                             Tensor* dw, Tensor* db);
+/// True iff every element of `t` is finite (no NaN/Inf): AllFiniteKernel.
+bool AllFinite(const Tensor& t);
 /// Mean over axis 0 of a [rows, cols] tensor -> [cols] (feature mean δ).
 Tensor MeanRows(const Tensor& x);
 
@@ -115,11 +117,15 @@ void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
                     Tensor* db);
 
 /// Gradients of Conv2dBiasReluPoolForward from the upstream grad of its
-/// pooled output y and the window it recorded: one pass routes each
-/// grad to its window's winner where y > 0 (+0 everywhere else), then
-/// Conv2dBackward runs on the routed grid. Bit-identical to
-/// Conv2dBackward(ReluBackward(MaxPool2x2Backward(grad), relu output)).
-/// Output pointers as in Conv2dBackward.
+/// pooled output y and the window it recorded
+/// (Conv2dBiasReluPoolBackwardKernel). The conv output's gradient is
+/// nonzero only at a window's winner where y > 0, and the kernel adds
+/// dw, dx and db terms for those winners only, straight from
+/// (grad, y, window); off the padded grid, or with a non-finite operand,
+/// it routes the gradient to the full-size grid and runs Conv2dBackward's
+/// path. Bit-identical to Conv2dBackward(ReluBackward(
+/// MaxPool2x2Backward(grad), relu output)) either way. Output pointers
+/// as in Conv2dBackward.
 void Conv2dBiasReluPoolBackward(const Tensor& grad, const Tensor& y,
                                 const std::vector<uint8_t>& window,
                                 const Tensor& x, const Tensor& w,

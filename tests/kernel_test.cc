@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -697,6 +698,56 @@ TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
                        nullptr);
   EXPECT_EQ(flops->value() - before, 4 * useful);
   obs::EnableTracing(false);
+  obs::ClearTrace();
+}
+
+TEST_F(KernelTest, ConvBlockBackwardCountsRunAndDenseFlops) {
+  // The fused block's backward at conv2 of the CIFAR round, B = 2: 144
+  // pooled outputs, of which y makes 96 live (every third is clamped).
+  // The sparse path runs 2*patch FLOPs per live winner for dw and again
+  // for dx (kernel.conv_flops); kernel.conv_dense_flops keeps the dense
+  // backward's 2*B*Cout*patch*area per product. A non-finite gradient
+  // takes the dense fallback, whose run count is the dense one. Either
+  // path records one conv2d_bwd span.
+  const ConvKernelShape s{2, 4, 6, 6, 8, 5, 1, 2};
+  const int64_t pooled = 2 * 8 * 9, live = 96;
+  const int64_t dense = 2 * 2 * 8 * 100 * 36, sparse = 2 * live * 100;
+  const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,
+                         0.1f);
+  const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 0.2f);
+  auto grad = Pattern(pooled, 0.4f, 0.4f);
+  std::vector<float> y(static_cast<size_t>(pooled));
+  std::vector<uint8_t> window(static_cast<size_t>(pooled));
+  for (int64_t i = 0; i < pooled; ++i) {
+    y[static_cast<size_t>(i)] = i % 3 == 0 ? 0.0f : 1.0f;
+    window[static_cast<size_t>(i)] = static_cast<uint8_t>(i % 4);
+  }
+  std::vector<float> dx(x.size(), 0.0f), dw(w.size(), 0.0f),
+      db(static_cast<size_t>(s.out_channels), 0.0f);
+  obs::Counter* run =
+      obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
+  obs::Counter* dense_run =
+      obs::MetricsRegistry::Get().GetCounter("kernel.conv_dense_flops");
+  auto backward = [&](float* dx_out) {
+    const int64_t run0 = run->value(), dense0 = dense_run->value();
+    Conv2dBiasReluPoolBackwardKernel(grad.data(), y.data(), window.data(),
+                                     x.data(), w.data(), s, dx_out, dw.data(),
+                                     db.data());
+    return std::make_pair(run->value() - run0, dense_run->value() - dense0);
+  };
+  obs::ClearTrace();
+  obs::EnableTracing(true);
+  EXPECT_EQ(backward(dx.data()), std::make_pair(2 * sparse, 2 * dense));
+  EXPECT_EQ(backward(nullptr), std::make_pair(sparse, dense));
+  grad[7] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(backward(dx.data()), std::make_pair(2 * dense, 2 * dense));
+  obs::EnableTracing(false);
+  // One conv2d_bwd span per call on either path, and no other span.
+  std::vector<std::string> spans;
+  for (const auto& lane : obs::CollectTrace()) {
+    for (const auto& ev : lane.events) spans.push_back(ev.name);
+  }
+  EXPECT_EQ(spans, std::vector<std::string>(3, "conv2d_bwd"));
   obs::ClearTrace();
 }
 

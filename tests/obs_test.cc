@@ -248,13 +248,15 @@ TEST_F(ObsTest, SpanCountsInvariantAcrossThreadCounts) {
   for (const char* name :
        {"round", "select", "broadcast", "local_train", "upload", "aggregate",
         "evaluate", "mmd_penalty", "map_broadcast", "map_sync", "backward",
-        "optimizer_step", "relu_fwd", "relu_bwd", "conv2d_fwd", "conv2d_bwd",
-        "relu_pool_bwd"}) {
+        "optimizer_step", "relu_fwd", "relu_bwd", "conv2d_fwd",
+        "conv2d_bwd"}) {
     EXPECT_GT(serial.count(name), 0u) << name;
   }
-  // The CNN's ReLU and pool run inside conv2d_fwd's epilogue.
+  // The CNN's ReLU and pool run inside conv2d_fwd's epilogue, and their
+  // backward inside conv2d_bwd.
   EXPECT_EQ(serial.count("maxpool_fwd"), 0u);
   EXPECT_EQ(serial.count("maxpool_bwd"), 0u);
+  EXPECT_EQ(serial.count("relu_pool_bwd"), 0u);
   EXPECT_GE(serial.size(), 6u);
   for (const int num_threads : {1, 4}) {
     for (const int kernel_threads : {1, 4}) {

@@ -19,6 +19,7 @@
 #include "fl/selection.h"
 #include "fl/trainer.h"
 #include "obs/metrics.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace rfed {

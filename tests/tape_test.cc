@@ -12,6 +12,7 @@
 // sanitizers immediately.
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,8 @@
 #include "fl/trainer.h"
 #include "nn/loss.h"
 #include "nn/models.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "test_util.h"
@@ -163,6 +166,143 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
       }
     }
   }
+  SetKernelOptions(KernelOptions{});
+}
+
+/// The conv block's gradient on the full-size conv grid, as the dense
+/// path sees it: 0 + grad at each window's winner where the pooled
+/// output passed the ReLU, +0 everywhere else.
+Tensor RoutedGradient(const Tensor& grad, const Tensor& y,
+                      const std::vector<uint8_t>& window) {
+  const int64_t wo = y.dim(3), wd = 2 * wo;
+  Tensor routed(Shape{y.dim(0), y.dim(1), 2 * y.dim(2), wd});
+  for (int64_t i = 0; i < y.size(); ++i) {
+    const int64_t k = window[static_cast<size_t>(i)];
+    routed.at(2 * (i / wo) * wd + (k >> 1) * wd + 2 * (i % wo) + (k & 1)) =
+        y.at(i) > 0.0f ? 0.0f + grad.at(i) : 0.0f;
+  }
+  return routed;
+}
+
+TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedDenseBitwise) {
+  // Conv2dBiasReluPoolBackward adds terms for the live winners only,
+  // straight from (grad, y, window); dx, dw and db must memcmp-equal
+  // Conv2dBackward on the routed gradient. The shapes of the composed
+  // chain test plus 6 input channels (two channel groups), on the
+  // portable and the AVX2 table, serial and threaded. Three kinds of
+  // input:
+  //  * plain: random values;
+  //  * edge: image 0 all zeros (every window a 4-way tie), channel 0's
+  //    bias far below zero (every window clamped), a -0 gradient at
+  //    every 5th pooled output, and the last image's gradients at
+  //    +-denorm_min, so weight x gradient products underflow to +-0
+  //    inside the dx chains;
+  //  * one NaN or +-Inf in x, in w or in the gradient: the dense
+  //    fallback must run (kernel.conv_flops then counts the dense
+  //    products) and give the same bits, NaN included.
+  struct Case {
+    int64_t cin, side, cout, kernel, stride, pad;
+  };
+  const Case cases[] = {{3, 12, 4, 5, 1, 2}, {4, 6, 8, 5, 1, 2},
+                        {1, 12, 2, 5, 1, 2}, {2, 6, 4, 5, 1, 2},
+                        {3, 8, 9, 3, 1, 1},  {2, 8, 3, 3, 2, 1},
+                        {6, 8, 5, 5, 1, 2}};
+  enum class Input { kPlain, kEdge, kNanX, kInfW, kNanGrad, kInfGrad };
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kTiny = std::numeric_limits<float>::denorm_min();
+  std::vector<KernelIsa> isas = {KernelIsa::kGeneric};
+  if (KernelAvx2Available()) isas.push_back(KernelIsa::kAvx2);
+  obs::Counter* run_flops =
+      obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
+  obs::Counter* dense_flops =
+      obs::MetricsRegistry::Get().GetCounter("kernel.conv_dense_flops");
+  obs::EnableTracing(true);
+  for (const Case& cs : cases) {
+    const Conv2dSpec spec{.in_channels = cs.cin, .out_channels = cs.cout,
+                          .kernel = cs.kernel, .stride = cs.stride,
+                          .pad = cs.pad};
+    const bool on_grid = cs.stride == 1 && cs.pad < cs.kernel;
+    for (int64_t batch : {1, 7, 24, 150}) {
+      for (Input input : {Input::kPlain, Input::kEdge, Input::kNanX,
+                          Input::kInfW, Input::kNanGrad, Input::kInfGrad}) {
+        // The non-finite inputs at two batches keep the test short.
+        if (input > Input::kEdge && batch != 1 && batch != 24) continue;
+        Rng rng(static_cast<uint64_t>(31 * batch + 7 * cs.cin + cs.cout) +
+                static_cast<uint64_t>(input));
+        Tensor xt =
+            Tensor::Normal(Shape{batch, cs.cin, cs.side, cs.side}, 0, 1, &rng);
+        Tensor wt = Tensor::Normal(
+            Shape{cs.cout, cs.cin * cs.kernel * cs.kernel}, 0, 0.3f, &rng);
+        Tensor bt = Tensor::Normal(Shape{cs.cout}, 0, 0.3f, &rng);
+        if (input == Input::kEdge) {
+          for (int64_t i = 0; i < xt.size() / batch; ++i) xt.at(i) = 0.0f;
+          bt.at(0) = -100.0f;
+        }
+        if (input == Input::kNanX) xt.at(xt.size() / 3) = kNan;
+        if (input == Input::kInfW) wt.at(wt.size() / 2) = -kInf;
+        std::vector<uint8_t> window;
+        const Tensor y = Conv2dBiasReluPoolForward(xt, wt, bt, spec, &window);
+        Tensor gt = Tensor::Normal(y.shape(), 0, 1, &rng);
+        const int64_t per_image = gt.size() / batch;
+        if (input == Input::kEdge) {
+          for (int64_t i = 0; i < gt.size(); i += 5) gt.at(i) = -0.0f;
+          for (int64_t i = gt.size() - per_image; i < gt.size(); ++i) {
+            gt.at(i) = gt.at(i) < 0.0f ? -kTiny : kTiny;
+          }
+        }
+        // A live window's gradient, so the non-finite value is used.
+        int64_t live_at = 0;
+        while (live_at + 1 < y.size() && !(y.at(live_at) > 0.0f)) ++live_at;
+        if (input == Input::kNanGrad) gt.at(live_at) = kNan;
+        if (input == Input::kInfGrad) gt.at(live_at) = kInf;
+        const bool fallback = !on_grid || input > Input::kEdge;
+
+        Tensor rdx, rdw, rdb;
+        Conv2dBackward(RoutedGradient(gt, y, window), xt, wt, spec, &rdx,
+                       &rdw, &rdb);
+        for (KernelIsa isa : isas) {
+          for (int threads : {1, 4}) {
+            KernelOptions o;
+            o.isa = isa;
+            o.threads = threads;
+            SetKernelOptions(o);
+            const std::string what =
+                "cin=" + std::to_string(cs.cin) + " side=" +
+                std::to_string(cs.side) + " cout=" + std::to_string(cs.cout) +
+                " stride=" + std::to_string(cs.stride) + " B=" +
+                std::to_string(batch) + " input=" +
+                std::to_string(static_cast<int>(input)) + " isa=" +
+                KernelIsaName(isa) + " threads=" + std::to_string(threads);
+            const int64_t run0 = run_flops->value();
+            const int64_t dense0 = dense_flops->value();
+            Tensor dx, dw, db;
+            Conv2dBiasReluPoolBackward(gt, y, window, xt, wt, spec, &dx, &dw,
+                                       &db);
+            EXPECT_EQ(
+                run_flops->value() - run0 == dense_flops->value() - dense0,
+                fallback)
+                << what << " took the wrong path";
+            auto same = [&](const Tensor& a, const Tensor& b,
+                            const char* name) {
+              ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
+              EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                    sizeof(float) *
+                                        static_cast<size_t>(a.size())),
+                        0)
+                  << what << " " << name;
+            };
+            same(dx, rdx, "dx");
+            same(dw, rdw, "dw");
+            same(db, rdb, "db");
+          }
+        }
+        obs::ClearTrace();
+      }
+    }
+  }
+  obs::EnableTracing(false);
+  obs::ClearTrace();
   SetKernelOptions(KernelOptions{});
 }
 
