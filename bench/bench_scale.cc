@@ -1,7 +1,7 @@
 // Cross-device scale sweep: pool-mode FedAvg (and rFedAvg+ at the
 // smaller sizes) over enrolled populations N in {1k, 10k, 100k, 1M}
 // with a *fixed* sampled cohort, demonstrating that lazy client state
-// plus hierarchical/streaming aggregation make per-round cost a
+// plus the streaming tree mean make per-round cost a
 // function of the cohort, not of N: ms/round and ms/sampled-client stay
 // flat while N grows 1000x, and resident client state tracks the
 // sampled set only. Results land in BENCH_scale.json.
@@ -73,7 +73,6 @@ FlConfig ScaleConfig(int clients, int cohort) {
   config.seed = 77;
   config.max_examples_per_pass = 64;
   config.sample_ratio = static_cast<double>(cohort) / clients;
-  config.shard_fanout = 8;
   config.stream_chunk = 32;  // never buffer the whole cohort
   return config;
 }

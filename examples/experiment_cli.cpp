@@ -115,13 +115,9 @@ Autograd (bit-identical at any setting; docs/AUTOGRAD.md):
       and rematerialize them during backward; ~one extra forward per
       timestep for O(1)-per-timestep activation memory (false)
 
-Scale (hierarchical aggregation; docs/ARCHITECTURE.md):
-  --shard_fanout updates per shard task of the canonical aggregation
-      tree (power of two; 0 = flat loop, byte-identical to goldens;
-      any power of two yields one canonical tree result)
+Scale (the server's tree mean; docs/ARCHITECTURE.md):
   --stream_chunk train/fold the cohort in chunks of this many clients
-      (requires --shard_fanout > 0; mean-aggregating methods only;
-      0 = all-at-once)
+      (mean-aggregating methods only; 0 = all-at-once)
 
 Observability (docs/OBSERVABILITY.md):
   --trace record phase/kernel spans and print the per-phase summary (false)
@@ -145,7 +141,7 @@ constexpr const char* kKnownFlags[] = {
     "aggregator", "trim_fraction", "clip_multiplier", "validate",
     "checkpoint_every", "checkpoint_path", "resume_from",
     "num_threads", "kernel_threads", "autograd_static", "grad_checkpoint",
-    "shard_fanout", "stream_chunk",
+    "stream_chunk",
     "trace", "trace_out", "csv_out", "help"};
 
 std::unique_ptr<FederatedAlgorithm> Build(
@@ -268,7 +264,6 @@ int main(int argc, char** argv) {
   fl.kernel_threads = flags.GetInt("kernel_threads", 1);
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
-  fl.shard_fanout = flags.GetInt("shard_fanout", 0);
   fl.stream_chunk = flags.GetInt("stream_chunk", 0);
   const std::string trace_out = flags.GetString("trace_out", "");
   const std::string csv_out = flags.GetString("csv_out", "");

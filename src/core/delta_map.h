@@ -25,7 +25,7 @@ namespace rfed {
 ///    computed over the *touched* set via the canonical pairwise
 ///    reduction tree of fl/shard_agg.h in ascending client-id order, so
 ///    the result is a pure function of the touched set — independent of
-///    report order, shard fanout, and thread count. (Skipping zero maps
+///    report order and thread count. (Skipping zero maps
 ///    is exact: x + 0.0f == x for every finite x.)
 class DeltaMapStore {
  public:

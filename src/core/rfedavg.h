@@ -98,7 +98,7 @@ class RFedAvgPlus : public FederatedAlgorithm {
   /// *sparse* map store — only clients that have ever reported hold a
   /// resident map, every other δ^k is the implicit zero of the paper's
   /// δ_0 initialization, and the leave-one-out averages reduce over the
-  /// touched set with the canonical shard tree. The pool must outlive
+  /// touched set with the canonical pairwise tree. The pool must outlive
   /// the algorithm.
   RFedAvgPlus(const FlConfig& config, const RegularizerOptions& reg,
               const ClientPool* pool, const ModelFactory& model_factory);

@@ -85,6 +85,35 @@ BatcherState ReadBatcherState(CheckpointReader* r, int client,
   return s;
 }
 
+/// The FedAvg-family server mean Σ w_k·x_k / Σ w_k on the canonical
+/// pairwise tree (fl/shard_agg.h): each leaf is scaled by float(w_k) as
+/// it is folded in, in cohort order, and the root is multiplied once by
+/// float(1 / Σ w_k).
+class TreeMean {
+ public:
+  void Fold(Tensor leaf, double weight) {
+    weight_sum_ += weight;
+    leaf.MulInPlace(static_cast<float>(weight));
+    sum_.Push(std::move(leaf));
+  }
+
+  /// The mean of the folded leaves; records the accumulator's high-water
+  /// mark on `peak_gauge` when given.
+  Tensor Finish(obs::Gauge* peak_gauge) {
+    RFED_CHECK_GT(weight_sum_, 0.0);
+    Tensor mean = sum_.Finish();
+    mean.MulInPlace(static_cast<float>(1.0 / weight_sum_));
+    if (peak_gauge != nullptr) {
+      peak_gauge->Set(static_cast<double>(sum_.peak_bytes()));
+    }
+    return mean;
+  }
+
+ private:
+  StreamingTreeSum sum_;
+  double weight_sum_ = 0.0;
+};
+
 }  // namespace
 
 FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
@@ -141,17 +170,7 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
       total_examples_ += static_cast<int64_t>(c.train_indices.size());
     }
   }
-  if (config_.shard_fanout != 0) {
-    RFED_CHECK(IsPow2(config_.shard_fanout))
-        << "shard_fanout must be a power of two, got "
-        << config_.shard_fanout;
-  }
   RFED_CHECK_GE(config_.stream_chunk, 0);
-  if (config_.stream_chunk > 0) {
-    RFED_CHECK_GT(config_.shard_fanout, 0)
-        << "stream_chunk needs shard_fanout > 0 (streaming reproduces the "
-           "canonical shard tree, not the legacy flat mean)";
-  }
   if (config_.sim.mode == SimMode::kDeadline) {
     RFED_CHECK_GT(config_.sim.deadline_ms, 0.0)
         << "deadline mode needs sim.deadline_ms > 0";
@@ -215,10 +234,9 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
 
-  // Scale gauges exist only on pool/sharded runs, so other runs' CSV
+  // Scale gauges exist only on pool and chunked runs, so other runs' CSV
   // columns are byte-unchanged.
-  if (pool_mode() || config_.shard_fanout > 0) {
-    m_shard_count_ = registry.GetGauge("fl.shard_count");
+  if (pool_mode() || config_.stream_chunk > 0) {
     m_agg_peak_bytes_ = registry.GetGauge("fl.agg_peak_bytes");
     m_materialized_clients_ = registry.GetGauge("data.materialized_clients");
     m_client_state_bytes_ = registry.GetGauge("data.client_state_bytes");
@@ -295,7 +313,7 @@ std::vector<int> FederatedAlgorithm::SampleClients() {
   k = std::clamp(k, 1, n);
   if (pool_mode()) {
     // O(cohort) Floyd sampling; the sorted cohort doubles as the
-    // canonical shard order.
+    // canonical leaf order of the server's tree mean.
     return SparseUniformSelection(n, k, &rng_);
   }
   if (config_.client_selection == "loss" && k < n) {
@@ -507,49 +525,13 @@ void FederatedAlgorithm::Aggregate(int round, const std::vector<int>& selected,
   if (scaled) {
     RFED_CHECK_EQ(agg_scale_.size(), selected.size());
   }
-  if (config_.shard_fanout > 0) {
-    // Hierarchical mean: scaled leaves summed by the canonical pairwise
-    // shard tree, then one division by the total weight. Opt-in — the
-    // result is byte-identical across every power-of-two fanout and
-    // thread count, but not to the flat loop below (different float
-    // association), which is why fanout 0 stays the default.
-    std::vector<float> scales(selected.size());
-    double weight_sum = 0.0;
-    for (size_t i = 0; i < selected.size(); ++i) {
-      double w = client_weight(selected[i]);
-      if (scaled) w *= agg_scale_[i];
-      weight_sum += w;
-      scales[i] = static_cast<float>(w);
-    }
-    RFED_CHECK_GT(weight_sum, 0.0);
-    Tensor next = ShardTreeWeightedSum(new_states, scales,
-                                       config_.shard_fanout, pool_.get());
-    next.MulInPlace(static_cast<float>(1.0 / weight_sum));
-    if (m_shard_count_ != nullptr) {
-      m_shard_count_->Set(static_cast<double>(ShardCount(
-          static_cast<int64_t>(new_states.size()), config_.shard_fanout)));
-      m_agg_peak_bytes_->Set(static_cast<double>(new_states.size()) *
-                             static_cast<double>(global_state_.size()) *
-                             sizeof(float));
-    }
-    global_state_ = std::move(next);
-    return;
-  }
-  // The FedAvg weighted mean below is the original accumulation loop,
-  // untouched: its float-op order is pinned by the golden suite.
-  double weight_sum = 0.0;
-  for (size_t i = 0; i < selected.size(); ++i) {
-    const double w = client_weight(selected[i]);
-    weight_sum += scaled ? w * agg_scale_[i] : w;
-  }
-  RFED_CHECK_GT(weight_sum, 0.0);
-  Tensor next(global_state_.shape());
+  TreeMean mean;
   for (size_t i = 0; i < selected.size(); ++i) {
     double w = client_weight(selected[i]);
     if (scaled) w *= agg_scale_[i];
-    next.Axpy(static_cast<float>(w / weight_sum), new_states[i]);
+    mean.Fold(new_states[i], w);
   }
-  global_state_ = std::move(next);
+  global_state_ = mean.Finish(m_agg_peak_bytes_);
 }
 
 Tensor FederatedAlgorithm::RobustCombine(const std::vector<int>& selected,
@@ -565,29 +547,22 @@ Tensor FederatedAlgorithm::RobustCombine(const std::vector<int>& selected,
     if (scaled) combine_weights[i] *= agg_scale_[i];
   }
   const RobustAggOptions& robust = config_.robust;
-  // Sharded runs cut the per-coordinate statistics into parallel blocks
-  // (fl/shard_agg.h) — byte-identical to the flat rules below for every
-  // fanout and thread count, since coordinates are independent.
-  const bool sharded = config_.shard_fanout > 0;
+  // The per-coordinate statistics run in coordinate blocks on the thread
+  // pool when there is one (fl/shard_agg.h), byte-identical to the flat
+  // rules at every thread count since coordinates are independent.
   if (robust.aggregator == "trimmed_mean") {
-    return sharded ? ShardedTrimmedMean(values, combine_weights,
-                                        robust.trim_fraction, pool_.get())
-                   : CoordinateTrimmedMean(values, combine_weights,
-                                           robust.trim_fraction);
+    return ShardedTrimmedMean(values, combine_weights, robust.trim_fraction,
+                              pool_.get());
   }
   if (robust.aggregator == "median") {
-    return sharded ? ShardedMedian(values, combine_weights, pool_.get())
-                   : CoordinateMedian(values, combine_weights);
+    return ShardedMedian(values, combine_weights, pool_.get());
   }
   RFED_CHECK(robust.aggregator == "norm_clip")
       << "unknown aggregator '" << robust.aggregator << "'";
   NormClipReport report;
-  Tensor out =
-      sharded ? ShardedNormBoundedMean(reference, values, combine_weights,
-                                       robust.clip_multiplier, &report,
-                                       pool_.get())
-              : NormBoundedMean(reference, values, combine_weights,
-                                robust.clip_multiplier, &report);
+  Tensor out = ShardedNormBoundedMean(reference, values, combine_weights,
+                                      robust.clip_multiplier, &report,
+                                      pool_.get());
   m_clipped_->Add(report.clipped);
   for (double norm : report.norms) m_update_norm_->Observe(norm);
   return out;
@@ -720,14 +695,13 @@ void FederatedAlgorithm::UploadUpdate(int round, ClientWork* w) {
                      channel_.last_latency_ms();
 }
 
-bool FederatedAlgorithm::StreamingEligible() const {
-  // Streaming replaces the Aggregate call with a running tree fold, so it
+bool FederatedAlgorithm::FoldsBaseMean() const {
+  // Folding replaces the Aggregate call with the running tree mean, so it
   // is only sound for algorithms on the default FedAvg mean with no
   // cohort-wide inputs (robust rules and start losses need every update
-  // in hand). The async policy has its own buffered accumulation.
-  return config_.stream_chunk > 0 && config_.robust.mean() &&
-         SupportsStreamingAggregation() && !RequiresStartLosses() &&
-         config_.sim.mode != SimMode::kAsync;
+  // in hand).
+  return config_.robust.mean() && SupportsStreamingAggregation() &&
+         !RequiresStartLosses();
 }
 
 RoundResult FederatedAlgorithm::RunRound(int round) {
@@ -749,14 +723,10 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
 
   const bool deadline_mode = config_.sim.mode == SimMode::kDeadline;
   const bool want_start_losses = RequiresStartLosses();
-  // Streaming rounds fold every surviving update straight into an
-  // O(log n) tree accumulator and never materialize new_states; on a
-  // fault-free channel the result is bit-identical to the all-at-once
-  // sharded round (the channel consumes no RNG, compute draws are keyed
-  // per (client, round), and compression forks stay in cohort order).
-  const bool streaming = StreamingEligible();
-  StreamingTreeSum stream_acc;
-  double stream_weight = 0.0;
+  // Algorithms on the base mean fold every surviving update into the
+  // tree mean as it finishes and never materialize new_states.
+  const bool folding = FoldsBaseMean();
+  TreeMean mean;
 
   // Dropout-tolerant round: a client whose model download is lost never
   // trains; a client whose upload is lost — or, in deadline mode, beats
@@ -766,7 +736,7 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
   std::vector<Tensor> new_states;
   std::vector<double> start_losses;
   survivors.reserve(selected.size());
-  new_states.reserve(selected.size());
+  if (!folding) new_states.reserve(selected.size());
   std::vector<double> completions;
   double trained_weight = 0.0, trained_loss = 0.0;
   double max_completion = 0.0;
@@ -801,26 +771,26 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
     if (!ValidateUpdate(w.client, w.state, w.uploaded)) return;
     OnClientTrained(round, w.client, w.state);
     survivors.push_back(w.client);
-    if (streaming) {
-      // Fold now; the update is never buffered. Leaf scaling and the
-      // weight accumulation mirror the sharded Aggregate exactly.
-      const double wgt = client_weight(w.client);
-      stream_weight += wgt;
-      Tensor leaf = std::move(w.uploaded);
-      leaf.MulInPlace(static_cast<float>(wgt));
-      stream_acc.Push(std::move(leaf));
+    if (folding) {
+      // Folding is aggregation work, so the trace books it there.
+      obs::TraceSpan trace_span("aggregate");
+      mean.Fold(std::move(w.uploaded), client_weight(w.client));
     } else {
       new_states.push_back(std::move(w.uploaded));
     }
     if (want_start_losses) start_losses.push_back(w.start_loss);
   };
 
-  // Streaming rounds walk the cohort in chunks of stream_chunk clients
-  // (train a chunk, fold it, move on); otherwise the whole cohort is one
-  // chunk.
+  // Folding rounds with stream_chunk > 0 walk the cohort in chunks of
+  // that many clients (train a chunk, fold it, move on), so at most one
+  // chunk of updates is ever held; otherwise the whole cohort is one
+  // chunk. On a fault-free channel chunking does not change the bytes:
+  // the channel draws nothing, compute draws are keyed per (client,
+  // round), and compression forks stay in cohort order.
   const size_t total = selected.size();
-  const size_t chunk_size =
-      streaming ? static_cast<size_t>(config_.stream_chunk) : total;
+  const size_t chunk_size = folding && config_.stream_chunk > 0
+                                ? static_cast<size_t>(config_.stream_chunk)
+                                : total;
   for (size_t begin = 0; begin < total; begin += chunk_size) {
     const size_t end = std::min(begin + chunk_size, total);
     const std::vector<int> cohort(selected.begin() + static_cast<int64_t>(begin),
@@ -832,17 +802,8 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
 
   if (!survivors.empty()) {
     obs::TraceSpan trace_span("aggregate");
-    if (streaming) {
-      RFED_CHECK_GT(stream_weight, 0.0);
-      Tensor next = stream_acc.Finish();
-      next.MulInPlace(static_cast<float>(1.0 / stream_weight));
-      if (m_shard_count_ != nullptr) {
-        m_shard_count_->Set(static_cast<double>(
-            ShardCount(static_cast<int64_t>(survivors.size()),
-                       config_.shard_fanout)));
-        m_agg_peak_bytes_->Set(static_cast<double>(stream_acc.peak_bytes()));
-      }
-      global_state_ = std::move(next);
+    if (folding) {
+      global_state_ = mean.Finish(m_agg_peak_bytes_);
     } else {
       Aggregate(round, survivors, new_states, start_losses);
     }
@@ -1019,7 +980,6 @@ void FederatedAlgorithm::SaveRunState(std::vector<uint8_t>* out) const {
   w.WriteI64(comm_.total_up_bytes());
   w.WriteI64(comm_.down_messages());
   w.WriteI64(comm_.up_messages());
-  w.WriteI64(comm_.wire_overhead_bytes());
   w.WriteDouble(clock_.now_ms());
   w.WriteI32(server_version_);
   SaveExtraState(&w);
@@ -1086,8 +1046,7 @@ void FederatedAlgorithm::LoadRunState(const std::vector<uint8_t>& blob) {
   const int64_t up_bytes = r.ReadI64();
   const int64_t down_msgs = r.ReadI64();
   const int64_t up_msgs = r.ReadI64();
-  const int64_t wire_overhead = r.ReadI64();
-  comm_.Restore(down_bytes, up_bytes, down_msgs, up_msgs, wire_overhead);
+  comm_.Restore(down_bytes, up_bytes, down_msgs, up_msgs);
   clock_.AdvanceTo(r.ReadDouble());
   server_version_ = r.ReadI32();
   LoadExtraState(&r);

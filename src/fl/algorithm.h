@@ -269,10 +269,13 @@ class FederatedAlgorithm {
   /// (the full sampled cohort in sync fault-free runs). The default is
   /// the FedAvg weighted average with weights renormalized over that
   /// set — scaled by the staleness factors in async mode — so dropped
-  /// clients never skew the mean. `start_losses` holds each survivor's
-  /// objective at its round-start model when RequiresStartLosses()
-  /// (q-FedAvg). Not called at all if every update was lost (the global
-  /// state holds).
+  /// clients never skew the mean, summed on the canonical pairwise tree
+  /// (fl/shard_agg.h); a robust aggregator replaces it with
+  /// RobustCombine. `start_losses` holds each survivor's objective at its
+  /// round-start model when RequiresStartLosses() (q-FedAvg). Not called
+  /// at all if every update was lost (the global state holds), nor by
+  /// barrier rounds that fold the same tree mean as updates finish (see
+  /// SupportsStreamingAggregation).
   virtual void Aggregate(int round, const std::vector<int>& selected,
                          const std::vector<Tensor>& new_states,
                          const std::vector<double>& start_losses);
@@ -308,12 +311,12 @@ class FederatedAlgorithm {
   virtual void DecodeTrainContext(int round, int client,
                                   CheckpointReader* reader) {}
 
-  /// Whether the streaming/chunked aggregation path (stream_chunk > 0)
-  /// may replace this algorithm's Aggregate call. Only valid for
-  /// algorithms that use the base class's FedAvg weighted mean; any
-  /// subclass overriding Aggregate (q-FedAvg, FedAvgM, FedNova) must
-  /// return false, since streaming folds updates into a running tree sum
-  /// and never materializes the new_states vector their override needs.
+  /// Whether barrier rounds may fold each survivor into the tree mean as
+  /// it finishes, in place of the Aggregate call (and train in chunks of
+  /// stream_chunk clients). Only valid for algorithms that use the base
+  /// class's FedAvg weighted mean; any subclass overriding Aggregate
+  /// (q-FedAvg, FedAvgM, FedNova) must return false, since folding never
+  /// materializes the new_states vector their override needs.
   virtual bool SupportsStreamingAggregation() const { return true; }
 
   // ---- Services for subclasses ----
@@ -377,8 +380,9 @@ class FederatedAlgorithm {
   /// median, or norm-bounded mean anchored at `reference`) to the
   /// survivors' values under their renormalized p_k weights (times the
   /// async staleness scales when set). Only valid when
-  /// config().robust.mean() is false; the FedAvg mean keeps its original
-  /// byte-identical path in Aggregate.
+  /// config().robust.mean() is false; the coordinate blocks run on the
+  /// thread pool when there is one, with the same bytes at every thread
+  /// count.
   Tensor RobustCombine(const std::vector<int>& selected,
                        const std::vector<Tensor>& values,
                        const Tensor& reference);
@@ -493,9 +497,9 @@ class FederatedAlgorithm {
 
   Batcher& BatcherFor(int k) { return EnsureClientMaterialized(k).batcher; }
 
-  /// True when this barrier round should stream: chunked training with
-  /// the O(log n) tree accumulator in place of the buffered Aggregate.
-  bool StreamingEligible() const;
+  /// True when barrier rounds fold each survivor into the tree mean as it
+  /// finishes instead of buffering new_states for Aggregate.
+  bool FoldsBaseMean() const;
 
   /// The server-side validation screen: true when `state` and `uploaded`
   /// are both clean (or validation is off), false after quarantining the
@@ -519,9 +523,8 @@ class FederatedAlgorithm {
   mutable std::map<int, ClientState> clients_;
   const ClientPool* client_pool_ = nullptr;  ///< lazy source; null if explicit
   mutable int64_t lazy_state_bytes_ = 0;  ///< view+batcher bytes materialized
-  // Scale gauges, registered only in pool/sharded runs so other runs'
-  // CSV columns are unchanged.
-  obs::Gauge* m_shard_count_ = nullptr;
+  // Scale gauges, registered only in pool and chunked runs so other
+  // runs' CSV columns are unchanged.
   obs::Gauge* m_agg_peak_bytes_ = nullptr;
   obs::Gauge* m_materialized_clients_ = nullptr;
   obs::Gauge* m_client_state_bytes_ = nullptr;

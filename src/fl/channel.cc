@@ -48,7 +48,6 @@ FaultChannel::FaultChannel(const FaultOptions& options, uint64_t seed,
   m_timed_out_ = reg.GetCounter("channel.timed_out");
   m_down_bytes_ = reg.GetCounter("comm.down_bytes");
   m_up_bytes_ = reg.GetCounter("comm.up_bytes");
-  m_wire_overhead_ = reg.GetCounter("comm.wire_overhead_bytes");
   RFED_CHECK_GE(options_.drop_prob, 0.0);
   RFED_CHECK_LE(options_.drop_prob, 1.0);
   RFED_CHECK_GE(options_.corrupt_prob, 0.0);
@@ -70,15 +69,6 @@ void FaultChannel::Charge(ChannelDirection direction, int64_t bytes,
     m_up_bytes_->Add(bytes);
   }
   KindBytesCounter(direction, kind)->Add(bytes);
-}
-
-void FaultChannel::ChargeFramed(ChannelDirection direction, int64_t wire_bytes,
-                                const char* kind) {
-  const int64_t overhead = FlMessage::kWireOverheadBytes;
-  RFED_CHECK_GE(wire_bytes, overhead);
-  Charge(direction, wire_bytes - overhead, kind);
-  ledger_->AddWireOverhead(overhead);
-  m_wire_overhead_->Add(overhead);
 }
 
 FaultChannel::Attempt FaultChannel::AttemptOnce(double* latency_ms) {
@@ -156,84 +146,6 @@ bool FaultChannel::Send(ChannelDirection direction, int64_t bytes,
   m_dropped_->Increment();
   last_latency_ms_ = latency_ms;
   return false;
-}
-
-std::optional<FlMessage> FaultChannel::Transmit(const FlMessage& message,
-                                                ChannelDirection direction,
-                                                const char* kind) {
-  std::vector<uint8_t> wire;
-  message.EncodeTo(&wire);
-  const int64_t bytes = static_cast<int64_t>(wire.size());
-  last_latency_ms_ = 0.0;
-  if (!options_.enabled()) {
-    ChargeFramed(direction, bytes, kind);
-    ++stats_.delivered;
-    ++stats_.round_delivered;
-    m_delivered_->Increment();
-    size_t offset = 0;
-    return FlMessage::Decode(wire, &offset);
-  }
-  double latency_ms = 0.0;
-  const int attempts = 1 + options_.max_retries;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retried;
-      ++stats_.round_retried;
-      m_retried_->Increment();
-      latency_ms += BackoffDelayMs(options_.backoff, attempt - 1, &rng_);
-      if (options_.round_timeout_ms > 0.0 &&
-          latency_ms > options_.round_timeout_ms) {
-        ++stats_.timed_out;
-        m_timed_out_->Increment();
-        break;
-      }
-    }
-    ChargeFramed(direction, bytes, kind);  // every attempt occupies the wire
-    if (options_.drop_prob > 0.0 && rng_.Uniform() < options_.drop_prob) {
-      continue;  // lost in flight; resend after backoff
-    }
-    std::vector<uint8_t> received = wire;
-    if (options_.corrupt_prob > 0.0 &&
-        rng_.Uniform() < options_.corrupt_prob) {
-      // Flip one random bit of the actual wire bytes; detection is the
-      // receive-side checksum's job, not the lottery's.
-      const size_t byte =
-          static_cast<size_t>(rng_.UniformInt(static_cast<int>(received.size())));
-      received[byte] ^= static_cast<uint8_t>(1u << rng_.UniformInt(8));
-    }
-    if (options_.delay_prob > 0.0 && rng_.Uniform() < options_.delay_prob) {
-      latency_ms += -options_.mean_delay_ms * std::log(1.0 - rng_.Uniform());
-    }
-    if (options_.round_timeout_ms > 0.0 &&
-        latency_ms > options_.round_timeout_ms) {
-      ++stats_.timed_out;
-      m_timed_out_->Increment();
-      continue;
-    }
-    size_t offset = 0;
-    FlMessage decoded;
-    if (!FlMessage::TryDecode(received, &offset, &decoded)) {
-      ++stats_.corrupted;  // checksum rejected the mangled bytes
-      m_corrupted_->Increment();
-      continue;
-    }
-    if (options_.duplicate_prob > 0.0 &&
-        rng_.Uniform() < options_.duplicate_prob) {
-      ChargeFramed(direction, bytes, kind);  // the redundant copy also costs
-      ++stats_.duplicated;
-      m_duplicated_->Increment();
-    }
-    ++stats_.delivered;
-    ++stats_.round_delivered;
-    m_delivered_->Increment();
-    last_latency_ms_ = latency_ms;
-    return decoded;
-  }
-  ++stats_.dropped;
-  ++stats_.round_dropped;
-  m_dropped_->Increment();
-  last_latency_ms_ = latency_ms;
-  return std::nullopt;
 }
 
 }  // namespace rfed

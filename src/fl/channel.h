@@ -2,10 +2,8 @@
 #define RFED_FL_CHANNEL_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "fl/comm.h"
-#include "fl/message.h"
 #include "obs/metrics.h"
 #include "util/backoff.h"
 #include "util/rng.h"
@@ -19,7 +17,7 @@ namespace rfed {
 /// runs are bit-identical to the pre-channel simulator.
 struct FaultOptions {
   double drop_prob = 0.0;       ///< message silently lost in flight
-  double corrupt_prob = 0.0;    ///< payload bit-flipped (checksum catches it)
+  double corrupt_prob = 0.0;    ///< payload corrupted (receiver rejects it)
   double duplicate_prob = 0.0;  ///< delivered twice; the copy costs bandwidth
   double delay_prob = 0.0;      ///< message held up by a straggling link
   double mean_delay_ms = 50.0;  ///< mean of the exponential delay draw
@@ -57,7 +55,7 @@ struct ChannelStats {
   int64_t delivered = 0;
   int64_t dropped = 0;    ///< logical messages that never arrived
   int64_t retried = 0;    ///< retransmission attempts
-  int64_t corrupted = 0;  ///< attempts rejected by the checksum
+  int64_t corrupted = 0;  ///< attempts rejected as corrupt
   int64_t duplicated = 0; ///< redundant copies delivered
   int64_t timed_out = 0;  ///< attempts that missed the round deadline
   int64_t round_delivered = 0;
@@ -84,8 +82,8 @@ struct ChannelState {
 /// Simulated lossy transport between the server and its clients. Every
 /// transfer an algorithm used to charge straight to CommStats now goes
 /// through Send(), which plays a seeded fault lottery per attempt: the
-/// message can be dropped, corrupted (detected by the FlMessage
-/// checksum), delayed past the round deadline, or duplicated. Failures
+/// message can be dropped, corrupted (detected and rejected by the
+/// receiver), delayed past the round deadline, or duplicated. Failures
 /// are retried up to FaultOptions::max_retries times under the
 /// exponential-backoff policy; every attempt — including failed ones and
 /// duplicate copies — occupies the wire and is charged to the ledger.
@@ -110,14 +108,6 @@ class FaultChannel {
     return Send(ChannelDirection::kUpload, bytes, kind);
   }
 
-  /// Full-fidelity transmission: encodes `message`, injects the faults
-  /// into the actual bytes (corruption = real bit flips), and decodes on
-  /// the receive side with checksum verification. Returns the received
-  /// message, or nullopt if every attempt was lost, rejected, or late.
-  std::optional<FlMessage> Transmit(const FlMessage& message,
-                                    ChannelDirection direction,
-                                    const char* kind = channel_kind::kModel);
-
   /// Resets the per-round delivery counters (and the ledger's, if the
   /// caller has not already done so, is harmless to repeat).
   void BeginRound() { stats_.BeginRound(); }
@@ -126,7 +116,7 @@ class FaultChannel {
   const FaultOptions& options() const { return options_; }
 
   /// Simulated latency (fault delays + retry backoff) accumulated by the
-  /// most recent Send/Transmit, whether or not it was delivered. The sim
+  /// most recent Send, whether or not it was delivered. The sim
   /// runtime folds this into the sender's virtual transfer time; 0 on
   /// the fault-free pass-through path.
   double last_latency_ms() const { return last_latency_ms_; }
@@ -161,14 +151,6 @@ class FaultChannel {
 
   void Charge(ChannelDirection direction, int64_t bytes, const char* kind);
 
-  /// Charges one wire attempt of an encoded FlMessage: the payload bytes
-  /// go through Charge(), the fixed framing cost (header + checksum) is
-  /// booked as wire overhead on the ledger and the
-  /// `comm.wire_overhead_bytes` counter instead of being folded into the
-  /// payload totals.
-  void ChargeFramed(ChannelDirection direction, int64_t wire_bytes,
-                    const char* kind);
-
   FaultOptions options_;
   CommStats* ledger_;
   Rng rng_;
@@ -185,7 +167,6 @@ class FaultChannel {
   obs::Counter* m_timed_out_;
   obs::Counter* m_down_bytes_;
   obs::Counter* m_up_bytes_;
-  obs::Counter* m_wire_overhead_;
 };
 
 }  // namespace rfed

@@ -20,7 +20,7 @@ namespace {
 /// any layout change; Load aborts on a mismatch rather than misparsing.
 constexpr char kCheckpointMagic[8] = {'R', 'F', 'E', 'D',
                                       'C', 'K', 'P', 'T'};
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
 
 void WriteFileOrDie(const std::vector<uint8_t>& buffer,
                     const std::string& path) {

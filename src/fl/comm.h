@@ -27,15 +27,6 @@ class CommStats {
     ++round_up_messages_;
   }
 
-  /// Framed-transport overhead (length prefix + header + checksum) that
-  /// crossed the wire on top of the payload bytes. Kept out of the
-  /// Download/Upload payload counters so Table III reads pure payload
-  /// traffic; the framing cost is still visible, just on its own line.
-  void AddWireOverhead(int64_t bytes) {
-    total_wire_overhead_bytes_ += bytes;
-    round_wire_overhead_bytes_ += bytes;
-  }
-
   /// Resets the per-round counters (call at round start). Cumulative
   /// totals are unaffected; both byte *and* message counters reset.
   void BeginRound() {
@@ -43,7 +34,6 @@ class CommStats {
     round_up_bytes_ = 0;
     round_down_messages_ = 0;
     round_up_messages_ = 0;
-    round_wire_overhead_bytes_ = 0;
   }
 
   int64_t total_down_bytes() const { return total_down_bytes_; }
@@ -59,21 +49,16 @@ class CommStats {
   int64_t round_messages() const {
     return round_down_messages_ + round_up_messages_;
   }
-  int64_t wire_overhead_bytes() const { return total_wire_overhead_bytes_; }
-  int64_t round_wire_overhead_bytes() const {
-    return round_wire_overhead_bytes_;
-  }
 
   /// Restores the cumulative totals from a checkpoint. Per-round
   /// counters are not restored: a resumed run always continues at a
   /// round boundary, where BeginRound() zeroes them anyway.
   void Restore(int64_t down_bytes, int64_t up_bytes, int64_t down_msgs,
-               int64_t up_msgs, int64_t wire_overhead_bytes) {
+               int64_t up_msgs) {
     total_down_bytes_ = down_bytes;
     total_up_bytes_ = up_bytes;
     down_messages_ = down_msgs;
     up_messages_ = up_msgs;
-    total_wire_overhead_bytes_ = wire_overhead_bytes;
     BeginRound();
   }
 
@@ -86,8 +71,6 @@ class CommStats {
   int64_t up_messages_ = 0;
   int64_t round_down_messages_ = 0;
   int64_t round_up_messages_ = 0;
-  int64_t total_wire_overhead_bytes_ = 0;
-  int64_t round_wire_overhead_bytes_ = 0;
 };
 
 }  // namespace rfed

@@ -33,7 +33,7 @@ std::vector<int> LossProportionalSelection(
 /// materializing a length-N permutation per round (as UniformSelection
 /// does) would dominate the round at N = 10^6. Uses Robert Floyd's
 /// algorithm; the returned cohort is sorted ascending, which doubles as
-/// the canonical shard order for hierarchical aggregation
+/// the canonical leaf order of the server's tree mean
 /// (fl/shard_agg.h). Consumes exactly cohort_size UniformInt draws; the
 /// full-cohort case consumes none, mirroring UniformSelection.
 ///

@@ -9,50 +9,12 @@
 namespace rfed {
 namespace {
 
-/// Largest power of two <= x (x >= 1).
-int64_t FloorPow2(int64_t x) {
-  int64_t p = 1;
-  while (p * 2 <= x) p *= 2;
-  return p;
-}
-
-/// Canonical split point of an n-leaf range: the largest power of two
-/// strictly below n.
-int64_t SplitPoint(int64_t n) { return FloorPow2(n - 1); }
-
-/// Canonical reduction of the scaled leaves values[lo, lo + n).
-Tensor ReduceLeaves(const std::vector<Tensor>& values,
-                    const std::vector<float>& scales, int64_t lo,
-                    int64_t n) {
-  if (n == 1) {
-    Tensor leaf = values[static_cast<size_t>(lo)];
-    leaf.MulInPlace(scales[static_cast<size_t>(lo)]);
-    return leaf;
-  }
-  const int64_t h = SplitPoint(n);
-  Tensor left = ReduceLeaves(values, scales, lo, h);
-  const Tensor right = ReduceLeaves(values, scales, lo + h, n - h);
-  left.AddInPlace(right);
-  return left;
-}
-
-/// Canonical reduction of the upper tree over precomputed shard partials.
-/// `shard` indexes partials, `leaf_n` is the number of original leaves
-/// under this range. Because fanout is a power of two, the canonical
-/// split of any range wider than one shard lands on a shard boundary
-/// (SplitPoint(leaf_n) >= fanout and both are powers of two), so this
-/// recursion reproduces the full-leaf tree exactly.
-Tensor ReduceShards(std::vector<Tensor>* partials, int fanout, int64_t shard,
-                    int64_t leaf_n) {
-  if (leaf_n <= fanout) {
-    return std::move((*partials)[static_cast<size_t>(shard)]);
-  }
-  const int64_t h = SplitPoint(leaf_n);
-  Tensor left = ReduceShards(partials, fanout, shard, h);
-  const Tensor right =
-      ReduceShards(partials, fanout, shard + h / fanout, leaf_n - h);
-  left.AddInPlace(right);
-  return left;
+/// Canonical split point of an n-leaf range (n >= 2): the largest power
+/// of two strictly below n.
+int64_t SplitPoint(int64_t n) {
+  int64_t h = 1;
+  while (h * 2 < n) h *= 2;
+  return h;
 }
 
 /// Cuts [0, size) into roughly even contiguous blocks, one per task.
@@ -88,41 +50,9 @@ void RunBlocks(const std::vector<std::pair<int64_t, int64_t>>& blocks,
 
 }  // namespace
 
-bool IsPow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
-
-int ShardCount(int64_t m, int fanout) {
-  RFED_CHECK_GT(m, 0);
-  RFED_CHECK_GT(fanout, 0);
-  return static_cast<int>((m + fanout - 1) / fanout);
-}
-
-Tensor ShardTreeWeightedSum(const std::vector<Tensor>& values,
-                            const std::vector<float>& scales, int fanout,
-                            ThreadPool* pool) {
-  RFED_CHECK(!values.empty());
-  RFED_CHECK_EQ(values.size(), scales.size());
-  RFED_CHECK(IsPow2(fanout)) << "shard fanout must be a power of two, got "
-                             << fanout;
-  const int64_t m = static_cast<int64_t>(values.size());
-  const int shards = ShardCount(m, fanout);
-  std::vector<Tensor> partials(static_cast<size_t>(shards));
-  const auto shard_fn = [&](int s) {
-    const int64_t lo = static_cast<int64_t>(s) * fanout;
-    const int64_t n = std::min<int64_t>(fanout, m - lo);
-    partials[static_cast<size_t>(s)] = ReduceLeaves(values, scales, lo, n);
-  };
-  if (pool != nullptr && shards > 1) {
-    pool->ParallelFor(shards, shard_fn);
-  } else {
-    for (int s = 0; s < shards; ++s) shard_fn(s);
-  }
-  return ReduceShards(&partials, fanout, 0, m);
-}
-
 Tensor PairwiseTreeSum(const std::vector<const Tensor*>& leaves) {
   RFED_CHECK(!leaves.empty());
-  // Same recursion as ReduceLeaves with unit scales, but over borrowed
-  // tensors so callers need not copy their inputs up front.
+  // Borrowed leaves, so callers need not copy their inputs up front.
   const std::function<Tensor(int64_t, int64_t)> reduce =
       [&](int64_t lo, int64_t n) -> Tensor {
     if (n == 1) return *leaves[static_cast<size_t>(lo)];

@@ -10,54 +10,32 @@
 
 namespace rfed {
 
-/// Hierarchical (sharded) aggregation for cross-device cohorts.
+/// Server aggregation for cohorts of any size.
 ///
-/// All paths in this header evaluate ONE canonical pairwise reduction
-/// tree, fixed by the leaf order alone:
+/// Every FedAvg-family mean in this repository adds its leaves on ONE
+/// canonical pairwise reduction tree, fixed by the leaf order alone:
 ///
 ///   reduce(leaves[0..n)) =
 ///     n == 1 ? leaves[0]
 ///            : reduce(first h) + reduce(rest),  h = floor_pow2(n - 1)
 ///
 /// i.e. the split peels the largest power of two strictly below n, and
-/// every '+' is Tensor::AddInPlace(left, right). Because h is a power of
-/// two >= fanout whenever n > fanout (for power-of-two fanout), shard
-/// boundaries at multiples of `fanout` are exact subtree frontiers of
-/// this recursion. Shard partials can therefore be computed by
-/// independent ThreadPool tasks and reduced in canonical index order at
-/// the root, and the result is bit-identical for EVERY power-of-two
-/// fanout and every thread count — float addition never gets
-/// re-associated, only re-scheduled. The streaming accumulator below
-/// evaluates the same tree one leaf at a time, which is what lets the
-/// server aggregate a cohort in chunks without ever holding all updates.
-/// tests/scale_test.cc pins all three identities.
+/// every '+' is Tensor::AddInPlace(left, right). PairwiseTreeSum is the
+/// recursive definition; StreamingTreeSum evaluates the same tree one
+/// leaf at a time, which is what lets the server fold each update as it
+/// arrives without ever holding the cohort's updates.
+/// tests/scale_test.cc pins the two as byte-identical.
 
-/// True iff x is a positive power of two.
-bool IsPow2(int x);
-
-/// Number of leaf-level shard tasks for m leaves at `fanout` leaves per
-/// shard: ceil(m / fanout).
-int ShardCount(int64_t m, int fanout);
-
-/// Canonical-tree weighted sum: sum of values[i] * scales[i] with leaves
-/// scaled up front. `fanout` (a power of two) is the number of leaves per
-/// shard task; the tasks run on `pool` when given (nullptr = caller
-/// thread). The returned bytes are identical for every valid fanout and
-/// pool size.
-Tensor ShardTreeWeightedSum(const std::vector<Tensor>& values,
-                            const std::vector<float>& scales, int fanout,
-                            ThreadPool* pool);
-
-/// Canonical-tree plain sum over borrowed leaves (no scaling, sequential).
-/// Used for sparse delta-map totals (core/delta_map.h).
+/// Canonical-tree plain sum over borrowed leaves (the recursive
+/// definition). Used for sparse delta-map totals (core/delta_map.h).
 Tensor PairwiseTreeSum(const std::vector<const Tensor*>& leaves);
 
 /// One-leaf-at-a-time evaluation of the canonical tree (binary-counter
 /// scheme: the stack holds the partial sums of the complete subtrees
 /// matching the binary digits of the leaf count, so peak memory is
 /// O(log n) tensors instead of O(n)). Push order must equal leaf order;
-/// Finish() then returns bytes identical to ShardTreeWeightedSum over the
-/// same scaled leaves.
+/// Finish() then returns bytes identical to PairwiseTreeSum over the same
+/// leaves.
 class StreamingTreeSum {
  public:
   /// Appends the next leaf (already scaled by the caller).
@@ -68,7 +46,6 @@ class StreamingTreeSum {
   Tensor Finish();
 
   int64_t leaves() const { return leaves_; }
-  bool empty() const { return leaves_ == 0; }
   /// High-water mark of tensor bytes held by the accumulator.
   int64_t peak_bytes() const { return peak_bytes_; }
 
@@ -88,8 +65,8 @@ class StreamingTreeSum {
 // over coordinate blocks rather than clients: [0, size) is cut into one
 // block per pool thread (times a small oversubscription factor) and each
 // block runs the flat rule's range kernel (fl/robust_agg.h). The result
-// is byte-identical to the flat rule for every pool size — fanout plays
-// no role in the math, which is exactly the invariance the scale tests
+// is byte-identical to the flat rule for every pool size (nullptr = one
+// block on the caller's thread), which is the invariance the scale tests
 // demand.
 
 Tensor ShardedTrimmedMean(const std::vector<Tensor>& values,

@@ -87,20 +87,14 @@ struct FlConfig {
   /// a round in parallel on per-client scratch models with per-client
   /// RNG streams, bit-identical to the sequential path.
   int num_threads = 1;
-  /// Hierarchical (sharded) server aggregation (see fl/shard_agg.h):
-  /// number of client updates per shard task of the canonical pairwise
-  /// reduction tree. Must be a power of two when set. 0 (the default)
-  /// keeps the original flat accumulation loop, byte-identical to every
-  /// existing golden; any positive value yields the canonical-tree
-  /// result, which is itself byte-identical across all power-of-two
-  /// fanouts and thread counts.
-  int shard_fanout = 0;
-  /// Streaming aggregation chunk: when > 0 (requires shard_fanout > 0),
-  /// the barrier round trains and uploads the cohort in chunks of this
-  /// many clients, folding each update into an O(log n) streaming tree
-  /// accumulator instead of buffering all sampled updates. Bit-identical
-  /// to the all-at-once sharded path on fault-free channels; only
-  /// algorithms using the default FedAvg mean support it. 0 disables.
+  /// Streaming aggregation chunk: when > 0, the barrier round trains and
+  /// uploads the cohort in chunks of this many clients, folding each
+  /// chunk's updates into the server's O(log n) tree mean (see
+  /// fl/shard_agg.h) before training the next, so the server never holds
+  /// more than one chunk of updates. 0 (the default) trains the whole
+  /// cohort before folding. Bit-identical for every value on fault-free
+  /// channels; algorithms that buffer the cohort for their own Aggregate
+  /// (robust rules, FedAvgM, FedNova, q-FedAvg) ignore it.
   int stream_chunk = 0;
   /// Worker threads *inside* the tensor kernels (blocked GEMM / conv;
   /// see tensor/kernels.h). <= 1 keeps every kernel on its calling

@@ -80,7 +80,7 @@ verifies a fingerprint over them):
   --checkpoint_every (0)    --checkpoint_path PATH    --resume_from PATH
   --num_threads (1)         --kernel_threads (1)
   --autograd_static (true)  --grad_checkpoint (false)
-  --shard_fanout (0)        --stream_chunk (0)
+  --stream_chunk (0)
   --csv_out PATH write the per-round history as CSV
   --worker_timeout_ms (0, 0=off) failure-detector deadline: a worker
       silent this long (PING/PONG probes cover idle links) is declared
@@ -101,7 +101,7 @@ const char* const kScenarioFlags[] = {
     "aggregator", "trim_fraction", "clip_multiplier", "validate",
     "checkpoint_every", "checkpoint_path", "resume_from",
     "num_threads", "kernel_threads", "autograd_static", "grad_checkpoint",
-    "shard_fanout", "stream_chunk",
+    "stream_chunk",
     "csv_out", "worker_timeout_ms", "max_worker_restarts"};
 
 }  // namespace
@@ -177,7 +177,6 @@ Scenario BuildScenario(const FlagParser& flags) {
   fl.kernel_threads = flags.GetInt("kernel_threads", 1);
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
-  fl.shard_fanout = flags.GetInt("shard_fanout", 0);
   fl.stream_chunk = flags.GetInt("stream_chunk", 0);
 
   RegularizerOptions reg;
@@ -292,7 +291,6 @@ Scenario BuildScenario(const FlagParser& flags) {
        << ";trim_fraction=" << fl.robust.trim_fraction
        << ";clip_multiplier=" << fl.robust.clip_multiplier
        << ";validate=" << fl.robust.validate
-       << ";shard_fanout=" << fl.shard_fanout
        << ";stream_chunk=" << fl.stream_chunk;
   const std::string text = spec.str();
   s.fingerprint = static_cast<uint64_t>(

@@ -158,14 +158,11 @@ int main(int argc, char** argv) {
   executor.Shutdown();
 
   const bool stopped = g_stop.load(std::memory_order_relaxed);
-  std::printf("\n%s on %s: final=%.3f best=%.3f total_comm=%lld bytes "
-              "wire_overhead=%lld bytes%s\n",
+  std::printf("\n%s on %s: final=%.3f best=%.3f total_comm=%lld bytes%s\n",
               scenario.method.c_str(), scenario.dataset.c_str(),
               history.FinalAccuracy(), history.BestAccuracy(),
               static_cast<long long>(
                   scenario.algorithm->comm().total_bytes()),
-              static_cast<long long>(
-                  scenario.algorithm->comm().wire_overhead_bytes()),
               stopped ? " (stopped early by signal)" : "");
   const serve::ServeStats& st = executor.stats();
   std::printf("transport: workers=%d jobs=%lld results=%lld sent=%lld bytes "

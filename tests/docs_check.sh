@@ -5,8 +5,8 @@
 # Seven stale-documentation tripwires, run as `ctest -L docs`:
 #   1. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file or directory.
-#   2. Every `--flag` token mentioned in docs/REPRODUCING.md,
-#      docs/OBSERVABILITY.md and docs/PERFORMANCE.md must appear in
+#   2. Every `--flag` token mentioned in docs/*.md other than
+#      docs/DEPLOYMENT.md (tripwire 4 checks that page) must appear in
 #      `experiment_cli --help` (modulo a short whitelist of
 #      cmake/ctest/bench flags the docs quote).
 #   3. Every `ctest -L <label>` invocation quoted in README.md or
@@ -67,11 +67,11 @@ rm -f /tmp/docs_check_links.$$
 # ---- 2. Stale flag names ----
 help_out=$("$cli" --help 2>&1) || fail "experiment_cli --help exited nonzero"
 # Flags the docs legitimately mention that belong to other tools.
-whitelist="--help --build --output-on-failure --label-regex --test-dir --smoke --min_ms --out"
+whitelist="--help --build --output-on-failure --label-regex --test-dir --smoke --min_ms --out --only"
 
-for doc in "$root"/docs/REPRODUCING.md "$root"/docs/OBSERVABILITY.md \
-           "$root"/docs/PERFORMANCE.md; do
-  [ -f "$doc" ] || { fail "missing $doc"; continue; }
+for doc in "$root"/docs/*.md; do
+  [ "$(basename "$doc")" = DEPLOYMENT.md ] && continue
+  [ -f "$doc" ] || continue
   for flag in $(grep -oE '\-\-[a-z][a-z0-9_-]*' "$doc" | sort -u); do
     case " $whitelist " in *" $flag "*) continue ;; esac
     if ! printf '%s\n' "$help_out" | grep -q -- "$flag"; then

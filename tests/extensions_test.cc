@@ -1,5 +1,5 @@
 // Tests for the extension subsystems built on top of the paper's core:
-// wire messages, secure aggregation, client selection, FedNova,
+// secure aggregation, client selection, FedNova,
 // compression-in-the-loop, personalization, layer norm / dropout, flags.
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "data/synthetic_images.h"
 #include "fl/fedavg.h"
 #include "fl/fednova.h"
-#include "fl/message.h"
 #include "fl/secure_agg.h"
 #include "fl/selection.h"
 #include "fl/trainer.h"
@@ -25,50 +24,6 @@ namespace rfed {
 namespace {
 
 using ::rfed::testing::MaxGradCheckError;
-
-// ---- FlMessage ----
-
-TEST(MessageTest, EncodeDecodeRoundTrip) {
-  Rng rng(1);
-  FlMessage message;
-  message.kind = FlMessage::Kind::kDeltaUpload;
-  message.round = 12;
-  message.sender = 3;
-  message.payload.push_back(Tensor::Normal(Shape{4, 5}, 0, 1, &rng));
-  message.payload.push_back(Tensor::Normal(Shape{7}, 0, 1, &rng));
-
-  std::vector<uint8_t> buffer;
-  message.EncodeTo(&buffer);
-  EXPECT_EQ(static_cast<int64_t>(buffer.size()), message.EncodedBytes());
-
-  size_t offset = 0;
-  FlMessage decoded = FlMessage::Decode(buffer, &offset);
-  EXPECT_EQ(offset, buffer.size());
-  EXPECT_EQ(decoded.kind, FlMessage::Kind::kDeltaUpload);
-  EXPECT_EQ(decoded.round, 12);
-  EXPECT_EQ(decoded.sender, 3);
-  ASSERT_EQ(decoded.payload.size(), 2u);
-  EXPECT_TRUE(AllClose(decoded.payload[0], message.payload[0], 0.0f));
-  EXPECT_TRUE(AllClose(decoded.payload[1], message.payload[1], 0.0f));
-}
-
-TEST(MessageTest, MultipleMessagesInStream) {
-  FlMessage a;
-  a.kind = FlMessage::Kind::kModelDownload;
-  a.payload.push_back(Tensor(Shape{3}, {1, 2, 3}));
-  FlMessage b;
-  b.kind = FlMessage::Kind::kControlVariate;
-  b.sender = 9;
-  std::vector<uint8_t> buffer;
-  a.EncodeTo(&buffer);
-  b.EncodeTo(&buffer);
-  size_t offset = 0;
-  FlMessage a2 = FlMessage::Decode(buffer, &offset);
-  FlMessage b2 = FlMessage::Decode(buffer, &offset);
-  EXPECT_EQ(a2.kind, FlMessage::Kind::kModelDownload);
-  EXPECT_EQ(b2.sender, 9);
-  EXPECT_TRUE(b2.payload.empty());
-}
 
 // ---- Secure aggregation ----
 

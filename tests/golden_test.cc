@@ -1,12 +1,15 @@
 // Seeded golden-run regression suite. Each algorithm runs 3 rounds on a
 // tiny fixed synthetic partition; the final train loss, final test
-// accuracy, and cumulative communicated bytes must match the checked-in
-// golden values. Any kernel, aggregation, or accounting refactor that
-// silently changes the training math trips these immediately.
+// accuracy, cumulative communicated bytes and an exact hash of the final
+// global state must match the checked-in golden values. Any kernel,
+// aggregation, or accounting refactor that silently changes the training
+// math trips these immediately; the hash also catches a change in float
+// association that moves no printed digit.
 //
 // Regenerating after an *intentional* numeric change:
 //   RFED_PRINT_GOLDEN=1 ./build/tests/golden_test
-// then paste the printed table over kGoldens below.
+// then paste the printed rows over kGoldens, kFiveClientGoldens and
+// kSimGoldens below.
 
 #include <algorithm>
 #include <cmath>
@@ -29,6 +32,7 @@
 #include "fl/qfedavg.h"
 #include "fl/scaffold.h"
 #include "fl/trainer.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace rfed {
@@ -44,29 +48,40 @@ struct Golden {
   double final_loss;
   double final_accuracy;
   int64_t total_bytes;
+  uint32_t state_hash;  ///< Fnv1a32 of the final global state's bytes
 };
 
 // Checked-in golden values for 3 rounds under the fixture below
 // (data seed 1234, algorithm seed 77). Tolerance 1e-5 on the doubles,
-// exact on the byte ledger.
+// exact on the byte ledger and the state hash.
 constexpr Golden kGoldens[] = {
-    {"fedavg", 2.3046531280, 0.1083333333, 46224},
-    {"fedprox", 2.3046712875, 0.1083333333, 46224},
-    {"scaffold", 2.3275221189, 0.0916666667, 92448},
-    {"qfedavg", 2.3179347515, 0.0833333333, 46224},
-    {"fedavgm", 2.2837883631, 0.1666666667, 46224},
-    {"fednova", 2.2734843294, 0.1583333333, 46224},
-    {"rfedavg", 2.3133333524, 0.0916666667, 47088},
-    {"rfedavg_plus", 2.3111237685, 0.0916666667, 69912},
+    {"fedavg", 2.3046531280, 0.1083333333, 46224, 0x51210b3fu},
+    {"fedprox", 2.3046712875, 0.1083333333, 46224, 0xe77a7077u},
+    {"scaffold", 2.3275221189, 0.0916666667, 92448, 0xc36b73bcu},
+    {"qfedavg", 2.3179347515, 0.0833333333, 46224, 0xe2b419e4u},
+    {"fedavgm", 2.2837883631, 0.1666666667, 46224, 0xfd2a0bfeu},
+    {"fednova", 2.2734843294, 0.1583333333, 46224, 0x4149a17fu},
+    {"rfedavg", 2.3133333524, 0.0916666667, 47088, 0xf63d1fd9u},
+    {"rfedavg_plus", 2.3111237685, 0.0916666667, 69912, 0xfa148259u},
+};
+
+// The same fixture split over 5 clients. On 3 clients whose weights sum
+// to exactly 1 the server's canonical pairwise tree gives the bytes of a
+// flat left fold, so only these rows can see the order in which the
+// weighted mean adds its leaves.
+constexpr Golden kFiveClientGoldens[] = {
+    {"fedavg", 2.3643252373, 0.0833333333, 77040, 0xe0cd05bfu},
+    {"rfedavg_plus", 2.3578410149, 0.0833333333, 116520, 0x8e11f7fdu},
 };
 
 /// The shared tiny fixture: 240 train / 120 test MNIST-like examples
-/// over 3 moderately non-IID clients, a minimal CNN.
+/// over `num_clients` (3 unless a row says otherwise) moderately non-IID
+/// clients, a minimal CNN.
 struct GoldenFixture {
-  GoldenFixture()
+  explicit GoldenFixture(int num_clients = 3)
       : rng(1234),
         data(GenerateImageData(MnistLikeProfile(), 240, 120, &rng)),
-        split(SimilarityPartition(data.train, 3, 0.5, &rng)) {
+        split(SimilarityPartition(data.train, num_clients, 0.5, &rng)) {
     for (auto& idx : split.client_indices) {
       views.push_back(ClientView{idx, {}});
     }
@@ -133,46 +148,79 @@ std::unique_ptr<FederatedAlgorithm> MakeAlgorithm(const std::string& name,
   return nullptr;
 }
 
-RunHistory RunGolden(const std::string& name, const FlConfig& config,
-                     int rounds) {
-  GoldenFixture fx;
+/// Exact fingerprint of a model state: FNV-1a over its float bytes.
+uint32_t StateHash(const Tensor& state) {
+  return Fnv1a32(reinterpret_cast<const uint8_t*>(state.data()),
+                 static_cast<size_t>(state.size()) * sizeof(float));
+}
+
+struct GoldenRun {
+  RunHistory history;
+  uint32_t state_hash = 0;
+};
+
+GoldenRun RunGolden(const std::string& name, const FlConfig& config,
+                    int rounds, int num_clients = 3) {
+  GoldenFixture fx(num_clients);
   auto algo = MakeAlgorithm(name, config, &fx);
   TrainerOptions options;
   options.eval_max_examples = 120;
   FederatedTrainer trainer(algo.get(), &fx.data.test, options);
-  return trainer.Run(rounds);
+  GoldenRun run;
+  run.history = trainer.Run(rounds);
+  run.state_hash = StateHash(algo->global_state());
+  return run;
 }
 
-class GoldenRunTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(GoldenRunTest, ThreeRoundRunMatchesCheckedInValues) {
-  const std::string name = GetParam();
-  RunHistory history = RunGolden(name, GoldenConfig(), 3);
+/// Runs `name` for 3 rounds on `num_clients` clients and checks it
+/// against its row of `table` (or prints the row to regenerate it).
+template <size_t N>
+void CheckGoldenRun(const std::string& name, int num_clients,
+                    const Golden (&table)[N]) {
+  const GoldenRun run = RunGolden(name, GoldenConfig(), 3, num_clients);
+  const RunHistory& history = run.history;
   const double loss = history.rounds.back().train_loss;
   const double accuracy = history.FinalAccuracy();
   const int64_t bytes = history.TotalBytes();
 
   if (std::getenv("RFED_PRINT_GOLDEN") != nullptr) {
-    std::printf("    {\"%s\", %.10f, %.10f, %lld},\n", name.c_str(), loss,
-                accuracy, static_cast<long long>(bytes));
+    std::printf("    {\"%s\", %.10f, %.10f, %lld, 0x%08xu},\n", name.c_str(),
+                loss, accuracy, static_cast<long long>(bytes),
+                run.state_hash);
     return;
   }
   const Golden* golden = nullptr;
-  for (const Golden& g : kGoldens) {
+  for (const Golden& g : table) {
     if (name == g.name) golden = &g;
   }
   ASSERT_NE(golden, nullptr) << "no golden entry for " << name;
   EXPECT_NEAR(loss, golden->final_loss, 1e-5) << name;
   EXPECT_NEAR(accuracy, golden->final_accuracy, 1e-5) << name;
   EXPECT_EQ(bytes, golden->total_bytes) << name;
+  EXPECT_EQ(run.state_hash, golden->state_hash) << name;
   // A fault-free run delivers every message and drops/retries none.
   EXPECT_EQ(history.TotalDropped(), 0);
   EXPECT_EQ(history.TotalRetried(), 0);
   EXPECT_GT(history.TotalDelivered(), 0);
 }
 
+class GoldenRunTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenRunTest, ThreeRoundRunMatchesCheckedInValues) {
+  CheckGoldenRun(GetParam(), 3, kGoldens);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, GoldenRunTest,
                          ::testing::ValuesIn(kAlgorithms));
+
+class FiveClientGoldenTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FiveClientGoldenTest, ThreeRoundRunMatchesCheckedInValues) {
+  CheckGoldenRun(GetParam(), 5, kFiveClientGoldens);
+}
+
+INSTANTIATE_TEST_SUITE_P(TreeMean, FiveClientGoldenTest,
+                         ::testing::Values("fedavg", "rfedavg_plus"));
 
 // ---- Fault sweep: the acceptance scenario ----
 // With drop probability 0.3 and a fixed seed, every algorithm completes
@@ -224,11 +272,14 @@ struct SimGolden {
   double virtual_ms;  ///< TotalVirtualMs over the 3 rounds
   int64_t total_bytes;
   int64_t stragglers_cut;
+  uint32_t state_hash;  ///< Fnv1a32 of the final global state's bytes
 };
 
 constexpr SimGolden kSimGoldens[] = {
-    {"fedavg", SimMode::kDeadline, 2.3187667131, 81.5907334654, 46224, 2},
-    {"rfedavg_plus", SimMode::kAsync, 2.2693006396, 81.6421905083, 51776, 0},
+    {"fedavg", SimMode::kDeadline, 2.3187667529, 81.5907334654, 46224, 2,
+     0xd9c011eeu},
+    {"rfedavg_plus", SimMode::kAsync, 2.2693005800, 81.6421905083, 51776, 0,
+     0x1c68ae4fu},
 };
 
 /// Lognormal stragglers over a finite network; deadline cuts at 40
@@ -251,25 +302,28 @@ class SimGoldenTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimGoldenTest, SeededSimRunMatchesCheckedInValues) {
   const SimGolden& golden = kSimGoldens[GetParam()];
-  RunHistory history =
+  const GoldenRun run =
       RunGolden(golden.algorithm, SimGoldenConfig(golden.mode), 3);
+  const RunHistory& history = run.history;
   const double loss = history.rounds.back().train_loss;
   const double virtual_ms = history.TotalVirtualMs();
   const int64_t bytes = history.TotalBytes();
   const int64_t cut = history.TotalStragglersCut();
 
   if (std::getenv("RFED_PRINT_GOLDEN") != nullptr) {
-    std::printf("    {\"%s\", SimMode::%s, %.10f, %.10f, %lld, %lld},\n",
-                golden.algorithm,
-                golden.mode == SimMode::kDeadline ? "kDeadline" : "kAsync",
-                loss, virtual_ms, static_cast<long long>(bytes),
-                static_cast<long long>(cut));
+    std::printf(
+        "    {\"%s\", SimMode::%s, %.10f, %.10f, %lld, %lld, 0x%08xu},\n",
+        golden.algorithm,
+        golden.mode == SimMode::kDeadline ? "kDeadline" : "kAsync", loss,
+        virtual_ms, static_cast<long long>(bytes), static_cast<long long>(cut),
+        run.state_hash);
     return;
   }
   EXPECT_NEAR(loss, golden.final_loss, 1e-5) << golden.algorithm;
   EXPECT_NEAR(virtual_ms, golden.virtual_ms, 1e-3) << golden.algorithm;
   EXPECT_EQ(bytes, golden.total_bytes) << golden.algorithm;
   EXPECT_EQ(cut, golden.stragglers_cut) << golden.algorithm;
+  EXPECT_EQ(run.state_hash, golden.state_hash) << golden.algorithm;
   // Simulated time actually elapsed.
   EXPECT_GT(virtual_ms, 0.0);
 }

@@ -1,7 +1,6 @@
 // Transport-layer tests: the frame codec under truncation, partial
 // reads and bit flips; the JOB and RESULT bodies from a sender that
-// computes a valid frame checksum over hostile bytes; FlMessage
-// round-trip framing under the same corruptions (the
+// computes a valid frame checksum over hostile bytes (the
 // checkpoint-corruption death-test idiom of robustness_test.cc applied
 // to the wire path); host:port parsing; and a live localhost socket
 // round trip.
@@ -20,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "fl/message.h"
 #include "net/fault_proxy.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -374,72 +372,6 @@ TEST(WireBodiesDeathTest, ResultRejectsTruncationAtEveryField) {
     EXPECT_DEATH(ResultMessage::Decode(prefix), cut.error)
         << "RESULT body cut to " << cut.keep << " bytes";
   }
-}
-
-// ---- FlMessage framing under the same corruption modes ----
-
-FlMessage MakeMessage() {
-  FlMessage m;
-  m.kind = FlMessage::Kind::kModelUpload;
-  m.round = 3;
-  m.sender = 2;
-  m.payload.push_back(testing::PatternTensor({4, 5}, 1.0f));
-  m.payload.push_back(testing::PatternTensor({7}, 0.5f));
-  return m;
-}
-
-TEST(FlMessageFraming, WireOverheadConstantsMatchEncoding) {
-  FlMessage empty;
-  empty.payload.clear();
-  std::vector<uint8_t> wire;
-  empty.EncodeTo(&wire);
-  // A payload-free message is pure framing: header + checksum.
-  EXPECT_EQ(static_cast<int64_t>(wire.size()), FlMessage::kWireOverheadBytes);
-  EXPECT_EQ(FlMessage::kWireOverheadBytes,
-            FlMessage::kHeaderBytes + FlMessage::kChecksumBytes);
-}
-
-TEST(FlMessageFraming, TryDecodeRejectsEveryTruncation) {
-  std::vector<uint8_t> wire;
-  MakeMessage().EncodeTo(&wire);
-  for (size_t keep = 0; keep < wire.size(); keep += 9) {
-    std::vector<uint8_t> prefix(wire.begin(),
-                                wire.begin() + static_cast<int64_t>(keep));
-    size_t offset = 0;
-    FlMessage out;
-    EXPECT_FALSE(FlMessage::TryDecode(prefix, &offset, &out))
-        << "prefix of " << keep << " bytes decoded";
-    EXPECT_EQ(offset, 0u);
-  }
-}
-
-TEST(FlMessageFraming, TryDecodeRejectsBitFlips) {
-  std::vector<uint8_t> wire;
-  MakeMessage().EncodeTo(&wire);
-  for (size_t pos = 0; pos < wire.size(); pos += 7) {
-    std::vector<uint8_t> mangled = wire;
-    mangled[pos] ^= 0x04;
-    size_t offset = 0;
-    FlMessage out;
-    EXPECT_FALSE(FlMessage::TryDecode(mangled, &offset, &out))
-        << "bit flip at byte " << pos << " went undetected";
-  }
-}
-
-TEST(FlMessageFramingDeathTest, DecodeAbortsOnTruncation) {
-  std::vector<uint8_t> wire;
-  MakeMessage().EncodeTo(&wire);
-  wire.resize(wire.size() / 2);
-  size_t offset = 0;
-  EXPECT_DEATH(FlMessage::Decode(wire, &offset), "RFED_CHECK failed");
-}
-
-TEST(FlMessageFramingDeathTest, DecodeAbortsOnBitFlip) {
-  std::vector<uint8_t> wire;
-  MakeMessage().EncodeTo(&wire);
-  wire[wire.size() / 3] ^= 0x20;
-  size_t offset = 0;
-  EXPECT_DEATH(FlMessage::Decode(wire, &offset), "RFED_CHECK failed");
 }
 
 // ---- host:port parsing ----

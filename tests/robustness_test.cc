@@ -17,7 +17,6 @@
 #include "data/synthetic_images.h"
 #include "fl/checkpoint.h"
 #include "fl/fedavg.h"
-#include "fl/message.h"
 #include "fl/trainer.h"
 #include "tensor/serialize.h"
 #include "util/hash.h"
@@ -46,14 +45,6 @@ TEST(CheckedInvariantsDeathTest, TruncatedDeserializeAborts) {
   buffer.resize(buffer.size() - 5);  // chop the payload
   size_t offset = 0;
   EXPECT_DEATH(DeserializeTensor(buffer, &offset), "RFED_CHECK failed");
-}
-
-TEST(CheckedInvariantsDeathTest, MalformedMessageKindAborts) {
-  // Kind byte outside the enum range.
-  std::vector<uint8_t> buffer(16, 0);
-  buffer[0] = 200;
-  size_t offset = 0;
-  EXPECT_DEATH(FlMessage::Decode(buffer, &offset), "RFED_CHECK failed");
 }
 
 // ---- Corrupted checkpoint files ----

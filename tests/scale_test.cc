@@ -1,14 +1,15 @@
 // Cross-device scale suite (`ctest -L scale`): pins the lazy client
-// state, hierarchical shard aggregation, and streaming-fold machinery
+// state, the server's tree mean, and the streaming-fold machinery
 // introduced for the 10^5..10^6-client regime.
 //
-//  - Property tests: the canonical pairwise reduction tree is
-//    byte-identical across every power-of-two shard fanout and thread
-//    count, the streaming (binary-counter) accumulator reproduces it
-//    exactly, and the sharded robust rules match their flat originals.
+//  - Property tests: the streaming (binary-counter) accumulator
+//    reproduces the canonical pairwise reduction tree exactly in
+//    O(log n) memory, and the sharded robust rules match their flat
+//    originals at every thread count.
 //  - Differential tests: lazily materialized pool clients produce the
 //    same batch streams and the same multi-round model as eager
-//    materialization of every client at startup.
+//    materialization of every client at startup, and the model does not
+//    depend on the fold's chunk size or the training thread count.
 //  - Kill-and-resume at N = 10,000 enrolled clients is bit-identical,
 //    and a checkpoint naming a client id outside the pool aborts.
 
@@ -54,31 +55,20 @@ std::vector<Tensor> RandomLeaves(int m, int64_t dim, Rng* rng) {
   return leaves;
 }
 
-// ---- Canonical shard tree properties ----
+// ---- Canonical tree properties ----
 
-TEST(ShardTreeTest, InvariantToFanoutAndThreadCount) {
-  Rng rng(11);
-  ThreadPool pool4(4);
-  for (int m : {1, 3, 7, 64, 100}) {
-    const std::vector<Tensor> leaves = RandomLeaves(m, 37, &rng);
-    std::vector<float> scales;
-    for (int j = 0; j < m; ++j) {
-      scales.push_back(static_cast<float>(0.5 + rng.Uniform()));
-    }
-    const Tensor reference = ShardTreeWeightedSum(leaves, scales, 64, nullptr);
-    for (int fanout : {1, 2, 8, 64}) {
-      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
-        const Tensor got = ShardTreeWeightedSum(leaves, scales, fanout, pool);
-        ExpectBitEqual(got, reference,
-                       "m=" + std::to_string(m) +
-                           " fanout=" + std::to_string(fanout) +
-                           (pool ? " threads=4" : " threads=1"));
-      }
-    }
+/// `leaves` scaled by `scales`, one copy each.
+std::vector<Tensor> ScaledLeaves(const std::vector<Tensor>& leaves,
+                                 const std::vector<float>& scales) {
+  std::vector<Tensor> out;
+  for (size_t j = 0; j < leaves.size(); ++j) {
+    out.push_back(leaves[j]);
+    out.back().MulInPlace(scales[j]);
   }
+  return out;
 }
 
-TEST(ShardTreeTest, StreamingAccumulatorMatchesTree) {
+TEST(ShardTreeTest, StreamingAccumulatorMatchesPairwiseTree) {
   Rng rng(12);
   for (int m : {1, 2, 3, 7, 64, 100}) {
     const std::vector<Tensor> leaves = RandomLeaves(m, 23, &rng);
@@ -86,13 +76,12 @@ TEST(ShardTreeTest, StreamingAccumulatorMatchesTree) {
     for (int j = 0; j < m; ++j) {
       scales.push_back(static_cast<float>(0.5 + rng.Uniform()));
     }
-    const Tensor reference = ShardTreeWeightedSum(leaves, scales, 8, nullptr);
+    const std::vector<Tensor> scaled = ScaledLeaves(leaves, scales);
+    std::vector<const Tensor*> borrowed;
+    for (const Tensor& t : scaled) borrowed.push_back(&t);
+    const Tensor reference = PairwiseTreeSum(borrowed);
     StreamingTreeSum acc;
-    for (int j = 0; j < m; ++j) {
-      Tensor leaf = leaves[static_cast<size_t>(j)];
-      leaf.MulInPlace(scales[static_cast<size_t>(j)]);
-      acc.Push(std::move(leaf));
-    }
+    for (const Tensor& leaf : scaled) acc.Push(leaf);
     EXPECT_EQ(acc.leaves(), m);
     // O(log n) peak: the stack never holds more than ceil(log2(m)) + 1
     // tensors regardless of m.
@@ -103,23 +92,21 @@ TEST(ShardTreeTest, StreamingAccumulatorMatchesTree) {
   }
 }
 
-TEST(ShardTreeTest, PairwiseTreeSumIsTheUnitScaleTree) {
+TEST(ShardTreeTest, PairwiseTreeSumSplitsOffTheLargestPowerOfTwo) {
   Rng rng(13);
-  const std::vector<Tensor> leaves = RandomLeaves(9, 17, &rng);
+  const std::vector<Tensor> leaves = RandomLeaves(7, 17, &rng);
   std::vector<const Tensor*> borrowed;
   for (const Tensor& t : leaves) borrowed.push_back(&t);
-  const std::vector<float> unit(leaves.size(), 1.0f);
-  ExpectBitEqual(PairwiseTreeSum(borrowed),
-                 ShardTreeWeightedSum(leaves, unit, 4, nullptr),
-                 "pairwise tree");
-}
-
-TEST(ShardTreeTest, RejectsNonPowerOfTwoFanout) {
-  Rng rng(14);
-  const std::vector<Tensor> leaves = RandomLeaves(4, 5, &rng);
-  const std::vector<float> unit(leaves.size(), 1.0f);
-  EXPECT_DEATH(ShardTreeWeightedSum(leaves, unit, 3, nullptr),
-               "power of two");
+  // Seven leaves split 4 + 3, the 3 split 2 + 1:
+  // ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + l6).
+  const auto add = [](Tensor a, const Tensor& b) {
+    a.AddInPlace(b);
+    return a;
+  };
+  const Tensor expected =
+      add(add(add(leaves[0], leaves[1]), add(leaves[2], leaves[3])),
+          add(add(leaves[4], leaves[5]), leaves[6]));
+  ExpectBitEqual(PairwiseTreeSum(borrowed), expected, "pairwise tree");
 }
 
 // ---- Sharded robust rules vs their flat originals ----
@@ -254,50 +241,48 @@ Tensor RunPoolFedAvg(const ScaleFixture& fx, const ClientPool& pool,
   return algo.global_state();
 }
 
-TEST(ScaleE2ETest, FedAvgInvariantToFanoutAndThreads) {
+TEST(ScaleE2ETest, FedAvgInvariantToChunkAndThreads) {
   ScaleFixture fx;
   ClientPool pool(&fx.data.train, nullptr, fx.PoolOpts(100));
   FlConfig config = ScaleConfig();
   config.sample_ratio = 0.2;
-  config.shard_fanout = 1;
   std::vector<double> ref_losses;
   const Tensor reference = RunPoolFedAvg(fx, pool, config, 3, false,
                                          &ref_losses);
-  struct Variant {
-    int fanout;
-    int threads;
-  };
-  for (const Variant v : {Variant{2, 1}, Variant{8, 1}, Variant{64, 1},
-                          Variant{8, 4}}) {
-    FlConfig vc = config;
-    vc.shard_fanout = v.fanout;
-    vc.num_threads = v.threads;
-    std::vector<double> losses;
-    const Tensor got = RunPoolFedAvg(fx, pool, vc, 3, false, &losses);
-    const std::string tag = "fanout=" + std::to_string(v.fanout) +
-                            " threads=" + std::to_string(v.threads);
-    EXPECT_EQ(losses, ref_losses) << tag;
-    ExpectBitEqual(got, reference, tag);
+  for (int threads : {1, 4}) {
+    for (int chunk : {0, 7}) {
+      FlConfig vc = config;
+      vc.num_threads = threads;
+      vc.stream_chunk = chunk;
+      std::vector<double> losses;
+      const Tensor got = RunPoolFedAvg(fx, pool, vc, 3, false, &losses);
+      const std::string tag = "threads=" + std::to_string(threads) +
+                              " stream_chunk=" + std::to_string(chunk);
+      EXPECT_EQ(losses, ref_losses) << tag;
+      ExpectBitEqual(got, reference, tag);
+    }
   }
 }
 
-TEST(ScaleE2ETest, RobustAggregatorsInvariantToShardingAndThreads) {
+TEST(ScaleE2ETest, RobustAggregatorsInvariantToChunkAndThreads) {
   ScaleFixture fx;
   ClientPool pool(&fx.data.train, nullptr, fx.PoolOpts(100));
   for (const char* aggregator : {"trimmed_mean", "median", "norm_clip"}) {
     FlConfig config = ScaleConfig();
     config.sample_ratio = 0.2;
     config.robust.aggregator = aggregator;
-    // The coordinate-sharded robust rules are byte-identical to the flat
-    // originals, so flat (fanout 0) is the reference here.
     const Tensor reference = RunPoolFedAvg(fx, pool, config, 2);
-    for (int fanout : {1, 8}) {
-      FlConfig vc = config;
-      vc.shard_fanout = fanout;
-      vc.num_threads = fanout == 8 ? 4 : 1;
-      ExpectBitEqual(RunPoolFedAvg(fx, pool, vc, 2), reference,
-                     std::string(aggregator) + " fanout=" +
-                         std::to_string(fanout));
+    for (int threads : {1, 4}) {
+      for (int chunk : {0, 7}) {
+        if (threads == 1 && chunk == 0) continue;
+        FlConfig vc = config;
+        vc.num_threads = threads;
+        vc.stream_chunk = chunk;
+        ExpectBitEqual(RunPoolFedAvg(fx, pool, vc, 2), reference,
+                       std::string(aggregator) +
+                           " threads=" + std::to_string(threads) +
+                           " stream_chunk=" + std::to_string(chunk));
+      }
     }
   }
 }
@@ -323,14 +308,13 @@ TEST(ScaleE2ETest, LazyMaterializationEqualsEagerByteForByte) {
   EXPECT_LT(lazy.materialized_clients(), 100);
 }
 
-TEST(ScaleE2ETest, RFedAvgPlusInvariantToFanoutAndThreads) {
+TEST(ScaleE2ETest, RFedAvgPlusInvariantToChunkAndThreads) {
   ScaleFixture fx;
   ClientPool pool(&fx.data.train, nullptr, fx.PoolOpts(100));
   RegularizerOptions reg;
   reg.lambda = 1e-3;
   FlConfig config = ScaleConfig();
   config.sample_ratio = 0.2;
-  config.shard_fanout = 1;
   auto run = [&](const FlConfig& c) {
     RFedAvgPlus algo(c, reg, &pool, fx.factory);
     for (int r = 0; r < 2; ++r) algo.RunRound(r);
@@ -338,14 +322,15 @@ TEST(ScaleE2ETest, RFedAvgPlusInvariantToFanoutAndThreads) {
     return algo.global_state();
   };
   const Tensor reference = run(config);
-  for (int fanout : {8, 64}) {
-    for (int threads : {1, 4}) {
+  for (int threads : {1, 4}) {
+    for (int chunk : {0, 7}) {
+      if (threads == 1 && chunk == 0) continue;
       FlConfig vc = config;
-      vc.shard_fanout = fanout;
       vc.num_threads = threads;
+      vc.stream_chunk = chunk;
       ExpectBitEqual(run(vc), reference,
-                     "rfedavg+ fanout=" + std::to_string(fanout) +
-                         " threads=" + std::to_string(threads));
+                     "rfedavg+ threads=" + std::to_string(threads) +
+                         " stream_chunk=" + std::to_string(chunk));
     }
   }
 }
@@ -356,7 +341,6 @@ TEST(ScaleE2ETest, StreamingFoldMatchesAllAtOnce) {
   for (const char* compressor : {"none", "q8"}) {
     FlConfig config = ScaleConfig();
     config.sample_ratio = 0.3;
-    config.shard_fanout = 8;
     config.upload_compressor = compressor;
     const Tensor reference = RunPoolFedAvg(fx, pool, config, 3);
     // A chunk that does not divide the cohort exercises the final
@@ -378,7 +362,6 @@ TEST(ScaleE2ETest, StreamingRFedAvgPlusMatchesAllAtOnce) {
   reg.lambda = 1e-3;
   FlConfig config = ScaleConfig();
   config.sample_ratio = 0.2;
-  config.shard_fanout = 8;
   auto run = [&](int chunk) {
     FlConfig c = config;
     c.stream_chunk = chunk;
@@ -389,6 +372,41 @@ TEST(ScaleE2ETest, StreamingRFedAvgPlusMatchesAllAtOnce) {
   ExpectBitEqual(run(7), run(0), "rfedavg+ streaming");
 }
 
+std::vector<ClientView> ExplicitViews(const ScaleFixture& fx, int n) {
+  ClientPool seed_pool(&fx.data.train, nullptr, fx.PoolOpts(n));
+  std::vector<ClientView> views;
+  for (int k = 0; k < n; ++k) {
+    views.push_back(ClientView{seed_pool.TrainIndices(k), {}});
+  }
+  return views;
+}
+
+TEST(ScaleE2ETest, ExplicitPartitionChunkedThreadedFoldMatchesWholeCohort) {
+  ScaleFixture fx;
+  const std::vector<ClientView> views = ExplicitViews(fx, 7);
+  RegularizerOptions reg;
+  reg.lambda = 1e-3;
+  FlConfig config = ScaleConfig();
+  auto run = [&](const std::string& method, int chunk, int threads) {
+    FlConfig c = config;
+    c.stream_chunk = chunk;
+    c.num_threads = threads;
+    std::unique_ptr<FederatedAlgorithm> algo;
+    if (method == "fedavg") {
+      algo = std::make_unique<FedAvg>(c, &fx.data.train, views, fx.factory);
+    } else {
+      algo = std::make_unique<RFedAvgPlus>(c, reg, &fx.data.train, views,
+                                           fx.factory);
+    }
+    for (int r = 0; r < 3; ++r) algo->RunRound(r);
+    return algo->global_state();
+  };
+  for (const std::string method : {"fedavg", "rfedavg_plus"}) {
+    ExpectBitEqual(run(method, 2, 4), run(method, 0, 1),
+                   method + " stream_chunk=2 threads=4");
+  }
+}
+
 // ---- Kill-and-resume under lazy materialization ----
 
 TEST(ScaleResumeTest, KillAndResumeAtTenThousandClientsIsBitIdentical) {
@@ -396,7 +414,6 @@ TEST(ScaleResumeTest, KillAndResumeAtTenThousandClientsIsBitIdentical) {
   ClientPool pool(&fx.data.train, nullptr, fx.PoolOpts(10000));
   FlConfig config = ScaleConfig();
   config.sample_ratio = 0.005;  // 50 sampled per round
-  config.shard_fanout = 8;
 
   // Uninterrupted 4-round reference.
   FedAvg full(config, &pool, fx.factory);
@@ -472,15 +489,6 @@ TEST(ScaleDeathTest, CheckpointNamingClientBeyondPoolAborts) {
   w.WriteU32(1);   // one saved client section
   w.WriteI32(99);  // client id beyond the pool
   EXPECT_DEATH(algo.LoadRunState(blob), "names client id 99");
-}
-
-std::vector<ClientView> ExplicitViews(const ScaleFixture& fx, int n) {
-  ClientPool seed_pool(&fx.data.train, nullptr, fx.PoolOpts(n));
-  std::vector<ClientView> views;
-  for (int k = 0; k < n; ++k) {
-    views.push_back(ClientView{seed_pool.TrainIndices(k), {}});
-  }
-  return views;
 }
 
 TEST(ScaleDeathTest, CheckpointBatcherIndexCountBeyondViewAborts) {
