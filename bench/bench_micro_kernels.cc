@@ -311,6 +311,11 @@ std::vector<Case> Sweep() {
                    true});
   cases.push_back({"cifar_round_fc_fwd_b150", Kind::kGemmAdd, 150, 72, 16, {},
                    true});
+  // The 3-channel MLP's first layer (432 -> 64) at batch 24, as
+  // `experiment_cli --dataset cifar --model mlp` trains it (B is 27,648
+  // floats).
+  cases.push_back({"cifar_mlp_fc1_fwd_b24", Kind::kGemmAdd, 24, 432, 64, {},
+                   true});
   // The element-wise kernels over the MLP's 11,690 parameters.
   const struct {
     const char* name;

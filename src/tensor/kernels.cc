@@ -43,7 +43,6 @@ const KernelOptions& GetKernelOptions() { return g_options; }
 void SetKernelOptions(const KernelOptions& options) {
   KernelOptions fixed = options;
   fixed.block_m = std::max(1, fixed.block_m);
-  fixed.block_k = std::max(1, fixed.block_k);
   fixed.block_n = std::max(1, fixed.block_n);
   g_options = fixed;
 }
@@ -274,14 +273,9 @@ namespace {
 void GemmAddImpl(const float* a, const float* b, int64_t m, int64_t k,
                  int64_t n, float* c) {
   const KernelOptions& opt = g_options;
-  const internal::BlockedKernels& table = ActiveTable();
-  const TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
-  const bool parallel = 2 * m * k * n >= opt.parallel_min_flops;
-  if (internal::GemmAddInPlace(m, k, n)) {
-    table.gemm_in_place(a, /*rs=*/k, /*ss=*/1, b, m, k, n, c, tile, parallel);
-  } else {
-    table.gemm_add(a, b, m, k, n, c, tile, parallel);
-  }
+  const TileConfig tile{opt.block_m, opt.block_n};
+  ActiveTable().gemm_in_place(a, /*rs=*/k, /*ss=*/1, b, m, k, n, c, tile,
+                              2 * m * k * n >= opt.parallel_min_flops);
 }
 
 // C[k,n] += A^T B is the in-place product whose row p of "A" is column
@@ -290,7 +284,7 @@ void GemmAddImpl(const float* a, const float* b, int64_t m, int64_t k,
 void GemmTransAAddImpl(const float* a, const float* b, int64_t m, int64_t k,
                        int64_t n, float* c) {
   const KernelOptions& opt = g_options;
-  const TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
+  const TileConfig tile{opt.block_m, opt.block_n};
   ActiveTable().gemm_in_place(a, /*rs=*/1, /*ss=*/k, b, k, m, n, c, tile,
                               2 * m * k * n >= opt.parallel_min_flops);
 }
@@ -299,7 +293,7 @@ void GemmTransBAssignImpl(const float* a, const float* b, int64_t m, int64_t n,
                           int64_t k, float* c) {
   const KernelOptions& opt = g_options;
   const internal::BlockedKernels& table = ActiveTable();
-  const TileConfig tile{opt.block_m, opt.block_k, opt.block_n};
+  const TileConfig tile{opt.block_m, opt.block_n};
   n = std::max<int64_t>(n, 0);
   (internal::GemmTransBSmall(m) ? table.gemm_transb_small : table.gemm_transb)(
       a, b, m, n, k, c, tile, 2 * m * n * k >= opt.parallel_min_flops);

@@ -12,14 +12,13 @@ namespace rfed {
 // variants every Linear/LSTM forward and backward bottoms out in, the
 // Conv2d forward and backward, the ReLU and the element-wise loops of
 // the training step (tensor arithmetic, the optimizer updates). The
-// kernels are
-// cache-blocked and vectorized with explicit SIMD register tiles
-// (AVX2+FMA where the CPU has it, a portable soft-fma fallback
-// everywhere else, dispatched at runtime), and can optionally run
-// partitioned across a thread pool —
-// while staying **bit-identical** to the retained reference
-// implementations (rfed::ref below) for every ISA, block size and
-// thread count. The rule that makes this possible:
+// kernels run explicit SIMD register tiles (AVX2+FMA where the CPU has
+// it, a portable soft-fma fallback everywhere else, dispatched at
+// runtime) that read the GEMM operands where they lie, and can
+// optionally run partitioned across a thread pool — while staying
+// **bit-identical** to the retained reference implementations (rfed::ref
+// below) for every ISA, block size and thread count. The rule that
+// makes this possible:
 //
 //   Each output element is reduced by exactly one thread, in exactly the
 //   canonical summation order: ascending over the contraction index with
@@ -49,8 +48,7 @@ namespace rfed {
 // Batch reductions (conv dw/db) add each image's result in ascending
 // image order, the reference's float addition sequence. Other conv
 // shapes run the reference loops. See docs/KERNELS.md for the full
-// scheme, the per-ISA microkernel shapes and the cache layout of the
-// packed panels.
+// scheme and the per-ISA tile shapes.
 //
 // Caveat (documented, tested): the references skip multiplications by an
 // exact 0.0f weight, and conv dx skips the out-of-image terms; the
@@ -66,14 +64,13 @@ namespace rfed {
 /// kAvx2 on a CPU without AVX2+FMA aborts.
 enum class KernelIsa { kAuto, kGeneric, kAvx2 };
 
-/// One blocking configuration of a blocked GEMM: MC rows of A, KC of
-/// the contraction dimension (always processed in ascending order —
-/// required for bit-identity), NC columns of B per packed panel. NC is
-/// also the n-partition grain of the threaded path. For
-/// GemmTransBAssign only block_m (the row chunk) is meaningful.
+/// The chunk sizes of the GEMM drivers' threaded partition: block_n
+/// columns of C per chunk of the in-place GEMM (block_n outputs on
+/// GemmTransBAssign's small path), block_m rows of A per chunk of the
+/// interleaved GemmTransBAssign. The contraction always runs whole, in
+/// ascending order, as bit-identity requires.
 struct TileConfig {
   int block_m = 64;
-  int block_k = 256;
   int block_n = 1024;
 };
 
@@ -87,10 +84,9 @@ struct KernelOptions {
   /// unaffected). The partition is deterministic, so any value produces
   /// bit-identical results.
   int threads = 1;
-  /// Cache blocking of the GEMM drivers (the conv kernels need none:
-  /// their contraction fits one register sweep).
+  /// The GEMM drivers' TileConfig (the conv kernels need none: their
+  /// contraction fits one register sweep).
   int block_m = 64;
-  int block_k = 256;
   int block_n = 1024;
   /// Minimum 2*m*k*n FLOP count before a GEMM fans out to the pool;
   /// below it threading overhead dominates.
@@ -115,7 +111,7 @@ const char* KernelIsaName(KernelIsa isa);
 /// Whether this build+CPU can run the AVX2+FMA path.
 bool KernelAvx2Available();
 
-/// Grow-only per-thread scratch buffers the kernels pack panels and
+/// Grow-only per-thread scratch buffers the kernels pack operands and
 /// padded images into, so steady-state training allocates nothing per
 /// call. Each caller owns a slot id (see kernels_dispatch.h for the
 /// convention); a slot's pointer is valid until the same thread requests
@@ -123,7 +119,7 @@ bool KernelAvx2Available();
 /// scratch is kept for the RunHistory accounting.
 class ScratchArena {
  public:
-  static constexpr int kMaxSlots = 6;
+  static constexpr int kMaxSlots = 4;
   /// The one slot no kernel uses; tests and tools may claim it.
   static constexpr int kSpareSlot = kMaxSlots - 1;
 
@@ -156,9 +152,9 @@ class ScratchArena {
 // ---- Blocked kernels (row-major raw pointers) ----
 // None of the output pointers may alias the inputs.
 
-/// C[m,n] += A[m,k] * B[k,n]. Bit-identical to ref::GemmAdd. Products
-/// with few rows of A or a small B run register tiles that read A and B
-/// where they lie; the others pack (docs/KERNELS.md, "Small products").
+/// C[m,n] += A[m,k] * B[k,n]. Bit-identical to ref::GemmAdd. Register
+/// tiles read A and B where they lie; nothing is packed
+/// (docs/KERNELS.md, "Small products").
 void GemmAdd(const float* a, const float* b, int64_t m, int64_t k, int64_t n,
              float* c);
 

@@ -4,17 +4,14 @@
 // non-AVX CPUs; kernels.cc only calls into this table after
 // __builtin_cpu_supports confirms the CPU at runtime.
 //
-// GemmAdd microkernel: 6x16 — six A rows against one 16-wide packed B
-// panel, 12 ymm accumulators + 2 B vectors + 1 broadcast = 15 of the 16
-// architectural ymm registers. Each accumulator element advances by one
-// _mm256_fmadd_ps per p step, which is exactly the canonical fused
-// order; vfmadd and std::fmaf round identically (both are the correctly
-// rounded fused operation), so this tile is bit-equal to the generic
-// and reference paths by construction.
-//
-// In-place GEMM tile (small GemmAdd, every GemmTransAAdd): up to 4 rows
-// x 16 columns, A broadcast from where it lies, B rows loaded straight
-// from B; 8 accumulators, exactly enough chains to cover FMA latency.
+// In-place GEMM tile (every GemmAdd and GemmTransAAdd): up to 4 rows x
+// 16 columns, A broadcast from where it lies, B rows loaded straight
+// from B; 8 named accumulators, exactly enough chains to cover FMA
+// latency. Each accumulator element advances by one _mm256_fmadd_ps
+// per step, which is exactly the canonical fused order; vfmadd and
+// std::fmaf round identically (both are the correctly rounded fused
+// operation), so the tile is bit-equal to the generic and reference
+// paths by construction.
 //
 // GemmTransBAssign: 8 double chains per panel and row via
 // _mm256_fmadd_pd on widened floats, 4 rows at once; on the small path
@@ -42,7 +39,6 @@ namespace internal {
 namespace {
 
 struct Avx2Traits {
-  static constexpr int64_t kMr = 6;
   static constexpr int64_t kNr = 16;
   static constexpr int64_t kTr = 8;
   static constexpr int64_t kDwChains = 15;
@@ -50,60 +46,6 @@ struct Avx2Traits {
 
   static float Fma(float a, float b, float acc) {
     return std::fmaf(a, b, acc);
-  }
-
-  static void Micro(const float* ap, const float* bp, int64_t kc, float* c,
-                    int64_t ldc) {
-    // Hand-unrolled: at -O2 GCC leaves a __m256[6][2] accumulator array
-    // in stack memory (two memory ops per fmadd, ~12 GFLOPS); twelve
-    // named accumulators stay in ymm registers for the whole k loop.
-    __m256 c00 = _mm256_loadu_ps(c + 0 * ldc);
-    __m256 c01 = _mm256_loadu_ps(c + 0 * ldc + 8);
-    __m256 c10 = _mm256_loadu_ps(c + 1 * ldc);
-    __m256 c11 = _mm256_loadu_ps(c + 1 * ldc + 8);
-    __m256 c20 = _mm256_loadu_ps(c + 2 * ldc);
-    __m256 c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
-    __m256 c30 = _mm256_loadu_ps(c + 3 * ldc);
-    __m256 c31 = _mm256_loadu_ps(c + 3 * ldc + 8);
-    __m256 c40 = _mm256_loadu_ps(c + 4 * ldc);
-    __m256 c41 = _mm256_loadu_ps(c + 4 * ldc + 8);
-    __m256 c50 = _mm256_loadu_ps(c + 5 * ldc);
-    __m256 c51 = _mm256_loadu_ps(c + 5 * ldc + 8);
-    for (int64_t p = 0; p < kc; ++p) {
-      const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-      const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-      const float* av = ap + p * kMr;
-      __m256 a = _mm256_broadcast_ss(av + 0);
-      c00 = _mm256_fmadd_ps(a, b0, c00);
-      c01 = _mm256_fmadd_ps(a, b1, c01);
-      a = _mm256_broadcast_ss(av + 1);
-      c10 = _mm256_fmadd_ps(a, b0, c10);
-      c11 = _mm256_fmadd_ps(a, b1, c11);
-      a = _mm256_broadcast_ss(av + 2);
-      c20 = _mm256_fmadd_ps(a, b0, c20);
-      c21 = _mm256_fmadd_ps(a, b1, c21);
-      a = _mm256_broadcast_ss(av + 3);
-      c30 = _mm256_fmadd_ps(a, b0, c30);
-      c31 = _mm256_fmadd_ps(a, b1, c31);
-      a = _mm256_broadcast_ss(av + 4);
-      c40 = _mm256_fmadd_ps(a, b0, c40);
-      c41 = _mm256_fmadd_ps(a, b1, c41);
-      a = _mm256_broadcast_ss(av + 5);
-      c50 = _mm256_fmadd_ps(a, b0, c50);
-      c51 = _mm256_fmadd_ps(a, b1, c51);
-    }
-    _mm256_storeu_ps(c + 0 * ldc, c00);
-    _mm256_storeu_ps(c + 0 * ldc + 8, c01);
-    _mm256_storeu_ps(c + 1 * ldc, c10);
-    _mm256_storeu_ps(c + 1 * ldc + 8, c11);
-    _mm256_storeu_ps(c + 2 * ldc, c20);
-    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
-    _mm256_storeu_ps(c + 3 * ldc, c30);
-    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
-    _mm256_storeu_ps(c + 4 * ldc, c40);
-    _mm256_storeu_ps(c + 4 * ldc + 8, c41);
-    _mm256_storeu_ps(c + 5 * ldc, c50);
-    _mm256_storeu_ps(c + 5 * ldc + 8, c51);
   }
 
   // Four rows of A against one panel: per j, one panel load widened to
@@ -683,7 +625,6 @@ struct Avx2Traits {
 
 const BlockedKernels* Avx2KernelsOrNull() {
   static const BlockedKernels table = {
-      &GemmAddBlockedT<Avx2Traits>,
       &GemmInPlaceT<Avx2Traits>,
       &GemmTransBBlockedT<Avx2Traits>,
       &GemmTransBSmallT<Avx2Traits>,

@@ -4,14 +4,9 @@
 // ISA-generic blocked GEMM driver, instantiated once per ISA TU with a
 // Traits type supplying the register microkernels. Traits must provide:
 //
-//   static constexpr int64_t kMr;   // packed GemmAdd tile rows
-//   static constexpr int64_t kNr;   // GemmAdd tile cols (B panel width)
+//   static constexpr int64_t kNr;   // in-place and conv tile cols
 //   static constexpr int64_t kTr;   // TransB outputs per packed panel
 //   static float Fma(float a, float b, float acc);   // fused step
-//   // C tile [kMr,kNr] += Ap[kc,kMr] * Bpanel[kc,kNr], ascending p,
-//   // one fused rounding per step per element:
-//   static void Micro(const float* ap, const float* bp, int64_t kc,
-//                     float* c, int64_t ldc);
 //   // The in-place tile of GemmInPlaceT: C [R rows, V*kNr/2 cols]
 //   // (row stride ld) += A B over s ascending, one fused rounding per
 //   // step, where A(r, s) = a[r*rs + s*ss] and B row s starts at
@@ -217,153 +212,6 @@ inline void RmsPropRange(float* w, const float* g, float* ms, int64_t n,
   }
 }
 
-/// Packs the full-kNr panels of a kc x nc block of B (row stride ldb)
-/// into panel-major layout: panel j0/kNr holds kc rows of kNr
-/// consecutive floats. Columns beyond the last full panel stay unpacked.
-template <typename Traits>
-void PackBPanels(const float* b, int64_t ldb, int64_t kc, int64_t full,
-                 float* bp) {
-  constexpr int64_t nr = Traits::kNr;
-  for (int64_t j0 = 0; j0 < full; j0 += nr) {
-    float* panel = bp + j0 * kc;
-    for (int64_t p = 0; p < kc; ++p) {
-      std::memcpy(panel + p * nr, b + p * ldb + j0,
-                  sizeof(float) * static_cast<size_t>(nr));
-    }
-  }
-}
-
-/// Packs a kMr x kc tile of A (row stride lda) p-major: ap[p*kMr + i].
-template <typename Traits>
-void PackATile(const float* a, int64_t lda, int64_t kc, float* ap) {
-  constexpr int64_t mr = Traits::kMr;
-  for (int64_t p = 0; p < kc; ++p) {
-    for (int64_t i = 0; i < mr; ++i) ap[p * mr + i] = a[i * lda + p];
-  }
-}
-
-/// PackATile for a short tile: `rows` (< kMr) real rows of A, the rest
-/// zero-padded, so the full-width microkernel can run the tail rows of
-/// an m-block at vector speed (its results for the pad rows are
-/// discarded by the caller).
-template <typename Traits>
-void PackATilePadded(const float* a, int64_t lda, int64_t kc, int64_t rows,
-                     float* ap) {
-  constexpr int64_t mr = Traits::kMr;
-  for (int64_t p = 0; p < kc; ++p) {
-    for (int64_t i = 0; i < rows; ++i) ap[p * mr + i] = a[i * lda + p];
-    for (int64_t i = rows; i < mr; ++i) ap[p * mr + i] = 0.0f;
-  }
-}
-
-/// One mc x nc block of C += (mc x kc of A) * (kc x nc of B). `bp` holds
-/// the packed full panels, `b` the unpacked block origin for the
-/// remainder columns.
-template <typename Traits>
-void GemmBlockT(const float* a, int64_t lda, const float* b, int64_t ldb,
-                const float* bp, int64_t mc, int64_t kc, int64_t nc,
-                int64_t full, float* c, int64_t ldc) {
-  constexpr int64_t mr = Traits::kMr;
-  constexpr int64_t nr = Traits::kNr;
-  float* ap = ScratchArena::ThreadLocal().Buffer(
-      kSlotPackA, static_cast<size_t>(mr * kc));
-  int64_t ir = 0;
-  for (; ir + mr <= mc; ir += mr) {
-    PackATile<Traits>(a + ir * lda, lda, kc, ap);
-    for (int64_t j0 = 0; j0 < full; j0 += nr) {
-      Traits::Micro(ap, bp + j0 * kc, kc, c + ir * ldc + j0, ldc);
-    }
-    // Remainder columns of the packed rows: scalar fused, ascending p.
-    for (int64_t i = 0; i < mr; ++i) {
-      float* crow = c + (ir + i) * ldc;
-      for (int64_t j = full; j < nc; ++j) {
-        float acc = crow[j];
-        for (int64_t p = 0; p < kc; ++p) {
-          acc = Traits::Fma(ap[p * mr + i], b[p * ldb + j], acc);
-        }
-        crow[j] = acc;
-      }
-    }
-  }
-  // Remainder rows (< kMr): run the full-width microkernel on a
-  // zero-padded A tile into a staging tile, keeping the tail at vector
-  // speed (a scalar tail here costs more than all the full tiles on
-  // shapes like m=64 = 10*6+4). Pad rows multiply zeros into a zeroed
-  // staging row and are discarded; real rows see the exact canonical
-  // sequence.
-  if (ir < mc) {
-    const int64_t rem = mc - ir;
-    PackATilePadded<Traits>(a + ir * lda, lda, kc, rem, ap);
-    float tile_c[mr * nr];
-    for (int64_t j0 = 0; j0 < full; j0 += nr) {
-      for (int64_t i = 0; i < rem; ++i) {
-        std::memcpy(tile_c + i * nr, c + (ir + i) * ldc + j0,
-                    sizeof(float) * static_cast<size_t>(nr));
-      }
-      std::memset(tile_c + rem * nr, 0,
-                  sizeof(float) * static_cast<size_t>((mr - rem) * nr));
-      Traits::Micro(ap, bp + j0 * kc, kc, tile_c, nr);
-      for (int64_t i = 0; i < rem; ++i) {
-        std::memcpy(c + (ir + i) * ldc + j0, tile_c + i * nr,
-                    sizeof(float) * static_cast<size_t>(nr));
-      }
-    }
-    // Remainder columns of the tail rows: scalar fused, ascending p.
-    for (int64_t i = 0; i < rem; ++i) {
-      float* crow = c + (ir + i) * ldc;
-      for (int64_t j = full; j < nc; ++j) {
-        float acc = crow[j];
-        for (int64_t p = 0; p < kc; ++p) {
-          acc = Traits::Fma(ap[p * mr + i], b[p * ldb + j], acc);
-        }
-        crow[j] = acc;
-      }
-    }
-  }
-}
-
-/// The blocked GemmAdd driver. The parallel partition is over NC column
-/// chunks of B/C (disjoint output columns, deterministic: a fixed
-/// function of n and tile.block_n, never of the thread count). Each
-/// worker packs its own B panels into its thread-local arena, so a
-/// chunk's working set — one packed KCxNC panel block plus the mxNC
-/// slab of C it updates — stays resident in that core's private cache;
-/// this is what fixes the flat 1->4 thread scaling of the old
-/// row-partitioned scheme, whose every thread streamed the whole of B.
-template <typename Traits>
-void GemmAddBlockedT(const float* a, const float* b, int64_t m, int64_t k,
-                     int64_t n, float* c, const TileConfig& tile,
-                     bool parallel) {
-  constexpr int64_t nr = Traits::kNr;
-  const int64_t mc_block = std::max<int64_t>(1, tile.block_m);
-  const int64_t kc_block = std::max<int64_t>(1, tile.block_k);
-  const int64_t nc_block =
-      std::max<int64_t>(nr, static_cast<int64_t>(tile.block_n) / nr * nr);
-  const int64_t chunks = (n + nc_block - 1) / nc_block;
-  auto run_chunk = [&](int64_t ci) {
-    const int64_t jc = ci * nc_block;
-    const int64_t nc = std::min(nc_block, n - jc);
-    const int64_t full = nc / nr * nr;
-    for (int64_t pc = 0; pc < k; pc += kc_block) {  // ascending: determinism
-      const int64_t kc = std::min(kc_block, k - pc);
-      float* bp = ScratchArena::ThreadLocal().Buffer(
-          kSlotPackB, static_cast<size_t>(kc * full));
-      const float* bblock = b + pc * n + jc;
-      PackBPanels<Traits>(bblock, n, kc, full, bp);
-      for (int64_t ic = 0; ic < m; ic += mc_block) {
-        const int64_t mc = std::min(mc_block, m - ic);
-        GemmBlockT<Traits>(a + ic * k + pc, k, bblock, n, bp, mc, kc, nc,
-                           full, c + ic * n + jc, n);
-      }
-    }
-  };
-  if (parallel) {
-    KernelParallelFor(chunks, run_chunk);
-  } else {
-    for (int64_t ci = 0; ci < chunks; ++ci) run_chunk(ci);
-  }
-}
-
 /// Calls fn(std::integral_constant<int, R>{}) with R = count, 1..4: how
 /// a loop picks the tile instantiation for the rows or outputs left.
 template <typename Fn>
@@ -405,7 +253,8 @@ void InPlaceStrip(const float* a, int64_t rs, int64_t ss, const float* b,
 /// of scalar fused chains. Every tile loads its C block, takes one
 /// fused step per s in ascending order and stores it back: the
 /// reference's sequence for every element. The parallel partition is
-/// column chunks of tile.block_n, as in GemmAddBlockedT.
+/// column chunks of tile.block_n: disjoint output columns, a fixed
+/// function of n and the tile, never of the thread count.
 template <typename Traits>
 void GemmInPlaceT(const float* a, int64_t rs, int64_t ss, const float* b,
                   int64_t rows, int64_t steps, int64_t n, float* c,

@@ -17,62 +17,40 @@ namespace internal {
 
 // Scratch slot convention (one ScratchArena per thread; nested kernel
 // calls must use disjoint slots):
-//   0  packed B panels of GemmAdd
-//   1  packed A tile of GemmAdd
-//   2  conv operands shared by a call's workers (calling thread): packed
+//   0  conv operands shared by a call's workers (calling thread): packed
 //      weights, patch-row offsets, per-image dw/db partials
-//   3  conv per-image buffers (each worker): padded image / gradient
+//   1  conv per-image buffers (each worker): padded image / gradient
 //      planes, output staging grid
-//   4  interleaved B panels of GemmTransBAssign, or its transposed A
+//   2  interleaved B panels of GemmTransBAssign, or its transposed A
 //      when the small path runs
-//   5  ScratchArena::kSpareSlot, never used by a kernel
-inline constexpr int kSlotPackB = 0;
-inline constexpr int kSlotPackA = 1;
-inline constexpr int kSlotConvOperands = 2;
-inline constexpr int kSlotConvImage = 3;
-inline constexpr int kSlotPackTB = 4;
+//   3  ScratchArena::kSpareSlot, never used by a kernel
+// GemmAdd and GemmTransAAdd run in place and claim no slot.
+inline constexpr int kSlotConvOperands = 0;
+inline constexpr int kSlotConvImage = 1;
+inline constexpr int kSlotPackTB = 2;
 static_assert(kSlotPackTB < ScratchArena::kSpareSlot,
               "kernel slots must leave the spare slot free");
 
-/// The shape rules of the GEMMs.
-///
-/// GemmAdd runs in place (BlockedKernels::gemm_in_place) when A has at
-/// most kInPlaceMaxRows rows or B holds at most kInPlaceMaxBFloats
-/// floats, and packed (gemm_add) otherwise. The in-place tiles re-read
-/// B's rows from B once per 4 rows of A; that is cheap while B stays in
-/// the first cache levels, and packing only pays once many row tiles
-/// re-read a larger B.
-///
-/// GemmTransBAssign with at most kInPlaceMaxRows rows of A runs the
-/// small path (gemm_transb_small), which transposes A instead of
-/// interleaving B: at such m, A is the smaller operand to move. The
-/// limit is the tile's: one transposed column of A is two __m256d.
-///
-/// The limits come from bench_micro_kernels' mnist_round_*,
-/// sent140_round_* and cifar_round_fc_* rows and a same-process sweep of
-/// both paths (docs/KERNELS.md, "Small products").
+/// The shape rule of GemmTransBAssign: with at most kInPlaceMaxRows
+/// rows of A it runs the small path (gemm_transb_small), which
+/// transposes A instead of interleaving B: at such m, A is the smaller
+/// operand to move. The limit is the tile's: one transposed column of A
+/// is two __m256d. It comes from bench_micro_kernels' mnist_round_* and
+/// sent140_round_* rows and a same-process sweep of both paths
+/// (docs/KERNELS.md, "Small products").
 inline constexpr int64_t kInPlaceMaxRows = 8;
-inline constexpr int64_t kInPlaceMaxBFloats = 16384;
-inline bool GemmAddInPlace(int64_t m, int64_t k, int64_t n) {
-  return m <= kInPlaceMaxRows || k * n <= kInPlaceMaxBFloats;
-}
 inline bool GemmTransBSmall(int64_t m) { return m <= kInPlaceMaxRows; }
 
 /// One ISA's blocked-kernel entry points. Every implementation computes
 /// the canonical fused summation order (kernels.h), so all tables are
 /// bit-interchangeable; only throughput differs.
 struct BlockedKernels {
-  /// C[m,n] += A[m,k] B[k,n], blocked with `tile`, n-partitioned across
-  /// the kernel pool when `parallel`.
-  void (*gemm_add)(const float* a, const float* b, int64_t m, int64_t k,
-                   int64_t n, float* c, const TileConfig& tile, bool parallel);
-
   /// C[rows,n] += A B with A read where it lies: element (r, s) of A is
   /// a[r*rs + s*ss], B is [steps, n] and C [rows, n], both row-major;
   /// each element takes one fused step per s, ascending. Nothing is
   /// packed. Column chunks of tile.block_n are the parallel partition.
-  /// GemmAdd where GemmAddInPlace says so (rs = k, ss = 1) and every
-  /// GemmTransAAdd (rs = 1, ss = k) run here.
+  /// Every GemmAdd (rs = k, ss = 1) and every GemmTransAAdd (rs = 1,
+  /// ss = k) runs here.
   void (*gemm_in_place)(const float* a, int64_t rs, int64_t ss,
                         const float* b, int64_t rows, int64_t steps,
                         int64_t n, float* c, const TileConfig& tile,

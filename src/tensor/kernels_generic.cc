@@ -3,8 +3,8 @@
 // to the hardware FMA instruction when the CPU has one and to a
 // correctly-rounded soft implementation otherwise, so this TU produces
 // the canonical bits on every machine, merely slower than the SIMD
-// tables. A 4x8 tile keeps the accumulators in registers even at
-// baseline x86-64 (8 xmm worth) and matches the pre-SIMD kernels.
+// tables. The in-place GEMM tile is at most 4x8, which keeps the
+// accumulators in registers even at baseline x86-64 (8 xmm worth).
 
 #include <cmath>
 
@@ -15,7 +15,6 @@ namespace internal {
 namespace {
 
 struct GenericTraits {
-  static constexpr int64_t kMr = 4;
   static constexpr int64_t kNr = 8;
   static constexpr int64_t kTr = 4;
   // The sparse conv backward's scalar chains run one at a time, so a
@@ -25,27 +24,6 @@ struct GenericTraits {
 
   static float Fma(float a, float b, float acc) {
     return std::fmaf(a, b, acc);
-  }
-
-  static void Micro(const float* ap, const float* bp, int64_t kc, float* c,
-                    int64_t ldc) {
-    float acc[kMr][kNr];
-    for (int64_t i = 0; i < kMr; ++i) {
-      for (int64_t j = 0; j < kNr; ++j) acc[i][j] = c[i * ldc + j];
-    }
-    for (int64_t p = 0; p < kc; ++p) {
-      const float* av = ap + p * kMr;
-      const float* bv = bp + p * kNr;
-      for (int64_t i = 0; i < kMr; ++i) {
-        const float a = av[i];
-        for (int64_t j = 0; j < kNr; ++j) {
-          acc[i][j] = std::fmaf(a, bv[j], acc[i][j]);
-        }
-      }
-    }
-    for (int64_t i = 0; i < kMr; ++i) {
-      for (int64_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
-    }
   }
 
   template <int R>
@@ -204,7 +182,6 @@ struct GenericTraits {
 
 const BlockedKernels& GenericKernels() {
   static const BlockedKernels table = {
-      &GemmAddBlockedT<GenericTraits>,
       &GemmInPlaceT<GenericTraits>,
       &GemmTransBBlockedT<GenericTraits>,
       // Without vector lanes the small path's 8 chains per output cost

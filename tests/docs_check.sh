@@ -2,7 +2,7 @@
 # docs_check.sh <repo_root> <experiment_cli_binary> [build_dir]
 #               [rfed_server_binary] [rfed_worker_binary]
 #
-# Seven stale-documentation tripwires, run as `ctest -L docs`:
+# Eight stale-documentation tripwires, run as `ctest -L docs`:
 #   1. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file or directory.
 #   2. Every `--flag` token mentioned in docs/*.md other than
@@ -26,6 +26,10 @@
 #   7. Every page under docs/ must be reachable: its filename must be
 #      mentioned by README.md or by another docs page, so a new doc
 #      cannot be merged as an orphan nobody can discover.
+#   8. Every gtest name `Suite.Test` quoted in README.md or docs/*.md
+#      (Suite a suite defined under tests/, or any name ending in
+#      `Test`) must be defined by a TEST, TEST_F or TEST_P in tests/,
+#      so the docs cannot cite a test that was renamed or never existed.
 set -u
 
 root="${1:?usage: docs_check.sh <repo_root> <experiment_cli>}"
@@ -156,6 +160,28 @@ for doc in "$root"/docs/*.md; do
   if [ "$linked" -eq 0 ]; then
     fail "docs/$base is linked from neither README.md nor any other doc"
   fi
+done
+
+# ---- 8. gtest names the docs cite ----
+# Every Suite.Name a TEST/TEST_F/TEST_P macro defines; a macro may wrap
+# its arguments onto the next line.
+defined=$(cat "$root"/tests/*.cc | tr '\n' ' ' |
+          grep -oE '\bTEST(_F|_P)? *\( *[A-Za-z0-9_]+ *, *[A-Za-z0-9_]+ *\)' |
+          sed -E 's/^[^(]*\( *//; s/ *\)$//; s/ *, */./' | sort -u)
+suites=$(printf '%s\n' "$defined" | sed 's/\..*//' | sort -u)
+for doc in "$root"/README.md "$root"/docs/*.md; do
+  [ -f "$doc" ] || continue
+  for name in $(grep -oE '(^|[^A-Za-z0-9_.:])[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*' "$doc" |
+                sed -E 's/^[^A-Z]//' | sort -u); do
+    suite="${name%%.*}"
+    case "$suite" in
+      *Test) ;;
+      *) printf '%s\n' "$suites" | grep -qx "$suite" || continue ;;
+    esac
+    if ! printf '%s\n' "$defined" | grep -qxF "$name"; then
+      fail "$doc cites test $name, defined by no TEST/TEST_F/TEST_P in tests/"
+    fi
+  done
 done
 
 if [ "$failures" -gt 0 ]; then

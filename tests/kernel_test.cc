@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,13 +49,12 @@ class KernelTest : public ::testing::Test {
 };
 
 /// Options with blocks small enough that the kSizes below exercise full
-/// tiles, remainder rows/columns, multiple KC slices and several column
-/// chunks, with every product fanned out to the pool.
+/// tiles, remainder rows/columns and several column and row chunks, with
+/// every product fanned out to the pool.
 KernelOptions TinyBlocks(int threads) {
   KernelOptions o;
   o.threads = threads;
   o.block_m = 8;
-  o.block_k = 8;
   o.block_n = 16;
   o.parallel_min_flops = 0;
   return o;
@@ -72,22 +72,12 @@ std::vector<float> Pattern(int64_t n, float scale, float phase) {
   return v;
 }
 
-// 130 x 130 is past kInPlaceMaxBFloats, so GemmAdd's shape rule sends
-// some of these products down each path.
+// From one row or column to a 130 x 130 B of 67 KB; 1, 7 and 17 sit off
+// every tile width, 64 and 65 on and one past a 16-wide tile.
 constexpr int64_t kSizes[] = {1, 7, 17, 64, 65, 130};
 constexpr int kThreadCounts[] = {1, 2, 4};
 
 TEST_F(KernelTest, GemmAddMatchesReferenceBitwise) {
-  int in_place = 0, packed = 0;
-  for (int64_t m : kSizes) {
-    for (int64_t k : kSizes) {
-      for (int64_t n : kSizes) {
-        ++(internal::GemmAddInPlace(m, k, n) ? in_place : packed);
-      }
-    }
-  }
-  EXPECT_GT(in_place, 0);
-  EXPECT_GT(packed, 0);
   for (int threads : kThreadCounts) {
     SetKernelOptions(TinyBlocks(threads));
     for (int64_t m : kSizes) {
@@ -190,17 +180,15 @@ std::vector<KernelIsa> TestableIsas() {
 TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
   // Each ISA table x a spread of TileConfigs x threads {1, 2, 4} must
   // reproduce the reference bytes exactly. Shapes are chosen off
-  // every tile boundary (odd m/k/n) plus the microkernel-exact 64 row
-  // count, so full tiles, padded remainder rows, and remainder columns
-  // all execute.
+  // every tile boundary (odd m/k/n) plus the tile-exact 64 row count,
+  // so full tiles, remainder rows, and remainder columns all execute.
   struct Case { int64_t m, k, n; };
   const Case cases[] = {{64, 75, 130}, {65, 131, 197}, {6, 16, 33}};
-  // The static default first, then taller, wider, deeper and odd blocks.
-  const TileConfig kGemmAddTiles[] = {{64, 256, 1024}, {64, 128, 2048},
-                                      {32, 256, 4096}, {96, 384, 512},
-                                      {64, 75, 8192}};
-  const TileConfig kGemmTransBTiles[] = {
-      {64, 256, 1024}, {16, 256, 1024}, {256, 256, 1024}};
+  // GemmAdd reads only block_n: the default (one chunk at every case's
+  // n) and a 48-column chunk, which splits 130 and 197 into several.
+  const TileConfig kGemmAddTiles[] = {{64, 1024}, {64, 48}};
+  // GemmTransBAssign's interleaved path chunks block_m rows of A.
+  const TileConfig kGemmTransBTiles[] = {{64, 1024}, {16, 1024}, {256, 1024}};
   for (KernelIsa isa : TestableIsas()) {
     for (const TileConfig& tile : kGemmAddTiles) {
       for (int threads : kThreadCounts) {
@@ -208,7 +196,6 @@ TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
         o.threads = threads;
         o.isa = isa;
         o.block_m = tile.block_m;
-        o.block_k = tile.block_k;
         o.block_n = tile.block_n;
         o.parallel_min_flops = 0;
         SetKernelOptions(o);
@@ -222,7 +209,7 @@ TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
           ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                    c_ref.size() * sizeof(float)))
               << "GemmAdd isa=" << KernelIsaName(isa) << " tile="
-              << tile.block_m << "/" << tile.block_k << "/" << tile.block_n
+              << tile.block_m << "/" << tile.block_n
               << " threads=" << threads << " m=" << cs.m << " k=" << cs.k
               << " n=" << cs.n;
         }
@@ -234,7 +221,6 @@ TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
         o.threads = threads;
         o.isa = isa;
         o.block_m = tile.block_m;
-        o.block_k = tile.block_k;
         o.block_n = tile.block_n;
         o.parallel_min_flops = 0;
         SetKernelOptions(o);
@@ -252,7 +238,7 @@ TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
           ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                    c_ref.size() * sizeof(float)))
               << "GemmTransB isa=" << KernelIsaName(isa) << " tile="
-              << tile.block_m << "/" << tile.block_k << "/" << tile.block_n
+              << tile.block_m << "/" << tile.block_n
               << " threads=" << threads << " m=" << cs.m << " n=" << cs.n
               << " k=" << cs.k;
         }
@@ -280,19 +266,15 @@ TEST_F(KernelTest, GemmsAtTheShapeRuleBoundaryMatchReference) {
       SetKernelOptions(o);
       for (int64_t m : {kRows, kRows + 1}) {
         for (int64_t n : {1, 10, 17}) {
-          // A short contraction keeps B small; a long one makes B
-          // larger than kInPlaceMaxBFloats, so m decides the path.
-          const int64_t long_k = internal::kInPlaceMaxBFloats / n + 1;
+          // A short contraction keeps B in the first cache level; a long
+          // one makes B larger than 64 KB.
+          const int64_t long_k = 16384 / n + 1;
           for (int64_t k : {int64_t{33}, long_k}) {
             const std::string where =
                 std::string("isa=") + KernelIsaName(isa) +
                 " threads=" + std::to_string(threads) + " m=" +
                 std::to_string(m) + " k=" + std::to_string(k) +
                 " n=" + std::to_string(n);
-            if (k == long_k) {
-              EXPECT_EQ(internal::GemmAddInPlace(m, k, n), m == kRows)
-                  << where;
-            }
             const auto a = PatternWithZeros(m * k, 1.0f, 0.6f);
             const auto b = Pattern(k * n, 0.5f, 1.7f);
             auto c_ref = Pattern(m * n, 0.25f, 2.9f);
@@ -326,6 +308,23 @@ TEST_F(KernelTest, GemmsAtTheShapeRuleBoundaryMatchReference) {
                 << "GemmTransBAssign " << where;
           }
         }
+      }
+      // GemmAdd at large B: the 3-channel MLP's fc1 at batch 24, the
+      // paper-scale CIFAR fc layer, and a 512-float row stride, a power
+      // of two that maps B's rows onto few cache sets.
+      struct Case { int64_t m, k, n; };
+      for (const Case& cs : {Case{24, 432, 64}, Case{32, 1600, 384},
+                             Case{17, 72, 512}}) {
+        const auto a = PatternWithZeros(cs.m * cs.k, 1.0f, 0.6f);
+        const auto b = Pattern(cs.k * cs.n, 0.5f, 1.7f);
+        auto c_ref = Pattern(cs.m * cs.n, 0.25f, 2.9f);
+        auto c_opt = c_ref;
+        ref::GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_ref.data());
+        GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_opt.data());
+        ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
+                                 c_ref.size() * sizeof(float)))
+            << "GemmAdd isa=" << KernelIsaName(isa) << " threads=" << threads
+            << " m=" << cs.m << " k=" << cs.k << " n=" << cs.n;
       }
     }
   }
@@ -547,7 +546,7 @@ std::vector<KernelOptions> ConvOptionGrid() {
 
 std::string OptionsName(const KernelOptions& o) {
   return std::string(KernelIsaName(o.isa)) + " threads=" +
-         std::to_string(o.threads) + " block_k=" + std::to_string(o.block_k);
+         std::to_string(o.threads) + " block_n=" + std::to_string(o.block_n);
 }
 
 TEST_F(KernelTest, Conv2dForwardMatchesReferenceBitwise) {
@@ -845,39 +844,67 @@ TEST_F(KernelTest, ScratchArenaGrowsAndTracksPeak) {
   EXPECT_GT(ScratchArena::PeakBytes(), peak_before);
 }
 
-TEST_F(KernelTest, BlockedGemmReportsScratchUse) {
-  SetKernelOptions(KernelOptions{});
-  ScratchArena::ResetPeak();
-  // Large enough to pack its panels (the in-place path needs no scratch).
-  const int64_t m = 32, k = 160, n = 128;
-  ASSERT_FALSE(internal::GemmAddInPlace(m, k, n));
-  const auto a = Pattern(m * k, 1.0f, 0.0f);
-  const auto b = Pattern(k * n, 1.0f, 1.0f);
-  std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
-  GemmAdd(a.data(), b.data(), m, k, n, c.data());
-  EXPECT_GT(ScratchArena::PeakBytes(), 0);
+TEST_F(KernelTest, GemmAddClaimsNoScratchGemmTransBAssignDoes) {
+  // A fresh thread starts with an empty arena, so any slot a kernel
+  // claims there raises the process-wide peak past the reset. The
+  // products are the 3-channel MLP's fc1 at batch 8 and 24.
+  std::thread([] {
+    const int64_t k = 432, n = 64;
+    const auto b = Pattern(k * n, 1.0f, 1.0f);
+    for (int64_t m : {8, 24}) {
+      ScratchArena::ResetPeak();
+      const int64_t before = ScratchArena::PeakBytes();
+      const auto a = Pattern(m * k, 1.0f, 0.0f);
+      std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
+      GemmAdd(a.data(), b.data(), m, k, n, c.data());
+      std::vector<float> dw(static_cast<size_t>(k * n), 0.0f);
+      GemmTransAAdd(a.data(), c.data(), m, k, n, dw.data());
+      EXPECT_EQ(ScratchArena::PeakBytes(), before) << "m=" << m;
+      // dx = c b^T, [m, k]: the interleaved or the small path's operand
+      // goes to its slot.
+      std::vector<float> dx(static_cast<size_t>(m * k));
+      GemmTransBAssign(c.data(), b.data(), m, n, k, dx.data());
+      EXPECT_GT(ScratchArena::PeakBytes(), before) << "m=" << m;
+    }
+  }).join();
 }
 
 // ---- End-to-end federated bit-identity across kernel_threads ----
 
-Tensor RunTinyFedAvg(int kernel_threads) {
+/// The model a short FedAvg run trains at one kernel_threads value.
+enum class TinyModel {
+  kCnn,       // the CNN on 1-channel images at batch 8
+  kCifarMlp,  // the MLP on 3-channel images at batch 24: fc1 is 24x432x64
+};
+
+Tensor RunTinyFedAvg(int kernel_threads, TinyModel model) {
+  const bool mlp = model == TinyModel::kCifarMlp;
   Rng rng(1234);
-  auto data = GenerateImageData(MnistLikeProfile(), 120, 60, &rng);
+  auto data = GenerateImageData(mlp ? CifarLikeProfile() : MnistLikeProfile(),
+                                120, 60, &rng);
   auto split = SimilarityPartition(data.train, 3, 0.5, &rng);
   std::vector<ClientView> views;
   for (auto& idx : split.client_indices) views.push_back({idx, {}});
-  CnnConfig mc;
-  mc.conv1_channels = 2;
-  mc.conv2_channels = 4;
-  mc.feature_dim = 8;
+  ModelFactory factory;
+  if (mlp) {
+    MlpConfig mc;
+    mc.in_channels = 3;
+    factory = MakeMlpFactory(mc);
+  } else {
+    CnnConfig mc;
+    mc.conv1_channels = 2;
+    mc.conv2_channels = 4;
+    mc.feature_dim = 8;
+    factory = MakeCnnFactory(mc);
+  }
   FlConfig config;
   config.local_steps = 2;
-  config.batch_size = 8;
+  config.batch_size = mlp ? 24 : 8;
   config.lr = 0.05;
   config.seed = 77;
   config.max_examples_per_pass = 64;
   config.kernel_threads = kernel_threads;
-  FedAvg algo(config, &data.train, views, MakeCnnFactory(mc));
+  FedAvg algo(config, &data.train, views, factory);
   TrainerOptions options;
   options.eval_max_examples = 60;
   FederatedTrainer trainer(&algo, &data.test, options);
@@ -887,14 +914,15 @@ Tensor RunTinyFedAvg(int kernel_threads) {
 }
 
 TEST_F(KernelTest, FederatedRunBitIdenticalAcrossKernelThreads) {
-  const Tensor base = RunTinyFedAvg(1);
-  for (int threads : {2, 4}) {
-    SetKernelOptions(KernelOptions{});  // the run sets its own threads
-    const Tensor other = RunTinyFedAvg(threads);
-    ASSERT_EQ(base.size(), other.size());
-    for (int64_t i = 0; i < base.size(); ++i) {
-      ASSERT_EQ(base.at(i), other.at(i))
-          << "threads=" << threads << " element " << i;
+  for (TinyModel model : {TinyModel::kCnn, TinyModel::kCifarMlp}) {
+    const Tensor base = RunTinyFedAvg(1, model);
+    for (int threads : {2, 4}) {
+      SetKernelOptions(KernelOptions{});  // the run sets its own threads
+      const Tensor other = RunTinyFedAvg(threads, model);
+      ASSERT_EQ(base.size(), other.size());
+      ASSERT_EQ(0, std::memcmp(base.data(), other.data(),
+                               sizeof(float) * static_cast<size_t>(base.size())))
+          << "model=" << static_cast<int>(model) << " threads=" << threads;
     }
   }
 }
