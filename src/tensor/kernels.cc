@@ -11,6 +11,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/kernels_blocked.h"
 #include "tensor/kernels_dispatch.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -362,10 +363,11 @@ void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
 
 namespace {
 
-/// The padded-grid path needs unit stride (so an im2col row is one
-/// contiguous slice of the padded image) and pad < kernel (so the
-/// gradient grid's padding is not negative). Any other shape runs the
-/// reference loops; no model in the repository uses one.
+/// The padded-grid paths need unit stride (so an im2col entry lies at a
+/// fixed offset from its output position in the padded image) and
+/// pad < kernel (so the gradient grid's padding is not negative). Any
+/// other shape runs the reference loops; no model in the repository
+/// uses one.
 bool ConvOnPaddedGrid(const ConvKernelShape& s) {
   return s.stride == 1 && s.pad < s.kernel;
 }
@@ -382,9 +384,8 @@ void ConvForward(const float* x, const float* w, const float* bias,
   if (obs::TracingEnabled()) {
     CountConvFlops(DenseConvFlops(s), DenseConvFlops(s));
   }
-  const internal::BlockedKernels& table = ActiveTable();
   if (ConvOnPaddedGrid(s)) {
-    table.conv_forward(x, w, bias, s, out, window);
+    ActiveTable().conv_forward(x, w, bias, s, out, window);
     return;
   }
   if (window == nullptr) {
@@ -392,17 +393,17 @@ void ConvForward(const float* x, const float* w, const float* bias,
     return;
   }
   // The reference sums without the bias (a +0 bias changes no sum: a
-  // chain that starts at +0 never reaches -0), then the epilogue runs on
-  // each image's dense planes as it does on the padded grid.
+  // chain that starts at +0 never reaches -0), then the scalar epilogue
+  // runs on each image's dense planes with the lane epilogue's rule.
   const int64_t area = s.OutArea();
   const int64_t planes = s.out_channels * area;
   std::vector<float> sums(static_cast<size_t>(s.batch * planes), 0.0f);
   const std::vector<float> no_bias(static_cast<size_t>(s.out_channels), 0.0f);
   ref::Conv2dForwardKernel(x, w, no_bias.data(), s, sums.data());
   for (int64_t i = 0; i < s.batch; ++i) {
-    table.conv_relu_pool(sums.data() + i * planes, s.OutW(), area, bias,
-                         s.out_channels, s.OutH(), s.OutW(),
-                         out + i * planes / 4, window + i * planes / 4);
+    internal::ReluPoolRange(sums.data() + i * planes, bias, s.out_channels,
+                            s.OutH(), s.OutW(), out + i * planes / 4,
+                            window + i * planes / 4);
   }
 }
 

@@ -36,15 +36,17 @@ namespace rfed {
 // no *implicit* contraction can ever diverge from this explicit scheme.
 //
 // Convolutions with stride 1 and pad < kernel (every model in the
-// repository) never build an im2col matrix. They run on a padded grid:
-// each image is zero-padded once, every output row is computed
-// w + 2*pad wide so that each im2col row is one contiguous slice of the
-// padded image, and the extra columns are dropped. dx runs the same way
-// on the output gradient padded by kernel - 1 - pad, where it adds
-// padding terms that the reference's col2im skips. Such a term is a
-// fused chain of w*0 from +0, i.e. +0, and for finite inputs padding
-// zeros cannot change a chain that starts at +0: under round-to-nearest
-// such a chain never reaches -0, and x + (+0) == x for every other x.
+// repository) never build an im2col matrix. The forward runs groups of
+// 8 images in the SIMD lanes: each group is zero-padded and interleaved
+// once, so one vector holds an im2col entry for all 8 images, and only
+// real outputs are computed. dw reads each image zero-padded, and dx
+// runs on a grid of the output gradient padded by kernel - 1 - pad,
+// with rows computed w + kernel - 1 wide and the extra columns
+// dropped. dx adds padding terms that the reference's col2im skips.
+// Such a term is a fused chain of w*0 from +0, i.e. +0, and for finite
+// inputs padding zeros cannot change a chain that starts at +0: under
+// round-to-nearest such a chain never reaches -0, and x + (+0) == x for
+// every other x.
 // Batch reductions (conv dw/db) add each image's result in ascending
 // image order, the reference's float addition sequence. Other conv
 // shapes run the reference loops. See docs/KERNELS.md for the full
@@ -222,8 +224,8 @@ struct ConvKernelShape {
 };
 
 /// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias,
-/// on the padded grid when stride == 1 and pad < kernel (the reference
-/// otherwise), batch-parallel. `out` must be pre-zeroed. Bit-identical
+/// 8 images per SIMD vector when stride == 1 and pad < kernel (the
+/// reference otherwise), batch-parallel. `out` must be pre-zeroed. Bit-identical
 /// to ref::Conv2dForwardKernel.
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);

@@ -19,9 +19,11 @@
 // float*float is exact in double, so the fused chain is bit-equal to
 // the reference's mul+add chain.
 //
-// Conv epilogue (bias, ReLU, 2x2 max-pool): 8 pooled outputs per step,
-// the even and odd columns of a grid row pair split into four vectors,
-// one per window position; a short row's step runs full lanes too.
+// Conv forward: 8 images in the lanes of each vector, a tile of 4
+// output channels x 3 positions of one row in 12 named accumulators.
+// Its epilogue (bias, ReLU, 2x2 max-pool) pools one output of 8 images
+// per step with vertical compares; an 8x8 transpose moves the images
+// into the lanes.
 //
 // Element-wise kernels: 8 lanes per instruction, each lane running the
 // scalar loop's operations in order (no FMA), tails on the scalar loops.
@@ -179,38 +181,55 @@ struct Avx2Traits {
     if constexpr (V == 2) hi = _mm256_fmadd_ps(av, b1, hi);
   }
 
-  static void ConvTile(const float* wp, const float* base, const int64_t* off,
-                       int64_t kc, float* c, int64_t ldc) {
-    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-    __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-    __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+  // The lane forward tile: 4 output channels x Q positions of one row,
+  // one __m256 of 8 images per (channel, position), in named
+  // accumulators. Each step makes Q aligned loads and 4 weight
+  // broadcasts; the positions a shape does not use are compiled away.
+  // 12 accumulators, 3 loads and a broadcast use all 16 ymm registers;
+  // inlined into the driver, GCC at -O2 spilled two accumulators to the
+  // stack on every step, so the tile stays out of line.
+  template <int Q>
+  [[gnu::noinline]] static void ConvTile(const float* wp, const float* base,
+                                         const int64_t* off, int64_t kc,
+                                         float* c, int64_t ldc) {
+    __m256 c00 = _mm256_setzero_ps(), c01 = c00, c02 = c00;
+    __m256 c10 = c00, c11 = c00, c12 = c00;
+    __m256 c20 = c00, c21 = c00, c22 = c00;
+    __m256 c30 = c00, c31 = c00, c32 = c00;
     for (int64_t p = 0; p < kc; ++p) {
       const float* bv = base + off[p];
-      const __m256 b0 = _mm256_loadu_ps(bv);
-      const __m256 b1 = _mm256_loadu_ps(bv + 8);
+      const __m256 b0 = _mm256_load_ps(bv);
+      const __m256 b1 = Q > 1 ? _mm256_load_ps(bv + 8) : b0;
+      const __m256 b2 = Q > 2 ? _mm256_load_ps(bv + 16) : b0;
       const float* av = wp + p * kConvRows;
-      __m256 a = _mm256_broadcast_ss(av + 0);
-      c00 = _mm256_fmadd_ps(a, b0, c00);
-      c01 = _mm256_fmadd_ps(a, b1, c01);
-      a = _mm256_broadcast_ss(av + 1);
-      c10 = _mm256_fmadd_ps(a, b0, c10);
-      c11 = _mm256_fmadd_ps(a, b1, c11);
-      a = _mm256_broadcast_ss(av + 2);
-      c20 = _mm256_fmadd_ps(a, b0, c20);
-      c21 = _mm256_fmadd_ps(a, b1, c21);
-      a = _mm256_broadcast_ss(av + 3);
-      c30 = _mm256_fmadd_ps(a, b0, c30);
-      c31 = _mm256_fmadd_ps(a, b1, c31);
+      ConvFmaRow<Q>(av + 0, b0, b1, b2, c00, c01, c02);
+      ConvFmaRow<Q>(av + 1, b0, b1, b2, c10, c11, c12);
+      ConvFmaRow<Q>(av + 2, b0, b1, b2, c20, c21, c22);
+      ConvFmaRow<Q>(av + 3, b0, b1, b2, c30, c31, c32);
     }
-    _mm256_storeu_ps(c + 0 * ldc, c00);
-    _mm256_storeu_ps(c + 0 * ldc + 8, c01);
-    _mm256_storeu_ps(c + 1 * ldc, c10);
-    _mm256_storeu_ps(c + 1 * ldc + 8, c11);
-    _mm256_storeu_ps(c + 2 * ldc, c20);
-    _mm256_storeu_ps(c + 2 * ldc + 8, c21);
-    _mm256_storeu_ps(c + 3 * ldc, c30);
-    _mm256_storeu_ps(c + 3 * ldc + 8, c31);
+    ConvStoreRow<Q>(c, c00, c01, c02);
+    ConvStoreRow<Q>(c + ldc, c10, c11, c12);
+    ConvStoreRow<Q>(c + 2 * ldc, c20, c21, c22);
+    ConvStoreRow<Q>(c + 3 * ldc, c30, c31, c32);
+  }
+
+  template <int Q>
+  [[gnu::always_inline]] static void ConvFmaRow(const float* a, __m256 b0,
+                                                __m256 b1, __m256 b2,
+                                                __m256& c0, __m256& c1,
+                                                __m256& c2) {
+    const __m256 av = _mm256_broadcast_ss(a);
+    c0 = _mm256_fmadd_ps(av, b0, c0);
+    if constexpr (Q > 1) c1 = _mm256_fmadd_ps(av, b1, c1);
+    if constexpr (Q > 2) c2 = _mm256_fmadd_ps(av, b2, c2);
+  }
+
+  template <int Q>
+  [[gnu::always_inline]] static void ConvStoreRow(float* c, __m256 c0,
+                                                  __m256 c1, __m256 c2) {
+    _mm256_store_ps(c, c0);
+    if constexpr (Q > 1) _mm256_store_ps(c + 8, c1);
+    if constexpr (Q > 2) _mm256_store_ps(c + 16, c2);
   }
 
   // Four input channels x 16 columns: the gradient loads of one output
@@ -420,68 +439,87 @@ struct Avx2Traits {
     }
   }
 
-  // The lanes of ReluPoolRange. Each step loads 16 grid columns of a
-  // row pair and splits them into the even and the odd columns: window
-  // positions 0..3 of 8 pooled outputs. A lane adds the bias and clamps
-  // with max_ps(v, 0) (+0 for NaN and -0, as ReluRange); a later
-  // position replaces the running max only where GT_OQ says it is
-  // strictly greater, the scalar rule. A row's last step may cover
-  // fewer than 8 outputs: its extra lanes read the next grid columns
-  // and write past the row's outputs, which later steps overwrite, so
-  // they run as full vectors. Only where they would pass the end of the
-  // grid region or of the outputs do they run masked.
-  static void ReluPool(const float* grid, int64_t ld, int64_t plane,
-                       const float* bias, int64_t channels, int64_t rows,
-                       int64_t cols, float* out, uint8_t* window) {
-    const int64_t po = cols / 2;
-    const int64_t grid_end = (channels - 1) * plane + (rows - 1) * ld + cols;
-    const int64_t out_end = channels * rows / 2 * po;
+  // r[t] = column t of the 8x8 matrix whose rows were r[0..7].
+  [[gnu::always_inline]] static void Transpose8(__m256* r) {
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+    r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+    r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+    r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+    r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+    r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+    r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+    r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+  }
+
+  // InterleaveLanesRange for a full group: 8 elements of the 8 images
+  // per step, one 8x8 transpose turning image rows into lane vectors.
+  // When n is not a multiple of 8 the last step overlaps the one before
+  // and rewrites the same values. A partial group runs the scalar loop.
+  static void InterleaveLanes(const float* x, int64_t n, int64_t live,
+                              const int64_t* pos, float* xl) {
+    constexpr int64_t lanes = kConvLanes;
+    if (live < lanes || n < lanes) {
+      InterleaveLanesRange(x, n, live, pos, xl);
+      return;
+    }
+    for (int64_t j0 = 0; j0 < n; j0 += lanes) {
+      const int64_t j = std::min(j0, n - lanes);
+      __m256 r[lanes];
+      for (int64_t l = 0; l < lanes; ++l) {
+        r[l] = _mm256_loadu_ps(x + l * n + j);
+      }
+      Transpose8(r);
+      for (int64_t t = 0; t < lanes; ++t) {
+        _mm256_store_ps(xl + pos[j + t] * lanes, r[t]);
+      }
+    }
+  }
+
+  // The lane epilogue (ReluPoolLanesRange): one pooled output of 8
+  // images per step, its four window sums four aligned vectors. A lane
+  // adds the bias and clamps with max_ps(v, 0) (+0 for NaN and -0, as
+  // ReluRange); a later position replaces the running max only where
+  // GT_OQ says it is strictly greater, the scalar rule. The compares run
+  // down whole vectors: no shuffles, permutes or masked tails. Each
+  // live lane's value and window byte then go to its own image.
+  static void ReluPool(const float* sums, const float* bias,
+                       int64_t channels, int64_t rows, int64_t cols,
+                       int64_t live, int64_t stride, float* out,
+                       uint8_t* window) {
+    constexpr int64_t lanes = kConvLanes;
+    const int64_t pw = cols / 2;
     const __m256 zero = _mm256_setzero_ps();
-    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    // Lane masks for a masked step, which covers `left` pooled outputs
-    // (2*left grid columns).
-    const int64_t left = po - (po - 1) / 8 * 8;
-    const __m256i cols_lo = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(static_cast<int>(2 * left)), lane);
-    const __m256i cols_hi = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(static_cast<int>(2 * left - 8)), lane);
-    const __m256i outs =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(left)), lane);
+    alignas(32) float best_lane[lanes];
+    alignas(32) int32_t k_lane[lanes];
     for (int64_t c = 0; c < channels; ++c) {
       const __m256 bv = _mm256_set1_ps(bias[c]);
-      // shuffle_ps takes columns {0 2 8 10 | 4 6 12 14} of the 16 (and
-      // the odd ones {1 3 9 11 | 5 7 13 15}), so the lanes hold pooled
-      // outputs {0 1 4 5 | 2 3 6 7}. Every window position is in that
-      // order; one permute per result restores it.
-      auto split = [&](const float* row, bool masked, __m256* even,
-                       __m256* odd) {
-        const __m256 a = masked ? _mm256_maskload_ps(row, cols_lo)
-                                : _mm256_loadu_ps(row);
-        const __m256 b = masked ? _mm256_maskload_ps(row + 8, cols_hi)
-                                : _mm256_loadu_ps(row + 8);
-        *even = _mm256_max_ps(
-            _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
-                          bv),
-            zero);
-        *odd = _mm256_max_ps(
-            _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)),
-                          bv),
-            zero);
-      };
-      auto restore = [](__m256 v) {
-        return _mm256_castpd_ps(_mm256_permute4x64_pd(
-            _mm256_castps_pd(v), _MM_SHUFFLE(3, 1, 2, 0)));
+      auto clamp = [&](const float* v) {
+        return _mm256_max_ps(_mm256_add_ps(_mm256_load_ps(v), bv), zero);
       };
       for (int64_t py = 0; py < rows / 2; ++py) {
-        const int64_t top = c * plane + 2 * py * ld;
-        const int64_t at = (c * rows / 2 + py) * po;
-        for (int64_t px = 0; px < po; px += 8) {
-          const bool masked =
-              px + 8 > po && (top + ld + 2 * px + 16 > grid_end ||
-                              at + px + 8 > out_end);
-          __m256 v[4];
-          split(grid + top + 2 * px, masked, &v[0], &v[1]);
-          split(grid + top + ld + 2 * px, masked, &v[2], &v[3]);
+        const float* top = sums + (c * rows + 2 * py) * cols * lanes;
+        const float* bottom = top + cols * lanes;
+        for (int64_t px = 0; px < pw; ++px) {
+          const __m256 v[4] = {clamp(top + 2 * px * lanes),
+                               clamp(top + (2 * px + 1) * lanes),
+                               clamp(bottom + 2 * px * lanes),
+                               clamp(bottom + (2 * px + 1) * lanes)};
           __m256 best = v[0];
           __m256 best_k = zero;  // window indices as int32 lanes
           for (int k = 1; k < 4; ++k) {
@@ -490,19 +528,13 @@ struct Avx2Traits {
             best_k = _mm256_blendv_ps(
                 best_k, _mm256_castsi256_ps(_mm256_set1_epi32(k)), take);
           }
-          best = restore(best);
-          // int32 lanes 0..3 -> bytes: two saturating packs.
-          const __m256i k32 = _mm256_castps_si256(restore(best_k));
-          const __m128i k16 = _mm_packs_epi32(
-              _mm256_castsi256_si128(k32), _mm256_extracti128_si256(k32, 1));
-          const uint64_t k8 = static_cast<uint64_t>(
-              _mm_cvtsi128_si64(_mm_packus_epi16(k16, k16)));
-          if (masked) {
-            _mm256_maskstore_ps(out + at + px, outs, best);
-            std::memcpy(window + at + px, &k8, static_cast<size_t>(left));
-          } else {
-            _mm256_storeu_ps(out + at + px, best);
-            std::memcpy(window + at + px, &k8, 8);
+          _mm256_store_ps(best_lane, best);
+          _mm256_store_si256(reinterpret_cast<__m256i*>(k_lane),
+                             _mm256_castps_si256(best_k));
+          const int64_t at = (c * rows / 2 + py) * pw + px;
+          for (int64_t l = 0; l < live; ++l) {
+            out[l * stride + at] = best_lane[l];
+            window[l * stride + at] = static_cast<uint8_t>(k_lane[l]);
           }
         }
       }

@@ -4,7 +4,7 @@
 // ISA-generic blocked GEMM driver, instantiated once per ISA TU with a
 // Traits type supplying the register microkernels. Traits must provide:
 //
-//   static constexpr int64_t kNr;   // in-place and conv tile cols
+//   static constexpr int64_t kNr;   // in-place and conv dx tile cols
 //   static constexpr int64_t kTr;   // TransB outputs per packed panel
 //   static float Fma(float a, float b, float acc);   // fused step
 //   // The in-place tile of GemmInPlaceT: C [R rows, V*kNr/2 cols]
@@ -32,14 +32,22 @@
 //   static void DotCols(const double* at, const float* b, int64_t ldb,
 //                       int64_t n, double* out);
 //
-// and, for the padded-grid convolution (ConvGrid below):
+// and, for the convolutions (ConvForwardT and ConvGrid below):
 //
-//   // C tile [kConvRows, kNr] = Wp[kc, kConvRows] * B, where row p of B
-//   // is the kNr floats at base + off[p]; every chain starts at +0 and
-//   // takes one fused step per p, ascending:
+//   // The lane forward tile, kConvRows output channels x Q = 1..kConvCols
+//   // output positions of kConvLanes images each: for r, q and lane l,
+//   //   c[r*ldc + q*kConvLanes + l] = chain over p < kc, ascending, of
+//   //     wp[p*kConvRows + r] * base[off[p] + q*kConvLanes + l]
+//   // from +0, one fused step per p. base, off[p] and c are 32-byte
+//   // aligned (off[p] and ldc multiples of kConvLanes):
+//   template <int Q>
 //   static void ConvTile(const float* wp, const float* base,
 //                        const int64_t* off, int64_t kc, float* c,
 //                        int64_t ldc);
+//   // The forward's lane grid of one group (xl 32-byte aligned; the
+//   // scalar semantics are InterleaveLanesRange below):
+//   static void InterleaveLanes(const float* x, int64_t n, int64_t live,
+//                               const int64_t* pos, float* xl);
 //   // For each of kConvRows input channels r and j < n (n a multiple
 //   // of kNr): acc[r*ldacc + j] += (fused chain over oc < cout of
 //   // w[oc*kConvRows + r] * g[oc*ldg + j], from +0, ascending oc):
@@ -71,11 +79,12 @@
 //   static void ConvSparseDx(const float* w, const int32_t* wof,
 //                            const float* v, int64_t n, int64_t k,
 //                            int64_t lanes, float* dx, int64_t ld);
-//   // BlockedKernels::conv_relu_pool (the scalar semantics are
-//   // ReluPoolRange below):
-//   static void ReluPool(const float* grid, int64_t ld, int64_t plane,
-//                        const float* bias, int64_t channels, int64_t rows,
-//                        int64_t cols, float* out, uint8_t* window);
+//   // BlockedKernels::conv_relu_pool, the lane epilogue (the scalar
+//   // semantics are ReluPoolLanesRange below):
+//   static void ReluPool(const float* sums, const float* bias,
+//                        int64_t channels, int64_t rows, int64_t cols,
+//                        int64_t live, int64_t stride, float* out,
+//                        uint8_t* window);
 //
 // and, for the activation layer and the element-wise kernels (the
 // *Range functions below are the scalar semantics, and the generic
@@ -132,37 +141,44 @@ inline void ReluMaskRange(const float* g, const float* x, int64_t n,
   }
 }
 
-/// The conv epilogue of BlockedKernels::conv_relu_pool, one output at a
-/// time: each input is the conv sum plus the bias, clamped as in
-/// ReluRange, and the pool takes a candidate only when it is strictly
-/// greater than the running max — so ties keep the earlier element
-/// (after the clamp no NaN is left). Selects, not jumps: the compares
-/// become masks.
-inline void ReluPoolRange(const float* grid, int64_t ld, int64_t plane,
-                          const float* bias, int64_t channels, int64_t rows,
-                          int64_t cols, float* out, uint8_t* window) {
+/// The conv epilogue's rule for one 2x2 window of conv sums (row-major):
+/// each is the sum plus the bias, clamped as in ReluRange, and the pool
+/// takes a candidate only when it is strictly greater than the running
+/// max — so ties keep the earlier element (after the clamp no NaN is
+/// left). Selects, not jumps: the compares become masks.
+inline void PoolWindow(const float sums[4], float bias, float* out,
+                       uint8_t* window) {
+  const float v[4] = {sums[0] + bias, sums[1] + bias, sums[2] + bias,
+                      sums[3] + bias};
+  float r[4];
+  ReluRange(v, 4, r);
+  float best = r[0];
+  uint32_t best_k = 0;
+  for (uint32_t k = 1; k < 4; ++k) {
+    const uint32_t take = 0u - static_cast<uint32_t>(r[k] > best);
+    best = r[k] > best ? r[k] : best;
+    best_k ^= (best_k ^ k) & take;
+  }
+  *out = best;
+  *window = static_cast<uint8_t>(best_k);
+}
+
+/// PoolWindow over `channels` dense planes of rows x cols conv sums
+/// (rows, cols even), writing the pooled [channels, rows/2, cols/2] and
+/// one window byte per pooled output: the epilogue of the conv forward's
+/// reference fallback (shapes off the lane grid).
+inline void ReluPoolRange(const float* sums, const float* bias,
+                          int64_t channels, int64_t rows, int64_t cols,
+                          float* out, uint8_t* window) {
   const int64_t po = cols / 2;
   for (int64_t c = 0; c < channels; ++c) {
-    const float bv = bias[c];
     for (int64_t py = 0; py < rows / 2; ++py) {
-      const float* top = grid + c * plane + 2 * py * ld;
-      const float* bottom = top + ld;
-      float* o = out + (c * rows / 2 + py) * po;
-      uint8_t* win = window + (c * rows / 2 + py) * po;
+      const float* top = sums + (c * rows + 2 * py) * cols;
+      const int64_t at = (c * rows / 2 + py) * po;
       for (int64_t px = 0; px < po; ++px) {
-        const float v[4] = {top[2 * px] + bv, top[2 * px + 1] + bv,
-                            bottom[2 * px] + bv, bottom[2 * px + 1] + bv};
-        float r[4];
-        ReluRange(v, 4, r);
-        float best = r[0];
-        uint32_t best_k = 0;
-        for (uint32_t k = 1; k < 4; ++k) {
-          const uint32_t take = 0u - static_cast<uint32_t>(r[k] > best);
-          best = r[k] > best ? r[k] : best;
-          best_k ^= (best_k ^ k) & take;
-        }
-        o[px] = best;
-        win[px] = static_cast<uint8_t>(best_k);
+        const float v[4] = {top[2 * px], top[2 * px + 1], top[cols + 2 * px],
+                            top[cols + 2 * px + 1]};
+        PoolWindow(v, bias[c], out + at + px, window + at + px);
       }
     }
   }
@@ -401,22 +417,31 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
   }
 }
 
-// ---- Padded-grid convolution (stride 1, pad < kernel) ----
+// ---- Convolution (stride 1, pad < kernel) ----
 //
-// The im2col matrix is never built. Forward and dw read each image
-// through a zero-padded copy whose rows are wp = w + 2*pad floats wide.
-// Forward computes every output on the grid ho x wp instead of ho x wo:
-// on that grid the im2col row of patch index p = (c, ky, kx) is the
-// contiguous slice starting at off[p] = c*plane + ky*wp + kx, so the
-// microkernel loads its B rows straight from the padded image. The
-// k - 1 extra columns per row wrap into the next padded row; they are
-// computed and dropped. dx runs the same way on the grid h x wq of the
-// output gradient padded by k - 1 - pad (wq = w + k - 1), where tap
-// (ky, kx) is the slice starting at (k-1-ky)*wq + (k-1-kx).
+// The im2col matrix is never built.
+//
+// Forward (ConvForwardT) puts images, not output columns, in the SIMD
+// lanes. Each group of kConvLanes images is interleaved once into a
+// zero-padded lane grid xl[c][y][x][kConvLanes] with rows wp = w + 2*pad
+// positions wide. There the im2col entry of patch index p = (c, ky, kx)
+// at output (oy, ox) is one aligned vector, at off[p] + (oy*wp + ox)
+// vectors, with off[p] = c*plane + ky*wp + kx: one vector holds that
+// entry for every image of the group. The tile runs kConvRows output
+// channels x kConvCols positions of one output row, so only the ho x wo
+// real outputs are computed. The lanes past the batch in the last group
+// read zeros and are never written out.
+//
+// dw reads each image through a zero-padded copy whose rows are wp
+// floats wide, and dx runs on the grid h x wq of the output gradient
+// padded by k - 1 - pad (wq = w + k - 1), where tap (ky, kx) is the
+// slice starting at (k-1-ky)*wq + (k-1-kx); the k - 1 extra columns per
+// row wrap into the next padded row, and are computed and dropped.
 //
 // Bit identity with ref:: holds for finite inputs:
-//  * forward: a kept output reads exactly the im2col entries the
-//    reference reads, padding zeros included, in ascending p;
+//  * forward: each output is one fused chain from +0 over exactly the
+//    im2col entries the reference reads, padding zeros included, in
+//    ascending p; then sum + bias, as the reference adds it;
 //  * dw: the chains walk only the ho x wo real outputs, ascending, so
 //    they are the reference's double dots term for term;
 //  * dx: the reference's Col2Im skips the (tap, output) pairs that fall
@@ -425,10 +450,17 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
 //    accumulator that started at +0 (a sum that starts at +0 never
 //    reaches -0 under round-to-nearest). The remaining terms meet each
 //    dx element in the reference's ascending tap order.
+// Lanes never mix: a NaN or Inf in one image reaches only that image's
+// outputs, for any input.
 
 // Channels per register tile: output channels of ConvTile, input
 // channels of ConvDxAccumulate.
 inline constexpr int64_t kConvRows = 4;
+// Images per lane group of the forward (one __m256 of floats), and the
+// output positions per forward tile: kConvRows x kConvCols accumulators
+// plus kConvCols loads and a broadcast fill the 16 ymm registers.
+inline constexpr int64_t kConvLanes = 8;
+inline constexpr int64_t kConvCols = 3;
 
 /// Geometry of one padded-grid convolution.
 struct ConvGrid {
@@ -470,13 +502,14 @@ T* At(char* base, size_t offset) {
   return reinterpret_cast<T*>(base + offset);
 }
 
-/// off[p] for p = (c, ky, kx): where im2col row p starts in a padded image.
-inline void ConvRowOffsets(const ConvGrid& g, int64_t* off) {
+/// off[p] for p = (c, ky, kx): where im2col row p starts in a padded
+/// image whose positions are `unit` floats apart.
+inline void ConvRowOffsets(const ConvGrid& g, int64_t unit, int64_t* off) {
   int64_t p = 0;
   for (int64_t c = 0; c < g.cin; ++c) {
     for (int64_t ky = 0; ky < g.k; ++ky) {
       for (int64_t kx = 0; kx < g.k; ++kx) {
-        off[p++] = c * g.plane + ky * g.wp + kx;
+        off[p++] = (c * g.plane + ky * g.wp + kx) * unit;
       }
     }
   }
@@ -510,12 +543,20 @@ void CopyIntoPadded(const float* src, int64_t channels, int64_t rows,
 inline constexpr int64_t kConvMinImagesPerChunk = 32;
 
 /// Contiguous image ranges, one per kernel thread but none smaller than
-/// kConvMinImagesPerChunk (one when serial).
-inline int64_t ConvImageChunks(int64_t batch) {
-  return std::max<int64_t>(
-      1, std::min<int64_t>(GetKernelOptions().threads,
-                           batch / kConvMinImagesPerChunk));
-}
+/// kConvMinImagesPerChunk (one when serial). Chunks are cut at whole
+/// lane groups of kConvLanes images, so only the batch's last group can
+/// be partial.
+struct ConvImageChunks {
+  explicit ConvImageChunks(int64_t batch)
+      : batch(batch), groups((batch + kConvLanes - 1) / kConvLanes),
+        count(std::max<int64_t>(
+            1, std::min<int64_t>(GetKernelOptions().threads,
+                                 batch / kConvMinImagesPerChunk))) {}
+  int64_t Begin(int64_t ci) const { return ci * groups / count * kConvLanes; }
+  int64_t End(int64_t ci) const { return std::min(batch, Begin(ci + 1)); }
+
+  int64_t batch, groups, count;
+};
 
 /// Where each image's dw and db terms go. Serial, an image's terms are
 /// added to dw/db as soon as it is done. Threaded, images finish out of
@@ -567,23 +608,80 @@ struct ConvBatchSums {
   }
 };
 
+/// The lane grid of a group of images n floats apart (the scalar
+/// semantics of Traits::InterleaveLanes): for j < n and lane l,
+/// xl[pos[j]*kConvLanes + l] is x[l*n + j] for the live images and 0
+/// for the lanes past `live`.
+inline void InterleaveLanesRange(const float* x, int64_t n, int64_t live,
+                                 const int64_t* pos, float* xl) {
+  for (int64_t l = 0; l < kConvLanes; ++l) {
+    const float* src = x + l * n;
+    for (int64_t j = 0; j < n; ++j) {
+      xl[pos[j] * kConvLanes + l] = l < live ? src[j] : 0.0f;
+    }
+  }
+}
+
+/// The lane epilogue of BlockedKernels::conv_relu_pool, one lane at a
+/// time: `sums` holds `channels` planes of rows x cols conv sums (rows,
+/// cols even) for kConvLanes images, element (c, y, x) of lane l at
+/// sums[((c*rows + y)*cols + x)*kConvLanes + l]. Each 2x2 window goes
+/// through PoolWindow with bias[c], and lane l < live writes its pooled
+/// [channels, rows/2, cols/2] and window bytes to its own image, at
+/// out + l*stride and window + l*stride. Lanes past live are never
+/// written.
+inline void ReluPoolLanesRange(const float* sums, const float* bias,
+                               int64_t channels, int64_t rows, int64_t cols,
+                               int64_t live, int64_t stride, float* out,
+                               uint8_t* window) {
+  constexpr int64_t lanes = kConvLanes;
+  const int64_t pw = cols / 2;
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t py = 0; py < rows / 2; ++py) {
+      for (int64_t px = 0; px < pw; ++px) {
+        const float* top =
+            sums + ((c * rows + 2 * py) * cols + 2 * px) * lanes;
+        const float* bottom = top + cols * lanes;
+        const int64_t at = (c * rows / 2 + py) * pw + px;
+        for (int64_t l = 0; l < live; ++l) {
+          const float v[4] = {top[l], top[lanes + l], bottom[l],
+                              bottom[lanes + l]};
+          PoolWindow(v, bias[c], out + l * stride + at,
+                     window + l * stride + at);
+        }
+      }
+    }
+  }
+}
+
+/// The forward (BlockedKernels::conv_forward) on the lane grid. Each
+/// chunk runs its images in groups of kConvLanes: the group is
+/// interleaved once, then per tile of kConvRows output channels the
+/// ConvTile calls fill the tile's sums[r][oy][ox][lane] with only the
+/// real outputs, and the epilogue writes each live lane's results to
+/// its own image while the sums are in L1: sum + bias with a null
+/// `window`, else the table's ReluPool (pooled outputs and window
+/// bytes; the full-size outputs are never written).
 template <typename Traits>
 void ConvForwardT(const float* x, const float* w, const float* bias,
                   const ConvKernelShape& s, float* out, uint8_t* window) {
   constexpr int64_t mr = kConvRows;
-  constexpr int64_t nr = Traits::kNr;
+  constexpr int64_t lanes = kConvLanes;
   if (s.batch <= 0) return;
   const ConvGrid g(s);
   const int64_t tiles = (g.cout + mr - 1) / mr;
-  const int64_t cols = RoundUp(g.ho * g.wp, nr);
+  const int64_t area = g.ho * g.wo;
   // Shared by the workers: the weights packed p-major in tiles of mr
-  // output channels (rows past cout zero) and the im2col row offsets.
+  // output channels (rows past cout zero), the im2col row offsets and
+  // the input positions on the lane grid.
   ScratchLayout shared;
   const size_t wpack_at = shared.Add<float>(tiles * g.patch * mr);
   const size_t off_at = shared.Add<int64_t>(g.patch);
+  const size_t pos_at = shared.Add<int64_t>(g.cin * g.h * g.w);
   char* shared_base = shared.Claim(kSlotConvOperands);
   float* wpack = At<float>(shared_base, wpack_at);
   int64_t* off = At<int64_t>(shared_base, off_at);
+  int64_t* pos = At<int64_t>(shared_base, pos_at);
   for (int64_t t = 0; t < tiles; ++t) {
     for (int64_t p = 0; p < g.patch; ++p) {
       for (int64_t r = 0; r < mr; ++r) {
@@ -593,47 +691,62 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
       }
     }
   }
-  ConvRowOffsets(g, off);
-  // The last panel of the last row reads up to off[patch-1] + cols.
-  const int64_t xp_len = std::max(g.cin * g.plane, off[g.patch - 1] + cols);
+  ConvRowOffsets(g, lanes, off);
+  // pos[j]: the lane-grid position of input element j of an image.
   const int64_t in_size = g.cin * g.h * g.w;
+  for (int64_t c = 0, j = 0; c < g.cin; ++c) {
+    for (int64_t y = 0; y < g.h; ++y) {
+      for (int64_t ix = 0; ix < g.w; ++ix) {
+        pos[j++] = c * g.plane + (y + g.pad) * g.wp + g.pad + ix;
+      }
+    }
+  }
   // Per image: the [cout, ho, wo] outputs, or the quarter-size pooled
   // outputs and their window bytes.
-  const int64_t out_size = g.cout * g.ho * g.wo / (window != nullptr ? 4 : 1);
-  const int64_t chunks = ConvImageChunks(s.batch);
-  KernelParallelFor(chunks, [&](int64_t ci) {
+  const int64_t out_size = g.cout * area / (window != nullptr ? 4 : 1);
+  const ConvImageChunks chunks(s.batch);
+  KernelParallelFor(chunks.count, [&](int64_t ci) {
     ScratchLayout mine;
-    const size_t xp_at = mine.Add<float>(xp_len);
-    const size_t grid_at = mine.Add<float>(tiles * mr * cols);
+    const int64_t xl_len = g.cin * g.plane * lanes;
+    const size_t xl_at = mine.Add<float>(xl_len);
+    const size_t sums_at = mine.Add<float>(mr * area * lanes);
     char* base = mine.Claim(kSlotConvImage);
-    float* xp = At<float>(base, xp_at);
-    float* grid = At<float>(base, grid_at);
-    // Only interiors are rewritten per image; the padding stays zero.
-    std::memset(xp, 0, sizeof(float) * static_cast<size_t>(xp_len));
-    for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
-         ++i) {
-      CopyIntoPadded(x + i * in_size, g.cin, g.h, g.w, g.pad, g.wp, g.plane,
-                     xp);
+    float* xl = At<float>(base, xl_at);
+    float* sums = At<float>(base, sums_at);
+    // Only interiors are rewritten per group; the padding stays zero.
+    std::memset(xl, 0, sizeof(float) * static_cast<size_t>(xl_len));
+    const int64_t end = chunks.End(ci);
+    for (int64_t i0 = chunks.Begin(ci); i0 < end; i0 += lanes) {
+      const int64_t live = std::min(lanes, end - i0);
+      Traits::InterleaveLanes(x + i0 * in_size, in_size, live, pos, xl);
       for (int64_t t = 0; t < tiles; ++t) {
-        for (int64_t j0 = 0; j0 < cols; j0 += nr) {
-          Traits::ConvTile(wpack + t * g.patch * mr, xp + j0, off, g.patch,
-                           grid + t * mr * cols + j0, cols);
-        }
-      }
-      float* o = out + i * out_size;
-      if (window != nullptr) {
-        // The fused epilogue reads the grid while it is still in L1;
-        // the full-size outputs are never written.
-        Traits::ReluPool(grid, g.wp, cols, bias, g.cout, g.ho, g.wo, o,
-                         window + i * out_size);
-        continue;
-      }
-      for (int64_t oc = 0; oc < g.cout; ++oc) {
-        const float bv = bias[oc];
         for (int64_t oy = 0; oy < g.ho; ++oy) {
-          const float* src = grid + oc * cols + oy * g.wp;
-          float* dst = o + (oc * g.ho + oy) * g.wo;
-          for (int64_t ox = 0; ox < g.wo; ++ox) dst[ox] = src[ox] + bv;
+          for (int64_t ox = 0; ox < g.wo; ox += kConvCols) {
+            WithCount(std::min(kConvCols, g.wo - ox), [&](auto cols) {
+              Traits::template ConvTile<cols()>(
+                  wpack + t * g.patch * mr, xl + (oy * g.wp + ox) * lanes,
+                  off, g.patch, sums + (oy * g.wo + ox) * lanes,
+                  area * lanes);
+            });
+          }
+        }
+        const int64_t oc0 = t * mr;
+        const int64_t channels = std::min(mr, g.cout - oc0);
+        if (window != nullptr) {
+          const int64_t at = i0 * out_size + oc0 * area / 4;
+          Traits::ReluPool(sums, bias + oc0, channels, g.ho, g.wo, live,
+                           out_size, out + at, window + at);
+          continue;
+        }
+        for (int64_t r = 0; r < channels; ++r) {
+          const float bv = bias[oc0 + r];
+          float* dst = out + i0 * out_size + (oc0 + r) * area;
+          for (int64_t a = 0; a < area; ++a) {
+            const float* src = sums + (r * area + a) * lanes;
+            for (int64_t l = 0; l < live; ++l) {
+              dst[l * out_size + a] = src[l] + bv;
+            }
+          }
         }
       }
     }
@@ -661,18 +774,19 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
   const int64_t gq_len =
       std::max(g.cout * g.plane_q, (g.cout - 1) * g.plane_q +
                                        (g.k - 1) * (g.wq + 1) + dx_cols);
-  const int64_t chunks = ConvImageChunks(s.batch);
+  const ConvImageChunks chunks(s.batch);
   ConvBatchSums sums{dw, db, dw != nullptr ? g.cout * g.patch : 0,
                      db != nullptr ? g.cout : 0};
   ScratchLayout shared;
   const size_t wt_at = shared.Add<float>(
       dx != nullptr ? dx_groups * g.taps * g.cout * kConvRows : 0);
   const size_t off_at = shared.Add<int64_t>(dw != nullptr ? g.patch : 0);
-  const size_t part_at = shared.Add<float>(sums.PartialFloats(s.batch, chunks));
+  const size_t part_at =
+      shared.Add<float>(sums.PartialFloats(s.batch, chunks.count));
   char* shared_base = shared.Claim(kSlotConvOperands);
   float* wt = At<float>(shared_base, wt_at);
   int64_t* off = At<int64_t>(shared_base, off_at);
-  if (chunks > 1) sums.partials = At<float>(shared_base, part_at);
+  if (chunks.count > 1) sums.partials = At<float>(shared_base, part_at);
   if (dx != nullptr) {
     // wt[group][tap][oc][r] = w[oc][c = group*kConvRows + r][tap]: one
     // tap's weights for a group of input channels are contiguous, and
@@ -689,8 +803,8 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
       }
     }
   }
-  if (dw != nullptr) ConvRowOffsets(g, off);
-  KernelParallelFor(chunks, [&](int64_t ci) {
+  if (dw != nullptr) ConvRowOffsets(g, 1, off);
+  KernelParallelFor(chunks.count, [&](int64_t ci) {
     ScratchLayout mine;
     const size_t xd_at = mine.Add<double>(dw != nullptr ? g.cin * g.plane : 0);
     const size_t gd_at = mine.Add<double>(dw != nullptr ? area * oc_pad : 0);
@@ -708,8 +822,7 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
       std::fill(gd, gd + area * oc_pad, 0.0);
     }
     if (dx != nullptr) std::fill(gq, gq + gq_len, 0.0f);
-    for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
-         ++i) {
+    for (int64_t i = chunks.Begin(ci); i < chunks.End(ci); ++i) {
       const float* go = grad_out + i * out_size;
       if (db != nullptr) {
         for (int64_t oc = 0; oc < g.cout; ++oc) {
@@ -884,7 +997,7 @@ void ConvBlockBackwardT(const float* grad, const float* y,
   const int64_t in_size = g.cin * g.h * g.w;
   // dw passes cover whole kernel rows, as many as kDwChains taps allow.
   const int64_t pass_rows = std::max<int64_t>(1, Traits::kDwChains / g.k);
-  const int64_t chunks = ConvImageChunks(s.batch);
+  const ConvImageChunks chunks(s.batch);
   const bool per_channel = dw != nullptr || db != nullptr;
   const int64_t dwt_size = dw != nullptr ? g.cout * groups * g.taps * cr : 0;
   ScratchLayout shared;
@@ -893,11 +1006,11 @@ void ConvBlockBackwardT(const float* grad, const float* y,
   const size_t dwt_at = shared.Add<float>(dwt_size);
   ConvBatchSums sums{nullptr, db, dwt_size, db != nullptr ? g.cout : 0};
   const size_t part_at =
-      shared.Add<float>(sums.PartialFloats(s.batch, chunks));
+      shared.Add<float>(sums.PartialFloats(s.batch, chunks.count));
   char* shared_base = shared.Claim(kSlotConvOperands);
   float* wdx = At<float>(shared_base, wdx_at);
   sums.dw = At<float>(shared_base, dwt_at);
-  if (chunks > 1) sums.partials = At<float>(shared_base, part_at);
+  if (chunks.count > 1) sums.partials = At<float>(shared_base, part_at);
   std::fill(sums.dw, sums.dw + dwt_size, 0.0f);
   if (dx != nullptr) {
     for (int64_t cg = 0; cg < groups; ++cg) {
@@ -914,7 +1027,7 @@ void ConvBlockBackwardT(const float* grad, const float* y,
       }
     }
   }
-  KernelParallelFor(chunks, [&](int64_t ci) {
+  KernelParallelFor(chunks.count, [&](int64_t ci) {
     ScratchLayout mine;
     const size_t xd_at =
         mine.Add<double>(dw != nullptr ? groups * rows * ldx : 0);
@@ -943,8 +1056,7 @@ void ConvBlockBackwardT(const float* grad, const float* y,
     // Only xd's interiors are rewritten per image; the padding and the
     // channel lanes past cin stay zero.
     if (dw != nullptr) std::fill(xd, xd + groups * rows * ldx, 0.0);
-    for (int64_t i = ci * s.batch / chunks; i < (ci + 1) * s.batch / chunks;
-         ++i) {
+    for (int64_t i = chunks.Begin(ci); i < chunks.End(ci); ++i) {
       const int64_t at = i * g.cout * pooled;
       const float* gi = grad + at;
       const float* yi = y + at;

@@ -18,9 +18,10 @@ namespace internal {
 // Scratch slot convention (one ScratchArena per thread; nested kernel
 // calls must use disjoint slots):
 //   0  conv operands shared by a call's workers (calling thread): packed
-//      weights, patch-row offsets, per-image dw/db partials
-//   1  conv per-image buffers (each worker): padded image / gradient
-//      planes, output staging grid
+//      weights, patch-row offsets, the forward's input positions,
+//      per-image dw/db partials
+//   1  conv per-chunk buffers (each worker): the forward's lane grid
+//      and conv sums, the backward's padded image and gradient planes
 //   2  interleaved B panels of GemmTransBAssign, or its transposed A
 //      when the small path runs
 //   3  ScratchArena::kSpareSlot, never used by a kernel
@@ -69,10 +70,11 @@ struct BlockedKernels {
                             int64_t n, int64_t k, float* c,
                             const TileConfig& tile, bool parallel);
 
-  /// The padded-grid convolution (stride 1, pad < kernel; kernels.h has
-  /// the contracts), batch-parallel across the kernel pool. With a null
-  /// `window` each image's grid goes out through the bias epilogue as
-  /// [Cout, Ho, Wo]; otherwise through conv_relu_pool, as the pooled
+  /// The convolution (stride 1, pad < kernel; kernels.h has the
+  /// contracts), batch-parallel across the kernel pool. The forward runs
+  /// groups of 8 images in the SIMD lanes and computes only real
+  /// outputs. With a null `window` each image gets its [Cout, Ho, Wo]
+  /// sums plus bias; otherwise conv_relu_pool writes the pooled
   /// [Cout, Ho/2, Wo/2] plus one window byte per pooled output.
   void (*conv_forward)(const float* x, const float* w, const float* bias,
                        const ConvKernelShape& s, float* out,
@@ -90,18 +92,19 @@ struct BlockedKernels {
                               const float* w, const ConvKernelShape& s,
                               float* dx, float* dw, float* db);
 
-  /// The fused conv epilogue: for each of `channels` planes of
-  /// rows x cols conv sums (rows, cols even; element (c, y, x) at
-  /// grid[c*plane + y*ld + x]), adds bias[c], takes max(0, ·) and pools
-  /// 2x2 with stride 2, writing the pooled [channels, rows/2, cols/2] to
-  /// out and each output's winner (0..3, row-major in its window) to
-  /// window. The first strict maximum wins. Reads nothing past the
-  /// region's last element, grid[(channels-1)*plane + (rows-1)*ld +
-  /// cols - 1]; what lies between its rows and planes may be read but
-  /// never reaches an output.
-  void (*conv_relu_pool)(const float* grid, int64_t ld, int64_t plane,
-                         const float* bias, int64_t channels, int64_t rows,
-                         int64_t cols, float* out, uint8_t* window);
+  /// The fused conv epilogue on the lane grid: `sums` holds `channels`
+  /// planes of rows x cols conv sums (rows, cols even) for 8 images,
+  /// element (c, y, x) of lane l at sums[((c*rows + y)*cols + x)*8 + l],
+  /// 32-byte aligned. Each sum gets bias[c] and max(0, ·), and each 2x2
+  /// window (stride 2) its first strict maximum. Lane l < live writes
+  /// its pooled [channels, rows/2, cols/2] to out + l*stride and each
+  /// output's winner (0..3, row-major in its window) to
+  /// window + l*stride. Lanes past `live` read their sums but write
+  /// nothing.
+  void (*conv_relu_pool)(const float* sums, const float* bias,
+                         int64_t channels, int64_t rows, int64_t cols,
+                         int64_t live, int64_t stride, float* out,
+                         uint8_t* window);
 
   /// ReluKernel / ReluMaskKernel bodies (kernels.h has the contracts).
   void (*relu)(const float* x, int64_t n, float* y);

@@ -67,20 +67,23 @@ struct GenericTraits {
     }
   }
 
+  // 8 scalar fmaf lanes per (channel, position).
+  template <int Q>
   static void ConvTile(const float* wp, const float* base, const int64_t* off,
                        int64_t kc, float* c, int64_t ldc) {
-    float acc[kConvRows][kNr] = {};
+    constexpr int64_t kW = Q * kConvLanes;
+    float acc[kConvRows][kW] = {};
     for (int64_t p = 0; p < kc; ++p) {
       const float* bv = base + off[p];
       for (int64_t i = 0; i < kConvRows; ++i) {
         const float a = wp[p * kConvRows + i];
-        for (int64_t j = 0; j < kNr; ++j) {
+        for (int64_t j = 0; j < kW; ++j) {
           acc[i][j] = std::fmaf(a, bv[j], acc[i][j]);
         }
       }
     }
     for (int64_t i = 0; i < kConvRows; ++i) {
-      for (int64_t j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
+      for (int64_t j = 0; j < kW; ++j) c[i * ldc + j] = acc[i][j];
     }
   }
 
@@ -162,10 +165,17 @@ struct GenericTraits {
     }
   }
 
-  static void ReluPool(const float* grid, int64_t ld, int64_t plane,
-                       const float* bias, int64_t channels, int64_t rows,
-                       int64_t cols, float* out, uint8_t* window) {
-    ReluPoolRange(grid, ld, plane, bias, channels, rows, cols, out, window);
+  static void InterleaveLanes(const float* x, int64_t n, int64_t live,
+                              const int64_t* pos, float* xl) {
+    InterleaveLanesRange(x, n, live, pos, xl);
+  }
+
+  static void ReluPool(const float* sums, const float* bias,
+                       int64_t channels, int64_t rows, int64_t cols,
+                       int64_t live, int64_t stride, float* out,
+                       uint8_t* window) {
+    ReluPoolLanesRange(sums, bias, channels, rows, cols, live, stride, out,
+                       window);
   }
 
   static void Relu(const float* x, int64_t n, float* y) {

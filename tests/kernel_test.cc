@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -508,10 +510,14 @@ std::vector<ConvKernelShape> ConvCases() {
   cases.push_back({4, 2, 6, 6, 1, 1, 1, 0});   // pointwise 1x1
   cases.push_back({2, 1, 5, 5, 2, 3, 3, 1});   // stride > 1 with pad
   cases.push_back({2, 3, 7, 10, 9, 3, 1, 0});  // valid conv, cout > 8
+  // A full lane group of images 210 floats long (no multiple of 8),
+  // output rows of 10 (tiles of 3, 3, 3 and 1) and a partial channel tile.
+  cases.push_back({9, 3, 7, 10, 5, 3, 1, 1});
   // The CIFAR round's own shapes: conv1 and conv2 of the workload CNN,
-  // at one image, an odd batch, the training batch, a map_sync batch
-  // and a batch larger than any the round runs.
-  for (int64_t batch : {1, 7, 24, 150, 256}) {
+  // at one image, an odd batch, one full lane group of 8 images, one
+  // image past a group, the training batch, one image past a 32-image
+  // chunk, a map_sync batch and a batch larger than any the round runs.
+  for (int64_t batch : {1, 7, 8, 9, 24, 33, 150, 256}) {
     cases.push_back({batch, 3, 12, 12, 4, 5, 1, 2});
     cases.push_back({batch, 4, 6, 6, 8, 5, 1, 2});
   }
@@ -606,15 +612,34 @@ TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
   }
 }
 
+/// The conv block's epilogue rule written out for one 2x2 window of
+/// conv sums: r = std::max(0.0f, sum + bias), and a window position wins
+/// only when strictly greater than the running max.
+void PoolWindowRule(const float in[4], float bias, float* out,
+                    uint8_t* window) {
+  float best = std::max(0.0f, in[0] + bias);
+  uint8_t k_best = 0;
+  for (uint8_t k = 1; k < 4; ++k) {
+    const float r = std::max(0.0f, in[k] + bias);
+    if (r > best) {
+      best = r;
+      k_best = k;
+    }
+  }
+  *out = best;
+  *window = k_best;
+}
+
 TEST_F(KernelTest, ConvReluPoolEpilogueMatchesScalarRuleBitwise) {
-  // Each table's conv_relu_pool entry against the rule written out:
-  // v = sum + bias, r = std::max(0.0f, v), and a window position wins
-  // only when strictly greater than the running max. The sums hold
-  // NaN, ±Inf, -0, ties and windows that are all <= 0 after the bias;
-  // the bias has a -0. Widths fill whole 8-lane steps, part of one and
-  // more than one; rows are strided wider than they are, and the buffer
-  // ends where the last row does, so a read past a row's end would show
-  // under ASan.
+  // Each table's conv_relu_pool entry, the lane epilogue, against the
+  // rule written out. The sums of 8 images hold NaN, ±Inf, -0, ties and
+  // windows that are all <= 0 after the bias; the bias has a -0. Lanes
+  // 0-3 of the first window are one such case each. With live < 8 the
+  // dead lanes hold sums too but must write nothing: each image's
+  // outputs sit `stride` floats apart with a gap between them, and
+  // every float and byte outside the live images' outputs must keep its
+  // fill. The sums buffer is 32-byte aligned, as the contract asks, and
+  // ends at its last element, so a read past it would show under ASan.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const float pattern[] = {nan,  1.0f, 1.0f, 0.5f, -0.0f, -inf, inf,  inf,
@@ -622,59 +647,152 @@ TEST_F(KernelTest, ConvReluPoolEpilogueMatchesScalarRuleBitwise) {
                            0.25f, nan, 0.25f, 0.25f, -inf, nan, -3.0f, 0.5f,
                            -0.0f, 0.0f, 0.0f, -0.0f};
   const float bias[] = {-0.0f, 0.5f, -1.5f};
+  const float first_window[4][4] = {{1.0f, 1.0f, 1.0f, 1.0f},
+                                    {-1.0f, -2.0f, -0.0f, -3.0f},
+                                    {nan, 1.0f, 1.0f, 0.5f},
+                                    {-0.0f, -inf, inf, inf}};
+  constexpr int64_t lanes = 8;
   const int64_t channels = 3, rows = 4;
   std::vector<const internal::BlockedKernels*> tables{
       &internal::GenericKernels()};
   if (KernelAvx2Available()) tables.push_back(internal::Avx2KernelsOrNull());
-  for (int64_t cols : {2, 6, 12, 16, 18, 34}) {
-    const int64_t ld = cols + 3, plane = rows * ld + 5;
-    std::vector<float> grid(
-        static_cast<size_t>((channels - 1) * plane + (rows - 1) * ld + cols));
-    for (size_t i = 0; i < grid.size(); ++i) {
-      grid[i] = pattern[(i * 5 + i / 7) % 28];
+  for (int64_t cols : {2, 6, 12}) {
+    const int64_t count = channels * rows * cols * lanes;
+    std::unique_ptr<float, decltype(&std::free)> sums(
+        static_cast<float*>(
+            std::aligned_alloc(32, sizeof(float) * static_cast<size_t>(count))),
+        &std::free);
+    float* s = sums.get();
+    for (int64_t i = 0; i < count; ++i) s[i] = pattern[(i * 5 + i / 7) % 28];
+    for (int64_t l = 0; l < 4; ++l) {
+      s[l] = first_window[l][0];
+      s[lanes + l] = first_window[l][1];
+      s[cols * lanes + l] = first_window[l][2];
+      s[(cols + 1) * lanes + l] = first_window[l][3];
     }
     const int64_t outs = channels * rows / 2 * cols / 2;
-    std::vector<float> want(static_cast<size_t>(outs));
-    std::vector<uint8_t> want_win(static_cast<size_t>(outs));
-    int64_t o = 0;
-    for (int64_t c = 0; c < channels; ++c) {
-      for (int64_t py = 0; py < rows / 2; ++py) {
-        for (int64_t px = 0; px < cols / 2; ++px, ++o) {
-          const float* top = grid.data() + c * plane + 2 * py * ld + 2 * px;
-          const float in[4] = {top[0], top[1], top[ld], top[ld + 1]};
-          float best = std::max(0.0f, in[0] + bias[c]);
-          uint8_t k_best = 0;
-          for (uint8_t k = 1; k < 4; ++k) {
-            const float r = std::max(0.0f, in[k] + bias[c]);
-            if (r > best) {
-              best = r;
-              k_best = k;
+    const int64_t stride = outs + 3;
+    for (int64_t live : {8, 5, 1}) {
+      std::vector<float> want(static_cast<size_t>(lanes * stride), -7.0f);
+      std::vector<uint8_t> want_win(want.size(), 9);
+      for (int64_t l = 0; l < live; ++l) {
+        int64_t o = l * stride;
+        for (int64_t c = 0; c < channels; ++c) {
+          for (int64_t py = 0; py < rows / 2; ++py) {
+            for (int64_t px = 0; px < cols / 2; ++px, ++o) {
+              const float* top =
+                  s + ((c * rows + 2 * py) * cols + 2 * px) * lanes + l;
+              const float in[4] = {top[0], top[lanes], top[cols * lanes],
+                                   top[(cols + 1) * lanes]};
+              PoolWindowRule(in, bias[c], &want[static_cast<size_t>(o)],
+                             &want_win[static_cast<size_t>(o)]);
             }
           }
-          want[static_cast<size_t>(o)] = best;
-          want_win[static_cast<size_t>(o)] = k_best;
+        }
+      }
+      for (const internal::BlockedKernels* table : tables) {
+        const std::string where =
+            "cols=" + std::to_string(cols) + " live=" + std::to_string(live) +
+            (table == &internal::GenericKernels() ? " generic" : " avx2");
+        std::vector<float> got(want.size(), -7.0f);
+        std::vector<uint8_t> got_win(want.size(), 9);
+        table->conv_relu_pool(s, bias, channels, rows, cols, live, stride,
+                              got.data(), got_win.data());
+        EXPECT_TRUE(SameBytes(want, got)) << where;
+        EXPECT_TRUE(want_win == got_win) << where;
+      }
+    }
+  }
+}
+
+TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
+  // conv1 and conv2 of the CIFAR round's CNN, fused forward, at B = 13:
+  // one full lane group and a group of 5 live lanes. Image 5's input
+  // holds NaN, +Inf and -Inf. Every other image's pooled outputs and
+  // window bytes must be memcmp-equal to a clean run, and image 5's
+  // must be ref::Conv2dForwardKernel followed by the rule. The weights
+  // have no exact zeros: the reference skips zero weights, which would
+  // drop a NaN the lanes keep.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const ConvKernelShape& s :
+       {ConvKernelShape{13, 3, 12, 12, 4, 5, 1, 2},
+        ConvKernelShape{13, 4, 6, 6, 8, 5, 1, 2}}) {
+    const int64_t in_size = s.in_channels * s.height * s.width;
+    const int64_t out_size = s.out_channels * s.OutArea() / 4;
+    const auto clean = Pattern(s.batch * in_size, 1.0f, 0.3f);
+    auto dirty = clean;
+    float* image5 = dirty.data() + 5 * in_size;
+    image5[in_size / 7] = nan;
+    image5[in_size / 2] = inf;
+    image5[in_size - 3] = -inf;
+    std::vector<float> w(static_cast<size_t>(s.out_channels * s.Patch()));
+    for (size_t i = 0; i < w.size(); ++i) {
+      w[i] = 0.5f * std::sin(0.7f * static_cast<float>(i) + 1.7f) + 0.6f;
+    }
+    const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+    // Image 5 through the reference, then the rule.
+    ConvKernelShape one = s;
+    one.batch = 1;
+    std::vector<float> sums(static_cast<size_t>(s.out_channels * s.OutArea()),
+                            0.0f);
+    ref::Conv2dForwardKernel(image5, w.data(), bias.data(), one, sums.data());
+    std::vector<float> want5(static_cast<size_t>(out_size));
+    std::vector<uint8_t> want5_win(want5.size());
+    const int64_t ho = s.OutH(), wo = s.OutW();
+    for (int64_t c = 0; c < s.out_channels; ++c) {
+      for (int64_t py = 0; py < ho / 2; ++py) {
+        for (int64_t px = 0; px < wo / 2; ++px) {
+          const float* top = sums.data() + (c * ho + 2 * py) * wo + 2 * px;
+          const float in[4] = {top[0], top[1], top[wo], top[wo + 1]};
+          const size_t o = static_cast<size_t>((c * ho / 2 + py) * wo / 2 + px);
+          PoolWindowRule(in, 0.0f, &want5[o], &want5_win[o]);
         }
       }
     }
-    for (const internal::BlockedKernels* table : tables) {
-      const bool generic = table == &internal::GenericKernels();
-      std::vector<float> got(static_cast<size_t>(outs), -7.0f);
-      std::vector<uint8_t> got_win(static_cast<size_t>(outs), 9);
-      table->conv_relu_pool(grid.data(), ld, plane, bias, channels, rows,
-                            cols, got.data(), got_win.data());
-      EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
-                               want.size() * sizeof(float)))
-          << "cols=" << cols << (generic ? " generic" : " avx2");
-      EXPECT_TRUE(want_win == got_win)
-          << "cols=" << cols << (generic ? " generic" : " avx2");
+    for (KernelIsa isa : {KernelIsa::kGeneric, KernelIsa::kAuto}) {
+      for (int threads : {1, 4}) {
+        KernelOptions o;
+        o.isa = isa;
+        o.threads = threads;
+        SetKernelOptions(o);
+        const std::string where = ConvName(s) + " " + OptionsName(o);
+        std::vector<float> out_clean(static_cast<size_t>(s.batch * out_size));
+        std::vector<float> out_dirty(out_clean.size());
+        std::vector<uint8_t> win_clean(out_clean.size());
+        std::vector<uint8_t> win_dirty(out_clean.size());
+        Conv2dBiasReluPoolForwardKernel(clean.data(), w.data(), bias.data(),
+                                        s, out_clean.data(), win_clean.data());
+        Conv2dBiasReluPoolForwardKernel(dirty.data(), w.data(), bias.data(),
+                                        s, out_dirty.data(), win_dirty.data());
+        for (int64_t i = 0; i < s.batch; ++i) {
+          const size_t at = static_cast<size_t>(i * out_size);
+          const size_t n = static_cast<size_t>(out_size);
+          if (i == 5) {
+            EXPECT_EQ(0, std::memcmp(want5.data(), out_dirty.data() + at,
+                                     n * sizeof(float)))
+                << where;
+            EXPECT_EQ(0, std::memcmp(want5_win.data(), win_dirty.data() + at,
+                                     n))
+                << where;
+            continue;
+          }
+          EXPECT_EQ(0, std::memcmp(out_clean.data() + at,
+                                   out_dirty.data() + at, n * sizeof(float)))
+              << where << " image " << i;
+          EXPECT_EQ(0, std::memcmp(win_clean.data() + at,
+                                   win_dirty.data() + at, n))
+              << where << " image " << i;
+        }
+      }
     }
   }
 }
 
 TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
-  // conv2 of the CIFAR round: the padded grid computes 64 columns per
-  // channel where 36 are real, but only 2*B*Cout*patch*area is counted,
-  // once for the forward and once per requested backward GEMM (dw, dx).
+  // conv2 of the CIFAR round: 2*B*Cout*patch*area is counted, once for
+  // the forward and once per requested backward GEMM (dw, dx); the
+  // forward's dead lanes (B = 7 fills 7 of 8) are not counted.
   const ConvKernelShape s{7, 4, 6, 6, 8, 5, 1, 2};
   const int64_t useful = 2 * 7 * 8 * 100 * 36;
   const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,

@@ -93,7 +93,7 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
   // a 9-channel conv (a partial second register tile) and a strided
   // shape off the padded grid, at one image, an odd batch, a training
   // batch and a δ-map batch, on the portable and the auto-selected ISA
-  // table, serial and threaded: the pooled value, its window bytes and
+  // table, at 1, 2 and 4 threads: the pooled value, its window bytes and
   // every gradient memcmp-equal to ag::MaxPool2x2(ag::Relu(ag::Conv2d)).
   // The upstream gradient has random signs so the routing decides real
   // values.
@@ -122,7 +122,7 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
       const Tensor rt =
           Tensor::Normal(Shape{batch, cs.cout, ho / 2, ho / 2}, 0, 1, &rng);
       for (KernelIsa isa : isas) {
-        for (int threads : {1, 4}) {
+        for (int threads : {1, 2, 4}) {
           KernelOptions o;
           o.isa = isa;
           o.threads = threads;
