@@ -14,7 +14,7 @@ namespace {
 constexpr size_t kTypeOffset = sizeof(uint32_t);
 constexpr size_t kLengthOffset = 2 * sizeof(uint32_t);
 
-/// Receive chunk of RecvFrame: a 47 KB JOB arrives in one or two reads.
+/// Receive chunk of RecvFrame: a 47 KB MODEL arrives in one or two reads.
 constexpr size_t kRecvChunkBytes = 64 * 1024;
 
 void PutLittleEndian(uint64_t value, size_t bytes, uint8_t* out) {

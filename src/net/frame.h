@@ -15,9 +15,10 @@ namespace net {
 /// checksum is WireChecksum32 (util/hash.h), the only integrity check on
 /// the wire: message bodies carry none of their own. It spans the header
 /// too, so a corrupted length or type cannot masquerade as a valid
-/// (mis-sized) frame. The magic names the checksum: an "RFD1" peer
-/// (byte-serial FNV-1a) fails its first frame here on bad magic.
-inline constexpr uint32_t kFrameMagic = 0x52464432;  // "RFD2"
+/// (mis-sized) frame. The magic names the wire format: an "RFD1" peer
+/// (byte-serial FNV-1a checksum) or an "RFD2" peer (JOBs that carry the
+/// model) fails its first frame here on bad magic.
+inline constexpr uint32_t kFrameMagic = 0x52464433;  // "RFD3"
 inline constexpr size_t kFrameHeaderBytes =
     sizeof(uint32_t) + sizeof(uint32_t) + sizeof(uint64_t);
 inline constexpr size_t kFrameChecksumBytes = sizeof(uint32_t);
@@ -36,6 +37,7 @@ enum class FrameType : uint32_t {
   kPing = 6,         ///< server -> worker: liveness probe on an idle link
   kPong = 7,         ///< worker -> server: echo of a PING's sequence number
   kHelloRejoin = 8,  ///< worker -> server: mid-run re-handshake after a loss
+  kModel = 9,        ///< server -> worker: a global model JOBs name by id
 };
 
 /// A decoded frame.

@@ -129,19 +129,39 @@ HelloAckMessage HelloAckMessage::Decode(const std::vector<uint8_t>& payload) {
   return out;
 }
 
+std::vector<uint8_t> ModelMessage::EncodeFrame(uint64_t model_id,
+                                               const Tensor& state) {
+  const size_t body_bytes =
+      sizeof(uint64_t) + static_cast<size_t>(SerializedBytes(state));
+  return EncodeSizedFrame(net::FrameType::kModel, body_bytes,
+                          [&](std::vector<uint8_t>* out) {
+                            Put(model_id, out);
+                            SerializeTensor(state, out);
+                          });
+}
+
+ModelMessage ModelMessage::Decode(const std::vector<uint8_t>& payload) {
+  BodyReader reader(payload, "MODEL");
+  ModelMessage out;
+  out.model_id = reader.Read<uint64_t>("model_id");
+  out.state = reader.ReadTensor("state");
+  reader.ExpectEnd();
+  return out;
+}
+
 std::vector<uint8_t> JobMessage::EncodeFrame(
-    int32_t round, int32_t client, const std::vector<uint8_t>& context,
-    const std::vector<uint8_t>& batcher_base, const Tensor& init_state) {
-  const size_t body_bytes = 2 * sizeof(int32_t) + BlobBytes(context) +
-                            BlobBytes(batcher_base) +
-                            static_cast<size_t>(SerializedBytes(init_state));
+    int32_t round, int32_t client, uint64_t model_id,
+    const std::vector<uint8_t>& context,
+    const std::vector<uint8_t>& batcher_base) {
+  const size_t body_bytes = 2 * sizeof(int32_t) + sizeof(uint64_t) +
+                            BlobBytes(context) + BlobBytes(batcher_base);
   return EncodeSizedFrame(net::FrameType::kJob, body_bytes,
                           [&](std::vector<uint8_t>* out) {
                             Put(round, out);
                             Put(client, out);
+                            Put(model_id, out);
                             PutBlob(context, out);
                             PutBlob(batcher_base, out);
-                            SerializeTensor(init_state, out);
                           });
 }
 
@@ -150,9 +170,9 @@ JobMessage JobMessage::Decode(const std::vector<uint8_t>& payload) {
   JobMessage out;
   out.round = reader.Read<int32_t>("round");
   out.client = reader.Read<int32_t>("client");
+  out.model_id = reader.Read<uint64_t>("model_id");
   out.context = reader.ReadBlob("context");
   out.batcher_base = reader.ReadBlob("batcher_base");
-  out.init_state = reader.ReadTensor("init_state");
   reader.ExpectEnd();
   return out;
 }

@@ -13,15 +13,16 @@ namespace serve {
 /// them). Fields are fixed-width little-endian integers and doubles;
 /// blobs are [length u32][bytes]; a model tensor is its
 /// tensor/serialize.h encoding ([rank i64][dims i64...][float32 data]),
-/// so the model bytes a worker receives are exactly the bytes the
-/// simulator's ledger charges for the transfer. The frame checksum is
-/// the only integrity layer: bodies carry no checksum of their own.
-/// Every decoder is bounds-checked instead. A blob length, a tensor rank
-/// (at most 8) and each tensor dim are checked against the bytes left,
-/// with overflow-safe arithmetic, before anything sized by them is
-/// allocated, and every failure aborts naming the message and the field
-/// (so a sender that computes a valid checksum over a hostile body still
-/// cannot make a receiver allocate or read out of bounds).
+/// the bytes the simulator's ledger charges for one transfer. A worker
+/// receives one copy per distinct model (a MODEL frame, which the JOBs
+/// it hosts name by id), while the ledger charges one per client. The
+/// frame checksum is the only integrity layer: bodies carry no checksum
+/// of their own. Every decoder is bounds-checked instead. A blob length,
+/// a tensor rank (at most 8) and each tensor dim are checked against the
+/// bytes left, with overflow-safe arithmetic, before anything sized by
+/// them is allocated, and every failure aborts naming the message and the
+/// field (so a sender that computes a valid checksum over a hostile body
+/// still cannot make a receiver allocate or read out of bounds).
 
 /// Worker -> server, once per connection: who am I, how many peers do I
 /// expect, and a fingerprint of the scenario I was launched with. The
@@ -49,29 +50,48 @@ struct HelloAckMessage {
   static HelloAckMessage Decode(const std::vector<uint8_t>& payload);
 };
 
-/// Server -> worker: train `client` for `round`. `context` is the
-/// algorithm's EncodeTrainContextFor blob (SCAFFOLD controls, rFedAvg
-/// maps); `batcher_base` is the client's batcher-stream state at the
-/// job's start (EncodeBatcherBaseFor), making the job self-contained —
-/// any worker replica can execute it from a cold cache, which is what
-/// permits reassignment after a worker death; `init_state` is the
-/// broadcast global state the client trains from.
+/// Server -> worker: the global model that JOBs name by `model_id`. The
+/// server sends one before the first JOB on a connection that names a
+/// model the connection was not last sent, so each distinct model
+/// crosses each worker connection once (again only if the worker is
+/// switched back to it). The worker installs it as its global state.
 ///
-/// Body: [round i32][client i32][context blob][batcher_base blob]
-/// [init_state tensor].
+/// Body: [model_id u64][state tensor].
+struct ModelMessage {
+  uint64_t model_id = 0;
+  Tensor state;
+
+  /// The whole MODEL frame, written into one exactly-sized buffer.
+  static std::vector<uint8_t> EncodeFrame(uint64_t model_id,
+                                          const Tensor& state);
+  static ModelMessage Decode(const std::vector<uint8_t>& payload);
+};
+
+/// Server -> worker: train `client` for `round` from the model
+/// `model_id` names. `context` is the algorithm's EncodeTrainContextFor
+/// blob (SCAFFOLD controls, rFedAvg maps); `batcher_base` is the client's
+/// batcher-stream state at the job's start (EncodeBatcherBaseFor). The
+/// job is self-contained given the model it names: any worker replica
+/// holding that model can execute it from a cold cache, which is what
+/// permits reassignment after a worker death. A worker that holds any
+/// other model aborts.
+///
+/// Body: [round i32][client i32][model_id u64][context blob]
+/// [batcher_base blob].
 struct JobMessage {
   int32_t round = 0;
   int32_t client = 0;
+  uint64_t model_id = 0;
   std::vector<uint8_t> context;
   std::vector<uint8_t> batcher_base;
-  Tensor init_state;
 
   /// The whole JOB frame (header, body, checksum) for borrowed fields,
   /// written into one exactly-sized buffer, so the server copies each
   /// field once, straight into the frame.
   static std::vector<uint8_t> EncodeFrame(
-      int32_t round, int32_t client, const std::vector<uint8_t>& context,
-      const std::vector<uint8_t>& batcher_base, const Tensor& init_state);
+      int32_t round, int32_t client, uint64_t model_id,
+      const std::vector<uint8_t>& context,
+      const std::vector<uint8_t>& batcher_base);
   static JobMessage Decode(const std::vector<uint8_t>& payload);
 };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "obs/trace.h"
@@ -138,26 +139,47 @@ void RemoteExecutor::Enqueue(Worker* worker, Wire wire) {
   worker->cv.notify_one();
 }
 
+void RemoteExecutor::Dispatch(Worker* worker, const PendingJob& job) {
+  if (worker->model_id != job.model_id) {
+    worker->model_id = job.model_id;
+    stats_.models_sent += 1;
+    Enqueue(worker, job.model);
+  }
+  Enqueue(worker, job.job);
+}
+
 void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
                             const std::vector<uint8_t>& context,
                             const std::vector<uint8_t>& batcher_base) {
   RFED_CHECK(!workers_.empty()) << "Submit before AcceptWorkers";
-  Wire wire;
+  const bool same_model =
+      model_id_ != 0 && model_.shape() == init_state.shape() &&
+      std::memcmp(model_.data(), init_state.data(),
+                  static_cast<size_t>(init_state.size()) * sizeof(float)) == 0;
+  if (!same_model) {
+    obs::TraceSpan trace_span("wire_encode");
+    model_ = init_state;
+    model_id_ += 1;
+    model_wire_ = std::make_shared<const std::vector<uint8_t>>(
+        ModelMessage::EncodeFrame(model_id_, model_));
+  }
+  PendingJob job{nullptr, model_id_, model_wire_};
   {
     obs::TraceSpan trace_span("wire_encode");
-    wire = std::make_shared<const std::vector<uint8_t>>(JobMessage::EncodeFrame(
-        round, client, context, batcher_base, init_state));
+    job.job = std::make_shared<const std::vector<uint8_t>>(
+        JobMessage::EncodeFrame(round, client, model_id_, context,
+                                batcher_base));
   }
   stats_.jobs_sent += 1;
   const JobKey key{round, client};
-  pending_wire_[key] = wire;
+  pending_[key] = job;
   Worker* worker = PickWorker(client);
   worker->assigned.push_back(key);
   // The busy deadline measures from dispatch, not from the worker's last
   // sign of life — the server may have spent arbitrarily long between
   // rounds in aggregation/eval with every worker silent and healthy.
   worker->last_activity_ms = NowMs();
-  Enqueue(worker, std::move(wire));
+  Dispatch(worker, job);
 }
 
 std::pair<Tensor, double> RemoteExecutor::Collect(int round, int client) {
@@ -276,7 +298,7 @@ void RemoteExecutor::HandleFrame(int worker_id, const net::Frame& frame) {
         result = ResultMessage::Decode(frame.payload);
       }
       const JobKey key{result.round, result.client};
-      if (pending_wire_.erase(key) == 0) {
+      if (pending_.erase(key) == 0) {
         // Duplicate: the job was reassigned and both replicas answered.
         // Local training is deterministic given the job body, so the
         // copies are byte-identical — dropping the late one is safe.
@@ -336,8 +358,8 @@ void RemoteExecutor::OnWorkerDeath(int worker_id, const char* cause) {
 void RemoteExecutor::RedistributeOrphans() {
   while (!orphans_.empty()) {
     const JobKey key = orphans_.front();
-    const auto it = pending_wire_.find(key);
-    if (it == pending_wire_.end()) {
+    const auto it = pending_.find(key);
+    if (it == pending_.end()) {
       orphans_.pop_front();  // already answered by another replica
       continue;
     }
@@ -348,7 +370,7 @@ void RemoteExecutor::RedistributeOrphans() {
     target->last_activity_ms = NowMs();
     stats_.jobs_reassigned += 1;
     m_reassigned_->Increment();
-    Enqueue(target, it->second);
+    Dispatch(target, it->second);
   }
 }
 
@@ -476,7 +498,7 @@ void RemoteExecutor::CheckTotalOutage() {
     all_dead_since_ms_ = -1;
     return;
   }
-  if (pending_wire_.empty() && orphans_.empty()) return;
+  if (pending_.empty() && orphans_.empty()) return;
   RFED_CHECK(restarts_used_ < options_.max_worker_restarts)
       << "all workers lost and the worker restart budget ("
       << options_.max_worker_restarts << ") is exhausted";

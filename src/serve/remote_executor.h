@@ -27,6 +27,7 @@ namespace serve {
 /// use — and, since PR 10, on which of them died along the way.
 struct ServeStats {
   int64_t jobs_sent = 0;
+  int64_t models_sent = 0;  ///< MODEL frames queued: one per worker per model
   int64_t results_received = 0;
   int64_t bytes_sent = 0;
   int64_t bytes_received = 0;
@@ -54,15 +55,21 @@ struct ExecutorOptions {
 };
 
 /// TrainExecutor shipping each local-training job to an rfed_worker
-/// process over TCP. Jobs are self-contained (init state + context +
-/// batcher base in the JOB body), so client->worker placement is a
-/// preference, not a correctness constraint: Submit routes client k to
-/// worker k mod W while it lives and to the least-loaded survivor when
-/// it does not. Each worker connection gets a dedicated sender thread
-/// draining an outbox of pre-encoded frames (JOB, PING, SHUTDOWN all
-/// ride it, keeping the fd single-writer), which is what makes
-/// pipelining real: a whole cohort's jobs are queued at once and the
-/// broadcast of later jobs overlaps the upload tail of earlier ones.
+/// process over TCP. The global model crosses each worker connection
+/// once per distinct model, in a MODEL frame encoded once and shared by
+/// every outbox; each JOB names it by id and carries only the context
+/// and batcher base. The ledger still charges one download per client;
+/// the socket carries one copy per worker. Jobs are self-contained given
+/// the model they name, so client->worker placement is a preference, not
+/// a correctness constraint: Submit routes client k to worker k mod W
+/// while it lives and to the least-loaded survivor when it does not, and a
+/// connection is sent the named model first whenever it was last sent
+/// another (first dispatch, reassignment, a rejoined connection). Each
+/// worker connection gets a dedicated sender thread draining an outbox
+/// of pre-encoded frames (MODEL, JOB, PING, SHUTDOWN all ride it,
+/// keeping the fd single-writer), which is what makes pipelining real: a
+/// whole cohort's jobs are queued at once and the broadcast of later
+/// jobs overlaps the upload tail of earlier ones.
 /// Collect runs an event loop — poll() over every live worker plus the
 /// accept socket — so results, failures, heartbeats, and mid-run
 /// rejoins are all observed from the caller's thread, whatever order
@@ -79,7 +86,8 @@ class RemoteExecutor : public TrainExecutor {
   /// Source of the HELLO_ACK state image for mid-run rejoins (typically
   /// the algorithm's current SaveRunState). Without one, rejoiners get
   /// the original AcceptWorkers image — sound either way, because every
-  /// JOB carries its own init state and batcher base.
+  /// JOB carries its own batcher base and a rejoined connection is sent
+  /// the model a JOB names before the JOB.
   void set_state_provider(std::function<std::vector<uint8_t>()> provider) {
     state_provider_ = std::move(provider);
   }
@@ -113,9 +121,18 @@ class RemoteExecutor : public TrainExecutor {
  private:
   using JobKey = std::pair<int, int>;  ///< (round, client)
   /// One encoded frame, immutable once built. A JOB's bytes are shared
-  /// by pending_wire_ and every outbox it is queued on, so a reassigned
-  /// job resends the very buffer it was first sent from.
+  /// by pending_ and every outbox it is queued on, so a reassigned job
+  /// resends the very buffer it was first sent from; a MODEL's bytes are
+  /// shared the same way by every job that names it.
   using Wire = std::shared_ptr<const std::vector<uint8_t>>;
+
+  /// A job awaiting its RESULT: its JOB frame and the MODEL frame of the
+  /// model it names, which it keeps alive for a reassignment.
+  struct PendingJob {
+    Wire job;
+    uint64_t model_id = 0;
+    Wire model;
+  };
 
   struct Worker {
     net::TcpConnection conn;
@@ -130,6 +147,7 @@ class RemoteExecutor : public TrainExecutor {
     // Main-thread-only failure-detector state.
     bool alive = false;
     std::deque<JobKey> assigned;  ///< outstanding jobs, oldest first
+    uint64_t model_id = 0;  ///< model last queued on the outbox; 0: none
     int64_t last_activity_ms = 0;
     int64_t ping_sent_ms = -1;  ///< -1: no PING outstanding
     uint32_t ping_seq = 0;
@@ -137,6 +155,9 @@ class RemoteExecutor : public TrainExecutor {
 
   void SenderLoop(Worker* worker);
   void Enqueue(Worker* worker, Wire wire);
+  /// Queues `job` on `worker`, preceded by its MODEL frame when the
+  /// worker's outbox was last given another model.
+  void Dispatch(Worker* worker, const PendingJob& job);
   /// Processes every event currently observable — failed senders,
   /// readable worker connections (RESULT/PONG frames), rejoin
   /// handshakes on the listener, expired deadlines — blocking in poll()
@@ -173,9 +194,15 @@ class RemoteExecutor : public TrainExecutor {
   std::function<std::vector<uint8_t>()> state_provider_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Encoded JOB wire frames by key, kept until the RESULT lands so a
-  /// dead worker's jobs can be re-dispatched byte-for-byte.
-  std::map<JobKey, Wire> pending_wire_;
+  /// The newest model Submit saw, its id (ids start at 1) and MODEL
+  /// frame; a Submit whose init state differs in any byte starts the
+  /// next one.
+  Tensor model_;
+  uint64_t model_id_ = 0;
+  Wire model_wire_;
+  /// Pending jobs by key, kept until the RESULT lands so a dead worker's
+  /// jobs can be re-dispatched byte-for-byte.
+  std::map<JobKey, PendingJob> pending_;
   /// Results that arrived ahead of their Collect call (reassignment and
   /// pipelining both break per-connection FIFO order).
   std::map<JobKey, std::pair<Tensor, double>> completed_;

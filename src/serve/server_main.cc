@@ -165,10 +165,11 @@ int main(int argc, char** argv) {
                   scenario.algorithm->comm().total_bytes()),
               stopped ? " (stopped early by signal)" : "");
   const serve::ServeStats& st = executor.stats();
-  std::printf("transport: workers=%d jobs=%lld results=%lld sent=%lld bytes "
-              "received=%lld bytes restarts=%lld reassigned=%lld "
-              "heartbeats=%lld\n",
+  std::printf("transport: workers=%d jobs=%lld models=%lld results=%lld "
+              "sent=%lld bytes received=%lld bytes restarts=%lld "
+              "reassigned=%lld heartbeats=%lld\n",
               executor.num_workers(), static_cast<long long>(st.jobs_sent),
+              static_cast<long long>(st.models_sent),
               static_cast<long long>(st.results_received),
               static_cast<long long>(st.bytes_sent),
               static_cast<long long>(st.bytes_received),

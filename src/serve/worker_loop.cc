@@ -49,6 +49,10 @@ WorkerLoopResult RunWorkerLoop(FederatedAlgorithm* algorithm,
   // so the replica need not (and after a rejoin, cannot) stay in
   // lockstep with the server's Skip() mirror between jobs.
   algorithm->LoadRunState(ack.state);
+  // The one model slot: the id of the MODEL last installed as the
+  // replica's global state (0: none yet). Local training only reads the
+  // installed state, so every JOB naming this id starts from its bytes.
+  uint64_t model_id = 0;
   while (true) {
     if (!net::RecvFrame(conn, &assembler, &frame)) {
       // EOF without SHUTDOWN: the server died, or declared this worker
@@ -67,6 +71,16 @@ WorkerLoopResult RunWorkerLoop(FederatedAlgorithm* algorithm,
       }
       continue;
     }
+    if (frame.type == net::FrameType::kModel) {
+      ModelMessage model;
+      {
+        obs::TraceSpan trace_span("wire_decode");
+        model = ModelMessage::Decode(frame.payload);
+      }
+      model_id = model.model_id;
+      algorithm->InstallGlobalState(std::move(model.state));
+      continue;
+    }
     RFED_CHECK(frame.type == net::FrameType::kJob)
         << "expected JOB, got frame type "
         << static_cast<uint32_t>(frame.type);
@@ -75,8 +89,11 @@ WorkerLoopResult RunWorkerLoop(FederatedAlgorithm* algorithm,
       obs::TraceSpan trace_span("wire_decode");
       job = JobMessage::Decode(frame.payload);
     }
+    RFED_CHECK(job.model_id == model_id)
+        << "JOB (round " << job.round << ", client " << job.client
+        << ") names model " << job.model_id << ", but worker " << worker_id
+        << " holds model " << model_id;
     algorithm->InstallBatcherBase(job.client, job.batcher_base);
-    algorithm->InstallGlobalState(std::move(job.init_state));
     algorithm->ApplyTrainContext(job.round, job.client, job.context);
     ResultMessage result;
     result.round = job.round;

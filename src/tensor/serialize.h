@@ -25,7 +25,7 @@ void SerializeTensor(const Tensor& t, std::vector<uint8_t>* out);
 
 /// Decodes one tensor starting at (*offset), advancing it. Aborts on a
 /// malformed buffer with a message that starts with `what` (the decoder
-/// and field, e.g. "JOB decoder: init_state"). Safe on hostile bytes:
+/// and field, e.g. "MODEL decoder: state"). Safe on hostile bytes:
 /// the rank must be at most 8, and each dim and then
 /// the element count must fit in the floats the bytes left can hold,
 /// checked with overflow-safe arithmetic before anything is allocated.

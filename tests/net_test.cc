@@ -1,5 +1,5 @@
 // Transport-layer tests: the frame codec under truncation, partial
-// reads and bit flips; the JOB and RESULT bodies from a sender that
+// reads and bit flips; the MODEL, JOB and RESULT bodies from a sender that
 // computes a valid frame checksum over hostile bytes (the
 // checkpoint-corruption death-test idiom of robustness_test.cc applied
 // to the wire path); host:port parsing; and a live localhost socket
@@ -25,6 +25,7 @@
 #include "serve/protocol.h"
 #include "test_util.h"
 #include "util/flags.h"
+#include "util/hash.h"
 
 namespace rfed {
 namespace {
@@ -178,23 +179,47 @@ TEST(FrameCodec, RejectsOversizedLength) {
   EXPECT_NE(assembler.error().find("length"), std::string::npos);
 }
 
-// ---- JOB and RESULT bodies from a hostile sender ----
+// A peer of the previous wire format ("RFD2": JOBs that carry the model)
+// fails its first frame on the magic, even under a valid checksum.
+TEST(FrameCodec, RejectsPreviousWireFormatMagic) {
+  std::vector<uint8_t> wire = net::EncodeFrame(FrameType::kJob, TestPayload(8));
+  const uint32_t rfd2 = 0x52464432;
+  std::memcpy(wire.data(), &rfd2, sizeof rfd2);
+  const size_t checked = wire.size() - net::kFrameChecksumBytes;
+  const uint32_t checksum = WireChecksum32(wire.data(), checked);
+  std::memcpy(wire.data() + checked, &checksum, sizeof checksum);
+  FrameAssembler assembler;
+  assembler.Feed(wire.data(), wire.size());
+  Frame frame;
+  EXPECT_EQ(assembler.Next(&frame), FrameAssembler::Status::kError);
+  EXPECT_EQ(assembler.error(), "bad frame magic");
+}
+
+// ---- MODEL, JOB and RESULT bodies from a hostile sender ----
 //
 // The frame checksum stops a flipped bit, not a sender that computes it
 // over bad bytes, so each body decoder must refuse an inflated or cut
 // field by name before allocating anything that field sizes.
 
 using serve::JobMessage;
+using serve::ModelMessage;
 using serve::ResultMessage;
 
 JobMessage MakeJob() {
   JobMessage job;
   job.round = 3;
   job.client = 5;
+  job.model_id = 0x0102030405060708ULL;
   job.context = TestPayload(12);
   job.batcher_base = TestPayload(20);
-  job.init_state = testing::PatternTensor({6, 7}, 1.0f);
   return job;
+}
+
+ModelMessage MakeModel() {
+  ModelMessage model;
+  model.model_id = 7;
+  model.state = testing::PatternTensor({6, 7}, 1.0f);
+  return model;
 }
 
 ResultMessage MakeResult() {
@@ -206,12 +231,15 @@ ResultMessage MakeResult() {
   return result;
 }
 
-// Byte offsets of the fields in MakeJob()'s and MakeResult()'s bodies.
-constexpr size_t kJobContextLen = 8;
+// Byte offsets of the fields in MakeJob()'s, MakeModel()'s and
+// MakeResult()'s bodies.
+constexpr size_t kJobModelId = 8;
+constexpr size_t kJobContextLen = kJobModelId + 8;
 constexpr size_t kJobBatcherLen = kJobContextLen + 4 + 12;
-constexpr size_t kJobRank = kJobBatcherLen + 4 + 20;
-constexpr size_t kJobDims = kJobRank + 8;
-constexpr size_t kJobData = kJobDims + 2 * 8;
+constexpr size_t kJobEnd = kJobBatcherLen + 4 + 20;
+constexpr size_t kModelRank = 8;
+constexpr size_t kModelDims = kModelRank + 8;
+constexpr size_t kModelData = kModelDims + 2 * 8;
 constexpr size_t kResultRank = 16;
 constexpr size_t kResultDims = kResultRank + 8;
 constexpr size_t kResultData = kResultDims + 2 * 8;
@@ -249,8 +277,12 @@ std::vector<uint8_t> BodyOf(const std::vector<uint8_t>& wire) {
 }
 
 std::vector<uint8_t> JobBody(const JobMessage& job) {
-  return BodyOf(JobMessage::EncodeFrame(job.round, job.client, job.context,
-                                        job.batcher_base, job.init_state));
+  return BodyOf(JobMessage::EncodeFrame(job.round, job.client, job.model_id,
+                                        job.context, job.batcher_base));
+}
+
+std::vector<uint8_t> ModelBody(const ModelMessage& model) {
+  return BodyOf(ModelMessage::EncodeFrame(model.model_id, model.state));
 }
 
 void ExpectSameTensor(const Tensor& a, const Tensor& b) {
@@ -259,16 +291,32 @@ void ExpectSameTensor(const Tensor& a, const Tensor& b) {
                            static_cast<size_t>(a.size()) * sizeof(float)));
 }
 
+TEST(WireBodies, ModelRoundTrip) {
+  const ModelMessage model = MakeModel();
+  const std::vector<uint8_t> wire =
+      ModelMessage::EncodeFrame(model.model_id, model.state);
+  FrameAssembler assembler;
+  assembler.Feed(wire.data(), wire.size());
+  Frame frame;
+  ASSERT_EQ(assembler.Next(&frame), FrameAssembler::Status::kFrame);
+  EXPECT_EQ(frame.type, FrameType::kModel);
+  EXPECT_EQ(frame.payload.size(), kModelData + 42 * sizeof(float));
+  const ModelMessage back = ModelMessage::Decode(frame.payload);
+  EXPECT_EQ(back.model_id, model.model_id);
+  ExpectSameTensor(back.state, model.state);
+}
+
 TEST(WireBodies, JobAndResultRoundTrip) {
   const JobMessage job = MakeJob();
   const std::vector<uint8_t> job_body = JobBody(job);
-  EXPECT_EQ(job_body.size(), kJobData + 42 * sizeof(float));
+  // The JOB names its model and carries no tensor.
+  EXPECT_EQ(job_body.size(), kJobEnd);
   const JobMessage job_back = JobMessage::Decode(job_body);
   EXPECT_EQ(job_back.round, job.round);
   EXPECT_EQ(job_back.client, job.client);
+  EXPECT_EQ(job_back.model_id, job.model_id);
   EXPECT_EQ(job_back.context, job.context);
   EXPECT_EQ(job_back.batcher_base, job.batcher_base);
-  ExpectSameTensor(job_back.init_state, job.init_state);
 
   const ResultMessage result = MakeResult();
   const std::vector<uint8_t> result_body = BodyOf(result.EncodeFrame());
@@ -291,19 +339,6 @@ TEST(WireBodiesDeathTest, JobRejectsInflatedFields) {
   EXPECT_DEATH(JobMessage::Decode(hostile),
                "JOB decoder: batcher_base length 4294967295 exceeds");
   hostile = body;
-  Poke<int64_t>(&hostile, kJobRank, 9);
-  EXPECT_DEATH(JobMessage::Decode(hostile), "JOB decoder: init_state rank 9");
-  hostile = body;
-  Poke<int64_t>(&hostile, kJobDims, int64_t{1} << 40);
-  EXPECT_DEATH(JobMessage::Decode(hostile),
-               "JOB decoder: init_state dim 0 .1099511627776. outside");
-  hostile = body;
-  Poke<int64_t>(&hostile, kJobDims + 8, -1);
-  EXPECT_DEATH(JobMessage::Decode(hostile),
-               "JOB decoder: init_state dim 1 .-1. outside");
-  EXPECT_DEATH(JobMessage::Decode(WithOverflowingShape(body, kJobRank)),
-               "JOB decoder: init_state element count overflows int64");
-  hostile = body;
   hostile.push_back(0);
   EXPECT_DEATH(JobMessage::Decode(hostile), "JOB decoder: 1 trailing bytes");
 }
@@ -316,21 +351,62 @@ TEST(WireBodiesDeathTest, JobRejectsTruncationAtEveryField) {
   } cuts[] = {
       {0, "JOB decoder: round truncated"},
       {4, "JOB decoder: client truncated"},
+      {kJobModelId, "JOB decoder: model_id truncated"},
+      {kJobModelId + 7, "JOB decoder: model_id truncated"},
       {kJobContextLen, "JOB decoder: context truncated"},
       {kJobContextLen + 4, "JOB decoder: context length 12 exceeds"},
       {kJobBatcherLen, "JOB decoder: batcher_base truncated"},
       {kJobBatcherLen + 4, "JOB decoder: batcher_base length 20 exceeds"},
-      {kJobRank, "JOB decoder: init_state truncated"},
-      {kJobDims, "JOB decoder: init_state truncated"},
-      {kJobDims + 8, "JOB decoder: init_state truncated"},
-      {kJobData, "JOB decoder: init_state dim 0 .6. outside"},
-      {body.size() - 1, "JOB decoder: init_state shape holds 42 floats"},
+      {body.size() - 1, "JOB decoder: batcher_base length 20 exceeds"},
   };
   for (const auto& cut : cuts) {
     const std::vector<uint8_t> prefix(
         body.begin(), body.begin() + static_cast<std::ptrdiff_t>(cut.keep));
     EXPECT_DEATH(JobMessage::Decode(prefix), cut.error)
         << "JOB body cut to " << cut.keep << " bytes";
+  }
+}
+
+TEST(WireBodiesDeathTest, ModelRejectsInflatedFields) {
+  const std::vector<uint8_t> body = ModelBody(MakeModel());
+  std::vector<uint8_t> hostile = body;
+  Poke<int64_t>(&hostile, kModelRank, 9);
+  EXPECT_DEATH(ModelMessage::Decode(hostile), "MODEL decoder: state rank 9");
+  hostile = body;
+  Poke<int64_t>(&hostile, kModelDims, int64_t{1} << 40);
+  EXPECT_DEATH(ModelMessage::Decode(hostile),
+               "MODEL decoder: state dim 0 .1099511627776. outside");
+  hostile = body;
+  Poke<int64_t>(&hostile, kModelDims + 8, -1);
+  EXPECT_DEATH(ModelMessage::Decode(hostile),
+               "MODEL decoder: state dim 1 .-1. outside");
+  EXPECT_DEATH(ModelMessage::Decode(WithOverflowingShape(body, kModelRank)),
+               "MODEL decoder: state element count overflows int64");
+  hostile = body;
+  hostile.push_back(0);
+  EXPECT_DEATH(ModelMessage::Decode(hostile),
+               "MODEL decoder: 1 trailing bytes");
+}
+
+TEST(WireBodiesDeathTest, ModelRejectsTruncationAtEveryField) {
+  const std::vector<uint8_t> body = ModelBody(MakeModel());
+  const struct {
+    size_t keep;
+    const char* error;
+  } cuts[] = {
+      {0, "MODEL decoder: model_id truncated"},
+      {kModelRank - 1, "MODEL decoder: model_id truncated"},
+      {kModelRank, "MODEL decoder: state truncated"},
+      {kModelDims, "MODEL decoder: state truncated"},
+      {kModelDims + 8, "MODEL decoder: state truncated"},
+      {kModelData, "MODEL decoder: state dim 0 .6. outside"},
+      {body.size() - 1, "MODEL decoder: state shape holds 42 floats"},
+  };
+  for (const auto& cut : cuts) {
+    const std::vector<uint8_t> prefix(
+        body.begin(), body.begin() + static_cast<std::ptrdiff_t>(cut.keep));
+    EXPECT_DEATH(ModelMessage::Decode(prefix), cut.error)
+        << "MODEL body cut to " << cut.keep << " bytes";
   }
 }
 

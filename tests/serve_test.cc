@@ -282,8 +282,9 @@ DeploymentResult RunDeployment(const std::string& tag,
 }
 
 // The acceptance matrix: stateless (FedAvg), stateful with control
-// variates (Scaffold), and the paper's flagship (rFedAvg+), each run
-// lockstep and pipelined, always against two workers; FedAvg and
+// variates (Scaffold), and the paper's two algorithms (rFedAvg, whose
+// JOBs carry δ maps, and rFedAvg+), each run lockstep and pipelined,
+// always against two workers; FedAvg and
 // Scaffold once more over a faulty channel (drops + retries), where
 // pipelined dispatch must consume the fault lottery exactly as the
 // in-process oracle does. One oracle per scenario — pipelining must not
@@ -297,6 +298,7 @@ TEST(ServeDifferential, MatrixMatchesOracle) {
     bool faulted;
   } kScenarios[] = {{"FedAvg", "fedavg", false},
                     {"Scaffold", "scaffold", false},
+                    {"rFedAvg", "rfedavg", false},
                     {"rFedAvg+", "rfedavgp", false},
                     {"FedAvg", "fedavg_faulty", true},
                     {"Scaffold", "scaffold_faulty", true}};
@@ -552,51 +554,63 @@ struct LoopbackRun {
 };
 
 LoopbackRun RunLoopback(const std::vector<std::string>& flags,
-                        const TrainerOptions& options) {
+                        const TrainerOptions& options, int num_workers) {
   serve::Scenario server_side = BuildFromArgs(flags);
-  serve::Scenario worker_side = BuildFromArgs(flags);
+  std::vector<serve::Scenario> worker_sides;
+  for (int w = 0; w < num_workers; ++w) {
+    worker_sides.push_back(BuildFromArgs(flags));
+  }
   std::vector<uint8_t> state_blob;
   server_side.algorithm->SaveRunState(&state_blob);
 
   net::TcpListener listener("127.0.0.1", 0);
   const int port = listener.bound_port();
-  std::thread worker([&] {
-    BackoffPolicy policy;
-    policy.initial_ms = 1.0;
-    policy.max_ms = 10.0;
-    net::TcpConnection conn =
-        net::TcpConnection::ConnectWithRetry("127.0.0.1", port, 100, policy);
-    if (!conn.valid()) {
-      ADD_FAILURE() << "worker thread could not connect";
-      return;
-    }
-    EXPECT_TRUE(serve::RunWorkerLoop(worker_side.algorithm.get(), &conn,
-                                     /*worker_id=*/0, /*num_workers=*/1,
-                                     worker_side.fingerprint)
-                    .clean_shutdown);
-  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < num_workers; ++w) {
+    workers.emplace_back([&, w] {
+      BackoffPolicy policy;
+      policy.initial_ms = 1.0;
+      policy.max_ms = 10.0;
+      net::TcpConnection conn =
+          net::TcpConnection::ConnectWithRetry("127.0.0.1", port, 100, policy);
+      if (!conn.valid()) {
+        ADD_FAILURE() << "worker thread " << w << " could not connect";
+        return;
+      }
+      const serve::Scenario& replica = worker_sides[static_cast<size_t>(w)];
+      EXPECT_TRUE(serve::RunWorkerLoop(replica.algorithm.get(), &conn, w,
+                                       num_workers, replica.fingerprint)
+                      .clean_shutdown);
+    });
+  }
   serve::RemoteExecutor executor(/*pipelined=*/true);
-  executor.AcceptWorkers(&listener, /*num_workers=*/1,
-                         server_side.fingerprint, state_blob);
+  executor.AcceptWorkers(&listener, num_workers, server_side.fingerprint,
+                         state_blob);
   server_side.algorithm->set_train_executor(&executor);
   FederatedTrainer serve_trainer(server_side.algorithm.get(),
                                  server_side.test.get(), options);
   LoopbackRun run;
   run.history = serve_trainer.Run(server_side.rounds);
   executor.Shutdown();
-  worker.join();
+  for (std::thread& worker : workers) worker.join();
   run.global_state = server_side.algorithm->global_state();
   run.stats = executor.stats();
   return run;
 }
 
 // The loopback run matches the oracle, and a traced run records the
-// wire spans — JOB encode and RESULT decode on the server, JOB decode
-// and RESULT encode on the worker — without moving a byte. Ordering
-// note: the oracle trains first so the process-global metrics registry
-// holds the identical column set when each run's CSV is written.
+// wire spans without moving a byte: MODEL encode (once per distinct
+// model) and decode (once per worker it was sent to), JOB encode and
+// RESULT decode on the server, JOB decode and RESULT encode on the
+// worker. Each of the 3 rounds has a new model, and each of the 2
+// workers hosts 2 of the 4 clients, so each worker is sent each model
+// once. Ordering note: the oracle trains first so the process-global
+// metrics registry holds the identical column set when each run's CSV
+// is written.
 TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
-  const std::vector<std::string> flags = TinyScenarioFlags("Scaffold", 3);
+  constexpr int kRounds = 3;
+  constexpr int kWorkers = 2;
+  const std::vector<std::string> flags = TinyScenarioFlags("Scaffold", kRounds);
   TrainerOptions options;
   options.eval_every = 1;
   options.eval_max_examples = 400;
@@ -606,9 +620,10 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
                                   options);
   RunHistory oracle_history = oracle_trainer.Run(oracle.rounds);
 
-  const LoopbackRun served = RunLoopback(flags, options);
+  const LoopbackRun served = RunLoopback(flags, options, kWorkers);
   EXPECT_GT(served.stats.jobs_sent, 0);
   EXPECT_EQ(served.stats.jobs_sent, served.stats.results_received);
+  EXPECT_EQ(served.stats.models_sent, kRounds * kWorkers);
 
   const std::string oracle_csv = TempPath("loopback_oracle.csv");
   const std::string serve_csv = TempPath("loopback_serve.csv");
@@ -624,7 +639,7 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
 
   obs::ClearTrace();
   obs::EnableTracing(true);
-  const LoopbackRun traced = RunLoopback(flags, options);
+  const LoopbackRun traced = RunLoopback(flags, options, kWorkers);
   obs::EnableTracing(false);
   int64_t encodes = 0;
   int64_t decodes = 0;
@@ -637,11 +652,55 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
   obs::ClearTrace();
   // One JOB and one RESULT per job; nothing was reassigned.
   EXPECT_EQ(traced.stats.jobs_sent, served.stats.jobs_sent);
-  EXPECT_EQ(encodes, 2 * traced.stats.jobs_sent);
-  EXPECT_EQ(decodes, 2 * traced.stats.jobs_sent);
+  EXPECT_EQ(traced.stats.models_sent, served.stats.models_sent);
+  EXPECT_EQ(encodes, 2 * traced.stats.jobs_sent + kRounds);
+  EXPECT_EQ(decodes, 2 * traced.stats.jobs_sent + traced.stats.models_sent);
   const std::string traced_model = TempPath("loopback_traced.model");
   SaveTensorToFile(traced.global_state, traced_model);
   ExpectFilesIdentical(traced_model, serve_model);
+}
+
+// A JOB that names a model other than the one the worker holds must
+// abort the worker, naming both ids: training from the wrong model
+// would corrupt the run silently. The harness plays the server by hand.
+TEST(ServeWorkerDeathTest, JobNamingAnotherModelAborts) {
+  serve::Scenario worker_side = BuildFromArgs(TinyScenarioFlags("FedAvg", 2));
+  std::vector<uint8_t> blob;
+  worker_side.algorithm->SaveRunState(&blob);
+  const std::vector<uint8_t> batcher_base =
+      worker_side.algorithm->EncodeBatcherBaseFor(0);
+  const std::vector<uint8_t> context =
+      worker_side.algorithm->EncodeTrainContextFor(0, 0);
+  const Tensor state = worker_side.algorithm->global_state();
+  const auto serve_job_for_model_5 = [&](bool send_model_4) {
+    net::TcpListener listener("127.0.0.1", 0);
+    const int port = listener.bound_port();
+    std::thread worker([&] {
+      net::TcpConnection conn = net::TcpConnection::Connect("127.0.0.1", port);
+      serve::RunWorkerLoop(worker_side.algorithm.get(), &conn, 0, 1,
+                           worker_side.fingerprint);
+    });
+    net::TcpConnection conn = listener.Accept();
+    net::FrameAssembler assembler;
+    net::Frame hello;
+    net::RecvFrame(&conn, &assembler, &hello);
+    const serve::HelloAckMessage ack{false, blob};
+    net::SendFrame(&conn, net::FrameType::kHelloAck, ack.Encode());
+    std::vector<uint8_t> wire;
+    if (send_model_4) {
+      wire = serve::ModelMessage::EncodeFrame(4, state);
+      conn.SendAll(wire.data(), wire.size());
+    }
+    wire = serve::JobMessage::EncodeFrame(0, 0, 5, context, batcher_base);
+    conn.SendAll(wire.data(), wire.size());
+    worker.join();
+  };
+  for (const bool send_model : {true, false}) {
+    SCOPED_TRACE(send_model ? "holds model 4" : "holds no model");
+    EXPECT_DEATH(serve_job_for_model_5(send_model),
+                 send_model ? "names model 5, but worker 0 holds model 4"
+                            : "names model 5, but worker 0 holds model 0");
+  }
 }
 
 // A worker whose scenario flags differ (here: a different seed) must be
