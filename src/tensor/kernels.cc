@@ -62,6 +62,23 @@ bool KernelAvx2Available() {
   return available;
 }
 
+bool KernelAvx512Available() {
+  static const bool available = [] {
+    if (internal::Avx512KernelsOrNull() == nullptr || !KernelAvx2Available()) {
+      return false;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512bw") &&
+           __builtin_cpu_supports("avx512vl") &&
+           __builtin_cpu_supports("avx512dq");
+#else
+    return false;
+#endif
+  }();
+  return available;
+}
+
 KernelIsa ActiveKernelIsa() {
   switch (g_options.isa) {
     case KernelIsa::kGeneric:
@@ -70,9 +87,14 @@ KernelIsa ActiveKernelIsa() {
       RFED_CHECK(KernelAvx2Available())
           << "KernelOptions.isa forces AVX2 but this build/CPU lacks it";
       return KernelIsa::kAvx2;
+    case KernelIsa::kAvx512:
+      RFED_CHECK(KernelAvx512Available())
+          << "KernelOptions.isa forces AVX-512 but this build/CPU lacks it";
+      return KernelIsa::kAvx512;
     case KernelIsa::kAuto:
       break;
   }
+  if (KernelAvx512Available()) return KernelIsa::kAvx512;
   return KernelAvx2Available() ? KernelIsa::kAvx2 : KernelIsa::kGeneric;
 }
 
@@ -84,6 +106,8 @@ const char* KernelIsaName(KernelIsa isa) {
       return "generic";
     case KernelIsa::kAvx2:
       return "avx2";
+    case KernelIsa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -92,10 +116,14 @@ namespace {
 
 /// The blocked-kernel table the next call dispatches to.
 const internal::BlockedKernels& ActiveTable() {
-  if (ActiveKernelIsa() == KernelIsa::kAvx2) {
-    return *internal::Avx2KernelsOrNull();
+  switch (ActiveKernelIsa()) {
+    case KernelIsa::kAvx512:
+      return *internal::Avx512KernelsOrNull();
+    case KernelIsa::kAvx2:
+      return *internal::Avx2KernelsOrNull();
+    default:
+      return internal::GenericKernels();
   }
-  return internal::GenericKernels();
 }
 
 }  // namespace
@@ -474,7 +502,9 @@ void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
                    DenseConvFlops(s) * products);
   }
   if (sparse) {
-    ActiveTable().conv_block_backward(grad, y, window, x, w, s, dx, dw, db);
+    const internal::BlockedKernels& table = ActiveTable();
+    table.conv_block_backward(grad, y, window, x, w, s, dx, dw, db,
+                              table.live_winners);
     return;
   }
   // The dense fallback, where Inf * 0 = NaN must survive: route each

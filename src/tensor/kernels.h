@@ -13,8 +13,9 @@ namespace rfed {
 // Conv2d forward and backward, the ReLU and the element-wise loops of
 // the training step (tensor arithmetic, the optimizer updates). The
 // kernels run explicit SIMD register tiles (AVX2+FMA where the CPU has
-// it, a portable soft-fma fallback everywhere else, dispatched at
-// runtime) that read the GEMM operands where they lie, and can
+// it, AVX-512 for the fused conv block where it has that too, a
+// portable soft-fma fallback everywhere else, dispatched at runtime)
+// that read the GEMM operands where they lie, and can
 // optionally run partitioned across a thread pool — while staying
 // **bit-identical** to the retained reference implementations (rfed::ref
 // below) for every ISA, block size and thread count. The rule that
@@ -37,16 +38,17 @@ namespace rfed {
 //
 // Convolutions with stride 1 and pad < kernel (every model in the
 // repository) never build an im2col matrix. The forward runs groups of
-// 8 images in the SIMD lanes: each group is zero-padded and interleaved
-// once, so one vector holds an im2col entry for all 8 images, and only
-// real outputs are computed. dw reads each image zero-padded, and dx
-// runs on a grid of the output gradient padded by kernel - 1 - pad,
-// with rows computed w + kernel - 1 wide and the extra columns
-// dropped. dx adds padding terms that the reference's col2im skips.
-// Such a term is a fused chain of w*0 from +0, i.e. +0, and for finite
-// inputs padding zeros cannot change a chain that starts at +0: under
-// round-to-nearest such a chain never reaches -0, and x + (+0) == x for
-// every other x.
+// images in the SIMD lanes (8, or 16 on the AVX-512 table, whose last
+// group of at most 8 runs at 8): each group is zero-padded and
+// interleaved once, so one vector holds an im2col entry for every image
+// of the group, and only real outputs are computed. dw reads each
+// image zero-padded, and dx runs on a grid of the output gradient
+// padded by kernel - 1 - pad, with rows computed w + kernel - 1 wide
+// and the extra columns dropped. dx adds padding terms that the
+// reference's col2im skips. Such a term is a fused chain of w*0 from
+// +0, i.e. +0, and for finite inputs padding zeros cannot change a
+// chain that starts at +0: under round-to-nearest such a chain never
+// reaches -0, and x + (+0) == x for every other x.
 // Batch reductions (conv dw/db) add each image's result in ascending
 // image order, the reference's float addition sequence. Other conv
 // shapes run the reference loops. See docs/KERNELS.md for the full
@@ -62,9 +64,11 @@ namespace rfed {
 
 /// Instruction-set selection for the blocked kernels. kAuto picks the
 /// best path the CPU supports at runtime; the explicit values force a
-/// path (tests pin kGeneric to prove cross-ISA bit-identity). Forcing
-/// kAvx2 on a CPU without AVX2+FMA aborts.
-enum class KernelIsa { kAuto, kGeneric, kAvx2 };
+/// path (tests pin each table to prove cross-ISA bit-identity). Forcing
+/// kAvx2 on a CPU without AVX2+FMA, or kAvx512 on one without
+/// AVX-512F/BW/VL/DQ, aborts. The kAvx512 table runs the fused conv
+/// block 16 images per vector and shares every other kernel with kAvx2.
+enum class KernelIsa { kAuto, kGeneric, kAvx2, kAvx512 };
 
 /// The chunk sizes of the GEMM drivers' threaded partition: block_n
 /// columns of C per chunk of the in-place GEMM (block_n outputs on
@@ -107,11 +111,14 @@ void SetKernelThreads(int threads);
 /// The ISA the next kernel call will run on, after applying the
 /// KernelOptions override to what the CPU supports.
 KernelIsa ActiveKernelIsa();
-/// Short stable name ("avx2", "generic") — used in test and bench
-/// output.
+/// Short stable name ("avx512", "avx2", "generic") — used in test and
+/// bench output.
 const char* KernelIsaName(KernelIsa isa);
 /// Whether this build+CPU can run the AVX2+FMA path.
 bool KernelAvx2Available();
+/// Whether this build+CPU can run the AVX-512 path (AVX-512F, BW, VL and
+/// DQ, plus the AVX2 path whose kernels it shares).
+bool KernelAvx512Available();
 
 /// Grow-only per-thread scratch buffers the kernels pack operands and
 /// padded images into, so steady-state training allocates nothing per
@@ -224,9 +231,10 @@ struct ConvKernelShape {
 };
 
 /// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias,
-/// 8 images per SIMD vector when stride == 1 and pad < kernel (the
-/// reference otherwise), batch-parallel. `out` must be pre-zeroed. Bit-identical
-/// to ref::Conv2dForwardKernel.
+/// 8 or 16 images per SIMD vector (the table's lane groups) when
+/// stride == 1 and pad < kernel (the reference otherwise),
+/// batch-parallel. `out` must be pre-zeroed. Bit-identical to
+/// ref::Conv2dForwardKernel.
 void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
                          const ConvKernelShape& s, float* out);
 

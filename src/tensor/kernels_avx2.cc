@@ -42,6 +42,7 @@ namespace {
 
 struct Avx2Traits {
   static constexpr int64_t kNr = 16;
+  static constexpr int64_t kConvLanes = 8;
   static constexpr int64_t kTr = 8;
   static constexpr int64_t kDwChains = 15;
   static constexpr int64_t kDxLanes = 8;
@@ -475,7 +476,7 @@ struct Avx2Traits {
                               const int64_t* pos, float* xl) {
     constexpr int64_t lanes = kConvLanes;
     if (live < lanes || n < lanes) {
-      InterleaveLanesRange(x, n, live, pos, xl);
+      InterleaveLanesRange<lanes>(x, n, live, pos, xl);
       return;
     }
     for (int64_t j0 = 0; j0 < n; j0 += lanes) {
@@ -663,6 +664,8 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &ConvForwardT<Avx2Traits>,
       &ConvBackwardT<Avx2Traits>,
       &ConvBlockBackwardT<Avx2Traits>,
+      &CollectLiveWinnersRange,
+      Avx2Traits::kConvLanes,
       &Avx2Traits::ReluPool,
       &Avx2Traits::Relu,
       &Avx2Traits::ReluMask,

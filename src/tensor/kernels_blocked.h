@@ -34,18 +34,24 @@
 //
 // and, for the convolutions (ConvForwardT and ConvGrid below):
 //
+//   // Images per lane group of the forward: 8, or 16 for a table whose
+//   // groups are wider than 8. Such a table also supplies `Narrow`, the
+//   // same forward members at 8 lanes, which runs a batch's last group
+//   // when at most 8 images are left in it.
+//   static constexpr int64_t kConvLanes;
 //   // The lane forward tile, kConvRows output channels x Q = 1..kConvCols
 //   // output positions of kConvLanes images each: for r, q and lane l,
 //   //   c[r*ldc + q*kConvLanes + l] = chain over p < kc, ascending, of
 //   //     wp[p*kConvRows + r] * base[off[p] + q*kConvLanes + l]
-//   // from +0, one fused step per p. base, off[p] and c are 32-byte
-//   // aligned (off[p] and ldc multiples of kConvLanes):
+//   // from +0, one fused step per p. base, off[p] and c are aligned to
+//   // one vector of kConvLanes floats (off[p] and ldc multiples of
+//   // kConvLanes):
 //   template <int Q>
 //   static void ConvTile(const float* wp, const float* base,
 //                        const int64_t* off, int64_t kc, float* c,
 //                        int64_t ldc);
-//   // The forward's lane grid of one group (xl 32-byte aligned; the
-//   // scalar semantics are InterleaveLanesRange below):
+//   // The forward's lane grid of one group (xl aligned like ConvTile's
+//   // base; the scalar semantics are InterleaveLanesRange below):
 //   static void InterleaveLanes(const float* x, int64_t n, int64_t live,
 //                               const int64_t* pos, float* xl);
 //   // For each of kConvRows input channels r and j < n (n a multiple
@@ -85,6 +91,10 @@
 //                        int64_t channels, int64_t rows, int64_t cols,
 //                        int64_t live, int64_t stride, float* out,
 //                        uint8_t* window);
+//
+// The sparse backward's winner lists are not a Traits member: the
+// driver calls the table's live_winners entry (CollectLiveWinnersRange
+// below is its scalar semantics).
 //
 // and, for the activation layer and the element-wise kernels (the
 // *Range functions below are the scalar semantics, and the generic
@@ -422,15 +432,17 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
 // The im2col matrix is never built.
 //
 // Forward (ConvForwardT) puts images, not output columns, in the SIMD
-// lanes. Each group of kConvLanes images is interleaved once into a
-// zero-padded lane grid xl[c][y][x][kConvLanes] with rows wp = w + 2*pad
+// lanes. Each group of L = Traits::kConvLanes images is interleaved once
+// into a zero-padded lane grid xl[c][y][x][L] with rows wp = w + 2*pad
 // positions wide. There the im2col entry of patch index p = (c, ky, kx)
 // at output (oy, ox) is one aligned vector, at off[p] + (oy*wp + ox)
 // vectors, with off[p] = c*plane + ky*wp + kx: one vector holds that
 // entry for every image of the group. The tile runs kConvRows output
 // channels x kConvCols positions of one output row, so only the ho x wo
 // real outputs are computed. The lanes past the batch in the last group
-// read zeros and are never written out.
+// read zeros and are never written out. With 16 lanes, a last group of
+// at most 8 images runs at 8 lanes (Traits::Narrow), so B = 24 is one
+// group of each width and B = 150 is 9 x 16 + 6.
 //
 // dw reads each image through a zero-padded copy whose rows are wp
 // floats wide, and dx runs on the grid h x wq of the output gradient
@@ -456,11 +468,12 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
 // Channels per register tile: output channels of ConvTile, input
 // channels of ConvDxAccumulate.
 inline constexpr int64_t kConvRows = 4;
-// Images per lane group of the forward (one __m256 of floats), and the
-// output positions per forward tile: kConvRows x kConvCols accumulators
-// plus kConvCols loads and a broadcast fill the 16 ymm registers.
-inline constexpr int64_t kConvLanes = 8;
+// Output positions per forward tile: at 8 lanes, kConvRows x kConvCols
+// accumulators plus kConvCols loads and a broadcast fill the 16 ymm
+// registers.
 inline constexpr int64_t kConvCols = 3;
+// The lane width of a table's narrow forward groups (Traits::Narrow).
+inline constexpr int64_t kNarrowLanes = 8;
 
 /// Geometry of one padded-grid convolution.
 struct ConvGrid {
@@ -544,18 +557,18 @@ inline constexpr int64_t kConvMinImagesPerChunk = 32;
 
 /// Contiguous image ranges, one per kernel thread but none smaller than
 /// kConvMinImagesPerChunk (one when serial). Chunks are cut at whole
-/// lane groups of kConvLanes images, so only the batch's last group can
-/// be partial.
+/// groups of `group` images (the forward's lane groups), so only the
+/// batch's last group can be partial.
 struct ConvImageChunks {
-  explicit ConvImageChunks(int64_t batch)
-      : batch(batch), groups((batch + kConvLanes - 1) / kConvLanes),
+  ConvImageChunks(int64_t batch, int64_t group)
+      : batch(batch), group(group), groups((batch + group - 1) / group),
         count(std::max<int64_t>(
             1, std::min<int64_t>(GetKernelOptions().threads,
                                  batch / kConvMinImagesPerChunk))) {}
-  int64_t Begin(int64_t ci) const { return ci * groups / count * kConvLanes; }
+  int64_t Begin(int64_t ci) const { return ci * groups / count * group; }
   int64_t End(int64_t ci) const { return std::min(batch, Begin(ci + 1)); }
 
-  int64_t batch, groups, count;
+  int64_t batch, group, groups, count;
 };
 
 /// Where each image's dw and db terms go. Serial, an image's terms are
@@ -609,43 +622,44 @@ struct ConvBatchSums {
 };
 
 /// The lane grid of a group of images n floats apart (the scalar
-/// semantics of Traits::InterleaveLanes): for j < n and lane l,
-/// xl[pos[j]*kConvLanes + l] is x[l*n + j] for the live images and 0
-/// for the lanes past `live`.
-inline void InterleaveLanesRange(const float* x, int64_t n, int64_t live,
-                                 const int64_t* pos, float* xl) {
-  for (int64_t l = 0; l < kConvLanes; ++l) {
+/// semantics of Traits::InterleaveLanes): for j < n and lane l < Lanes,
+/// xl[pos[j]*Lanes + l] is x[l*n + j] for the live images and 0 for the
+/// lanes past `live`.
+template <int64_t Lanes>
+void InterleaveLanesRange(const float* x, int64_t n, int64_t live,
+                          const int64_t* pos, float* xl) {
+  for (int64_t l = 0; l < Lanes; ++l) {
     const float* src = x + l * n;
     for (int64_t j = 0; j < n; ++j) {
-      xl[pos[j] * kConvLanes + l] = l < live ? src[j] : 0.0f;
+      xl[pos[j] * Lanes + l] = l < live ? src[j] : 0.0f;
     }
   }
 }
 
 /// The lane epilogue of BlockedKernels::conv_relu_pool, one lane at a
 /// time: `sums` holds `channels` planes of rows x cols conv sums (rows,
-/// cols even) for kConvLanes images, element (c, y, x) of lane l at
-/// sums[((c*rows + y)*cols + x)*kConvLanes + l]. Each 2x2 window goes
+/// cols even) for Lanes images, element (c, y, x) of lane l at
+/// sums[((c*rows + y)*cols + x)*Lanes + l]. Each 2x2 window goes
 /// through PoolWindow with bias[c], and lane l < live writes its pooled
 /// [channels, rows/2, cols/2] and window bytes to its own image, at
 /// out + l*stride and window + l*stride. Lanes past live are never
 /// written.
-inline void ReluPoolLanesRange(const float* sums, const float* bias,
-                               int64_t channels, int64_t rows, int64_t cols,
-                               int64_t live, int64_t stride, float* out,
-                               uint8_t* window) {
-  constexpr int64_t lanes = kConvLanes;
+template <int64_t Lanes>
+void ReluPoolLanesRange(const float* sums, const float* bias,
+                        int64_t channels, int64_t rows, int64_t cols,
+                        int64_t live, int64_t stride, float* out,
+                        uint8_t* window) {
   const int64_t pw = cols / 2;
   for (int64_t c = 0; c < channels; ++c) {
     for (int64_t py = 0; py < rows / 2; ++py) {
       for (int64_t px = 0; px < pw; ++px) {
         const float* top =
-            sums + ((c * rows + 2 * py) * cols + 2 * px) * lanes;
-        const float* bottom = top + cols * lanes;
+            sums + ((c * rows + 2 * py) * cols + 2 * px) * Lanes;
+        const float* bottom = top + cols * Lanes;
         const int64_t at = (c * rows / 2 + py) * pw + px;
         for (int64_t l = 0; l < live; ++l) {
-          const float v[4] = {top[l], top[lanes + l], bottom[l],
-                              bottom[lanes + l]};
+          const float v[4] = {top[l], top[Lanes + l], bottom[l],
+                              bottom[Lanes + l]};
           PoolWindow(v, bias[c], out + l * stride + at,
                      window + l * stride + at);
         }
@@ -654,33 +668,82 @@ inline void ReluPoolLanesRange(const float* sums, const float* bias,
   }
 }
 
-/// The forward (BlockedKernels::conv_forward) on the lane grid. Each
-/// chunk runs its images in groups of kConvLanes: the group is
-/// interleaved once, then per tile of kConvRows output channels the
-/// ConvTile calls fill the tile's sums[r][oy][ox][lane] with only the
-/// real outputs, and the epilogue writes each live lane's results to
-/// its own image while the sums are in L1: sum + bias with a null
-/// `window`, else the table's ReluPool (pooled outputs and window
-/// bytes; the full-size outputs are never written).
+/// One lane group of ConvForwardT at T::kConvLanes lanes, images i0 to
+/// i0 + live - 1: the group is interleaved once, then per tile of
+/// kConvRows output channels the ConvTile calls fill the tile's
+/// sums[r][oy][ox][lane] with only the real outputs, and the epilogue
+/// writes each live lane's results to its own image while the sums are
+/// in cache: sum + bias with a null `window`, else T::ReluPool (pooled
+/// outputs and window bytes; the full-size outputs are never written).
+/// `off` holds the im2col row offsets in units of T::kConvLanes.
+template <typename T>
+void ConvGroupT(const ConvGrid& g, const float* x, const float* wpack,
+                const float* bias, const int64_t* off, const int64_t* pos,
+                int64_t i0, int64_t live, int64_t out_size, float* xl,
+                float* sums, float* out, uint8_t* window) {
+  constexpr int64_t mr = kConvRows;
+  constexpr int64_t lanes = T::kConvLanes;
+  const int64_t tiles = (g.cout + mr - 1) / mr;
+  const int64_t area = g.ho * g.wo;
+  const int64_t in_size = g.cin * g.h * g.w;
+  T::InterleaveLanes(x + i0 * in_size, in_size, live, pos, xl);
+  for (int64_t t = 0; t < tiles; ++t) {
+    for (int64_t oy = 0; oy < g.ho; ++oy) {
+      for (int64_t ox = 0; ox < g.wo; ox += kConvCols) {
+        WithCount(std::min(kConvCols, g.wo - ox), [&](auto cols) {
+          T::template ConvTile<cols()>(
+              wpack + t * g.patch * mr, xl + (oy * g.wp + ox) * lanes, off,
+              g.patch, sums + (oy * g.wo + ox) * lanes, area * lanes);
+        });
+      }
+    }
+    const int64_t oc0 = t * mr;
+    const int64_t channels = std::min(mr, g.cout - oc0);
+    if (window != nullptr) {
+      const int64_t at = i0 * out_size + oc0 * area / 4;
+      T::ReluPool(sums, bias + oc0, channels, g.ho, g.wo, live, out_size,
+                  out + at, window + at);
+      continue;
+    }
+    for (int64_t r = 0; r < channels; ++r) {
+      const float bv = bias[oc0 + r];
+      float* dst = out + i0 * out_size + (oc0 + r) * area;
+      for (int64_t a = 0; a < area; ++a) {
+        const float* src = sums + (r * area + a) * lanes;
+        for (int64_t l = 0; l < live; ++l) {
+          dst[l * out_size + a] = src[l] + bv;
+        }
+      }
+    }
+  }
+}
+
+/// The forward (BlockedKernels::conv_forward) on the lane grid: each
+/// chunk runs its images in groups of Traits::kConvLanes (ConvGroupT).
+/// On a table wider than 8 lanes, a chunk's last group runs at 8 lanes
+/// (Traits::Narrow) when at most 8 images are left for it.
 template <typename Traits>
 void ConvForwardT(const float* x, const float* w, const float* bias,
                   const ConvKernelShape& s, float* out, uint8_t* window) {
   constexpr int64_t mr = kConvRows;
-  constexpr int64_t lanes = kConvLanes;
+  constexpr int64_t lanes = Traits::kConvLanes;
+  constexpr bool narrow_tail = lanes > kNarrowLanes;
   if (s.batch <= 0) return;
   const ConvGrid g(s);
   const int64_t tiles = (g.cout + mr - 1) / mr;
   const int64_t area = g.ho * g.wo;
   // Shared by the workers: the weights packed p-major in tiles of mr
-  // output channels (rows past cout zero), the im2col row offsets and
-  // the input positions on the lane grid.
+  // output channels (rows past cout zero), the im2col row offsets at
+  // each group width and the input positions on the lane grid.
   ScratchLayout shared;
   const size_t wpack_at = shared.Add<float>(tiles * g.patch * mr);
   const size_t off_at = shared.Add<int64_t>(g.patch);
+  const size_t off_narrow_at = shared.Add<int64_t>(narrow_tail ? g.patch : 0);
   const size_t pos_at = shared.Add<int64_t>(g.cin * g.h * g.w);
   char* shared_base = shared.Claim(kSlotConvOperands);
   float* wpack = At<float>(shared_base, wpack_at);
   int64_t* off = At<int64_t>(shared_base, off_at);
+  int64_t* off_narrow = At<int64_t>(shared_base, off_narrow_at);
   int64_t* pos = At<int64_t>(shared_base, pos_at);
   for (int64_t t = 0; t < tiles; ++t) {
     for (int64_t p = 0; p < g.patch; ++p) {
@@ -692,8 +755,8 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
     }
   }
   ConvRowOffsets(g, lanes, off);
+  if (narrow_tail) ConvRowOffsets(g, kNarrowLanes, off_narrow);
   // pos[j]: the lane-grid position of input element j of an image.
-  const int64_t in_size = g.cin * g.h * g.w;
   for (int64_t c = 0, j = 0; c < g.cin; ++c) {
     for (int64_t y = 0; y < g.h; ++y) {
       for (int64_t ix = 0; ix < g.w; ++ix) {
@@ -704,7 +767,7 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
   // Per image: the [cout, ho, wo] outputs, or the quarter-size pooled
   // outputs and their window bytes.
   const int64_t out_size = g.cout * area / (window != nullptr ? 4 : 1);
-  const ConvImageChunks chunks(s.batch);
+  const ConvImageChunks chunks(s.batch, lanes);
   KernelParallelFor(chunks.count, [&](int64_t ci) {
     ScratchLayout mine;
     const int64_t xl_len = g.cin * g.plane * lanes;
@@ -718,37 +781,21 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
     const int64_t end = chunks.End(ci);
     for (int64_t i0 = chunks.Begin(ci); i0 < end; i0 += lanes) {
       const int64_t live = std::min(lanes, end - i0);
-      Traits::InterleaveLanes(x + i0 * in_size, in_size, live, pos, xl);
-      for (int64_t t = 0; t < tiles; ++t) {
-        for (int64_t oy = 0; oy < g.ho; ++oy) {
-          for (int64_t ox = 0; ox < g.wo; ox += kConvCols) {
-            WithCount(std::min(kConvCols, g.wo - ox), [&](auto cols) {
-              Traits::template ConvTile<cols()>(
-                  wpack + t * g.patch * mr, xl + (oy * g.wp + ox) * lanes,
-                  off, g.patch, sums + (oy * g.wo + ox) * lanes,
-                  area * lanes);
-            });
-          }
-        }
-        const int64_t oc0 = t * mr;
-        const int64_t channels = std::min(mr, g.cout - oc0);
-        if (window != nullptr) {
-          const int64_t at = i0 * out_size + oc0 * area / 4;
-          Traits::ReluPool(sums, bias + oc0, channels, g.ho, g.wo, live,
-                           out_size, out + at, window + at);
+      if constexpr (narrow_tail) {
+        if (live <= kNarrowLanes) {
+          // The chunk's last group: the narrow grid reuses the front of
+          // xl, so its padding is zeroed first.
+          std::memset(xl, 0,
+                      sizeof(float) *
+                          static_cast<size_t>(g.cin * g.plane * kNarrowLanes));
+          ConvGroupT<typename Traits::Narrow>(g, x, wpack, bias, off_narrow,
+                                              pos, i0, live, out_size, xl,
+                                              sums, out, window);
           continue;
         }
-        for (int64_t r = 0; r < channels; ++r) {
-          const float bv = bias[oc0 + r];
-          float* dst = out + i0 * out_size + (oc0 + r) * area;
-          for (int64_t a = 0; a < area; ++a) {
-            const float* src = sums + (r * area + a) * lanes;
-            for (int64_t l = 0; l < live; ++l) {
-              dst[l * out_size + a] = src[l] + bv;
-            }
-          }
-        }
       }
+      ConvGroupT<Traits>(g, x, wpack, bias, off, pos, i0, live, out_size, xl,
+                         sums, out, window);
     }
   });
 }
@@ -774,7 +821,8 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
   const int64_t gq_len =
       std::max(g.cout * g.plane_q, (g.cout - 1) * g.plane_q +
                                        (g.k - 1) * (g.wq + 1) + dx_cols);
-  const ConvImageChunks chunks(s.batch);
+  // One image at a time: the cut needs no lane groups and keeps 8.
+  const ConvImageChunks chunks(s.batch, kNarrowLanes);
   ConvBatchSums sums{dw, db, dw != nullptr ? g.cout * g.patch : 0,
                      db != nullptr ? g.cout : 0};
   ScratchLayout shared;
@@ -940,13 +988,10 @@ inline void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
   }
 }
 
-/// One channel's live winners in ascending (oy, ox), as offsets into
-/// the interleaved padded grid (rows wp positions wide) and values
-/// 0 + g: per pooled row, its live top-row winners, then its live
-/// bottom-row ones. A stable partition written without branches: every
-/// window is written, a dead one to the spare slot pos[ph*pw]. Returns
-/// the number of live winners.
-inline int64_t CollectLiveWinners(const float* g, const float* y,
+/// BlockedKernels::live_winners, one window at a time (kernels_dispatch.h
+/// has the contract). A stable partition written without branches:
+/// every window is written, a dead one to the spare slot pos[ph*pw].
+inline int64_t CollectLiveWinnersRange(const float* g, const float* y,
                                   const uint8_t* win, int64_t ph, int64_t pw,
                                   int64_t wp, int32_t* pos, double* v) {
   const int64_t spare = ph * pw;
@@ -981,7 +1026,7 @@ template <typename Traits>
 void ConvBlockBackwardT(const float* grad, const float* y,
                         const uint8_t* window, const float* x, const float* w,
                         const ConvKernelShape& s, float* dx, float* dw,
-                        float* db) {
+                        float* db, LiveWinnersFn live_winners) {
   constexpr int64_t cr = kConvRows;
   if (s.batch <= 0 || (dx == nullptr && dw == nullptr && db == nullptr)) {
     return;
@@ -997,7 +1042,8 @@ void ConvBlockBackwardT(const float* grad, const float* y,
   const int64_t in_size = g.cin * g.h * g.w;
   // dw passes cover whole kernel rows, as many as kDwChains taps allow.
   const int64_t pass_rows = std::max<int64_t>(1, Traits::kDwChains / g.k);
-  const ConvImageChunks chunks(s.batch);
+  // One image at a time: the cut needs no lane groups and keeps 8.
+  const ConvImageChunks chunks(s.batch, kNarrowLanes);
   const bool per_channel = dw != nullptr || db != nullptr;
   const int64_t dwt_size = dw != nullptr ? g.cout * groups * g.taps * cr : 0;
   ScratchLayout shared;
@@ -1032,10 +1078,10 @@ void ConvBlockBackwardT(const float* grad, const float* y,
     const size_t xd_at =
         mine.Add<double>(dw != nullptr ? groups * rows * ldx : 0);
     const size_t acc_at = mine.Add<double>(pass_rows * g.k * cr);
-    // One channel's live winners (dw, db) and CollectLiveWinners'
-    // spare slot.
-    const size_t pos_at = mine.Add<int32_t>(pooled + 1);
-    const size_t v_at = mine.Add<double>(pooled + 1);
+    // One channel's live winners (dw, db) and the entries past them
+    // that live_winners may write.
+    const size_t pos_at = mine.Add<int32_t>(pooled + kWinnerSlack);
+    const size_t v_at = mine.Add<double>(pooled + kWinnerSlack);
     // dx: the scratch, and per pooled row each output position's live
     // channels (weight offset and value, at most cout per position).
     const int64_t slots = dx != nullptr ? 4 * pw * g.cout : 0;
@@ -1070,8 +1116,8 @@ void ConvBlockBackwardT(const float* grad, const float* y,
       }
       for (int64_t oc = 0; per_channel && oc < g.cout; ++oc) {
         const int64_t n =
-            CollectLiveWinners(gi + oc * pooled, yi + oc * pooled,
-                               wi + oc * pooled, ph, pw, g.wp, pos, v);
+            live_winners(gi + oc * pooled, yi + oc * pooled, wi + oc * pooled,
+                         ph, pw, g.wp, pos, v);
         if (db != nullptr) {
           double sum = 0.0;
           for (int64_t e = 0; e < n; ++e) sum += v[e];

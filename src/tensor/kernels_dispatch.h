@@ -3,10 +3,10 @@
 
 // Internal interface between the ISA-neutral kernel driver (kernels.cc)
 // and the per-ISA blocked-kernel translation units (kernels_generic.cc,
-// kernels_avx2.cc). Each ISA TU is compiled with its own instruction-set
-// flags and exports one BlockedKernels table; kernels.cc picks a table
-// at runtime from CPU detection plus the KernelOptions::isa override.
-// Not part of the public API.
+// kernels_avx2.cc, kernels_avx512.cc). Each ISA TU is compiled with its
+// own instruction-set flags and exports one BlockedKernels table;
+// kernels.cc picks a table at runtime from CPU detection plus the
+// KernelOptions::isa override. Not part of the public API.
 
 #include <cstdint>
 
@@ -42,6 +42,21 @@ static_assert(kSlotPackTB < ScratchArena::kSpareSlot,
 inline constexpr int64_t kInPlaceMaxRows = 8;
 inline bool GemmTransBSmall(int64_t m) { return m <= kInPlaceMaxRows; }
 
+/// One channel's live winners for the fused block's sparse backward, in
+/// ascending (oy, ox): per pooled row of the ph x pw pooled outputs,
+/// the windows whose output passed the ReLU (y > 0) with a winner in the
+/// top row (window byte & 3 < 2), ascending px, then those with a winner
+/// in the bottom row. Each winner's entry is its offset into the
+/// interleaved padded grid (rows wp positions wide, kConvRows floats per
+/// position) and its value 0 + g as a double. pos and v hold
+/// ph*pw + kWinnerSlack entries; those past the returned count are
+/// unspecified.
+inline constexpr int64_t kWinnerSlack = 8;
+using LiveWinnersFn = int64_t (*)(const float* g, const float* y,
+                                  const uint8_t* window, int64_t ph,
+                                  int64_t pw, int64_t wp, int32_t* pos,
+                                  double* v);
+
 /// One ISA's blocked-kernel entry points. Every implementation computes
 /// the canonical fused summation order (kernels.h), so all tables are
 /// bit-interchangeable; only throughput differs.
@@ -72,10 +87,11 @@ struct BlockedKernels {
 
   /// The convolution (stride 1, pad < kernel; kernels.h has the
   /// contracts), batch-parallel across the kernel pool. The forward runs
-  /// groups of 8 images in the SIMD lanes and computes only real
-  /// outputs. With a null `window` each image gets its [Cout, Ho, Wo]
-  /// sums plus bias; otherwise conv_relu_pool writes the pooled
-  /// [Cout, Ho/2, Wo/2] plus one window byte per pooled output.
+  /// groups of conv_lanes images in the SIMD lanes (a last group of at
+  /// most 8 at 8 lanes) and computes only real outputs. With a null
+  /// `window` each image gets its [Cout, Ho, Wo] sums plus bias;
+  /// otherwise conv_relu_pool writes the pooled [Cout, Ho/2, Wo/2] plus
+  /// one window byte per pooled output.
   void (*conv_forward)(const float* x, const float* w, const float* bias,
                        const ConvKernelShape& s, float* out,
                        uint8_t* window);
@@ -86,17 +102,23 @@ struct BlockedKernels {
   /// (Conv2dBiasReluPoolBackwardKernel) for finite x, w and grad: reads
   /// the pooled gradient, output and window directly and adds terms
   /// only for the winners that passed the ReLU, batch-parallel with
-  /// per-image dw/db partials. Ho and Wo are even.
+  /// per-image dw/db partials. Ho and Wo are even. The winner lists come
+  /// from `live_winners`, the calling table's entry.
   void (*conv_block_backward)(const float* grad, const float* y,
                               const uint8_t* window, const float* x,
                               const float* w, const ConvKernelShape& s,
-                              float* dx, float* dw, float* db);
+                              float* dx, float* dw, float* db,
+                              LiveWinnersFn live_winners);
+  LiveWinnersFn live_winners;
 
+  /// Images per lane group of conv_forward and conv_relu_pool: 8, or 16.
+  int64_t conv_lanes;
   /// The fused conv epilogue on the lane grid: `sums` holds `channels`
-  /// planes of rows x cols conv sums (rows, cols even) for 8 images,
-  /// element (c, y, x) of lane l at sums[((c*rows + y)*cols + x)*8 + l],
-  /// 32-byte aligned. Each sum gets bias[c] and max(0, ·), and each 2x2
-  /// window (stride 2) its first strict maximum. Lane l < live writes
+  /// planes of rows x cols conv sums (rows, cols even) for L = conv_lanes
+  /// images, element (c, y, x) of lane l at
+  /// sums[((c*rows + y)*cols + x)*L + l], aligned to 4*L bytes. Each sum
+  /// gets bias[c] and max(0, ·), and each 2x2 window (stride 2) its
+  /// first strict maximum. Lane l < live writes
   /// its pooled [channels, rows/2, cols/2] to out + l*stride and each
   /// output's winner (0..3, row-major in its window) to
   /// window + l*stride. Lanes past `live` read their sums but write
@@ -129,6 +151,11 @@ const BlockedKernels& GenericKernels();
 /// (non-x86 target or a compiler without -mavx2/-mfma). Whether the
 /// *CPU* can run it is a separate, runtime question (KernelAvx2Available).
 const BlockedKernels* Avx2KernelsOrNull();
+
+/// The AVX-512 table (the fused conv block at 16 lanes, every other
+/// entry the AVX2 table's), or nullptr when the build could not compile
+/// it or has no AVX2 table (KernelAvx512Available is the runtime check).
+const BlockedKernels* Avx512KernelsOrNull();
 
 }  // namespace internal
 }  // namespace rfed

@@ -16,6 +16,7 @@ namespace {
 
 struct GenericTraits {
   static constexpr int64_t kNr = 8;
+  static constexpr int64_t kConvLanes = 8;
   static constexpr int64_t kTr = 4;
   // The sparse conv backward's scalar chains run one at a time, so a
   // 5x5 kernel takes one dw pass, and dx needs no lane padding.
@@ -167,15 +168,15 @@ struct GenericTraits {
 
   static void InterleaveLanes(const float* x, int64_t n, int64_t live,
                               const int64_t* pos, float* xl) {
-    InterleaveLanesRange(x, n, live, pos, xl);
+    InterleaveLanesRange<kConvLanes>(x, n, live, pos, xl);
   }
 
   static void ReluPool(const float* sums, const float* bias,
                        int64_t channels, int64_t rows, int64_t cols,
                        int64_t live, int64_t stride, float* out,
                        uint8_t* window) {
-    ReluPoolLanesRange(sums, bias, channels, rows, cols, live, stride, out,
-                       window);
+    ReluPoolLanesRange<kConvLanes>(sums, bias, channels, rows, cols, live,
+                                   stride, out, window);
   }
 
   static void Relu(const float* x, int64_t n, float* y) {
@@ -201,6 +202,8 @@ const BlockedKernels& GenericKernels() {
       &ConvForwardT<GenericTraits>,
       &ConvBackwardT<GenericTraits>,
       &ConvBlockBackwardT<GenericTraits>,
+      &CollectLiveWinnersRange,
+      GenericTraits::kConvLanes,
       &GenericTraits::ReluPool,
       &GenericTraits::Relu,
       &GenericTraits::ReluMask,

@@ -37,6 +37,7 @@
 namespace rfed {
 namespace {
 
+using ::rfed::testing::AvailableKernelIsas;
 using ::rfed::testing::MaxGradCheckError;
 
 Variable Leaf(Tensor t) { return Variable(std::move(t), true); }
@@ -170,15 +171,6 @@ TEST_F(KernelTest, DefaultOptionsAlsoMatchReference) {
 
 // ---- SIMD dispatch: every ISA x tile candidate x thread count ----
 
-/// The ISA tables under test: the portable baseline always, plus the
-/// AVX2 table when this machine can run it. Forcing kAvx2 on a machine
-/// without the ISA aborts, so the list is probed at runtime.
-std::vector<KernelIsa> TestableIsas() {
-  std::vector<KernelIsa> isas{KernelIsa::kGeneric};
-  if (KernelAvx2Available()) isas.push_back(KernelIsa::kAvx2);
-  return isas;
-}
-
 TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
   // Each ISA table x a spread of TileConfigs x threads {1, 2, 4} must
   // reproduce the reference bytes exactly. Shapes are chosen off
@@ -191,7 +183,7 @@ TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
   const TileConfig kGemmAddTiles[] = {{64, 1024}, {64, 48}};
   // GemmTransBAssign's interleaved path chunks block_m rows of A.
   const TileConfig kGemmTransBTiles[] = {{64, 1024}, {16, 1024}, {256, 1024}};
-  for (KernelIsa isa : TestableIsas()) {
+  for (KernelIsa isa : AvailableKernelIsas()) {
     for (const TileConfig& tile : kGemmAddTiles) {
       for (int threads : kThreadCounts) {
         KernelOptions o;
@@ -259,7 +251,7 @@ std::vector<float> PatternWithZeros(int64_t n, float scale, float phase) {
 
 TEST_F(KernelTest, GemmsAtTheShapeRuleBoundaryMatchReference) {
   constexpr int64_t kRows = internal::kInPlaceMaxRows;
-  for (KernelIsa isa : TestableIsas()) {
+  for (KernelIsa isa : AvailableKernelIsas()) {
     for (int threads : {1, 4}) {
       KernelOptions o;
       o.threads = threads;
@@ -333,7 +325,7 @@ TEST_F(KernelTest, GemmsAtTheShapeRuleBoundaryMatchReference) {
 }
 
 TEST_F(KernelTest, GemmTransAAddMatchesReferenceOnEveryIsa) {
-  for (KernelIsa isa : TestableIsas()) {
+  for (KernelIsa isa : AvailableKernelIsas()) {
     for (int threads : kThreadCounts) {
       KernelOptions o = TinyBlocks(threads);
       o.isa = isa;
@@ -353,20 +345,30 @@ TEST_F(KernelTest, GemmTransAAddMatchesReferenceOnEveryIsa) {
 }
 
 TEST_F(KernelTest, IsaDispatchReportsActiveTable) {
-  // kAuto resolves to the best table the machine supports; forcing
-  // kGeneric always works and reports as such.
-  KernelOptions o;
-  o.isa = KernelIsa::kGeneric;
-  SetKernelOptions(o);
-  EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kGeneric);
-  EXPECT_STREQ(KernelIsaName(ActiveKernelIsa()), "generic");
+  // kAuto resolves to the best table the machine supports; forcing any
+  // available table works and reports as such. The AVX-512 table needs
+  // the AVX2 one, whose entries it shares.
+  if (KernelAvx512Available()) {
+    EXPECT_TRUE(KernelAvx2Available());
+  }
+  for (KernelIsa isa : AvailableKernelIsas()) {
+    KernelOptions o;
+    o.isa = isa;
+    SetKernelOptions(o);
+    EXPECT_EQ(ActiveKernelIsa(), isa);
+  }
+  EXPECT_STREQ(KernelIsaName(KernelIsa::kGeneric), "generic");
+  EXPECT_STREQ(KernelIsaName(KernelIsa::kAvx2), "avx2");
+  EXPECT_STREQ(KernelIsaName(KernelIsa::kAvx512), "avx512");
   SetKernelOptions(KernelOptions{});  // kAuto
-  if (KernelAvx2Available()) {
+  if (KernelAvx512Available()) {
+    EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kAvx512);
+  } else if (KernelAvx2Available()) {
     EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kAvx2);
-    EXPECT_STREQ(KernelIsaName(ActiveKernelIsa()), "avx2");
   } else {
     EXPECT_EQ(ActiveKernelIsa(), KernelIsa::kGeneric);
   }
+  EXPECT_EQ(ActiveKernelIsa(), AvailableKernelIsas().back());
 }
 
 // ---- Element-wise kernels ----
@@ -411,7 +413,7 @@ bool SameBytes(const std::vector<float>& x, const std::vector<float>& y) {
 // lengths around the vector width and the served MLP's parameter count.
 TEST_F(KernelTest, ElementwiseKernelsMatchScalarLoopsBitwise) {
   const int64_t kLengths[] = {0, 1, 7, 8, 9, 31, 11690};
-  for (KernelIsa isa : TestableIsas()) {
+  for (KernelIsa isa : AvailableKernelIsas()) {
     for (int threads : {1, 4}) {
       KernelOptions o;
       o.isa = isa;
@@ -514,10 +516,12 @@ std::vector<ConvKernelShape> ConvCases() {
   // output rows of 10 (tiles of 3, 3, 3 and 1) and a partial channel tile.
   cases.push_back({9, 3, 7, 10, 5, 3, 1, 1});
   // The CIFAR round's own shapes: conv1 and conv2 of the workload CNN,
-  // at one image, an odd batch, one full lane group of 8 images, one
-  // image past a group, the training batch, one image past a 32-image
-  // chunk, a map_sync batch and a batch larger than any the round runs.
-  for (int64_t batch : {1, 7, 8, 9, 24, 33, 150, 256}) {
+  // at one image, an odd batch, batches around the 8- and 16-image lane
+  // groups (8, 9, 15, 16, 17, 31, 32: a 16-lane table runs a last group
+  // of at most 8 at 8 lanes), the training batch, one image past a
+  // 32-image chunk, a map_sync batch and a batch larger than any the
+  // round runs.
+  for (int64_t batch : {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 150, 256}) {
     cases.push_back({batch, 3, 12, 12, 4, 5, 1, 2});
     cases.push_back({batch, 4, 6, 6, 8, 5, 1, 2});
   }
@@ -533,12 +537,11 @@ std::string ConvName(const ConvKernelShape& s) {
 }
 
 /// Every kernel configuration a conv must be exact under: tiny and
-/// default blocks, the portable table and auto dispatch, 1, 2 and 4
-/// threads.
+/// default blocks, every available table, 1, 2 and 4 threads.
 std::vector<KernelOptions> ConvOptionGrid() {
   std::vector<KernelOptions> grid;
   for (bool tiny : {true, false}) {
-    for (KernelIsa isa : {KernelIsa::kGeneric, KernelIsa::kAuto}) {
+    for (KernelIsa isa : AvailableKernelIsas()) {
       for (int threads : kThreadCounts) {
         KernelOptions o = tiny ? TinyBlocks(threads) : KernelOptions{};
         o.threads = threads;
@@ -630,16 +633,31 @@ void PoolWindowRule(const float in[4], float bias, float* out,
   *window = k_best;
 }
 
+/// Each kernel table this machine can run, with its name.
+std::vector<std::pair<const internal::BlockedKernels*, std::string>>
+AvailableTables() {
+  std::vector<std::pair<const internal::BlockedKernels*, std::string>>
+      tables{{&internal::GenericKernels(), "generic"}};
+  if (KernelAvx2Available()) {
+    tables.emplace_back(internal::Avx2KernelsOrNull(), "avx2");
+  }
+  if (KernelAvx512Available()) {
+    tables.emplace_back(internal::Avx512KernelsOrNull(), "avx512");
+  }
+  return tables;
+}
+
 TEST_F(KernelTest, ConvReluPoolEpilogueMatchesScalarRuleBitwise) {
   // Each table's conv_relu_pool entry, the lane epilogue, against the
-  // rule written out. The sums of 8 images hold NaN, ±Inf, -0, ties and
-  // windows that are all <= 0 after the bias; the bias has a -0. Lanes
-  // 0-3 of the first window are one such case each. With live < 8 the
-  // dead lanes hold sums too but must write nothing: each image's
-  // outputs sit `stride` floats apart with a gap between them, and
-  // every float and byte outside the live images' outputs must keep its
-  // fill. The sums buffer is 32-byte aligned, as the contract asks, and
-  // ends at its last element, so a read past it would show under ASan.
+  // rule written out, at the table's lane width (8, or 16). The sums
+  // hold NaN, ±Inf, -0, ties and windows that are all <= 0 after the
+  // bias; the bias has a -0. Lanes 0-3 of the first window are one such
+  // case each. With live < lanes the dead lanes hold sums too but must
+  // write nothing: each image's outputs sit `stride` floats apart with a
+  // gap between them, and every float and byte outside the live images'
+  // outputs must keep its fill. The sums buffer is aligned to one
+  // vector, as the contract asks, and ends at its last element, so a
+  // read past it would show under ASan.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const float pattern[] = {nan,  1.0f, 1.0f, 0.5f, -0.0f, -inf, inf,  inf,
@@ -651,49 +669,45 @@ TEST_F(KernelTest, ConvReluPoolEpilogueMatchesScalarRuleBitwise) {
                                     {-1.0f, -2.0f, -0.0f, -3.0f},
                                     {nan, 1.0f, 1.0f, 0.5f},
                                     {-0.0f, -inf, inf, inf}};
-  constexpr int64_t lanes = 8;
   const int64_t channels = 3, rows = 4;
-  std::vector<const internal::BlockedKernels*> tables{
-      &internal::GenericKernels()};
-  if (KernelAvx2Available()) tables.push_back(internal::Avx2KernelsOrNull());
-  for (int64_t cols : {2, 6, 12}) {
-    const int64_t count = channels * rows * cols * lanes;
-    std::unique_ptr<float, decltype(&std::free)> sums(
-        static_cast<float*>(
-            std::aligned_alloc(32, sizeof(float) * static_cast<size_t>(count))),
-        &std::free);
-    float* s = sums.get();
-    for (int64_t i = 0; i < count; ++i) s[i] = pattern[(i * 5 + i / 7) % 28];
-    for (int64_t l = 0; l < 4; ++l) {
-      s[l] = first_window[l][0];
-      s[lanes + l] = first_window[l][1];
-      s[cols * lanes + l] = first_window[l][2];
-      s[(cols + 1) * lanes + l] = first_window[l][3];
-    }
-    const int64_t outs = channels * rows / 2 * cols / 2;
-    const int64_t stride = outs + 3;
-    for (int64_t live : {8, 5, 1}) {
-      std::vector<float> want(static_cast<size_t>(lanes * stride), -7.0f);
-      std::vector<uint8_t> want_win(want.size(), 9);
-      for (int64_t l = 0; l < live; ++l) {
-        int64_t o = l * stride;
-        for (int64_t c = 0; c < channels; ++c) {
-          for (int64_t py = 0; py < rows / 2; ++py) {
-            for (int64_t px = 0; px < cols / 2; ++px, ++o) {
-              const float* top =
-                  s + ((c * rows + 2 * py) * cols + 2 * px) * lanes + l;
-              const float in[4] = {top[0], top[lanes], top[cols * lanes],
-                                   top[(cols + 1) * lanes]};
-              PoolWindowRule(in, bias[c], &want[static_cast<size_t>(o)],
-                             &want_win[static_cast<size_t>(o)]);
+  for (const auto& [table, name] : AvailableTables()) {
+    const int64_t lanes = table->conv_lanes;
+    for (int64_t cols : {2, 6, 12}) {
+      const int64_t count = channels * rows * cols * lanes;
+      std::unique_ptr<float, decltype(&std::free)> sums(
+          static_cast<float*>(std::aligned_alloc(
+              64, sizeof(float) * static_cast<size_t>(count))),
+          &std::free);
+      float* s = sums.get();
+      for (int64_t i = 0; i < count; ++i) s[i] = pattern[(i * 5 + i / 7) % 28];
+      for (int64_t l = 0; l < 4; ++l) {
+        s[l] = first_window[l][0];
+        s[lanes + l] = first_window[l][1];
+        s[cols * lanes + l] = first_window[l][2];
+        s[(cols + 1) * lanes + l] = first_window[l][3];
+      }
+      const int64_t outs = channels * rows / 2 * cols / 2;
+      const int64_t stride = outs + 3;
+      for (int64_t live : {lanes, lanes - 7, int64_t{5}, int64_t{1}}) {
+        std::vector<float> want(static_cast<size_t>(lanes * stride), -7.0f);
+        std::vector<uint8_t> want_win(want.size(), 9);
+        for (int64_t l = 0; l < live; ++l) {
+          int64_t o = l * stride;
+          for (int64_t c = 0; c < channels; ++c) {
+            for (int64_t py = 0; py < rows / 2; ++py) {
+              for (int64_t px = 0; px < cols / 2; ++px, ++o) {
+                const float* top =
+                    s + ((c * rows + 2 * py) * cols + 2 * px) * lanes + l;
+                const float in[4] = {top[0], top[lanes], top[cols * lanes],
+                                     top[(cols + 1) * lanes]};
+                PoolWindowRule(in, bias[c], &want[static_cast<size_t>(o)],
+                               &want_win[static_cast<size_t>(o)]);
+              }
             }
           }
         }
-      }
-      for (const internal::BlockedKernels* table : tables) {
-        const std::string where =
-            "cols=" + std::to_string(cols) + " live=" + std::to_string(live) +
-            (table == &internal::GenericKernels() ? " generic" : " avx2");
+        const std::string where = "cols=" + std::to_string(cols) +
+                                  " live=" + std::to_string(live) + " " + name;
         std::vector<float> got(want.size(), -7.0f);
         std::vector<uint8_t> got_win(want.size(), 9);
         table->conv_relu_pool(s, bias, channels, rows, cols, live, stride,
@@ -705,84 +719,167 @@ TEST_F(KernelTest, ConvReluPoolEpilogueMatchesScalarRuleBitwise) {
   }
 }
 
-TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
-  // conv1 and conv2 of the CIFAR round's CNN, fused forward, at B = 13:
-  // one full lane group and a group of 5 live lanes. Image 5's input
-  // holds NaN, +Inf and -Inf. Every other image's pooled outputs and
-  // window bytes must be memcmp-equal to a clean run, and image 5's
-  // must be ref::Conv2dForwardKernel followed by the rule. The weights
-  // have no exact zeros: the reference skips zero weights, which would
-  // drop a NaN the lanes keep.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const float inf = std::numeric_limits<float>::infinity();
-  for (const ConvKernelShape& s :
-       {ConvKernelShape{13, 3, 12, 12, 4, 5, 1, 2},
-        ConvKernelShape{13, 4, 6, 6, 8, 5, 1, 2}}) {
-    const int64_t in_size = s.in_channels * s.height * s.width;
-    const int64_t out_size = s.out_channels * s.OutArea() / 4;
-    const auto clean = Pattern(s.batch * in_size, 1.0f, 0.3f);
-    auto dirty = clean;
-    float* image5 = dirty.data() + 5 * in_size;
-    image5[in_size / 7] = nan;
-    image5[in_size / 2] = inf;
-    image5[in_size - 3] = -inf;
-    std::vector<float> w(static_cast<size_t>(s.out_channels * s.Patch()));
-    for (size_t i = 0; i < w.size(); ++i) {
-      w[i] = 0.5f * std::sin(0.7f * static_cast<float>(i) + 1.7f) + 0.6f;
-    }
-    const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
-    // Image 5 through the reference, then the rule.
-    ConvKernelShape one = s;
-    one.batch = 1;
-    std::vector<float> sums(static_cast<size_t>(s.out_channels * s.OutArea()),
-                            0.0f);
-    ref::Conv2dForwardKernel(image5, w.data(), bias.data(), one, sums.data());
-    std::vector<float> want5(static_cast<size_t>(out_size));
-    std::vector<uint8_t> want5_win(want5.size());
-    const int64_t ho = s.OutH(), wo = s.OutW();
-    for (int64_t c = 0; c < s.out_channels; ++c) {
-      for (int64_t py = 0; py < ho / 2; ++py) {
-        for (int64_t px = 0; px < wo / 2; ++px) {
-          const float* top = sums.data() + (c * ho + 2 * py) * wo + 2 * px;
-          const float in[4] = {top[0], top[1], top[wo], top[wo + 1]};
-          const size_t o = static_cast<size_t>((c * ho / 2 + py) * wo / 2 + px);
-          PoolWindowRule(in, 0.0f, &want5[o], &want5_win[o]);
-        }
+TEST_F(KernelTest, LiveWinnerListsMatchScalarBuildBitwise) {
+  // Each table's live_winners entry against the scalar build (the
+  // generic table's, CollectLiveWinnersRange) at pooled rows 1, 3, 6 and
+  // 16 windows wide: the count and every listed offset and value must
+  // match; entries past the count are unspecified. Row 0 is all dead
+  // (y <= 0, including -0), row 1 all live with every winner in the
+  // bottom row, row 2 all live in the top row, and the rest mixed. y,
+  // the window bytes and the gradient are vectors of exactly ph*pw
+  // elements, so a read past them would show under ASan.
+  const int64_t ph = 5;
+  for (int64_t pw : {1, 3, 6, 16}) {
+    const int64_t n = ph * pw, wp = 2 * pw + 4;
+    std::vector<float> y(static_cast<size_t>(n)), g(y.size());
+    std::vector<uint8_t> win(y.size());
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t row = i / pw;
+      const size_t at = static_cast<size_t>(i);
+      g[at] = (i % 7 == 3 ? -0.0f : 0.3f * std::sin(1.3f * i + 0.4f));
+      // The window byte's upper bits are ignored (& 3).
+      win[at] =
+          static_cast<uint8_t>((i * 5 + i / 3) % 4 + (i % 5 == 0 ? 4 : 0));
+      if (row == 0) {
+        y[at] = i % 2 == 0 ? -0.0f : -1.5f;
+      } else if (row == 1) {
+        y[at] = 0.5f + static_cast<float>(i);
+        win[at] = static_cast<uint8_t>(2 + i % 2);
+      } else if (row == 2) {
+        y[at] = 1e-30f;
+        win[at] = static_cast<uint8_t>(i % 2);
+      } else {
+        y[at] = (i * 3) % 5 < 2 ? 0.0f : std::cos(0.9f * i);
       }
     }
-    for (KernelIsa isa : {KernelIsa::kGeneric, KernelIsa::kAuto}) {
-      for (int threads : {1, 4}) {
-        KernelOptions o;
-        o.isa = isa;
-        o.threads = threads;
-        SetKernelOptions(o);
-        const std::string where = ConvName(s) + " " + OptionsName(o);
-        std::vector<float> out_clean(static_cast<size_t>(s.batch * out_size));
-        std::vector<float> out_dirty(out_clean.size());
-        std::vector<uint8_t> win_clean(out_clean.size());
-        std::vector<uint8_t> win_dirty(out_clean.size());
-        Conv2dBiasReluPoolForwardKernel(clean.data(), w.data(), bias.data(),
-                                        s, out_clean.data(), win_clean.data());
-        Conv2dBiasReluPoolForwardKernel(dirty.data(), w.data(), bias.data(),
-                                        s, out_dirty.data(), win_dirty.data());
-        for (int64_t i = 0; i < s.batch; ++i) {
-          const size_t at = static_cast<size_t>(i * out_size);
-          const size_t n = static_cast<size_t>(out_size);
-          if (i == 5) {
-            EXPECT_EQ(0, std::memcmp(want5.data(), out_dirty.data() + at,
-                                     n * sizeof(float)))
-                << where;
-            EXPECT_EQ(0, std::memcmp(want5_win.data(), win_dirty.data() + at,
-                                     n))
-                << where;
-            continue;
+    const auto list = [&](const internal::BlockedKernels* table,
+                          std::vector<int32_t>* pos,
+                          std::vector<double>* v) {
+      pos->assign(static_cast<size_t>(n + internal::kWinnerSlack), -1);
+      v->assign(pos->size(), -1.0);
+      return table->live_winners(g.data(), y.data(), win.data(), ph, pw, wp,
+                                 pos->data(), v->data());
+    };
+    std::vector<int32_t> want_pos, got_pos;
+    std::vector<double> want_v, got_v;
+    const int64_t want_n =
+        list(&internal::GenericKernels(), &want_pos, &want_v);
+    EXPECT_GE(want_n, 2 * pw);  // rows 1 and 2 at least
+    for (const auto& [table, name] : AvailableTables()) {
+      const int64_t got_n = list(table, &got_pos, &got_v);
+      const std::string where = "pw=" + std::to_string(pw) + " " + name;
+      ASSERT_EQ(want_n, got_n) << where;
+      EXPECT_EQ(0, std::memcmp(want_pos.data(), got_pos.data(),
+                               sizeof(int32_t) * static_cast<size_t>(got_n)))
+          << where;
+      EXPECT_EQ(0, std::memcmp(want_v.data(), got_v.data(),
+                               sizeof(double) * static_cast<size_t>(got_n)))
+          << where;
+    }
+  }
+}
+
+TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
+  // conv1 and conv2 of the CIFAR round's CNN, fused forward, at B = 13
+  // (one full 8-lane group and a group of 5 live lanes; on a 16-lane
+  // table one group of 13), B = 22 (a full 16-lane group and a tail of
+  // 6 at 8 lanes) and B = 29 (16 + a partial 16-lane group of 13). One
+  // image of each group holds NaN, +Inf and -Inf in its input. Every
+  // other image's pooled outputs and window bytes must be memcmp-equal
+  // to a clean run, and each dirty image's must be
+  // ref::Conv2dForwardKernel followed by the rule. The weights have no
+  // exact zeros: the reference skips zero weights, which would drop a
+  // NaN the lanes keep.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Case {
+    int64_t batch;
+    std::vector<int64_t> dirty;
+  };
+  const Case cases[] = {{13, {5}}, {22, {5, 19}}, {29, {0, 20}}};
+  for (const Case& cs : cases) {
+    for (ConvKernelShape s : {ConvKernelShape{0, 3, 12, 12, 4, 5, 1, 2},
+                              ConvKernelShape{0, 4, 6, 6, 8, 5, 1, 2}}) {
+      s.batch = cs.batch;
+      const int64_t in_size = s.in_channels * s.height * s.width;
+      const int64_t out_size = s.out_channels * s.OutArea() / 4;
+      const auto clean = Pattern(s.batch * in_size, 1.0f, 0.3f);
+      auto dirty = clean;
+      for (int64_t i : cs.dirty) {
+        float* image = dirty.data() + i * in_size;
+        image[in_size / 7] = nan;
+        image[in_size / 2] = inf;
+        image[in_size - 3] = -inf;
+      }
+      std::vector<float> w(static_cast<size_t>(s.out_channels * s.Patch()));
+      for (size_t i = 0; i < w.size(); ++i) {
+        w[i] = 0.5f * std::sin(0.7f * static_cast<float>(i) + 1.7f) + 0.6f;
+      }
+      const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+      // Each dirty image through the reference, then the rule.
+      ConvKernelShape one = s;
+      one.batch = 1;
+      const int64_t ho = s.OutH(), wo = s.OutW();
+      std::vector<std::vector<float>> want(cs.dirty.size());
+      std::vector<std::vector<uint8_t>> want_win(cs.dirty.size());
+      for (size_t d = 0; d < cs.dirty.size(); ++d) {
+        std::vector<float> sums(
+            static_cast<size_t>(s.out_channels * s.OutArea()), 0.0f);
+        ref::Conv2dForwardKernel(dirty.data() + cs.dirty[d] * in_size,
+                                 w.data(), bias.data(), one, sums.data());
+        want[d].resize(static_cast<size_t>(out_size));
+        want_win[d].resize(want[d].size());
+        for (int64_t c = 0; c < s.out_channels; ++c) {
+          for (int64_t py = 0; py < ho / 2; ++py) {
+            for (int64_t px = 0; px < wo / 2; ++px) {
+              const float* top = sums.data() + (c * ho + 2 * py) * wo + 2 * px;
+              const float in[4] = {top[0], top[1], top[wo], top[wo + 1]};
+              const size_t o =
+                  static_cast<size_t>((c * ho / 2 + py) * wo / 2 + px);
+              PoolWindowRule(in, 0.0f, &want[d][o], &want_win[d][o]);
+            }
           }
-          EXPECT_EQ(0, std::memcmp(out_clean.data() + at,
-                                   out_dirty.data() + at, n * sizeof(float)))
-              << where << " image " << i;
-          EXPECT_EQ(0, std::memcmp(win_clean.data() + at,
-                                   win_dirty.data() + at, n))
-              << where << " image " << i;
+        }
+      }
+      for (KernelIsa isa : AvailableKernelIsas()) {
+        for (int threads : {1, 4}) {
+          KernelOptions o;
+          o.isa = isa;
+          o.threads = threads;
+          SetKernelOptions(o);
+          const std::string where = ConvName(s) + " " + OptionsName(o);
+          std::vector<float> out_clean(
+              static_cast<size_t>(s.batch * out_size));
+          std::vector<float> out_dirty(out_clean.size());
+          std::vector<uint8_t> win_clean(out_clean.size());
+          std::vector<uint8_t> win_dirty(out_clean.size());
+          Conv2dBiasReluPoolForwardKernel(clean.data(), w.data(),
+                                          bias.data(), s, out_clean.data(),
+                                          win_clean.data());
+          Conv2dBiasReluPoolForwardKernel(dirty.data(), w.data(),
+                                          bias.data(), s, out_dirty.data(),
+                                          win_dirty.data());
+          for (int64_t i = 0; i < s.batch; ++i) {
+            const size_t at = static_cast<size_t>(i * out_size);
+            const size_t n = static_cast<size_t>(out_size);
+            const auto d = std::find(cs.dirty.begin(), cs.dirty.end(), i);
+            if (d != cs.dirty.end()) {
+              const size_t k = static_cast<size_t>(d - cs.dirty.begin());
+              EXPECT_EQ(0, std::memcmp(want[k].data(), out_dirty.data() + at,
+                                       n * sizeof(float)))
+                  << where << " image " << i;
+              EXPECT_EQ(0, std::memcmp(want_win[k].data(),
+                                       win_dirty.data() + at, n))
+                  << where << " image " << i;
+              continue;
+            }
+            EXPECT_EQ(0, std::memcmp(out_clean.data() + at,
+                                     out_dirty.data() + at, n * sizeof(float)))
+                << where << " image " << i;
+            EXPECT_EQ(0, std::memcmp(win_clean.data() + at,
+                                     win_dirty.data() + at, n))
+                << where << " image " << i;
+          }
         }
       }
     }

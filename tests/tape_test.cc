@@ -38,6 +38,7 @@
 namespace rfed {
 namespace {
 
+using ::rfed::testing::AvailableKernelIsas;
 using ::rfed::testing::MaxGradCheckError;
 
 constexpr double kTol = 5e-2;  // float32 kernels vs double finite diffs
@@ -92,9 +93,9 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
   // The round's two convolutions, the golden CNN's (2 and 4 channels),
   // a 9-channel conv (a partial second register tile) and a strided
   // shape off the padded grid, at one image, an odd batch, a training
-  // batch and a δ-map batch, on the portable and the auto-selected ISA
-  // table, at 1, 2 and 4 threads: the pooled value, its window bytes and
-  // every gradient memcmp-equal to ag::MaxPool2x2(ag::Relu(ag::Conv2d)).
+  // batch and a δ-map batch, on every available ISA table, at 1, 2 and
+  // 4 threads: the pooled value, its window bytes and every gradient
+  // memcmp-equal to ag::MaxPool2x2(ag::Relu(ag::Conv2d)).
   // The upstream gradient has random signs so the routing decides real
   // values.
   struct Case {
@@ -103,7 +104,7 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
   const Case cases[] = {{3, 12, 4, 5, 1, 2}, {4, 6, 8, 5, 1, 2},
                         {1, 12, 2, 5, 1, 2}, {2, 6, 4, 5, 1, 2},
                         {3, 8, 9, 3, 1, 1},  {2, 8, 3, 3, 2, 1}};
-  const KernelIsa isas[] = {KernelIsa::kGeneric, KernelIsa::kAuto};
+  const std::vector<KernelIsa> isas = AvailableKernelIsas();
   auto same_bytes = [](const void* a, const void* b, size_t n) {
     return std::memcmp(a, b, n) == 0;
   };
@@ -211,8 +212,7 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedDenseBitwise) {
   const float kNan = std::numeric_limits<float>::quiet_NaN();
   const float kInf = std::numeric_limits<float>::infinity();
   const float kTiny = std::numeric_limits<float>::denorm_min();
-  std::vector<KernelIsa> isas = {KernelIsa::kGeneric};
-  if (KernelAvx2Available()) isas.push_back(KernelIsa::kAvx2);
+  const std::vector<KernelIsa> isas = AvailableKernelIsas();
   obs::Counter* run_flops =
       obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
   obs::Counter* dense_flops =

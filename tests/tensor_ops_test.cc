@@ -234,8 +234,8 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
 
 // ---- Branch-free activations against the scalar loops they replaced ----
 
-/// Runs each case under the portable table and under the auto-selected
-/// one (AVX2 where the CPU has it), so both ISA tables are pinned.
+/// Runs each case under every table the machine can run, so each ISA
+/// table is pinned.
 class BranchFreeTest : public ::testing::TestWithParam<KernelIsa> {
  protected:
   void SetUp() override {
@@ -247,12 +247,10 @@ class BranchFreeTest : public ::testing::TestWithParam<KernelIsa> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Isas, BranchFreeTest,
-                         ::testing::Values(KernelIsa::kGeneric,
-                                           KernelIsa::kAuto),
+                         ::testing::ValuesIn(
+                             rfed::testing::AvailableKernelIsas()),
                          [](const auto& info) {
-                           return std::string(info.param == KernelIsa::kGeneric
-                                                  ? "Generic"
-                                                  : "Auto");
+                           return std::string(KernelIsaName(info.param));
                          });
 
 bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }

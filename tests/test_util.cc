@@ -48,4 +48,11 @@ Tensor PatternTensor(Shape shape, float scale) {
   return t;
 }
 
+std::vector<KernelIsa> AvailableKernelIsas() {
+  std::vector<KernelIsa> isas{KernelIsa::kGeneric};
+  if (KernelAvx2Available()) isas.push_back(KernelIsa::kAvx2);
+  if (KernelAvx512Available()) isas.push_back(KernelIsa::kAvx512);
+  return isas;
+}
+
 }  // namespace rfed::testing

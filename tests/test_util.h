@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "autograd/variable.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace rfed::testing {
@@ -21,6 +22,11 @@ double MaxGradCheckError(
 /// Fills a tensor with a reproducible non-degenerate pattern
 /// (sin ramp), handy for exact-kernel tests.
 Tensor PatternTensor(Shape shape, float scale = 1.0f);
+
+/// Every kernel table this build and machine can run: the portable one,
+/// then AVX2 and AVX-512 where available. Forcing a table the machine
+/// lacks aborts, so tests that pin each table enumerate this list.
+std::vector<KernelIsa> AvailableKernelIsas();
 
 }  // namespace rfed::testing
 
