@@ -5,22 +5,20 @@
 // speedup-vs-seed per shape and thread count; see docs/KERNELS.md for
 // how to read it). Every case first asserts the optimized kernel is
 // bit-identical to its reference before any timing. The
-// cifar_round_* rows are the convolutions the CIFAR round benchmark
+// cifar_round_conv{1,2}_bwd_* rows are the dense conv backward (the
+// fused block's fallback) at the shapes the CIFAR round benchmark
 // (roundbench/, cifar_cnn_rfedavgp) runs, at its training batch (24)
-// and at a batch above its largest map_sync batch (256), so a change in
-// conv time there can be read against the round number. The
-// cifar_round_{relu,maxpool}_* rows are that CNN's activation layer at
-// the training batch (24) and the δ-map batch (150): ReLU and its
-// backward mask over conv1's output and the 2x2 max-pool over it. Their
-// references are the scalar loops the branch-free kernels replaced
-// (std::max, the `x <= 0` mask, the int64-argmax pool), and their
-// "flops" count one operation per element (per pooled window for the
-// pool), so "gflops" reads as billions of elements per second. The
-// cifar_round_conv{1,2}_relu_pool_{fwd,bwd} rows are the fused conv
-// blocks the CNN runs, at the same two batches: conv, bias, ReLU and
-// pool in one pass (Conv2dBiasReluPoolForwardKernel), and its backward
-// (Conv2dBiasReluPoolBackward: dw, db and, except for conv1 as in
-// training, dx, with terms for the live winners only). Their reference
+// and at a batch above its largest map_sync batch (256). The
+// cifar_round_relu_* rows are ReLU and its backward mask over that
+// CNN's conv1 output at the training batch (24) and the δ-map batch
+// (150). Their references are the scalar loops the branch-free kernels
+// replaced (std::max, the `x <= 0` mask), and their "flops" count one
+// operation per element, so "gflops" reads as billions of elements per
+// second. The cifar_round_conv{1,2}_relu_pool_{fwd,bwd} rows are the
+// fused conv blocks the CNN runs, at the same two batches: conv, bias,
+// ReLU and pool in one pass (Conv2dBiasReluPoolForwardKernel), and its
+// backward (Conv2dBiasReluPoolBackward: dw, db and, except for conv1 as
+// in training, dx, with terms for the live winners only). Their reference
 // is the composed ref:: chain (ref conv, std::max, the int64-argmax pool
 // and its backward, the mask, ref conv backward), and their "flops" are
 // the dense conv's plus one per conv output, so the backward rows'
@@ -123,14 +121,11 @@ enum class Kind {
   kGemmAdd,
   kGemmTransA,
   kGemmTransB,
-  kConvFwd,
   kConvBwd,
   kConvReluPoolFwd,
   kConvReluPoolBwd,
   kReluFwd,
   kReluBwd,
-  kPoolFwd,
-  kPoolBwd,
   // The element-wise kinds come last (IsElementwise).
   kAdd,
   kSub,
@@ -148,14 +143,11 @@ const char* KindName(Kind k) {
     case Kind::kGemmAdd: return "gemm_add";
     case Kind::kGemmTransA: return "gemm_transA_add";
     case Kind::kGemmTransB: return "gemm_transB_assign";
-    case Kind::kConvFwd: return "conv2d_forward";
     case Kind::kConvBwd: return "conv2d_backward";
     case Kind::kConvReluPoolFwd: return "conv2d_bias_relu_pool_forward";
     case Kind::kConvReluPoolBwd: return "conv2d_bias_relu_pool_backward";
     case Kind::kReluFwd: return "relu_forward";
     case Kind::kReluBwd: return "relu_backward";
-    case Kind::kPoolFwd: return "maxpool2x2_forward";
-    case Kind::kPoolBwd: return "maxpool2x2_backward";
     case Kind::kAdd: return "add";
     case Kind::kSub: return "sub";
     case Kind::kScale: return "scale";
@@ -179,7 +171,7 @@ bool IsGemm(Kind k) {
 bool IsElementwise(Kind k) { return k >= Kind::kAdd; }
 
 /// The other kinds are described by a conv shape: the conv itself, or
-/// the conv whose output the activation op reads.
+/// the conv whose output the ReLU reads.
 bool HasConvShape(Kind k) { return !IsGemm(k) && !IsElementwise(k); }
 
 struct Case {
@@ -216,36 +208,23 @@ std::vector<Case> Sweep() {
   // and dW[m,k] = go[m,n] cols[k,n]^T.
   cases.push_back({"conv_dx_gemm", Kind::kGemmTransA, 64, 75, 1024, {}, true});
   cases.push_back({"conv_dw_gemm", Kind::kGemmTransB, 64, 1024, 75, {}, true});
-  // End-to-end convolutions (batch, cin, h, w, cout, kernel, stride, pad).
-  cases.push_back({"conv1_mnist_fwd", Kind::kConvFwd, 0, 0, 0,
-                   {32, 1, 12, 12, 8, 5, 1, 2}, true});
-  cases.push_back({"conv2_mnist_fwd", Kind::kConvFwd, 0, 0, 0,
-                   {32, 8, 6, 6, 16, 5, 1, 2}});
+  // Dense conv backwards, the fused block's fallback (batch, cin, h, w,
+  // cout, kernel, stride, pad).
   cases.push_back({"conv1_mnist_bwd", Kind::kConvBwd, 0, 0, 0,
                    {32, 1, 12, 12, 8, 5, 1, 2}, true});
-  cases.push_back({"conv1_cifar_fwd", Kind::kConvFwd, 0, 0, 0,
-                   {32, 3, 32, 32, 64, 5, 1, 2}});
   cases.push_back({"conv1_cifar_bwd", Kind::kConvBwd, 0, 0, 0,
                    {32, 3, 32, 32, 64, 5, 1, 2}});
   // The CIFAR round benchmark's CNN (4/8 channels on 3x12x12 images):
   // conv1 3x12x12 -> 4 and conv2 4x6x6 -> 8, k=5, pad 2.
-  cases.push_back({"cifar_round_conv1_fwd_b24", Kind::kConvFwd, 0, 0, 0,
-                   {24, 3, 12, 12, 4, 5, 1, 2}, true});
   cases.push_back({"cifar_round_conv1_bwd_b24", Kind::kConvBwd, 0, 0, 0,
                    {24, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
-  cases.push_back({"cifar_round_conv2_fwd_b24", Kind::kConvFwd, 0, 0, 0,
-                   {24, 4, 6, 6, 8, 5, 1, 2}, true});
   cases.push_back({"cifar_round_conv2_bwd_b24", Kind::kConvBwd, 0, 0, 0,
                    {24, 4, 6, 6, 8, 5, 1, 2}, true});
-  cases.push_back({"cifar_round_conv1_fwd_b256", Kind::kConvFwd, 0, 0, 0,
-                   {256, 3, 12, 12, 4, 5, 1, 2}, true});
   cases.push_back({"cifar_round_conv1_bwd_b256", Kind::kConvBwd, 0, 0, 0,
                    {256, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
-  cases.push_back({"cifar_round_conv2_fwd_b256", Kind::kConvFwd, 0, 0, 0,
-                   {256, 4, 6, 6, 8, 5, 1, 2}, true});
   cases.push_back({"cifar_round_conv2_bwd_b256", Kind::kConvBwd, 0, 0, 0,
                    {256, 4, 6, 6, 8, 5, 1, 2}, true});
-  // Its activation layer, at the training and the δ-map batch.
+  // Its ReLU and conv blocks, at the training and the δ-map batch.
   for (int64_t b : {24, 150}) {
     const ConvKernelShape conv1{b, 3, 12, 12, 4, 5, 1, 2};
     const ConvKernelShape conv2{b, 4, 6, 6, 8, 5, 1, 2};
@@ -256,12 +235,6 @@ std::vector<Case> Sweep() {
     cases.push_back({b24 ? "cifar_round_relu_bwd_b24"
                          : "cifar_round_relu_bwd_b150",
                      Kind::kReluBwd, 0, 0, 0, conv1, true});
-    cases.push_back({b24 ? "cifar_round_maxpool_fwd_b24"
-                         : "cifar_round_maxpool_fwd_b150",
-                     Kind::kPoolFwd, 0, 0, 0, conv1, true});
-    cases.push_back({b24 ? "cifar_round_maxpool_bwd_b24"
-                         : "cifar_round_maxpool_bwd_b150",
-                     Kind::kPoolBwd, 0, 0, 0, conv1, true});
     cases.push_back({b24 ? "cifar_round_conv1_relu_pool_fwd_b24"
                          : "cifar_round_conv1_relu_pool_fwd_b150",
                      Kind::kConvReluPoolFwd, 0, 0, 0, conv1, true});
@@ -351,9 +324,6 @@ int64_t CaseFlops(const Case& c) {
       return 2 * c.m * c.k * c.n;
     case Kind::kGemmTransB:
       return 2 * c.m * c.k * c.n;  // m rows x k dots of length n
-    case Kind::kConvFwd:
-      return 2 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
-             c.conv.OutArea();
     case Kind::kConvBwd:  // dw GEMM (+ dx GEMM); db is negligible
       return (c.dx ? 4 : 2) * c.conv.batch * c.conv.out_channels *
              c.conv.Patch() * c.conv.OutArea();
@@ -368,16 +338,13 @@ int64_t CaseFlops(const Case& c) {
     case Kind::kReluFwd:
     case Kind::kReluBwd:
       return ActivationSize(c.conv);
-    case Kind::kPoolFwd:
-    case Kind::kPoolBwd:
-      return ActivationSize(c.conv) / 4;
     default:  // element-wise
       return c.m * c.n;
   }
 }
 
-/// The scalar max-pool the branch-free kernel replaced: absolute int64
-/// argmax, first strict maximum wins, backward accumulates.
+/// The scalar max-pool of the conv block's reference chain: absolute
+/// int64 argmax, first strict maximum wins, backward accumulates.
 Tensor RefMaxPoolForward(const Tensor& x, std::vector<int64_t>* argmax) {
   const int64_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out(Shape{x.dim(0), x.dim(1), h / 2, w / 2});
@@ -430,9 +397,9 @@ struct Workbench {
   // Element-wise kinds: the optimizer state (velocity / mean square) of
   // each path.
   std::vector<float> state_ref, state_opt;
-  // Max-pool and fused conv-block kinds: input (the clamped conv output
-  // for the latter) / upstream grad as tensors, each path's bookkeeping,
-  // and each path's result.
+  // Fused conv-block kinds: the clamped conv output of the reference
+  // chain / the upstream grad as tensors, each path's bookkeeping, and
+  // each path's result.
   Tensor pool_x, pool_g, pool_ref, pool_opt;
   std::vector<int64_t> argmax;
   std::vector<uint8_t> window;
@@ -456,22 +423,17 @@ struct Workbench {
         b = Fill(c.k * c.n, 0.5f, 1.1f);
         out_ref.assign(static_cast<size_t>(c.m * c.k), 0.0f);
         break;
-      case Kind::kConvFwd:
       case Kind::kConvBwd: {
         const ConvKernelShape& s = c.conv;
         a = Fill(s.batch * s.in_channels * s.height * s.width, 1.0f, 0.3f);
         b = Fill(s.out_channels * s.Patch(), 0.2f, 1.1f);
         bias = Fill(s.out_channels, 0.1f, 2.2f);
-        out_ref.assign(
-            static_cast<size_t>(s.batch * s.out_channels * s.OutArea()), 0.0f);
-        if (c.kind == Kind::kConvBwd) {
-          // out_ref doubles as grad_out for the backward case: nonzero
-          // so the reference's zero-skip path never fires.
-          out_ref = Fill(s.batch * s.out_channels * s.OutArea(), 0.4f, 1.7f);
-          dx.assign(a.size(), 0.0f);
-          dw.assign(b.size(), 0.0f);
-          db.assign(bias.size(), 0.0f);
-        }
+        // out_ref holds grad_out: nonzero so the reference's zero-skip
+        // path never fires.
+        out_ref = Fill(s.batch * s.out_channels * s.OutArea(), 0.4f, 1.7f);
+        dx.assign(a.size(), 0.0f);
+        dw.assign(b.size(), 0.0f);
+        db.assign(bias.size(), 0.0f);
         break;
       }
       case Kind::kConvReluPoolFwd:
@@ -511,21 +473,6 @@ struct Workbench {
         b = Fill(ActivationSize(c.conv), 0.5f, 1.3f);
         out_ref.assign(a.size(), 0.0f);
         break;
-      case Kind::kPoolFwd:
-      case Kind::kPoolBwd: {
-        const ConvKernelShape& s = c.conv;
-        const Shape in{s.batch, s.out_channels, s.OutH(), s.OutW()};
-        pool_x = Tensor(in);
-        for (int64_t i = 0; i < pool_x.size(); ++i) {
-          pool_x.at(i) = std::sin(static_cast<float>(i * i % 1009));
-        }
-        pool_g = Tensor(Shape{s.batch, s.out_channels, s.OutH() / 2,
-                              s.OutW() / 2},
-                        Fill(ActivationSize(s) / 4, 0.5f, 1.3f));
-        pool_ref = RefMaxPoolForward(pool_x, &argmax);
-        pool_opt = MaxPool2x2Forward(pool_x, &window);
-        break;
-      }
       default:  // element-wise: a is x (or the rows), b is y / the grad
         a = Fill(c.m * c.n, 1.0f, 0.3f);
         b = Fill(c.m * c.n, 0.5f, 1.1f);
@@ -673,11 +620,6 @@ struct Workbench {
         (optimized ? GemmTransBAssign : ref::GemmTransBAssign)(
             a.data(), b.data(), c.m, c.n, c.k, out);
         break;
-      case Kind::kConvFwd:
-        std::memset(out, 0, out_ref.size() * sizeof(float));
-        (optimized ? Conv2dForwardKernel : ref::Conv2dForwardKernel)(
-            a.data(), b.data(), bias.data(), c.conv, out);
-        break;
       case Kind::kConvBwd:
         std::memset(dx.data(), 0, dx.size() * sizeof(float));
         std::memset(dw.data(), 0, dw.size() * sizeof(float));
@@ -710,20 +652,6 @@ struct Workbench {
           }
         }
         break;
-      case Kind::kPoolFwd:
-        if (optimized) {
-          pool_opt = MaxPool2x2Forward(pool_x, &window);
-        } else {
-          pool_ref = RefMaxPoolForward(pool_x, &argmax);
-        }
-        break;
-      case Kind::kPoolBwd:
-        if (optimized) {
-          pool_opt = MaxPool2x2Backward(pool_g, pool_x.shape(), window);
-        } else {
-          pool_ref = RefMaxPoolBackward(pool_g, pool_x.shape(), argmax);
-        }
-        break;
       default:
         break;
     }
@@ -747,18 +675,6 @@ struct Workbench {
       return (!c.dx || SameBits(dx.data(), conv_dx.data(), dx.size())) &&
              SameBits(dw.data(), conv_dw.data(), dw.size()) &&
              SameBits(db.data(), conv_db.data(), db.size());
-    }
-    if (c.kind == Kind::kPoolFwd || c.kind == Kind::kPoolBwd) {
-      if (c.kind == Kind::kPoolBwd) {
-        // The backward reads the forward's bookkeeping.
-        pool_ref = RefMaxPoolForward(pool_x, &argmax);
-        pool_opt = MaxPool2x2Forward(pool_x, &window);
-      }
-      Run(c, /*optimized=*/false);
-      Run(c, /*optimized=*/true);
-      return pool_ref.shape() == pool_opt.shape() &&
-             SameBits(pool_ref.data(), pool_opt.data(),
-                      static_cast<size_t>(pool_ref.size()));
     }
     if (c.kind == Kind::kConvBwd) {
       Run(c, /*optimized=*/false);
@@ -796,6 +712,7 @@ struct Timing {
 
 struct Result {
   Case c;
+  const char* isa = "";  // the kernel table active when the row was timed
   WindowMs ref_ms;
   double ref_gflops = 0.0;
   std::vector<Timing> opt;
@@ -818,6 +735,7 @@ std::string FormatRow(const Result& r) {
   };
   add("    {\n      \"name\": \"%s\",\n", r.c.name);
   add("      \"kind\": \"%s\",\n", KindName(r.c.kind));
+  add("      \"isa\": \"%s\",\n", r.isa);
   if (HasConvShape(r.c.kind)) {
     const ConvKernelShape& s = r.c.conv;
     add("      \"shape\": {\"batch\": %lld, \"cin\": %lld, \"h\": %lld, "
@@ -900,7 +818,6 @@ void WriteJson(const std::string& path, const std::vector<std::string>& rows,
                "several times slower than the pre-fusion naive loops, so "
                "speedup_vs_seed overstates historical wins; compare absolute "
                "gflops across revisions\",\n");
-  std::fprintf(f, "  \"isa\": \"%s\",\n", KernelIsaName(ActiveKernelIsa()));
   std::fprintf(f, "  \"host_hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"min_ms_per_timing\": %.0f,\n", min_ms);
@@ -946,6 +863,7 @@ int Main(int argc, char** argv) {
     Result r;
     r.c = c;
     SetThreads(1);
+    r.isa = KernelIsaName(ActiveKernelIsa());
     r.ref_ms = TimeMs([&] { wb.Run(c, false); }, min_ms);
     const double flops = static_cast<double>(CaseFlops(c));
     r.ref_gflops = flops / (r.ref_ms.best * 1e6);

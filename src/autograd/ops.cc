@@ -1,8 +1,6 @@
 #include "autograd/ops.h"
 
 #include <algorithm>
-#include <cmath>
-
 #include <memory>
 #include <utility>
 
@@ -48,32 +46,6 @@ Variable MakeOp(std::vector<NodePtr> inputs,
   }
   internal::NotifyNodeCreated(node);
   return Variable(node);
-}
-
-Tensor NormalizeRowsForward(const Tensor& v, float eps,
-                            std::vector<float>* inv_std) {
-  const int64_t rows = v.dim(0), cols = v.dim(1);
-  Tensor normalized(v.shape());
-  inv_std->resize(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* src = v.data() + r * cols;
-    double mean = 0.0;
-    for (int64_t c = 0; c < cols; ++c) mean += src[c];
-    mean /= static_cast<double>(cols);
-    double var = 0.0;
-    for (int64_t c = 0; c < cols; ++c) {
-      const double d = src[c] - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(cols);
-    const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    (*inv_std)[static_cast<size_t>(r)] = is;
-    float* dst = normalized.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) {
-      dst[c] = (src[c] - static_cast<float>(mean)) * is;
-    }
-  }
-  return normalized;
 }
 
 }  // namespace
@@ -139,19 +111,6 @@ Variable Scale(const Variable& a, float s) {
                 },
                 [s](GraphNode* out) {
                   out->inputs[0]->AccumulateGrad(rfed::Scale(out->grad(), s));
-                });
-}
-
-Variable MulConst(const Variable& a, const Tensor& mask) {
-  // The mask cannot be refreshed on replay (it may be a fresh RNG draw
-  // per step, as in dropout), so poison the recording tape.
-  internal::MarkDynamic();
-  return MakeOp({a.node()},
-                [mask](GraphNode* out) {
-                  out->mutable_value() = rfed::Mul(out->inputs[0]->value(), mask);
-                },
-                [mask](GraphNode* out) {
-                  out->inputs[0]->AccumulateGrad(rfed::Mul(out->grad(), mask));
                 });
 }
 
@@ -222,26 +181,6 @@ Variable AddRowBroadcast(const Variable& x, const Variable& bias) {
                 });
 }
 
-Variable MulRowBroadcast(const Variable& x, const Variable& scale) {
-  return MakeOp({x.node(), scale.node()},
-                [](GraphNode* out) {
-                  out->mutable_value() = rfed::MulRowBroadcast(
-                      out->inputs[0]->value(), out->inputs[1]->value());
-                },
-                [](GraphNode* out) {
-                  GraphNode* x = out->inputs[0].get();
-                  GraphNode* s = out->inputs[1].get();
-                  if (x->requires_grad()) {
-                    x->AccumulateGrad(
-                        rfed::MulRowBroadcast(out->grad(), s->value()));
-                  }
-                  if (s->requires_grad()) {
-                    s->AccumulateGrad(
-                        SumRows(rfed::Mul(out->grad(), x->value())));
-                  }
-                });
-}
-
 Variable LinearBiasRelu(const Variable& x, const Variable& w,
                         const Variable& bias) {
   return MakeOp(
@@ -264,41 +203,6 @@ Variable LinearBiasRelu(const Variable& x, const Variable& w,
         if (w->requires_grad()) w->AccumulateGrad(dw);
         if (b->requires_grad()) b->AccumulateGrad(db);
       });
-}
-
-Variable NormalizeRows(const Variable& x, float eps) {
-  RFED_CHECK_EQ(x.value().rank(), 2);
-  auto inv_std = std::make_shared<std::vector<float>>();
-  return MakeOp({x.node()},
-                [eps, inv_std](GraphNode* out) {
-                  out->mutable_value() = NormalizeRowsForward(
-                      out->inputs[0]->value(), eps, inv_std.get());
-                },
-                [inv_std](GraphNode* out) {
-                  // dL/dx = (1/σ)(g - mean(g) - x̂ * mean(g ⊙ x̂)).
-                  const Tensor& g = out->grad();
-                  const Tensor& xhat = out->value();
-                  const int64_t rows = g.dim(0), cols = g.dim(1);
-                  Tensor dx(g.shape());
-                  for (int64_t r = 0; r < rows; ++r) {
-                    const float* grow = g.data() + r * cols;
-                    const float* hrow = xhat.data() + r * cols;
-                    double g_mean = 0.0, gh_mean = 0.0;
-                    for (int64_t c = 0; c < cols; ++c) {
-                      g_mean += grow[c];
-                      gh_mean += static_cast<double>(grow[c]) * hrow[c];
-                    }
-                    g_mean /= static_cast<double>(cols);
-                    gh_mean /= static_cast<double>(cols);
-                    const float is = (*inv_std)[static_cast<size_t>(r)];
-                    float* drow = dx.data() + r * cols;
-                    for (int64_t c = 0; c < cols; ++c) {
-                      drow[c] = is * static_cast<float>(
-                                         grow[c] - g_mean - hrow[c] * gh_mean);
-                    }
-                  }
-                  out->inputs[0]->AccumulateGrad(dx);
-                });
 }
 
 Variable Reshape(const Variable& x, Shape new_shape) {
@@ -437,62 +341,24 @@ Variable SquaredNorm(const Variable& x) {
                 });
 }
 
-namespace {
-
-Variable GatherRowsImpl(const Variable& table,
-                        std::shared_ptr<std::vector<int>> ids) {
-  return MakeOp({table.node()},
-                [ids](GraphNode* out) {
-                  out->mutable_value() =
-                      rfed::GatherRows(out->inputs[0]->value(), *ids);
-                },
-                [ids](GraphNode* out) {
-                  GraphNode* in = out->inputs[0].get();
-                  Tensor dtable(in->value_shape());
-                  ScatterAddRows(out->grad(), *ids, &dtable);
-                  in->AccumulateGrad(dtable);
-                });
-}
-
-}  // namespace
-
-Variable GatherRows(const Variable& table, const std::vector<int>& ids) {
-  // Untagged ids change per batch but cannot be refreshed on replay.
-  internal::MarkDynamic();
-  return GatherRowsImpl(table, std::make_shared<std::vector<int>>(ids));
-}
-
 Variable GatherRows(const Variable& table, const std::vector<int>& ids,
                     int timestep) {
   auto ids_sp = std::make_shared<std::vector<int>>(ids);
-  Variable out = GatherRowsImpl(table, ids_sp);
+  Variable out = MakeOp({table.node()},
+                        [ids_sp](GraphNode* out) {
+                          out->mutable_value() = rfed::GatherRows(
+                              out->inputs[0]->value(), *ids_sp);
+                        },
+                        [ids_sp](GraphNode* out) {
+                          GraphNode* in = out->inputs[0].get();
+                          Tensor dtable(in->value_shape());
+                          ScatterAddRows(out->grad(), *ids_sp, &dtable);
+                          in->AccumulateGrad(dtable);
+                        });
   out.node()->input_tag = GraphNode::InputTag::kTokenStep;
   out.node()->tag_index = timestep;
   out.node()->ids = std::move(ids_sp);
   return out;
-}
-
-Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
-                const Conv2dSpec& spec) {
-  return MakeOp({x.node(), w.node(), b.node()},
-                [spec](GraphNode* out) {
-                  out->mutable_value() = Conv2dForward(
-                      out->inputs[0]->value(), out->inputs[1]->value(),
-                      out->inputs[2]->value(), spec);
-                },
-                [spec](GraphNode* out) {
-                  GraphNode* x = out->inputs[0].get();
-                  GraphNode* w = out->inputs[1].get();
-                  GraphNode* b = out->inputs[2].get();
-                  Tensor dx, dw, db;
-                  Conv2dBackward(out->grad(), x->value(), w->value(), spec,
-                                 x->requires_grad() ? &dx : nullptr,
-                                 w->requires_grad() ? &dw : nullptr,
-                                 b->requires_grad() ? &db : nullptr);
-                  if (x->requires_grad()) x->AccumulateGrad(dx);
-                  if (w->requires_grad()) w->AccumulateGrad(dw);
-                  if (b->requires_grad()) b->AccumulateGrad(db);
-                });
 }
 
 Variable Conv2dBiasReluPool(const Variable& x, const Variable& w,
@@ -517,20 +383,6 @@ Variable Conv2dBiasReluPool(const Variable& x, const Variable& w,
                   if (x->requires_grad()) x->AccumulateGrad(dx);
                   if (w->requires_grad()) w->AccumulateGrad(dw);
                   if (b->requires_grad()) b->AccumulateGrad(db);
-                });
-}
-
-Variable MaxPool2x2(const Variable& x) {
-  auto window = std::make_shared<std::vector<uint8_t>>();
-  return MakeOp({x.node()},
-                [window](GraphNode* out) {
-                  out->mutable_value() =
-                      MaxPool2x2Forward(out->inputs[0]->value(), window.get());
-                },
-                [window](GraphNode* out) {
-                  GraphNode* in = out->inputs[0].get();
-                  in->AccumulateGrad(MaxPool2x2Backward(
-                      out->grad(), in->value_shape(), *window));
                 });
 }
 

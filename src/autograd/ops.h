@@ -33,10 +33,6 @@ Variable Sub(const Variable& a, const Variable& b);
 Variable Mul(const Variable& a, const Variable& b);
 /// a * s for a compile-time-constant scalar s. Backward: grad * s.
 Variable Scale(const Variable& a, float s);
-/// Elementwise product with a constant mask (e.g. dropout). The mask is
-/// captured at build time, so this op marks the recording tape
-/// non-replayable — a fresh mask per step could not be refreshed.
-Variable MulConst(const Variable& a, const Tensor& mask);
 
 // ---- Activations ----
 /// max(x, 0). Backward: grad where x > 0 (or NaN), else 0.
@@ -53,13 +49,6 @@ Variable MatMul(const Variable& a, const Variable& b);
 /// x [rows, cols] + bias [cols] broadcast over rows. Backward: grad to
 /// x unchanged, column sums of grad to bias.
 Variable AddRowBroadcast(const Variable& x, const Variable& bias);
-/// x [rows, cols] * scale [cols] broadcast over rows. Backward mirrors
-/// the product rule per column.
-Variable MulRowBroadcast(const Variable& x, const Variable& scale);
-/// Row-wise standardization: each row mapped to zero mean / unit
-/// variance (x̂ = (x - μ_row) / sqrt(σ²_row + eps)). The normalization
-/// core of layer norm; affine parameters are separate ops.
-Variable NormalizeRows(const Variable& x, float eps = 1e-5f);
 /// Fused relu(x · w + bias) — one node instead of the
 /// MatMul/AddRowBroadcast/Relu chain, saving two intermediate tensors
 /// per call. Bit-identical to the unfused chain: the epilogue applies
@@ -97,37 +86,24 @@ Variable SquaredDistanceToConst(const Variable& x, const Tensor& target);
 Variable SquaredNorm(const Variable& x);
 
 // ---- Layers ----
-/// Embedding lookup rows of `table` ([V, D]) at `ids`. The ids are
-/// captured by copy; since they change per batch, this overload marks
-/// the recording tape non-replayable. Prefer the timestep overload for
-/// token models under the tape.
-Variable GatherRows(const Variable& table, const std::vector<int>& ids);
-/// GatherRows tagged with the token-matrix column the ids came from:
-/// replayed steps recompute ids from column `timestep` of the fresh
-/// batch's tokens, keeping the tape replayable.
+/// Embedding lookup rows of `table` ([V, D]) at `ids`, tagged with the
+/// token-matrix column the ids came from: replayed steps recompute ids
+/// from column `timestep` of the fresh batch's tokens.
 Variable GatherRows(const Variable& table, const std::vector<int>& ids,
                     int timestep);
-/// NCHW convolution; w is [Cout, Cin*K*K] (im2col layout), b is [Cout].
-/// Backward routes through Conv2dBackward's im2col GEMMs.
-Variable Conv2d(const Variable& x, const Variable& w, const Variable& b,
-                const Conv2dSpec& spec);
-/// Fused maxpool2x2(relu(conv2d(x, w) + b)) — one node instead of the
-/// Conv2d/Relu/MaxPool2x2 chain. Bias, clamp and pool run in the conv
-/// kernel's epilogue, so the full-size conv output is neither allocated
-/// nor kept: the node holds the pooled value and one window byte per
-/// output (replay refreshes both). The backward routes each grad to its
-/// window's winner where the pooled value is > 0 and runs
-/// Conv2dBackward on that. Bit-identical to
-/// ag::MaxPool2x2(ag::Relu(ag::Conv2d(...))) in value and every
-/// gradient for finite pre-activations; a NaN pre-activation clamps to
-/// 0 and blocks its gradient here, where the composed chain passes it
-/// (see docs/AUTOGRAD.md).
+/// Fused maxpool2x2(relu(conv2d(x, w) + b)), the CNN's conv block as
+/// one node; w is [Cout, Cin*K*K], b is [Cout]. Bias, clamp and pool
+/// run in the conv kernel's epilogue, so the full-size conv output is
+/// neither allocated nor kept: the node holds the pooled value and one
+/// window byte per output (replay refreshes both). The backward routes
+/// each grad to its window's winner where the pooled value is > 0 and
+/// runs the conv backward on that. The value is bit-identical to the
+/// reference conv sums followed by ReLU and the scalar 2x2 pool, and
+/// every gradient to ref::Conv2dBackwardKernel on the routed gradient;
+/// a NaN pre-activation clamps to 0 and blocks its gradient (see
+/// docs/AUTOGRAD.md).
 Variable Conv2dBiasReluPool(const Variable& x, const Variable& w,
                             const Variable& b, const Conv2dSpec& spec);
-/// 2x2 max pooling (stride 2) over NCHW. Each output's winning window
-/// position (one byte) is cached forward and routes the grad back;
-/// replay refreshes it.
-Variable MaxPool2x2(const Variable& x);
 /// Mean softmax cross-entropy over the batch (scalar output). The
 /// labels and the softmax gradient are cached forward; replayed steps
 /// refresh both from the fresh batch (the node is tagged kLabels).

@@ -70,16 +70,16 @@ TapeSession::Graph* TapeSession::FindGraph(const Signature& sig) const {
 bool TapeSession::CanReplay(const ReplayBindings& bindings) const {
   if (!options_.static_graph) return false;
   const Graph* g = FindGraph(MakeSignature(bindings));
-  return g != nullptr && g->finalized && g->replayable;
+  return g != nullptr && g->finalized;
 }
 
 void TapeSession::BeginRecord(const ReplayBindings& bindings) {
   RFED_CHECK(!recording_);
   const Signature sig = MakeSignature(bindings);
-  // A stale graph for this signature (e.g. one poisoned by a dynamic
-  // op) is rebuilt in place; otherwise evict the LRU slot. Two slots
-  // cover the steady state: the epoch's full-size batch and its
-  // remainder batch alternate without evicting each other.
+  // A graph already recorded for this signature (every step's, when
+  // static_graph is off) is rebuilt in place; otherwise evict the LRU
+  // slot. Two slots cover the steady state: the epoch's full-size batch
+  // and its remainder batch alternate without evicting each other.
   if (Graph* stale = FindGraph(sig)) {
     for (auto it = graphs_.begin(); it != graphs_.end(); ++it) {
       if (it->get() == stale) {
@@ -120,10 +120,6 @@ void TapeSession::RecordNode(const std::shared_ptr<GraphNode>& node) {
   current_->nodes.push_back(node);
 }
 
-void TapeSession::MarkDynamic() {
-  if (recording_) current_->replayable = false;
-}
-
 void TapeSession::BeginSegment() {
   if (!recording_ || !options_.checkpoint) return;
   RFED_CHECK_EQ(open_segment_, -1) << "checkpoint segments cannot nest";
@@ -161,7 +157,7 @@ void TapeSession::DropSegmentValues(Graph* g, const Segment& seg) {
 
 Variable TapeSession::Replay(const ReplayBindings& bindings) {
   Graph* g = FindGraph(MakeSignature(bindings));
-  RFED_CHECK(g != nullptr && g->finalized && g->replayable);
+  RFED_CHECK(g != nullptr && g->finalized);
   current_ = g;
   g->last_used = ++clock_;
   size_t next_segment = 0;
@@ -277,10 +273,6 @@ TapeSession* ActiveSession() { return g_session; }
 
 void NotifyNodeCreated(const std::shared_ptr<GraphNode>& node) {
   if (g_session != nullptr) g_session->RecordNode(node);
-}
-
-void MarkDynamic() {
-  if (g_session != nullptr) g_session->MarkDynamic();
 }
 
 void BeginSegment() {

@@ -41,9 +41,12 @@ struct ReplayBindings {
 /// destruction flows through it. The session owns up to two recorded
 /// graphs keyed by batch signature (the last batch of an epoch can be
 /// smaller, so full-size and remainder-size graphs alternate) and
-/// replays whichever matches; a signature with no recorded graph — or
-/// a graph poisoned by a non-replayable op (RNG-masked dropout, untagged
-/// gathers) — falls back to recording.
+/// replays whichever matches; a signature with no recorded graph falls
+/// back to recording.
+///
+/// Replay needs every op's forward_fn to recompute its value from its
+/// inputs or from a tagged batch binding (kImages, kTokenStep, kLabels):
+/// no op captures step-varying state the bindings cannot refresh.
 ///
 /// Replay is bit-identical to a fresh build: the same tensor_ops run in
 /// the same creation order over the same input bits, and the backward
@@ -57,8 +60,8 @@ class TapeSession {
   TapeSession(const TapeSession&) = delete;
   TapeSession& operator=(const TapeSession&) = delete;
 
-  /// True iff a finalized, replayable graph matches the bindings'
-  /// shapes (image dims, token matrix dims, label count).
+  /// True iff a finalized graph matches the bindings' shapes (image
+  /// dims, token matrix dims, label count).
   bool CanReplay(const ReplayBindings& bindings) const;
 
   /// Re-executes the matching recorded graph over fresh batch data and
@@ -94,8 +97,6 @@ class TapeSession {
 
   /// Appends a node created while recording; counts input consumers.
   void RecordNode(const std::shared_ptr<GraphNode>& node);
-  /// Marks the graph under recording non-replayable (step-varying op).
-  void MarkDynamic();
   /// Opens / closes one checkpoint segment (an LSTM timestep). At close,
   /// activations no external Variable holds are dropped and remembered
   /// for rematerialization. No-ops unless recording with checkpoint on.
@@ -133,7 +134,6 @@ class TapeSession {
     std::vector<Segment> segments;
     bool finalized = false;
     bool order_cached = false;
-    bool replayable = true;
     int64_t last_used = 0;
   };
 
@@ -162,10 +162,6 @@ TapeSession* ActiveSession();
 /// Called by ops.cc MakeOp for every node built; records it when the
 /// active session is recording.
 void NotifyNodeCreated(const std::shared_ptr<GraphNode>& node);
-
-/// Called by ops whose closures capture step-varying state the tape
-/// cannot refresh (dropout masks, untagged gather ids).
-void MarkDynamic();
 
 /// Checkpoint segment markers for nn/lstm.cc. No-ops unless the active
 /// session is recording with checkpointing enabled.

@@ -73,6 +73,11 @@ void RFedAvg::DecodeTrainContext(int round, int client,
   ctx_targets_.clear();
   if (!ctx_received_) return;
   const uint32_t count = reader->ReadU32();
+  // The count comes off the wire: bound it by the targets Encode can
+  // write (every other client's map) before sizing anything by it.
+  RFED_CHECK_LE(count, static_cast<uint32_t>(num_clients() - 1))
+      << "rFedAvg context decoder: " << count << " map targets for "
+      << num_clients() << " clients";
   ctx_targets_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ctx_targets_.push_back(reader->ReadTensor());

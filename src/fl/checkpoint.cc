@@ -22,6 +22,14 @@ constexpr char kCheckpointMagic[8] = {'R', 'F', 'E', 'D',
                                       'C', 'K', 'P', 'T'};
 constexpr uint32_t kCheckpointVersion = 3;
 
+/// The fewest bytes one RoundMetrics record (two 4-byte and twelve
+/// 8-byte fields, then the metric count) and one metric pair (an empty
+/// name's length, then the value) take in the payload. Load bounds each
+/// count by the bytes left before it reserves for that count.
+constexpr size_t kRoundRecordMinBytes =
+    2 * sizeof(int32_t) + 12 * sizeof(int64_t) + sizeof(uint32_t);
+constexpr size_t kMetricRecordMinBytes = sizeof(uint32_t) + sizeof(double);
+
 void WriteFileOrDie(const std::vector<uint8_t>& buffer,
                     const std::string& path) {
   std::ofstream out(path, std::ios::binary);
@@ -226,6 +234,8 @@ RunCheckpoint RunCheckpoint::Load(const std::string& path) {
   const uint32_t num_rounds = r.ReadU32();
   RFED_CHECK_EQ(num_rounds, static_cast<uint32_t>(ck.next_round))
       << "checkpoint history length disagrees with next_round in " << path;
+  RFED_CHECK_LE(num_rounds, r.remaining() / kRoundRecordMinBytes)
+      << "checkpoint claims more rounds than its payload holds in " << path;
   ck.history.rounds.reserve(num_rounds);
   for (uint32_t i = 0; i < num_rounds; ++i) {
     RoundMetrics m;
@@ -244,6 +254,9 @@ RunCheckpoint RunCheckpoint::Load(const std::string& path) {
     m.mean_staleness = r.ReadDouble();
     m.peak_scratch_bytes = r.ReadI64();
     const uint32_t num_metrics = r.ReadU32();
+    RFED_CHECK_LE(num_metrics, r.remaining() / kMetricRecordMinBytes)
+        << "checkpoint claims more round metrics than its payload holds in "
+        << path;
     m.metrics.reserve(num_metrics);
     for (uint32_t j = 0; j < num_metrics; ++j) {
       std::string name = r.ReadString();

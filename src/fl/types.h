@@ -29,8 +29,8 @@ struct ClientView {
 struct AutogradOptions {
   /// Record each client bout's step-0 graph and replay it (same nodes,
   /// cached backward order, fresh batch data) for the remaining local
-  /// steps; rebuilt automatically when the batch shape changes or a
-  /// non-replayable op (dropout) appears. On by default.
+  /// steps; rebuilt automatically when the batch shape changes. On by
+  /// default.
   bool static_graph = true;
   /// Gradient checkpointing for LSTM BPTT: drop per-timestep gate
   /// activations at segment close and rematerialize them just before

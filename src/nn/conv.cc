@@ -18,10 +18,6 @@ Conv2dLayer::Conv2dLayer(int64_t in_channels, int64_t out_channels,
   bias_ = RegisterParameter("bias", Tensor(Shape{out_channels}));
 }
 
-Variable Conv2dLayer::Forward(const Variable& x) {
-  return ag::Conv2d(x, *weight_, *bias_, spec_);
-}
-
 Variable Conv2dLayer::ForwardReluPool(const Variable& x) {
   return ag::Conv2dBiasReluPool(x, *weight_, *bias_, spec_);
 }

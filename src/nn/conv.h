@@ -7,7 +7,8 @@
 
 namespace rfed {
 
-/// 2-d convolution over NCHW inputs with a square kernel. Weights are kept
+/// 2-d convolution over NCHW inputs with a square kernel, run as the
+/// CNN's conv block (conv, bias, ReLU, 2x2 max-pool). Weights are kept
 /// in im2col layout [Cout, Cin*K*K].
 class Conv2dLayer : public Module {
  public:
@@ -16,11 +17,8 @@ class Conv2dLayer : public Module {
   Conv2dLayer(int64_t in_channels, int64_t out_channels, int64_t kernel,
               int64_t stride, int64_t pad, Rng* rng);
 
-  /// x: [B, Cin, H, W] -> [B, Cout, Ho, Wo].
-  Variable Forward(const Variable& x);
-  /// Fused maxpool2x2(relu(Forward(x))) as one ag::Conv2dBiasReluPool
-  /// node (Ho, Wo even): [B, Cout, Ho/2, Wo/2]; bit-identical to
-  /// ag::MaxPool2x2(ag::Relu(Forward(x))) for finite inputs.
+  /// maxpool2x2(relu(conv2d(x) + bias)) as one ag::Conv2dBiasReluPool
+  /// node: x [B, Cin, H, W] -> [B, Cout, Ho/2, Wo/2] (Ho, Wo even).
   Variable ForwardReluPool(const Variable& x);
 
   /// The static shape parameters this layer was built with.

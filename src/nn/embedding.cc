@@ -9,10 +9,6 @@ Embedding::Embedding(int64_t vocab_size, int64_t embed_dim, Rng* rng)
       Tensor::Normal(Shape{vocab_size, embed_dim}, 0.0f, 0.1f, rng));
 }
 
-Variable Embedding::Forward(const std::vector<int>& ids) {
-  return ag::GatherRows(*table_, ids);
-}
-
 Variable Embedding::Forward(const std::vector<int>& ids, int timestep) {
   return ag::GatherRows(*table_, ids, timestep);
 }

@@ -14,13 +14,9 @@ class Embedding : public Module {
  public:
   Embedding(int64_t vocab_size, int64_t embed_dim, Rng* rng);
 
-  /// ids: n token ids -> [n, embed_dim]. Marks a recording tape
-  /// non-replayable (the ids cannot be refreshed); prefer the timestep
-  /// overload inside sequence models.
-  Variable Forward(const std::vector<int>& ids);
-
-  /// Forward for ids gathered from column `timestep` of the batch's
-  /// token matrix; tape replay recomputes them from the fresh batch.
+  /// ids: n token ids gathered from column `timestep` of the batch's
+  /// token matrix -> [n, embed_dim]; tape replay recomputes them from
+  /// the fresh batch.
   Variable Forward(const std::vector<int>& ids, int timestep);
 
   int64_t vocab_size() const { return vocab_size_; }

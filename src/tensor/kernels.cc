@@ -405,36 +405,6 @@ int64_t DenseConvFlops(const ConvKernelShape& s) {
   return 2 * s.batch * s.out_channels * s.Patch() * s.OutArea();
 }
 
-/// The plain forward (null window) or the fused relu-pool forward.
-void ConvForward(const float* x, const float* w, const float* bias,
-                 const ConvKernelShape& s, float* out, uint8_t* window) {
-  obs::TraceSpan trace_span("conv2d_fwd");
-  if (obs::TracingEnabled()) {
-    CountConvFlops(DenseConvFlops(s), DenseConvFlops(s));
-  }
-  if (ConvOnPaddedGrid(s)) {
-    ActiveTable().conv_forward(x, w, bias, s, out, window);
-    return;
-  }
-  if (window == nullptr) {
-    ref::Conv2dForwardKernel(x, w, bias, s, out);
-    return;
-  }
-  // The reference sums without the bias (a +0 bias changes no sum: a
-  // chain that starts at +0 never reaches -0), then the scalar epilogue
-  // runs on each image's dense planes with the lane epilogue's rule.
-  const int64_t area = s.OutArea();
-  const int64_t planes = s.out_channels * area;
-  std::vector<float> sums(static_cast<size_t>(s.batch * planes), 0.0f);
-  const std::vector<float> no_bias(static_cast<size_t>(s.out_channels), 0.0f);
-  ref::Conv2dForwardKernel(x, w, no_bias.data(), s, sums.data());
-  for (int64_t i = 0; i < s.batch; ++i) {
-    internal::ReluPoolRange(sums.data() + i * planes, bias, s.out_channels,
-                            s.OutH(), s.OutW(), out + i * planes / 4,
-                            window + i * planes / 4);
-  }
-}
-
 /// The dense backward of the conv alone, uninstrumented.
 void ConvBackward(const float* grad_out, const float* x, const float* w,
                   const ConvKernelShape& s, float* dx, float* dw, float* db) {
@@ -453,18 +423,33 @@ int64_t BackwardProducts(const float* dx, const float* dw) {
 
 }  // namespace
 
-void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
-                         const ConvKernelShape& s, float* out) {
-  ConvForward(x, w, bias, s, out, /*window=*/nullptr);
-}
-
 void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
                                      const float* bias,
                                      const ConvKernelShape& s, float* out,
                                      uint8_t* window) {
   RFED_CHECK(s.OutH() % 2 == 0 && s.OutW() % 2 == 0)
       << "the 2x2 pool needs even conv outputs";
-  ConvForward(x, w, bias, s, out, window);
+  obs::TraceSpan trace_span("conv2d_fwd");
+  if (obs::TracingEnabled()) {
+    CountConvFlops(DenseConvFlops(s), DenseConvFlops(s));
+  }
+  if (ConvOnPaddedGrid(s)) {
+    ActiveTable().conv_forward(x, w, bias, s, out, window);
+    return;
+  }
+  // The reference sums without the bias (a +0 bias changes no sum: a
+  // chain that starts at +0 never reaches -0), then the scalar epilogue
+  // runs on each image's dense planes with the lane epilogue's rule.
+  const int64_t area = s.OutArea();
+  const int64_t planes = s.out_channels * area;
+  std::vector<float> sums(static_cast<size_t>(s.batch * planes), 0.0f);
+  const std::vector<float> no_bias(static_cast<size_t>(s.out_channels), 0.0f);
+  ref::Conv2dForwardKernel(x, w, no_bias.data(), s, sums.data());
+  for (int64_t i = 0; i < s.batch; ++i) {
+    internal::ReluPoolRange(sums.data() + i * planes, bias, s.out_channels,
+                            s.OutH(), s.OutW(), out + i * planes / 4,
+                            window + i * planes / 4);
+  }
 }
 
 void Conv2dBackwardKernel(const float* grad_out, const float* x,

@@ -230,31 +230,27 @@ struct ConvKernelShape {
   int64_t Patch() const { return in_channels * kernel * kernel; }
 };
 
-/// out[B, Cout, Ho, Wo] = conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias,
-/// 8 or 16 images per SIMD vector (the table's lane groups) when
-/// stride == 1 and pad < kernel (the reference otherwise),
-/// batch-parallel. `out` must be pre-zeroed. Bit-identical to
-/// ref::Conv2dForwardKernel.
-void Conv2dForwardKernel(const float* x, const float* w, const float* bias,
-                         const ConvKernelShape& s, float* out);
-
-/// maxpool2x2(relu(Conv2dForwardKernel(...))) in one pass: each image's
-/// conv sums get the bias, max(0, ·) and a 2x2 max pool (stride 2) while
-/// they are still in cache, so only the pooled out [B, Cout, Ho/2, Wo/2]
-/// is written, with window[i] (0..3, row-major in the window) naming the
-/// input that won output i. Ho and Wo must be even; out and window need
-/// no zeroing. Bit-identical to Conv2dForwardKernel, then ReluKernel,
-/// then MaxPool2x2Forward (tensor_ops.h): the first strict maximum wins.
+/// maxpool2x2(relu(conv(x[B, Cin, H, W], w[Cout, Cin*K*K]) + bias)) in
+/// one pass: each image's conv sums get the bias, max(0, ·) and a 2x2
+/// max pool (stride 2) while they are still in cache, so only the pooled
+/// out [B, Cout, Ho/2, Wo/2] is written, with window[i] (0..3, row-major
+/// in the window) naming the input that won output i. Ho and Wo must be
+/// even; out and window need no zeroing. When stride == 1 and
+/// pad < kernel, 8 or 16 images share each SIMD vector (the table's lane
+/// groups), batch-parallel; other shapes run the reference sums and the
+/// scalar epilogue. Bit-identical to ref::Conv2dForwardKernel, then
+/// max(0, ·) (NaN gives +0), then a 2x2 pool whose first strict maximum
+/// wins (ties keep the earlier input).
 void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
                                      const float* bias,
                                      const ConvKernelShape& s, float* out,
                                      uint8_t* window);
 
-/// Gradients of Conv2dForwardKernel, on the same path; any of dx/dw/db
-/// may be null to skip, non-null outputs must be pre-zeroed.
-/// Batch-parallel, with dw/db added per image in ascending image order —
-/// the reference's exact float addition sequence. Bit-identical to
-/// ref::Conv2dBackwardKernel.
+/// Gradients of the conv alone from the full-size output's gradient
+/// grad_out [B, Cout, Ho, Wo]; any of dx/dw/db may be null to skip,
+/// non-null outputs must be pre-zeroed. Batch-parallel, with dw/db added
+/// per image in ascending image order — the reference's exact float
+/// addition sequence. Bit-identical to ref::Conv2dBackwardKernel.
 void Conv2dBackwardKernel(const float* grad_out, const float* x,
                           const float* w, const ConvKernelShape& s, float* dx,
                           float* dw, float* db);

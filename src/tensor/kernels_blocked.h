@@ -453,7 +453,8 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
 // Bit identity with ref:: holds for finite inputs:
 //  * forward: each output is one fused chain from +0 over exactly the
 //    im2col entries the reference reads, padding zeros included, in
-//    ascending p; then sum + bias, as the reference adds it;
+//    ascending p; then sum + bias, as the reference adds it, and the
+//    ReLU and pool of PoolWindow;
 //  * dw: the chains walk only the ho x wo real outputs, ascending, so
 //    they are the reference's double dots term for term;
 //  * dx: the reference's Col2Im skips the (tap, output) pairs that fall
@@ -671,11 +672,11 @@ void ReluPoolLanesRange(const float* sums, const float* bias,
 /// One lane group of ConvForwardT at T::kConvLanes lanes, images i0 to
 /// i0 + live - 1: the group is interleaved once, then per tile of
 /// kConvRows output channels the ConvTile calls fill the tile's
-/// sums[r][oy][ox][lane] with only the real outputs, and the epilogue
-/// writes each live lane's results to its own image while the sums are
-/// in cache: sum + bias with a null `window`, else T::ReluPool (pooled
-/// outputs and window bytes; the full-size outputs are never written).
-/// `off` holds the im2col row offsets in units of T::kConvLanes.
+/// sums[r][oy][ox][lane] with only the real outputs, and T::ReluPool
+/// writes each live lane's pooled outputs and window bytes to its own
+/// image while the sums are in cache (the full-size outputs are never
+/// written). `off` holds the im2col row offsets in units of
+/// T::kConvLanes; `out_size` is one image's pooled output count.
 template <typename T>
 void ConvGroupT(const ConvGrid& g, const float* x, const float* wpack,
                 const float* bias, const int64_t* off, const int64_t* pos,
@@ -699,22 +700,9 @@ void ConvGroupT(const ConvGrid& g, const float* x, const float* wpack,
     }
     const int64_t oc0 = t * mr;
     const int64_t channels = std::min(mr, g.cout - oc0);
-    if (window != nullptr) {
-      const int64_t at = i0 * out_size + oc0 * area / 4;
-      T::ReluPool(sums, bias + oc0, channels, g.ho, g.wo, live, out_size,
-                  out + at, window + at);
-      continue;
-    }
-    for (int64_t r = 0; r < channels; ++r) {
-      const float bv = bias[oc0 + r];
-      float* dst = out + i0 * out_size + (oc0 + r) * area;
-      for (int64_t a = 0; a < area; ++a) {
-        const float* src = sums + (r * area + a) * lanes;
-        for (int64_t l = 0; l < live; ++l) {
-          dst[l * out_size + a] = src[l] + bv;
-        }
-      }
-    }
+    const int64_t at = i0 * out_size + oc0 * area / 4;
+    T::ReluPool(sums, bias + oc0, channels, g.ho, g.wo, live, out_size,
+                out + at, window + at);
   }
 }
 
@@ -764,9 +752,8 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
       }
     }
   }
-  // Per image: the [cout, ho, wo] outputs, or the quarter-size pooled
-  // outputs and their window bytes.
-  const int64_t out_size = g.cout * area / (window != nullptr ? 4 : 1);
+  // Per image: the quarter-size pooled outputs and their window bytes.
+  const int64_t out_size = g.cout * area / 4;
   const ConvImageChunks chunks(s.batch, lanes);
   KernelParallelFor(chunks.count, [&](int64_t ci) {
     ScratchLayout mine;

@@ -86,12 +86,12 @@ struct BlockedKernels {
                             const TileConfig& tile, bool parallel);
 
   /// The convolution (stride 1, pad < kernel; kernels.h has the
-  /// contracts), batch-parallel across the kernel pool. The forward runs
-  /// groups of conv_lanes images in the SIMD lanes (a last group of at
-  /// most 8 at 8 lanes) and computes only real outputs. With a null
-  /// `window` each image gets its [Cout, Ho, Wo] sums plus bias;
-  /// otherwise conv_relu_pool writes the pooled [Cout, Ho/2, Wo/2] plus
-  /// one window byte per pooled output.
+  /// contracts), batch-parallel across the kernel pool. The forward is
+  /// the fused conv block (Conv2dBiasReluPoolForwardKernel, Ho and Wo
+  /// even): it runs groups of conv_lanes images in the SIMD lanes (a
+  /// last group of at most 8 at 8 lanes), computes only real outputs,
+  /// and conv_relu_pool writes each image's pooled [Cout, Ho/2, Wo/2]
+  /// plus one window byte per pooled output. `window` is never null.
   void (*conv_forward)(const float* x, const float* w, const float* bias,
                        const ConvKernelShape& s, float* out,
                        uint8_t* window);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "util/check.h"
 
@@ -55,12 +54,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Scale(const Tensor& a, float s) {
   Tensor out = a;
   out.MulInPlace(s);
-  return out;
-}
-
-Tensor AddScalar(const Tensor& a, float s) {
-  Tensor out = a;
-  for (int64_t i = 0; i < out.size(); ++i) out.at(i) += s;
   return out;
 }
 
@@ -160,19 +153,6 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias) {
   for (int64_t r = 0; r < rows; ++r) {
     float* row = out.data() + r * cols;
     for (int64_t c = 0; c < cols; ++c) row[c] += bias.at(c);
-  }
-  return out;
-}
-
-Tensor MulRowBroadcast(const Tensor& x, const Tensor& scale) {
-  RFED_CHECK_EQ(x.rank(), 2);
-  RFED_CHECK_EQ(scale.rank(), 1);
-  RFED_CHECK_EQ(x.dim(1), scale.dim(0));
-  Tensor out = x;
-  const int64_t rows = x.dim(0), cols = x.dim(1);
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = out.data() + r * cols;
-    for (int64_t c = 0; c < cols; ++c) row[c] *= scale.at(c);
   }
   return out;
 }
@@ -287,15 +267,6 @@ Shape ConvOutputShape(const Tensor& x, const Tensor& w, const Tensor& b,
 
 }  // namespace
 
-Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
-                     const Conv2dSpec& spec) {
-  Tensor out(ConvOutputShape(x, w, b, spec));
-  Conv2dForwardKernel(x.data(), w.data(), b.data(),
-                      ToKernelShape(spec, x.dim(0), x.dim(2), x.dim(3)),
-                      out.data());
-  return out;
-}
-
 Tensor Conv2dBiasReluPoolForward(const Tensor& x, const Tensor& w,
                                  const Tensor& b, const Conv2dSpec& spec,
                                  std::vector<uint8_t>* window) {
@@ -327,89 +298,6 @@ void Conv2dBiasReluPoolBackward(const Tensor& grad, const Tensor& y,
       ToKernelShape(spec, batch, h, wd), dx != nullptr ? dx->data() : nullptr,
       dw != nullptr ? dw->data() : nullptr,
       db != nullptr ? db->data() : nullptr);
-}
-
-void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
-                    const Conv2dSpec& spec, Tensor* dx, Tensor* dw,
-                    Tensor* db) {
-  const int64_t batch = x.dim(0), h = x.dim(2), wd = x.dim(3);
-  const int64_t ho = spec.OutDim(h), wo = spec.OutDim(wd);
-  RFED_CHECK(grad_out.shape() == Shape({batch, spec.out_channels, ho, wo}));
-
-  if (dx != nullptr) *dx = Tensor(x.shape());
-  if (dw != nullptr) *dw = Tensor(w.shape());
-  if (db != nullptr) *db = Tensor(Shape{spec.out_channels});
-
-  Conv2dBackwardKernel(grad_out.data(), x.data(), w.data(),
-                       ToKernelShape(spec, batch, h, wd),
-                       dx != nullptr ? dx->data() : nullptr,
-                       dw != nullptr ? dw->data() : nullptr,
-                       db != nullptr ? db->data() : nullptr);
-}
-
-Tensor MaxPool2x2Forward(const Tensor& x, std::vector<uint8_t>* window) {
-  obs::TraceSpan trace_span("maxpool_fwd");
-  RFED_CHECK_EQ(x.rank(), 4);
-  const int64_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
-  RFED_CHECK_EQ(h % 2, 0);
-  RFED_CHECK_EQ(w % 2, 0);
-  const int64_t ho = h / 2, wo = w / 2;
-  Tensor out(Shape{batch, ch, ho, wo});
-  window->resize(static_cast<size_t>(out.size()));
-  // Planes are stacked rows, so output row r reads input rows 2r, 2r+1
-  // across every (image, channel) plane alike.
-  const int64_t rows = batch * ch * ho;
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* top = x.data() + 2 * r * w;
-    const float* bottom = top + w;
-    float* o = out.data() + r * wo;
-    uint8_t* win = window->data() + r * wo;
-    for (int64_t ox = 0; ox < wo; ++ox) {
-      // Selects, not jumps (maxss and a setcc mask): a candidate
-      // replaces the running max only when strictly greater, so ties
-      // keep the first and a NaN candidate never wins (a NaN first
-      // element is kept).
-      float best = top[2 * ox];
-      uint32_t best_k = 0;
-      auto consider = [&best, &best_k](float v, uint32_t k) {
-        const uint32_t take = 0u - static_cast<uint32_t>(v > best);
-        best = v > best ? v : best;
-        best_k ^= (best_k ^ k) & take;
-      };
-      consider(top[2 * ox + 1], 1);
-      consider(bottom[2 * ox], 2);
-      consider(bottom[2 * ox + 1], 3);
-      o[ox] = best;
-      win[ox] = static_cast<uint8_t>(best_k);
-    }
-  }
-  return out;
-}
-
-Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<uint8_t>& window) {
-  obs::TraceSpan trace_span("maxpool_bwd");
-  RFED_CHECK_EQ(static_cast<int64_t>(window.size()), grad_out.size());
-  RFED_CHECK_EQ(input_shape.rank(), 4);
-  RFED_CHECK_EQ(grad_out.size() * 4, input_shape.num_elements());
-  const int64_t w = input_shape.dim(3), wo = w / 2;
-  const int64_t rows = input_shape.dim(0) * input_shape.dim(1) *
-                       (input_shape.dim(2) / 2);
-  // Where window index k sits relative to its window's top-left input.
-  const int64_t offset[4] = {0, 1, w, w + 1};
-  Tensor dx(input_shape);
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* g = grad_out.data() + r * wo;
-    const uint8_t* win = window.data() + r * wo;
-    float* top = dx.data() + 2 * r * w;
-    for (int64_t ox = 0; ox < wo; ++ox) {
-      // The winner's offset is looked up, not chosen. Windows do not
-      // overlap, so this is the element's only write, 0 + g — what an
-      // accumulation into the zeroed dx gives (-0 becomes +0).
-      top[2 * ox + offset[win[ox] & 3]] = 0.0f + g[ox];
-    }
-  }
-  return dx;
 }
 
 Tensor GatherRows(const Tensor& table, const std::vector<int>& ids) {

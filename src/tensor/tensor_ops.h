@@ -11,7 +11,7 @@ namespace rfed {
 // Raw numeric kernels over Tensors. These are pure functions (or write to
 // explicit outputs) with no knowledge of autograd; the autograd layer
 // composes them into differentiable ops. The hot paths (the three MatMul
-// variants and the convolution) delegate to the blocked kernel layer in
+// variants and the conv block) delegate to the blocked kernel layer in
 // tensor/kernels.h — bit-identical to the naive loops for every block
 // size and thread count (see docs/KERNELS.md).
 
@@ -24,8 +24,6 @@ Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 /// c = s * a.
 Tensor Scale(const Tensor& a, float s);
-/// c = a + s elementwise.
-Tensor AddScalar(const Tensor& a, float s);
 
 /// std::max(0.0f, x) elementwise (NaN and -0 give +0); branch-free
 /// (ReluKernel).
@@ -54,8 +52,6 @@ Tensor Transpose2d(const Tensor& a);
 
 /// y[r, c] = x[r, c] + bias[c]  for x of shape [rows, cols].
 Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias);
-/// y[r, c] = x[r, c] * scale[c]  for x of shape [rows, cols].
-Tensor MulRowBroadcast(const Tensor& x, const Tensor& scale);
 /// Column-sum of a [rows, cols] tensor -> [cols] (bias gradient).
 Tensor SumRows(const Tensor& x);
 /// Fused y = relu(x · w + bias) for x [m, k], w [k, n], bias [n]: one
@@ -98,23 +94,16 @@ struct Conv2dSpec {
   int64_t OutDim(int64_t in) const { return (in + 2 * pad - kernel) / stride + 1; }
 };
 
-/// x: [B, Cin, H, W], w: [Cout, Cin*K*K], b: [Cout] -> [B, Cout, Ho, Wo];
-/// per-image im2col + blocked GEMM (Conv2dForwardKernel).
-Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
-                     const Conv2dSpec& spec);
-/// Fused MaxPool2x2Forward(Relu(Conv2dForward(x, w, b)), window) with
-/// even conv outputs: bias, clamp and pool run in the conv kernel's
-/// epilogue (Conv2dBiasReluPoolForwardKernel), so the full-size conv
-/// output is never allocated. Returns the pooled [B, Cout, Ho/2, Wo/2];
-/// value and window are bit-identical to the composed chain.
+/// maxpool2x2(relu(conv2d(x, w) + b)) for x [B, Cin, H, W],
+/// w [Cout, Cin*K*K], b [Cout] and even conv outputs Ho, Wo: bias, clamp
+/// and pool run in the conv kernel's epilogue
+/// (Conv2dBiasReluPoolForwardKernel), so the full-size conv output is
+/// never allocated. Returns the pooled [B, Cout, Ho/2, Wo/2] and one
+/// window byte per output (0..3, row-major: the window's first strict
+/// maximum).
 Tensor Conv2dBiasReluPoolForward(const Tensor& x, const Tensor& w,
                                  const Tensor& b, const Conv2dSpec& spec,
                                  std::vector<uint8_t>* window);
-/// Gradients of Conv2dForward. Any output pointer may be null to skip;
-/// non-null outputs are allocated (zeroed) here.
-void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
-                    const Conv2dSpec& spec, Tensor* dx, Tensor* dw,
-                    Tensor* db);
 
 /// Gradients of Conv2dBiasReluPoolForward from the upstream grad of its
 /// pooled output y and the window it recorded
@@ -122,26 +111,16 @@ void Conv2dBackward(const Tensor& grad_out, const Tensor& x, const Tensor& w,
 /// nonzero only at a window's winner where y > 0, and the kernel adds
 /// dw, dx and db terms for those winners only, straight from
 /// (grad, y, window); off the padded grid, or with a non-finite operand,
-/// it routes the gradient to the full-size grid and runs Conv2dBackward's
-/// path. Bit-identical to Conv2dBackward(ReluBackward(
-/// MaxPool2x2Backward(grad), relu output)) either way. Output pointers
-/// as in Conv2dBackward.
+/// it routes the gradient to the full-size grid and runs the dense
+/// Conv2dBackwardKernel on it. Bit-identical to
+/// ref::Conv2dBackwardKernel on that routed gradient either way. Any
+/// output pointer may be null to skip; non-null outputs are allocated
+/// (zeroed) here.
 void Conv2dBiasReluPoolBackward(const Tensor& grad, const Tensor& y,
                                 const std::vector<uint8_t>& window,
                                 const Tensor& x, const Tensor& w,
                                 const Conv2dSpec& spec, Tensor* dx,
                                 Tensor* dw, Tensor* db);
-
-/// 2x2 max pooling with stride 2 over [B, C, H, W] (H, W even). For
-/// each output, records which of its window's four inputs won (0..3 in
-/// row-major window order) for the backward pass. The first strict
-/// maximum wins: ties keep the earlier element, a NaN candidate never
-/// replaces the running max, a NaN first element is kept. Branch-free.
-Tensor MaxPool2x2Forward(const Tensor& x, std::vector<uint8_t>* window);
-/// Routes each output gradient to its window's winner; every other
-/// input gets +0.
-Tensor MaxPool2x2Backward(const Tensor& grad_out, const Shape& input_shape,
-                          const std::vector<uint8_t>& window);
 
 // ---- Indexing ----
 /// rows: out[i, :] = table[ids[i], :], table [V, D] -> [n, D].

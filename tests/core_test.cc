@@ -9,6 +9,7 @@
 #include "core/rfedavg.h"
 #include "data/partition.h"
 #include "data/synthetic_images.h"
+#include "fl/checkpoint.h"
 #include "fl/fedavg.h"
 #include "fl/model_state.h"
 #include "fl/trainer.h"
@@ -190,6 +191,27 @@ TEST(RFedAvgTest, DeltaStoreUpdatesAfterRound) {
   for (int k = 0; k < 4; ++k) {
     EXPECT_GT(algo.delta_store().Get(k).MaxAbs(), 0.0f);
   }
+}
+
+TEST(RFedAvgDeathTest, InflatedContextTargetCountAbortsByName) {
+  // A JOB's context blob comes off the socket: a map-target count past
+  // the N - 1 other clients must be refused before it sizes anything.
+  CoreFixture fx;
+  RegularizerOptions reg;
+  reg.lambda = 1e-3;
+  RFedAvg algo(fx.Config(), reg, &fx.data.train, fx.views, fx.factory);
+  std::vector<uint8_t> blob;
+  CheckpointWriter writer(&blob);
+  writer.WriteBool(true);
+  writer.WriteU32(0xffffffffu);
+  EXPECT_DEATH(algo.ApplyTrainContext(0, 0, blob),
+               "rFedAvg context decoder: 4294967295 map targets for 4 "
+               "clients");
+  blob.clear();
+  writer.WriteBool(true);
+  writer.WriteU32(4);
+  EXPECT_DEATH(algo.ApplyTrainContext(0, 0, blob),
+               "rFedAvg context decoder: 4 map targets");
 }
 
 TEST(RFedAvgTest, CommunicationScalesWithClients) {

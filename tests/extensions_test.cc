@@ -1,6 +1,6 @@
 // Tests for the extension subsystems built on top of the paper's core:
-// secure aggregation, client selection, FedNova,
-// compression-in-the-loop, personalization, layer norm / dropout, flags.
+// client selection, FedNova, compression-in-the-loop, personalization,
+// flags.
 
 #include <cmath>
 #include <set>
@@ -13,10 +13,8 @@
 #include "data/synthetic_images.h"
 #include "fl/fedavg.h"
 #include "fl/fednova.h"
-#include "fl/secure_agg.h"
 #include "fl/selection.h"
 #include "fl/trainer.h"
-#include "nn/norm.h"
 #include "test_util.h"
 #include "util/flags.h"
 
@@ -24,58 +22,6 @@ namespace rfed {
 namespace {
 
 using ::rfed::testing::MaxGradCheckError;
-
-// ---- Secure aggregation ----
-
-TEST(SecureAggTest, MasksCancelInSum) {
-  const int64_t dim = 50;
-  SecureAggregator agg(dim, /*session_seed=*/7);
-  Rng rng(2);
-  std::vector<int> cohort{0, 1, 2, 3};
-  std::vector<Tensor> updates, masked;
-  Tensor expected(Shape{dim});
-  for (int k : cohort) {
-    updates.push_back(Tensor::Normal(Shape{dim}, 0, 1, &rng));
-    expected.AddInPlace(updates.back());
-    masked.push_back(agg.Mask(k, updates.back(), cohort));
-  }
-  Tensor sum = SecureAggregator::SumMasked(masked);
-  EXPECT_TRUE(AllClose(sum, expected, 1e-3f));
-}
-
-TEST(SecureAggTest, IndividualUploadsAreMasked) {
-  const int64_t dim = 50;
-  SecureAggregator agg(dim, 7, /*mask_scale=*/10.0);
-  Rng rng(3);
-  Tensor update = Tensor::Normal(Shape{dim}, 0, 0.1f, &rng);
-  Tensor masked = agg.Mask(0, update, {0, 1, 2});
-  // The masked upload must look nothing like the raw update: the mask
-  // energy dominates by construction.
-  Tensor diff = masked;
-  diff.SubInPlace(update);
-  EXPECT_GT(diff.SquaredNorm(), 100.0f * update.SquaredNorm());
-}
-
-TEST(SecureAggTest, SingletonCohortIsUnmasked) {
-  SecureAggregator agg(4, 7);
-  Tensor update(Shape{4}, {1, 2, 3, 4});
-  EXPECT_TRUE(AllClose(agg.Mask(5, update, {5}), update, 0.0f));
-}
-
-TEST(SecureAggTest, WorksWithArbitraryCohortOrder) {
-  const int64_t dim = 10;
-  SecureAggregator agg(dim, 11);
-  Rng rng(4);
-  std::vector<int> cohort{9, 2, 5};
-  std::vector<Tensor> masked;
-  Tensor expected(Shape{dim});
-  for (int k : cohort) {
-    Tensor update = Tensor::Normal(Shape{dim}, 0, 1, &rng);
-    expected.AddInPlace(update);
-    masked.push_back(agg.Mask(k, update, cohort));
-  }
-  EXPECT_TRUE(AllClose(SecureAggregator::SumMasked(masked), expected, 1e-3f));
-}
 
 // ---- Client selection ----
 
@@ -268,56 +214,6 @@ TEST(PersonalizationTest, ClientsWithoutTestSlicesGetNan) {
       &algo, fx.data.train, fx.data.test, views, popt);
   EXPECT_TRUE(std::isnan(report.global_accuracy[2]));
   EXPECT_FALSE(std::isnan(report.global_accuracy[0]));
-}
-
-// ---- LayerNorm / Dropout ----
-
-TEST(LayerNormTest, NormalizesRows) {
-  LayerNorm norm(8);
-  Rng rng(8);
-  Variable x(Tensor::Normal(Shape{4, 8}, 3.0f, 2.0f, &rng));
-  Tensor y = norm.Forward(x).value();
-  for (int64_t r = 0; r < 4; ++r) {
-    double mean = 0.0, var = 0.0;
-    for (int64_t c = 0; c < 8; ++c) mean += y.at2(r, c);
-    mean /= 8.0;
-    for (int64_t c = 0; c < 8; ++c) {
-      var += (y.at2(r, c) - mean) * (y.at2(r, c) - mean);
-    }
-    var /= 8.0;
-    EXPECT_NEAR(mean, 0.0, 1e-4);  // default gamma=1, beta=0
-    EXPECT_NEAR(var, 1.0, 1e-2);
-  }
-}
-
-TEST(LayerNormTest, GradcheckThroughNorm) {
-  LayerNorm norm(5);
-  Rng rng(9);
-  Variable x(Tensor::Normal(Shape{3, 5}, 0, 1, &rng), true);
-  auto loss = [&] { return ag::Sum(ag::Tanh(norm.Forward(x))); };
-  std::vector<Variable*> leaves = norm.Parameters();
-  leaves.push_back(&x);
-  EXPECT_LT(MaxGradCheckError(loss, leaves), 5e-2);
-}
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Rng rng(10);
-  Variable x(Tensor::Normal(Shape{4, 4}, 0, 1, &rng));
-  Variable y = Dropout(x, 0.5, /*train=*/false, &rng);
-  EXPECT_TRUE(AllClose(y.value(), x.value(), 0.0f));
-}
-
-TEST(DropoutTest, TrainModePreservesExpectation) {
-  Rng rng(11);
-  Variable x(Tensor::Full(Shape{10000}, 1.0f));
-  Variable y = Dropout(x, 0.3, /*train=*/true, &rng);
-  EXPECT_NEAR(y.value().Mean(), 1.0f, 0.05f);
-  // Some elements are exactly zero.
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < y.value().size(); ++i) {
-    if (y.value().at(i) == 0.0f) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.3, 0.03);
 }
 
 // ---- FlagParser ----

@@ -39,6 +39,8 @@ namespace {
 
 using ::rfed::testing::AvailableKernelIsas;
 using ::rfed::testing::MaxGradCheckError;
+using ::rfed::testing::PoolWindowRule;
+using ::rfed::testing::RefConvReluPool;
 
 Variable Leaf(Tensor t) { return Variable(std::move(t), true); }
 
@@ -505,16 +507,18 @@ TEST_F(KernelTest, ElementwiseKernelsMatchScalarLoopsBitwise) {
 
 std::vector<ConvKernelShape> ConvCases() {
   std::vector<ConvKernelShape> cases;
-  // batch, cin, h, w, cout, kernel, stride, pad
-  cases.push_back({2, 1, 8, 8, 3, 3, 1, 1});   // MNIST-ish same-pad
-  cases.push_back({3, 2, 7, 9, 4, 3, 2, 0});   // strided, non-square, valid
-  cases.push_back({1, 3, 11, 11, 2, 5, 1, 2}); // 5x5 kernel, wide pad
-  cases.push_back({4, 2, 6, 6, 1, 1, 1, 0});   // pointwise 1x1
-  cases.push_back({2, 1, 5, 5, 2, 3, 3, 1});   // stride > 1 with pad
-  cases.push_back({2, 3, 7, 10, 9, 3, 1, 0});  // valid conv, cout > 8
+  // Every output is even in both dimensions, as the fused block's pool
+  // needs. batch, cin, h, w, cout, kernel, stride, pad:
+  cases.push_back({2, 1, 8, 8, 3, 3, 1, 1});    // MNIST-ish same-pad
+  cases.push_back({3, 2, 9, 13, 4, 3, 2, 0});   // strided, non-square, valid
+  cases.push_back({1, 3, 10, 10, 2, 5, 1, 2});  // 5x5 kernel, wide pad
+  cases.push_back({4, 2, 6, 6, 1, 1, 1, 0});    // pointwise 1x1
+  cases.push_back({2, 1, 5, 5, 2, 3, 3, 1});    // stride > 1 with pad
+  cases.push_back({2, 3, 8, 10, 9, 3, 1, 0});   // valid conv, cout > 8
   // A full lane group of images 210 floats long (no multiple of 8),
-  // output rows of 10 (tiles of 3, 3, 3 and 1) and a partial channel tile.
-  cases.push_back({9, 3, 7, 10, 5, 3, 1, 1});
+  // output rows of 10 (tiles of 3, 3, 3 and 1) from a 4x4 kernel with
+  // pad 3, and a partial channel tile.
+  cases.push_back({9, 2, 15, 7, 5, 4, 1, 3});
   // The CIFAR round's own shapes: conv1 and conv2 of the workload CNN,
   // at one image, an odd batch, batches around the 8- and 16-image lane
   // groups (8, 9, 15, 16, 17, 31, 32: a 16-lane table runs a last group
@@ -558,23 +562,27 @@ std::string OptionsName(const KernelOptions& o) {
          std::to_string(o.threads) + " block_n=" + std::to_string(o.block_n);
 }
 
-TEST_F(KernelTest, Conv2dForwardMatchesReferenceBitwise) {
+TEST_F(KernelTest, ConvBlockForwardMatchesReferenceBitwise) {
+  // The fused forward's pooled outputs and window bytes against the
+  // reference sums and the scalar pool rule, for every case and option.
   for (const ConvKernelShape& s : ConvCases()) {
     const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
                            1.0f, 0.3f);
     const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.7f);
     const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
-    std::vector<float> out_ref(
-        static_cast<size_t>(s.batch * s.out_channels * s.OutArea()), 0.0f);
-    ref::Conv2dForwardKernel(x.data(), w.data(), bias.data(), s,
-                             out_ref.data());
+    std::vector<float> out_ref;
+    std::vector<uint8_t> win_ref;
+    RefConvReluPool(x.data(), w.data(), bias.data(), s, &out_ref, &win_ref);
     for (const KernelOptions& o : ConvOptionGrid()) {
       SetKernelOptions(o);
-      std::vector<float> out_opt(out_ref.size(), 0.0f);
-      Conv2dForwardKernel(x.data(), w.data(), bias.data(), s, out_opt.data());
+      std::vector<float> out_opt(out_ref.size(), -7.0f);
+      std::vector<uint8_t> win_opt(win_ref.size(), 9);
+      Conv2dBiasReluPoolForwardKernel(x.data(), w.data(), bias.data(), s,
+                                      out_opt.data(), win_opt.data());
       ASSERT_EQ(0, std::memcmp(out_ref.data(), out_opt.data(),
                                out_ref.size() * sizeof(float)))
           << ConvName(s) << " " << OptionsName(o);
+      ASSERT_TRUE(win_ref == win_opt) << ConvName(s) << " " << OptionsName(o);
     }
   }
 }
@@ -613,24 +621,6 @@ TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
           << "db " << ConvName(s) << " " << OptionsName(o);
     }
   }
-}
-
-/// The conv block's epilogue rule written out for one 2x2 window of
-/// conv sums: r = std::max(0.0f, sum + bias), and a window position wins
-/// only when strictly greater than the running max.
-void PoolWindowRule(const float in[4], float bias, float* out,
-                    uint8_t* window) {
-  float best = std::max(0.0f, in[0] + bias);
-  uint8_t k_best = 0;
-  for (uint8_t k = 1; k < 4; ++k) {
-    const float r = std::max(0.0f, in[k] + bias);
-    if (r > best) {
-      best = r;
-      k_best = k;
-    }
-  }
-  *out = best;
-  *window = k_best;
 }
 
 /// Each kernel table this machine can run, with its name.
@@ -819,27 +809,11 @@ TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
       // Each dirty image through the reference, then the rule.
       ConvKernelShape one = s;
       one.batch = 1;
-      const int64_t ho = s.OutH(), wo = s.OutW();
       std::vector<std::vector<float>> want(cs.dirty.size());
       std::vector<std::vector<uint8_t>> want_win(cs.dirty.size());
       for (size_t d = 0; d < cs.dirty.size(); ++d) {
-        std::vector<float> sums(
-            static_cast<size_t>(s.out_channels * s.OutArea()), 0.0f);
-        ref::Conv2dForwardKernel(dirty.data() + cs.dirty[d] * in_size,
-                                 w.data(), bias.data(), one, sums.data());
-        want[d].resize(static_cast<size_t>(out_size));
-        want_win[d].resize(want[d].size());
-        for (int64_t c = 0; c < s.out_channels; ++c) {
-          for (int64_t py = 0; py < ho / 2; ++py) {
-            for (int64_t px = 0; px < wo / 2; ++px) {
-              const float* top = sums.data() + (c * ho + 2 * py) * wo + 2 * px;
-              const float in[4] = {top[0], top[1], top[wo], top[wo + 1]};
-              const size_t o =
-                  static_cast<size_t>((c * ho / 2 + py) * wo / 2 + px);
-              PoolWindowRule(in, 0.0f, &want[d][o], &want_win[d][o]);
-            }
-          }
-        }
+        RefConvReluPool(dirty.data() + cs.dirty[d] * in_size, w.data(),
+                        bias.data(), one, &want[d], &want_win[d]);
       }
       for (KernelIsa isa : AvailableKernelIsas()) {
         for (int threads : {1, 4}) {
@@ -888,8 +862,8 @@ TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
 
 TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
   // conv2 of the CIFAR round: 2*B*Cout*patch*area is counted, once for
-  // the forward and once per requested backward GEMM (dw, dx); the
-  // forward's dead lanes (B = 7 fills 7 of 8) are not counted.
+  // the fused forward and once per requested dense backward GEMM (dw,
+  // dx); the forward's dead lanes (B = 7 fills 7 of 8) are not counted.
   const ConvKernelShape s{7, 4, 6, 6, 8, 5, 1, 2};
   const int64_t useful = 2 * 7 * 8 * 100 * 36;
   const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,
@@ -897,13 +871,15 @@ TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
   const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 0.2f);
   const auto bias = Pattern(s.out_channels, 0.2f, 0.3f);
   const auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 0.4f);
-  std::vector<float> out(go.size(), 0.0f), dx(x.size(), 0.0f),
+  std::vector<float> out(go.size() / 4), dx(x.size(), 0.0f),
       dw(w.size(), 0.0f), db(bias.size(), 0.0f);
+  std::vector<uint8_t> window(out.size());
   obs::Counter* flops =
       obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
   obs::EnableTracing(true);
   const int64_t before = flops->value();
-  Conv2dForwardKernel(x.data(), w.data(), bias.data(), s, out.data());
+  Conv2dBiasReluPoolForwardKernel(x.data(), w.data(), bias.data(), s,
+                                  out.data(), window.data());
   EXPECT_EQ(flops->value() - before, useful);
   Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx.data(),
                        dw.data(), db.data());
@@ -1023,16 +999,20 @@ TEST_F(KernelTest, Im2ColRoundTripAgainstStridedWindow) {
 }
 
 TEST_F(KernelTest, GradCheckThroughBlockedConvPath) {
-  // Finite-difference check of the full autograd conv path while the
-  // blocked kernels (tiny blocks, 2 threads) are live underneath.
+  // Finite-difference check of the fused conv block's autograd node,
+  // stride 1 with even outputs so the lane forward and the sparse
+  // backward run, while the blocked kernels (tiny blocks, 2 threads) are
+  // live underneath.
   SetKernelOptions(TinyBlocks(2));
   Rng rng(23);
   Conv2dSpec spec{.in_channels = 2, .out_channels = 3, .kernel = 3,
-                  .stride = 2, .pad = 1};
-  Variable x = Leaf(Tensor::Normal(Shape{2, 2, 5, 5}, 0, 1, &rng));
+                  .stride = 1, .pad = 1};
+  Variable x = Leaf(Tensor::Normal(Shape{2, 2, 4, 6}, 0, 1, &rng));
   Variable w = Leaf(Tensor::Normal(Shape{3, 18}, 0, 0.5f, &rng));
   Variable b = Leaf(Tensor::Normal(Shape{3}, 0, 0.5f, &rng));
-  auto loss = [&] { return ag::Sum(ag::Tanh(ag::Conv2d(x, w, b, spec))); };
+  auto loss = [&] {
+    return ag::Sum(ag::Tanh(ag::Conv2dBiasReluPool(x, w, b, spec)));
+  };
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}, 5e-3), 0.1);
 }
 

@@ -93,16 +93,18 @@ TEST(ConvLayerTest, OutputShape) {
   Rng rng(8);
   Conv2dLayer conv(3, 8, 5, 1, 2, &rng);
   Variable x(Tensor::Normal(Shape{2, 3, 12, 12}, 0, 1, &rng));
-  EXPECT_EQ(conv.Forward(x).shape(), Shape({2, 8, 12, 12}));
+  EXPECT_EQ(conv.ForwardReluPool(x).shape(), Shape({2, 8, 6, 6}));
 }
 
 TEST(EmbeddingTest, LookupAndGradcheck) {
   Rng rng(9);
   Embedding emb(10, 4, &rng);
   const std::vector<int> ids{1, 3, 3, 7};
-  Variable out = emb.Forward(ids);
+  Variable out = emb.Forward(ids, /*timestep=*/0);
   EXPECT_EQ(out.shape(), Shape({4, 4}));
-  auto loss = [&] { return ag::Sum(ag::Tanh(emb.Forward(ids))); };
+  auto loss = [&] {
+    return ag::Sum(ag::Tanh(emb.Forward(ids, /*timestep=*/0)));
+  };
   EXPECT_LT(MaxGradCheckError(loss, emb.Parameters()), kTol);
 }
 

@@ -1,6 +1,6 @@
-// Second parameterized property suite: compression, secure aggregation,
-// optimizers on quadratics, checkpointing, FedAvgM, and dataset
-// invariants swept across families of configurations.
+// Second parameterized property suite: compression, optimizers on
+// quadratics, checkpointing, FedAvgM, and dataset invariants swept
+// across families of configurations.
 
 #include <cmath>
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "fl/fedavg.h"
 #include "fl/fedavgm.h"
 #include "fl/fednova.h"
-#include "fl/secure_agg.h"
 #include "fl/trainer.h"
 #include "nn/optimizer.h"
 #include "util/rng.h"
@@ -61,31 +60,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("none", "q8", "q4", "topk10",
                                          "topk1", "sketch"),
                        ::testing::Values(64, 500, 4096)));
-
-// ---- Property: secure aggregation sums are exact for any cohort ----
-
-class SecureAggPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SecureAggPropertyTest, SumExactForCohortSize) {
-  const int cohort_size = GetParam();
-  const int64_t dim = 40;
-  SecureAggregator agg(dim, /*session_seed=*/99);
-  Rng rng(static_cast<uint64_t>(cohort_size));
-  std::vector<int> cohort;
-  for (int i = 0; i < cohort_size; ++i) cohort.push_back(i * 3 + 1);
-  std::vector<Tensor> masked;
-  Tensor expected(Shape{dim});
-  for (int k : cohort) {
-    Tensor update = Tensor::Normal(Shape{dim}, 0, 1, &rng);
-    expected.AddInPlace(update);
-    masked.push_back(agg.Mask(k, update, cohort));
-  }
-  EXPECT_TRUE(AllClose(SecureAggregator::SumMasked(masked), expected,
-                       1e-3f * static_cast<float>(cohort_size)));
-}
-
-INSTANTIATE_TEST_SUITE_P(CohortSizes, SecureAggPropertyTest,
-                         ::testing::Values(1, 2, 3, 8, 16));
 
 // ---- Property: optimizers minimize a convex quadratic ----
 

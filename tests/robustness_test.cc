@@ -161,6 +161,45 @@ TEST(CorruptCheckpointDeathTest, OlderContainerVersionAborts) {
   EXPECT_DEATH(RunCheckpoint::Load(path), "unsupported checkpoint version");
 }
 
+// Overwrites the u32 at `offset` of a saved run checkpoint and refreshes
+// its checksum footer, so only the field's meaning is hostile.
+void PatchRunCheckpointU32(const std::string& path, size_t offset,
+                           uint32_t value) {
+  std::vector<uint8_t> bytes = ReadAllBytes(path);
+  ASSERT_LE(offset + sizeof value, bytes.size() - sizeof(uint32_t));
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  const size_t payload = bytes.size() - sizeof(uint32_t);
+  const uint32_t checksum = Fnv1a32(bytes.data(), payload);
+  std::memcpy(bytes.data() + payload, &checksum, sizeof checksum);
+  WriteAllBytes(path, bytes);
+}
+
+// TinyRunCheckpoint's layout: magic (8), version (4), next_round (4),
+// "FedAvg" (4 + 6), the round count, then per round two 4-byte and
+// twelve 8-byte fields before that round's metric count.
+constexpr size_t kNextRoundOffset = 12;
+constexpr size_t kRoundCountOffset = 26;
+constexpr size_t kFirstMetricCountOffset = 30 + 2 * 4 + 12 * 8;
+
+TEST(CorruptCheckpointDeathTest, InflatedRoundCountAbortsByName) {
+  // next_round and the history length agree and the checksum holds, but
+  // 2^31 - 1 rounds cannot fit the payload: refused before any reserve.
+  const std::string path = ::testing::TempDir() + "run_rounds.ckpt";
+  TinyRunCheckpoint().Save(path);
+  PatchRunCheckpointU32(path, kNextRoundOffset, 0x7fffffffu);
+  PatchRunCheckpointU32(path, kRoundCountOffset, 0x7fffffffu);
+  EXPECT_DEATH(RunCheckpoint::Load(path),
+               "checkpoint claims more rounds than its payload holds");
+}
+
+TEST(CorruptCheckpointDeathTest, InflatedMetricCountAbortsByName) {
+  const std::string path = ::testing::TempDir() + "run_metrics.ckpt";
+  TinyRunCheckpoint().Save(path);
+  PatchRunCheckpointU32(path, kFirstMetricCountOffset, 0xffffffffu);
+  EXPECT_DEATH(RunCheckpoint::Load(path),
+               "checkpoint claims more round metrics than its payload holds");
+}
+
 TEST(CheckedInvariantsDeathTest, ScalarBackwardOnlyFromScalar) {
   Variable x(Tensor(Shape{3}), true);
   EXPECT_DEATH(x.Backward(), "must start from a scalar");

@@ -40,6 +40,8 @@ namespace {
 
 using ::rfed::testing::AvailableKernelIsas;
 using ::rfed::testing::MaxGradCheckError;
+using ::rfed::testing::RefConv2dBackward;
+using ::rfed::testing::RefConvReluPool;
 
 constexpr double kTol = 5e-2;  // float32 kernels vs double finite diffs
 
@@ -89,14 +91,31 @@ TEST(FusedOpsTest, LinearBiasReluGradcheck) {
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}), kTol);
 }
 
-TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
+/// The conv block's gradient on the full-size conv grid, as the dense
+/// path sees it: 0 + grad at each window's winner where the pooled
+/// output passed the ReLU, +0 everywhere else.
+Tensor RoutedGradient(const Tensor& grad, const Tensor& y,
+                      const std::vector<uint8_t>& window) {
+  const int64_t wo = y.dim(3), wd = 2 * wo;
+  Tensor routed(Shape{y.dim(0), y.dim(1), 2 * y.dim(2), wd});
+  for (int64_t i = 0; i < y.size(); ++i) {
+    const int64_t k = window[static_cast<size_t>(i)];
+    routed.at(2 * (i / wo) * wd + (k >> 1) * wd + 2 * (i % wo) + (k & 1)) =
+        y.at(i) > 0.0f ? 0.0f + grad.at(i) : 0.0f;
+  }
+  return routed;
+}
+
+TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesReferenceBitwise) {
   // The round's two convolutions, the golden CNN's (2 and 4 channels),
   // a 9-channel conv (a partial second register tile) and a strided
   // shape off the padded grid, at one image, an odd batch, a training
   // batch and a δ-map batch, on every available ISA table, at 1, 2 and
-  // 4 threads: the pooled value, its window bytes and every gradient
-  // memcmp-equal to ag::MaxPool2x2(ag::Relu(ag::Conv2d)).
-  // The upstream gradient has random signs so the routing decides real
+  // 4 threads: the node's pooled value and window bytes memcmp-equal to
+  // the reference sums plus the scalar pool rule (RefConvReluPool), and
+  // every gradient to ref::Conv2dBackwardKernel on the routed gradient,
+  // accumulated into a zeroed leaf gradient as autograd does. The
+  // upstream gradient has random signs so the routing decides real
   // values.
   struct Case {
     int64_t cin, side, cout, kernel, stride, pad;
@@ -122,6 +141,16 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
       const Tensor bt = Tensor::Normal(Shape{cs.cout}, 0, 0.3f, &rng);
       const Tensor rt =
           Tensor::Normal(Shape{batch, cs.cout, ho / 2, ho / 2}, 0, 1, &rng);
+      std::vector<uint8_t> win_ref;
+      const Tensor y_ref = RefConvReluPool(xt, wt, bt, spec, &win_ref);
+      Tensor dx_ref, dw_ref, db_ref;
+      RefConv2dBackward(RoutedGradient(rt, y_ref, win_ref), xt, wt, spec,
+                        &dx_ref, &dw_ref, &db_ref);
+      for (Tensor* t : {&dx_ref, &dw_ref, &db_ref}) {
+        Tensor accumulated(t->shape());
+        accumulated.AddInPlace(*t);
+        *t = std::move(accumulated);
+      }
       for (KernelIsa isa : isas) {
         for (int threads : {1, 2, 4}) {
           KernelOptions o;
@@ -134,21 +163,15 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
               " stride=" + std::to_string(cs.stride) + " B=" +
               std::to_string(batch) + " isa=" + KernelIsaName(isa) +
               " threads=" + std::to_string(threads);
-          std::vector<uint8_t> win_fused, win_chain;
+          std::vector<uint8_t> win_fused;
           const Tensor y_fused =
               Conv2dBiasReluPoolForward(xt, wt, bt, spec, &win_fused);
-          const Tensor y_chain = MaxPool2x2Forward(
-              Relu(Conv2dForward(xt, wt, bt, spec)), &win_chain);
-          EXPECT_TRUE(win_fused == win_chain) << what << " window";
+          EXPECT_TRUE(win_fused == win_ref) << what << " window";
 
           const Variable r(rt, false);
           Variable x1 = Leaf(xt), w1 = Leaf(wt), b1 = Leaf(bt);
           Variable fused = ag::Conv2dBiasReluPool(x1, w1, b1, spec);
           ag::Sum(ag::Mul(fused, r)).Backward();
-          Variable x2 = Leaf(xt), w2 = Leaf(wt), b2 = Leaf(bt);
-          Variable chain =
-              ag::MaxPool2x2(ag::Relu(ag::Conv2d(x2, w2, b2, spec)));
-          ag::Sum(ag::Mul(chain, r)).Backward();
           auto same = [&](const Tensor& a, const Tensor& b,
                           const char* name) {
             ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
@@ -157,12 +180,11 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
                 sizeof(float) * static_cast<size_t>(a.size())))
                 << what << " " << name;
           };
-          same(y_fused, y_chain, "op forward");
-          same(fused.value(), y_chain, "node forward");
-          same(chain.value(), y_chain, "chain forward");
-          same(x1.grad(), x2.grad(), "dx");
-          same(w1.grad(), w2.grad(), "dw");
-          same(b1.grad(), b2.grad(), "db");
+          same(y_fused, y_ref, "op forward");
+          same(fused.value(), y_ref, "node forward");
+          same(x1.grad(), dx_ref, "dx");
+          same(w1.grad(), dw_ref, "dw");
+          same(b1.grad(), db_ref, "db");
         }
       }
     }
@@ -170,25 +192,23 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesComposedChainBitwise) {
   SetKernelOptions(KernelOptions{});
 }
 
-/// The conv block's gradient on the full-size conv grid, as the dense
-/// path sees it: 0 + grad at each window's winner where the pooled
-/// output passed the ReLU, +0 everywhere else.
-Tensor RoutedGradient(const Tensor& grad, const Tensor& y,
-                      const std::vector<uint8_t>& window) {
-  const int64_t wo = y.dim(3), wd = 2 * wo;
-  Tensor routed(Shape{y.dim(0), y.dim(1), 2 * y.dim(2), wd});
-  for (int64_t i = 0; i < y.size(); ++i) {
-    const int64_t k = window[static_cast<size_t>(i)];
-    routed.at(2 * (i / wo) * wd + (k >> 1) * wd + 2 * (i % wo) + (k & 1)) =
-        y.at(i) > 0.0f ? 0.0f + grad.at(i) : 0.0f;
-  }
-  return routed;
+/// The dense Conv2dBackwardKernel (the fused block's fallback) on the
+/// full-size output gradient, into fresh zeroed tensors.
+void DenseConv2dBackward(const Tensor& grad_out, const Tensor& x,
+                         const Tensor& w, const Conv2dSpec& spec, Tensor* dx,
+                         Tensor* dw, Tensor* db) {
+  *dx = Tensor(x.shape());
+  *dw = Tensor(w.shape());
+  *db = Tensor(Shape{spec.out_channels});
+  Conv2dBackwardKernel(grad_out.data(), x.data(), w.data(),
+                       ::rfed::testing::KernelShapeOf(x, spec), dx->data(),
+                       dw->data(), db->data());
 }
 
 TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedDenseBitwise) {
   // Conv2dBiasReluPoolBackward adds terms for the live winners only,
-  // straight from (grad, y, window); dx, dw and db must memcmp-equal
-  // Conv2dBackward on the routed gradient. The shapes of the composed
+  // straight from (grad, y, window); dx, dw and db must memcmp-equal the
+  // dense Conv2dBackwardKernel on the routed gradient. The shapes of the composed
   // chain test plus 6 input channels (two channel groups), on the
   // portable and the AVX2 table, serial and threaded. Three kinds of
   // input:
@@ -259,8 +279,8 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedDenseBitwise) {
         const bool fallback = !on_grid || input > Input::kEdge;
 
         Tensor rdx, rdw, rdb;
-        Conv2dBackward(RoutedGradient(gt, y, window), xt, wt, spec, &rdx,
-                       &rdw, &rdb);
+        DenseConv2dBackward(RoutedGradient(gt, y, window), xt, wt, spec,
+                            &rdx, &rdw, &rdb);
         for (KernelIsa isa : isas) {
           for (int threads : {1, 4}) {
             KernelOptions o;

