@@ -23,6 +23,8 @@
 // and its backward, the mask, ref conv backward), and their "flops" are
 // the dense conv's plus one per conv output, so the backward rows'
 // "gflops" read as a dense-equivalent rate. The
+// cifar_round_conv{1,2}_relu_pool_fwd_b8 rows run the forward at 8
+// images, which a 16-lane table runs as one narrow group. The
 // cifar_round_conv2_relu_pool_bwd_nonfinite_b24 row puts one NaN in the
 // pooled gradient, which sends the backward down its dense fallback.
 //
@@ -224,6 +226,14 @@ std::vector<Case> Sweep() {
                    {256, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
   cases.push_back({"cifar_round_conv2_bwd_b256", Kind::kConvBwd, 0, 0, 0,
                    {256, 4, 6, 6, 8, 5, 1, 2}, true});
+  // Its conv blocks' forward at 8 images alone: the narrow group a
+  // 16-lane table runs last (B = 24 is 16 + 8).
+  cases.push_back({"cifar_round_conv1_relu_pool_fwd_b8",
+                   Kind::kConvReluPoolFwd, 0, 0, 0,
+                   {8, 3, 12, 12, 4, 5, 1, 2}, true});
+  cases.push_back({"cifar_round_conv2_relu_pool_fwd_b8",
+                   Kind::kConvReluPoolFwd, 0, 0, 0,
+                   {8, 4, 6, 6, 8, 5, 1, 2}, true});
   // Its ReLU and conv blocks, at the training and the δ-map batch.
   for (int64_t b : {24, 150}) {
     const ConvKernelShape conv1{b, 3, 12, 12, 4, 5, 1, 2};

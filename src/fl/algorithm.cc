@@ -333,7 +333,7 @@ Tensor FederatedAlgorithm::CompressUploadedState(const Tensor& state,
   if (!compression_enabled_) {
     const bool ok = ChargeModelUpload();
     if (delivered != nullptr) *delivered = ok;
-    return state;
+    return Tensor();
   }
   Tensor delta = state;
   delta.SubInPlace(global_state_);
@@ -577,13 +577,19 @@ void FederatedAlgorithm::RecordRejection(int client) {
       ->Set(static_cast<double>(count));
 }
 
-bool FederatedAlgorithm::ValidateUpdate(int client, const Tensor& state,
-                                        const Tensor& uploaded) {
+bool FederatedAlgorithm::ValidateUpdate(const ClientWork& w) {
   if (!config_.robust.validate) return true;
-  if (AllFinite(state) && AllFinite(uploaded)) return true;
+  if (AllFinite(w.state) &&
+      (!compression_enabled_ || AllFinite(w.uploaded))) {
+    return true;
+  }
   m_quarantined_->Increment();
-  RecordRejection(client);
+  RecordRejection(w.client);
   return false;
+}
+
+Tensor FederatedAlgorithm::TakeUpload(ClientWork* w) const {
+  return std::move(compression_enabled_ ? w->uploaded : w->state);
 }
 
 bool FederatedAlgorithm::ScreenMap(int client, const Tensor& map) {
@@ -768,15 +774,15 @@ RoundResult FederatedAlgorithm::RunRoundBarrier(int round) {
     // Server-side validation: a non-finite update is quarantined here,
     // before it can reach the aggregator, SCAFFOLD's control-variate
     // refresh, or the rFedAvg map computation.
-    if (!ValidateUpdate(w.client, w.state, w.uploaded)) return;
+    if (!ValidateUpdate(w)) return;
     OnClientTrained(round, w.client, w.state);
     survivors.push_back(w.client);
     if (folding) {
       // Folding is aggregation work, so the trace books it there.
       obs::TraceSpan trace_span("aggregate");
-      mean.Fold(std::move(w.uploaded), client_weight(w.client));
+      mean.Fold(TakeUpload(&w), client_weight(w.client));
     } else {
-      new_states.push_back(std::move(w.uploaded));
+      new_states.push_back(TakeUpload(&w));
     }
     if (want_start_losses) start_losses.push_back(w.start_loss);
   };
@@ -903,7 +909,7 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
     if (!w.delivered) continue;  // upload lost in flight
     // Quarantined updates free their client but, like lost uploads,
     // fill no buffer slot and never reach the server state.
-    if (!ValidateUpdate(w.client, w.state, w.uploaded)) continue;
+    if (!ValidateUpdate(w)) continue;
     const int staleness = server_version_ - version;
     staleness_sum += static_cast<double>(staleness);
     StalenessHistogram()->Observe(static_cast<double>(staleness));
@@ -913,7 +919,7 @@ RoundResult FederatedAlgorithm::RunRoundAsync(int round) {
     trained_loss += pw * w.loss;
     OnClientTrained(round, w.client, w.state);
     survivors.push_back(w.client);
-    new_states.push_back(std::move(w.uploaded));
+    new_states.push_back(TakeUpload(&w));
     if (want_start_losses) start_losses.push_back(w.start_loss);
     scales.push_back(1.0 / (1.0 + static_cast<double>(staleness)));
   }

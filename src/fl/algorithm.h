@@ -368,8 +368,10 @@ class FederatedAlgorithm {
   /// Applies the configured upload compressor to (state - global): the
   /// returned state is global + roundtrip(delta). Charges the compressed
   /// wire size instead of the full model when a compressor is active.
-  /// *delivered (may be null) reports whether the upload survived the
-  /// fault channel; an undelivered state must not be aggregated.
+  /// With no compressor it returns an empty tensor and copies nothing:
+  /// `state` itself is the upload. *delivered (may be null) reports
+  /// whether the upload survived the fault channel; an undelivered state
+  /// must not be aggregated.
   Tensor CompressUploadedState(const Tensor& state,
                                bool* delivered = nullptr);
 
@@ -417,7 +419,7 @@ class FederatedAlgorithm {
     double down_ms = 0.0;     ///< virtual broadcast latency
     double compute_ms = 0.0;  ///< virtual local-compute duration
     // Set by UploadUpdate.
-    Tensor uploaded;              ///< post-compression state to aggregate
+    Tensor uploaded;  ///< post-compression state; empty with no compressor
     bool delivered = false;       ///< upload survived the fault channel
     double completion_ms = 0.0;   ///< down + compute + up duration
   };
@@ -501,12 +503,16 @@ class FederatedAlgorithm {
   /// finishes instead of buffering new_states for Aggregate.
   bool FoldsBaseMean() const;
 
-  /// The server-side validation screen: true when `state` and `uploaded`
-  /// are both clean (or validation is off), false after quarantining the
-  /// update (counter + reputation). Runs before OnClientTrained so a
-  /// poisoned update never touches control variates or map stores.
-  bool ValidateUpdate(int client, const Tensor& state,
-                      const Tensor& uploaded);
+  /// The server-side validation screen: true when w.state and, with a
+  /// compressor, w.uploaded are clean (or validation is off), false after
+  /// quarantining the update (counter + reputation). Runs before
+  /// OnClientTrained so a poisoned update never touches control variates
+  /// or map stores.
+  bool ValidateUpdate(const ClientWork& w);
+
+  /// Moves out the state to aggregate: w->uploaded with a compressor,
+  /// else w->state itself. Call after OnClientTrained has read w->state.
+  Tensor TakeUpload(ClientWork* w) const;
 
   std::string name_;
   FlConfig config_;

@@ -23,7 +23,8 @@
 // output channels x 3 positions of one row in 12 named accumulators.
 // Its epilogue (bias, ReLU, 2x2 max-pool) pools one output of 8 images
 // per step with vertical compares; an 8x8 transpose moves the images
-// into the lanes.
+// into the lanes. The block backward's interleaved copy of x runs 4
+// positions per step (kernels_avx2_shared.h, shared with AVX-512).
 //
 // Element-wise kernels: 8 lanes per instruction, each lane running the
 // scalar loop's operations in order (no FMA), tails on the scalar loops.
@@ -34,6 +35,7 @@
 
 #include <cmath>
 
+#include "tensor/kernels_avx2_shared.h"
 #include "tensor/kernels_blocked.h"
 
 namespace rfed {
@@ -43,6 +45,7 @@ namespace {
 struct Avx2Traits {
   static constexpr int64_t kNr = 16;
   static constexpr int64_t kConvLanes = 8;
+  static constexpr int64_t kTileCols = kConvCols;
   static constexpr int64_t kTr = 8;
   static constexpr int64_t kDwChains = 15;
   static constexpr int64_t kDxLanes = 8;
@@ -388,19 +391,13 @@ struct Avx2Traits {
       });
       return;
     }
-    // Any other kernel, which no model in the repository has: one tap's
-    // chain at a time.
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t kx = 0; kx < k; ++kx) {
-        const double* xt = x + r * ldx + kx * kConvRows;
-        __m256d acc = _mm256_setzero_pd();
-        for (int64_t e = 0; e < n; ++e) {
-          acc = _mm256_fmadd_pd(_mm256_broadcast_sd(v + e),
-                                _mm256_loadu_pd(xt + pos[e]), acc);
-        }
-        _mm256_storeu_pd(out + (r * k + kx) * kConvRows, acc);
-      }
-    }
+    SparseDwTaps256(x, ldx, k, rows, pos, v, n, out);
+  }
+
+  static void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
+                                  int64_t w, int64_t pad, int64_t wp,
+                                  double* xd) {
+    CopyIntoInterleaved256(src, live, h, w, pad, wp, xd);
   }
 
   // Sparse dx of one position: per ky, the lanes in runs of up to 4

@@ -4,17 +4,20 @@
 // built); kernels.cc only calls into this table after
 // __builtin_cpu_supports confirms all four at runtime.
 //
-// Four entries are its own (conv_forward, conv_lanes, conv_relu_pool,
-// live_winners); every other entry is the AVX2 table's function
-// pointer, so no GEMM or element-wise code is compiled twice:
+// Five entries are its own (conv_forward, conv_block_backward,
+// live_winners, conv_lanes, conv_relu_pool); every other entry is the
+// AVX2 table's function pointer, so no GEMM or element-wise code is
+// compiled twice:
 //
 // Conv forward: 16 images in the lanes of each __m512, a tile of 4
 // output channels x 3 positions of one row in 12 named accumulators,
 // each lane the same fused chain in ascending p as every other table.
-// A batch's last group of at most 8 images runs the same members at 8
-// lanes on __m256 (Avx512Conv<8>), so no lanes are wasted on B = 24
-// (16 + 8) or B = 150 (9 x 16 + 6). A 16x16 transpose interleaves a
-// group; partial groups load only their live images' rows.
+// A batch's last group of at most 8 images runs on the 8-lane grid
+// (Avx512Narrow), so no lanes are wasted on B = 24 (16 + 8) or B = 150
+// (9 x 16 + 6); there one __m512 holds two positions, and the same 12
+// accumulators cover 4 channels x 6 positions. A 16x16 transpose
+// interleaves a group; partial groups load only their live images'
+// rows.
 //
 // Conv epilogue (bias, ReLU, 2x2 max-pool): one pooled output of 16
 // images per step, compares into mask registers, the scalar rule; runs
@@ -27,6 +30,13 @@
 // and values in ascending px. These run at 256 bits: in a same-process
 // A/B, 512-bit lists made conv2's block backward (3 windows a row)
 // about 10% slower at B = 150, while 256-bit ones made it faster.
+//
+// The rest of the block backward (Avx512Traits): a 5x5 kernel's dw in
+// one pass over each winner list (15 accumulators: per kernel row two
+// __m512d and one __m256d), dx over all 5 kernel rows per sweep of a
+// position's live channels (one __m512 and one __m256 per row), and the
+// interleaved copy of x to doubles 4 positions per step, shared with
+// the AVX2 table (kernels_avx2_shared.h).
 
 #ifdef RFED_HAVE_AVX512
 
@@ -37,6 +47,7 @@
 
 #include <immintrin.h>
 
+#include "tensor/kernels_avx2_shared.h"
 #include "tensor/kernels_blocked.h"
 
 namespace rfed {
@@ -159,12 +170,15 @@ struct Avx512Conv {
   using Ops = Vec<L>;
   using V = typename Ops::V;
   static constexpr int64_t kConvLanes = L;
+  static constexpr int64_t kTileCols = kConvCols;
 
   // 4 output channels x Q positions of one row, one vector of L images
   // per (channel, position), in named accumulators. Each step makes Q
-  // aligned loads and 4 weight broadcasts; the positions a shape does
-  // not use are compiled away. Out of line, like the AVX2 tile, so that
-  // the accumulators are allocated for this loop alone.
+  // loads and 4 weight broadcasts; the positions a shape does not use
+  // are compiled away. The loads are unaligned because the narrow tile
+  // (Avx512Narrow) runs this one on the 8-lane grid, where a pair of
+  // positions may start mid-vector. Out of line, like the AVX2 tile, so
+  // that the accumulators are allocated for this loop alone.
   template <int Q>
   [[gnu::noinline]] static void ConvTile(const float* wp, const float* base,
                                          const int64_t* off, int64_t kc,
@@ -175,9 +189,9 @@ struct Avx512Conv {
     V c30 = c00, c31 = c00, c32 = c00;
     for (int64_t p = 0; p < kc; ++p) {
       const float* bv = base + off[p];
-      const V b0 = Ops::Load(bv);
-      const V b1 = Q > 1 ? Ops::Load(bv + L) : b0;
-      const V b2 = Q > 2 ? Ops::Load(bv + 2 * L) : b0;
+      const V b0 = Ops::LoadU(bv);
+      const V b1 = Q > 1 ? Ops::LoadU(bv + L) : b0;
+      const V b2 = Q > 2 ? Ops::LoadU(bv + 2 * L) : b0;
       const float* av = wp + p * kConvRows;
       FmaRow<Q>(av[0], b0, b1, b2, c00, c01, c02);
       FmaRow<Q>(av[1], b0, b1, b2, c10, c11, c12);
@@ -286,8 +300,137 @@ struct Avx512Conv {
   }
 };
 
+// The narrow group's forward members: Avx512Conv<8>'s, but for the
+// tile. On the 8-lane grid position q + 1 directly follows position q,
+// so one __m512 holds two positions of the 8 images, and the 16-lane
+// tile handed Q/2 vectors is 4 channels x Q positions here: 12 __m512
+// accumulators, the same chain per lane. Q is even because Wo is
+// (ConvGroupT checks), so c stays aligned to 16 floats.
+struct Avx512Narrow : Avx512Conv<kNarrowLanes> {
+  static constexpr int64_t kTileCols = 2 * kConvCols;
+
+  template <int Q>
+  static void ConvTile(const float* wp, const float* base, const int64_t* off,
+                       int64_t kc, float* c, int64_t ldc) {
+    static_assert(Q % 2 == 0, "positions come in pairs");
+    Avx512Conv<16>::ConvTile<Q / 2>(wp, base, off, kc, c, ldc);
+  }
+};
+
 struct Avx512Traits : Avx512Conv<16> {
-  using Narrow = Avx512Conv<kNarrowLanes>;
+  using Narrow = Avx512Narrow;
+
+  // The sparse backward (ConvBlockBackwardT): a 5x5 kernel's 25 taps in
+  // one dw pass, and dx lanes in multiples of 8 (24 per kernel row).
+  static constexpr int64_t kDwChains = 25;
+  static constexpr int64_t kDxLanes = 8;
+
+  static void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
+                                  int64_t w, int64_t pad, int64_t wp,
+                                  double* xd) {
+    CopyIntoInterleaved256(src, live, h, w, pad, wp, xd);
+  }
+
+  // Sparse dw of a 5x5 kernel in one pass over the winners: per kernel
+  // row, taps 0-3 x 4 channels in two __m512d and tap 4 in one __m256d,
+  // 15 accumulators held while the winners stream past. Each lane is
+  // the scalar loop's double chain (the products are exact, so fused
+  // and mul+add steps are the same bits). Other kernels run one tap's
+  // chain at a time.
+  static void ConvSparseDw(const double* x, int64_t ldx, int64_t k,
+                           int64_t rows, const int32_t* pos, const double* v,
+                           int64_t n, double* out) {
+    constexpr int kK = 5;
+    if (k != kK || rows != kK) {
+      SparseDwTaps256(x, ldx, k, rows, pos, v, n, out);
+      return;
+    }
+    __m512d lo[kK], mid[kK];
+    __m256d hi[kK];
+#pragma GCC unroll 5
+    for (int r = 0; r < kK; ++r) {
+      lo[r] = mid[r] = _mm512_setzero_pd();
+      hi[r] = _mm256_setzero_pd();
+    }
+    for (int64_t e = 0; e < n; ++e) {
+      const __m512d ve = _mm512_set1_pd(v[e]);
+      const __m256d ve4 = _mm512_castpd512_pd256(ve);
+      // A stepped row pointer lets GCC fold the offsets into the loads.
+      const double* xr = x + pos[e];
+#pragma GCC unroll 5
+      for (int r = 0; r < kK; ++r, xr += ldx) {
+        lo[r] = _mm512_fmadd_pd(ve, _mm512_loadu_pd(xr), lo[r]);
+        mid[r] = _mm512_fmadd_pd(ve, _mm512_loadu_pd(xr + 8), mid[r]);
+        hi[r] = _mm256_fmadd_pd(ve4, _mm256_loadu_pd(xr + 16), hi[r]);
+      }
+    }
+#pragma GCC unroll 5
+    for (int r = 0; r < kK; ++r) {
+      double* o = out + r * kK * kConvRows;
+      _mm512_storeu_pd(o, lo[r]);
+      _mm512_storeu_pd(o + 8, mid[r]);
+      _mm256_storeu_pd(o + 16, hi[r]);
+    }
+  }
+
+  // Sparse dx of one position over K kernel rows at once, each row's
+  // lanes in Z __m512 and Y __m256 (Z, Y <= 1), so the position's live
+  // channels are swept once for all K rows. Each lane is a fused chain
+  // from +0 over e ascending, then added to dx.
+  template <int K, int Z, int Y>
+  static void SparseDxRows(const float* w, const int32_t* wof, const float* v,
+                           int64_t n, int64_t lanes, float* dx, int64_t ld) {
+    static_assert(Z <= 1 && Y <= 1, "at most 24 lanes per row");
+    __m512 tz[K];
+    __m256 ty[K];
+#pragma GCC unroll 5
+    for (int r = 0; r < K; ++r) {
+      tz[r] = _mm512_setzero_ps();
+      ty[r] = _mm256_setzero_ps();
+    }
+    for (int64_t e = 0; e < n; ++e) {
+      const __m512 ve = _mm512_set1_ps(v[e]);
+      const float* we = w + wof[e];
+#pragma GCC unroll 5
+      for (int r = 0; r < K; ++r, we += lanes) {
+        if constexpr (Z == 1) {
+          tz[r] = _mm512_fmadd_ps(_mm512_loadu_ps(we), ve, tz[r]);
+        }
+        if constexpr (Y == 1) {
+          ty[r] = _mm256_fmadd_ps(_mm256_loadu_ps(we + 16 * Z),
+                                  _mm512_castps512_ps256(ve), ty[r]);
+        }
+      }
+    }
+#pragma GCC unroll 5
+    for (int r = 0; r < K; ++r) {
+      float* d = dx + r * ld;
+      if constexpr (Z == 1) {
+        _mm512_storeu_ps(d, _mm512_add_ps(_mm512_loadu_ps(d), tz[r]));
+      }
+      if constexpr (Y == 1) {
+        _mm256_storeu_ps(d + 16 * Z,
+                         _mm256_add_ps(_mm256_loadu_ps(d + 16 * Z), ty[r]));
+      }
+    }
+  }
+
+  // A 5x5 kernel's rows (24 lanes each) in one sweep; any other kernel
+  // a row and 8 lanes at a time.
+  static void ConvSparseDx(const float* w, const int32_t* wof, const float* v,
+                           int64_t n, int64_t k, int64_t lanes, float* dx,
+                           int64_t ld) {
+    if (k == 5) {
+      SparseDxRows<5, 1, 1>(w, wof, v, n, lanes, dx, ld);
+      return;
+    }
+    for (int64_t ky = 0; ky < k; ++ky) {
+      for (int64_t j0 = 0; j0 < lanes; j0 += kDxLanes) {
+        SparseDxRows<1, 0, 1>(w + ky * lanes + j0, wof, v, n, lanes,
+                              dx + ky * ld + j0, ld);
+      }
+    }
+  }
 };
 
 // Up to 8 windows of one pooled row with their winners' grid offsets
@@ -383,6 +526,7 @@ const BlockedKernels* Avx512KernelsOrNull() {
   static const BlockedKernels table = [avx2] {
     BlockedKernels t = *avx2;
     t.conv_forward = &ConvForwardT<Avx512Traits>;
+    t.conv_block_backward = &ConvBlockBackwardT<Avx512Traits>;
     t.live_winners = &CollectLiveWinners;
     t.conv_lanes = Avx512Traits::kConvLanes;
     t.conv_relu_pool = &Avx512Traits::ReluPool;

@@ -39,7 +39,12 @@
 //   // same forward members at 8 lanes, which runs a batch's last group
 //   // when at most 8 images are left in it.
 //   static constexpr int64_t kConvLanes;
-//   // The lane forward tile, kConvRows output channels x Q = 1..kConvCols
+//   // Output positions per forward tile: kConvCols (3), or 6 for a tile
+//   // that holds two positions per vector. A table with 6 runs only
+//   // shapes whose Wo is even (the fused block's), so its Q is always
+//   // 2, 4 or 6.
+//   static constexpr int64_t kTileCols;
+//   // The lane forward tile, kConvRows output channels x Q = 1..kTileCols
 //   // output positions of kConvLanes images each: for r, q and lane l,
 //   //   c[r*ldc + q*kConvLanes + l] = chain over p < kc, ascending, of
 //   //     wp[p*kConvRows + r] * base[off[p] + q*kConvLanes + l]
@@ -69,11 +74,19 @@
 //                               int64_t ho, int64_t wo, double* out);
 //   static void ConvDwChains4x8(...same...);
 //   // The fused block's sparse backward (ConvBlockBackwardT below).
+//   // The interleaved copy of x (the scalar semantics are
+//   // CopyIntoInterleavedRange below):
+//   static void CopyIntoInterleaved(const float* src, int64_t live,
+//                                   int64_t h, int64_t w, int64_t pad,
+//                                   int64_t wp, double* xd);
 //   // dw: for r < rows, kx < k and c < kConvRows,
 //   //   out[(r*k + kx)*kConvRows + c] = sum over e < n, ascending, of
 //   //     v[e] * x[pos[e] + r*ldx + kx*kConvRows + c]
-//   // from +0 (exact products, one double rounding per step); the
-//   // driver passes max(1, kDwChains / k) rows at a time:
+//   // from +0 (exact products, one double rounding per step). kDwChains
+//   // is the taps (each kConvRows double chains) one call holds at once:
+//   // ConvBlockBackwardT passes max(1, kDwChains / k) kernel rows at a
+//   // time, so 25 runs a 5x5 kernel's taps in one pass over each winner
+//   // list:
 //   static constexpr int64_t kDwChains;
 //   static void ConvSparseDw(const double* x, int64_t ldx, int64_t k,
 //                            int64_t rows, const int32_t* pos,
@@ -118,6 +131,7 @@
 #include <type_traits>
 
 #include "tensor/kernels_dispatch.h"
+#include "util/check.h"
 
 namespace rfed {
 namespace internal {
@@ -469,7 +483,8 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
 // Channels per register tile: output channels of ConvTile, input
 // channels of ConvDxAccumulate.
 inline constexpr int64_t kConvRows = 4;
-// Output positions per forward tile: at 8 lanes, kConvRows x kConvCols
+// Output positions per forward tile (Traits::kTileCols of every table
+// but AVX-512's narrow one): at 8 lanes, kConvRows x kConvCols
 // accumulators plus kConvCols loads and a broadcast fill the 16 ymm
 // registers.
 inline constexpr int64_t kConvCols = 3;
@@ -671,7 +686,8 @@ void ReluPoolLanesRange(const float* sums, const float* bias,
 
 /// One lane group of ConvForwardT at T::kConvLanes lanes, images i0 to
 /// i0 + live - 1: the group is interleaved once, then per tile of
-/// kConvRows output channels the ConvTile calls fill the tile's
+/// kConvRows output channels the ConvTile calls (T::kTileCols positions
+/// each, the row's last one taking what is left) fill the tile's
 /// sums[r][oy][ox][lane] with only the real outputs, and T::ReluPool
 /// writes each live lane's pooled outputs and window bytes to its own
 /// image while the sums are in cache (the full-size outputs are never
@@ -684,17 +700,25 @@ void ConvGroupT(const ConvGrid& g, const float* x, const float* wpack,
                 float* sums, float* out, uint8_t* window) {
   constexpr int64_t mr = kConvRows;
   constexpr int64_t lanes = T::kConvLanes;
+  constexpr int64_t cols = T::kTileCols;
+  // A tile's position count is a multiple of `step`: 1, or 2 for a tile
+  // of position pairs, which needs an even Wo.
+  constexpr int step = static_cast<int>(cols / kConvCols);
+  static_assert(cols == step * kConvCols, "kTileCols is 3 or 6");
+  RFED_CHECK(g.wo % step == 0) << "a tile of position pairs needs an even Wo";
   const int64_t tiles = (g.cout + mr - 1) / mr;
   const int64_t area = g.ho * g.wo;
   const int64_t in_size = g.cin * g.h * g.w;
   T::InterleaveLanes(x + i0 * in_size, in_size, live, pos, xl);
   for (int64_t t = 0; t < tiles; ++t) {
     for (int64_t oy = 0; oy < g.ho; ++oy) {
-      for (int64_t ox = 0; ox < g.wo; ox += kConvCols) {
-        WithCount(std::min(kConvCols, g.wo - ox), [&](auto cols) {
-          T::template ConvTile<cols()>(
-              wpack + t * g.patch * mr, xl + (oy * g.wp + ox) * lanes, off,
-              g.patch, sums + (oy * g.wo + ox) * lanes, area * lanes);
+      for (int64_t ox = 0; ox < g.wo; ox += cols) {
+        WithCount(std::min(cols, g.wo - ox) / step, [&](auto units) {
+          if constexpr (units() <= kConvCols) {
+            T::template ConvTile<units() * step>(
+                wpack + t * g.patch * mr, xl + (oy * g.wp + ox) * lanes, off,
+                g.patch, sums + (oy * g.wo + ox) * lanes, area * lanes);
+          }
         });
       }
     }
@@ -961,10 +985,11 @@ void ConvBackwardT(const float* grad_out, const float* x, const float* w,
 // room for them.
 
 /// Interleaves `live` channels of one image into the interior of the
-/// padded grid xd[y][x][kConvRows]; the rest of xd keeps its zeros.
-inline void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
-                                int64_t w, int64_t pad, int64_t wp,
-                                double* xd) {
+/// padded grid xd[y][x][kConvRows]; the rest of xd keeps its zeros (the
+/// scalar semantics of Traits::CopyIntoInterleaved).
+inline void CopyIntoInterleavedRange(const float* src, int64_t live,
+                                     int64_t h, int64_t w, int64_t pad,
+                                     int64_t wp, double* xd) {
   for (int64_t y = 0; y < h; ++y) {
     double* d = xd + ((y + pad) * wp + pad) * kConvRows;
     for (int64_t x = 0; x < w; ++x) {
@@ -1096,9 +1121,9 @@ void ConvBlockBackwardT(const float* grad, const float* y,
       const uint8_t* wi = window + at;
       if (dw != nullptr) {
         for (int64_t cg = 0; cg < groups; ++cg) {
-          CopyIntoInterleaved(x + i * in_size + cg * cr * g.h * g.w,
-                              std::min(cr, g.cin - cg * cr), g.h, g.w, g.pad,
-                              g.wp, xd + cg * rows * ldx);
+          Traits::CopyIntoInterleaved(x + i * in_size + cg * cr * g.h * g.w,
+                                      std::min(cr, g.cin - cg * cr), g.h, g.w,
+                                      g.pad, g.wp, xd + cg * rows * ldx);
         }
       }
       for (int64_t oc = 0; per_channel && oc < g.cout; ++oc) {

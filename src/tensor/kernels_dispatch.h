@@ -152,9 +152,10 @@ const BlockedKernels& GenericKernels();
 /// *CPU* can run it is a separate, runtime question (KernelAvx2Available).
 const BlockedKernels* Avx2KernelsOrNull();
 
-/// The AVX-512 table (the fused conv block at 16 lanes, every other
-/// entry the AVX2 table's), or nullptr when the build could not compile
-/// it or has no AVX2 table (KernelAvx512Available is the runtime check).
+/// The AVX-512 table (the fused conv block's forward, its sparse
+/// backward and winner lists at 512 bits, every other entry the AVX2
+/// table's), or nullptr when the build could not compile it or has no
+/// AVX2 table (KernelAvx512Available is the runtime check).
 const BlockedKernels* Avx512KernelsOrNull();
 
 }  // namespace internal

@@ -17,6 +17,7 @@ namespace {
 struct GenericTraits {
   static constexpr int64_t kNr = 8;
   static constexpr int64_t kConvLanes = 8;
+  static constexpr int64_t kTileCols = kConvCols;
   static constexpr int64_t kTr = 4;
   // The sparse conv backward's scalar chains run one at a time, so a
   // 5x5 kernel takes one dw pass, and dx needs no lane padding.
@@ -135,6 +136,12 @@ struct GenericTraits {
                               int64_t ldx, const double* gd, int64_t ldg,
                               int64_t ho, int64_t wo, double* out) {
     DwChains<4, 8>(x, off, ldx, gd, ldg, ho, wo, out);
+  }
+
+  static void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
+                                  int64_t w, int64_t pad, int64_t wp,
+                                  double* xd) {
+    CopyIntoInterleavedRange(src, live, h, w, pad, wp, xd);
   }
 
   static void ConvSparseDw(const double* x, int64_t ldx, int64_t k,

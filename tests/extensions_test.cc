@@ -2,6 +2,7 @@
 // client selection, FedNova, compression-in-the-loop, personalization,
 // flags.
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -150,6 +151,30 @@ TEST(CompressedTrainingTest, CompressionReducesUploadBytes) {
   // Downloads unchanged.
   EXPECT_EQ(compressed.comm().total_down_bytes(),
             plain.comm().total_down_bytes());
+}
+
+TEST(CompressedTrainingTest, ServerAggregatesTheCompressedUploads) {
+  // Each top-1% upload reaches the server as k = 1% of the coordinates,
+  // so one full-cohort round moves at most 5k coordinates of the global
+  // state (the others stay within the mean's rounding); the clients'
+  // raw trained states would move nearly every coordinate.
+  ExtFixture fx;
+  FlConfig config = fx.Config();
+  config.upload_compressor = "topk1";
+  FedAvg algo(config, &fx.data.train, fx.views, fx.factory);
+  const Tensor before = algo.global_state();
+  algo.RunRound(0);
+  const Tensor& after = algo.global_state();
+  const int64_t k = std::llround(0.01 * static_cast<double>(before.size()));
+  int64_t moved = 0;
+  for (int64_t i = 0; i < before.size(); ++i) {
+    const float b = before.at(i);
+    if (std::fabs(after.at(i) - b) > 1e-5f * std::max(1.0f, std::fabs(b))) {
+      ++moved;
+    }
+  }
+  EXPECT_GT(moved, 0);
+  EXPECT_LE(moved, 5 * k);
 }
 
 TEST(CompressedTrainingTest, WorksWithRegularizer) {

@@ -769,6 +769,147 @@ TEST_F(KernelTest, LiveWinnerListsMatchScalarBuildBitwise) {
   }
 }
 
+TEST_F(KernelTest, ConvForwardNarrowTileMatchesReferenceBitwise) {
+  // The narrow forward group (a 16-lane table's last group of at most 8
+  // images) at every even Wo from 2 to 12: the AVX-512 narrow tile holds
+  // two positions per vector, so a row is tiles of 6, 4 or 2 positions.
+  // The batches have a narrow tail of every size (1-8 alone, 17, 22 and
+  // 24 after one 16-image group, 150 after nine). Each table's pooled
+  // outputs and window bytes against the reference sums and the rule;
+  // the 5 output channels leave a partial channel tile.
+  for (int64_t wo = 2; wo <= 12; wo += 2) {
+    for (int64_t batch : {1, 2, 3, 4, 5, 6, 7, 8, 17, 22, 24, 150}) {
+      const ConvKernelShape s{batch, 2, 4, wo, 5, 5, 1, 2};
+      const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
+                             1.0f, 0.4f);
+      const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.1f);
+      const auto bias = Pattern(s.out_channels, 0.2f, 0.7f);
+      std::vector<float> want;
+      std::vector<uint8_t> want_win;
+      RefConvReluPool(x.data(), w.data(), bias.data(), s, &want, &want_win);
+      for (KernelIsa isa : AvailableKernelIsas()) {
+        KernelOptions o;
+        o.isa = isa;
+        o.threads = 1;
+        SetKernelOptions(o);
+        std::vector<float> got(want.size(), -7.0f);
+        std::vector<uint8_t> got_win(want.size(), 9);
+        Conv2dBiasReluPoolForwardKernel(x.data(), w.data(), bias.data(), s,
+                                        got.data(), got_win.data());
+        EXPECT_TRUE(SameBytes(want, got)) << ConvName(s) << " "
+                                          << OptionsName(o);
+        EXPECT_TRUE(want_win == got_win) << ConvName(s) << " "
+                                         << OptionsName(o);
+      }
+    }
+  }
+}
+
+/// Each table's conv_block_backward (with its own live_winners) against
+/// the generic table's on the same (grad, y, window): dx, dw and db
+/// memcmp-equal. The generic table runs the scalar semantics of every
+/// member (CopyIntoInterleavedRange, one chain per dw tap and dx lane).
+void ExpectBlockBackwardMatchesGeneric(const ConvKernelShape& s,
+                                       const std::vector<float>& x,
+                                       const std::vector<float>& w,
+                                       const std::vector<float>& grad,
+                                       const std::vector<float>& y,
+                                       const std::vector<uint8_t>& window,
+                                       const std::string& what) {
+  const auto run = [&](const internal::BlockedKernels* table,
+                       std::vector<float>* dx, std::vector<float>* dw,
+                       std::vector<float>* db) {
+    dx->assign(x.size(), 0.0f);
+    dw->assign(w.size(), 0.0f);
+    db->assign(static_cast<size_t>(s.out_channels), 0.0f);
+    table->conv_block_backward(grad.data(), y.data(), window.data(), x.data(),
+                               w.data(), s, dx->data(), dw->data(),
+                               db->data(), table->live_winners);
+  };
+  std::vector<float> want_dx, want_dw, want_db, dx, dw, db;
+  run(&internal::GenericKernels(), &want_dx, &want_dw, &want_db);
+  for (const auto& [table, name] : AvailableTables()) {
+    run(table, &dx, &dw, &db);
+    const std::string where = ConvName(s) + " " + what + " " + name;
+    EXPECT_TRUE(SameBytes(want_dx, dx)) << "dx " << where;
+    EXPECT_TRUE(SameBytes(want_dw, dw)) << "dw " << where;
+    EXPECT_TRUE(SameBytes(want_db, db)) << "db " << where;
+  }
+}
+
+TEST_F(KernelTest, SparseBlockBackwardMembersMatchGenericTableBitwise) {
+  // The sparse backward's members on every table: the 5x5 kernels of the
+  // CIFAR round (the AVX-512 table's one-pass dw and fused-row dx) and
+  // 3x3 and 1x1 kernels (one chain per tap, a row at a time), with 6
+  // input channels (a second channel group of 2). In the "stacked"
+  // windows every channel of a pooled output picks the same winner and
+  // the first m channels are live, m running over 0..cout, so the
+  // output positions carry every count of live channels; in the
+  // "scattered" ones each channel picks its own. The gradient has a -0
+  // at every 7th pooled output.
+  const ConvKernelShape shapes[] = {{24, 3, 12, 12, 4, 5, 1, 2},
+                                    {24, 4, 6, 6, 8, 5, 1, 2},
+                                    {5, 6, 8, 8, 9, 5, 1, 2},
+                                    {5, 6, 8, 8, 5, 3, 1, 1},
+                                    {5, 6, 8, 8, 5, 1, 1, 0}};
+  for (const ConvKernelShape& s : shapes) {
+    const int64_t ph = s.OutH() / 2, pw = s.OutW() / 2;
+    const int64_t pooled = s.batch * s.out_channels * ph * pw;
+    const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
+                           1.0f, 0.2f);
+    const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 0.9f);
+    auto grad = Pattern(pooled, 0.4f, 1.3f);
+    for (int64_t i = 0; i < pooled; i += 7) grad[static_cast<size_t>(i)] = -0.0f;
+    for (bool stacked : {true, false}) {
+      std::vector<float> y(static_cast<size_t>(pooled));
+      std::vector<uint8_t> window(y.size());
+      for (int64_t i = 0; i < pooled; ++i) {
+        const int64_t image = i / (s.out_channels * ph * pw);
+        const int64_t oc = i / (ph * pw) % s.out_channels;
+        const int64_t at = i % (ph * pw);  // the pooled output py*pw + px
+        const int64_t live = (at + image) % (s.out_channels + 1);
+        const size_t k = static_cast<size_t>(i);
+        if (stacked) {
+          window[k] = static_cast<uint8_t>((at * 3 + image) % 4);
+          y[k] = oc < live ? 0.5f : (oc % 2 == 0 ? 0.0f : -0.0f);
+        } else {
+          window[k] = static_cast<uint8_t>((at + 2 * oc + image) % 4);
+          y[k] = (i * 5) % 7 < 2 ? 0.0f : 1.0f;
+        }
+      }
+      ExpectBlockBackwardMatchesGeneric(s, x, w, grad, y, window,
+                                        stacked ? "stacked" : "scattered");
+    }
+  }
+}
+
+TEST_F(KernelTest, InterleavedCopyMatchesScalarCopyAtEveryWidth) {
+  // The interleaved copy of x feeds dw: at 1-4 input channels (so 1-4
+  // live lanes of the channel group) and image widths 1-13, every
+  // table's block backward against the generic table's scalar copy. An
+  // odd width takes a 2x2 kernel with pad 1 (Wo = W + 1), an even one a
+  // 3x3 kernel with pad 1 (Wo = W), so the pool sees even outputs. Rows
+  // narrower than 4 floats, widths off a multiple of 4 (an overlapping
+  // last step) and whole steps all run.
+  for (int64_t cin = 1; cin <= 4; ++cin) {
+    for (int64_t width = 1; width <= 13; ++width) {
+      const bool odd = width % 2 == 1;
+      const ConvKernelShape s{3, cin, odd ? 3 : 4, width, 3,
+                              odd ? 2 : 3, 1, 1};
+      const int64_t pooled = s.batch * s.out_channels * s.OutArea() / 4;
+      const auto x = Pattern(s.batch * cin * s.height * width, 1.0f, 0.5f);
+      const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.9f);
+      const auto grad = Pattern(pooled, 0.4f, 0.8f);
+      std::vector<float> y(static_cast<size_t>(pooled), 1.0f);
+      std::vector<uint8_t> window(y.size());
+      for (int64_t i = 0; i < pooled; ++i) {
+        window[static_cast<size_t>(i)] = static_cast<uint8_t>((i * 3) % 4);
+      }
+      ExpectBlockBackwardMatchesGeneric(s, x, w, grad, y, window, "copy");
+    }
+  }
+}
+
 TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
   // conv1 and conv2 of the CIFAR round's CNN, fused forward, at B = 13
   // (one full 8-lane group and a group of 5 live lanes; on a 16-lane
