@@ -8,13 +8,23 @@
 // EXPERIMENTS.md; the strategies are bit-identical by contract
 // (docs/AUTOGRAD.md), which the smoke gate re-proves on every CI run.
 //
+// Each row also times one client's local training alone
+// (us_per_job_best): after the rounds, the process is pinned to the CPU
+// it runs on and blocks of back-to-back ExecuteLocalTraining calls are
+// timed; the best block's mean is the per-job cost with the least host
+// noise. The `mlp` rows train the served round benchmark's MLP
+// (mnist_mlp_fedavg_serve: 32 clients, batch 8, 5 local steps), whose
+// jobs run on the workers, where a traced round cannot attribute them.
+//
 // Usage:
 //   ./build/bench/bench_autograd                  # full sweep
 //   ./build/bench/bench_autograd --out path.json  # custom output
 //   ./build/bench/bench_autograd --smoke          # <2 s gate: static
 //       on/off bit-identity plus the O(1) allocs-per-replayed-step
-//       invariant, no JSON (the `bench_autograd_smoke` ctest target,
-//       label "autograd")
+//       invariant for the CNN and the MLP, no JSON (the
+//       `bench_autograd_smoke` ctest target, label "autograd")
+
+#include <sched.h>
 
 #include <cstdio>
 #include <cstring>
@@ -37,8 +47,14 @@
 namespace rfed {
 namespace {
 
+// us_per_job_best: the best of kJobBlocks blocks; a block is kBlockJobs
+// calls for the MLP (about 85 us each) and kBlockJobs / 8 for the CNN
+// and LSTM, whose jobs cost milliseconds.
+constexpr int kJobBlocks = 60;
+constexpr int kBlockJobs = 64;
+
 struct SweepCase {
-  const char* model;       ///< "cnn" | "lstm"
+  const char* model;       ///< "cnn" | "lstm" | "mlp"
   bool static_graph;
   bool checkpoint;
 };
@@ -50,6 +66,7 @@ struct SweepResult {
   double final_loss = 0.0;
   long tape_peak_bytes = 0;
   long allocs_per_step = 0;  ///< last recorded per-step delta
+  double us_per_job_best = 0.0;  ///< 0 when not timed (smoke)
 };
 
 std::vector<ClientView> ViewsOf(const ClientSplit& split) {
@@ -70,11 +87,43 @@ FlConfig BaseConfig(const SweepCase& spec) {
   if (std::strcmp(spec.model, "lstm") == 0) {
     config.lr = 0.01;
     config.optimizer = OptimizerKind::kRmsProp;
+  } else if (std::strcmp(spec.model, "mlp") == 0) {
+    config.local_steps = 5;
+    config.batch_size = 8;
+    config.lr = 0.08;
   }
   return config;
 }
 
-SweepResult RunCase(const SweepCase& spec, int rounds) {
+/// Pins the process to the CPU it is running on, so the timed blocks
+/// do not migrate mid-block.
+void PinToCurrentCpu() {
+  const int cpu = sched_getcpu();
+  if (cpu < 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof(one), &one);
+}
+
+/// Best-of-blocks microseconds per ExecuteLocalTraining call, cycling
+/// over the clients with the trained global model installed.
+double BestMicrosPerJob(FederatedAlgorithm* algo, int round, int block_jobs) {
+  double best_us = 0.0;
+  int client = 0;
+  for (int block = 0; block < kJobBlocks; ++block) {
+    Stopwatch sw;
+    for (int j = 0; j < block_jobs; ++j) {
+      algo->ExecuteLocalTraining(round, client);
+      client = (client + 1) % algo->num_clients();
+    }
+    const double us = sw.ElapsedMillis() * 1000.0 / block_jobs;
+    if (block == 0 || us < best_us) best_us = us;
+  }
+  return best_us;
+}
+
+SweepResult RunCase(const SweepCase& spec, int rounds, bool time_jobs) {
   SweepResult result;
   result.spec = spec;
   result.rounds = rounds;
@@ -96,6 +145,17 @@ SweepResult RunCase(const SweepCase& spec, int rounds) {
     mc.feature_dim = 16;
     algo = std::make_unique<FedAvg>(config, &image_data->train, ViewsOf(split),
                                     MakeCnnFactory(mc));
+    test = &image_data->test;
+  } else if (std::strcmp(spec.model, "mlp") == 0) {
+    const ImageProfile profile = MnistLikeProfile();
+    image_data = std::make_unique<SyntheticImageData>(
+        GenerateImageData(profile, 1500, 100, &rng));
+    auto split = SimilarityPartition(image_data->train, 32, 0.0, &rng);
+    MlpConfig mc;
+    mc.in_channels = profile.channels;
+    mc.image_size = profile.image_size;
+    algo = std::make_unique<FedAvg>(config, &image_data->train, ViewsOf(split),
+                                    MakeMlpFactory(mc));
     test = &image_data->test;
   } else {
     TextProfile profile = Sent140LikeProfile();
@@ -127,6 +187,11 @@ SweepResult RunCase(const SweepCase& spec, int rounds) {
       static_cast<long>(registry.GetGauge("autograd.tape_peak_bytes")->value());
   result.allocs_per_step =
       static_cast<long>(registry.GetGauge("autograd.allocs_per_step")->value());
+  if (time_jobs) {
+    const bool mlp = std::strcmp(spec.model, "mlp") == 0;
+    result.us_per_job_best = BestMicrosPerJob(
+        algo.get(), rounds, mlp ? kBlockJobs : kBlockJobs / 8);
+  }
   return result;
 }
 
@@ -150,11 +215,12 @@ void WriteJson(const std::string& path, const std::vector<SweepResult>& rows) {
         f,
         "    {\"model\": \"%s\", \"static_graph\": %s, \"checkpoint\": %s, "
         "\"rounds\": %d, \"ms_per_round\": %.1f, \"final_loss\": %.6f, "
-        "\"tape_peak_bytes\": %ld, \"allocs_per_step\": %ld}%s\n",
+        "\"tape_peak_bytes\": %ld, \"allocs_per_step\": %ld, "
+        "\"us_per_job_best\": %.1f}%s\n",
         r.spec.model, r.spec.static_graph ? "true" : "false",
         r.spec.checkpoint ? "true" : "false", r.rounds, r.ms_per_round,
         r.final_loss, r.tape_peak_bytes, r.allocs_per_step,
-        i + 1 < rows.size() ? "," : "");
+        r.us_per_job_best, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -162,23 +228,26 @@ void WriteJson(const std::string& path, const std::vector<SweepResult>& rows) {
 }
 
 int Smoke() {
-  // Gate 1: static replay == per-step rebuild, bit for bit.
-  const SweepResult replayed = RunCase({"cnn", true, false}, 2);
-  const SweepResult rebuilt = RunCase({"cnn", false, false}, 2);
-  if (replayed.final_loss != rebuilt.final_loss) {
-    std::fprintf(stderr, "smoke FAILED: static %.17g != rebuilt %.17g\n",
-                 replayed.final_loss, rebuilt.final_loss);
-    return 1;
-  }
-  // Gate 2: replayed steps allocate nothing after warm-up.
-  if (replayed.allocs_per_step != 0) {
-    std::fprintf(stderr,
-                 "smoke FAILED: %ld allocs on a warmed-up replayed step\n",
-                 replayed.allocs_per_step);
-    return 1;
+  for (const char* model : {"cnn", "mlp"}) {
+    // Gate 1: static replay == per-step rebuild, bit for bit.
+    const SweepResult replayed = RunCase({model, true, false}, 2, false);
+    const SweepResult rebuilt = RunCase({model, false, false}, 2, false);
+    if (replayed.final_loss != rebuilt.final_loss) {
+      std::fprintf(stderr, "smoke FAILED: %s static %.17g != rebuilt %.17g\n",
+                   model, replayed.final_loss, rebuilt.final_loss);
+      return 1;
+    }
+    // Gate 2: replayed steps allocate nothing after warm-up.
+    if (replayed.allocs_per_step != 0) {
+      std::fprintf(stderr,
+                   "smoke FAILED: %s: %ld allocs on a warmed-up replayed "
+                   "step\n",
+                   model, replayed.allocs_per_step);
+      return 1;
+    }
   }
   std::printf("smoke OK: static == rebuilt bitwise, 0 allocs per replayed "
-              "step\n");
+              "step (cnn, mlp)\n");
   return 0;
 }
 
@@ -189,19 +258,22 @@ int Main(int argc, char** argv) {
       flags.GetString("out", smoke ? "" : "BENCH_autograd.json");
   if (smoke) return Smoke();
 
+  PinToCurrentCpu();
   const SweepCase cases[] = {
       {"cnn", false, false}, {"cnn", true, false},
       {"lstm", false, false}, {"lstm", true, false}, {"lstm", true, true},
+      {"mlp", false, false}, {"mlp", true, false},
   };
   std::vector<SweepResult> rows;
   for (const SweepCase& spec : cases) {
-    const SweepResult r = RunCase(spec, /*rounds=*/4);
+    const SweepResult r = RunCase(spec, /*rounds=*/4, /*time_jobs=*/true);
     rows.push_back(r);
     std::printf(
         "%-5s static=%d ckpt=%d  %7.1f ms/round  loss=%.6f  "
-        "tape_peak=%ldB  allocs/step=%ld\n",
+        "tape_peak=%ldB  allocs/step=%ld  best %.1f us/job\n",
         r.spec.model, r.spec.static_graph ? 1 : 0, r.spec.checkpoint ? 1 : 0,
-        r.ms_per_round, r.final_loss, r.tape_peak_bytes, r.allocs_per_step);
+        r.ms_per_round, r.final_loss, r.tape_peak_bytes, r.allocs_per_step,
+        r.us_per_job_best);
   }
   if (!out.empty()) WriteJson(out, rows);
   return 0;

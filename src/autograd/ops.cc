@@ -199,9 +199,9 @@ Variable LinearBiasRelu(const Variable& x, const Variable& w,
                                w->value(), x->requires_grad() ? &dx : nullptr,
                                w->requires_grad() ? &dw : nullptr,
                                b->requires_grad() ? &db : nullptr);
-        if (x->requires_grad()) x->AccumulateGrad(dx);
-        if (w->requires_grad()) w->AccumulateGrad(dw);
-        if (b->requires_grad()) b->AccumulateGrad(db);
+        if (x->requires_grad()) x->AccumulateGrad(std::move(dx));
+        if (w->requires_grad()) w->AccumulateGrad(std::move(dw));
+        if (b->requires_grad()) b->AccumulateGrad(std::move(db));
       });
 }
 
@@ -245,7 +245,7 @@ Variable SliceCols(const Variable& x, int64_t begin, int64_t end) {
                     float* dst = dx.data() + r * cols + begin;
                     for (int64_t c = 0; c < width; ++c) dst[c] += src[c];
                   }
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -277,7 +277,7 @@ Variable Sum(const Variable& x) {
                 [](GraphNode* out) {
                   GraphNode* in = out->inputs[0].get();
                   Tensor dx(in->value_shape(), out->grad().ToScalar());
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -291,7 +291,7 @@ Variable Mean(const Variable& x) {
                 [inv](GraphNode* out) {
                   GraphNode* in = out->inputs[0].get();
                   Tensor dx(in->value_shape(), out->grad().ToScalar() * inv);
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -312,7 +312,7 @@ Variable MeanRows(const Variable& x) {
                       row[c] = out->grad().at(c) * inv;
                     }
                   }
-                  in->AccumulateGrad(dx);
+                  in->AccumulateGrad(std::move(dx));
                 });
 }
 
@@ -353,7 +353,7 @@ Variable GatherRows(const Variable& table, const std::vector<int>& ids,
                           GraphNode* in = out->inputs[0].get();
                           Tensor dtable(in->value_shape());
                           ScatterAddRows(out->grad(), *ids_sp, &dtable);
-                          in->AccumulateGrad(dtable);
+                          in->AccumulateGrad(std::move(dtable));
                         });
   out.node()->input_tag = GraphNode::InputTag::kTokenStep;
   out.node()->tag_index = timestep;
@@ -380,9 +380,9 @@ Variable Conv2dBiasReluPool(const Variable& x, const Variable& w,
                       w->value(), spec, x->requires_grad() ? &dx : nullptr,
                       w->requires_grad() ? &dw : nullptr,
                       b->requires_grad() ? &db : nullptr);
-                  if (x->requires_grad()) x->AccumulateGrad(dx);
-                  if (w->requires_grad()) w->AccumulateGrad(dw);
-                  if (b->requires_grad()) b->AccumulateGrad(db);
+                  if (x->requires_grad()) x->AccumulateGrad(std::move(dx));
+                  if (w->requires_grad()) w->AccumulateGrad(std::move(dw));
+                  if (b->requires_grad()) b->AccumulateGrad(std::move(db));
                 });
 }
 

@@ -5,6 +5,7 @@
 
 #include "autograd/tape.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "util/check.h"
 
 namespace rfed {
@@ -13,18 +14,41 @@ Tensor& GraphNode::grad() {
   if (!has_grad_) {
     grad_ = Tensor(value_shape());
     has_grad_ = true;
+  } else if (grad_pending_zero_) {
+    grad_.Fill(0.0f);
   }
+  grad_pending_zero_ = false;
   return grad_;
 }
 
+// A gradient's first contribution is 0.0f + g, the bits AddInPlace gave
+// onto a +0 gradient, so adopting or overwriting instead of zero-fill
+// then add leaves every sum unchanged.
 void GraphNode::AccumulateGrad(const Tensor& g) {
   RFED_CHECK(g.shape() == value_shape())
       << g.shape().ToString() << " vs " << value_shape().ToString();
-  grad().AddInPlace(g);
+  if (has_grad_ && !grad_pending_zero_) {
+    grad_.AddInPlace(g);
+    return;
+  }
+  if (!has_grad_) grad_ = Tensor(value_shape());
+  PlusZeroKernel(g.data(), g.size(), grad_.data());
+  has_grad_ = true;
+  grad_pending_zero_ = false;
+}
+
+void GraphNode::AccumulateGrad(Tensor&& g) {
+  if (has_grad_ && !grad_pending_zero_) return AccumulateGrad(g);
+  RFED_CHECK(g.shape() == value_shape())
+      << g.shape().ToString() << " vs " << value_shape().ToString();
+  PlusZeroKernel(g.data(), g.size(), g.data());
+  grad_ = std::move(g);
+  has_grad_ = true;
+  grad_pending_zero_ = false;
 }
 
 void GraphNode::ZeroGrad() {
-  if (has_grad_) grad_.Fill(0.0f);
+  if (has_grad_) grad_pending_zero_ = true;
 }
 
 void GraphNode::ReleaseValue() {
@@ -37,6 +61,7 @@ void GraphNode::ReleaseValue() {
 void GraphNode::ReleaseGrad() {
   grad_ = Tensor();
   has_grad_ = false;
+  grad_pending_zero_ = false;
 }
 
 void Variable::Backward() {

@@ -32,15 +32,26 @@ class GraphNode : public std::enable_shared_from_this<GraphNode> {
   /// True iff some gradient path reaches a parameter through this node.
   bool requires_grad() const { return requires_grad_; }
 
-  /// Gradient with the same shape as the forward value; allocated
-  /// (zero-filled) on first use. Valid even while the value itself is
-  /// checkpoint-dropped — the shape is remembered across ReleaseValue().
+  /// Gradient with the same shape as the forward value. A gradient that
+  /// no contribution reached is +0: allocated zero-filled on first use,
+  /// and zero-filled here if ZeroGrad left it pending. Valid even while
+  /// the value itself is checkpoint-dropped — the shape is remembered
+  /// across ReleaseValue().
   Tensor& grad();
-  /// True once grad() storage exists for the current backward pass.
+  /// True once a gradient exists for the current backward pass (a
+  /// pending zero counts).
   bool has_grad() const { return has_grad_; }
-  /// grad() += g. Checks g against the (possibly dropped) value shape.
+  /// grad() += g, bit for bit, without zero-filling first: the first
+  /// contribution since the gradient was created or zeroed is written as
+  /// 0.0f + g in one pass; later ones are added in call order. Checks g
+  /// against the (possibly dropped) value shape.
   void AccumulateGrad(const Tensor& g);
-  /// Zero-fills the gradient if one exists; keeps its storage.
+  /// The same sum, but a first contribution adopts g's storage (after
+  /// the in-place 0.0f + g pass) instead of writing into grad()'s.
+  void AccumulateGrad(Tensor&& g);
+  /// Marks an existing gradient zero without touching its storage; the
+  /// next contribution overwrites it, and grad() fills it with +0 if
+  /// none arrives.
   void ZeroGrad();
 
   /// Shape of the forward value, dropped or not.
@@ -102,6 +113,8 @@ class GraphNode : public std::enable_shared_from_this<GraphNode> {
   Shape dropped_shape_;
   bool requires_grad_;
   bool has_grad_ = false;
+  /// True while grad_'s contents are stale and the gradient reads +0.
+  bool grad_pending_zero_ = false;
 };
 
 /// Lightweight handle to a GraphNode with value semantics on the handle
@@ -130,10 +143,10 @@ class Variable {
 
   /// True iff gradients flow through this Variable (GraphNode contract).
   bool requires_grad() const { return node_->requires_grad(); }
-  /// The node's gradient; allocated zero-filled on first use.
+  /// The node's gradient; +0 where no contribution reached it.
   Tensor& grad() { return node_->grad(); }
   bool has_grad() const { return node_->has_grad(); }
-  /// Zero-fills the gradient in place if one exists.
+  /// Zeroes the gradient if one exists (GraphNode::ZeroGrad).
   void ZeroGrad() { node_->ZeroGrad(); }
 
   /// The underlying shared node (used by ops and the optimizers).

@@ -52,7 +52,7 @@ void AddFlatToGradients(const Tensor& flat, double scale,
   const float s = static_cast<float>(scale);
   int64_t offset = 0;
   for (Variable* p : params) {
-    Tensor& g = p->grad();  // allocates zeros on first touch
+    Tensor& g = p->grad();  // +0 where no contribution reached it
     for (int64_t i = 0; i < g.size(); ++i) {
       g.at(i) += s * flat.at(offset + i);
     }

@@ -152,19 +152,24 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
                             const std::vector<uint8_t>& context,
                             const std::vector<uint8_t>& batcher_base) {
   RFED_CHECK(!workers_.empty()) << "Submit before AcceptWorkers";
-  const bool same_model =
-      model_id_ != 0 && model_.shape() == init_state.shape() &&
-      std::memcmp(model_.data(), init_state.data(),
-                  static_cast<size_t>(init_state.size()) * sizeof(float)) == 0;
-  if (!same_model) {
-    obs::TraceSpan trace_span("wire_encode");
-    model_ = init_state;
-    model_id_ += 1;
-    model_wire_ = std::make_shared<const std::vector<uint8_t>>(
-        ModelMessage::EncodeFrame(model_id_, model_));
-  }
-  PendingJob job{nullptr, model_id_, model_wire_};
+  PendingJob job;
   {
+    // The model comparison, any MODEL frame and the JOB frame.
+    obs::TraceSpan encode_span("serve.encode");
+    const size_t model_bytes =
+        static_cast<size_t>(init_state.size()) * sizeof(float);
+    const bool same_model =
+        model_id_ != 0 && model_.shape() == init_state.shape() &&
+        std::memcmp(model_.data(), init_state.data(), model_bytes) == 0;
+    if (!same_model) {
+      obs::TraceSpan trace_span("wire_encode");
+      model_ = init_state;
+      model_id_ += 1;
+      model_wire_ = std::make_shared<const std::vector<uint8_t>>(
+          ModelMessage::EncodeFrame(model_id_, model_));
+    }
+    job.model_id = model_id_;
+    job.model = model_wire_;
     obs::TraceSpan trace_span("wire_encode");
     job.job = std::make_shared<const std::vector<uint8_t>>(
         JobMessage::EncodeFrame(round, client, model_id_, context,
@@ -179,6 +184,8 @@ void RemoteExecutor::Submit(int round, int client, const Tensor& init_state,
   // sign of life — the server may have spent arbitrarily long between
   // rounds in aggregation/eval with every worker silent and healthy.
   worker->last_activity_ms = NowMs();
+  // The outbox lock and the sender's wake-up, per frame queued.
+  obs::TraceSpan enqueue_span("serve.enqueue");
   Dispatch(worker, job);
 }
 

@@ -528,6 +528,10 @@ void AddKernel(float* x, const float* y, int64_t n) {
   ActiveTable().add(x, y, n);
 }
 
+void PlusZeroKernel(const float* x, int64_t n, float* y) {
+  ActiveTable().plus_zero(x, n, y);
+}
+
 void SubKernel(float* x, const float* y, int64_t n) {
   ActiveTable().sub(x, y, n);
 }
@@ -565,8 +569,9 @@ bool AllFiniteKernel(const float* x, int64_t n) {
 
 void FillKernel(float* x, float v, int64_t n) {
   // +0 is all-zero bits, and memset is the fastest store loop there is
-  // (ZeroGrad fills with +0 every step). No workload fills with any
-  // other value at length, so the rest is a plain loop.
+  // (a gradient left pending-zero by ZeroGrad fills with +0 when a
+  // reader finds no contribution). No workload fills with any other
+  // value at length, so the rest is a plain loop.
   if (n <= 0) return;
   if (v == 0.0f && !std::signbit(v)) {
     std::memset(x, 0, sizeof(float) * static_cast<size_t>(n));

@@ -291,6 +291,10 @@ void ReluMaskKernel(const float* g, const float* x, int64_t n, float* out);
 
 /// x[i] = x[i] + y[i].
 void AddKernel(float* x, const float* y, int64_t n);
+/// y[i] = 0.0f + x[i]: the bits AddKernel gives when it adds x onto a
+/// +0 buffer (-0 becomes +0). How a gradient takes its first
+/// contribution (GraphNode::AccumulateGrad).
+void PlusZeroKernel(const float* x, int64_t n, float* y);
 /// x[i] = x[i] - y[i].
 void SubKernel(float* x, const float* y, int64_t n);
 /// x[i] = x[i] * s.

@@ -574,6 +574,15 @@ struct Avx2Traits {
     AddRange(x + i, y + i, n - i);
   }
 
+  static void PlusZero(const float* x, int64_t n, float* y) {
+    const __m256 zero = _mm256_setzero_ps();
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      _mm256_storeu_ps(y + i, _mm256_add_ps(zero, _mm256_loadu_ps(x + i)));
+    }
+    PlusZeroRange(x + i, n - i, y + i);
+  }
+
   static void Sub(float* x, const float* y, int64_t n) {
     int64_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -667,6 +676,7 @@ const BlockedKernels* Avx2KernelsOrNull() {
       &Avx2Traits::Relu,
       &Avx2Traits::ReluMask,
       &Avx2Traits::Add,
+      &Avx2Traits::PlusZero,
       &Avx2Traits::Sub,
       &Avx2Traits::Scale,
       &Avx2Traits::Axpy,

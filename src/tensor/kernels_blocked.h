@@ -217,6 +217,10 @@ inline void AddRange(float* x, const float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = x[i] + y[i];
 }
 
+inline void PlusZeroRange(const float* x, int64_t n, float* y) {
+  for (int64_t i = 0; i < n; ++i) y[i] = 0.0f + x[i];
+}
+
 inline void SubRange(float* x, const float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = x[i] - y[i];
 }

@@ -132,8 +132,10 @@ struct BlockedKernels {
   void (*relu)(const float* x, int64_t n, float* y);
   void (*relu_mask)(const float* g, const float* x, int64_t n, float* out);
 
-  /// The element-wise kernels of kernels.h (AddKernel ... RmsPropKernel).
+  /// The element-wise kernels of kernels.h (AddKernel, PlusZeroKernel
+  /// ... RmsPropKernel).
   void (*add)(float* x, const float* y, int64_t n);
+  void (*plus_zero)(const float* x, int64_t n, float* y);
   void (*sub)(float* x, const float* y, int64_t n);
   void (*scale)(float* x, float s, int64_t n);
   void (*axpy)(float* x, float s, const float* y, int64_t n);

@@ -215,6 +215,7 @@ const BlockedKernels& GenericKernels() {
       &GenericTraits::Relu,
       &GenericTraits::ReluMask,
       &AddRange,
+      &PlusZeroRange,
       &SubRange,
       &ScaleRange,
       &AxpyRange,

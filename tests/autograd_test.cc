@@ -1,8 +1,11 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "nn/optimizer.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -256,6 +259,107 @@ TEST(AutogradTest, CompositeExpressionGradcheck) {
     return ag::Mean(ag::Mul(act, act));
   };
   EXPECT_LT(MaxGradCheckError(loss, {&a, &b}), kTol);
+}
+
+// ---- Where a gradient lands (docs/AUTOGRAD.md) ----
+// A first contribution is adopted or written as 0.0f + g instead of
+// being added onto zero-filled storage. Each test compares the result
+// bitwise with that fill-and-add sum.
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+/// The old gradient: +0 storage, then every contribution added in turn.
+Tensor FillAndAdd(const Shape& shape, const std::vector<Tensor>& terms) {
+  Tensor sum(shape);
+  for (const Tensor& t : terms) sum.AddInPlace(t);
+  return sum;
+}
+
+TEST(GradientLandingTest, SubSecondInputOfZeroUpstreamStoresPlusZero) {
+  // Scale by 0 makes Sub's upstream +0, so b's contribution
+  // Scale(+0, -1) is all -0; the gradient must hold 0 + (-0) = +0.
+  Variable a = Leaf(Tensor(Shape{4}, {1, -2, 3, -4}));
+  Variable b = Leaf(Tensor(Shape{4}, {5, 6, -7, 8}));
+  ag::Sum(ag::Scale(ag::Sub(a, b), 0.0f)).Backward();
+  const Tensor minus_zero(Shape{4}, -0.0f);
+  const Tensor want = FillAndAdd(Shape{4}, {minus_zero});
+  EXPECT_TRUE(SameBits(b.grad(), want)) << b.grad().ToString();
+  for (int64_t i = 0; i < 4; ++i) EXPECT_FALSE(std::signbit(b.grad().at(i)));
+  EXPECT_TRUE(SameBits(a.grad(), want));
+}
+
+TEST(GradientLandingTest, ZeroedParameterWithoutContributionReadsPlusZero) {
+  // w and w_ref share every step; after the ZeroGrad, w is left pending
+  // and no contribution reaches it, while w_ref is filled eagerly the
+  // way ZeroGrad used to. The SGD step under weight decay and momentum
+  // reads both gradients and must move the two weights identically.
+  const Tensor init(Shape{2, 3}, {0.5f, -1.25f, 2, -0.0f, 3, -4});
+  Variable w = Leaf(init);
+  Variable w_ref = Leaf(init);
+  Variable other = Leaf(Tensor(Shape{2}, {1, 2}));
+  SgdOptimizer opt({&w}, 0.1, /*momentum=*/0.9, /*weight_decay=*/0.01);
+  SgdOptimizer opt_ref({&w_ref}, 0.1, 0.9, 0.01);
+  ag::Sum(ag::Mul(w, w)).Backward();
+  ag::Sum(ag::Mul(w_ref, w_ref)).Backward();
+  opt.Step();
+  opt_ref.Step();
+
+  opt.ZeroGrad();
+  ag::Sum(other).Backward();
+  w_ref.grad().Fill(0.0f);
+  opt.Step();
+  opt_ref.Step();
+  EXPECT_TRUE(SameBits(w.grad(), Tensor(Shape{2, 3})));
+  EXPECT_TRUE(SameBits(w.value(), w_ref.value()));
+  EXPECT_FALSE(SameBits(w.value(), init));
+}
+
+TEST(GradientLandingTest, NodeUsedTwiceHoldsFirstPlusZeroThenSecond) {
+  // Add(x, x): the Add node's gradient g reaches x twice. -0 and a
+  // denormal in the upstream show the +0 rule and the plain second add.
+  const Tensor c(Shape{4}, {-0.0f, 1.5f, -2.25f, 1e-40f});
+  Variable x = Leaf(Tensor(Shape{4}, {1, 2, 3, 4}));
+  ag::Sum(ag::Mul(ag::Add(x, x), Variable(c))).Backward();
+  const Tensor g = FillAndAdd(Shape{4}, {Mul(Tensor(Shape{4}, 1.0f), c)});
+  EXPECT_TRUE(SameBits(x.grad(), FillAndAdd(Shape{4}, {g, g})))
+      << x.grad().ToString();
+
+  // One weight read by two ops of the same graph, as an LSTM's are at
+  // every timestep. The backward visits the second product first.
+  Rng rng(20);
+  const Tensor a = Tensor::Normal(Shape{3, 4}, 0, 1, &rng);
+  const Tensor b = Tensor::Normal(Shape{3, 4}, 0, 1, &rng);
+  Variable wt = Leaf(Tensor::Normal(Shape{4, 2}, 0, 1, &rng));
+  ag::Sum(ag::Add(ag::MatMul(Variable(a), wt), ag::MatMul(Variable(b), wt)))
+      .Backward();
+  const Tensor ones(Shape{3, 2}, 1.0f);
+  const Tensor want = FillAndAdd(
+      Shape{4, 2}, {MatMulTransA(b, ones), MatMulTransA(a, ones)});
+  EXPECT_TRUE(SameBits(wt.grad(), want)) << wt.grad().ToString();
+}
+
+TEST(GradientLandingTest, AdoptedUnpooledStorageNeverJoinsFreelists) {
+  // Built outside any BufferPool scope, the adopted Scale result is
+  // plain heap storage: released inside a scope it is freed, not
+  // parked. Storage adopted inside a scope is pooled and is parked.
+  Variable x = Leaf(Tensor(Shape{37}, 1.0f));
+  ag::Sum(ag::Scale(x, 2.0f)).Backward();
+  {
+    BufferPool::Scope scope;
+    const int64_t parked = BufferPool::ThreadPooledBytes();
+    x.node()->ReleaseGrad();
+    EXPECT_EQ(BufferPool::ThreadPooledBytes(), parked);
+
+    ag::Sum(ag::Scale(x, 2.0f)).Backward();
+    const int64_t before_release = BufferPool::ThreadPooledBytes();
+    x.node()->ReleaseGrad();
+    EXPECT_EQ(BufferPool::ThreadPooledBytes(),
+              before_release + 37 * static_cast<int64_t>(sizeof(float)));
+  }
 }
 
 }  // namespace

@@ -436,6 +436,13 @@ TEST_F(KernelTest, ElementwiseKernelsMatchScalarLoopsBitwise) {
           for (int64_t i = 0; i < n; ++i) want[i] += want[i];
           AddKernel(got.data(), got.data(), n);
           EXPECT_TRUE(SameBytes(want, got)) << "add aliased " << where;
+          want = x0, got = y;
+          for (float& v : want) v = 0.0f + v;
+          PlusZeroKernel(x0.data(), n, got.data());
+          EXPECT_TRUE(SameBytes(want, got)) << "plus_zero " << where;
+          got = x0;
+          PlusZeroKernel(got.data(), n, got.data());
+          EXPECT_TRUE(SameBytes(want, got)) << "plus_zero aliased " << where;
           want = x0, got = x0;
           for (int64_t i = 0; i < n; ++i) want[i] -= y[i];
           SubKernel(got.data(), y.data(), n);

@@ -602,7 +602,7 @@ LoopbackRun RunLoopback(const std::vector<std::string>& flags,
 // wire spans without moving a byte: MODEL encode (once per distinct
 // model) and decode (once per worker it was sent to), JOB encode and
 // RESULT decode on the server, JOB decode and RESULT encode on the
-// worker. Each of the 3 rounds has a new model, and each of the 2
+// worker, and Submit's serve.encode and serve.enqueue once per JOB. Each of the 3 rounds has a new model, and each of the 2
 // workers hosts 2 of the 4 clients, so each worker is sent each model
 // once. Ordering note: the oracle trains first so the process-global
 // metrics registry holds the identical column set when each run's CSV
@@ -643,10 +643,14 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
   obs::EnableTracing(false);
   int64_t encodes = 0;
   int64_t decodes = 0;
+  int64_t submit_encodes = 0;
+  int64_t submit_enqueues = 0;
   for (const obs::LaneTrace& lane : obs::CollectTrace()) {
     for (const obs::TraceEvent& e : lane.events) {
       encodes += std::strcmp(e.name, "wire_encode") == 0 ? 1 : 0;
       decodes += std::strcmp(e.name, "wire_decode") == 0 ? 1 : 0;
+      submit_encodes += std::strcmp(e.name, "serve.encode") == 0 ? 1 : 0;
+      submit_enqueues += std::strcmp(e.name, "serve.enqueue") == 0 ? 1 : 0;
     }
   }
   obs::ClearTrace();
@@ -655,6 +659,9 @@ TEST(ServeLoopback, InProcessWorkerThreadMatchesOracle) {
   EXPECT_EQ(traced.stats.models_sent, served.stats.models_sent);
   EXPECT_EQ(encodes, 2 * traced.stats.jobs_sent + kRounds);
   EXPECT_EQ(decodes, 2 * traced.stats.jobs_sent + traced.stats.models_sent);
+  // Submit's two halves: one serve.encode and one serve.enqueue per JOB.
+  EXPECT_EQ(submit_encodes, traced.stats.jobs_sent);
+  EXPECT_EQ(submit_enqueues, traced.stats.jobs_sent);
   const std::string traced_model = TempPath("loopback_traced.model");
   SaveTensorToFile(traced.global_state, traced_model);
   ExpectFilesIdentical(traced_model, serve_model);
