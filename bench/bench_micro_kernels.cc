@@ -5,13 +5,10 @@
 // speedup-vs-seed per shape and thread count; see docs/KERNELS.md for
 // how to read it). Every case first asserts the optimized kernel is
 // bit-identical to its reference before any timing. The
-// cifar_round_conv{1,2}_bwd_* rows are the dense conv backward (the
-// fused block's fallback) at the shapes the CIFAR round benchmark
-// (roundbench/, cifar_cnn_rfedavgp) runs, at its training batch (24)
-// and at a batch above its largest map_sync batch (256). The
-// cifar_round_relu_* rows are ReLU and its backward mask over that
-// CNN's conv1 output at the training batch (24) and the δ-map batch
-// (150). Their references are the scalar loops the branch-free kernels
+// cifar_round_relu_* rows are ReLU and its backward mask over the conv1
+// output of the CNN the CIFAR round benchmark (roundbench/,
+// cifar_cnn_rfedavgp) runs, at its training batch (24) and its δ-map
+// batch (150). Their references are the scalar loops the branch-free kernels
 // replaced (std::max, the `x <= 0` mask), and their "flops" count one
 // operation per element, so "gflops" reads as billions of elements per
 // second. The cifar_round_conv{1,2}_relu_pool_{fwd,bwd} rows are the
@@ -26,7 +23,8 @@
 // cifar_round_conv{1,2}_relu_pool_fwd_b8 rows run the forward at 8
 // images, which a 16-lane table runs as one narrow group. The
 // cifar_round_conv2_relu_pool_bwd_nonfinite_b24 row puts one NaN in the
-// pooled gradient, which sends the backward down its dense fallback.
+// pooled gradient, which sends the backward down its fallback, the
+// reference backward on the routed gradient.
 //
 // The mnist_round_* rows are the eight GEMMs of one local step of the
 // served MLP (roundbench/, mnist_mlp_fedavg_serve: 144-64-32-10 at batch
@@ -123,7 +121,6 @@ enum class Kind {
   kGemmAdd,
   kGemmTransA,
   kGemmTransB,
-  kConvBwd,
   kConvReluPoolFwd,
   kConvReluPoolBwd,
   kReluFwd,
@@ -145,7 +142,6 @@ const char* KindName(Kind k) {
     case Kind::kGemmAdd: return "gemm_add";
     case Kind::kGemmTransA: return "gemm_transA_add";
     case Kind::kGemmTransB: return "gemm_transB_assign";
-    case Kind::kConvBwd: return "conv2d_backward";
     case Kind::kConvReluPoolFwd: return "conv2d_bias_relu_pool_forward";
     case Kind::kConvReluPoolBwd: return "conv2d_bias_relu_pool_backward";
     case Kind::kReluFwd: return "relu_forward";
@@ -184,8 +180,8 @@ struct Case {
   ConvKernelShape conv;  // every non-GEMM kind (see HasConvShape)
   bool smoke = false;    // included in the --smoke subset
   bool acceptance = false;  // the EXPERIMENTS.md >= 3x shape
-  // Conv backward kinds only: whether dx is computed. A first conv's input is
-  // the data batch, so training never asks for its dx.
+  // kConvReluPoolBwd only: whether dx is computed. A first conv's input
+  // is the data batch, so training never asks for its dx.
   bool dx = true;
   // kConvReluPoolBwd only: a NaN in the pooled gradient at the first
   // window that passed the ReLU.
@@ -210,24 +206,11 @@ std::vector<Case> Sweep() {
   // and dW[m,k] = go[m,n] cols[k,n]^T.
   cases.push_back({"conv_dx_gemm", Kind::kGemmTransA, 64, 75, 1024, {}, true});
   cases.push_back({"conv_dw_gemm", Kind::kGemmTransB, 64, 1024, 75, {}, true});
-  // Dense conv backwards, the fused block's fallback (batch, cin, h, w,
-  // cout, kernel, stride, pad).
-  cases.push_back({"conv1_mnist_bwd", Kind::kConvBwd, 0, 0, 0,
-                   {32, 1, 12, 12, 8, 5, 1, 2}, true});
-  cases.push_back({"conv1_cifar_bwd", Kind::kConvBwd, 0, 0, 0,
-                   {32, 3, 32, 32, 64, 5, 1, 2}});
   // The CIFAR round benchmark's CNN (4/8 channels on 3x12x12 images):
-  // conv1 3x12x12 -> 4 and conv2 4x6x6 -> 8, k=5, pad 2.
-  cases.push_back({"cifar_round_conv1_bwd_b24", Kind::kConvBwd, 0, 0, 0,
-                   {24, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
-  cases.push_back({"cifar_round_conv2_bwd_b24", Kind::kConvBwd, 0, 0, 0,
-                   {24, 4, 6, 6, 8, 5, 1, 2}, true});
-  cases.push_back({"cifar_round_conv1_bwd_b256", Kind::kConvBwd, 0, 0, 0,
-                   {256, 3, 12, 12, 4, 5, 1, 2}, true, false, false});
-  cases.push_back({"cifar_round_conv2_bwd_b256", Kind::kConvBwd, 0, 0, 0,
-                   {256, 4, 6, 6, 8, 5, 1, 2}, true});
-  // Its conv blocks' forward at 8 images alone: the narrow group a
-  // 16-lane table runs last (B = 24 is 16 + 8).
+  // conv1 3x12x12 -> 4 and conv2 4x6x6 -> 8, k=5, pad 2 (batch, cin, h,
+  // w, cout, kernel, stride, pad). Its conv blocks' forward at 8 images
+  // alone: the narrow group a 16-lane table runs last (B = 24 is
+  // 16 + 8).
   cases.push_back({"cifar_round_conv1_relu_pool_fwd_b8",
                    Kind::kConvReluPoolFwd, 0, 0, 0,
                    {8, 3, 12, 12, 4, 5, 1, 2}, true});
@@ -334,9 +317,6 @@ int64_t CaseFlops(const Case& c) {
       return 2 * c.m * c.k * c.n;
     case Kind::kGemmTransB:
       return 2 * c.m * c.k * c.n;  // m rows x k dots of length n
-    case Kind::kConvBwd:  // dw GEMM (+ dx GEMM); db is negligible
-      return (c.dx ? 4 : 2) * c.conv.batch * c.conv.out_channels *
-             c.conv.Patch() * c.conv.OutArea();
     case Kind::kConvReluPoolFwd:
       return 2 * c.conv.batch * c.conv.out_channels * c.conv.Patch() *
                  c.conv.OutArea() +
@@ -433,19 +413,6 @@ struct Workbench {
         b = Fill(c.k * c.n, 0.5f, 1.1f);
         out_ref.assign(static_cast<size_t>(c.m * c.k), 0.0f);
         break;
-      case Kind::kConvBwd: {
-        const ConvKernelShape& s = c.conv;
-        a = Fill(s.batch * s.in_channels * s.height * s.width, 1.0f, 0.3f);
-        b = Fill(s.out_channels * s.Patch(), 0.2f, 1.1f);
-        bias = Fill(s.out_channels, 0.1f, 2.2f);
-        // out_ref holds grad_out: nonzero so the reference's zero-skip
-        // path never fires.
-        out_ref = Fill(s.batch * s.out_channels * s.OutArea(), 0.4f, 1.7f);
-        dx.assign(a.size(), 0.0f);
-        dw.assign(b.size(), 0.0f);
-        db.assign(bias.size(), 0.0f);
-        break;
-      }
       case Kind::kConvReluPoolFwd:
       case Kind::kConvReluPoolBwd: {
         const ConvKernelShape& s = c.conv;
@@ -630,14 +597,6 @@ struct Workbench {
         (optimized ? GemmTransBAssign : ref::GemmTransBAssign)(
             a.data(), b.data(), c.m, c.n, c.k, out);
         break;
-      case Kind::kConvBwd:
-        std::memset(dx.data(), 0, dx.size() * sizeof(float));
-        std::memset(dw.data(), 0, dw.size() * sizeof(float));
-        std::memset(db.data(), 0, db.size() * sizeof(float));
-        (optimized ? Conv2dBackwardKernel : ref::Conv2dBackwardKernel)(
-            out_ref.data(), a.data(), b.data(), c.conv,
-            c.dx ? dx.data() : nullptr, dw.data(), db.data());
-        break;
       case Kind::kConvReluPoolFwd:
         RunConvBlockForward(c, optimized);
         break;
@@ -668,8 +627,7 @@ struct Workbench {
   }
 
   /// Bit-identity check: runs ref then opt from zeroed outputs and
-  /// memcmps. ConvBwd compares dx/dw/db via two sequential Run passes
-  /// (Run zeroes them itself), snapshotting between.
+  /// memcmps.
   bool Verify(const Case& c) {
     if (c.kind == Kind::kConvReluPoolFwd || c.kind == Kind::kConvReluPoolBwd) {
       RunConvBlockForward(c, /*optimized=*/false);
@@ -685,15 +643,6 @@ struct Workbench {
       return (!c.dx || SameBits(dx.data(), conv_dx.data(), dx.size())) &&
              SameBits(dw.data(), conv_dw.data(), dw.size()) &&
              SameBits(db.data(), conv_db.data(), db.size());
-    }
-    if (c.kind == Kind::kConvBwd) {
-      Run(c, /*optimized=*/false);
-      const std::vector<float> rdx = dx, rdw = dw, rdb = db;
-      Run(c, /*optimized=*/true);
-      auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
-        return SameBits(x.data(), y.data(), x.size());
-      };
-      return same(rdx, dx) && same(rdw, dw) && same(rdb, db);
     }
     if (IsElementwise(c.kind)) {
       // From equal starting values, both paths must agree on the output
@@ -756,7 +705,7 @@ std::string FormatRow(const Result& r) {
         static_cast<long long>(s.out_channels),
         static_cast<long long>(s.kernel), static_cast<long long>(s.stride),
         static_cast<long long>(s.pad));
-    if (r.c.kind == Kind::kConvBwd || r.c.kind == Kind::kConvReluPoolBwd) {
+    if (r.c.kind == Kind::kConvReluPoolBwd) {
       add("      \"dx\": %s,\n", r.c.dx ? "true" : "false");
     }
   } else if (IsElementwise(r.c.kind)) {

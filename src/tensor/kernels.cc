@@ -392,10 +392,9 @@ void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
 namespace {
 
 /// The padded-grid paths need unit stride (so an im2col entry lies at a
-/// fixed offset from its output position in the padded image) and
-/// pad < kernel (so the gradient grid's padding is not negative). Any
-/// other shape runs the reference loops; no model in the repository
-/// uses one.
+/// fixed offset from its output position in the padded image), and are
+/// held to pad < kernel, the shapes their tests cover. Any other shape
+/// runs the reference loops; no model in the repository uses one.
 bool ConvOnPaddedGrid(const ConvKernelShape& s) {
   return s.stride == 1 && s.pad < s.kernel;
 }
@@ -403,16 +402,6 @@ bool ConvOnPaddedGrid(const ConvKernelShape& s) {
 /// 2 * the multiply-adds of one dense conv-sized product.
 int64_t DenseConvFlops(const ConvKernelShape& s) {
   return 2 * s.batch * s.out_channels * s.Patch() * s.OutArea();
-}
-
-/// The dense backward of the conv alone, uninstrumented.
-void ConvBackward(const float* grad_out, const float* x, const float* w,
-                  const ConvKernelShape& s, float* dx, float* dw, float* db) {
-  if (!ConvOnPaddedGrid(s)) {
-    ref::Conv2dBackwardKernel(grad_out, x, w, s, dx, dw, db);
-    return;
-  }
-  ActiveTable().conv_backward(grad_out, x, w, s, dx, dw, db);
 }
 
 /// The conv-sized products a backward runs: one each for dw and dx
@@ -452,17 +441,6 @@ void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
   }
 }
 
-void Conv2dBackwardKernel(const float* grad_out, const float* x,
-                          const float* w, const ConvKernelShape& s, float* dx,
-                          float* dw, float* db) {
-  obs::TraceSpan trace_span("conv2d_bwd");
-  if (obs::TracingEnabled()) {
-    const int64_t flops = DenseConvFlops(s) * BackwardProducts(dx, dw);
-    CountConvFlops(flops, flops);
-  }
-  ConvBackward(grad_out, x, w, s, dx, dw, db);
-}
-
 void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
                                       const uint8_t* window, const float* x,
                                       const float* w, const ConvKernelShape& s,
@@ -492,10 +470,11 @@ void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
                               table.live_winners);
     return;
   }
-  // The dense fallback, where Inf * 0 = NaN must survive: route each
-  // pooled gradient to its window's winner, 0 + g (-0 becomes +0) where
-  // the winner passed the ReLU and +0 elsewhere, then run the conv's
-  // backward on the full-size grid.
+  // The fallback, where Inf * 0 = NaN must survive: route each pooled
+  // gradient to its window's winner, 0 + g (-0 becomes +0) where the
+  // winner passed the ReLU and +0 elsewhere, then run the reference
+  // backward on the full-size grid. Its sums are the contract's, term
+  // for term, for every input.
   const int64_t wd = s.OutW(), wo = wd / 2;
   std::vector<float> routed(static_cast<size_t>(4 * pooled), 0.0f);
   // Where window index k sits relative to its window's top-left input.
@@ -507,7 +486,7 @@ void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
       top[2 * ox + offset[window[i] & 3]] = y[i] > 0.0f ? 0.0f + grad[i] : 0.0f;
     }
   }
-  ConvBackward(routed.data(), x, w, s, dx, dw, db);
+  ref::Conv2dBackwardKernel(routed.data(), x, w, s, dx, dw, db);
 }
 
 // ---- Activations ----

@@ -41,26 +41,23 @@ namespace rfed {
 // images in the SIMD lanes (8, or 16 on the AVX-512 table, whose last
 // group of at most 8 runs at 8): each group is zero-padded and
 // interleaved once, so one vector holds an im2col entry for every image
-// of the group, and only real outputs are computed. dw reads each
-// image zero-padded, and dx runs on a grid of the output gradient
-// padded by kernel - 1 - pad, with rows computed w + kernel - 1 wide
-// and the extra columns dropped. dx adds padding terms that the
-// reference's col2im skips. Such a term is a fused chain of w*0 from
-// +0, i.e. +0, and for finite inputs padding zeros cannot change a
-// chain that starts at +0: under round-to-nearest such a chain never
-// reaches -0, and x + (+0) == x for every other x.
+// of the group, and only real outputs are computed. The fused block's
+// backward adds terms only for the pooled windows' live winners, on a
+// zero-padded grid, when its operands are finite; otherwise it runs
+// the reference on the routed gradient.
 // Batch reductions (conv dw/db) add each image's result in ascending
 // image order, the reference's float addition sequence. Other conv
 // shapes run the reference loops. See docs/KERNELS.md for the full
 // scheme and the per-ISA tile shapes.
 //
-// Caveat (documented, tested): the references skip multiplications by an
-// exact 0.0f weight, and conv dx skips the out-of-image terms; the
-// optimized kernels compute both. Under IEEE-754 round-to-nearest
-// fma(+-0, b, acc) never changes a finite accumulator, so results are
-// still bit-identical for finite inputs — but non-finite inputs
-// (Inf/NaN weights) may produce NaN where the reference skipped the
-// term.
+// Caveat (documented, tested): the references skip multiplications by
+// an exact 0.0f weight (A of the GEMMs, w of the conv forward); the
+// optimized GEMMs and the conv forward compute them. Under IEEE-754
+// round-to-nearest fma(+-0, b, acc) never changes a finite accumulator,
+// so results are still bit-identical for finite inputs — but non-finite
+// inputs may produce NaN where the reference skipped the term. The conv
+// block's backward has no such gap: it runs the reference itself
+// whenever an operand it reads is not finite.
 
 /// Instruction-set selection for the blocked kernels. kAuto picks the
 /// best path the CPU supports at runtime; the explicit values force a
@@ -246,25 +243,18 @@ void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
                                      const ConvKernelShape& s, float* out,
                                      uint8_t* window);
 
-/// Gradients of the conv alone from the full-size output's gradient
-/// grad_out [B, Cout, Ho, Wo]; any of dx/dw/db may be null to skip,
-/// non-null outputs must be pre-zeroed. Batch-parallel, with dw/db added
-/// per image in ascending image order — the reference's exact float
-/// addition sequence. Bit-identical to ref::Conv2dBackwardKernel.
-void Conv2dBackwardKernel(const float* grad_out, const float* x,
-                          const float* w, const ConvKernelShape& s, float* dx,
-                          float* dw, float* db);
-
 /// Gradients of Conv2dBiasReluPoolForwardKernel from the upstream grad
 /// of its pooled output y [B, Cout, Ho/2, Wo/2] and the window bytes it
-/// recorded; outputs as in Conv2dBackwardKernel. The conv output's
+/// recorded: dx [B, Cin, H, W], dw [Cout, Cin*K*K] and db [Cout], any of
+/// them null to skip, non-null ones pre-zeroed. The conv output's
 /// gradient is 0 + grad at a window's winner where y > 0 and +0
 /// everywhere else. On the padded grid, with finite grad (and finite x
 /// when dw is wanted, finite w when dx is), only those live winners'
-/// terms are added, in the dense order; otherwise the routed gradient
-/// is built and Conv2dBackwardKernel's path runs on it. Either way the
-/// bits are those of Conv2dBackwardKernel on the routed gradient, and
-/// one conv2d_bwd span is recorded.
+/// terms are added, in the reference's order, batch-parallel with dw/db
+/// added per image in ascending image order; otherwise the routed
+/// gradient is built and ref::Conv2dBackwardKernel runs on it. Either
+/// way the bits are those of ref::Conv2dBackwardKernel on the routed
+/// gradient, and one conv2d_bwd span is recorded.
 void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
                                       const uint8_t* window, const float* x,
                                       const float* w, const ConvKernelShape& s,
@@ -339,7 +329,8 @@ void RmsPropStepKernel(float* w, const float* g, float* ms, int64_t n,
 // summation order every optimized path must reproduce bit for bit
 // (tests/kernel_test.cc) and the speedup baseline for
 // bench_micro_kernels. The GEMM references run on no production path;
-// the conv references serve the shapes the padded grid does not take.
+// the conv references serve the shapes the padded grid does not take,
+// and the conv backward also the conv block's non-finite operands.
 // These descend from the seed's naive loops; the only numeric change
 // since the seed is the fused rounding, made when the SIMD microkernels
 // landed (goldens regenerated once, see

@@ -4,7 +4,7 @@
 // ISA-generic blocked GEMM driver, instantiated once per ISA TU with a
 // Traits type supplying the register microkernels. Traits must provide:
 //
-//   static constexpr int64_t kNr;   // in-place and conv dx tile cols
+//   static constexpr int64_t kNr;   // in-place tile cols
 //   static constexpr int64_t kTr;   // TransB outputs per packed panel
 //   static float Fma(float a, float b, float acc);   // fused step
 //   // The in-place tile of GemmInPlaceT: C [R rows, V*kNr/2 cols]
@@ -32,7 +32,8 @@
 //   static void DotCols(const double* at, const float* b, int64_t ldb,
 //                       int64_t n, double* out);
 //
-// and, for the convolutions (ConvForwardT and ConvGrid below):
+// and, for the convolutions (ConvForwardT and ConvBlockBackwardT
+// below):
 //
 //   // Images per lane group of the forward: 8, or 16 for a table whose
 //   // groups are wider than 8. Such a table also supplies `Narrow`, the
@@ -59,20 +60,6 @@
 //   // base; the scalar semantics are InterleaveLanesRange below):
 //   static void InterleaveLanes(const float* x, int64_t n, int64_t live,
 //                               const int64_t* pos, float* xl);
-//   // For each of kConvRows input channels r and j < n (n a multiple
-//   // of kNr): acc[r*ldacc + j] += (fused chain over oc < cout of
-//   // w[oc*kConvRows + r] * g[oc*ldg + j], from +0, ascending oc):
-//   static void ConvDxAccumulate(const float* w, int64_t cout,
-//                                const float* g, int64_t ldg, int64_t n,
-//                                float* acc, int64_t ldacc);
-//   // R x L double chains, R*L = 32 ((8,4) and (4,8)): out[r*L + t] =
-//   // sum over a = (oy, ox) ascending of
-//   //   x[off[r] + oy*ldx + ox] * gd[(oy*wo + ox)*ldg + t]
-//   // (exact products, one double rounding per step):
-//   static void ConvDwChains8x4(const double* x, const int64_t* off,
-//                               int64_t ldx, const double* gd, int64_t ldg,
-//                               int64_t ho, int64_t wo, double* out);
-//   static void ConvDwChains4x8(...same...);
 //   // The fused block's sparse backward (ConvBlockBackwardT below).
 //   // The interleaved copy of x (the scalar semantics are
 //   // CopyIntoInterleavedRange below):
@@ -462,30 +449,18 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
 // at most 8 images runs at 8 lanes (Traits::Narrow), so B = 24 is one
 // group of each width and B = 150 is 9 x 16 + 6.
 //
-// dw reads each image through a zero-padded copy whose rows are wp
-// floats wide, and dx runs on the grid h x wq of the output gradient
-// padded by k - 1 - pad (wq = w + k - 1), where tap (ky, kx) is the
-// slice starting at (k-1-ky)*wq + (k-1-kx); the k - 1 extra columns per
-// row wrap into the next padded row, and are computed and dropped.
+// The fused block's backward (ConvBlockBackwardT, further below) runs
+// on a zero-padded grid of the same row width.
 //
-// Bit identity with ref:: holds for finite inputs:
-//  * forward: each output is one fused chain from +0 over exactly the
-//    im2col entries the reference reads, padding zeros included, in
-//    ascending p; then sum + bias, as the reference adds it, and the
-//    ReLU and pool of PoolWindow;
-//  * dw: the chains walk only the ho x wo real outputs, ascending, so
-//    they are the reference's double dots term for term;
-//  * dx: the reference's Col2Im skips the (tap, output) pairs that fall
-//    outside the image; here they read padding zeros. Such a term is a
-//    fused chain of w*0 from +0, which is +0, and adding +0 changes no
-//    accumulator that started at +0 (a sum that starts at +0 never
-//    reaches -0 under round-to-nearest). The remaining terms meet each
-//    dx element in the reference's ascending tap order.
-// Lanes never mix: a NaN or Inf in one image reaches only that image's
-// outputs, for any input.
+// Bit identity of the forward with ref:: holds for finite inputs: each
+// output is one fused chain from +0 over exactly the im2col entries the
+// reference reads, padding zeros included, in ascending p; then
+// sum + bias, as the reference adds it, and the ReLU and pool of
+// PoolWindow. Lanes never mix: a NaN or Inf in one image reaches only
+// that image's outputs, for any input.
 
 // Channels per register tile: output channels of ConvTile, input
-// channels of ConvDxAccumulate.
+// channels per interleaved group of the block backward.
 inline constexpr int64_t kConvRows = 4;
 // Output positions per forward tile (Traits::kTileCols of every table
 // but AVX-512's narrow one): at 8 lanes, kConvRows x kConvCols
@@ -501,12 +476,9 @@ struct ConvGrid {
       : k(s.kernel), cin(s.in_channels), cout(s.out_channels),
         h(s.height), w(s.width), pad(s.pad), ho(s.OutH()), wo(s.OutW()),
         patch(s.Patch()), taps(k * k), wp(w + 2 * pad),
-        plane((h + 2 * pad) * wp), wq(w + k - 1), plane_q((h + k - 1) * wq),
-        lead_q(k - 1 - pad) {}
+        plane((h + 2 * pad) * wp) {}
   int64_t k, cin, cout, h, w, pad, ho, wo, patch, taps;
-  int64_t wp, plane;          // padded input row width and plane size
-  int64_t wq, plane_q;        // padded gradient row width and plane size
-  int64_t lead_q;             // gradient padding above and left
+  int64_t wp, plane;  // padded input row width and plane size
 };
 
 inline int64_t RoundUp(int64_t n, int64_t m) { return (n + m - 1) / m * m; }
@@ -543,26 +515,6 @@ inline void ConvRowOffsets(const ConvGrid& g, int64_t unit, int64_t* off) {
     for (int64_t ky = 0; ky < g.k; ++ky) {
       for (int64_t kx = 0; kx < g.k; ++kx) {
         off[p++] = (c * g.plane + ky * g.wp + kx) * unit;
-      }
-    }
-  }
-}
-
-/// Copies `channels` planes of rows x cols floats into the interiors of
-/// padded planes (row width ld, plane size `plane`, `lead` rows and
-/// columns of padding above and left). The padding is left untouched.
-template <typename T>
-void CopyIntoPadded(const float* src, int64_t channels, int64_t rows,
-                    int64_t cols, int64_t lead, int64_t ld, int64_t plane,
-                    T* dst) {
-  for (int64_t c = 0; c < channels; ++c) {
-    for (int64_t y = 0; y < rows; ++y) {
-      const float* s = src + (c * rows + y) * cols;
-      T* d = dst + c * plane + (y + lead) * ld + lead;
-      if constexpr (std::is_same_v<T, float>) {
-        std::memcpy(d, s, sizeof(float) * static_cast<size_t>(cols));
-      } else {
-        for (int64_t x = 0; x < cols; ++x) d[x] = s[x];
       }
     }
   }
@@ -606,14 +558,7 @@ struct ConvBatchSums {
   int64_t PartialFloats(int64_t batch, int64_t chunks) const {
     return chunks > 1 ? batch * (dw_size + db_size) : 0;
   }
-  void PutDw(int64_t i, int64_t idx, float v) const {
-    if (partials != nullptr) {
-      partials[i * (dw_size + db_size) + idx] = v;
-    } else {
-      dw[idx] += v;
-    }
-  }
-  /// PutDw for the run dw[at, at + count) of image i.
+  /// Image i's terms for the run dw[at, at + count).
   void PutDwRun(int64_t i, int64_t at, const double* terms,
                 int64_t count) const {
     if (partials != nullptr) {
@@ -815,155 +760,16 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
   });
 }
 
-template <typename Traits>
-void ConvBackwardT(const float* grad_out, const float* x, const float* w,
-                   const ConvKernelShape& s, float* dx, float* dw,
-                   float* db) {
-  if (s.batch <= 0 || (dx == nullptr && dw == nullptr && db == nullptr)) {
-    return;
-  }
-  const ConvGrid g(s);
-  const int64_t area = g.ho * g.wo;
-  const int64_t in_size = g.cin * g.h * g.w;
-  const int64_t out_size = g.cout * area;
-  // dw runs 32 double chains per pass: 8 patch rows x 4 channels when
-  // cout <= 4, else 4 rows x 8 channels per block of 8 channels.
-  const int64_t lanes = g.cout <= 4 ? 4 : 8;
-  const int64_t rows = 32 / lanes;
-  const int64_t oc_pad = RoundUp(g.cout, lanes);
-  const int64_t dx_groups = (g.cin + kConvRows - 1) / kConvRows;
-  const int64_t dx_cols = RoundUp(g.h * g.wq, Traits::kNr);
-  const int64_t gq_len =
-      std::max(g.cout * g.plane_q, (g.cout - 1) * g.plane_q +
-                                       (g.k - 1) * (g.wq + 1) + dx_cols);
-  // One image at a time: the cut needs no lane groups and keeps 8.
-  const ConvImageChunks chunks(s.batch, kNarrowLanes);
-  ConvBatchSums sums{dw, db, dw != nullptr ? g.cout * g.patch : 0,
-                     db != nullptr ? g.cout : 0};
-  ScratchLayout shared;
-  const size_t wt_at = shared.Add<float>(
-      dx != nullptr ? dx_groups * g.taps * g.cout * kConvRows : 0);
-  const size_t off_at = shared.Add<int64_t>(dw != nullptr ? g.patch : 0);
-  const size_t part_at =
-      shared.Add<float>(sums.PartialFloats(s.batch, chunks.count));
-  char* shared_base = shared.Claim(kSlotConvOperands);
-  float* wt = At<float>(shared_base, wt_at);
-  int64_t* off = At<int64_t>(shared_base, off_at);
-  if (chunks.count > 1) sums.partials = At<float>(shared_base, part_at);
-  if (dx != nullptr) {
-    // wt[group][tap][oc][r] = w[oc][c = group*kConvRows + r][tap]: one
-    // tap's weights for a group of input channels are contiguous, and
-    // channels past cin are zero.
-    for (int64_t cg = 0; cg < dx_groups; ++cg) {
-      for (int64_t tap = 0; tap < g.taps; ++tap) {
-        for (int64_t oc = 0; oc < g.cout; ++oc) {
-          for (int64_t r = 0; r < kConvRows; ++r) {
-            const int64_t c = cg * kConvRows + r;
-            wt[((cg * g.taps + tap) * g.cout + oc) * kConvRows + r] =
-                c < g.cin ? w[oc * g.patch + c * g.taps + tap] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-  if (dw != nullptr) ConvRowOffsets(g, 1, off);
-  KernelParallelFor(chunks.count, [&](int64_t ci) {
-    ScratchLayout mine;
-    const size_t xd_at = mine.Add<double>(dw != nullptr ? g.cin * g.plane : 0);
-    const size_t gd_at = mine.Add<double>(dw != nullptr ? area * oc_pad : 0);
-    const size_t gq_at = mine.Add<float>(dx != nullptr ? gq_len : 0);
-    const size_t dgrid_at =
-        mine.Add<float>(dx != nullptr ? kConvRows * dx_cols : 0);
-    char* base = mine.Claim(kSlotConvImage);
-    double* xd = At<double>(base, xd_at);
-    double* gd = At<double>(base, gd_at);
-    float* gq = At<float>(base, gq_at);
-    float* dgrid = At<float>(base, dgrid_at);
-    // Padding (and gd's channel lanes past cout) stays zero throughout.
-    if (dw != nullptr) {
-      std::fill(xd, xd + g.cin * g.plane, 0.0);
-      std::fill(gd, gd + area * oc_pad, 0.0);
-    }
-    if (dx != nullptr) std::fill(gq, gq + gq_len, 0.0f);
-    for (int64_t i = chunks.Begin(ci); i < chunks.End(ci); ++i) {
-      const float* go = grad_out + i * out_size;
-      if (db != nullptr) {
-        for (int64_t oc = 0; oc < g.cout; ++oc) {
-          const float* plane = go + oc * area;
-          double acc = 0.0;
-          for (int64_t a = 0; a < area; ++a) acc += plane[a];
-          sums.PutDb(i, oc, static_cast<float>(acc));
-        }
-      }
-      if (dw != nullptr) {
-        CopyIntoPadded(x + i * in_size, g.cin, g.h, g.w, g.pad, g.wp, g.plane,
-                       xd);
-        for (int64_t a = 0; a < area; ++a) {
-          for (int64_t oc = 0; oc < g.cout; ++oc) {
-            gd[a * oc_pad + oc] = go[oc * area + a];
-          }
-        }
-        for (int64_t oc0 = 0; oc0 < g.cout; oc0 += lanes) {
-          for (int64_t p0 = 0; p0 < g.patch; p0 += rows) {
-            const int64_t live = std::min(rows, g.patch - p0);
-            int64_t row_off[8];
-            for (int64_t r = 0; r < rows; ++r) {
-              row_off[r] = off[p0 + (r < live ? r : 0)];
-            }
-            double acc[32];
-            if (lanes == 4) {
-              Traits::ConvDwChains8x4(xd, row_off, g.wp, gd + oc0, oc_pad,
-                                      g.ho, g.wo, acc);
-            } else {
-              Traits::ConvDwChains4x8(xd, row_off, g.wp, gd + oc0, oc_pad,
-                                      g.ho, g.wo, acc);
-            }
-            const int64_t oc_live = std::min(lanes, g.cout - oc0);
-            for (int64_t t = 0; t < oc_live; ++t) {
-              for (int64_t r = 0; r < live; ++r) {
-                sums.PutDw(i, (oc0 + t) * g.patch + p0 + r,
-                           static_cast<float>(acc[r * lanes + t]));
-              }
-            }
-          }
-        }
-      }
-      if (dx != nullptr) {
-        CopyIntoPadded(go, g.cout, g.ho, g.wo, g.lead_q, g.wq, g.plane_q, gq);
-        for (int64_t cg = 0; cg < dx_groups; ++cg) {
-          std::fill(dgrid, dgrid + kConvRows * dx_cols, 0.0f);
-          for (int64_t ky = 0; ky < g.k; ++ky) {
-            for (int64_t kx = 0; kx < g.k; ++kx) {
-              Traits::ConvDxAccumulate(
-                  wt + (cg * g.taps + ky * g.k + kx) * g.cout * kConvRows,
-                  g.cout, gq + (g.k - 1 - ky) * g.wq + (g.k - 1 - kx),
-                  g.plane_q, dx_cols, dgrid, dx_cols);
-            }
-          }
-          const int64_t live = std::min(kConvRows, g.cin - cg * kConvRows);
-          for (int64_t r = 0; r < live; ++r) {
-            float* d = dx + i * in_size + (cg * kConvRows + r) * g.h * g.w;
-            for (int64_t iy = 0; iy < g.h; ++iy) {
-              std::memcpy(d + iy * g.w, dgrid + r * dx_cols + iy * g.wq,
-                          sizeof(float) * static_cast<size_t>(g.w));
-            }
-          }
-        }
-      }
-    }
-  });
-  sums.Finish(s.batch);
-}
-
 // ---- The fused conv block's backward, at the gradient's sparsity ----
 //
 // The gradient of a conv block's conv output is nonzero only at a
 // window's winner, and only where the winner passed the ReLU (y > 0);
 // there it is 0 + grad (-0 becomes +0). ConvBlockBackwardT reads
 // (grad, y, window) and adds terms only for those live winners. Each
-// skipped term of the dense backward is +-0 * finite, and for finite
-// operands dropping such terms changes no bit as long as the kept ones
-// keep the dense order (docs/KERNELS.md, "Convolution"):
+// skipped term of ref::Conv2dBackwardKernel on the routed gradient is
+// +-0 * finite, and for finite operands dropping such terms changes no
+// bit as long as the kept ones keep the reference's order
+// (docs/KERNELS.md, "The conv block's backward"):
 //  * db and dw: each (oc, p) double chain walks its channel's winners in
 //    ascending (oy, ox), so in each pooled row the top-row winners
 //    (window 0, 1) come before the bottom-row ones (2, 3);

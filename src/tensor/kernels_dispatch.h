@@ -18,10 +18,11 @@ namespace internal {
 // Scratch slot convention (one ScratchArena per thread; nested kernel
 // calls must use disjoint slots):
 //   0  conv operands shared by a call's workers (calling thread): packed
-//      weights, patch-row offsets, the forward's input positions,
-//      per-image dw/db partials
+//      weights, patch-row offsets, the forward's input positions, the
+//      backward's tap-major dw sums and per-image dw/db partials
 //   1  conv per-chunk buffers (each worker): the forward's lane grid
-//      and conv sums, the backward's padded image and gradient planes
+//      and conv sums, the backward's interleaved image, winner lists
+//      and dx scratch
 //   2  interleaved B panels of GemmTransBAssign, or its transposed A
 //      when the small path runs
 //   3  ScratchArena::kSpareSlot, never used by a kernel
@@ -95,9 +96,6 @@ struct BlockedKernels {
   void (*conv_forward)(const float* x, const float* w, const float* bias,
                        const ConvKernelShape& s, float* out,
                        uint8_t* window);
-  void (*conv_backward)(const float* grad_out, const float* x,
-                        const float* w, const ConvKernelShape& s, float* dx,
-                        float* dw, float* db);
   /// The padded-grid backward of the fused conv block
   /// (Conv2dBiasReluPoolBackwardKernel) for finite x, w and grad: reads
   /// the pooled gradient, output and window directly and adds terms

@@ -89,55 +89,6 @@ struct GenericTraits {
     }
   }
 
-  static void ConvDxAccumulate(const float* w, int64_t cout, const float* g,
-                               int64_t ldg, int64_t n, float* acc,
-                               int64_t ldacc) {
-    for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-      float t[kConvRows][kNr] = {};
-      for (int64_t oc = 0; oc < cout; ++oc) {
-        const float* gv = g + oc * ldg + j0;
-        for (int64_t r = 0; r < kConvRows; ++r) {
-          const float wv = w[oc * kConvRows + r];
-          for (int64_t j = 0; j < kNr; ++j) {
-            t[r][j] = std::fmaf(wv, gv[j], t[r][j]);
-          }
-        }
-      }
-      for (int64_t r = 0; r < kConvRows; ++r) {
-        for (int64_t j = 0; j < kNr; ++j) acc[r * ldacc + j0 + j] += t[r][j];
-      }
-    }
-  }
-
-  template <int R, int L>
-  static void DwChains(const double* x, const int64_t* off, int64_t ldx,
-                       const double* gd, int64_t ldg, int64_t ho, int64_t wo,
-                       double* out) {
-    double acc[R][L] = {};
-    for (int64_t oy = 0; oy < ho; ++oy) {
-      for (int64_t ox = 0; ox < wo; ++ox) {
-        const double* gv = gd + (oy * wo + ox) * ldg;
-        for (int r = 0; r < R; ++r) {
-          const double xv = x[off[r] + oy * ldx + ox];
-          for (int t = 0; t < L; ++t) acc[r][t] += xv * gv[t];
-        }
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      for (int t = 0; t < L; ++t) out[r * L + t] = acc[r][t];
-    }
-  }
-  static void ConvDwChains8x4(const double* x, const int64_t* off,
-                              int64_t ldx, const double* gd, int64_t ldg,
-                              int64_t ho, int64_t wo, double* out) {
-    DwChains<8, 4>(x, off, ldx, gd, ldg, ho, wo, out);
-  }
-  static void ConvDwChains4x8(const double* x, const int64_t* off,
-                              int64_t ldx, const double* gd, int64_t ldg,
-                              int64_t ho, int64_t wo, double* out) {
-    DwChains<4, 8>(x, off, ldx, gd, ldg, ho, wo, out);
-  }
-
   static void CopyIntoInterleaved(const float* src, int64_t live, int64_t h,
                                   int64_t w, int64_t pad, int64_t wp,
                                   double* xd) {
@@ -207,7 +158,6 @@ const BlockedKernels& GenericKernels() {
       // served shapes (docs/KERNELS.md, "Small products").
       &GemmTransBBlockedT<GenericTraits>,
       &ConvForwardT<GenericTraits>,
-      &ConvBackwardT<GenericTraits>,
       &ConvBlockBackwardT<GenericTraits>,
       &CollectLiveWinnersRange,
       GenericTraits::kConvLanes,

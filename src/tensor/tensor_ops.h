@@ -111,8 +111,8 @@ Tensor Conv2dBiasReluPoolForward(const Tensor& x, const Tensor& w,
 /// nonzero only at a window's winner where y > 0, and the kernel adds
 /// dw, dx and db terms for those winners only, straight from
 /// (grad, y, window); off the padded grid, or with a non-finite operand,
-/// it routes the gradient to the full-size grid and runs the dense
-/// Conv2dBackwardKernel on it. Bit-identical to
+/// it routes the gradient to the full-size grid and runs
+/// ref::Conv2dBackwardKernel on it. Bit-identical to
 /// ref::Conv2dBackwardKernel on that routed gradient either way. Any
 /// output pointer may be null to skip; non-null outputs are allocated
 /// (zeroed) here.

@@ -2,7 +2,7 @@
 # docs_check.sh <repo_root> <experiment_cli_binary> [build_dir]
 #               [rfed_server_binary] [rfed_worker_binary]
 #
-# Eight stale-documentation tripwires, run as `ctest -L docs`:
+# Nine stale-documentation tripwires, run as `ctest -L docs`:
 #   1. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file or directory.
 #   2. Every `--flag` token mentioned in docs/*.md other than
@@ -30,6 +30,11 @@
 #      (Suite a suite defined under tests/, or any name ending in
 #      `Test`) must be defined by a TEST, TEST_F or TEST_P in tests/,
 #      so the docs cannot cite a test that was renamed or never existed.
+#   9. Every backticked CamelCase identifier in README.md or docs/*.md
+#      (a span that is one identifier starting with a capital letter,
+#      such as `ConvBlockBackwardT`) must occur as a whole word in some
+#      file under src/, tests/, bench/, examples/ or roundbench/, so the
+#      docs cannot cite code that a deletion or a rename removed.
 set -u
 
 root="${1:?usage: docs_check.sh <repo_root> <experiment_cli>}"
@@ -180,6 +185,24 @@ for doc in "$root"/README.md "$root"/docs/*.md; do
     esac
     if ! printf '%s\n' "$defined" | grep -qxF "$name"; then
       fail "$doc cites test $name, defined by no TEST/TEST_F/TEST_P in tests/"
+    fi
+  done
+done
+
+# ---- 9. Code identifiers the docs cite ----
+# Prose that happens to be one capitalized word in backticks.
+allowed_words="Date"
+code_dirs="src tests bench examples roundbench"
+code_words=$(for dir in $code_dirs; do
+               [ -d "$root/$dir" ] || continue
+               grep -rhoIE '[A-Za-z_][A-Za-z0-9_]*' "$root/$dir"
+             done | sort -u)
+for doc in "$root"/README.md "$root"/docs/*.md; do
+  [ -f "$doc" ] || continue
+  for id in $(grep -oE '`[A-Z][A-Za-z0-9_]*`' "$doc" | tr -d '`' | sort -u); do
+    case " $allowed_words " in *" $id "*) continue ;; esac
+    if ! printf '%s\n' "$code_words" | grep -qxF "$id"; then
+      fail "$doc cites \`$id\`, which no file under $code_dirs contains"
     fi
   done
 done

@@ -41,6 +41,7 @@ using ::rfed::testing::AvailableKernelIsas;
 using ::rfed::testing::MaxGradCheckError;
 using ::rfed::testing::PoolWindowRule;
 using ::rfed::testing::RefConvReluPool;
+using ::rfed::testing::RoutedGradient;
 
 Variable Leaf(Tensor t) { return Variable(std::move(t), true); }
 
@@ -594,29 +595,57 @@ TEST_F(KernelTest, ConvBlockForwardMatchesReferenceBitwise) {
   }
 }
 
-TEST_F(KernelTest, Conv2dBackwardMatchesReferenceBitwise) {
+/// The conv block's backward operands for the shape s: the pooled
+/// output y and window bytes of the reference forward on the inputs x,
+/// w and bias, and a pooled gradient of mixed signs.
+struct BlockBackwardInputs {
+  BlockBackwardInputs(const ConvKernelShape& s, const std::vector<float>& x,
+                      const std::vector<float>& w,
+                      const std::vector<float>& bias) {
+    RefConvReluPool(x.data(), w.data(), bias.data(), s, &y, &window);
+    grad = Pattern(static_cast<int64_t>(y.size()), 0.4f, 1.2f);
+  }
+  std::vector<float> y, grad;
+  std::vector<uint8_t> window;
+};
+
+/// ref::Conv2dBackwardKernel on the block's routed gradient into zeroed
+/// outputs; a null output is skipped, as it is by the kernel.
+void RefBlockBackward(const ConvKernelShape& s, const BlockBackwardInputs& in,
+                      const std::vector<float>& x, const std::vector<float>& w,
+                      float* dx, float* dw, float* db) {
+  const Shape pooled{s.batch, s.out_channels, s.OutH() / 2, s.OutW() / 2};
+  const Tensor routed = RoutedGradient(Tensor(pooled, in.grad),
+                                       Tensor(pooled, in.y), in.window);
+  ref::Conv2dBackwardKernel(routed.data(), x.data(), w.data(), s, dx, dw, db);
+}
+
+TEST_F(KernelTest, ConvBlockBackwardMatchesReferenceBitwise) {
+  // The fused block's backward against the reference on the routed
+  // gradient, for every case and option: the sparse path on the padded
+  // grid, the fallback on the strided shapes.
   for (const ConvKernelShape& s : ConvCases()) {
     const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
                            1.0f, 0.6f);
     const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 2.1f);
-    const auto go = Pattern(s.batch * s.out_channels * s.OutArea(),
-                            0.4f, 1.2f);
-    const size_t dx_size =
-        static_cast<size_t>(s.batch * s.in_channels * s.height * s.width);
-    const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
-    const size_t db_size = static_cast<size_t>(s.out_channels);
+    const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+    const BlockBackwardInputs in(s, x, w, bias);
+    const size_t dx_size = x.size(), dw_size = w.size(),
+                 db_size = bias.size();
     std::vector<float> dx_ref(dx_size, 0.0f);
     std::vector<float> dw_ref(dw_size, 0.0f);
     std::vector<float> db_ref(db_size, 0.0f);
-    ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s,
-                              dx_ref.data(), dw_ref.data(), db_ref.data());
+    RefBlockBackward(s, in, x, w, dx_ref.data(), dw_ref.data(),
+                     db_ref.data());
     for (const KernelOptions& o : ConvOptionGrid()) {
       SetKernelOptions(o);
       std::vector<float> dx_opt(dx_size, 0.0f);
       std::vector<float> dw_opt(dw_size, 0.0f);
       std::vector<float> db_opt(db_size, 0.0f);
-      Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx_opt.data(),
-                           dw_opt.data(), db_opt.data());
+      Conv2dBiasReluPoolBackwardKernel(in.grad.data(), in.y.data(),
+                                       in.window.data(), x.data(), w.data(),
+                                       s, dx_opt.data(), dw_opt.data(),
+                                       db_opt.data());
       ASSERT_EQ(0, std::memcmp(dx_ref.data(), dx_opt.data(),
                                dx_size * sizeof(float)))
           << "dx " << ConvName(s) << " " << OptionsName(o);
@@ -1009,18 +1038,17 @@ TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
 }
 
 TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
-  // conv2 of the CIFAR round: 2*B*Cout*patch*area is counted, once for
-  // the fused forward and once per requested dense backward GEMM (dw,
-  // dx); the forward's dead lanes (B = 7 fills 7 of 8) are not counted.
+  // conv2 of the CIFAR round: the fused forward counts
+  // 2*B*Cout*patch*area, and its dead lanes (B = 7 fills 7 of 8) are not
+  // counted. ConvBlockBackwardCountsRunAndDenseFlops pins the backward's.
   const ConvKernelShape s{7, 4, 6, 6, 8, 5, 1, 2};
   const int64_t useful = 2 * 7 * 8 * 100 * 36;
   const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,
                          0.1f);
   const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 0.2f);
   const auto bias = Pattern(s.out_channels, 0.2f, 0.3f);
-  const auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 0.4f);
-  std::vector<float> out(go.size() / 4), dx(x.size(), 0.0f),
-      dw(w.size(), 0.0f), db(bias.size(), 0.0f);
+  std::vector<float> out(static_cast<size_t>(s.batch * s.out_channels *
+                                             s.OutArea() / 4));
   std::vector<uint8_t> window(out.size());
   obs::Counter* flops =
       obs::MetricsRegistry::Get().GetCounter("kernel.conv_flops");
@@ -1029,12 +1057,6 @@ TEST_F(KernelTest, ConvFlopCounterCountsUsefulFlopsOnly) {
   Conv2dBiasReluPoolForwardKernel(x.data(), w.data(), bias.data(), s,
                                   out.data(), window.data());
   EXPECT_EQ(flops->value() - before, useful);
-  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, dx.data(),
-                       dw.data(), db.data());
-  EXPECT_EQ(flops->value() - before, 3 * useful);
-  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr, dw.data(),
-                       nullptr);
-  EXPECT_EQ(flops->value() - before, 4 * useful);
   obs::EnableTracing(false);
   obs::ClearTrace();
 }
@@ -1089,25 +1111,53 @@ TEST_F(KernelTest, ConvBlockBackwardCountsRunAndDenseFlops) {
   obs::ClearTrace();
 }
 
-TEST_F(KernelTest, Conv2dBackwardHandlesNullOutputs) {
+TEST_F(KernelTest, ConvBlockBackwardHandlesNullOutputs) {
+  // Every subset of dx, dw and db skipped, on the sparse path and on the
+  // fallback (a NaN in a live window's gradient): the wanted outputs
+  // equal the reference's with the same outputs skipped, and with all
+  // three skipped the call is a no-op, not a crash.
   SetKernelOptions(TinyBlocks(4));
   const ConvKernelShape s{2, 2, 6, 6, 3, 3, 1, 1};
   const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,
                          0.0f);
   const auto w = Pattern(s.out_channels * s.Patch(), 0.5f, 1.0f);
-  const auto go = Pattern(s.batch * s.out_channels * s.OutArea(), 0.4f, 2.0f);
-  const size_t dw_size = static_cast<size_t>(s.out_channels * s.Patch());
-  std::vector<float> dw_ref(dw_size, 0.0f), dw_opt(dw_size, 0.0f);
-  // dx and db skipped entirely.
-  ref::Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr,
-                            dw_ref.data(), nullptr);
-  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr,
-                       dw_opt.data(), nullptr);
-  EXPECT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
-                           dw_size * sizeof(float)));
-  // All three null: must be a no-op, not a crash.
-  Conv2dBackwardKernel(go.data(), x.data(), w.data(), s, nullptr, nullptr,
-                       nullptr);
+  const auto bias = Pattern(s.out_channels, 0.2f, 0.9f);
+  BlockBackwardInputs in(s, x, w, bias);
+  for (bool fallback : {false, true}) {
+    if (fallback) {
+      size_t live = 0;
+      while (!(in.y[live] > 0.0f)) ++live;
+      in.grad[live] = std::numeric_limits<float>::quiet_NaN();
+    }
+    for (int mask = 0; mask < 8; ++mask) {
+      const bool want_dx = mask & 1, want_dw = mask & 2, want_db = mask & 4;
+      std::vector<float> dx_ref(x.size(), 0.0f), dx_opt(x.size(), 0.0f);
+      std::vector<float> dw_ref(w.size(), 0.0f), dw_opt(w.size(), 0.0f);
+      std::vector<float> db_ref(bias.size(), 0.0f),
+          db_opt(bias.size(), 0.0f);
+      auto pick = [](bool want, std::vector<float>& v) {
+        return want ? v.data() : nullptr;
+      };
+      RefBlockBackward(s, in, x, w, pick(want_dx, dx_ref),
+                       pick(want_dw, dw_ref), pick(want_db, db_ref));
+      Conv2dBiasReluPoolBackwardKernel(
+          in.grad.data(), in.y.data(), in.window.data(), x.data(), w.data(),
+          s, pick(want_dx, dx_opt), pick(want_dw, dw_opt),
+          pick(want_db, db_opt));
+      const std::string where = std::string(fallback ? "fallback" : "sparse") +
+                                " mask=" + std::to_string(mask);
+      // Skipped outputs stay all zero on both sides.
+      EXPECT_EQ(0, std::memcmp(dx_ref.data(), dx_opt.data(),
+                               dx_ref.size() * sizeof(float)))
+          << "dx " << where;
+      EXPECT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
+                               dw_ref.size() * sizeof(float)))
+          << "dw " << where;
+      EXPECT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
+                               db_ref.size() * sizeof(float)))
+          << "db " << where;
+    }
+  }
 }
 
 TEST_F(KernelTest, Im2ColRoundTripAgainstStridedWindow) {

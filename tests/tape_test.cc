@@ -42,6 +42,7 @@ using ::rfed::testing::AvailableKernelIsas;
 using ::rfed::testing::MaxGradCheckError;
 using ::rfed::testing::RefConv2dBackward;
 using ::rfed::testing::RefConvReluPool;
+using ::rfed::testing::RoutedGradient;
 
 constexpr double kTol = 5e-2;  // float32 kernels vs double finite diffs
 
@@ -89,21 +90,6 @@ TEST(FusedOpsTest, LinearBiasReluGradcheck) {
   Variable b = Leaf(Tensor(Shape{2}, {0.3f, -0.4f}));
   auto loss = [&] { return ag::Sum(ag::LinearBiasRelu(x, w, b)); };
   EXPECT_LT(MaxGradCheckError(loss, {&x, &w, &b}), kTol);
-}
-
-/// The conv block's gradient on the full-size conv grid, as the dense
-/// path sees it: 0 + grad at each window's winner where the pooled
-/// output passed the ReLU, +0 everywhere else.
-Tensor RoutedGradient(const Tensor& grad, const Tensor& y,
-                      const std::vector<uint8_t>& window) {
-  const int64_t wo = y.dim(3), wd = 2 * wo;
-  Tensor routed(Shape{y.dim(0), y.dim(1), 2 * y.dim(2), wd});
-  for (int64_t i = 0; i < y.size(); ++i) {
-    const int64_t k = window[static_cast<size_t>(i)];
-    routed.at(2 * (i / wo) * wd + (k >> 1) * wd + 2 * (i % wo) + (k & 1)) =
-        y.at(i) > 0.0f ? 0.0f + grad.at(i) : 0.0f;
-  }
-  return routed;
 }
 
 TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesReferenceBitwise) {
@@ -192,35 +178,23 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesReferenceBitwise) {
   SetKernelOptions(KernelOptions{});
 }
 
-/// The dense Conv2dBackwardKernel (the fused block's fallback) on the
-/// full-size output gradient, into fresh zeroed tensors.
-void DenseConv2dBackward(const Tensor& grad_out, const Tensor& x,
-                         const Tensor& w, const Conv2dSpec& spec, Tensor* dx,
-                         Tensor* dw, Tensor* db) {
-  *dx = Tensor(x.shape());
-  *dw = Tensor(w.shape());
-  *db = Tensor(Shape{spec.out_channels});
-  Conv2dBackwardKernel(grad_out.data(), x.data(), w.data(),
-                       ::rfed::testing::KernelShapeOf(x, spec), dx->data(),
-                       dw->data(), db->data());
-}
-
-TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedDenseBitwise) {
+TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedReferenceBitwise) {
   // Conv2dBiasReluPoolBackward adds terms for the live winners only,
-  // straight from (grad, y, window); dx, dw and db must memcmp-equal the
-  // dense Conv2dBackwardKernel on the routed gradient. The shapes of the composed
-  // chain test plus 6 input channels (two channel groups), on the
-  // portable and the AVX2 table, serial and threaded. Three kinds of
-  // input:
+  // straight from (grad, y, window); dx, dw and db must memcmp-equal
+  // ref::Conv2dBackwardKernel on the routed gradient. The shapes of the
+  // composed chain test plus 6 input channels (two channel groups), on
+  // every available table, serial and threaded. Three kinds of input:
   //  * plain: random values;
   //  * edge: image 0 all zeros (every window a 4-way tie), channel 0's
   //    bias far below zero (every window clamped), a -0 gradient at
   //    every 5th pooled output, and the last image's gradients at
   //    +-denorm_min, so weight x gradient products underflow to +-0
   //    inside the dx chains;
-  //  * one NaN or +-Inf in x, in w or in the gradient: the dense
-  //    fallback must run (kernel.conv_flops then counts the dense
-  //    products) and give the same bits, NaN included.
+  //  * one NaN or +-Inf in x, in w or in the gradient: the fallback
+  //    must run (kernel.conv_flops then counts the dense products) and
+  //    give the reference's bits: NaN where the reference has NaN and
+  //    nowhere else (with a -Inf weight, dx has no Inf * 0 term for a
+  //    tap outside the image).
   struct Case {
     int64_t cin, side, cout, kernel, stride, pad;
   };
@@ -279,8 +253,8 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedDenseBitwise) {
         const bool fallback = !on_grid || input > Input::kEdge;
 
         Tensor rdx, rdw, rdb;
-        DenseConv2dBackward(RoutedGradient(gt, y, window), xt, wt, spec,
-                            &rdx, &rdw, &rdb);
+        RefConv2dBackward(RoutedGradient(gt, y, window), xt, wt, spec, &rdx,
+                          &rdw, &rdb);
         for (KernelIsa isa : isas) {
           for (int threads : {1, 4}) {
             KernelOptions o;

@@ -117,6 +117,18 @@ Tensor RefConv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
   return out;
 }
 
+Tensor RoutedGradient(const Tensor& grad, const Tensor& y,
+                      const std::vector<uint8_t>& window) {
+  const int64_t wo = y.dim(3), wd = 2 * wo;
+  Tensor routed(Shape{y.dim(0), y.dim(1), 2 * y.dim(2), wd});
+  for (int64_t i = 0; i < y.size(); ++i) {
+    const int64_t k = window[static_cast<size_t>(i)];
+    routed.at(2 * (i / wo) * wd + (k >> 1) * wd + 2 * (i % wo) + (k & 1)) =
+        y.at(i) > 0.0f ? 0.0f + grad.at(i) : 0.0f;
+  }
+  return routed;
+}
+
 void RefConv2dBackward(const Tensor& grad_out, const Tensor& x,
                        const Tensor& w, const Conv2dSpec& spec, Tensor* dx,
                        Tensor* dw, Tensor* db) {

@@ -56,6 +56,12 @@ Tensor RefConvReluPool(const Tensor& x, const Tensor& w, const Tensor& b,
 /// w [Cout, Cin*K*K], b [Cout] -> [B, Cout, Ho, Wo].
 Tensor RefConv2dForward(const Tensor& x, const Tensor& w, const Tensor& b,
                         const Conv2dSpec& spec);
+/// The conv block's gradient on the full-size conv grid, as the
+/// reference backward sees it: from the pooled grad, the pooled output y
+/// [B, Cout, Ho/2, Wo/2] and its window bytes, 0 + grad at each window's
+/// winner where y > 0, +0 everywhere else; [B, Cout, Ho, Wo].
+Tensor RoutedGradient(const Tensor& grad, const Tensor& y,
+                      const std::vector<uint8_t>& window);
 /// ref::Conv2dBackwardKernel on tensors: the conv's gradients from the
 /// full-size output gradient grad_out [B, Cout, Ho, Wo], each into a
 /// fresh zeroed tensor.
