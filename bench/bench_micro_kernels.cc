@@ -1,10 +1,10 @@
-// Kernel-layer benchmark sweep: times the SIMD blocked/threaded kernels
+// Kernel-layer benchmark sweep: times the SIMD blocked kernels
 // (tensor/kernels.h) against the retained naive references (rfed::ref)
 // on the GEMM and convolution shapes the paper's models actually hit,
 // and writes the table as BENCH_kernels.json (GFLOP/s plus
-// speedup-vs-seed per shape and thread count; see docs/KERNELS.md for
-// how to read it). Every case first asserts the optimized kernel is
-// bit-identical to its reference before any timing. The
+// speedup-vs-seed per shape; see docs/KERNELS.md for how to read it).
+// Every case first asserts the optimized kernel is bit-identical to its
+// reference before any timing. The
 // cifar_round_relu_* rows are ReLU and its backward mask over the conv1
 // output of the CNN the CIFAR round benchmark (roundbench/,
 // cifar_cnn_rfedavgp) runs, at its training batch (24) and its δ-map
@@ -48,8 +48,7 @@
 //   ./build/bench/bench_micro_kernels                  # full sweep
 //   ./build/bench/bench_micro_kernels --out path.json  # custom output
 //   ./build/bench/bench_micro_kernels --smoke          # <2 s correctness
-//       pass over threads {1,2,4}, tiny timings, no JSON (the
-//       `bench_smoke` ctest target)
+//       pass, tiny timings, no JSON (the `bench_smoke` ctest target)
 //   --min_ms N    measurement window per timing (default 300; smoke 5)
 //   --only S      re-time only the rows whose name contains S and
 //       rewrite only those rows of the output JSON; the other rows are
@@ -72,8 +71,6 @@
 
 namespace rfed {
 namespace {
-
-constexpr int kThreadCounts[] = {1, 2, 4};
 
 /// Deterministic non-degenerate fill without exact zeros, so the
 /// references' zero-skip fast path never fires and the comparison is
@@ -662,26 +659,15 @@ struct Workbench {
   }
 };
 
-struct Timing {
-  int threads;
-  WindowMs ms;
-  double gflops;
-  double speedup;
-};
-
 struct Result {
   Case c;
   const char* isa = "";  // the kernel table active when the row was timed
   WindowMs ref_ms;
   double ref_gflops = 0.0;
-  std::vector<Timing> opt;
+  WindowMs opt_ms;
+  double opt_gflops = 0.0;
+  double speedup = 0.0;
 };
-
-void SetThreads(int threads) {
-  KernelOptions o;
-  o.threads = threads;
-  SetKernelOptions(o);
-}
 
 /// One row of the "cases" array, as WriteJson lays it out (no trailing
 /// comma or newline).
@@ -721,15 +707,9 @@ std::string FormatRow(const Result& r) {
       "      \"ref_gflops\": %.3f,\n",
       r.ref_ms.best, r.ref_ms.median, r.ref_gflops);
   add("      \"acceptance_shape\": %s,\n", r.c.acceptance ? "true" : "false");
-  row += "      \"opt\": [\n";
-  for (size_t t = 0; t < r.opt.size(); ++t) {
-    const Timing& ot = r.opt[t];
-    add("        {\"threads\": %d, \"ms\": %.4f, \"median_ms\": %.4f, "
-        "\"gflops\": %.3f, \"speedup_vs_seed\": %.3f}%s\n",
-        ot.threads, ot.ms.best, ot.ms.median, ot.gflops, ot.speedup,
-        t + 1 < r.opt.size() ? "," : "");
-  }
-  row += "      ]\n    }";
+  add("      \"opt\": {\"ms\": %.4f, \"median_ms\": %.4f, \"gflops\": %.3f, "
+      "\"speedup_vs_seed\": %.3f}\n    }",
+      r.opt_ms.best, r.opt_ms.median, r.opt_gflops, r.speedup);
   return row;
 }
 
@@ -810,45 +790,31 @@ int Main(int argc, char** argv) {
     }
     Workbench wb(c);
     // Correctness gate: the optimized kernel must be bit-identical to
-    // the seed reference at every thread count before it is timed.
-    for (int threads : kThreadCounts) {
-      SetThreads(threads);
-      if (!wb.Verify(c)) {
-        std::fprintf(stderr, "FAIL: %s not bit-identical at threads=%d\n",
-                     c.name, threads);
-        ++failures;
-      }
+    // the seed reference before it is timed.
+    if (!wb.Verify(c)) {
+      std::fprintf(stderr, "FAIL: %s not bit-identical\n", c.name);
+      ++failures;
     }
     Result r;
     r.c = c;
-    SetThreads(1);
     r.isa = KernelIsaName(ActiveKernelIsa());
     r.ref_ms = TimeMs([&] { wb.Run(c, false); }, min_ms);
     const double flops = static_cast<double>(CaseFlops(c));
     r.ref_gflops = flops / (r.ref_ms.best * 1e6);
-    for (int threads : kThreadCounts) {
-      SetThreads(threads);
-      Timing t;
-      t.threads = threads;
-      t.ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
-      t.gflops = flops / (t.ms.best * 1e6);
-      t.speedup = r.ref_ms.best / t.ms.best;
-      r.opt.push_back(t);
-    }
-    std::printf("%-26s %-18s ref %8.3f ms (%6.2f GF/s)", c.name,
-                KindName(c.kind), r.ref_ms.best, r.ref_gflops);
-    for (const Timing& t : r.opt) {
-      std::printf("  t%d %8.3f ms (%5.2fx)", t.threads, t.ms.best, t.speedup);
-    }
-    std::printf("%s\n", c.acceptance ? "  [acceptance]" : "");
+    r.opt_ms = TimeMs([&] { wb.Run(c, true); }, min_ms);
+    r.opt_gflops = flops / (r.opt_ms.best * 1e6);
+    r.speedup = r.ref_ms.best / r.opt_ms.best;
+    std::printf("%-26s %-18s ref %8.3f ms (%6.2f GF/s)  opt %8.3f ms "
+                "(%5.2fx)%s\n",
+                c.name, KindName(c.kind), r.ref_ms.best, r.ref_gflops,
+                r.opt_ms.best, r.speedup, c.acceptance ? "  [acceptance]" : "");
     rows.push_back(FormatRow(r));
   }
-  SetKernelOptions(KernelOptions{});
 
   if (!out.empty()) WriteJson(out, rows, min_ms);
   if (failures > 0) return 1;
   if (smoke) {
-    std::printf("smoke OK: all cases bit-identical across threads {1,2,4}\n");
+    std::printf("smoke OK: all cases bit-identical\n");
   }
   return 0;
 }

@@ -30,8 +30,6 @@
 //   --base_latency_ms (0)   --deadline_ms (deadline mode, required > 0)
 //   --async_buffer K arrivals per server update (2)
 //   --num_threads parallel local training (1 = sequential)
-//   --kernel_threads intra-op GEMM/conv threads (1 = serial kernels;
-//       any value is bit-identical, see docs/KERNELS.md)
 //   --trace / --trace_out / --csv_out observability outputs
 //       (docs/OBSERVABILITY.md); run `--help` for the full list
 
@@ -106,7 +104,6 @@ Checkpoint / resume (bit-identical crash recovery):
 
 Parallelism (bit-identical at any setting):
   --num_threads parallel local training (1 = sequential)
-  --kernel_threads intra-op GEMM/conv threads (1 = serial kernels)
 
 Autograd (bit-identical at any setting; docs/AUTOGRAD.md):
   --autograd_static record each client bout's step-0 graph and replay it
@@ -140,7 +137,7 @@ constexpr const char* kKnownFlags[] = {
     "adversary", "adversary_frac", "adversary_scale", "adversary_sigma",
     "aggregator", "trim_fraction", "clip_multiplier", "validate",
     "checkpoint_every", "checkpoint_path", "resume_from",
-    "num_threads", "kernel_threads", "autograd_static", "grad_checkpoint",
+    "num_threads", "autograd_static", "grad_checkpoint",
     "stream_chunk",
     "trace", "trace_out", "csv_out", "help"};
 
@@ -261,7 +258,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   fl.num_threads = flags.GetInt("num_threads", 1);
-  fl.kernel_threads = flags.GetInt("kernel_threads", 1);
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
   fl.stream_chunk = flags.GetInt("stream_chunk", 0);

@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/buffer_pool.h"
-#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -179,9 +178,9 @@ FederatedAlgorithm::FederatedAlgorithm(std::string name, const FlConfig& config,
     RFED_CHECK_GE(config_.sim.async_buffer, 1)
         << "async mode needs sim.async_buffer >= 1";
   }
-  // Intra-op kernel parallelism (tensor/kernels.h). Results are
-  // bit-identical for every thread count, so this only affects speed.
-  SetKernelThreads(config_.kernel_threads);
+  RFED_CHECK_LE(config_.kernel_threads, 1)
+      << "intra-op kernel threading was removed: every kernel runs on its "
+         "calling thread; parallelize across clients with num_threads";
   // Tracing is process-global; the flag only ever turns it on so that a
   // traced run is never silently disabled by a second algorithm instance.
   if (config_.trace) obs::EnableTracing(true);

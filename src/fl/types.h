@@ -96,11 +96,9 @@ struct FlConfig {
   /// channels; algorithms that buffer the cohort for their own Aggregate
   /// (robust rules, FedAvgM, FedNova, q-FedAvg) ignore it.
   int stream_chunk = 0;
-  /// Worker threads *inside* the tensor kernels (blocked GEMM / conv;
-  /// see tensor/kernels.h). <= 1 keeps every kernel on its calling
-  /// thread (the default). Any value is bit-identical — the kernels'
-  /// deterministic partition never splits a reduction — so this only
-  /// trades wall time, pinned by the golden suite across {1, 2, 4}.
+  /// Pending removal: intra-op kernel threading is gone, and a value
+  /// above 1 aborts the run; the field stays only until the round
+  /// benchmark stops setting it.
   int kernel_threads = 1;
   /// Turns on the observability layer (obs/trace.h) for the run: phase
   /// and kernel trace spans plus FLOP counters. Purely additive — spans

@@ -20,9 +20,9 @@ namespace obs {
 // Determinism: counters are monotone sums of per-event increments and
 // gauges publish single values, so snapshots taken at quiescent points
 // (between rounds) are independent of thread interleaving — the per-round
-// CSV columns derived from them are byte-stable across `num_threads` /
-// `kernel_threads`. Handles returned by the registry are valid for the
-// process lifetime; hot paths should look up once and cache the pointer.
+// CSV columns derived from them are byte-stable across `num_threads`.
+// Handles returned by the registry are valid for the process lifetime;
+// hot paths should look up once and cache the pointer.
 
 /// Monotone counter (int64). Add() is a relaxed atomic fetch-add, safe
 /// from any thread.

@@ -28,7 +28,7 @@ namespace obs {
 //      that lane's program order. Within one lane the event stream is a
 //      deterministic function of the run; across lanes only wall-clock
 //      timestamps vary. Per-name span *counts* are invariant under
-//      `num_threads` / `kernel_threads`.
+//      `num_threads`.
 //   3. The disabled path is one relaxed atomic load and a branch per
 //      span site; nothing is allocated or recorded.
 //

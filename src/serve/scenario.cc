@@ -78,7 +78,7 @@ verifies a fingerprint over them):
   --aggregator mean|trimmed_mean|median|norm_clip (mean)
   --trim_fraction (0.2)     --clip_multiplier (3)     --validate (true)
   --checkpoint_every (0)    --checkpoint_path PATH    --resume_from PATH
-  --num_threads (1)         --kernel_threads (1)
+  --num_threads (1)
   --autograd_static (true)  --grad_checkpoint (false)
   --stream_chunk (0)
   --csv_out PATH write the per-round history as CSV
@@ -100,7 +100,7 @@ const char* const kScenarioFlags[] = {
     "adversary", "adversary_frac", "adversary_scale", "adversary_sigma",
     "aggregator", "trim_fraction", "clip_multiplier", "validate",
     "checkpoint_every", "checkpoint_path", "resume_from",
-    "num_threads", "kernel_threads", "autograd_static", "grad_checkpoint",
+    "num_threads", "autograd_static", "grad_checkpoint",
     "stream_chunk",
     "csv_out", "worker_timeout_ms", "max_worker_restarts"};
 
@@ -174,7 +174,6 @@ Scenario BuildScenario(const FlagParser& flags) {
   RFED_CHECK(KnownAggregator(fl.robust.aggregator))
       << "unknown --aggregator " << fl.robust.aggregator;
   fl.num_threads = flags.GetInt("num_threads", 1);
-  fl.kernel_threads = flags.GetInt("kernel_threads", 1);
   fl.autograd.static_graph = flags.GetBool("autograd_static", true);
   fl.autograd.checkpoint = flags.GetBool("grad_checkpoint", false);
   fl.stream_chunk = flags.GetInt("stream_chunk", 0);

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -14,16 +12,11 @@
 #include "tensor/kernels_blocked.h"
 #include "tensor/kernels_dispatch.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace rfed {
 namespace {
 
 KernelOptions g_options;
-
-std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;  // guarded by g_pool_mu
-int g_pool_threads = 0;              // guarded by g_pool_mu
 
 constexpr std::align_val_t kScratchAlign{64};
 std::atomic<int64_t> g_scratch_bytes{0};
@@ -39,16 +32,7 @@ void NotePeak(int64_t current) {
 
 }  // namespace
 
-const KernelOptions& GetKernelOptions() { return g_options; }
-
-void SetKernelOptions(const KernelOptions& options) {
-  KernelOptions fixed = options;
-  fixed.block_m = std::max(1, fixed.block_m);
-  fixed.block_n = std::max(1, fixed.block_n);
-  g_options = fixed;
-}
-
-void SetKernelThreads(int threads) { g_options.threads = threads; }
+void SetKernelOptions(const KernelOptions& options) { g_options = options; }
 
 bool KernelAvx2Available() {
   static const bool available = [] {
@@ -166,27 +150,6 @@ void ScratchArena::ResetPeak() {
                        std::memory_order_relaxed);
 }
 
-void internal::ParallelForImpl(int64_t chunks, const void* ctx,
-                               void (*trampoline)(const void*, int64_t)) {
-  const int threads = g_options.threads;
-  if (threads > 1 && chunks > 1) {
-    // The pool is a process singleton; if another thread is mid-fan-out
-    // (kernels called from the FL trainer's own worker pool), fall back
-    // to the serial path — values never depend on the choice.
-    std::unique_lock<std::mutex> lock(g_pool_mu, std::try_to_lock);
-    if (lock.owns_lock()) {
-      if (!g_pool || g_pool_threads != threads) {
-        g_pool = std::make_unique<ThreadPool>(threads);
-        g_pool_threads = threads;
-      }
-      g_pool->ParallelFor(static_cast<int>(chunks),
-                          [&](int i) { trampoline(ctx, i); });
-      return;
-    }
-  }
-  for (int64_t i = 0; i < chunks; ++i) trampoline(ctx, i);
-}
-
 // ---- Canonical-order references ----
 
 namespace ref {
@@ -301,10 +264,7 @@ namespace {
 
 void GemmAddImpl(const float* a, const float* b, int64_t m, int64_t k,
                  int64_t n, float* c) {
-  const KernelOptions& opt = g_options;
-  const TileConfig tile{opt.block_m, opt.block_n};
-  ActiveTable().gemm_in_place(a, /*rs=*/k, /*ss=*/1, b, m, k, n, c, tile,
-                              2 * m * k * n >= opt.parallel_min_flops);
+  ActiveTable().gemm_in_place(a, /*rs=*/k, /*ss=*/1, b, m, k, n, c);
 }
 
 // C[k,n] += A^T B is the in-place product whose row p of "A" is column
@@ -312,20 +272,15 @@ void GemmAddImpl(const float* a, const float* b, int64_t m, int64_t k,
 // rows i of A and B in ascending order, the reference's order.
 void GemmTransAAddImpl(const float* a, const float* b, int64_t m, int64_t k,
                        int64_t n, float* c) {
-  const KernelOptions& opt = g_options;
-  const TileConfig tile{opt.block_m, opt.block_n};
-  ActiveTable().gemm_in_place(a, /*rs=*/1, /*ss=*/k, b, k, m, n, c, tile,
-                              2 * m * k * n >= opt.parallel_min_flops);
+  ActiveTable().gemm_in_place(a, /*rs=*/1, /*ss=*/k, b, k, m, n, c);
 }
 
 void GemmTransBAssignImpl(const float* a, const float* b, int64_t m, int64_t n,
                           int64_t k, float* c) {
-  const KernelOptions& opt = g_options;
   const internal::BlockedKernels& table = ActiveTable();
-  const TileConfig tile{opt.block_m, opt.block_n};
   n = std::max<int64_t>(n, 0);
   (internal::GemmTransBSmall(m) ? table.gemm_transb_small : table.gemm_transb)(
-      a, b, m, n, k, c, tile, 2 * m * n * k >= opt.parallel_min_flops);
+      a, b, m, n, k, c);
 }
 
 // FLOP counters are looked up once; the adds (and the spans) only run
@@ -391,13 +346,11 @@ void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
 
 namespace {
 
-/// The padded-grid paths need unit stride (so an im2col entry lies at a
-/// fixed offset from its output position in the padded image), and are
-/// held to pad < kernel, the shapes their tests cover. Any other shape
+/// The padded-grid paths need unit stride, so that an im2col entry lies
+/// at a fixed offset from its output position in the padded image; any
+/// pad works, windows wholly in the padding included. A strided shape
 /// runs the reference loops; no model in the repository uses one.
-bool ConvOnPaddedGrid(const ConvKernelShape& s) {
-  return s.stride == 1 && s.pad < s.kernel;
-}
+bool ConvOnPaddedGrid(const ConvKernelShape& s) { return s.stride == 1; }
 
 /// 2 * the multiply-adds of one dense conv-sized product.
 int64_t DenseConvFlops(const ConvKernelShape& s) {

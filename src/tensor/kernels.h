@@ -15,20 +15,21 @@ namespace rfed {
 // kernels run explicit SIMD register tiles (AVX2+FMA where the CPU has
 // it, AVX-512 for the fused conv block where it has that too, a
 // portable soft-fma fallback everywhere else, dispatched at runtime)
-// that read the GEMM operands where they lie, and can
-// optionally run partitioned across a thread pool — while staying
-// **bit-identical** to the retained reference implementations (rfed::ref
-// below) for every ISA, block size and thread count. The rule that
-// makes this possible:
+// that read the GEMM operands where they lie, on the calling thread —
+// while staying **bit-identical** to the retained reference
+// implementations (rfed::ref below) for every ISA. The rule that makes
+// this possible:
 //
-//   Each output element is reduced by exactly one thread, in exactly the
-//   canonical summation order: ascending over the contraction index with
-//   ONE fused multiply-add rounding per step (float fma for the
-//   accumulate GEMMs, a double-precision chain for GemmTransBAssign and
-//   conv dw). Blocking and vectorization only reorder *which* elements
-//   are in flight, never the operations within one element; the
-//   parallel partition splits disjoint output regions, never a
-//   reduction.
+//   Each output element is reduced in exactly the canonical summation
+//   order: ascending over the contraction index with ONE fused
+//   multiply-add rounding per step (float fma for the accumulate GEMMs,
+//   a double-precision chain for GemmTransBAssign and conv dw).
+//   Blocking and vectorization only reorder *which* elements are in
+//   flight, never the operations within one element.
+//
+// Concurrency lives one level up, across clients (FlConfig::num_threads):
+// each kernel call runs on one thread (docs/KERNELS.md, "Why the kernels
+// run on one thread").
 //
 // Fused rounding is what lets the AVX2 path run at FMA throughput; the
 // references implement the same contract with std::fmaf (correctly
@@ -36,15 +37,15 @@ namespace rfed {
 // byte-stable across ISAs. The build compiles with -ffp-contract=off so
 // no *implicit* contraction can ever diverge from this explicit scheme.
 //
-// Convolutions with stride 1 and pad < kernel (every model in the
-// repository) never build an im2col matrix. The forward runs groups of
-// images in the SIMD lanes (8, or 16 on the AVX-512 table, whose last
-// group of at most 8 runs at 8): each group is zero-padded and
-// interleaved once, so one vector holds an im2col entry for every image
-// of the group, and only real outputs are computed. The fused block's
-// backward adds terms only for the pooled windows' live winners, on a
-// zero-padded grid, when its operands are finite; otherwise it runs
-// the reference on the routed gradient.
+// Convolutions with stride 1 (every model in the repository) never
+// build an im2col matrix. The forward runs groups of images in the SIMD
+// lanes (8, or 16 on the AVX-512 table, whose last group of at most 8
+// runs at 8): each group is zero-padded and interleaved once, so one
+// vector holds an im2col entry for every image of the group, and only
+// real outputs are computed. The fused block's backward adds terms only
+// for the pooled windows' live winners, on a zero-padded grid, when its
+// operands are finite; otherwise it runs the reference on the routed
+// gradient.
 // Batch reductions (conv dw/db) add each image's result in ascending
 // image order, the reference's float addition sequence. Other conv
 // shapes run the reference loops. See docs/KERNELS.md for the full
@@ -67,43 +68,17 @@ namespace rfed {
 /// block 16 images per vector and shares every other kernel with kAvx2.
 enum class KernelIsa { kAuto, kGeneric, kAvx2, kAvx512 };
 
-/// The chunk sizes of the GEMM drivers' threaded partition: block_n
-/// columns of C per chunk of the in-place GEMM (block_n outputs on
-/// GemmTransBAssign's small path), block_m rows of A per chunk of the
-/// interleaved GemmTransBAssign. The contraction always runs whole, in
-/// ascending order, as bit-identity requires.
-struct TileConfig {
-  int block_m = 64;
-  int block_n = 1024;
-};
-
-/// Global knobs of the kernel layer. All fields may be changed at run
-/// time (tests shrink the blocks to force edge paths); reads are cheap.
-/// Not thread-safe against concurrent mutation — set once before
-/// training, as FlConfig/experiment_cli do.
+/// Global knob of the kernel layer. It may be changed at run time (tests
+/// pin each table); reads are cheap. Not thread-safe against concurrent
+/// mutation — set it before training.
 struct KernelOptions {
-  /// Worker threads for the n-partitioned kernels. <= 1 runs everything
-  /// on the calling thread (the default: all existing call sites are
-  /// unaffected). The partition is deterministic, so any value produces
-  /// bit-identical results.
-  int threads = 1;
-  /// The GEMM drivers' TileConfig (the conv kernels need none: their
-  /// contraction fits one register sweep).
-  int block_m = 64;
-  int block_n = 1024;
-  /// Minimum 2*m*k*n FLOP count before a GEMM fans out to the pool;
-  /// below it threading overhead dominates.
-  int64_t parallel_min_flops = 1 << 21;
   /// SIMD dispatch override; kAuto = best supported.
   KernelIsa isa = KernelIsa::kAuto;
 };
 
-/// The process-wide options instance the kernels read.
-const KernelOptions& GetKernelOptions();
-/// Replaces the options wholesale (tests: block-size overrides).
+/// Replaces the process-wide options the kernels read (tests: table
+/// overrides).
 void SetKernelOptions(const KernelOptions& options);
-/// Sets only the thread count (the FlConfig/--kernel_threads knob).
-void SetKernelThreads(int threads);
 
 /// The ISA the next kernel call will run on, after applying the
 /// KernelOptions override to what the CPU supports.
@@ -174,24 +149,6 @@ void GemmTransAAdd(const float* a, const float* b, int64_t m, int64_t k,
 void GemmTransBAssign(const float* a, const float* b, int64_t m, int64_t n,
                       int64_t k, float* c);
 
-/// Runs fn(chunk) for chunk in [0, chunks) on the kernel pool when
-/// options.threads > 1 (serially otherwise, or when the pool is already
-/// busy — values never depend on the choice). fn must write disjoint
-/// state per chunk.
-template <typename Fn>
-void KernelParallelFor(int64_t chunks, const Fn& fn);
-namespace internal {
-void ParallelForImpl(int64_t chunks, const void* ctx,
-                     void (*trampoline)(const void*, int64_t));
-}
-template <typename Fn>
-void KernelParallelFor(int64_t chunks, const Fn& fn) {
-  internal::ParallelForImpl(
-      chunks, &fn, +[](const void* ctx, int64_t i) {
-        (*static_cast<const Fn*>(ctx))(i);
-      });
-}
-
 // ---- Convolution ----
 
 /// Unfolds one NCHW image x [cin, h, w] into im2col columns
@@ -232,12 +189,12 @@ struct ConvKernelShape {
 /// max pool (stride 2) while they are still in cache, so only the pooled
 /// out [B, Cout, Ho/2, Wo/2] is written, with window[i] (0..3, row-major
 /// in the window) naming the input that won output i. Ho and Wo must be
-/// even; out and window need no zeroing. When stride == 1 and
-/// pad < kernel, 8 or 16 images share each SIMD vector (the table's lane
-/// groups), batch-parallel; other shapes run the reference sums and the
-/// scalar epilogue. Bit-identical to ref::Conv2dForwardKernel, then
-/// max(0, ·) (NaN gives +0), then a 2x2 pool whose first strict maximum
-/// wins (ties keep the earlier input).
+/// even; out and window need no zeroing. When stride == 1 (any pad), 8
+/// or 16 images share each SIMD vector (the table's lane groups); other
+/// shapes run the reference sums and the scalar epilogue. Bit-identical
+/// to ref::Conv2dForwardKernel, then max(0, ·) (NaN gives +0), then a
+/// 2x2 pool whose first strict maximum wins (ties keep the earlier
+/// input).
 void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
                                      const float* bias,
                                      const ConvKernelShape& s, float* out,
@@ -250,11 +207,11 @@ void Conv2dBiasReluPoolForwardKernel(const float* x, const float* w,
 /// gradient is 0 + grad at a window's winner where y > 0 and +0
 /// everywhere else. On the padded grid, with finite grad (and finite x
 /// when dw is wanted, finite w when dx is), only those live winners'
-/// terms are added, in the reference's order, batch-parallel with dw/db
-/// added per image in ascending image order; otherwise the routed
-/// gradient is built and ref::Conv2dBackwardKernel runs on it. Either
-/// way the bits are those of ref::Conv2dBackwardKernel on the routed
-/// gradient, and one conv2d_bwd span is recorded.
+/// terms are added, in the reference's order, with dw/db added per
+/// image in ascending image order; otherwise the routed gradient is
+/// built and ref::Conv2dBackwardKernel runs on it. Either way the bits
+/// are those of ref::Conv2dBackwardKernel on the routed gradient, and
+/// one conv2d_bwd span is recorded.
 void Conv2dBiasReluPoolBackwardKernel(const float* grad, const float* y,
                                       const uint8_t* window, const float* x,
                                       const float* w, const ConvKernelShape& s,

@@ -108,8 +108,8 @@
 //
 // Every instantiation computes the canonical summation order of
 // kernels.h, so instantiations differ only in speed, never in bits.
-// The drivers below own all blocking, packing, remainder handling and
-// the deterministic n-partition; the Traits own only register tiles.
+// The drivers below own all blocking, packing and remainder handling;
+// the Traits own only register tiles.
 
 #include <algorithm>
 #include <cmath>
@@ -283,42 +283,28 @@ void InPlaceStrip(const float* a, int64_t rs, int64_t ss, const float* b,
 /// in kNr-wide strips, then one kNr/2-wide strip, then single columns
 /// of scalar fused chains. Every tile loads its C block, takes one
 /// fused step per s in ascending order and stores it back: the
-/// reference's sequence for every element. The parallel partition is
-/// column chunks of tile.block_n: disjoint output columns, a fixed
-/// function of n and the tile, never of the thread count.
+/// reference's sequence for every element.
 template <typename Traits>
 void GemmInPlaceT(const float* a, int64_t rs, int64_t ss, const float* b,
-                  int64_t rows, int64_t steps, int64_t n, float* c,
-                  const TileConfig& tile, bool parallel) {
+                  int64_t rows, int64_t steps, int64_t n, float* c) {
   constexpr int64_t nr = Traits::kNr;
   constexpr int64_t half = nr / 2;
-  const int64_t nc_block =
-      std::max<int64_t>(nr, static_cast<int64_t>(tile.block_n) / nr * nr);
-  const int64_t chunks = (n + nc_block - 1) / nc_block;
-  auto run_chunk = [&](int64_t ci) {
-    const int64_t end = std::min(n, (ci + 1) * nc_block);
-    int64_t j = ci * nc_block;
-    for (; j + nr <= end; j += nr) {
-      InPlaceStrip<Traits, 2>(a, rs, ss, b + j, rows, steps, n, c + j);
-    }
-    for (; j + half <= end; j += half) {
-      InPlaceStrip<Traits, 1>(a, rs, ss, b + j, rows, steps, n, c + j);
-    }
-    for (; j < end; ++j) {
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* ar = a + r * rs;
-        float acc = c[r * n + j];
-        for (int64_t s = 0; s < steps; ++s) {
-          acc = Traits::Fma(ar[s * ss], b[s * n + j], acc);
-        }
-        c[r * n + j] = acc;
+  int64_t j = 0;
+  for (; j + nr <= n; j += nr) {
+    InPlaceStrip<Traits, 2>(a, rs, ss, b + j, rows, steps, n, c + j);
+  }
+  for (; j + half <= n; j += half) {
+    InPlaceStrip<Traits, 1>(a, rs, ss, b + j, rows, steps, n, c + j);
+  }
+  for (; j < n; ++j) {
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* ar = a + r * rs;
+      float acc = c[r * n + j];
+      for (int64_t s = 0; s < steps; ++s) {
+        acc = Traits::Fma(ar[s * ss], b[s * n + j], acc);
       }
+      c[r * n + j] = acc;
     }
-  };
-  if (parallel) {
-    KernelParallelFor(chunks, run_chunk);
-  } else {
-    for (int64_t ci = 0; ci < chunks; ++ci) run_chunk(ci);
   }
 }
 
@@ -328,11 +314,10 @@ void GemmInPlaceT(const float* a, int64_t rs, int64_t ss, const float* b,
 /// up to 4 rows of A against each panel at once (4*kTr chains sharing
 /// every panel load). Each chain still reduces in ascending j order
 /// with exact float*float products, so every dot is bit-identical to
-/// the reference. Row chunks of A/C are the parallel partition.
+/// the reference.
 template <typename Traits>
 void GemmTransBBlockedT(const float* a, const float* b, int64_t m, int64_t n,
-                        int64_t k, float* c, const TileConfig& tile,
-                        bool parallel) {
+                        int64_t k, float* c) {
   constexpr int64_t tr = Traits::kTr;
   const int64_t ktile = k / tr * tr;
   float* bp = ScratchArena::ThreadLocal().Buffer(
@@ -345,43 +330,32 @@ void GemmTransBBlockedT(const float* a, const float* b, int64_t m, int64_t n,
       }
     }
   }
-  const int64_t row_chunk = std::max<int64_t>(1, tile.block_m);
-  const int64_t chunks = (m + row_chunk - 1) / row_chunk;
-  auto run_chunk = [&](int64_t ci) {
-    const int64_t i1 = std::min(m, (ci + 1) * row_chunk);
-    for (int64_t i = ci * row_chunk; i < i1; i += 4) {
-      const int64_t rows = std::min<int64_t>(4, i1 - i);
-      const float* arows = a + i * n;
-      float* crows = c + i * k;
-      for (int64_t p0 = 0; p0 < ktile; p0 += tr) {
-        double acc[4 * tr];
-        WithCount(rows, [&](auto tile_rows) {
-          Traits::template DotTile<tile_rows()>(arows, n, bp + p0 * n, n,
-                                                acc);
-        });
-        for (int64_t r = 0; r < rows; ++r) {
-          for (int64_t t = 0; t < tr; ++t) {
-            crows[r * k + p0 + t] = static_cast<float>(acc[r * tr + t]);
-          }
-        }
-      }
+  for (int64_t i = 0; i < m; i += 4) {
+    const int64_t rows = std::min<int64_t>(4, m - i);
+    const float* arows = a + i * n;
+    float* crows = c + i * k;
+    for (int64_t p0 = 0; p0 < ktile; p0 += tr) {
+      double acc[4 * tr];
+      WithCount(rows, [&](auto tile_rows) {
+        Traits::template DotTile<tile_rows()>(arows, n, bp + p0 * n, n, acc);
+      });
       for (int64_t r = 0; r < rows; ++r) {
-        const float* arow = arows + r * n;
-        for (int64_t p = ktile; p < k; ++p) {
-          const float* brow = b + p * n;
-          double acc = 0.0;
-          for (int64_t j = 0; j < n; ++j) {
-            acc += static_cast<double>(arow[j]) * brow[j];
-          }
-          crows[r * k + p] = static_cast<float>(acc);
+        for (int64_t t = 0; t < tr; ++t) {
+          crows[r * k + p0 + t] = static_cast<float>(acc[r * tr + t]);
         }
       }
     }
-  };
-  if (parallel) {
-    KernelParallelFor(chunks, run_chunk);
-  } else {
-    for (int64_t ci = 0; ci < chunks; ++ci) run_chunk(ci);
+    for (int64_t r = 0; r < rows; ++r) {
+      const float* arow = arows + r * n;
+      for (int64_t p = ktile; p < k; ++p) {
+        const float* brow = b + p * n;
+        double acc = 0.0;
+        for (int64_t j = 0; j < n; ++j) {
+          acc += static_cast<double>(arow[j]) * brow[j];
+        }
+        crows[r * k + p] = static_cast<float>(acc);
+      }
+    }
   }
 }
 
@@ -397,8 +371,7 @@ inline constexpr int64_t kSmallRows = kInPlaceMaxRows;
 /// products, one double rounding per step.
 template <typename Traits>
 void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
-                      int64_t k, float* c, const TileConfig& tile,
-                      bool parallel) {
+                      int64_t k, float* c) {
   constexpr int64_t rows = kSmallRows;
   double* at = static_cast<double*>(ScratchArena::ThreadLocal().Bytes(
       kSlotPackTB, sizeof(double) * static_cast<size_t>(rows * n)));
@@ -407,32 +380,22 @@ void GemmTransBSmallT(const float* a, const float* b, int64_t m, int64_t n,
       at[j * rows + i] = i < m ? a[i * n + j] : 0.0;
     }
   }
-  const int64_t chunk = std::max<int64_t>(4, tile.block_n / 4 * 4);
-  const int64_t chunks = (k + chunk - 1) / chunk;
-  auto run_chunk = [&](int64_t ci) {
-    const int64_t p1 = std::min(k, (ci + 1) * chunk);
-    for (int64_t p = ci * chunk; p < p1; p += 4) {
-      const int64_t outs = std::min<int64_t>(4, p1 - p);
-      double acc[4 * rows];
-      const float* bp = b + p * n;
-      WithCount(outs, [&](auto tile_outs) {
-        Traits::template DotCols<tile_outs()>(at, bp, n, n, acc);
-      });
-      for (int64_t q = 0; q < outs; ++q) {
-        for (int64_t i = 0; i < m; ++i) {
-          c[i * k + p + q] = static_cast<float>(acc[q * rows + i]);
-        }
+  for (int64_t p = 0; p < k; p += 4) {
+    const int64_t outs = std::min<int64_t>(4, k - p);
+    double acc[4 * rows];
+    const float* bp = b + p * n;
+    WithCount(outs, [&](auto tile_outs) {
+      Traits::template DotCols<tile_outs()>(at, bp, n, n, acc);
+    });
+    for (int64_t q = 0; q < outs; ++q) {
+      for (int64_t i = 0; i < m; ++i) {
+        c[i * k + p + q] = static_cast<float>(acc[q * rows + i]);
       }
     }
-  };
-  if (parallel) {
-    KernelParallelFor(chunks, run_chunk);
-  } else {
-    for (int64_t ci = 0; ci < chunks; ++ci) run_chunk(ci);
   }
 }
 
-// ---- Convolution (stride 1, pad < kernel) ----
+// ---- Convolution (stride 1) ----
 //
 // The im2col matrix is never built.
 //
@@ -519,72 +482,6 @@ inline void ConvRowOffsets(const ConvGrid& g, int64_t unit, int64_t* off) {
     }
   }
 }
-
-/// The fewest images a threaded conv chunk takes. Below it, handing a
-/// chunk to the pool costs more than the chunk's work: in a
-/// same-process sweep of the cifar_round_conv* rows on a 4-vCPU host,
-/// chunks of 6-12 images (B = 24 at 4 and 2 threads) ran up to 3x
-/// slower than one serial pass (docs/KERNELS.md, "Threading").
-inline constexpr int64_t kConvMinImagesPerChunk = 32;
-
-/// Contiguous image ranges, one per kernel thread but none smaller than
-/// kConvMinImagesPerChunk (one when serial). Chunks are cut at whole
-/// groups of `group` images (the forward's lane groups), so only the
-/// batch's last group can be partial.
-struct ConvImageChunks {
-  ConvImageChunks(int64_t batch, int64_t group)
-      : batch(batch), group(group), groups((batch + group - 1) / group),
-        count(std::max<int64_t>(
-            1, std::min<int64_t>(GetKernelOptions().threads,
-                                 batch / kConvMinImagesPerChunk))) {}
-  int64_t Begin(int64_t ci) const { return ci * groups / count * group; }
-  int64_t End(int64_t ci) const { return std::min(batch, Begin(ci + 1)); }
-
-  int64_t batch, group, groups, count;
-};
-
-/// Where each image's dw and db terms go. Serial, an image's terms are
-/// added to dw/db as soon as it is done. Threaded, images finish out of
-/// order, so each image's terms are kept in its own partial and Finish
-/// adds them afterwards in ascending image order: the same float
-/// additions either way.
-struct ConvBatchSums {
-  float* dw;
-  float* db;
-  int64_t dw_size;            // 0 when dw is null
-  int64_t db_size;            // 0 when db is null
-  float* partials = nullptr;  // [batch][dw_size + db_size] when threaded
-
-  int64_t PartialFloats(int64_t batch, int64_t chunks) const {
-    return chunks > 1 ? batch * (dw_size + db_size) : 0;
-  }
-  /// Image i's terms for the run dw[at, at + count).
-  void PutDwRun(int64_t i, int64_t at, const double* terms,
-                int64_t count) const {
-    if (partials != nullptr) {
-      float* d = partials + i * (dw_size + db_size) + at;
-      for (int64_t j = 0; j < count; ++j) d[j] = static_cast<float>(terms[j]);
-    } else {
-      float* d = dw + at;
-      for (int64_t j = 0; j < count; ++j) d[j] += static_cast<float>(terms[j]);
-    }
-  }
-  void PutDb(int64_t i, int64_t oc, float v) const {
-    if (partials != nullptr) {
-      partials[i * (dw_size + db_size) + dw_size + oc] = v;
-    } else {
-      db[oc] += v;
-    }
-  }
-  void Finish(int64_t batch) const {
-    if (partials == nullptr) return;
-    for (int64_t i = 0; i < batch; ++i) {
-      const float* part = partials + i * (dw_size + db_size);
-      for (int64_t idx = 0; idx < dw_size; ++idx) dw[idx] += part[idx];
-      for (int64_t oc = 0; oc < db_size; ++oc) db[oc] += part[dw_size + oc];
-    }
-  }
-};
 
 /// The lane grid of a group of images n floats apart (the scalar
 /// semantics of Traits::InterleaveLanes): for j < n and lane l < Lanes,
@@ -679,9 +576,9 @@ void ConvGroupT(const ConvGrid& g, const float* x, const float* wpack,
   }
 }
 
-/// The forward (BlockedKernels::conv_forward) on the lane grid: each
-/// chunk runs its images in groups of Traits::kConvLanes (ConvGroupT).
-/// On a table wider than 8 lanes, a chunk's last group runs at 8 lanes
+/// The forward (BlockedKernels::conv_forward) on the lane grid: the
+/// batch runs in groups of Traits::kConvLanes images (ConvGroupT). On a
+/// table wider than 8 lanes, the last group runs at 8 lanes
 /// (Traits::Narrow) when at most 8 images are left for it.
 template <typename Traits>
 void ConvForwardT(const float* x, const float* w, const float* bias,
@@ -693,7 +590,7 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
   const ConvGrid g(s);
   const int64_t tiles = (g.cout + mr - 1) / mr;
   const int64_t area = g.ho * g.wo;
-  // Shared by the workers: the weights packed p-major in tiles of mr
+  // The call's operands: the weights packed p-major in tiles of mr
   // output channels (rows past cout zero), the im2col row offsets at
   // each group width and the input positions on the lane grid.
   ScratchLayout shared;
@@ -727,37 +624,33 @@ void ConvForwardT(const float* x, const float* w, const float* bias,
   }
   // Per image: the quarter-size pooled outputs and their window bytes.
   const int64_t out_size = g.cout * area / 4;
-  const ConvImageChunks chunks(s.batch, lanes);
-  KernelParallelFor(chunks.count, [&](int64_t ci) {
-    ScratchLayout mine;
-    const int64_t xl_len = g.cin * g.plane * lanes;
-    const size_t xl_at = mine.Add<float>(xl_len);
-    const size_t sums_at = mine.Add<float>(mr * area * lanes);
-    char* base = mine.Claim(kSlotConvImage);
-    float* xl = At<float>(base, xl_at);
-    float* sums = At<float>(base, sums_at);
-    // Only interiors are rewritten per group; the padding stays zero.
-    std::memset(xl, 0, sizeof(float) * static_cast<size_t>(xl_len));
-    const int64_t end = chunks.End(ci);
-    for (int64_t i0 = chunks.Begin(ci); i0 < end; i0 += lanes) {
-      const int64_t live = std::min(lanes, end - i0);
-      if constexpr (narrow_tail) {
-        if (live <= kNarrowLanes) {
-          // The chunk's last group: the narrow grid reuses the front of
-          // xl, so its padding is zeroed first.
-          std::memset(xl, 0,
-                      sizeof(float) *
-                          static_cast<size_t>(g.cin * g.plane * kNarrowLanes));
-          ConvGroupT<typename Traits::Narrow>(g, x, wpack, bias, off_narrow,
-                                              pos, i0, live, out_size, xl,
-                                              sums, out, window);
-          continue;
-        }
+  ScratchLayout mine;
+  const int64_t xl_len = g.cin * g.plane * lanes;
+  const size_t xl_at = mine.Add<float>(xl_len);
+  const size_t sums_at = mine.Add<float>(mr * area * lanes);
+  char* base = mine.Claim(kSlotConvImage);
+  float* xl = At<float>(base, xl_at);
+  float* sums = At<float>(base, sums_at);
+  // Only interiors are rewritten per group; the padding stays zero.
+  std::memset(xl, 0, sizeof(float) * static_cast<size_t>(xl_len));
+  for (int64_t i0 = 0; i0 < s.batch; i0 += lanes) {
+    const int64_t live = std::min(lanes, s.batch - i0);
+    if constexpr (narrow_tail) {
+      if (live <= kNarrowLanes) {
+        // The batch's last group: the narrow grid reuses the front of
+        // xl, so its padding is zeroed first.
+        std::memset(xl, 0,
+                    sizeof(float) *
+                        static_cast<size_t>(g.cin * g.plane * kNarrowLanes));
+        ConvGroupT<typename Traits::Narrow>(g, x, wpack, bias, off_narrow,
+                                            pos, i0, live, out_size, xl, sums,
+                                            out, window);
+        continue;
       }
-      ConvGroupT<Traits>(g, x, wpack, bias, off, pos, i0, live, out_size, xl,
-                         sums, out, window);
     }
-  });
+    ConvGroupT<Traits>(g, x, wpack, bias, off, pos, i0, live, out_size, xl,
+                       sums, out, window);
+  }
 }
 
 // ---- The fused conv block's backward, at the gradient's sparsity ----
@@ -864,22 +757,18 @@ void ConvBlockBackwardT(const float* grad, const float* y,
   const int64_t in_size = g.cin * g.h * g.w;
   // dw passes cover whole kernel rows, as many as kDwChains taps allow.
   const int64_t pass_rows = std::max<int64_t>(1, Traits::kDwChains / g.k);
-  // One image at a time: the cut needs no lane groups and keeps 8.
-  const ConvImageChunks chunks(s.batch, kNarrowLanes);
   const bool per_channel = dw != nullptr || db != nullptr;
   const int64_t dwt_size = dw != nullptr ? g.cout * groups * g.taps * cr : 0;
   ScratchLayout shared;
   const size_t wdx_at =
       shared.Add<float>(dx != nullptr ? groups * wdx_group : 0);
   const size_t dwt_at = shared.Add<float>(dwt_size);
-  ConvBatchSums sums{nullptr, db, dwt_size, db != nullptr ? g.cout : 0};
-  const size_t part_at =
-      shared.Add<float>(sums.PartialFloats(s.batch, chunks.count));
   char* shared_base = shared.Claim(kSlotConvOperands);
   float* wdx = At<float>(shared_base, wdx_at);
-  sums.dw = At<float>(shared_base, dwt_at);
-  if (chunks.count > 1) sums.partials = At<float>(shared_base, part_at);
-  std::fill(sums.dw, sums.dw + dwt_size, 0.0f);
+  // Each image's dw terms are added here as soon as it is done, in
+  // ascending image order: the reference's float additions.
+  float* dwt = At<float>(shared_base, dwt_at);
+  std::fill(dwt, dwt + dwt_size, 0.0f);
   if (dx != nullptr) {
     for (int64_t cg = 0; cg < groups; ++cg) {
       for (int64_t oc = 0; oc < g.cout; ++oc) {
@@ -895,123 +784,121 @@ void ConvBlockBackwardT(const float* grad, const float* y,
       }
     }
   }
-  KernelParallelFor(chunks.count, [&](int64_t ci) {
-    ScratchLayout mine;
-    const size_t xd_at =
-        mine.Add<double>(dw != nullptr ? groups * rows * ldx : 0);
-    const size_t acc_at = mine.Add<double>(pass_rows * g.k * cr);
-    // One channel's live winners (dw, db) and the entries past them
-    // that live_winners may write.
-    const size_t pos_at = mine.Add<int32_t>(pooled + kWinnerSlack);
-    const size_t v_at = mine.Add<double>(pooled + kWinnerSlack);
-    // dx: the scratch, and per pooled row each output position's live
-    // channels (weight offset and value, at most cout per position).
-    const int64_t slots = dx != nullptr ? 4 * pw * g.cout : 0;
-    const size_t dxs_at =
-        mine.Add<float>(dx != nullptr ? groups * rows * ld : 0);
-    const size_t count_at = mine.Add<int32_t>(dx != nullptr ? 4 * pw : 0);
-    const size_t wof_at = mine.Add<int32_t>(slots);
-    const size_t bv_at = mine.Add<float>(slots);
-    char* base = mine.Claim(kSlotConvImage);
-    double* xd = At<double>(base, xd_at);
-    double* acc = At<double>(base, acc_at);
-    int32_t* pos = At<int32_t>(base, pos_at);
-    double* v = At<double>(base, v_at);
-    float* dxs = At<float>(base, dxs_at);
-    int32_t* count = At<int32_t>(base, count_at);
-    int32_t* wof = At<int32_t>(base, wof_at);
-    float* bv = At<float>(base, bv_at);
-    // Only xd's interiors are rewritten per image; the padding and the
-    // channel lanes past cin stay zero.
-    if (dw != nullptr) std::fill(xd, xd + groups * rows * ldx, 0.0);
-    for (int64_t i = chunks.Begin(ci); i < chunks.End(ci); ++i) {
-      const int64_t at = i * g.cout * pooled;
-      const float* gi = grad + at;
-      const float* yi = y + at;
-      const uint8_t* wi = window + at;
-      if (dw != nullptr) {
-        for (int64_t cg = 0; cg < groups; ++cg) {
-          Traits::CopyIntoInterleaved(x + i * in_size + cg * cr * g.h * g.w,
-                                      std::min(cr, g.cin - cg * cr), g.h, g.w,
-                                      g.pad, g.wp, xd + cg * rows * ldx);
-        }
-      }
-      for (int64_t oc = 0; per_channel && oc < g.cout; ++oc) {
-        const int64_t n =
-            live_winners(gi + oc * pooled, yi + oc * pooled, wi + oc * pooled,
-                         ph, pw, g.wp, pos, v);
-        if (db != nullptr) {
-          double sum = 0.0;
-          for (int64_t e = 0; e < n; ++e) sum += v[e];
-          sums.PutDb(i, oc, static_cast<float>(sum));
-        }
-        if (dw == nullptr) continue;
-        for (int64_t cg = 0; cg < groups; ++cg) {
-          for (int64_t ky0 = 0; ky0 < g.k; ky0 += pass_rows) {
-            const int64_t pass = std::min(pass_rows, g.k - ky0);
-            Traits::ConvSparseDw(xd + cg * rows * ldx + ky0 * ldx, ldx, g.k,
-                                 pass, pos, v, n, acc);
-            sums.PutDwRun(i, ((oc * groups + cg) * g.taps + ky0 * g.k) * cr,
-                          acc, pass * g.k * cr);
-          }
-        }
-      }
-      if (dx == nullptr) continue;
-      std::fill(dxs, dxs + groups * rows * ld, 0.0f);
-      for (int64_t py = ph - 1; py >= 0; --py) {
-        // Bucket the row's live channels by output position (window
-        // index b of pooled column px), ascending oc; each candidate is
-        // written, and kept only if live.
-        std::fill(count, count + 4 * pw, 0);
-        for (int64_t px = 0; px < pw; ++px) {
-          for (int64_t oc = 0; oc < g.cout; ++oc) {
-            const int64_t idx = (oc * ph + py) * pw + px;
-            const int64_t b = px * 4 + (wi[idx] & 3);
-            const int64_t slot = b * g.cout + count[b];
-            wof[slot] = static_cast<int32_t>(oc * g.k * lanes);
-            bv[slot] = 0.0f + gi[idx];
-            count[b] += static_cast<int32_t>(yi[idx] > 0.0f);
-          }
-        }
-        // Descending raster order: the bottom row, then the top row,
-        // each from the right.
-        for (int64_t half = 1; half >= 0; --half) {
-          for (int64_t px = pw - 1; px >= 0; --px) {
-            for (int64_t col = 1; col >= 0; --col) {
-              const int64_t b = px * 4 + half * 2 + col;
-              if (count[b] == 0) continue;
-              const int64_t at_pos =
-                  (2 * py + half) * ld + (2 * px + col) * cr;
-              for (int64_t cg = 0; cg < groups; ++cg) {
-                Traits::ConvSparseDx(wdx + cg * wdx_group, wof + b * g.cout,
-                                     bv + b * g.cout, count[b], g.k, lanes,
-                                     dxs + cg * rows * ld + at_pos, ld);
-              }
-            }
-          }
-        }
-      }
+  ScratchLayout mine;
+  const size_t xd_at =
+      mine.Add<double>(dw != nullptr ? groups * rows * ldx : 0);
+  const size_t acc_at = mine.Add<double>(pass_rows * g.k * cr);
+  // One channel's live winners (dw, db) and the entries past them
+  // that live_winners may write.
+  const size_t pos_at = mine.Add<int32_t>(pooled + kWinnerSlack);
+  const size_t v_at = mine.Add<double>(pooled + kWinnerSlack);
+  // dx: the scratch, and per pooled row each output position's live
+  // channels (weight offset and value, at most cout per position).
+  const int64_t slots = dx != nullptr ? 4 * pw * g.cout : 0;
+  const size_t dxs_at =
+      mine.Add<float>(dx != nullptr ? groups * rows * ld : 0);
+  const size_t count_at = mine.Add<int32_t>(dx != nullptr ? 4 * pw : 0);
+  const size_t wof_at = mine.Add<int32_t>(slots);
+  const size_t bv_at = mine.Add<float>(slots);
+  char* base = mine.Claim(kSlotConvImage);
+  double* xd = At<double>(base, xd_at);
+  double* acc = At<double>(base, acc_at);
+  int32_t* pos = At<int32_t>(base, pos_at);
+  double* v = At<double>(base, v_at);
+  float* dxs = At<float>(base, dxs_at);
+  int32_t* count = At<int32_t>(base, count_at);
+  int32_t* wof = At<int32_t>(base, wof_at);
+  float* bv = At<float>(base, bv_at);
+  // Only xd's interiors are rewritten per image; the padding and the
+  // channel lanes past cin stay zero.
+  if (dw != nullptr) std::fill(xd, xd + groups * rows * ldx, 0.0);
+  for (int64_t i = 0; i < s.batch; ++i) {
+    const int64_t at = i * g.cout * pooled;
+    const float* gi = grad + at;
+    const float* yi = y + at;
+    const uint8_t* wi = window + at;
+    if (dw != nullptr) {
       for (int64_t cg = 0; cg < groups; ++cg) {
-        const int64_t live = std::min(cr, g.cin - cg * cr);
-        for (int64_t c = 0; c < live; ++c) {
-          float* d = dx + i * in_size + (cg * cr + c) * g.h * g.w;
-          for (int64_t iy = 0; iy < g.h; ++iy) {
-            const float* src =
-                dxs + cg * rows * ld + (iy + g.pad) * ld + g.pad * cr + c;
-            for (int64_t ix = 0; ix < g.w; ++ix) {
-              d[iy * g.w + ix] = src[ix * cr];
+        Traits::CopyIntoInterleaved(x + i * in_size + cg * cr * g.h * g.w,
+                                    std::min(cr, g.cin - cg * cr), g.h, g.w,
+                                    g.pad, g.wp, xd + cg * rows * ldx);
+      }
+    }
+    for (int64_t oc = 0; per_channel && oc < g.cout; ++oc) {
+      const int64_t n =
+          live_winners(gi + oc * pooled, yi + oc * pooled, wi + oc * pooled,
+                       ph, pw, g.wp, pos, v);
+      if (db != nullptr) {
+        double sum = 0.0;
+        for (int64_t e = 0; e < n; ++e) sum += v[e];
+        db[oc] += static_cast<float>(sum);
+      }
+      if (dw == nullptr) continue;
+      for (int64_t cg = 0; cg < groups; ++cg) {
+        for (int64_t ky0 = 0; ky0 < g.k; ky0 += pass_rows) {
+          const int64_t pass = std::min(pass_rows, g.k - ky0);
+          Traits::ConvSparseDw(xd + cg * rows * ldx + ky0 * ldx, ldx, g.k,
+                               pass, pos, v, n, acc);
+          float* d = dwt + ((oc * groups + cg) * g.taps + ky0 * g.k) * cr;
+          for (int64_t j = 0; j < pass * g.k * cr; ++j) {
+            d[j] += static_cast<float>(acc[j]);
+          }
+        }
+      }
+    }
+    if (dx == nullptr) continue;
+    std::fill(dxs, dxs + groups * rows * ld, 0.0f);
+    for (int64_t py = ph - 1; py >= 0; --py) {
+      // Bucket the row's live channels by output position (window
+      // index b of pooled column px), ascending oc; each candidate is
+      // written, and kept only if live.
+      std::fill(count, count + 4 * pw, 0);
+      for (int64_t px = 0; px < pw; ++px) {
+        for (int64_t oc = 0; oc < g.cout; ++oc) {
+          const int64_t idx = (oc * ph + py) * pw + px;
+          const int64_t b = px * 4 + (wi[idx] & 3);
+          const int64_t slot = b * g.cout + count[b];
+          wof[slot] = static_cast<int32_t>(oc * g.k * lanes);
+          bv[slot] = 0.0f + gi[idx];
+          count[b] += static_cast<int32_t>(yi[idx] > 0.0f);
+        }
+      }
+      // Descending raster order: the bottom row, then the top row,
+      // each from the right.
+      for (int64_t half = 1; half >= 0; --half) {
+        for (int64_t px = pw - 1; px >= 0; --px) {
+          for (int64_t col = 1; col >= 0; --col) {
+            const int64_t b = px * 4 + half * 2 + col;
+            if (count[b] == 0) continue;
+            const int64_t at_pos =
+                (2 * py + half) * ld + (2 * px + col) * cr;
+            for (int64_t cg = 0; cg < groups; ++cg) {
+              Traits::ConvSparseDx(wdx + cg * wdx_group, wof + b * g.cout,
+                                   bv + b * g.cout, count[b], g.k, lanes,
+                                   dxs + cg * rows * ld + at_pos, ld);
             }
           }
         }
       }
     }
-  });
-  sums.Finish(s.batch);
+    for (int64_t cg = 0; cg < groups; ++cg) {
+      const int64_t live = std::min(cr, g.cin - cg * cr);
+      for (int64_t c = 0; c < live; ++c) {
+        float* d = dx + i * in_size + (cg * cr + c) * g.h * g.w;
+        for (int64_t iy = 0; iy < g.h; ++iy) {
+          const float* src =
+              dxs + cg * rows * ld + (iy + g.pad) * ld + g.pad * cr + c;
+          for (int64_t ix = 0; ix < g.w; ++ix) {
+            d[iy * g.w + ix] = src[ix * cr];
+          }
+        }
+      }
+    }
+  }
   // The tap-major dw sums into dw's [oc][c][tap] order.
   for (int64_t oc = 0; oc < g.cout && dw != nullptr; ++oc) {
     for (int64_t c = 0; c < g.cin; ++c) {
-      const float* src =
-          sums.dw + (oc * groups + c / cr) * g.taps * cr + c % cr;
+      const float* src = dwt + (oc * groups + c / cr) * g.taps * cr + c % cr;
       float* dst = dw + oc * g.patch + c * g.taps;
       for (int64_t t = 0; t < g.taps; ++t) dst[t] += src[t * cr];
     }

@@ -17,12 +17,10 @@ namespace internal {
 
 // Scratch slot convention (one ScratchArena per thread; nested kernel
 // calls must use disjoint slots):
-//   0  conv operands shared by a call's workers (calling thread): packed
-//      weights, patch-row offsets, the forward's input positions, the
-//      backward's tap-major dw sums and per-image dw/db partials
-//   1  conv per-chunk buffers (each worker): the forward's lane grid
-//      and conv sums, the backward's interleaved image, winner lists
-//      and dx scratch
+//   0  conv operands of a call: packed weights, patch-row offsets, the
+//      forward's input positions, the backward's tap-major dw sums
+//   1  conv per-image buffers: the forward's lane grid and conv sums,
+//      the backward's interleaved image, winner lists and dx scratch
 //   2  interleaved B panels of GemmTransBAssign, or its transposed A
 //      when the small path runs
 //   3  ScratchArena::kSpareSlot, never used by a kernel
@@ -65,42 +63,36 @@ struct BlockedKernels {
   /// C[rows,n] += A B with A read where it lies: element (r, s) of A is
   /// a[r*rs + s*ss], B is [steps, n] and C [rows, n], both row-major;
   /// each element takes one fused step per s, ascending. Nothing is
-  /// packed. Column chunks of tile.block_n are the parallel partition.
-  /// Every GemmAdd (rs = k, ss = 1) and every GemmTransAAdd (rs = 1,
-  /// ss = k) runs here.
+  /// packed. Every GemmAdd (rs = k, ss = 1) and every GemmTransAAdd
+  /// (rs = 1, ss = k) runs here.
   void (*gemm_in_place)(const float* a, int64_t rs, int64_t ss,
                         const float* b, int64_t rows, int64_t steps,
-                        int64_t n, float* c, const TileConfig& tile,
-                        bool parallel);
+                        int64_t n, float* c);
 
-  /// C[m,k] = A[m,n] B[k,n]^T (double-precision row dots), row-chunked
-  /// by tile.block_m, parallel across row chunks.
+  /// C[m,k] = A[m,n] B[k,n]^T (double-precision row dots).
   void (*gemm_transb)(const float* a, const float* b, int64_t m, int64_t n,
-                      int64_t k, float* c, const TileConfig& tile,
-                      bool parallel);
+                      int64_t k, float* c);
   /// The same product for m <= kInPlaceMaxRows: A transposed once, B's
-  /// rows read in place; chunks of tile.block_n outputs are the parallel
-  /// partition. The generic table, where that is slower, puts
+  /// rows read in place. The generic table, where that is slower, puts
   /// gemm_transb here too.
   void (*gemm_transb_small)(const float* a, const float* b, int64_t m,
-                            int64_t n, int64_t k, float* c,
-                            const TileConfig& tile, bool parallel);
+                            int64_t n, int64_t k, float* c);
 
-  /// The convolution (stride 1, pad < kernel; kernels.h has the
-  /// contracts), batch-parallel across the kernel pool. The forward is
-  /// the fused conv block (Conv2dBiasReluPoolForwardKernel, Ho and Wo
-  /// even): it runs groups of conv_lanes images in the SIMD lanes (a
-  /// last group of at most 8 at 8 lanes), computes only real outputs,
-  /// and conv_relu_pool writes each image's pooled [Cout, Ho/2, Wo/2]
-  /// plus one window byte per pooled output. `window` is never null.
+  /// The convolution (stride 1; kernels.h has the contracts). The
+  /// forward is the fused conv block (Conv2dBiasReluPoolForwardKernel,
+  /// Ho and Wo even): it runs groups of conv_lanes images in the SIMD
+  /// lanes (a last group of at most 8 at 8 lanes), computes only real
+  /// outputs, and conv_relu_pool writes each image's pooled
+  /// [Cout, Ho/2, Wo/2] plus one window byte per pooled output.
+  /// `window` is never null.
   void (*conv_forward)(const float* x, const float* w, const float* bias,
                        const ConvKernelShape& s, float* out,
                        uint8_t* window);
   /// The padded-grid backward of the fused conv block
   /// (Conv2dBiasReluPoolBackwardKernel) for finite x, w and grad: reads
   /// the pooled gradient, output and window directly and adds terms
-  /// only for the winners that passed the ReLU, batch-parallel with
-  /// per-image dw/db partials. Ho and Wo are even. The winner lists come
+  /// only for the winners that passed the ReLU, dw/db image by image.
+  /// Ho and Wo are even. The winner lists come
   /// from `live_winners`, the calling table's entry.
   void (*conv_block_backward)(const float* grad, const float* y,
                               const uint8_t* window, const float* x,

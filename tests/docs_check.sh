@@ -2,7 +2,7 @@
 # docs_check.sh <repo_root> <experiment_cli_binary> [build_dir]
 #               [rfed_server_binary] [rfed_worker_binary]
 #
-# Nine stale-documentation tripwires, run as `ctest -L docs`:
+# Ten stale-documentation tripwires, run as `ctest -L docs`:
 #   1. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file or directory.
 #   2. Every `--flag` token mentioned in docs/*.md other than
@@ -35,6 +35,10 @@
 #      such as `ConvBlockBackwardT`) must occur as a whole word in some
 #      file under src/, tests/, bench/, examples/ or roundbench/, so the
 #      docs cannot cite code that a deletion or a rename removed.
+#  10. When the serve binaries are passed, every `--flag` token in
+#      README.md must appear in the `--help` output of experiment_cli,
+#      rfed_server or rfed_worker (modulo tripwire 2's whitelist), so the
+#      front page cannot advertise a flag that a deletion removed.
 set -u
 
 root="${1:?usage: docs_check.sh <repo_root> <experiment_cli>}"
@@ -206,6 +210,18 @@ for doc in "$root"/README.md "$root"/docs/*.md; do
     fi
   done
 done
+
+# ---- 10. README flags ----
+if [ -n "$server_bin" ] && [ -n "$worker_bin" ]; then
+  all_help="$help_out
+$serve_help"
+  for flag in $(grep -oE '\-\-[a-z][a-z0-9_-]*' "$root/README.md" | sort -u); do
+    case " $whitelist " in *" $flag "*) continue ;; esac
+    if ! printf '%s\n' "$all_help" | grep -q -- "$flag"; then
+      fail "README.md mentions $flag, absent from every binary's --help"
+    fi
+  done
+fi
 
 if [ "$failures" -gt 0 ]; then
   echo "docs_check: FAILED ($failures problem(s))" >&2

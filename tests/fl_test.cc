@@ -221,6 +221,16 @@ TEST(FedAvgTest, DeterministicGivenSeed) {
   EXPECT_TRUE(AllClose(a.global_state(), b.global_state(), 0.0f));
 }
 
+TEST(FedAvgTest, KernelThreadsAboveOneAbortsWithRemovalMessage) {
+  // The kernels run on their calling thread only; a config that still
+  // asks for intra-op threads must fail loudly, not run serially.
+  Fixture fx;
+  FlConfig config = SmallConfig();
+  config.kernel_threads = 2;
+  EXPECT_DEATH(FedAvg(config, &fx.data.train, fx.views, fx.factory),
+               "intra-op kernel threading was removed");
+}
+
 TEST(FedProxTest, ZeroMuMatchesFedAvg) {
   Fixture fx;
   FedAvg avg(SmallConfig(), &fx.data.train, fx.views, fx.factory);

@@ -1,10 +1,8 @@
-// Bit-identity suite for the blocked/threaded kernel layer
-// (tensor/kernels.h). Every test compares the optimized kernels against
-// the retained naive references with EXPECT_EQ on floats — not
-// EXPECT_NEAR — because the layer's contract is *exact* equality for
-// every block size and thread count (docs/KERNELS.md). The final test
-// pins that contract end to end: a federated run's global model must be
-// byte-identical across kernel_threads in {1, 2, 4}.
+// Bit-identity suite for the blocked kernel layer (tensor/kernels.h).
+// Every test compares the optimized kernels against the retained naive
+// references with EXPECT_EQ on floats — not EXPECT_NEAR — because the
+// layer's contract is *exact* equality on every ISA table
+// (docs/KERNELS.md).
 
 #include <algorithm>
 #include <cmath>
@@ -21,11 +19,6 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
-#include "data/partition.h"
-#include "data/synthetic_images.h"
-#include "fl/fedavg.h"
-#include "fl/trainer.h"
-#include "nn/models.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/kernels.h"
@@ -45,8 +38,8 @@ using ::rfed::testing::RoutedGradient;
 
 Variable Leaf(Tensor t) { return Variable(std::move(t), true); }
 
-/// Restores the default kernel options when the test ends, so option
-/// overrides (tiny blocks, forced threading) never leak across tests.
+/// Restores the default kernel options when the test ends, so a forced
+/// table never leaks across tests.
 class KernelTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -54,16 +47,11 @@ class KernelTest : public ::testing::Test {
   }
 };
 
-/// Options with blocks small enough that the kSizes below exercise full
-/// tiles, remainder rows/columns and several column and row chunks, with
-/// every product fanned out to the pool.
-KernelOptions TinyBlocks(int threads) {
+/// Forces one table for the next kernel calls.
+void UseIsa(KernelIsa isa) {
   KernelOptions o;
-  o.threads = threads;
-  o.block_m = 8;
-  o.block_n = 16;
-  o.parallel_min_flops = 0;
-  return o;
+  o.isa = isa;
+  SetKernelOptions(o);
 }
 
 std::vector<float> Pattern(int64_t n, float scale, float phase) {
@@ -79,26 +67,82 @@ std::vector<float> Pattern(int64_t n, float scale, float phase) {
 }
 
 // From one row or column to a 130 x 130 B of 67 KB; 1, 7 and 17 sit off
-// every tile width, 64 and 65 on and one past a 16-wide tile.
-constexpr int64_t kSizes[] = {1, 7, 17, 64, 65, 130};
-constexpr int kThreadCounts[] = {1, 2, 4};
+// every tile width, 64 and 65 on and one past a 16-wide strip, and 24
+// is a 16-wide strip plus an 8-wide one. GemmSizesReachEveryEdgePath
+// checks that these reach every edge path of the GEMM drivers.
+constexpr int64_t kSizes[] = {1, 7, 17, 24, 64, 65, 130};
+
+// The drivers' tile widths (kernels_blocked.h): the in-place GEMM's
+// strip width kNr and the interleaved GemmTransBAssign's panel width
+// kTr, of the generic table and of the AVX2 table, whose GEMMs the
+// AVX-512 table shares. Only the AVX2 table has a small path of its own.
+struct GemmTiles {
+  const char* table;
+  int64_t nr, tr;
+  bool small_path;
+};
+constexpr GemmTiles kGemmTiles[] = {{"generic", 8, 4, false},
+                                    {"avx2", 16, 8, true}};
+
+TEST_F(KernelTest, GemmSizesReachEveryEdgePath) {
+  // Over kSizes as m, k and n, on each table's tile widths: the in-place
+  // GEMM runs full kNr strips, the kNr/2 strip and scalar columns (its
+  // columns are n for GemmAdd and GemmTransAAdd alike), and partial
+  // 4-row tiles; GemmTransBAssign runs the interleaved path with full
+  // and partial 4-row tiles, full kTr panels and leftover outputs, and
+  // the small path (m <= kInPlaceMaxRows) with full and partial groups
+  // of 4 outputs.
+  for (const GemmTiles& t : kGemmTiles) {
+    bool full_strip = false, half_strip = false, scalar_col = false;
+    bool partial_rows = false, blocked_full_rows = false,
+         blocked_partial_rows = false, full_panel = false,
+         leftover_outputs = false, small = false, small_full = false,
+         small_partial = false;
+    for (int64_t x : kSizes) {
+      const int64_t rest = x % t.nr;
+      full_strip |= x >= t.nr;
+      half_strip |= rest >= t.nr / 2;
+      scalar_col |= rest % (t.nr / 2) != 0;
+      partial_rows |= x % 4 != 0;
+      // x as m of GemmTransBAssign.
+      const bool blocked = !t.small_path || !internal::GemmTransBSmall(x);
+      blocked_full_rows |= blocked && x >= 4;
+      blocked_partial_rows |= blocked && x % 4 != 0;
+      small |= !blocked;
+      // x as k of GemmTransBAssign.
+      full_panel |= x >= t.tr;
+      leftover_outputs |= x % t.tr != 0;
+      small_full |= x >= 4;
+      small_partial |= x % 4 != 0;
+    }
+    const std::string where = t.table;
+    EXPECT_TRUE(full_strip && half_strip && scalar_col) << where;
+    EXPECT_TRUE(partial_rows) << where;
+    EXPECT_TRUE(blocked_full_rows && blocked_partial_rows) << where;
+    EXPECT_TRUE(full_panel && leftover_outputs) << where;
+    if (t.small_path) {
+      EXPECT_TRUE(small && small_full && small_partial) << where;
+    }
+  }
+}
 
 TEST_F(KernelTest, GemmAddMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (int64_t m : kSizes) {
-      for (int64_t k : kSizes) {
-        for (int64_t n : kSizes) {
-          const auto a = Pattern(m * k, 1.0f, 0.1f);
-          const auto b = Pattern(k * n, 0.5f, 1.3f);
-          // Nonzero initial C: the kernel accumulates, never assigns.
-          auto c_ref = Pattern(m * n, 0.25f, 2.7f);
-          auto c_opt = c_ref;
-          ref::GemmAdd(a.data(), b.data(), m, k, n, c_ref.data());
+  for (int64_t m : kSizes) {
+    for (int64_t k : kSizes) {
+      for (int64_t n : kSizes) {
+        const auto a = Pattern(m * k, 1.0f, 0.1f);
+        const auto b = Pattern(k * n, 0.5f, 1.3f);
+        // Nonzero initial C: the kernel accumulates, never assigns.
+        const auto c0 = Pattern(m * n, 0.25f, 2.7f);
+        auto c_ref = c0;
+        ref::GemmAdd(a.data(), b.data(), m, k, n, c_ref.data());
+        for (KernelIsa isa : AvailableKernelIsas()) {
+          UseIsa(isa);
+          auto c_opt = c0;
           GemmAdd(a.data(), b.data(), m, k, n, c_opt.data());
           ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                    c_ref.size() * sizeof(float)))
-              << "threads=" << threads << " m=" << m << " k=" << k
+              << "isa=" << KernelIsaName(isa) << " m=" << m << " k=" << k
               << " n=" << n;
         }
       }
@@ -107,20 +151,21 @@ TEST_F(KernelTest, GemmAddMatchesReferenceBitwise) {
 }
 
 TEST_F(KernelTest, GemmTransAAddMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (int64_t m : kSizes) {
-      for (int64_t k : kSizes) {
-        for (int64_t n : kSizes) {
-          const auto a = Pattern(m * k, 0.8f, 0.4f);
-          const auto b = Pattern(m * n, 0.6f, 1.9f);
-          auto c_ref = Pattern(k * n, 0.3f, 3.1f);
-          auto c_opt = c_ref;
-          ref::GemmTransAAdd(a.data(), b.data(), m, k, n, c_ref.data());
+  for (int64_t m : kSizes) {
+    for (int64_t k : kSizes) {
+      for (int64_t n : kSizes) {
+        const auto a = Pattern(m * k, 0.8f, 0.4f);
+        const auto b = Pattern(m * n, 0.6f, 1.9f);
+        const auto c0 = Pattern(k * n, 0.3f, 3.1f);
+        auto c_ref = c0;
+        ref::GemmTransAAdd(a.data(), b.data(), m, k, n, c_ref.data());
+        for (KernelIsa isa : AvailableKernelIsas()) {
+          UseIsa(isa);
+          auto c_opt = c0;
           GemmTransAAdd(a.data(), b.data(), m, k, n, c_opt.data());
           ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                    c_ref.size() * sizeof(float)))
-              << "threads=" << threads << " m=" << m << " k=" << k
+              << "isa=" << KernelIsaName(isa) << " m=" << m << " k=" << k
               << " n=" << n;
         }
       }
@@ -129,21 +174,21 @@ TEST_F(KernelTest, GemmTransAAddMatchesReferenceBitwise) {
 }
 
 TEST_F(KernelTest, GemmTransBAssignMatchesReferenceBitwise) {
-  for (int threads : kThreadCounts) {
-    SetKernelOptions(TinyBlocks(threads));
-    for (int64_t m : kSizes) {
-      for (int64_t n : kSizes) {
-        for (int64_t k : kSizes) {
-          const auto a = Pattern(m * n, 0.9f, 0.2f);
-          const auto b = Pattern(k * n, 0.7f, 1.1f);
-          // Assign semantics: garbage in C must be overwritten.
-          auto c_ref = Pattern(m * k, 99.0f, 0.0f);
+  for (int64_t m : kSizes) {
+    for (int64_t n : kSizes) {
+      for (int64_t k : kSizes) {
+        const auto a = Pattern(m * n, 0.9f, 0.2f);
+        const auto b = Pattern(k * n, 0.7f, 1.1f);
+        // Assign semantics: garbage in C must be overwritten.
+        auto c_ref = Pattern(m * k, 99.0f, 0.0f);
+        ref::GemmTransBAssign(a.data(), b.data(), m, n, k, c_ref.data());
+        for (KernelIsa isa : AvailableKernelIsas()) {
+          UseIsa(isa);
           auto c_opt = Pattern(m * k, -37.0f, 1.0f);
-          ref::GemmTransBAssign(a.data(), b.data(), m, n, k, c_ref.data());
           GemmTransBAssign(a.data(), b.data(), m, n, k, c_opt.data());
           ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                    c_ref.size() * sizeof(float)))
-              << "threads=" << threads << " m=" << m << " n=" << n
+              << "isa=" << KernelIsaName(isa) << " m=" << m << " n=" << n
               << " k=" << k;
         }
       }
@@ -151,95 +196,38 @@ TEST_F(KernelTest, GemmTransBAssignMatchesReferenceBitwise) {
   }
 }
 
-TEST_F(KernelTest, DefaultOptionsAlsoMatchReference) {
-  // Same check at production block sizes (the tiny blocks above stress
-  // edges; this covers the shipped configuration on a mid-size product).
-  for (int threads : kThreadCounts) {
-    KernelOptions o;
-    o.threads = threads;
-    o.parallel_min_flops = 0;
-    SetKernelOptions(o);
-    const int64_t m = 65, k = 131, n = 197;  // off every block boundary
-    const auto a = Pattern(m * k, 1.0f, 0.5f);
-    const auto b = Pattern(k * n, 1.0f, 1.5f);
-    auto c_ref = Pattern(m * n, 0.1f, 2.5f);
-    auto c_opt = c_ref;
-    ref::GemmAdd(a.data(), b.data(), m, k, n, c_ref.data());
-    GemmAdd(a.data(), b.data(), m, k, n, c_opt.data());
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
-                             c_ref.size() * sizeof(float)))
-        << "threads=" << threads;
-  }
-}
-
-// ---- SIMD dispatch: every ISA x tile candidate x thread count ----
-
-TEST_F(KernelTest, EveryIsaTileAndThreadCountMatchesReference) {
-  // Each ISA table x a spread of TileConfigs x threads {1, 2, 4} must
-  // reproduce the reference bytes exactly. Shapes are chosen off
-  // every tile boundary (odd m/k/n) plus the tile-exact 64 row count,
-  // so full tiles, remainder rows, and remainder columns all execute.
+TEST_F(KernelTest, EveryIsaMatchesReferenceOffTileBoundaries) {
+  // Mid-size products on each ISA table: odd m/k/n off every tile
+  // boundary plus the tile-exact 64 row count, so full tiles, remainder
+  // rows and remainder columns all run within one call.
   struct Case { int64_t m, k, n; };
   const Case cases[] = {{64, 75, 130}, {65, 131, 197}, {6, 16, 33}};
-  // GemmAdd reads only block_n: the default (one chunk at every case's
-  // n) and a 48-column chunk, which splits 130 and 197 into several.
-  const TileConfig kGemmAddTiles[] = {{64, 1024}, {64, 48}};
-  // GemmTransBAssign's interleaved path chunks block_m rows of A.
-  const TileConfig kGemmTransBTiles[] = {{64, 1024}, {16, 1024}, {256, 1024}};
   for (KernelIsa isa : AvailableKernelIsas()) {
-    for (const TileConfig& tile : kGemmAddTiles) {
-      for (int threads : kThreadCounts) {
-        KernelOptions o;
-        o.threads = threads;
-        o.isa = isa;
-        o.block_m = tile.block_m;
-        o.block_n = tile.block_n;
-        o.parallel_min_flops = 0;
-        SetKernelOptions(o);
-        for (const Case& cs : cases) {
-          const auto a = Pattern(cs.m * cs.k, 1.0f, 0.2f);
-          const auto b = Pattern(cs.k * cs.n, 0.7f, 1.4f);
-          auto c_ref = Pattern(cs.m * cs.n, 0.3f, 2.2f);
-          auto c_opt = c_ref;
-          ref::GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_ref.data());
-          GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_opt.data());
-          ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
-                                   c_ref.size() * sizeof(float)))
-              << "GemmAdd isa=" << KernelIsaName(isa) << " tile="
-              << tile.block_m << "/" << tile.block_n
-              << " threads=" << threads << " m=" << cs.m << " k=" << cs.k
-              << " n=" << cs.n;
-        }
-      }
-    }
-    for (const TileConfig& tile : kGemmTransBTiles) {
-      for (int threads : kThreadCounts) {
-        KernelOptions o;
-        o.threads = threads;
-        o.isa = isa;
-        o.block_m = tile.block_m;
-        o.block_n = tile.block_n;
-        o.parallel_min_flops = 0;
-        SetKernelOptions(o);
-        for (const Case& cs : cases) {
-          // TransB shape triple is (m, n, k): m rows of A[m,n], k rows
-          // of B[k,n], C[m,k] assigned.
-          const auto a = Pattern(cs.m * cs.n, 0.9f, 0.5f);
-          const auto b = Pattern(cs.k * cs.n, 0.6f, 1.8f);
-          auto c_ref = Pattern(cs.m * cs.k, 55.0f, 0.0f);
-          auto c_opt = Pattern(cs.m * cs.k, -11.0f, 1.0f);
-          ref::GemmTransBAssign(a.data(), b.data(), cs.m, cs.n, cs.k,
-                                c_ref.data());
-          GemmTransBAssign(a.data(), b.data(), cs.m, cs.n, cs.k,
-                           c_opt.data());
-          ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
-                                   c_ref.size() * sizeof(float)))
-              << "GemmTransB isa=" << KernelIsaName(isa) << " tile="
-              << tile.block_m << "/" << tile.block_n
-              << " threads=" << threads << " m=" << cs.m << " n=" << cs.n
-              << " k=" << cs.k;
-        }
-      }
+    UseIsa(isa);
+    for (const Case& cs : cases) {
+      const auto a = Pattern(cs.m * cs.k, 1.0f, 0.2f);
+      const auto b = Pattern(cs.k * cs.n, 0.7f, 1.4f);
+      auto c_ref = Pattern(cs.m * cs.n, 0.3f, 2.2f);
+      auto c_opt = c_ref;
+      ref::GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_ref.data());
+      GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_opt.data());
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
+                               c_ref.size() * sizeof(float)))
+          << "GemmAdd isa=" << KernelIsaName(isa) << " m=" << cs.m
+          << " k=" << cs.k << " n=" << cs.n;
+      // TransB shape triple is (m, n, k): m rows of A[m,n], k rows of
+      // B[k,n], C[m,k] assigned.
+      const auto at = Pattern(cs.m * cs.n, 0.9f, 0.5f);
+      const auto bt = Pattern(cs.k * cs.n, 0.6f, 1.8f);
+      auto t_ref = Pattern(cs.m * cs.k, 55.0f, 0.0f);
+      auto t_opt = Pattern(cs.m * cs.k, -11.0f, 1.0f);
+      ref::GemmTransBAssign(at.data(), bt.data(), cs.m, cs.n, cs.k,
+                            t_ref.data());
+      GemmTransBAssign(at.data(), bt.data(), cs.m, cs.n, cs.k, t_opt.data());
+      ASSERT_EQ(0, std::memcmp(t_ref.data(), t_opt.data(),
+                               t_ref.size() * sizeof(float)))
+          << "GemmTransB isa=" << KernelIsaName(isa) << " m=" << cs.m
+          << " n=" << cs.n << " k=" << cs.k;
     }
   }
 }
@@ -255,94 +243,67 @@ std::vector<float> PatternWithZeros(int64_t n, float scale, float phase) {
 TEST_F(KernelTest, GemmsAtTheShapeRuleBoundaryMatchReference) {
   constexpr int64_t kRows = internal::kInPlaceMaxRows;
   for (KernelIsa isa : AvailableKernelIsas()) {
-    for (int threads : {1, 4}) {
-      KernelOptions o;
-      o.threads = threads;
-      o.isa = isa;
-      o.parallel_min_flops = 0;
-      SetKernelOptions(o);
-      for (int64_t m : {kRows, kRows + 1}) {
-        for (int64_t n : {1, 10, 17}) {
-          // A short contraction keeps B in the first cache level; a long
-          // one makes B larger than 64 KB.
-          const int64_t long_k = 16384 / n + 1;
-          for (int64_t k : {int64_t{33}, long_k}) {
-            const std::string where =
-                std::string("isa=") + KernelIsaName(isa) +
-                " threads=" + std::to_string(threads) + " m=" +
-                std::to_string(m) + " k=" + std::to_string(k) +
-                " n=" + std::to_string(n);
-            const auto a = PatternWithZeros(m * k, 1.0f, 0.6f);
-            const auto b = Pattern(k * n, 0.5f, 1.7f);
-            auto c_ref = Pattern(m * n, 0.25f, 2.9f);
-            auto c_opt = c_ref;
-            ref::GemmAdd(a.data(), b.data(), m, k, n, c_ref.data());
-            GemmAdd(a.data(), b.data(), m, k, n, c_opt.data());
-            ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
-                                     c_ref.size() * sizeof(float)))
-                << "GemmAdd " << where;
-            // GemmTransAAdd with the same A: C[k,n] += A^T B[m,n].
-            const auto bt = Pattern(m * n, 0.7f, 0.9f);
-            auto t_ref = Pattern(k * n, 0.3f, 1.3f);
-            auto t_opt = t_ref;
-            ref::GemmTransAAdd(a.data(), bt.data(), m, k, n, t_ref.data());
-            GemmTransAAdd(a.data(), bt.data(), m, k, n, t_opt.data());
-            ASSERT_EQ(0, std::memcmp(t_ref.data(), t_opt.data(),
-                                     t_ref.size() * sizeof(float)))
-                << "GemmTransAAdd " << where;
-            // GemmTransBAssign C[m,k] = A[m,n] B[k,n]^T over garbage C:
-            // m alone picks the small or the interleaved path.
-            EXPECT_EQ(internal::GemmTransBSmall(m), m == kRows) << where;
-            const auto az = PatternWithZeros(m * n, 0.9f, 0.2f);
-            const auto bb = Pattern(k * n, 0.6f, 2.4f);
-            auto b_ref = Pattern(m * k, 55.0f, 0.0f);
-            auto b_opt = Pattern(m * k, -11.0f, 1.0f);
-            ref::GemmTransBAssign(az.data(), bb.data(), m, n, k,
-                                  b_ref.data());
-            GemmTransBAssign(az.data(), bb.data(), m, n, k, b_opt.data());
-            ASSERT_EQ(0, std::memcmp(b_ref.data(), b_opt.data(),
-                                     b_ref.size() * sizeof(float)))
-                << "GemmTransBAssign " << where;
-          }
+    UseIsa(isa);
+    for (int64_t m : {kRows, kRows + 1}) {
+      for (int64_t n : {1, 10, 17}) {
+        // A short contraction keeps B in the first cache level; a long
+        // one makes B larger than 64 KB.
+        const int64_t long_k = 16384 / n + 1;
+        for (int64_t k : {int64_t{33}, long_k}) {
+          const std::string where =
+              std::string("isa=") + KernelIsaName(isa) + " m=" +
+              std::to_string(m) + " k=" + std::to_string(k) +
+              " n=" + std::to_string(n);
+          const auto a = PatternWithZeros(m * k, 1.0f, 0.6f);
+          const auto b = Pattern(k * n, 0.5f, 1.7f);
+          auto c_ref = Pattern(m * n, 0.25f, 2.9f);
+          auto c_opt = c_ref;
+          ref::GemmAdd(a.data(), b.data(), m, k, n, c_ref.data());
+          GemmAdd(a.data(), b.data(), m, k, n, c_opt.data());
+          ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
+                                   c_ref.size() * sizeof(float)))
+              << "GemmAdd " << where;
+          // GemmTransAAdd with the same A: C[k,n] += A^T B[m,n].
+          const auto bt = Pattern(m * n, 0.7f, 0.9f);
+          auto t_ref = Pattern(k * n, 0.3f, 1.3f);
+          auto t_opt = t_ref;
+          ref::GemmTransAAdd(a.data(), bt.data(), m, k, n, t_ref.data());
+          GemmTransAAdd(a.data(), bt.data(), m, k, n, t_opt.data());
+          ASSERT_EQ(0, std::memcmp(t_ref.data(), t_opt.data(),
+                                   t_ref.size() * sizeof(float)))
+              << "GemmTransAAdd " << where;
+          // GemmTransBAssign C[m,k] = A[m,n] B[k,n]^T over garbage C:
+          // m alone picks the small or the interleaved path.
+          EXPECT_EQ(internal::GemmTransBSmall(m), m == kRows) << where;
+          const auto az = PatternWithZeros(m * n, 0.9f, 0.2f);
+          const auto bb = Pattern(k * n, 0.6f, 2.4f);
+          auto b_ref = Pattern(m * k, 55.0f, 0.0f);
+          auto b_opt = Pattern(m * k, -11.0f, 1.0f);
+          ref::GemmTransBAssign(az.data(), bb.data(), m, n, k,
+                                b_ref.data());
+          GemmTransBAssign(az.data(), bb.data(), m, n, k, b_opt.data());
+          ASSERT_EQ(0, std::memcmp(b_ref.data(), b_opt.data(),
+                                   b_ref.size() * sizeof(float)))
+              << "GemmTransBAssign " << where;
         }
       }
-      // GemmAdd at large B: the 3-channel MLP's fc1 at batch 24, the
-      // paper-scale CIFAR fc layer, and a 512-float row stride, a power
-      // of two that maps B's rows onto few cache sets.
-      struct Case { int64_t m, k, n; };
-      for (const Case& cs : {Case{24, 432, 64}, Case{32, 1600, 384},
-                             Case{17, 72, 512}}) {
-        const auto a = PatternWithZeros(cs.m * cs.k, 1.0f, 0.6f);
-        const auto b = Pattern(cs.k * cs.n, 0.5f, 1.7f);
-        auto c_ref = Pattern(cs.m * cs.n, 0.25f, 2.9f);
-        auto c_opt = c_ref;
-        ref::GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_ref.data());
-        GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_opt.data());
-        ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
-                                 c_ref.size() * sizeof(float)))
-            << "GemmAdd isa=" << KernelIsaName(isa) << " threads=" << threads
-            << " m=" << cs.m << " k=" << cs.k << " n=" << cs.n;
-      }
     }
-  }
-}
-
-TEST_F(KernelTest, GemmTransAAddMatchesReferenceOnEveryIsa) {
-  for (KernelIsa isa : AvailableKernelIsas()) {
-    for (int threads : kThreadCounts) {
-      KernelOptions o = TinyBlocks(threads);
-      o.isa = isa;
-      SetKernelOptions(o);
-      const int64_t m = 33, k = 14, n = 65;
-      const auto a = Pattern(m * k, 0.8f, 0.4f);
-      const auto b = Pattern(m * n, 0.6f, 1.9f);
-      auto c_ref = Pattern(k * n, 0.3f, 3.1f);
+    // GemmAdd at large B: the 3-channel MLP's fc1 at batch 24, the
+    // paper-scale CIFAR fc layer, and a 512-float row stride, a power
+    // of two that maps B's rows onto few cache sets.
+    struct Case { int64_t m, k, n; };
+    for (const Case& cs : {Case{24, 432, 64}, Case{32, 1600, 384},
+                           Case{17, 72, 512}}) {
+      const auto a = PatternWithZeros(cs.m * cs.k, 1.0f, 0.6f);
+      const auto b = Pattern(cs.k * cs.n, 0.5f, 1.7f);
+      auto c_ref = Pattern(cs.m * cs.n, 0.25f, 2.9f);
       auto c_opt = c_ref;
-      ref::GemmTransAAdd(a.data(), b.data(), m, k, n, c_ref.data());
-      GemmTransAAdd(a.data(), b.data(), m, k, n, c_opt.data());
+      ref::GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_ref.data());
+      GemmAdd(a.data(), b.data(), cs.m, cs.k, cs.n, c_opt.data());
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_opt.data(),
                                c_ref.size() * sizeof(float)))
-          << "isa=" << KernelIsaName(isa) << " threads=" << threads;
+          << "GemmAdd isa=" << KernelIsaName(isa) << " m=" << cs.m
+          << " k=" << cs.k << " n=" << cs.n;
     }
   }
 }
@@ -417,96 +378,90 @@ bool SameBytes(const std::vector<float>& x, const std::vector<float>& y) {
 TEST_F(KernelTest, ElementwiseKernelsMatchScalarLoopsBitwise) {
   const int64_t kLengths[] = {0, 1, 7, 8, 9, 31, 11690};
   for (KernelIsa isa : AvailableKernelIsas()) {
-    for (int threads : {1, 4}) {
-      KernelOptions o;
-      o.isa = isa;
-      o.threads = threads;
-      SetKernelOptions(o);
-      for (int64_t n : kLengths) {
-        const std::string where = std::string("isa=") + KernelIsaName(isa) +
-                                  " threads=" + std::to_string(threads) +
-                                  " n=" + std::to_string(n);
-        const auto x0 = SpecialPattern(n, 1);
-        const auto y = SpecialPattern(n, 2);
-        for (float s : {-0.75f, 0.0f}) {
-          auto want = x0, got = x0;
-          for (int64_t i = 0; i < n; ++i) want[i] += y[i];
-          AddKernel(got.data(), y.data(), n);
-          EXPECT_TRUE(SameBytes(want, got)) << "add " << where;
-          want = x0, got = x0;
-          for (int64_t i = 0; i < n; ++i) want[i] += want[i];
-          AddKernel(got.data(), got.data(), n);
-          EXPECT_TRUE(SameBytes(want, got)) << "add aliased " << where;
-          want = x0, got = y;
-          for (float& v : want) v = 0.0f + v;
-          PlusZeroKernel(x0.data(), n, got.data());
-          EXPECT_TRUE(SameBytes(want, got)) << "plus_zero " << where;
-          got = x0;
-          PlusZeroKernel(got.data(), n, got.data());
-          EXPECT_TRUE(SameBytes(want, got)) << "plus_zero aliased " << where;
-          want = x0, got = x0;
-          for (int64_t i = 0; i < n; ++i) want[i] -= y[i];
-          SubKernel(got.data(), y.data(), n);
-          EXPECT_TRUE(SameBytes(want, got)) << "sub " << where;
-          want = x0, got = x0;
-          for (float& v : want) v *= s;
-          ScaleKernel(got.data(), s, n);
-          EXPECT_TRUE(SameBytes(want, got)) << "scale " << s << " " << where;
-          want = x0, got = x0;
-          for (int64_t i = 0; i < n; ++i) want[i] += s * y[i];
-          AxpyKernel(got.data(), s, y.data(), n);
-          EXPECT_TRUE(SameBytes(want, got)) << "axpy " << s << " " << where;
-        }
-        for (float v : {0.0f, -0.0f, DefaultNaN(), 1e-40f}) {
-          std::vector<float> want(static_cast<size_t>(n), v);
-          auto got = x0;
-          FillKernel(got.data(), v, n);
-          EXPECT_TRUE(SameBytes(want, got)) << "fill " << v << " " << where;
-        }
-        for (int64_t rows : {1, 3, 8}) {
-          const auto x = SpecialPattern(rows * n, 3);
-          auto want = SpecialPattern(n, 4), got = want;
-          for (int64_t r = 0; r < rows; ++r) {
-            for (int64_t c = 0; c < n; ++c) want[c] += x[r * n + c];
-          }
-          SumRowsKernel(x.data(), rows, n, got.data());
-          EXPECT_TRUE(SameBytes(want, got))
-              << "sum_rows rows=" << rows << " " << where;
-        }
-        const auto g = SpecialPattern(n, 5);
-        const auto v0 = SpecialPattern(n, 6);
-        for (float wd : {0.0f, 1e-4f}) {
-          for (float mom : {0.0f, 0.9f}) {
-            const SgdStep st{0.05f, wd, mom};
-            auto w_want = x0, w_got = x0, v_want = v0, v_got = v0;
-            for (int64_t j = 0; j < n; ++j) {
-              if (mom == 0.0f) {
-                w_want[j] -= st.lr * (g[j] + wd * w_want[j]);
-              } else {
-                v_want[j] = mom * v_want[j] + g[j] + wd * w_want[j];
-                w_want[j] -= st.lr * v_want[j];
-              }
-            }
-            SgdStepKernel(w_got.data(), g.data(),
-                          mom == 0.0f ? nullptr : v_got.data(), n, st);
-            EXPECT_TRUE(SameBytes(w_want, w_got) && SameBytes(v_want, v_got))
-                << "sgd wd=" << wd << " momentum=" << mom << " " << where;
-          }
-        }
-        const RmsPropStep rp{0.01f, 0.99f, 1e-8f};
-        auto w_want = x0, w_got = x0;
-        auto ms_want = SpecialPattern(n, 7);
-        for (float& m : ms_want) m = std::fabs(m);
-        auto ms_got = ms_want;
-        for (int64_t j = 0; j < n; ++j) {
-          const float gj = g[j];
-          ms_want[j] = rp.alpha * ms_want[j] + (1.0f - rp.alpha) * gj * gj;
-          w_want[j] -= rp.lr * gj / (std::sqrt(ms_want[j]) + rp.eps);
-        }
-        RmsPropStepKernel(w_got.data(), g.data(), ms_got.data(), n, rp);
-        EXPECT_TRUE(SameBytes(w_want, w_got) && SameBytes(ms_want, ms_got))
-            << "rmsprop " << where;
+    UseIsa(isa);
+    for (int64_t n : kLengths) {
+      const std::string where = std::string("isa=") + KernelIsaName(isa) +
+                                " n=" + std::to_string(n);
+      const auto x0 = SpecialPattern(n, 1);
+      const auto y = SpecialPattern(n, 2);
+      for (float s : {-0.75f, 0.0f}) {
+        auto want = x0, got = x0;
+        for (int64_t i = 0; i < n; ++i) want[i] += y[i];
+        AddKernel(got.data(), y.data(), n);
+        EXPECT_TRUE(SameBytes(want, got)) << "add " << where;
+        want = x0, got = x0;
+        for (int64_t i = 0; i < n; ++i) want[i] += want[i];
+        AddKernel(got.data(), got.data(), n);
+        EXPECT_TRUE(SameBytes(want, got)) << "add aliased " << where;
+        want = x0, got = y;
+        for (float& v : want) v = 0.0f + v;
+        PlusZeroKernel(x0.data(), n, got.data());
+        EXPECT_TRUE(SameBytes(want, got)) << "plus_zero " << where;
+        got = x0;
+        PlusZeroKernel(got.data(), n, got.data());
+        EXPECT_TRUE(SameBytes(want, got)) << "plus_zero aliased " << where;
+        want = x0, got = x0;
+        for (int64_t i = 0; i < n; ++i) want[i] -= y[i];
+        SubKernel(got.data(), y.data(), n);
+        EXPECT_TRUE(SameBytes(want, got)) << "sub " << where;
+        want = x0, got = x0;
+        for (float& v : want) v *= s;
+        ScaleKernel(got.data(), s, n);
+        EXPECT_TRUE(SameBytes(want, got)) << "scale " << s << " " << where;
+        want = x0, got = x0;
+        for (int64_t i = 0; i < n; ++i) want[i] += s * y[i];
+        AxpyKernel(got.data(), s, y.data(), n);
+        EXPECT_TRUE(SameBytes(want, got)) << "axpy " << s << " " << where;
       }
+      for (float v : {0.0f, -0.0f, DefaultNaN(), 1e-40f}) {
+        std::vector<float> want(static_cast<size_t>(n), v);
+        auto got = x0;
+        FillKernel(got.data(), v, n);
+        EXPECT_TRUE(SameBytes(want, got)) << "fill " << v << " " << where;
+      }
+      for (int64_t rows : {1, 3, 8}) {
+        const auto x = SpecialPattern(rows * n, 3);
+        auto want = SpecialPattern(n, 4), got = want;
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t c = 0; c < n; ++c) want[c] += x[r * n + c];
+        }
+        SumRowsKernel(x.data(), rows, n, got.data());
+        EXPECT_TRUE(SameBytes(want, got))
+            << "sum_rows rows=" << rows << " " << where;
+      }
+      const auto g = SpecialPattern(n, 5);
+      const auto v0 = SpecialPattern(n, 6);
+      for (float wd : {0.0f, 1e-4f}) {
+        for (float mom : {0.0f, 0.9f}) {
+          const SgdStep st{0.05f, wd, mom};
+          auto w_want = x0, w_got = x0, v_want = v0, v_got = v0;
+          for (int64_t j = 0; j < n; ++j) {
+            if (mom == 0.0f) {
+              w_want[j] -= st.lr * (g[j] + wd * w_want[j]);
+            } else {
+              v_want[j] = mom * v_want[j] + g[j] + wd * w_want[j];
+              w_want[j] -= st.lr * v_want[j];
+            }
+          }
+          SgdStepKernel(w_got.data(), g.data(),
+                        mom == 0.0f ? nullptr : v_got.data(), n, st);
+          EXPECT_TRUE(SameBytes(w_want, w_got) && SameBytes(v_want, v_got))
+              << "sgd wd=" << wd << " momentum=" << mom << " " << where;
+        }
+      }
+      const RmsPropStep rp{0.01f, 0.99f, 1e-8f};
+      auto w_want = x0, w_got = x0;
+      auto ms_want = SpecialPattern(n, 7);
+      for (float& m : ms_want) m = std::fabs(m);
+      auto ms_got = ms_want;
+      for (int64_t j = 0; j < n; ++j) {
+        const float gj = g[j];
+        ms_want[j] = rp.alpha * ms_want[j] + (1.0f - rp.alpha) * gj * gj;
+        w_want[j] -= rp.lr * gj / (std::sqrt(ms_want[j]) + rp.eps);
+      }
+      RmsPropStepKernel(w_got.data(), g.data(), ms_got.data(), n, rp);
+      EXPECT_TRUE(SameBytes(w_want, w_got) && SameBytes(ms_want, ms_got))
+          << "rmsprop " << where;
     }
   }
 }
@@ -527,12 +482,19 @@ std::vector<ConvKernelShape> ConvCases() {
   // output rows of 10 (tiles of 3, 3, 3 and 1) from a 4x4 kernel with
   // pad 3, and a partial channel tile.
   cases.push_back({9, 2, 15, 7, 5, 4, 1, 3});
+  // pad >= kernel, so some outputs' windows lie wholly in the padding: a
+  // 1x1 kernel with pad 1, pad equal to the kernel (3 and 3, and a 2x2
+  // kernel with pad 2 over 17 images, one past a 16-lane group), and
+  // pad 4 around a 3x3 kernel on a non-square image.
+  cases.push_back({2, 1, 4, 4, 2, 1, 1, 1});
+  cases.push_back({3, 2, 6, 6, 3, 3, 1, 3});
+  cases.push_back({17, 3, 5, 5, 4, 2, 1, 2});
+  cases.push_back({9, 2, 4, 6, 5, 3, 1, 4});
   // The CIFAR round's own shapes: conv1 and conv2 of the workload CNN,
   // at one image, an odd batch, batches around the 8- and 16-image lane
-  // groups (8, 9, 15, 16, 17, 31, 32: a 16-lane table runs a last group
-  // of at most 8 at 8 lanes), the training batch, one image past a
-  // 32-image chunk, a map_sync batch and a batch larger than any the
-  // round runs.
+  // groups (8, 9, 15, 16, 17, 31, 32, 33: a 16-lane table runs a last
+  // group of at most 8 at 8 lanes), the training batch, a map_sync
+  // batch and a batch larger than any the round runs.
   for (int64_t batch : {1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 150, 256}) {
     cases.push_back({batch, 3, 12, 12, 4, 5, 1, 2});
     cases.push_back({batch, 4, 6, 6, 8, 5, 1, 2});
@@ -548,31 +510,9 @@ std::string ConvName(const ConvKernelShape& s) {
          std::to_string(s.pad);
 }
 
-/// Every kernel configuration a conv must be exact under: tiny and
-/// default blocks, every available table, 1, 2 and 4 threads.
-std::vector<KernelOptions> ConvOptionGrid() {
-  std::vector<KernelOptions> grid;
-  for (bool tiny : {true, false}) {
-    for (KernelIsa isa : AvailableKernelIsas()) {
-      for (int threads : kThreadCounts) {
-        KernelOptions o = tiny ? TinyBlocks(threads) : KernelOptions{};
-        o.threads = threads;
-        o.isa = isa;
-        grid.push_back(o);
-      }
-    }
-  }
-  return grid;
-}
-
-std::string OptionsName(const KernelOptions& o) {
-  return std::string(KernelIsaName(o.isa)) + " threads=" +
-         std::to_string(o.threads) + " block_n=" + std::to_string(o.block_n);
-}
-
 TEST_F(KernelTest, ConvBlockForwardMatchesReferenceBitwise) {
   // The fused forward's pooled outputs and window bytes against the
-  // reference sums and the scalar pool rule, for every case and option.
+  // reference sums and the scalar pool rule, for every case and table.
   for (const ConvKernelShape& s : ConvCases()) {
     const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
                            1.0f, 0.3f);
@@ -581,16 +521,17 @@ TEST_F(KernelTest, ConvBlockForwardMatchesReferenceBitwise) {
     std::vector<float> out_ref;
     std::vector<uint8_t> win_ref;
     RefConvReluPool(x.data(), w.data(), bias.data(), s, &out_ref, &win_ref);
-    for (const KernelOptions& o : ConvOptionGrid()) {
-      SetKernelOptions(o);
+    for (KernelIsa isa : AvailableKernelIsas()) {
+      UseIsa(isa);
       std::vector<float> out_opt(out_ref.size(), -7.0f);
       std::vector<uint8_t> win_opt(win_ref.size(), 9);
       Conv2dBiasReluPoolForwardKernel(x.data(), w.data(), bias.data(), s,
                                       out_opt.data(), win_opt.data());
       ASSERT_EQ(0, std::memcmp(out_ref.data(), out_opt.data(),
                                out_ref.size() * sizeof(float)))
-          << ConvName(s) << " " << OptionsName(o);
-      ASSERT_TRUE(win_ref == win_opt) << ConvName(s) << " " << OptionsName(o);
+          << ConvName(s) << " " << KernelIsaName(isa);
+      ASSERT_TRUE(win_ref == win_opt) << ConvName(s) << " "
+                                      << KernelIsaName(isa);
     }
   }
 }
@@ -622,7 +563,7 @@ void RefBlockBackward(const ConvKernelShape& s, const BlockBackwardInputs& in,
 
 TEST_F(KernelTest, ConvBlockBackwardMatchesReferenceBitwise) {
   // The fused block's backward against the reference on the routed
-  // gradient, for every case and option: the sparse path on the padded
+  // gradient, for every case and table: the sparse path on the padded
   // grid, the fallback on the strided shapes.
   for (const ConvKernelShape& s : ConvCases()) {
     const auto x = Pattern(s.batch * s.in_channels * s.height * s.width,
@@ -637,8 +578,8 @@ TEST_F(KernelTest, ConvBlockBackwardMatchesReferenceBitwise) {
     std::vector<float> db_ref(db_size, 0.0f);
     RefBlockBackward(s, in, x, w, dx_ref.data(), dw_ref.data(),
                      db_ref.data());
-    for (const KernelOptions& o : ConvOptionGrid()) {
-      SetKernelOptions(o);
+    for (KernelIsa isa : AvailableKernelIsas()) {
+      UseIsa(isa);
       std::vector<float> dx_opt(dx_size, 0.0f);
       std::vector<float> dw_opt(dw_size, 0.0f);
       std::vector<float> db_opt(db_size, 0.0f);
@@ -648,13 +589,13 @@ TEST_F(KernelTest, ConvBlockBackwardMatchesReferenceBitwise) {
                                        db_opt.data());
       ASSERT_EQ(0, std::memcmp(dx_ref.data(), dx_opt.data(),
                                dx_size * sizeof(float)))
-          << "dx " << ConvName(s) << " " << OptionsName(o);
+          << "dx " << ConvName(s) << " " << KernelIsaName(isa);
       ASSERT_EQ(0, std::memcmp(dw_ref.data(), dw_opt.data(),
                                dw_size * sizeof(float)))
-          << "dw " << ConvName(s) << " " << OptionsName(o);
+          << "dw " << ConvName(s) << " " << KernelIsaName(isa);
       ASSERT_EQ(0, std::memcmp(db_ref.data(), db_opt.data(),
                                db_size * sizeof(float)))
-          << "db " << ConvName(s) << " " << OptionsName(o);
+          << "db " << ConvName(s) << " " << KernelIsaName(isa);
     }
   }
 }
@@ -824,18 +765,15 @@ TEST_F(KernelTest, ConvForwardNarrowTileMatchesReferenceBitwise) {
       std::vector<uint8_t> want_win;
       RefConvReluPool(x.data(), w.data(), bias.data(), s, &want, &want_win);
       for (KernelIsa isa : AvailableKernelIsas()) {
-        KernelOptions o;
-        o.isa = isa;
-        o.threads = 1;
-        SetKernelOptions(o);
+        UseIsa(isa);
         std::vector<float> got(want.size(), -7.0f);
         std::vector<uint8_t> got_win(want.size(), 9);
         Conv2dBiasReluPoolForwardKernel(x.data(), w.data(), bias.data(), s,
                                         got.data(), got_win.data());
         EXPECT_TRUE(SameBytes(want, got)) << ConvName(s) << " "
-                                          << OptionsName(o);
+                                          << KernelIsaName(isa);
         EXPECT_TRUE(want_win == got_win) << ConvName(s) << " "
-                                         << OptionsName(o);
+                                         << KernelIsaName(isa);
       }
     }
   }
@@ -993,44 +931,39 @@ TEST_F(KernelTest, ConvForwardLanesAreIndependent) {
                         bias.data(), one, &want[d], &want_win[d]);
       }
       for (KernelIsa isa : AvailableKernelIsas()) {
-        for (int threads : {1, 4}) {
-          KernelOptions o;
-          o.isa = isa;
-          o.threads = threads;
-          SetKernelOptions(o);
-          const std::string where = ConvName(s) + " " + OptionsName(o);
-          std::vector<float> out_clean(
-              static_cast<size_t>(s.batch * out_size));
-          std::vector<float> out_dirty(out_clean.size());
-          std::vector<uint8_t> win_clean(out_clean.size());
-          std::vector<uint8_t> win_dirty(out_clean.size());
-          Conv2dBiasReluPoolForwardKernel(clean.data(), w.data(),
-                                          bias.data(), s, out_clean.data(),
-                                          win_clean.data());
-          Conv2dBiasReluPoolForwardKernel(dirty.data(), w.data(),
-                                          bias.data(), s, out_dirty.data(),
-                                          win_dirty.data());
-          for (int64_t i = 0; i < s.batch; ++i) {
-            const size_t at = static_cast<size_t>(i * out_size);
-            const size_t n = static_cast<size_t>(out_size);
-            const auto d = std::find(cs.dirty.begin(), cs.dirty.end(), i);
-            if (d != cs.dirty.end()) {
-              const size_t k = static_cast<size_t>(d - cs.dirty.begin());
-              EXPECT_EQ(0, std::memcmp(want[k].data(), out_dirty.data() + at,
-                                       n * sizeof(float)))
-                  << where << " image " << i;
-              EXPECT_EQ(0, std::memcmp(want_win[k].data(),
-                                       win_dirty.data() + at, n))
-                  << where << " image " << i;
-              continue;
-            }
-            EXPECT_EQ(0, std::memcmp(out_clean.data() + at,
-                                     out_dirty.data() + at, n * sizeof(float)))
+        UseIsa(isa);
+        const std::string where = ConvName(s) + " " + KernelIsaName(isa);
+        std::vector<float> out_clean(
+            static_cast<size_t>(s.batch * out_size));
+        std::vector<float> out_dirty(out_clean.size());
+        std::vector<uint8_t> win_clean(out_clean.size());
+        std::vector<uint8_t> win_dirty(out_clean.size());
+        Conv2dBiasReluPoolForwardKernel(clean.data(), w.data(),
+                                        bias.data(), s, out_clean.data(),
+                                        win_clean.data());
+        Conv2dBiasReluPoolForwardKernel(dirty.data(), w.data(),
+                                        bias.data(), s, out_dirty.data(),
+                                        win_dirty.data());
+        for (int64_t i = 0; i < s.batch; ++i) {
+          const size_t at = static_cast<size_t>(i * out_size);
+          const size_t n = static_cast<size_t>(out_size);
+          const auto d = std::find(cs.dirty.begin(), cs.dirty.end(), i);
+          if (d != cs.dirty.end()) {
+            const size_t k = static_cast<size_t>(d - cs.dirty.begin());
+            EXPECT_EQ(0, std::memcmp(want[k].data(), out_dirty.data() + at,
+                                     n * sizeof(float)))
                 << where << " image " << i;
-            EXPECT_EQ(0, std::memcmp(win_clean.data() + at,
+            EXPECT_EQ(0, std::memcmp(want_win[k].data(),
                                      win_dirty.data() + at, n))
                 << where << " image " << i;
+            continue;
           }
+          EXPECT_EQ(0, std::memcmp(out_clean.data() + at,
+                                   out_dirty.data() + at, n * sizeof(float)))
+              << where << " image " << i;
+          EXPECT_EQ(0, std::memcmp(win_clean.data() + at,
+                                   win_dirty.data() + at, n))
+              << where << " image " << i;
         }
       }
     }
@@ -1116,7 +1049,6 @@ TEST_F(KernelTest, ConvBlockBackwardHandlesNullOutputs) {
   // fallback (a NaN in a live window's gradient): the wanted outputs
   // equal the reference's with the same outputs skipped, and with all
   // three skipped the call is a no-op, not a crash.
-  SetKernelOptions(TinyBlocks(4));
   const ConvKernelShape s{2, 2, 6, 6, 3, 3, 1, 1};
   const auto x = Pattern(s.batch * s.in_channels * s.height * s.width, 1.0f,
                          0.0f);
@@ -1199,9 +1131,7 @@ TEST_F(KernelTest, Im2ColRoundTripAgainstStridedWindow) {
 TEST_F(KernelTest, GradCheckThroughBlockedConvPath) {
   // Finite-difference check of the fused conv block's autograd node,
   // stride 1 with even outputs so the lane forward and the sparse
-  // backward run, while the blocked kernels (tiny blocks, 2 threads) are
-  // live underneath.
-  SetKernelOptions(TinyBlocks(2));
+  // backward run underneath.
   Rng rng(23);
   Conv2dSpec spec{.in_channels = 2, .out_channels = 3, .kernel = 3,
                   .stride = 1, .pad = 1};
@@ -1260,64 +1190,6 @@ TEST_F(KernelTest, GemmAddClaimsNoScratchGemmTransBAssignDoes) {
       EXPECT_GT(ScratchArena::PeakBytes(), before) << "m=" << m;
     }
   }).join();
-}
-
-// ---- End-to-end federated bit-identity across kernel_threads ----
-
-/// The model a short FedAvg run trains at one kernel_threads value.
-enum class TinyModel {
-  kCnn,       // the CNN on 1-channel images at batch 8
-  kCifarMlp,  // the MLP on 3-channel images at batch 24: fc1 is 24x432x64
-};
-
-Tensor RunTinyFedAvg(int kernel_threads, TinyModel model) {
-  const bool mlp = model == TinyModel::kCifarMlp;
-  Rng rng(1234);
-  auto data = GenerateImageData(mlp ? CifarLikeProfile() : MnistLikeProfile(),
-                                120, 60, &rng);
-  auto split = SimilarityPartition(data.train, 3, 0.5, &rng);
-  std::vector<ClientView> views;
-  for (auto& idx : split.client_indices) views.push_back({idx, {}});
-  ModelFactory factory;
-  if (mlp) {
-    MlpConfig mc;
-    mc.in_channels = 3;
-    factory = MakeMlpFactory(mc);
-  } else {
-    CnnConfig mc;
-    mc.conv1_channels = 2;
-    mc.conv2_channels = 4;
-    mc.feature_dim = 8;
-    factory = MakeCnnFactory(mc);
-  }
-  FlConfig config;
-  config.local_steps = 2;
-  config.batch_size = mlp ? 24 : 8;
-  config.lr = 0.05;
-  config.seed = 77;
-  config.max_examples_per_pass = 64;
-  config.kernel_threads = kernel_threads;
-  FedAvg algo(config, &data.train, views, factory);
-  TrainerOptions options;
-  options.eval_max_examples = 60;
-  FederatedTrainer trainer(&algo, &data.test, options);
-  RunHistory history = trainer.Run(2);
-  EXPECT_GE(history.rounds.back().peak_scratch_bytes, 0);
-  return algo.global_state();
-}
-
-TEST_F(KernelTest, FederatedRunBitIdenticalAcrossKernelThreads) {
-  for (TinyModel model : {TinyModel::kCnn, TinyModel::kCifarMlp}) {
-    const Tensor base = RunTinyFedAvg(1, model);
-    for (int threads : {2, 4}) {
-      SetKernelOptions(KernelOptions{});  // the run sets its own threads
-      const Tensor other = RunTinyFedAvg(threads, model);
-      ASSERT_EQ(base.size(), other.size());
-      ASSERT_EQ(0, std::memcmp(base.data(), other.data(),
-                               sizeof(float) * static_cast<size_t>(base.size())))
-          << "model=" << static_cast<int>(model) << " threads=" << threads;
-    }
-  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Pins the contracts in docs/OBSERVABILITY.md: histogram bucket edges,
 // span nesting/ordering determinism of the per-(lane, seq) merge across
-// `num_threads`/`kernel_threads`, Chrome trace-JSON well-formedness, and
+// `num_threads`, Chrome trace-JSON well-formedness, and
 // the golden guarantee that tracing never perturbs training — the final
 // global model is byte-identical with tracing on and off.
 
@@ -187,7 +187,7 @@ struct ObsFixture {
   ModelFactory factory;
 };
 
-FlConfig ObsConfig(int num_threads, int kernel_threads) {
+FlConfig ObsConfig(int num_threads) {
   FlConfig config;
   config.local_steps = 2;
   config.batch_size = 8;
@@ -195,7 +195,6 @@ FlConfig ObsConfig(int num_threads, int kernel_threads) {
   config.seed = 77;
   config.max_examples_per_pass = 32;
   config.num_threads = num_threads;
-  config.kernel_threads = kernel_threads;
   return config;
 }
 
@@ -219,7 +218,7 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
 }
 
 TEST_F(ObsTest, GoldenModelByteIdenticalTracingOnVsOff) {
-  FlConfig config = ObsConfig(1, 1);
+  FlConfig config = ObsConfig(1);
   const Tensor untraced = RunFixture(config, 2);
   config.trace = true;
   const Tensor traced = RunFixture(config, 2);
@@ -228,10 +227,9 @@ TEST_F(ObsTest, GoldenModelByteIdenticalTracingOnVsOff) {
 }
 
 /// Per-name span counts from a traced run of the fixture.
-std::map<std::string, int64_t> SpanCounts(int num_threads,
-                                          int kernel_threads) {
+std::map<std::string, int64_t> SpanCounts(int num_threads) {
   obs::ClearTrace();
-  FlConfig config = ObsConfig(num_threads, kernel_threads);
+  FlConfig config = ObsConfig(num_threads);
   config.trace = true;
   RunFixture(config, 2);
   std::map<std::string, int64_t> counts;
@@ -243,7 +241,7 @@ std::map<std::string, int64_t> SpanCounts(int num_threads,
 }
 
 TEST_F(ObsTest, SpanCountsInvariantAcrossThreadCounts) {
-  const auto serial = SpanCounts(1, 1);
+  const auto serial = SpanCounts(1);
   // The serial run covers every span kind the round loop emits.
   for (const char* name :
        {"round", "select", "broadcast", "local_train", "upload", "aggregate",
@@ -258,22 +256,14 @@ TEST_F(ObsTest, SpanCountsInvariantAcrossThreadCounts) {
   EXPECT_EQ(serial.count("maxpool_bwd"), 0u);
   EXPECT_EQ(serial.count("relu_pool_bwd"), 0u);
   EXPECT_GE(serial.size(), 6u);
-  for (const int num_threads : {1, 4}) {
-    for (const int kernel_threads : {1, 4}) {
-      if (num_threads == 1 && kernel_threads == 1) continue;
-      const auto counts = SpanCounts(num_threads, kernel_threads);
-      EXPECT_EQ(counts, serial)
-          << "num_threads=" << num_threads
-          << " kernel_threads=" << kernel_threads;
-    }
-  }
+  EXPECT_EQ(SpanCounts(4), serial) << "num_threads=4";
 }
 
 TEST_F(ObsTest, SerialEventStreamIsDeterministic) {
   using Sig = std::vector<std::pair<std::string, std::pair<int, int64_t>>>;
   const auto signature = [] {
     obs::ClearTrace();
-    FlConfig config = ObsConfig(1, 1);
+    FlConfig config = ObsConfig(1);
     config.trace = true;
     RunFixture(config, 2);
     Sig sig;
@@ -293,7 +283,7 @@ TEST_F(ObsTest, SerialEventStreamIsDeterministic) {
 }
 
 TEST_F(ObsTest, SpansNestProperlyWithinEachLane) {
-  FlConfig config = ObsConfig(4, 1);
+  FlConfig config = ObsConfig(4);
   config.trace = true;
   RunFixture(config, 2);
   for (const auto& lane : obs::CollectTrace()) {
@@ -353,7 +343,7 @@ void ExpectBalancedJson(const std::string& text) {
 }
 
 TEST_F(ObsTest, ChromeTraceJsonIsWellFormed) {
-  FlConfig config = ObsConfig(1, 1);
+  FlConfig config = ObsConfig(1);
   config.trace = true;
   RunFixture(config, 2);
   const std::string path = ::testing::TempDir() + "/obs_trace.json";
@@ -394,7 +384,7 @@ TEST_F(ObsTest, RoundMetricsCarryRegistryDeltas) {
   ObsFixture fx;
   RegularizerOptions reg;
   reg.lambda = 0.01;
-  RFedAvgPlus algo(ObsConfig(1, 1), reg, &fx.data.train, fx.views,
+  RFedAvgPlus algo(ObsConfig(1), reg, &fx.data.train, fx.views,
                    fx.factory);
   TrainerOptions options;
   options.eval_max_examples = 60;

@@ -96,13 +96,12 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesReferenceBitwise) {
   // The round's two convolutions, the golden CNN's (2 and 4 channels),
   // a 9-channel conv (a partial second register tile) and a strided
   // shape off the padded grid, at one image, an odd batch, a training
-  // batch and a δ-map batch, on every available ISA table, at 1, 2 and
-  // 4 threads: the node's pooled value and window bytes memcmp-equal to
-  // the reference sums plus the scalar pool rule (RefConvReluPool), and
-  // every gradient to ref::Conv2dBackwardKernel on the routed gradient,
-  // accumulated into a zeroed leaf gradient as autograd does. The
-  // upstream gradient has random signs so the routing decides real
-  // values.
+  // batch and a δ-map batch, on every available ISA table: the node's
+  // pooled value and window bytes memcmp-equal to the reference sums
+  // plus the scalar pool rule (RefConvReluPool), and every gradient to
+  // ref::Conv2dBackwardKernel on the routed gradient, accumulated into a
+  // zeroed leaf gradient as autograd does. The upstream gradient has
+  // random signs so the routing decides real values.
   struct Case {
     int64_t cin, side, cout, kernel, stride, pad;
   };
@@ -138,40 +137,36 @@ TEST(FusedOpsTest, Conv2dBiasReluPoolMatchesReferenceBitwise) {
         *t = std::move(accumulated);
       }
       for (KernelIsa isa : isas) {
-        for (int threads : {1, 2, 4}) {
-          KernelOptions o;
-          o.isa = isa;
-          o.threads = threads;
-          SetKernelOptions(o);
-          const std::string what =
-              "cin=" + std::to_string(cs.cin) + " side=" +
-              std::to_string(cs.side) + " cout=" + std::to_string(cs.cout) +
-              " stride=" + std::to_string(cs.stride) + " B=" +
-              std::to_string(batch) + " isa=" + KernelIsaName(isa) +
-              " threads=" + std::to_string(threads);
-          std::vector<uint8_t> win_fused;
-          const Tensor y_fused =
-              Conv2dBiasReluPoolForward(xt, wt, bt, spec, &win_fused);
-          EXPECT_TRUE(win_fused == win_ref) << what << " window";
+        KernelOptions o;
+        o.isa = isa;
+        SetKernelOptions(o);
+        const std::string what =
+            "cin=" + std::to_string(cs.cin) + " side=" +
+            std::to_string(cs.side) + " cout=" + std::to_string(cs.cout) +
+            " stride=" + std::to_string(cs.stride) + " B=" +
+            std::to_string(batch) + " isa=" + KernelIsaName(isa);
+        std::vector<uint8_t> win_fused;
+        const Tensor y_fused =
+            Conv2dBiasReluPoolForward(xt, wt, bt, spec, &win_fused);
+        EXPECT_TRUE(win_fused == win_ref) << what << " window";
 
-          const Variable r(rt, false);
-          Variable x1 = Leaf(xt), w1 = Leaf(wt), b1 = Leaf(bt);
-          Variable fused = ag::Conv2dBiasReluPool(x1, w1, b1, spec);
-          ag::Sum(ag::Mul(fused, r)).Backward();
-          auto same = [&](const Tensor& a, const Tensor& b,
-                          const char* name) {
-            ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
-            EXPECT_TRUE(same_bytes(
-                a.data(), b.data(),
-                sizeof(float) * static_cast<size_t>(a.size())))
-                << what << " " << name;
-          };
-          same(y_fused, y_ref, "op forward");
-          same(fused.value(), y_ref, "node forward");
-          same(x1.grad(), dx_ref, "dx");
-          same(w1.grad(), dw_ref, "dw");
-          same(b1.grad(), db_ref, "db");
-        }
+        const Variable r(rt, false);
+        Variable x1 = Leaf(xt), w1 = Leaf(wt), b1 = Leaf(bt);
+        Variable fused = ag::Conv2dBiasReluPool(x1, w1, b1, spec);
+        ag::Sum(ag::Mul(fused, r)).Backward();
+        auto same = [&](const Tensor& a, const Tensor& b,
+                        const char* name) {
+          ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
+          EXPECT_TRUE(same_bytes(
+              a.data(), b.data(),
+              sizeof(float) * static_cast<size_t>(a.size())))
+              << what << " " << name;
+        };
+        same(y_fused, y_ref, "op forward");
+        same(fused.value(), y_ref, "node forward");
+        same(x1.grad(), dx_ref, "dx");
+        same(w1.grad(), dw_ref, "dw");
+        same(b1.grad(), db_ref, "db");
       }
     }
   }
@@ -183,7 +178,7 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedReferenceBitwise) {
   // straight from (grad, y, window); dx, dw and db must memcmp-equal
   // ref::Conv2dBackwardKernel on the routed gradient. The shapes of the
   // composed chain test plus 6 input channels (two channel groups), on
-  // every available table, serial and threaded. Three kinds of input:
+  // every available table. Three kinds of input:
   //  * plain: random values;
   //  * edge: image 0 all zeros (every window a 4-way tie), channel 0's
   //    bias far below zero (every window clamped), a -0 gradient at
@@ -198,10 +193,12 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedReferenceBitwise) {
   struct Case {
     int64_t cin, side, cout, kernel, stride, pad;
   };
+  // The last case pads by the kernel size: its border windows lie
+  // wholly in the padding, and it still takes the sparse path.
   const Case cases[] = {{3, 12, 4, 5, 1, 2}, {4, 6, 8, 5, 1, 2},
                         {1, 12, 2, 5, 1, 2}, {2, 6, 4, 5, 1, 2},
                         {3, 8, 9, 3, 1, 1},  {2, 8, 3, 3, 2, 1},
-                        {6, 8, 5, 5, 1, 2}};
+                        {6, 8, 5, 5, 1, 2},  {2, 4, 3, 3, 1, 3}};
   enum class Input { kPlain, kEdge, kNanX, kInfW, kNanGrad, kInfGrad };
   const float kNan = std::numeric_limits<float>::quiet_NaN();
   const float kInf = std::numeric_limits<float>::infinity();
@@ -216,7 +213,7 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedReferenceBitwise) {
     const Conv2dSpec spec{.in_channels = cs.cin, .out_channels = cs.cout,
                           .kernel = cs.kernel, .stride = cs.stride,
                           .pad = cs.pad};
-    const bool on_grid = cs.stride == 1 && cs.pad < cs.kernel;
+    const bool on_grid = cs.stride == 1;
     for (int64_t batch : {1, 7, 24, 150}) {
       for (Input input : {Input::kPlain, Input::kEdge, Input::kNanX,
                           Input::kInfW, Input::kNanGrad, Input::kInfGrad}) {
@@ -256,40 +253,37 @@ TEST(FusedOpsTest, SparseConvBlockBackwardMatchesRoutedReferenceBitwise) {
         RefConv2dBackward(RoutedGradient(gt, y, window), xt, wt, spec, &rdx,
                           &rdw, &rdb);
         for (KernelIsa isa : isas) {
-          for (int threads : {1, 4}) {
-            KernelOptions o;
-            o.isa = isa;
-            o.threads = threads;
-            SetKernelOptions(o);
-            const std::string what =
-                "cin=" + std::to_string(cs.cin) + " side=" +
-                std::to_string(cs.side) + " cout=" + std::to_string(cs.cout) +
-                " stride=" + std::to_string(cs.stride) + " B=" +
-                std::to_string(batch) + " input=" +
-                std::to_string(static_cast<int>(input)) + " isa=" +
-                KernelIsaName(isa) + " threads=" + std::to_string(threads);
-            const int64_t run0 = run_flops->value();
-            const int64_t dense0 = dense_flops->value();
-            Tensor dx, dw, db;
-            Conv2dBiasReluPoolBackward(gt, y, window, xt, wt, spec, &dx, &dw,
-                                       &db);
-            EXPECT_EQ(
-                run_flops->value() - run0 == dense_flops->value() - dense0,
-                fallback)
-                << what << " took the wrong path";
-            auto same = [&](const Tensor& a, const Tensor& b,
-                            const char* name) {
-              ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
-              EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                                    sizeof(float) *
-                                        static_cast<size_t>(a.size())),
-                        0)
-                  << what << " " << name;
-            };
-            same(dx, rdx, "dx");
-            same(dw, rdw, "dw");
-            same(db, rdb, "db");
-          }
+          KernelOptions o;
+          o.isa = isa;
+          SetKernelOptions(o);
+          const std::string what =
+              "cin=" + std::to_string(cs.cin) + " side=" +
+              std::to_string(cs.side) + " cout=" + std::to_string(cs.cout) +
+              " stride=" + std::to_string(cs.stride) + " B=" +
+              std::to_string(batch) + " input=" +
+              std::to_string(static_cast<int>(input)) + " isa=" +
+              KernelIsaName(isa);
+          const int64_t run0 = run_flops->value();
+          const int64_t dense0 = dense_flops->value();
+          Tensor dx, dw, db;
+          Conv2dBiasReluPoolBackward(gt, y, window, xt, wt, spec, &dx, &dw,
+                                     &db);
+          EXPECT_EQ(
+              run_flops->value() - run0 == dense_flops->value() - dense0,
+              fallback)
+              << what << " took the wrong path";
+          auto same = [&](const Tensor& a, const Tensor& b,
+                          const char* name) {
+            ASSERT_EQ(a.shape(), b.shape()) << what << " " << name;
+            EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                                  sizeof(float) *
+                                      static_cast<size_t>(a.size())),
+                      0)
+                << what << " " << name;
+          };
+          same(dx, rdx, "dx");
+          same(dw, rdw, "dw");
+          same(db, rdb, "db");
         }
         obs::ClearTrace();
       }
